@@ -9,6 +9,7 @@ use dotted paths (hyperparams.lr_gamma=0.2).  Exit codes: 0 success,
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -45,15 +46,32 @@ _METHOD_SUMMARY = (
 # config loading
 # ---------------------------------------------------------------------------
 
+def _construct(section, factory, doc):
+    """factory(**doc), reporting a malformed section as a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config section {section!r} must be an object")
+    params = inspect.signature(factory).parameters
+    unknown = sorted(set(doc) - set(params))
+    if unknown:
+        raise ValueError(f"unknown {section} fields: {unknown}")
+    missing = sorted(name for name, p in params.items()
+                     if p.default is p.empty and name not in doc)
+    if missing:
+        raise ValueError(f"missing {section} fields: {missing}")
+    return factory(**doc)
+
+
 def _build_objective(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("config section 'objective' must be an object")
     doc = dict(doc)
     maker = doc.pop("maker", None)
     if maker == "quadratic":
-        return make_quadratic(**doc)
+        return _construct("objective", make_quadratic, doc)
     if maker == "logistic":
-        return make_logistic(**doc)
+        return _construct("objective", make_logistic, doc)
     if maker == "tiny_mlp":
-        return make_tiny_mlp(**doc)
+        return _construct("objective", make_tiny_mlp, doc)
     if maker is not None:
         raise ValueError(f"unknown objective maker {maker!r}")
     for key in ("quad_diag", "quad_matrix", "quad_shifts", "logit_features",
@@ -64,31 +82,35 @@ def _build_objective(doc):
         doc["partition"] = [tuple(p) for p in doc["partition"]]
     if doc.get("mlp_widths") is not None:
         doc["mlp_widths"] = tuple(doc["mlp_widths"])
-    return ObjectiveSpec(**doc)
+    return _construct("objective", ObjectiveSpec, doc)
 
 
 def build_config(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
     doc = dict(doc)
     if "objective" not in doc:
         raise ValueError("config must define 'objective'")
     kwargs = {"objective": _build_objective(doc.pop("objective"))}
     if "cluster" in doc:
-        kwargs["cluster"] = ClusterConfig(**doc.pop("cluster"))
+        kwargs["cluster"] = _construct("cluster", ClusterConfig, doc.pop("cluster"))
     if "hyperparams" in doc:
-        kwargs["hyperparams"] = HyperParams(**doc.pop("hyperparams"))
+        kwargs["hyperparams"] = _construct("hyperparams", HyperParams,
+                                           doc.pop("hyperparams"))
     if doc.get("schedule") is not None:
-        sched = dict(doc.pop("schedule"))
-        if "decay_milestones" in sched:
-            sched["decay_milestones"] = tuple(sched["decay_milestones"])
-        kwargs["schedule"] = Schedule(**sched)
+        sched = doc.pop("schedule")
+        if isinstance(sched, dict) and "decay_milestones" in sched:
+            sched = dict(sched, decay_milestones=tuple(sched["decay_milestones"]))
+        kwargs["schedule"] = _construct("schedule", Schedule, sched)
     else:
         doc.pop("schedule", None)
     if doc.get("noise") is not None:
-        kwargs["noise"] = NoiseSpec(**doc.pop("noise"))
+        kwargs["noise"] = _construct("noise", NoiseSpec, doc.pop("noise"))
     else:
         doc.pop("noise", None)
     if doc.get("post_local") is not None:
-        kwargs["post_local"] = PostLocalConfig(**doc.pop("post_local"))
+        kwargs["post_local"] = _construct("post_local", PostLocalConfig,
+                                          doc.pop("post_local"))
     else:
         doc.pop("post_local", None)
     for key in ("method", "total_steps_T", "record_every",

@@ -1,14 +1,28 @@
 """
 Simulated cluster of K synchronous workers.
 
-Batch index streams are pure functions of (master_seed, worker, step) built on
-numpy SeedSequence, so replaying any (config, t) reproduces the same batches
-and worker k never touches worker k's neighbours' state.  The gradient
-reduction is a plain ascending-worker-order serial mean: floating-point
-determinism outranks reduction speed at desk scale, and the result is
-independent of how many evaluation threads computed the inputs.
+Each worker k reads its batches from one endless index sequence, and the batch
+of step t is positions [tB, (t+1)B) of that sequence.  The sequence is a
+concatenation of seeded blocks, each a pure function of
+(master_seed, worker, block):
+
+* epoch permutation: block e is a fresh permutation of all N samples, so
+  every epoch visits each sample once;
+* with replacement: block c holds _BLOCK indices drawn uniformly from [0, N).
+
+A batch may straddle a block boundary.  Because blocks depend only on their
+seed tuple, replaying any (config, t) reproduces the same batches in any
+access order, batches at step t never depend on how many steps ran before,
+and worker k never touches its neighbours' streams.  Recently used blocks are
+kept read-only in a small cache, so a run generates each block once instead
+of once per step, and every batch gets its own copy of its indices.
+
+The gradient reduction is a plain ascending-worker-order serial mean:
+floating-point determinism outranks reduction speed at desk scale, and the
+result is independent of how many evaluation threads computed the inputs.
 """
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,6 +33,14 @@ EPOCH_PERMUTATION = "epoch_permutation"
 
 _BATCH_TAG = 21
 _PERM_TAG = 22
+
+# Indices per with-replacement block: one seeded generator serves
+# _BLOCK // B steps of a worker.
+_BLOCK = 1024
+# Cached blocks.  A step touches one block per worker (two where a batch
+# straddles), so this covers clusters of up to 32 workers; an epoch block
+# holds N int64 indices.
+_CACHE_BLOCKS = 64
 
 
 @dataclass
@@ -56,10 +78,15 @@ class SampleBatch:
     indices: np.ndarray
 
 
-def _epoch_perm(master_seed, worker, epoch, n):
-    rng = np.random.default_rng(
-        np.random.SeedSequence((master_seed, _PERM_TAG, worker, epoch)))
-    return rng.permutation(n)
+@functools.lru_cache(maxsize=_CACHE_BLOCKS)
+def _block(master_seed, mode, worker, block, n):
+    """Block `block` of worker's index sequence, read-only (it is shared)."""
+    epoch = mode == EPOCH_PERMUTATION
+    rng = np.random.default_rng(np.random.SeedSequence(
+        (master_seed, _PERM_TAG if epoch else _BATCH_TAG, worker, block)))
+    idx = rng.permutation(n) if epoch else rng.integers(0, n, size=_BLOCK)
+    idx.setflags(write=False)
+    return idx
 
 
 def draw_batches(cfg, obj, t):
@@ -68,22 +95,19 @@ def draw_batches(cfg, obj, t):
     if t < 0:
         raise ValueError("step t must be >= 0")
     cfg.validate(obj)
-    n, b = obj.sample_count, cfg.local_batch_B
+    n, b, mode = obj.sample_count, cfg.local_batch_B, cfg.sampling_mode
+    size = n if mode == EPOCH_PERMUTATION else _BLOCK
+    first, offset = divmod(t * b, size)
+    last = (t * b + b - 1) // size
+    seed = cfg.master_seed
     batches = []
     for k in range(cfg.workers_K):
-        if cfg.sampling_mode == WITH_REPLACEMENT:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.master_seed, _BATCH_TAG, k, t)))
-            idx = rng.integers(0, n, size=b)
-        else:
-            # Position p of the concatenated per-epoch permutations; batches
-            # may straddle an epoch boundary.
-            positions = np.arange(t * b, (t + 1) * b)
-            idx = np.empty(b, dtype=np.int64)
-            for epoch in np.unique(positions // n):
-                mask = positions // n == epoch
-                idx[mask] = _epoch_perm(cfg.master_seed, k, int(epoch), n)[positions[mask] % n]
-        batches.append(SampleBatch(worker=k, step=t, indices=idx.astype(np.int64)))
+        seq = _block(seed, mode, k, first, n)
+        if last > first:        # the batch straddles a block boundary
+            seq = np.concatenate([seq] + [_block(seed, mode, k, c, n)
+                                          for c in range(first + 1, last + 1)])
+        idx = seq[offset:offset + b].astype(np.int64)   # a private copy
+        batches.append(SampleBatch(worker=k, step=t, indices=idx))
     return batches
 
 

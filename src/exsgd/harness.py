@@ -326,11 +326,16 @@ def run(config, threads=1):
 
 def _jsonable(value):
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and not np.isfinite(value).all():
+            return _jsonable(value.tolist())
         return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and math.isnan(value):
-        return None
+        return _jsonable(value.item())
+    if isinstance(value, float) and not math.isfinite(value):
+        # Strict JSON has neither: NaN becomes null and +-inf a string.
+        if math.isnan(value):
+            return None
+        return "Infinity" if value > 0 else "-Infinity"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
     if isinstance(value, dict):
@@ -342,7 +347,8 @@ def _jsonable(value):
 
 def _dump_json(payload, path):
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=1)
+        json.dump(_jsonable(payload), fh, sort_keys=True, indent=1,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -361,11 +367,13 @@ def write_outputs(result, out_dir):
         path = os.path.join(out_dir, f"trial_{tr.trial}.jsonl")
         with open(path, "w") as fh:
             for rec in tr.records:
-                fh.write(json.dumps(_jsonable(rec), sort_keys=True))
+                fh.write(json.dumps(_jsonable(rec), sort_keys=True,
+                                    allow_nan=False))
                 fh.write("\n")
             if tr.aborted:
                 fh.write(json.dumps({"abort": tr.abort_detail,
-                                     "step": tr.steps_done}, sort_keys=True))
+                                     "step": tr.steps_done},
+                                    sort_keys=True, allow_nan=False))
                 fh.write("\n")
 
     agg_path = os.path.join(out_dir, "aggregate.csv")

@@ -86,6 +86,20 @@ def test_validation_error_exits_one(tmp_path, capsys):
     assert "momentum_u" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["objective", "cluster", "hyperparams",
+                                     "schedule", "noise", "post_local"])
+def test_unknown_nested_key_exits_one_without_traceback(tmp_path, capsys,
+                                                        section):
+    doc = dict(BASE_CONFIG)
+    doc[section] = dict(doc.get(section) or {}, lr_gama=0.1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lr_gama" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 1

@@ -2,12 +2,13 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from exsgd.cluster import (EPOCH_PERMUTATION, WITH_REPLACEMENT, ClusterConfig,
-                           draw_batches, map_workers, reduce_mean)
+from exsgd.cluster import (_BLOCK, EPOCH_PERMUTATION, WITH_REPLACEMENT,
+                           ClusterConfig, _block, draw_batches, map_workers,
+                           reduce_mean)
 from exsgd.objectives import make_quadratic
 
 
@@ -88,6 +89,72 @@ def test_epoch_permutation_workers_independent():
     assert not np.array_equal(k0.indices, k1.indices)   # distinct permutations
     k0_next = draw_batches(cfg, obj, 1)[0]
     assert sorted(np.concatenate([k0.indices, k0_next.indices])) == list(range(64))
+
+
+def test_epoch_mode_matches_per_step_permutation_formula():
+    # Reference: each step rebuilds the permutation of every epoch its batch
+    # covers, seeded by (seed, 22, worker, epoch).  Pins epoch-mode bytes.
+    n, B, K, seed = 8, 3, 2, 9
+    obj = make_quadratic(1, n)
+    cfg = ClusterConfig(workers_K=K, local_batch_B=B, master_seed=seed,
+                        sampling_mode=EPOCH_PERMUTATION)
+
+    def reference(worker, t):
+        positions = np.arange(t * B, (t + 1) * B)
+        idx = np.empty(B, dtype=np.int64)
+        for epoch in np.unique(positions // n):
+            perm = np.random.default_rng(np.random.SeedSequence(
+                (seed, 22, worker, int(epoch)))).permutation(n)
+            mask = positions // n == epoch
+            idx[mask] = perm[positions[mask] % n]
+        return idx
+
+    for t in range(10):
+        for sb in draw_batches(cfg, obj, t):
+            assert sb.indices.dtype == np.int64
+            assert_array_equal(sb.indices, reference(sb.worker, t))
+
+
+@given(seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 3),
+       n=st.integers(1, 64), mode=st.sampled_from([WITH_REPLACEMENT,
+                                                   EPOCH_PERMUTATION]),
+       t=st.integers(0, 120), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stream_is_prefix_stable_and_private(seed, workers, n, mode, t, data):
+    batch = data.draw(st.integers(1, n), label="B")
+    obj = make_quadratic(1, n)
+    cfg = ClusterConfig(workers_K=workers, local_batch_B=batch,
+                        master_seed=seed, sampling_mode=mode)
+    _block.cache_clear()
+    cold = draw_batches(cfg, obj, t)
+    _block.cache_clear()
+    for s in range(t):
+        draw_batches(cfg, obj, s)
+    warm = draw_batches(cfg, obj, t)
+    for x, y in zip(cold, warm):
+        assert_array_equal(x.indices, y.indices)
+        x.indices[:] = -1                   # callers own their indices
+    for x, y in zip(draw_batches(cfg, obj, t), warm):
+        assert_array_equal(x.indices, y.indices)
+
+
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(2, 64),
+       boundary=st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_with_replacement_batches_straddle_blocks(seed, batch, boundary):
+    edge = boundary * _BLOCK
+    assume(edge % batch)
+    n = 64
+    obj = make_quadratic(1, n)
+    cfg = ClusterConfig(workers_K=2, local_batch_B=batch, master_seed=seed)
+    t = edge // batch                       # this step's batch covers `edge`
+    for sb in draw_batches(cfg, obj, t):
+        # Reference: blocks are seeded by (seed, 21, worker, block).
+        seq = np.concatenate([np.random.default_rng(np.random.SeedSequence(
+            (seed, 21, sb.worker, c))).integers(0, n, size=_BLOCK)
+            for c in (boundary - 1, boundary)])
+        start = t * batch - (boundary - 1) * _BLOCK
+        assert_array_equal(sb.indices, seq[start:start + batch])
 
 
 def test_reduce_mean_serial_accumulation_order():

@@ -11,9 +11,11 @@ from numpy.testing import assert_array_equal
 from exsgd.cluster import ClusterConfig
 from exsgd.harness import (RunConfig, apply_override, run, speedup_study,
                            sweep, trial_seed, write_outputs)
-from exsgd.objectives import loss, make_quadratic, initial_point, ParamVector
+from exsgd.objectives import (ParamVector, estimate_constants, initial_point,
+                              loss, make_quadratic)
 from exsgd.optimizers import (SMOOTHOUT_SHARED, WARMUP_CONSTANT, HyperParams,
                               NoiseSpec, PostLocalConfig, Schedule, lr_at)
+from exsgd.theory import stepsize_cap
 
 
 def _base_config(**overrides):
@@ -29,6 +31,29 @@ def _base_config(**overrides):
         master_seed=7,
     )
     return dataclasses.replace(cfg, **overrides)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_outputs_are_strict_json_at_the_nesterov_cap(tmp_path):
+    obj = _base_config().objective
+    cap = stepsize_cap("nesterov", estimate_constants(obj, initial_point(obj)),
+                       0.5)
+    cfg = _base_config(record_virtual_sequence=True, method="nesterov",
+                       hyperparams=HyperParams(lr_gamma=cap, momentum_u=0.5))
+    write_outputs(run(cfg), tmp_path)
+    for name in os.listdir(tmp_path):
+        text = (tmp_path / name).read_text()
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=_reject_constant)
+        elif name.endswith(".jsonl"):
+            for line in text.splitlines():
+                json.loads(line, parse_constant=_reject_constant)
+    report = json.loads((tmp_path / "theory_report.json").read_text())
+    # gamma at the cap zeroes the bound's denominator: the bound is infinite
+    assert report["trials"][0]["rate_bound"]["bound_value"] == "Infinity"
 
 
 def test_run_is_deterministic():
