@@ -236,7 +236,7 @@ def _cmd_smoothness(args):
         config = load_config(args.config, args.set, args.seed)
         obj = config.objective
         x0 = initial_point(obj, config.init_scale)
-        g = -batch_gradient(obj, x0.values, np.arange(obj.sample_count))
+        g = -batch_gradient(obj, x0.values, range(obj.sample_count))
         est = theory.smoothness_estimate(obj, x0.values, g,
                                          probes=args.probes,
                                          fraction=args.fraction)
@@ -263,21 +263,21 @@ def _cmd_list_methods(_args):
 # verify: the built-in theory suite on quadratics
 # ---------------------------------------------------------------------------
 
-def _chain_runs_equal(obj, cl, steps, pairs, threads):
+def _chain_runs_equal(obj, cl, steps, pairs):
     """Run two step functions on identical batch streams; compare iterates."""
     for step_a, hp_a, step_b, hp_b in pairs:
         sa = init_state(initial_point(obj), cl.workers_K)
         sb = init_state(initial_point(obj), cl.workers_K)
         for t in range(steps):
             batches = draw_batches(cl, obj, t)
-            step_a(sa, obj, batches, hp_a, threads)
-            step_b(sb, obj, batches, hp_b, threads)
+            step_a(sa, obj, batches, hp_a)
+            step_b(sb, obj, batches, hp_b)
             if not np.array_equal(sa.x.values, sb.x.values):
                 return False, t
     return True, None
 
 
-def _verify_checks(threads=1):
+def _verify_checks():
     checks = []
     obj = make_quadratic(6, 48, generator_seed=5, shift_spread=2.0)
     cl = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=11)
@@ -289,19 +289,19 @@ def _verify_checks(threads=1):
         (step_extrap_sgd, HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=0.0,
                                       momentum_u=0.9),
          step_nesterov, HyperParams(lr_gamma=gamma, momentum_u=0.9)),
-    ], threads)
+    ])
     checks.append(("extrap_sgd(gamma_hat=0) == nesterov, 200 steps", ok,
                    f"first mismatch at step {at}" if not ok else ""))
     ok, at = _chain_runs_equal(obj, cl, 200, [
         (step_nesterov, HyperParams(lr_gamma=gamma, momentum_u=0.0),
          step_minibatch_sgd, HyperParams(lr_gamma=gamma)),
-    ], threads)
+    ])
     checks.append(("nesterov(u=0) == sgd, 200 steps", ok,
                    f"first mismatch at step {at}" if not ok else ""))
     ok, at = _chain_runs_equal(obj, cl, 200, [
         (step_extrap_adam, HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=0.0),
          step_adam, HyperParams(lr_gamma=gamma)),
-    ], threads)
+    ])
     checks.append(("extrap_adam(gamma_hat=0) == adam, 200 steps", ok,
                    f"first mismatch at step {at}" if not ok else ""))
 
@@ -311,7 +311,7 @@ def _verify_checks(threads=1):
             hyperparams=HyperParams(lr_gamma=gamma, momentum_u=u),
             total_steps_T=300, record_virtual_sequence=True, trials=1,
             master_seed=3)
-        tr = harness.run(cfg, threads=threads).trials[0]
+        tr = harness.run(cfg).trials[0]
         worst = float(tr.descent_residuals.max())
         checks.append((f"descent identity ({method}), rel residual <= 1e-8",
                        worst <= 1e-8, f"max {worst:.3g}"))
@@ -331,7 +331,7 @@ def _verify_checks(threads=1):
             objective=obj, cluster=cl, method=method, hyperparams=hp,
             total_steps_T=horizon, record_virtual_sequence=True,
             trials=trials, master_seed=17)
-        result = harness.run(cfg, threads=threads)
+        result = harness.run(cfg)
         holds = [t.rate_report.holds for t in result.trials
                  if t.rate_report is not None]
         frac = sum(holds) / len(holds) if holds else 0.0
@@ -362,7 +362,7 @@ def _verify_checks(threads=1):
 
 
 def _cmd_verify(args):
-    checks = _verify_checks(threads=args.threads)
+    checks = _verify_checks()
     width = max(len(name) for name, _, _ in checks)
     failed = 0
     for name, ok, detail in checks:
@@ -392,7 +392,8 @@ def _add_common(p, config_required=True):
                    help="dotted-path override, repeatable")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker-evaluation threads (results unchanged)")
+                   help="accepted for compatibility; has no effect (each step "
+                        "evaluates all workers in one stacked call)")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
 
 

@@ -17,9 +17,10 @@ and worker k never touches its neighbours' streams.  Recently used blocks are
 kept read-only in a small cache, so a run generates each block once instead
 of once per step, and every batch gets its own copy of its indices.
 
-The gradient reduction is a plain ascending-worker-order serial mean:
-floating-point determinism outranks reduction speed at desk scale, and the
-result is independent of how many evaluation threads computed the inputs.
+The gradient reduction is a plain ascending-worker-order serial mean over
+the K rows of a (K, d) array (or a list of K vectors): floating-point
+determinism outranks reduction speed at desk scale.  The step engine
+evaluates all K workers in one stacked call, so no step uses threads.
 """
 
 import functools
@@ -126,6 +127,9 @@ def reduce_mean(vectors):
 
 def map_workers(fn, items, threads=1):
     """Evaluate fn over items, optionally on a thread pool, preserving order.
+
+    No step calls this any more; it stays because benchmark/tracer.py patches
+    `optimizers.map_workers`.
 
     Per-worker evaluations are independent, so the results (and anything
     reduced from them) do not depend on the thread count.

@@ -7,9 +7,10 @@ persists everything as plain files (JSONL per trial, one manifest, CSV
 aggregates, JSON theory report).
 
 Determinism contract: every trial is a pure function of (master_seed, trial
-index) and the config.  Worker-evaluation threads never change results, and
-output files contain no timestamps or environment details, so repeated runs
-are byte-identical.
+index) and the config, and output files contain no timestamps or environment
+details, so repeated runs are byte-identical.  Trials run serially and each
+step evaluates all K workers in one stacked oracle call; the `threads`
+argument of run/sweep/speedup_study is accepted and has no effect.
 """
 
 import csv
@@ -126,39 +127,39 @@ def trial_seed(master_seed, trial):
 
 
 def _full_grad_norm2(obj, values, weight_decay):
-    g = batch_gradient(obj, values, np.arange(obj.sample_count))
+    g = batch_gradient(obj, values, range(obj.sample_count))
     if weight_decay != 0.0:
         g = g + weight_decay * values
     return float(g @ g)
 
 
 def _train_loss(obj, values, weight_decay):
-    loss = batch_loss(obj, values, np.arange(obj.sample_count))
+    loss = batch_loss(obj, values, range(obj.sample_count))
     if weight_decay != 0.0:
         loss += 0.5 * weight_decay * float(values @ values)
     return float(loss)
 
 
-def _step_once(config, state, obj, cl, batches, hp_t, seed, t, threads):
+def _step_once(config, state, obj, cl, batches, hp_t, seed, t):
     m = config.method
     if m == theory.SGD:
-        return step_minibatch_sgd(state, obj, batches, hp_t, threads)
+        return step_minibatch_sgd(state, obj, batches, hp_t)
     if m == theory.NESTEROV:
-        return step_nesterov(state, obj, batches, hp_t, threads)
+        return step_nesterov(state, obj, batches, hp_t)
     if m == theory.EXTRAP_SGD:
-        return step_extrap_sgd(state, obj, batches, hp_t, threads,
+        return step_extrap_sgd(state, obj, batches, hp_t,
                                extrap_b=cl.extrap_batch_b)
     if m == theory.EXTRAP_NOISE:
         rng = np.random.default_rng(np.random.SeedSequence((seed, _NOISE_TAG, t)))
         return step_extrapolated_noise(state, obj, batches, hp_t, config.noise,
-                                       rng, threads, extrap_b=cl.extrap_batch_b)
+                                       rng, extrap_b=cl.extrap_batch_b)
     if m == theory.ADAM:
-        return step_adam(state, obj, batches, hp_t, threads)
+        return step_adam(state, obj, batches, hp_t)
     if m == theory.EXTRAP_ADAM:
-        return step_extrap_adam(state, obj, batches, hp_t, threads,
+        return step_extrap_adam(state, obj, batches, hp_t,
                                 extrap_b=cl.extrap_batch_b)
     return step_post_local(state, obj, batches, hp_t, config.post_local,
-                           threads, extrap_b=cl.extrap_batch_b)
+                           extrap_b=cl.extrap_batch_b)
 
 
 def _terminal_half_point(config, state, hp, cl, seed, horizon_T):
@@ -193,7 +194,7 @@ def _relative_descent_residuals(vs):
     return resid / denom
 
 
-def _run_trial(config, trial, threads=1, stop_epsilon=None):
+def _run_trial(config, trial, stop_epsilon=None):
     obj = config.objective
     seed = trial_seed(config.master_seed, trial)
     cl = dataclasses.replace(config.cluster, master_seed=seed)
@@ -220,7 +221,7 @@ def _run_trial(config, trial, threads=1, stop_epsilon=None):
         batches = draw_batches(cl, obj, t)
         x_before = state.x.values
         try:
-            _step_once(config, state, obj, cl, batches, hp_t, seed, t, threads)
+            _step_once(config, state, obj, cl, batches, hp_t, seed, t)
         except NumericAbort as exc:
             aborted, abort_detail = True, str(exc)
             records.append(MetricsRecord(
@@ -313,9 +314,10 @@ def _wall_events(cl, steps):
 
 
 def run(config, threads=1):
-    """Execute config.trials seeded trials; see module docstring."""
+    """Execute config.trials seeded trials; see module docstring (`threads`
+    has no effect)."""
     config.validate()
-    trials = [_run_trial(config, i, threads) for i in range(config.trials)]
+    trials = [_run_trial(config, i) for i in range(config.trials)]
     seeds = [t.seed for t in trials]
     return RunResult(config=config, trials=trials, trial_seeds=seeds)
 
@@ -454,7 +456,7 @@ def speedup_study(base, kb_grid, epsilon, threads=1, budget_factor=4):
                                   total_steps_T=max(1, budget_factor * t_eps))
         steps, censored = [], 0
         for i in range(base.trials):
-            tr = _run_trial(cfg, i, threads, stop_epsilon=epsilon)
+            tr = _run_trial(cfg, i, stop_epsilon=epsilon)
             if tr.reached_epsilon:
                 steps.append(tr.steps_done)
             else:
@@ -503,7 +505,7 @@ def sweep(base, grid, threads=1):
             cfg = apply_override(cfg, key, val)
         finals, min_gns, aborted = [], [], 0
         for i in range(base.trials):
-            tr = _run_trial(cfg, i, threads)
+            tr = _run_trial(cfg, i)
             if tr.aborted:
                 aborted += 1
             losses = [r.train_loss for r in tr.records

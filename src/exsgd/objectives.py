@@ -114,6 +114,7 @@ class ObjectiveSpec:
             raise ValueError("sample_count must be >= 1")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        self._check_shapes()
         if self.kind == QUADRATIC:
             if self.quad_matrix is not None:
                 a = self.quad_matrix
@@ -124,6 +125,38 @@ class ObjectiveSpec:
             elif np.min(self.quad_diag) < 0:
                 raise ValueError("quadratic diagonal must be nonnegative")
         return self
+
+    def _check_shapes(self):
+        """Every populated array must match (N, d) and the MLP widths, so a
+        changed sample_count or dimension fails here, not mid-run."""
+        n, d = self.sample_count, self.dimension
+        if self.kind == QUADRATIC:
+            required = ("quad_shifts",)
+            shapes = {"quad_diag": (d,), "quad_matrix": (d, d), "quad_shifts": (n, d)}
+            if self.quad_diag is None and self.quad_matrix is None:
+                raise ValueError("quadratic objective needs quad_diag or quad_matrix")
+        elif self.kind == LOGISTIC:
+            required = shapes = {"logit_features": (n, d), "logit_labels": (n,)}
+        else:
+            widths = self.mlp_widths
+            if widths is None or not 2 <= len(widths) <= 4:
+                raise ValueError("tiny_mlp widths must be (in, [h1, [h2,]] out)")
+            params = sum(widths[l + 1] * (widths[l] + 1) for l in range(len(widths) - 1))
+            if params != d:
+                raise ValueError(f"mlp_widths {tuple(widths)} have {params} "
+                                 f"parameters, but dimension is {d}")
+            required = shapes = {"mlp_inputs": (n, widths[0]),
+                                 "mlp_targets": (n, widths[-1])}
+        for name in required:
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.kind} objective needs {name}")
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != shape:
+                raise ValueError(f"{name} has shape {np.shape(value)}, expected "
+                                 f"{shape} for sample_count={n}, dimension={d}")
+        if self.partition:
+            ParamVector(np.zeros(d), self.partition).validate()
 
 
 @dataclass
@@ -254,56 +287,88 @@ def initial_point(obj, init_scale=1.0):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _check_dim(obj, values):
-    if values.shape != (obj.dimension,):
-        raise ValueError(
-            f"dimension mismatch: objective has d={obj.dimension}, got {values.shape}"
-        )
+def _sample_rows(obj, indices):
+    """`indices` as an index into the per-sample arrays, validated once.
+
+    A step-1 `range` becomes a basic slice: a view, with no gather and no
+    per-element check.  Anything else becomes an int64 array, a (B,) batch or
+    a (K, B) matrix holding one batch per row.
+    """
+    if isinstance(indices, range) and indices.step == 1:
+        if len(indices) == 0:
+            raise ValueError("empty index set")
+        if indices.start < 0 or indices.stop > obj.sample_count:
+            raise IndexError("sample index out of range")
+        return slice(indices.start, indices.stop)
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size == 0:
+        raise ValueError("empty index set")
+    if idx.ndim not in (1, 2):
+        raise ValueError(f"indices must be a (B,) batch or a (K, B) matrix, got {idx.shape}")
+    if idx.min() < 0 or idx.max() >= obj.sample_count:
+        raise IndexError("sample index out of range")
+    return idx
+
+
+def _check_dim(obj, values, rows):
+    """values is one (d,) point, or a (K, d) point per row of a (K, B) matrix."""
+    if values.shape == (obj.dimension,):
+        return
+    stacked = isinstance(rows, np.ndarray) and rows.ndim == 2
+    if stacked and values.shape == (rows.shape[0], obj.dimension):
+        return
+    raise ValueError(
+        f"dimension mismatch: objective has d={obj.dimension}, got {values.shape}"
+    )
 
 
 def _unpack_mlp(obj, values):
+    """(weight, bias) per layer; for (K, d) values each gains a leading K axis
+    (the bias as (K, 1, out), so it broadcasts over the batch axis)."""
     layers, cursor = [], 0
     widths = obj.mlp_widths
+    lead = values.shape[:-1]
     for l in range(len(widths) - 1):
         n_w = widths[l + 1] * widths[l]
-        w = values[cursor:cursor + n_w].reshape(widths[l + 1], widths[l])
-        b = values[cursor + n_w:cursor + n_w + widths[l + 1]]
+        w = values[..., cursor:cursor + n_w].reshape(lead + (widths[l + 1], widths[l]))
+        b = values[..., None, cursor + n_w:cursor + n_w + widths[l + 1]]
         layers.append((w, b))
         cursor += n_w + widths[l + 1]
     return layers
 
 
-def _mlp_forward(layers, inputs):
-    """Returns (activations, preactivations); activations[0] is the input."""
-    acts = [inputs]
-    for l, (w, b) in enumerate(layers):
-        z = acts[-1] @ w.T + b
-        acts.append(np.tanh(z) if l < len(layers) - 1 else z)
-    return acts
-
-
-def _mlp_batch_loss_grad(obj, values, idx, want_grad=True):
-    """Mean loss (and mean gradient) of 0.5||net(x_i) - y_i||^2 over idx."""
+def _mlp_forward(obj, values, rows):
+    """(layers, activations, residual net(x_i) - y_i); activations[0] is the
+    input.  The matmuls are stacked over any leading K axis."""
     layers = _unpack_mlp(obj, values)
-    inputs = obj.mlp_inputs[idx]
-    targets = obj.mlp_targets[idx]
-    acts = _mlp_forward(layers, inputs)
-    resid = acts[-1] - targets
-    loss = 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
-    if not want_grad:
-        return loss, None
-    n = inputs.shape[0]
+    acts = [obj.mlp_inputs[rows]]
+    for l, (w, b) in enumerate(layers):
+        z = np.matmul(acts[-1], w.swapaxes(-1, -2)) + b
+        acts.append(np.tanh(z) if l < len(layers) - 1 else z)
+    return layers, acts, acts[-1] - obj.mlp_targets[rows]
+
+
+def _mlp_gradient(obj, values, rows):
+    """Mean gradient of 0.5||net(x_i) - y_i||^2 by manual backprop."""
+    layers, acts, resid = _mlp_forward(obj, values, rows)
+    lead = resid.shape[:-2]
     grad_chunks = [None] * len(layers)
-    delta = resid / n                      # output layer is linear
+    delta = resid / resid.shape[-2]        # output layer is linear
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
-        g_w = delta.T @ acts[l]
-        g_b = delta.sum(axis=0)
+        g_w = np.matmul(delta.swapaxes(-1, -2), acts[l])
+        g_b = delta.sum(axis=-2)
         grad_chunks[l] = (g_w, g_b)
         if l > 0:
-            delta = (delta @ w) * (1.0 - acts[l] * acts[l])   # tanh'
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grad_chunks])
-    return loss, flat
+            delta = np.matmul(delta, w) * (1.0 - acts[l] * acts[l])   # tanh'
+    return np.concatenate([np.concatenate([gw.reshape(lead + (-1,)), gb], axis=-1)
+                           for gw, gb in grad_chunks], axis=-1)
+
+
+def _batch_mean(a):
+    """Mean over the batch axis (-2): bitwise ndarray.mean, without its
+    per-call Python overhead."""
+    return np.add.reduce(a, axis=-2) / a.shape[-2]
 
 
 def _quad_apply(obj, vecs):
@@ -314,25 +379,30 @@ def _quad_apply(obj, vecs):
 
 
 def batch_gradient(obj, values, indices):
-    """Mean of exact per-sample gradients over `indices` (raw ndarray API)."""
+    """Mean of exact per-sample gradients over `indices` (raw ndarray API).
+
+    `indices` is a (B,) batch, a `range` or a (K, B) matrix of K batches.
+    For a matrix, `values` is one (d,) point shared by all rows or a (K, d)
+    point per row, and the result is (K, d): row k is bitwise what the call
+    on row k alone returns, because every kernel reduces along the batch
+    axis and multiplies one matrix-vector or matrix-matrix product per row.
+    """
     values = np.asarray(values, dtype=np.float64)
-    _check_dim(obj, values)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("empty index set")
-    if np.any(idx < 0) or np.any(idx >= obj.sample_count):
-        raise IndexError("sample index out of range")
+    rows = _sample_rows(obj, indices)
+    _check_dim(obj, values, rows)
     if obj.kind == QUADRATIC:
-        return _quad_apply(obj, values - obj.quad_shifts[idx].mean(axis=0))
+        diff = values - _batch_mean(obj.quad_shifts[rows])
+        if obj.quad_matrix is None:
+            return diff * obj.quad_diag
+        return np.matmul(diff[..., None, :], obj.quad_matrix.T)[..., 0, :]
     if obj.kind == LOGISTIC:
-        phi = obj.logit_features[idx]
-        y = obj.logit_labels[idx]
-        margin = y * (phi @ values)
+        phi = obj.logit_features[rows]
+        y = obj.logit_labels[rows]
+        margin = y * np.matmul(phi, values[..., None])[..., 0]
         # d/dw log(1+exp(-m)) = -y phi sigmoid(-m)
         coef = -y * _sigmoid(-margin)
-        return (coef[:, None] * phi).mean(axis=0) + obj.logit_l2 * values
-    _, g = _mlp_batch_loss_grad(obj, values, idx)
-    return g
+        return _batch_mean(coef[..., None] * phi) + obj.logit_l2 * values
+    return _mlp_gradient(obj, values, rows)
 
 
 def _sigmoid(z):
@@ -355,7 +425,7 @@ def sample_gradient(obj, x, i):
 def full_gradient(obj, x):
     """Exact average (1/N) sum_i grad f_i(x)."""
     return ParamVector(
-        batch_gradient(obj, x.values, np.arange(obj.sample_count)),
+        batch_gradient(obj, x.values, range(obj.sample_count)),
         list(x.partition),
     )
 
@@ -368,24 +438,27 @@ def loss_sample(obj, x, i):
 
 
 def loss(obj, x):
-    return batch_loss(obj, x.values, np.arange(obj.sample_count))
+    return batch_loss(obj, x.values, range(obj.sample_count))
 
 
 def batch_loss(obj, values, indices):
-    """Mean per-sample loss over `indices` (raw ndarray API)."""
+    """Mean per-sample loss over `indices`, a (B,) batch or a `range` (raw
+    ndarray API)."""
     values = np.asarray(values, dtype=np.float64)
-    _check_dim(obj, values)
-    idx = np.asarray(indices, dtype=np.int64)
+    rows = _sample_rows(obj, indices)
+    if isinstance(rows, np.ndarray) and rows.ndim != 1:
+        raise ValueError("batch_loss takes one batch of indices")
+    _check_dim(obj, values, rows)
     if obj.kind == QUADRATIC:
-        diffs = values - obj.quad_shifts[idx]
+        diffs = values - obj.quad_shifts[rows]
         return 0.5 * float(np.mean(np.sum(diffs * _quad_apply(obj, diffs), axis=1)))
     if obj.kind == LOGISTIC:
-        margin = obj.logit_labels[idx] * (obj.logit_features[idx] @ values)
+        margin = obj.logit_labels[rows] * (obj.logit_features[rows] @ values)
         # log(1+exp(-m)) computed stably
         val = np.logaddexp(0.0, -margin).mean()
         return float(val + 0.5 * obj.logit_l2 * values @ values)
-    val, _ = _mlp_batch_loss_grad(obj, values, idx, want_grad=False)
-    return val
+    _, _, resid = _mlp_forward(obj, values, rows)
+    return 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +484,7 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0, target_epsilon=0.0
         centered = obj.quad_shifts - obj.quad_shifts.mean(axis=0)
         dev = _quad_apply(obj, centered)
         sigma2 = float(np.max(np.sum(dev * dev, axis=1)))
-        f_star = batch_loss(obj, obj.quad_shifts.mean(axis=0), np.arange(obj.sample_count))
+        f_star = batch_loss(obj, obj.quad_shifts.mean(axis=0), range(obj.sample_count))
     elif obj.kind == LOGISTIC:
         lip = float(0.25 * np.max(np.sum(obj.logit_features ** 2, axis=1)) + obj.logit_l2)
         sigma2 = _sigma2_at(obj, x0.values)
@@ -419,18 +492,18 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0, target_epsilon=0.0
     else:
         sigma2 = _sigma2_at(obj, x0.values)
         rng = np.random.default_rng(np.random.SeedSequence((obj.generator_seed, _PROBE_TAG)))
-        g0 = batch_gradient(obj, x0.values, np.arange(obj.sample_count))
+        g0 = batch_gradient(obj, x0.values, range(obj.sample_count))
         lip = 0.0
         for _ in range(int(probe_budget)):
             direction = rng.standard_normal(obj.dimension)
             direction /= np.linalg.norm(direction)
             step = 0.1 * rng.uniform(0.5, 2.0)
-            g1 = batch_gradient(obj, x0.values + step * direction, np.arange(obj.sample_count))
+            g1 = batch_gradient(obj, x0.values + step * direction, range(obj.sample_count))
             lip = max(lip, float(np.linalg.norm(g1 - g0) / step))
         f_star = obj.mlp_f_star
     if f_star_override is not None:
         f_star = float(f_star_override)
-    r0 = max(0.0, batch_loss(obj, x0.values, np.arange(obj.sample_count)) - f_star)
+    r0 = max(0.0, batch_loss(obj, x0.values, range(obj.sample_count)) - f_star)
     return TheoryConstants(
         lipschitz_L=lip, variance_sigma2=sigma2, f_star=f_star, r0=r0,
         horizon_T=int(horizon_T), target_epsilon=float(target_epsilon),
@@ -439,7 +512,7 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0, target_epsilon=0.0
 
 def _sigma2_at(obj, values):
     """max_i ||grad f_i - grad f||^2 at one point, brute force over all N."""
-    gbar = batch_gradient(obj, values, np.arange(obj.sample_count))
+    gbar = batch_gradient(obj, values, range(obj.sample_count))
     worst = 0.0
     for i in range(obj.sample_count):
         dev = batch_gradient(obj, values, [i]) - gbar

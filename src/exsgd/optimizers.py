@@ -27,6 +27,14 @@ Weight decay (when nonzero) enters as +lambda*x at every gradient evaluation,
 identically across methods.  LARS (when trust > 0) rescales each block of the
 reduced gradient before the main update.
 
+Per-worker state is stacked: past gradients, half points and the post-local
+x^k / v^k are (K, d) arrays with one row per worker, and one oracle call on
+the (K, B) index matrix evaluates all K workers' batch gradients at once.
+Row k is bitwise what a separate call for worker k returns, and the worker
+mean is still `cluster.reduce_mean`, an ascending add over the rows, so the
+reduction chains sgd = nesterov(u=0), nesterov = extrap_sgd(gamma_hat=0) and
+adam = extrap_adam(gamma_hat=0) hold bitwise.
+
 Step functions mutate `state` in place and return it; per-step quantities
 needed by the theory checks (mean half point, reduced gradient, mean
 extrapolation direction, worker deviation) are left in `state.last_info`.
@@ -37,7 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import map_workers, reduce_mean
+# map_workers is unused by the stacked steps; benchmark/tracer.py patches
+# this name, so the import stays until the tracer changes with it.
+from .cluster import map_workers, reduce_mean  # noqa: F401
 from .objectives import ParamVector, batch_gradient
 
 NOISE_NONE = "none"
@@ -179,11 +189,11 @@ class PostLocalConfig:
 class OptimizerState:
     x: ParamVector
     v: np.ndarray                 # momentum buffer v_t
-    past_grad: list               # K stored local batch-mean gradients
+    past_grad: np.ndarray         # (K, d) stored local batch-mean gradients
     adam_m: np.ndarray
     adam_v: np.ndarray
-    local_x: list = None          # post-local phase only
-    local_v: list = None
+    local_x: np.ndarray = None    # (K, d), post-local phase only
+    local_v: np.ndarray = None
     step_t: int = 0
     last_info: dict = field(default_factory=dict, repr=False)
 
@@ -191,8 +201,7 @@ class OptimizerState:
 def init_state(x0, workers_K):
     d = x0.dim
     return OptimizerState(
-        x=x0.copy(), v=np.zeros(d),
-        past_grad=[np.zeros(d) for _ in range(workers_K)],
+        x=x0.copy(), v=np.zeros(d), past_grad=np.zeros((workers_K, d)),
         adam_m=np.zeros(d), adam_v=np.zeros(d),
     )
 
@@ -206,6 +215,18 @@ def _batch_grad(obj, values, indices, hp):
     if hp.weight_decay != 0.0:
         g = g + hp.weight_decay * values
     return g
+
+
+def _worker_grads(obj, halves, batches, hp, extrap_b):
+    """All K workers' batch gradients from one oracle call, and the past
+    gradients they store for the next step: the same evaluation, or, when
+    extrap_b < B, one more call on the leading extrap_b indices of each batch.
+    `halves` is one shared (d,) point or a (K, d) point per worker."""
+    idx = np.array([bt.indices for bt in batches])
+    grads = _batch_grad(obj, halves, idx, hp)
+    if extrap_b is None or extrap_b == idx.shape[1]:
+        return grads, grads   # reuse: extrapolation stays evaluation-free
+    return grads, _batch_grad(obj, halves, idx[:, :extrap_b], hp)
 
 
 def lars_scale(grad_block, x_block, hp):
@@ -228,10 +249,9 @@ def apply_lars(grad, x_values, partition, hp):
     return out
 
 
-def _check_finite(step, name, *arrays):
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise NumericAbort(step, name)
+def _check_finite(step, name, arr):
+    if not np.isfinite(arr).all():
+        raise NumericAbort(step, name)
 
 
 def _momentum_update(v, u, gamma, g):
@@ -241,11 +261,11 @@ def _momentum_update(v, u, gamma, g):
     return -(gamma * g)
 
 
-def _worker_dev2(halves):
+def _worker_dev2(halves, half_bar):
+    """Mean squared distance of the (K, d) half points from their mean."""
     if len(halves) == 1:
         return 0.0
-    stack = np.stack(halves)
-    dev = stack - reduce_mean(halves)
+    dev = halves - half_bar
     return float(np.mean(np.sum(dev * dev, axis=1)))
 
 
@@ -253,105 +273,97 @@ def _worker_dev2(halves):
 # step functions
 # ---------------------------------------------------------------------------
 
-def step_minibatch_sgd(state, obj, batches, hp, threads=1):
-    """Plain mini-batch SGD: x <- x - gamma * mean_k mean_i grad f_i(x)."""
+_SGD_RULE, _MOMENTUM_RULE, _ADAM_RULE = "sgd", "momentum", "adam"
+
+
+def _synced_step(state, obj, batches, hp, rule, halves, eval_point,
+                 xi_bar=None, extrap_b=None):
+    """The body every synchronized step shares.
+
+    The workers evaluate at `halves`: the shared (d,) point of sgd, nesterov
+    and adam, or the (K, d) per-worker half points of the extrapolated
+    methods, which also store their fresh gradients as the next past
+    gradients and report the mean and spread of their half points.  `rule`
+    is the update applied to the reduced gradient.
+    """
     x = state.x.values
-    grads = map_workers(lambda bt: _batch_grad(obj, x, bt.indices, hp), batches, threads)
+    grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
     g = reduce_mean(grads)
     _check_finite(state.step_t, "reduced gradient", g)
     g_used = apply_lars(g, x, state.x.partition, hp) if hp.lars_trust > 0 else g
-    x_new = x - hp.lr_gamma * g_used
+    if rule == _ADAM_RULE:
+        m_new = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * g_used
+        v_new = hp.adam_beta2 * state.adam_v + (1.0 - hp.adam_beta2) * g_used * g_used
+        x_new = x - hp.lr_gamma * m_new / (np.sqrt(v_new) + hp.adam_eps)
+        buffers = {"adam_m": m_new, "adam_v": v_new}
+    elif rule == _MOMENTUM_RULE:
+        v_new = _momentum_update(state.v, hp.momentum_u, hp.lr_gamma, g_used)
+        x_new = x + v_new
+        buffers = {"v": v_new}
+    else:
+        x_new = x - hp.lr_gamma * g_used
+        buffers = {}
     _check_finite(state.step_t, "iterate", x_new)
+    for name, value in buffers.items():
+        setattr(state, name, value)
     state.x.values = x_new
     state.step_t += 1
+    if halves.ndim == 2:
+        state.past_grad = past
+        half_bar = reduce_mean(halves)
+        dev2 = _worker_dev2(halves, half_bar)
+    else:
+        half_bar, dev2 = halves.copy(), 0.0
     state.last_info = {
-        "x_half_bar": x.copy(), "g_bar": g, "xi_bar": np.zeros_like(g),
-        "worker_dev2": 0.0, "worker_dispersion": 0.0, "eval_point": "x_t",
+        "x_half_bar": half_bar, "g_bar": g,
+        "xi_bar": xi_bar if xi_bar is not None else np.zeros_like(g),
+        "worker_dev2": dev2, "worker_dispersion": 0.0, "eval_point": eval_point,
     }
     return state
 
 
-def step_nesterov(state, obj, batches, hp, threads=1):
+def step_minibatch_sgd(state, obj, batches, hp):
+    """Plain mini-batch SGD: x <- x - gamma * mean_k mean_i grad f_i(x)."""
+    return _synced_step(state, obj, batches, hp, _SGD_RULE, state.x.values, "x_t")
+
+
+def step_nesterov(state, obj, batches, hp):
     """Three-line Nesterov recurrence, gradient at the shared lookahead."""
     x, v, u = state.x.values, state.v, hp.momentum_u
     x_half = x + u * v if u != 0.0 else x
-    grads = map_workers(lambda bt: _batch_grad(obj, x_half, bt.indices, hp), batches, threads)
-    g = reduce_mean(grads)
-    _check_finite(state.step_t, "reduced gradient", g)
-    g_used = apply_lars(g, x, state.x.partition, hp) if hp.lars_trust > 0 else g
-    v_new = _momentum_update(v, u, hp.lr_gamma, g_used)
-    x_new = x + v_new
-    _check_finite(state.step_t, "iterate", x_new)
-    state.v = v_new
-    state.x.values = x_new
-    state.step_t += 1
-    state.last_info = {
-        "x_half_bar": x_half.copy(), "g_bar": g, "xi_bar": np.zeros_like(g),
-        "worker_dev2": 0.0, "worker_dispersion": 0.0, "eval_point": "x_half",
-    }
-    return state
+    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, x_half, "x_half")
 
 
-def _extrap_core(state, obj, batches, hp, directions, threads, extrap_b):
-    """Common body of the extrapolated variants.
+def _extrap_momentum_step(state, obj, batches, hp, directions, extrap_b):
+    """Nesterov at the per-worker half points x - gamma_hat z^k + u v.
 
-    `directions` is the list of per-worker extrapolation directions (already
-    zero/None when extrapolation is skipped).  Stores fresh past gradients.
+    `directions` is the (K, d) array of extrapolation directions, or None
+    when extrapolation is skipped.
     """
-    x, v, u = state.x.values, state.v, hp.momentum_u
-    n_workers = len(batches)
-    ghat = effective_gamma_hat(hp, n_workers)
+    x, n_workers = state.x.values, len(batches)
     if directions is None:
-        quarters = [x] * n_workers
+        quarters = np.broadcast_to(x, (n_workers, x.size))
+        xi_bar = None
     else:
-        quarters = [x - ghat * z for z in directions]
-    if u != 0.0:
-        momentum_term = u * v
-        halves = [q + momentum_term for q in quarters]
-    else:
-        halves = quarters
-    grads = map_workers(
-        lambda k: _batch_grad(obj, halves[k], batches[k].indices, hp),
-        range(n_workers), threads)
-    g = reduce_mean(grads)
-    _check_finite(state.step_t, "reduced gradient", g)
-    g_used = apply_lars(g, x, state.x.partition, hp) if hp.lars_trust > 0 else g
-    v_new = _momentum_update(v, u, hp.lr_gamma, g_used)
-    x_new = x + v_new
-    _check_finite(state.step_t, "iterate", x_new)
-
-    b = extrap_b if extrap_b is not None else batches[0].indices.size
-    if b == batches[0].indices.size:
-        new_past = list(grads)   # reuse: extrapolation stays evaluation-free
-    else:
-        new_past = [
-            _batch_grad(obj, halves[k], batches[k].indices[:b], hp)
-            for k in range(n_workers)
-        ]
-    xi_bar = reduce_mean(directions) if directions is not None else np.zeros_like(g)
-    state.v = v_new
-    state.x.values = x_new
-    state.past_grad = new_past
-    state.step_t += 1
-    state.last_info = {
-        "x_half_bar": reduce_mean(halves), "g_bar": g, "xi_bar": xi_bar,
-        "worker_dev2": _worker_dev2(halves), "worker_dispersion": 0.0,
-        "eval_point": "x_half_bar",
-    }
-    return state
+        quarters = x - effective_gamma_hat(hp, n_workers) * directions
+        xi_bar = reduce_mean(directions)
+    u = hp.momentum_u
+    halves = quarters + u * state.v if u != 0.0 else quarters
+    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
+                        "x_half_bar", xi_bar, extrap_b)
 
 
-def step_extrap_sgd(state, obj, batches, hp, threads=1, extrap_b=None):
+def step_extrap_sgd(state, obj, batches, hp, extrap_b=None):
     """Gradient extrapolation from the stored past local batch gradients."""
     ghat = effective_gamma_hat(hp, len(batches))
     if ghat != 0.0 and state.step_t > 0:
-        directions = state.past_grad
+        directions = np.asarray(state.past_grad)
     else:
         directions = None   # skipped at t=0 or with gamma_hat = 0
-    return _extrap_core(state, obj, batches, hp, directions, threads, extrap_b)
+    return _extrap_momentum_step(state, obj, batches, hp, directions, extrap_b)
 
 
-def step_extrapolated_noise(state, obj, batches, hp, noise, rng, threads=1, extrap_b=None):
+def step_extrapolated_noise(state, obj, batches, hp, noise, rng, extrap_b=None):
     """Extrapolation along a noise direction zeta^k instead of past gradients."""
     noise.validate()
     if noise.kind == NOISE_NONE:
@@ -361,26 +373,26 @@ def step_extrapolated_noise(state, obj, batches, hp, noise, rng, threads=1, extr
         directions = draw_noise_directions(noise, state, rng, len(batches))
     else:
         directions = None
-    return _extrap_core(state, obj, batches, hp, directions, threads, extrap_b)
+    return _extrap_momentum_step(state, obj, batches, hp, directions, extrap_b)
 
 
 def draw_noise_directions(noise, state, rng, n_workers):
-    """The K extrapolation directions for one step, drawn in ascending worker
-    order (the shared kind draws once)."""
+    """The (K, d) extrapolation directions for one step, drawn in ascending
+    worker order (the shared kind draws once)."""
     d = state.x.dim
     if noise.kind == ANISO_STOCHASTIC:
-        center = reduce_mean(state.past_grad)
-        return [pg - center for pg in state.past_grad]
+        past = np.asarray(state.past_grad)
+        return past - reduce_mean(past)
     if noise.kind == SMOOTHOUT_SHARED:
         shared = rng.uniform(-noise.raw_scale, noise.raw_scale, d)
-        raw = [shared] * n_workers
+        raw = np.broadcast_to(shared, (n_workers, d))
     elif noise.kind == ISO_GAUSSIAN:
-        raw = [noise.raw_scale * rng.standard_normal(d) for _ in range(n_workers)]
+        raw = noise.raw_scale * rng.standard_normal((n_workers, d))
     else:  # ISO_UNIFORM
-        raw = [rng.uniform(-noise.raw_scale, noise.raw_scale, d) for _ in range(n_workers)]
+        raw = rng.uniform(-noise.raw_scale, noise.raw_scale, (n_workers, d))
     if not noise.filter_scaled:
         return raw
-    return [_filter_scale(z, state.x) for z in raw]
+    return np.stack([_filter_scale(z, state.x) for z in raw])
 
 
 def _filter_scale(zeta, x):
@@ -395,28 +407,12 @@ def _filter_scale(zeta, x):
     return out
 
 
-def step_adam(state, obj, batches, hp, threads=1):
+def step_adam(state, obj, batches, hp):
     """Reference Adam without bias correction (the gamma_hat = 0 baseline)."""
-    x = state.x.values
-    grads = map_workers(lambda bt: _batch_grad(obj, x, bt.indices, hp), batches, threads)
-    g = reduce_mean(grads)
-    _check_finite(state.step_t, "reduced gradient", g)
-    g_used = apply_lars(g, x, state.x.partition, hp) if hp.lars_trust > 0 else g
-    m_new = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * g_used
-    v_new = hp.adam_beta2 * state.adam_v + (1.0 - hp.adam_beta2) * g_used * g_used
-    x_new = x - hp.lr_gamma * m_new / (np.sqrt(v_new) + hp.adam_eps)
-    _check_finite(state.step_t, "iterate", x_new)
-    state.adam_m, state.adam_v = m_new, v_new
-    state.x.values = x_new
-    state.step_t += 1
-    state.last_info = {
-        "x_half_bar": x.copy(), "g_bar": g, "xi_bar": np.zeros_like(g),
-        "worker_dev2": 0.0, "worker_dispersion": 0.0, "eval_point": "x_t",
-    }
-    return state
+    return _synced_step(state, obj, batches, hp, _ADAM_RULE, state.x.values, "x_t")
 
 
-def step_extrap_adam(state, obj, batches, hp, threads=1, extrap_b=None):
+def step_extrap_adam(state, obj, batches, hp, extrap_b=None):
     """Adam with a per-worker moment-preconditioned extrapolation step.
 
     The extrapolation denominator is beta2*v + (1-beta2)*g_past^2 + eps,
@@ -424,51 +420,22 @@ def step_extrap_adam(state, obj, batches, hp, threads=1, extrap_b=None):
     sqrt variant.  Moments are shared, updated from the reduced gradient,
     without bias correction.  Extrapolation is skipped at t = 0.
     """
-    x = state.x.values
-    n_workers = len(batches)
+    x, n_workers = state.x.values, len(batches)
     ghat = effective_gamma_hat(hp, n_workers)
     if ghat != 0.0 and state.step_t > 0:
-        halves = []
-        for pg in state.past_grad:
-            num = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * pg
-            den = hp.adam_beta2 * state.adam_v + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
-            if hp.extrap_denominator_sqrt:
-                den = np.sqrt(den)
-            halves.append(x - ghat * num / den)
+        pg = np.asarray(state.past_grad)
+        num = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * pg
+        den = hp.adam_beta2 * state.adam_v + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
+        if hp.extrap_denominator_sqrt:
+            den = np.sqrt(den)
+        halves = x - ghat * num / den
     else:
-        halves = [x] * n_workers
-    grads = map_workers(
-        lambda k: _batch_grad(obj, halves[k], batches[k].indices, hp),
-        range(n_workers), threads)
-    g = reduce_mean(grads)
-    _check_finite(state.step_t, "reduced gradient", g)
-    g_used = apply_lars(g, x, state.x.partition, hp) if hp.lars_trust > 0 else g
-    m_new = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * g_used
-    v_new = hp.adam_beta2 * state.adam_v + (1.0 - hp.adam_beta2) * g_used * g_used
-    x_new = x - hp.lr_gamma * m_new / (np.sqrt(v_new) + hp.adam_eps)
-    _check_finite(state.step_t, "iterate", x_new)
-
-    b = extrap_b if extrap_b is not None else batches[0].indices.size
-    if b == batches[0].indices.size:
-        new_past = list(grads)
-    else:
-        new_past = [
-            _batch_grad(obj, halves[k], batches[k].indices[:b], hp)
-            for k in range(n_workers)
-        ]
-    state.adam_m, state.adam_v = m_new, v_new
-    state.x.values = x_new
-    state.past_grad = new_past
-    state.step_t += 1
-    state.last_info = {
-        "x_half_bar": reduce_mean(halves), "g_bar": g, "xi_bar": np.zeros_like(g),
-        "worker_dev2": _worker_dev2(halves), "worker_dispersion": 0.0,
-        "eval_point": "x_half_bar",
-    }
-    return state
+        halves = np.broadcast_to(x, (n_workers, x.size))
+    return _synced_step(state, obj, batches, hp, _ADAM_RULE, halves,
+                        "x_half_bar", extrap_b=extrap_b)
 
 
-def step_post_local(state, obj, batches, hp, plc, threads=1, extrap_b=None):
+def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     """Synchronized extrap_sgd until t0, then local updates with averaging.
 
     For t > t0 each worker runs the extrap update on its own (x^k, v^k) with
@@ -480,54 +447,43 @@ def step_post_local(state, obj, batches, hp, plc, threads=1, extrap_b=None):
     plc.validate()
     t = state.step_t
     if t <= plc.transition_step_t0:
-        return step_extrap_sgd(state, obj, batches, hp, threads=threads, extrap_b=extrap_b)
+        return step_extrap_sgd(state, obj, batches, hp, extrap_b=extrap_b)
 
     n_workers = len(batches)
     if state.local_x is None:
-        state.local_x = [state.x.values.copy() for _ in range(n_workers)]
+        state.local_x = np.tile(state.x.values, (n_workers, 1))
         if hp.reset_local_momentum:
-            state.local_v = [np.zeros_like(state.v) for _ in range(n_workers)]
+            state.local_v = np.zeros((n_workers, state.x.dim))
         else:
-            state.local_v = [state.v.copy() for _ in range(n_workers)]
+            state.local_v = np.tile(state.v, (n_workers, 1))
+    local_x = np.asarray(state.local_x)
+    local_v = np.asarray(state.local_v)
 
     u = hp.momentum_u
     ghat = effective_gamma_hat(hp, n_workers)
-    halves = []
-    for k in range(n_workers):
-        xk = state.local_x[k]
-        quarter = xk - ghat * state.past_grad[k] if ghat != 0.0 else xk
-        halves.append(quarter + u * state.local_v[k] if u != 0.0 else quarter)
-    grads = map_workers(
-        lambda k: _batch_grad(obj, halves[k], batches[k].indices, hp),
-        range(n_workers), threads)
-    _check_finite(t, "local gradients", *grads)
+    quarters = local_x - ghat * np.asarray(state.past_grad) if ghat != 0.0 else local_x
+    halves = quarters + u * local_v if u != 0.0 else quarters
+    grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
+    _check_finite(t, "local gradients", grads)
 
-    b = extrap_b if extrap_b is not None else batches[0].indices.size
-    for k in range(n_workers):
-        gk = grads[k]
-        if hp.lars_trust > 0:
-            gk = apply_lars(gk, state.local_x[k], state.x.partition, hp)
-        vk = _momentum_update(state.local_v[k], u, hp.lr_gamma, gk)
-        state.local_v[k] = vk
-        state.local_x[k] = state.local_x[k] + vk
-        if b == batches[k].indices.size:
-            state.past_grad[k] = grads[k]
-        else:
-            state.past_grad[k] = _batch_grad(obj, halves[k], batches[k].indices[:b], hp)
-
+    g_used = grads
+    if hp.lars_trust > 0:
+        g_used = np.stack([apply_lars(gk, xk, state.x.partition, hp)
+                           for gk, xk in zip(grads, local_x)])
+    local_v = _momentum_update(local_v, u, hp.lr_gamma, g_used)
+    local_x = local_x + local_v
+    mean_x = reduce_mean(local_x)
     if t % plc.local_steps_H == 0:
-        mean_x = reduce_mean(state.local_x)
-        state.local_x = [mean_x.copy() for _ in range(n_workers)]
-    else:
-        mean_x = reduce_mean(state.local_x)
+        local_x = np.tile(mean_x, (n_workers, 1))
+    state.local_x, state.local_v, state.past_grad = local_x, local_v, past
     _check_finite(t, "iterate", mean_x)
-    dispersion = max(
-        float(np.linalg.norm(xk - mean_x)) for xk in state.local_x)
+    dispersion = max(float(np.linalg.norm(xk - mean_x)) for xk in local_x)
     state.x.values = mean_x
     state.step_t += 1
+    half_bar = reduce_mean(halves)
     state.last_info = {
-        "x_half_bar": reduce_mean(halves), "g_bar": reduce_mean(grads),
-        "xi_bar": np.zeros_like(mean_x), "worker_dev2": _worker_dev2(halves),
+        "x_half_bar": half_bar, "g_bar": reduce_mean(grads),
+        "xi_bar": np.zeros_like(mean_x), "worker_dev2": _worker_dev2(halves, half_bar),
         "worker_dispersion": dispersion, "eval_point": "x_half_bar",
     }
     return state

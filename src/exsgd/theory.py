@@ -373,7 +373,7 @@ def smoothness_estimate(obj, x_values, update_direction, probes=8, fraction=0.30
     update = np.asarray(update_direction, dtype=np.float64)
     if float(np.linalg.norm(update)) == 0.0:
         return 0.0
-    all_idx = np.arange(obj.sample_count)
+    all_idx = range(obj.sample_count)
     base = batch_gradient(obj, x_values, all_idx)
     best = 0.0
     for j in range(1, probes + 1):

@@ -100,6 +100,28 @@ def test_unknown_nested_key_exits_one_without_traceback(tmp_path, capsys,
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("override,field", [
+    ("objective.sample_count=100", "quad_shifts"),
+    ("objective.dimension=3", "quad_diag"),
+])
+def test_objective_shape_mismatch_exits_one_before_step_zero(tmp_path, capsys,
+                                                              override, field):
+    # The arrays of a d=6, N=48 quadratic no longer match the overridden
+    # size, which must be caught before the first step.
+    doc = dict(BASE_CONFIG, objective={
+        "maker": "quadratic", "dimension": 6, "sample_count": 48,
+        "generator_seed": 2, "diag": [0.5, 0.8, 1.2, 2.0, 3.0, 4.0]})
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 1

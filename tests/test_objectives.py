@@ -1,6 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+
+from exsgd.cluster import reduce_mean
 
 from exsgd.objectives import (ObjectiveSpec, ParamVector, batch_gradient,
                               batch_loss, dump_dataset, estimate_constants,
@@ -171,3 +177,89 @@ def test_dataset_csv_roundtrip(tmp_path):
     names, data = load_dataset(path)
     assert names == ["a_0", "a_1", "a_2"]
     assert_allclose(data, obj.quad_shifts, rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the stacked oracle: one call for K batches, bitwise the K separate calls
+# ---------------------------------------------------------------------------
+
+OBJECTIVE_KINDS = ("quadratic", "quadratic_matrix", "logistic", "tiny_mlp")
+
+
+def _draw_objective(data, kind, seed):
+    n = data.draw(st.integers(1, 40), label="N")
+    if kind == "tiny_mlp":
+        hidden = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=2),
+                           label="hidden")
+        widths = (data.draw(st.integers(1, 4), label="in"), *hidden,
+                  data.draw(st.integers(1, 3), label="out"))
+        return make_tiny_mlp(widths, n, generator_seed=seed)
+    d = data.draw(st.integers(1, 9), label="d")
+    if kind == "logistic":
+        return make_logistic(d, n, generator_seed=seed, l2=0.01)
+    if kind == "quadratic":
+        return make_quadratic(d, n, generator_seed=seed, shift_spread=2.0,
+                              diag=np.linspace(0.5, 3.0, d))
+    root = np.random.default_rng(seed).standard_normal((d, d))
+    return make_quadratic(d, n, generator_seed=seed, matrix=root @ root.T)
+
+
+@given(kind=st.sampled_from(OBJECTIVE_KINDS), seed=st.integers(0, 2**31 - 1),
+       workers=st.integers(1, 16), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_stacked_oracle_rows_are_bitwise_single_calls(kind, seed, workers, data):
+    obj = _draw_objective(data, kind, seed)
+    batch = data.draw(st.integers(1, 24), label="B")
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, obj.sample_count, size=(workers, batch))
+    points = rng.standard_normal((workers, obj.dimension))
+    stacked = batch_gradient(obj, points, idx)
+    shared = batch_gradient(obj, points[0], idx)
+    assert stacked.shape == shared.shape == (workers, obj.dimension)
+    for k in range(workers):
+        assert_array_equal(stacked[k], batch_gradient(obj, points[k], idx[k]))
+        assert_array_equal(shared[k], batch_gradient(obj, points[0], idx[k]))
+
+
+@given(kind=st.sampled_from(OBJECTIVE_KINDS), seed=st.integers(0, 2**31 - 1),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_range_indices_are_bitwise_arange(kind, seed, data):
+    obj = _draw_objective(data, kind, seed)
+    x = np.random.default_rng(seed).standard_normal(obj.dimension)
+    everything = np.arange(obj.sample_count)
+    assert_array_equal(batch_gradient(obj, x, range(obj.sample_count)),
+                       batch_gradient(obj, x, everything))
+    assert batch_loss(obj, x, range(obj.sample_count)) == \
+        batch_loss(obj, x, everything)
+
+
+def test_stacked_oracle_index_and_shape_checks():
+    obj = make_quadratic(2, 5)
+    idx = np.array([[0, 1], [2, 4]])
+    with pytest.raises(IndexError):
+        batch_gradient(obj, np.zeros(2), np.array([[0, 1], [2, 5]]))
+    with pytest.raises(IndexError):
+        batch_gradient(obj, np.zeros(2), range(6))
+    with pytest.raises(ValueError):
+        batch_gradient(obj, np.zeros((3, 2)), idx)       # 3 points, 2 rows
+    with pytest.raises(ValueError):
+        batch_gradient(obj, np.zeros((2, 2)), [0, 1])    # (K, d) needs a matrix
+    with pytest.raises(ValueError):
+        batch_gradient(obj, np.zeros(2), range(0))
+    with pytest.raises(ValueError):
+        batch_loss(obj, np.zeros(2), idx)
+
+
+@given(seed=st.integers(0, 2**31 - 1), workers=st.integers(1, 16),
+       dim=st.integers(1, 8))
+@example(seed=0, workers=8, dim=1)
+@settings(max_examples=200, deadline=None)
+def test_reduce_mean_of_stacked_rows_is_the_ascending_add(seed, workers, dim):
+    # numpy's X.sum(axis=0) sums a d = 1 column pairwise once K >= 8, so it
+    # can differ from the ascending add in the last bit; reduce_mean must not.
+    rows = np.random.default_rng(seed).standard_normal((workers, dim)) * 1e3
+    ascending = functools.reduce(lambda acc, row: acc + row, rows[1:],
+                                 rows[0].copy()) / workers
+    assert_array_equal(reduce_mean(rows), reduce_mean(list(rows)))
+    assert_array_equal(reduce_mean(rows), ascending)

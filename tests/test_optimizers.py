@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from exsgd.cluster import EPOCH_PERMUTATION, ClusterConfig, draw_batches
-from exsgd.objectives import make_logistic, make_quadratic, initial_point
+from exsgd.objectives import (initial_point, make_logistic, make_quadratic,
+                              make_tiny_mlp)
 from exsgd.optimizers import (ANISO_STOCHASTIC, CONSTANT, INVERSE_SQRT,
                               ISO_GAUSSIAN, ISO_UNIFORM, SMOOTHOUT_SHARED,
                               WARMUP_CONSTANT, WARMUP_STEP_DECAY, HyperParams,
@@ -140,6 +143,45 @@ def test_extrap_adam_with_zero_gamma_hat_is_bitwise_adam():
     assert_array_equal(a.x.values, b.x.values)
     assert_array_equal(a.adam_m, b.adam_m)
     assert_array_equal(a.adam_v, b.adam_v)
+
+
+_CHAIN_OBJECTIVES = {
+    "quadratic": (lambda seed: make_quadratic(
+        4, 32, generator_seed=seed, diag=[0.5, 1.0, 2.0, 3.0]), 0.05),
+    "logistic": (lambda seed: make_logistic(5, 32, generator_seed=seed,
+                                            l2=0.01), 0.2),
+    "tiny_mlp": (lambda seed: make_tiny_mlp((3, 5, 1), 32,
+                                            generator_seed=seed), 0.05),
+}
+
+
+@given(kind=st.sampled_from(sorted(_CHAIN_OBJECTIVES)),
+       seed=st.integers(0, 2**31 - 1), workers=st.integers(1, 8),
+       batch=st.integers(1, 32), u=st.floats(0.0, 0.95))
+@settings(max_examples=25, deadline=None)
+def test_reduction_chains_hold_for_random_clusters(kind, seed, workers, batch, u):
+    # sgd = nesterov(u=0), nesterov(u) = extrap_sgd(gamma_hat=0, u) and
+    # adam = extrap_adam(gamma_hat=0), bitwise at every one of 50 steps.
+    make, gamma = _CHAIN_OBJECTIVES[kind]
+    obj = make(seed % 1000)
+    cfg = ClusterConfig(workers_K=workers, local_batch_B=batch, master_seed=seed)
+    chains = [
+        (step_nesterov, step_minibatch_sgd, HyperParams(lr_gamma=gamma)),
+        (step_extrap_sgd, step_nesterov,
+         HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=0.0, momentum_u=u)),
+        (step_extrap_adam, step_adam,
+         HyperParams(lr_gamma=0.01, inner_lr_gamma_hat=0.0)),
+    ]
+    for reduced, parent, hp in chains:
+        a = init_state(initial_point(obj), workers)
+        b = init_state(initial_point(obj), workers)
+        for t in range(50):
+            batches = draw_batches(cfg, obj, t)
+            reduced(a, obj, batches, hp)
+            parent(b, obj, batches, hp)
+            assert_array_equal(a.x.values, b.x.values,
+                               err_msg=f"{reduced.__name__} vs "
+                                       f"{parent.__name__} at step {t}")
 
 
 def test_adam_single_step_hand_formula():
