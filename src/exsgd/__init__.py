@@ -4,8 +4,7 @@ convergence theory."""
 
 __version__ = "0.1.0"
 
-from .cluster import (ClusterConfig, SampleBatch, draw_batches, map_workers,
-                      reduce_mean)
+from .cluster import ClusterConfig, draw_batches, map_workers, reduce_mean
 from .objectives import (ObjectiveSpec, ParamVector, TheoryConstants,
                          batch_gradient, batch_loss, estimate_constants,
                          finite_difference_gradient, full_gradient,

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import inspect
 import json
-import math
 import os
 import sys
 
@@ -22,24 +21,9 @@ from .cluster import ClusterConfig, draw_batches
 from .objectives import (ObjectiveSpec, batch_gradient, estimate_constants,
                          initial_point, make_logistic, make_quadratic,
                          make_tiny_mlp)
-from .optimizers import (HyperParams, NoiseSpec, PostLocalConfig, Schedule,
-                         init_state, lars_scale, lr_at, step_adam,
-                         step_extrap_adam, step_extrap_sgd,
+from .optimizers import (HyperParams, Schedule, init_state, lars_scale, lr_at,
+                         step_adam, step_extrap_adam, step_extrap_sgd,
                          step_minibatch_sgd, step_nesterov, warmup_increment)
-
-_METHOD_SUMMARY = (
-    ("sgd", "mini-batch SGD: x <- x - gamma * reduced batch gradient"),
-    ("nesterov", "momentum SGD, gradient taken at the lookahead x + u*v"),
-    ("extrap_sgd", "each worker first steps along its stored past batch "
-                   "gradient, then the usual momentum update follows"),
-    ("extrap_noise", "like extrap_sgd but the lookahead direction is drawn "
-                     "noise (gaussian/uniform/shared/centered past gradients)"),
-    ("adam", "Adam without bias correction (reference baseline)"),
-    ("extrap_adam", "Adam whose workers look ahead through the stored moments "
-                    "and their past gradient before the shared moment update"),
-    ("post_local", "synchronized extrap_sgd until step t0, then per-worker "
-                   "local updates with model averaging every H steps"),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -85,42 +69,47 @@ def _build_objective(doc):
     return _construct("objective", ObjectiveSpec, doc)
 
 
+# RunConfig's sections: its fields annotated with a config dataclass.
+_SECTIONS = {f.name: f.type for f in dataclasses.fields(harness.RunConfig)
+             if dataclasses.is_dataclass(f.type)}
+
+
+def _build_section(key, value):
+    """`value` built into the section `key` names, alike in a config file and
+    a --set override; null and the values of other keys pass through."""
+    if key not in _SECTIONS or value is None:
+        return value
+    if key == "objective":
+        return _build_objective(value)
+    return _construct(key, _SECTIONS[key], value)
+
+
 def build_config(doc):
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    doc = dict(doc)
     if "objective" not in doc:
         raise ValueError("config must define 'objective'")
-    kwargs = {"objective": _build_objective(doc.pop("objective"))}
-    if "cluster" in doc:
-        kwargs["cluster"] = _construct("cluster", ClusterConfig, doc.pop("cluster"))
-    if "hyperparams" in doc:
-        kwargs["hyperparams"] = _construct("hyperparams", HyperParams,
-                                           doc.pop("hyperparams"))
-    if doc.get("schedule") is not None:
-        sched = doc.pop("schedule")
-        if isinstance(sched, dict) and "decay_milestones" in sched:
-            sched = dict(sched, decay_milestones=tuple(sched["decay_milestones"]))
-        kwargs["schedule"] = _construct("schedule", Schedule, sched)
-    else:
-        doc.pop("schedule", None)
-    if doc.get("noise") is not None:
-        kwargs["noise"] = _construct("noise", NoiseSpec, doc.pop("noise"))
-    else:
-        doc.pop("noise", None)
-    if doc.get("post_local") is not None:
-        kwargs["post_local"] = _construct("post_local", PostLocalConfig,
-                                          doc.pop("post_local"))
-    else:
-        doc.pop("post_local", None)
-    for key in ("method", "total_steps_T", "record_every",
-                "record_virtual_sequence", "record_smoothness_every",
-                "trials", "master_seed", "init_scale"):
-        if key in doc:
-            kwargs[key] = doc.pop(key)
-    if doc:
-        raise ValueError(f"unknown config fields: {sorted(doc)}")
-    return harness.RunConfig(**kwargs)
+    return _construct("config", harness.RunConfig,
+                      {key: _build_section(key, value) for key, value in doc.items()})
+
+
+def _check_field_types(node, path=""):
+    """Check each scalar field of a config, and of the sections that
+    `_build_section` built, against its annotation.  A float field also
+    takes an int; null is allowed only where the default is None."""
+    for f in dataclasses.fields(node):
+        value, name = getattr(node, f.name), path + f.name
+        if value is None:
+            if f.default is not None:
+                raise ValueError(f"{name} must not be null")
+        elif dataclasses.is_dataclass(f.type):
+            _check_field_types(value, name + ".")
+        elif f.type in (int, float, bool, str):
+            takes = (int, float) if f.type is float else f.type
+            # bool is an int subclass: only a bool field takes a bool
+            if (not isinstance(value, takes)
+                    or isinstance(value, bool) != (f.type is bool)):
+                raise ValueError(f"{name} must be {f.type.__name__}, got {value!r}")
 
 
 def _parse_value(text):
@@ -138,9 +127,12 @@ def load_config(path, overrides, seed=None):
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
-        config = harness.apply_override(config, key.strip(), _parse_value(raw))
+        key = key.strip()
+        config = harness.apply_override(
+            config, key, _build_section(key, _parse_value(raw)))
     if seed is not None:
         config = dataclasses.replace(config, master_seed=seed)
+    _check_field_types(config)
     config.validate()
     return config
 
@@ -181,7 +173,7 @@ def _parse_grid(items):
 def _cmd_sweep(args):
     config = load_config(args.config, args.set, args.seed)
     grid = _parse_grid(args.grid)
-    table = harness.sweep(config, grid, threads=args.threads)
+    table = harness.sweep(config, grid)
     os.makedirs(args.out, exist_ok=True)
     harness._dump_json(table, os.path.join(args.out, "sweep.json"))
     for row in table["rows"]:
@@ -209,8 +201,7 @@ def _parse_kb(items):
 def _cmd_speedup(args):
     config = load_config(args.config, args.set, args.seed)
     kb_grid = _parse_kb(args.kb)
-    table = harness.speedup_study(config, kb_grid, args.epsilon,
-                                  threads=args.threads)
+    table = harness.speedup_study(config, kb_grid, args.epsilon)
     os.makedirs(args.out, exist_ok=True)
     harness._dump_json(table, os.path.join(args.out, "speedup.json"))
     print(f"epsilon {table['epsilon']}, predicted critical KB "
@@ -254,8 +245,8 @@ def _cmd_smoothness(args):
 
 
 def _cmd_list_methods(_args):
-    for name, text in _METHOD_SUMMARY:
-        print(f"{name:13s} {text}")
+    for name, method in theory.METHOD_TABLE.items():
+        print(f"{name:13s} {method.summary}")
     return 0
 
 
@@ -391,9 +382,6 @@ def _add_common(p, config_required=True):
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="dotted-path override, repeatable")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect (each step "
-                        "evaluates all workers in one stacked call)")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
 
 
@@ -407,6 +395,9 @@ def build_parser():
 
     p = sub.add_parser("run", help="execute seeded trials and persist results")
     _add_common(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect (each step "
+                        "evaluates all workers in one stacked call)")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("sweep", help="hyperparameter grid sweep")

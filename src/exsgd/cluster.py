@@ -2,8 +2,9 @@
 Simulated cluster of K synchronous workers.
 
 Each worker k reads its batches from one endless index sequence, and the batch
-of step t is positions [tB, (t+1)B) of that sequence.  The sequence is a
-concatenation of seeded blocks, each a pure function of
+of step t is positions [tB, (t+1)B) of that sequence; `draw_batches` returns
+step t's batches as one (K, B) int64 matrix whose row k is worker k's batch.
+The sequence is a concatenation of seeded blocks, each a pure function of
 (master_seed, worker, block):
 
 * epoch permutation: block e is a fresh permutation of all N samples, so
@@ -15,7 +16,7 @@ seed tuple, replaying any (config, t) reproduces the same batches in any
 access order, batches at step t never depend on how many steps ran before,
 and worker k never touches its neighbours' streams.  Recently used blocks are
 kept read-only in a small cache, so a run generates each block once instead
-of once per step, and every batch gets its own copy of its indices.
+of once per step, and every call returns a fresh matrix the caller owns.
 
 The gradient reduction is a plain ascending-worker-order serial mean over
 the K rows of a (K, d) array (or a list of K vectors): floating-point
@@ -72,13 +73,6 @@ class ClusterConfig:
         return self
 
 
-@dataclass
-class SampleBatch:
-    worker: int
-    step: int
-    indices: np.ndarray
-
-
 @functools.lru_cache(maxsize=_CACHE_BLOCKS)
 def _block(master_seed, mode, worker, block, n):
     """Block `block` of worker's index sequence, read-only (it is shared)."""
@@ -91,8 +85,9 @@ def _block(master_seed, mode, worker, block, n):
 
 
 def draw_batches(cfg, obj, t):
-    """The K batches for step t.  Streams are independent per worker and
-    replaying (cfg, t) yields identical indices."""
+    """The (K, B) int64 index matrix of step t; row k is worker k's batch.
+    Streams are independent per worker and replaying (cfg, t) yields
+    identical indices."""
     if t < 0:
         raise ValueError("step t must be >= 0")
     cfg.validate(obj)
@@ -101,14 +96,13 @@ def draw_batches(cfg, obj, t):
     first, offset = divmod(t * b, size)
     last = (t * b + b - 1) // size
     seed = cfg.master_seed
-    batches = []
+    batches = np.empty((cfg.workers_K, b), dtype=np.int64)
     for k in range(cfg.workers_K):
         seq = _block(seed, mode, k, first, n)
         if last > first:        # the batch straddles a block boundary
             seq = np.concatenate([seq] + [_block(seed, mode, k, c, n)
                                           for c in range(first + 1, last + 1)])
-        idx = seq[offset:offset + b].astype(np.int64)   # a private copy
-        batches.append(SampleBatch(worker=k, step=t, indices=idx))
+        batches[k] = seq[offset:offset + b]
     return batches
 
 

@@ -9,8 +9,10 @@ aggregates, JSON theory report).
 Determinism contract: every trial is a pure function of (master_seed, trial
 index) and the config, and output files contain no timestamps or environment
 details, so repeated runs are byte-identical.  Trials run serially and each
-step evaluates all K workers in one stacked oracle call; the `threads`
-argument of run/sweep/speedup_study is accepted and has no effect.
+step evaluates all K workers in one stacked oracle call on the (K, B) batch
+matrix; the `threads` argument of `run` is accepted and has no effect.
+Method facts come from `theory.METHOD_TABLE`; `_step_once` is the one place
+that binds a method to its step function.
 """
 
 import csv
@@ -35,8 +37,6 @@ from .optimizers import (HyperParams, NoiseSpec, PostLocalConfig, Schedule,
                          step_nesterov, step_post_local)
 
 _NOISE_TAG = 31
-
-_SYNC_METHODS = (theory.SGD, theory.NESTEROV, theory.EXTRAP_SGD, theory.EXTRAP_NOISE)
 
 
 @dataclass
@@ -66,14 +66,11 @@ class RunConfig:
         self.hyperparams.validate()
         if self.schedule is not None:
             self.schedule.validate()
-        if self.method == theory.EXTRAP_NOISE:
-            if self.noise is None:
-                raise ValueError("method extrap_noise needs a noise spec")
-            self.noise.validate()
-        if self.method == theory.POST_LOCAL:
-            if self.post_local is None:
-                raise ValueError("method post_local needs a post_local config")
-            self.post_local.validate()
+        needs = theory.METHOD_TABLE[self.method].needs
+        if needs is not None:
+            if getattr(self, needs) is None:
+                raise ValueError(f"method {self.method} needs a {needs} config")
+            getattr(self, needs).validate()
         if self.total_steps_T < 1:
             raise ValueError("total_steps_T must be >= 1")
         if self.record_every < 1:
@@ -165,21 +162,19 @@ def _step_once(config, state, obj, cl, batches, hp_t, seed, t):
 def _terminal_half_point(config, state, hp, cl, seed, horizon_T):
     """x_bar_{T+1/2} and xi_bar_T, reachable without gradient evaluations."""
     x, v, u = state.x.values, state.v, hp.momentum_u
-    m = config.method
+    direction = theory.METHOD_TABLE[config.method].direction
     ghat = effective_gamma_hat(hp, cl.workers_K)
-    if m == theory.SGD or ghat == 0.0 or horizon_T == 0:
+    if direction is None or ghat == 0.0 or horizon_T == 0:
         xi = np.zeros_like(x)
-    elif m == theory.EXTRAP_SGD:
+    elif direction == "past":
         xi = reduce_mean(state.past_grad)
-    elif m == theory.EXTRAP_NOISE:
+    else:
         rng = np.random.default_rng(
             np.random.SeedSequence((seed, _NOISE_TAG, horizon_T)))
         xi = reduce_mean(draw_noise_directions(config.noise, state, rng,
                                                cl.workers_K))
-    else:
-        xi = np.zeros_like(x)
     half = x - ghat * xi
-    if m != theory.SGD and u != 0.0:
+    if u != 0.0:    # sgd never moves v off zero
         half = half + u * v
     return half, xi
 
@@ -205,7 +200,8 @@ def _run_trial(config, trial, stop_epsilon=None):
 
     x0 = initial_point(obj, config.init_scale)
     state = init_state(x0, cl.workers_K)
-    want_vs = config.record_virtual_sequence and config.method in _SYNC_METHODS
+    method = theory.METHOD_TABLE[config.method]
+    want_vs = config.record_virtual_sequence and method.bounded
 
     xs = [x0.values.copy()]
     vbuf = [state.v.copy()]
@@ -270,9 +266,7 @@ def _run_trial(config, trial, stop_epsilon=None):
         const_lr = sched is None or all(
             lr_at(sched, s, cl, obj) == hp.lr_gamma for s in range(horizon))
         if const_lr:
-            ghat = (effective_gamma_hat(hp, cl.workers_K)
-                    if config.method in (theory.EXTRAP_SGD, theory.EXTRAP_NOISE)
-                    else 0.0)
+            ghat = effective_gamma_hat(hp, cl.workers_K) if method.direction else 0.0
             term_half, term_xi = _terminal_half_point(config, state, hp, cl,
                                                       seed, horizon)
             halves.append(term_half)
@@ -285,23 +279,20 @@ def _run_trial(config, trial, stop_epsilon=None):
             result.descent_residuals = _relative_descent_residuals(vs)
             result.grad_norm2_series = np.asarray(grad_series)
             constants = estimate_constants(obj, x0, horizon_T=horizon)
-            uses_past = config.method == theory.EXTRAP_SGD
             sig_hat2 = (noise_second_moment(config.noise, x0)
-                        if config.method == theory.EXTRAP_NOISE else None)
+                        if method.direction == "noise" else None)
             result.proximity = theory.check_proximity_inequalities(
                 vs, worker_dev2=np.asarray(dev2s),
                 sigma2=constants.variance_sigma2, sigma_hat2=sig_hat2,
                 extrap_batch_b=cl.extrap_batch_b,
-                uses_past_gradients=uses_past)
-            if config.method in (theory.SGD, theory.NESTEROV, theory.EXTRAP_SGD,
-                                 theory.EXTRAP_NOISE):
-                try:
-                    report = theory.rate_bound(config.method, constants, hp, cl,
-                                               horizon, sigma_hat2=sig_hat2)
-                    result.rate_report = theory.finish_report(
-                        report, result.grad_norm2_series)
-                except ValueError as exc:
-                    result.rate_error = str(exc)
+                uses_past_gradients=method.direction == "past")
+            try:
+                report = theory.rate_bound(config.method, constants, hp, cl,
+                                           horizon, sigma_hat2=sig_hat2)
+                result.rate_report = theory.finish_report(
+                    report, result.grad_norm2_series)
+            except ValueError as exc:
+                result.rate_error = str(exc)
     return result
 
 
@@ -419,7 +410,7 @@ def write_outputs(result, out_dir):
 # studies
 # ---------------------------------------------------------------------------
 
-def speedup_study(base, kb_grid, epsilon, threads=1, budget_factor=4):
+def speedup_study(base, kb_grid, epsilon, budget_factor=4):
     """Steps-to-epsilon per aggregate batch size KB.
 
     For each (K, B): the horizon T_eps at which the tuned bound first reaches
@@ -431,8 +422,10 @@ def speedup_study(base, kb_grid, epsilon, threads=1, budget_factor=4):
     evaluated at the first grid point's horizon for context.
     """
     base.validate()
-    if base.method not in (theory.SGD, theory.NESTEROV, theory.EXTRAP_SGD):
-        raise ValueError("speedup_study supports sgd, nesterov and extrap_sgd")
+    method = theory.METHOD_TABLE[base.method]
+    if not method.bounded or method.direction == "noise":
+        raise ValueError(f"speedup_study needs a rate bound that vanishes as "
+                         f"T grows; {base.method} has none")
     obj = base.objective
     x0 = initial_point(obj, base.init_scale)
     constants = estimate_constants(obj, x0)
@@ -486,7 +479,7 @@ def apply_override(config, path, value):
     return rebuild(config, 0)
 
 
-def sweep(base, grid, threads=1):
+def sweep(base, grid):
     """Cartesian hyperparameter sweep.
 
     grid: {dotted path: [values...]}.  Each point runs base.trials trials and

@@ -521,7 +521,7 @@ def _sigma2_at(obj, values):
 
 
 # ---------------------------------------------------------------------------
-# testing oracle and optional dataset CSV dump
+# testing oracle
 # ---------------------------------------------------------------------------
 
 def finite_difference_gradient(func, values, eps=1e-5):
@@ -537,25 +537,3 @@ def finite_difference_gradient(func, values, eps=1e-5):
         grad[j] = (fplus - fminus) / (2.0 * eps)
     return grad
 
-
-def dump_dataset(obj, path):
-    """Write the generated dataset as CSV (header row, row-major samples)."""
-    if obj.kind == QUADRATIC:
-        header = ",".join(f"a_{j}" for j in range(obj.dimension))
-        data = obj.quad_shifts
-    elif obj.kind == LOGISTIC:
-        header = ",".join(f"phi_{j}" for j in range(obj.dimension)) + ",label"
-        data = np.column_stack([obj.logit_features, obj.logit_labels])
-    else:
-        n_in, n_out = obj.mlp_widths[0], obj.mlp_widths[-1]
-        header = ",".join(f"in_{j}" for j in range(n_in)) + "," + \
-            ",".join(f"target_{j}" for j in range(n_out))
-        data = np.column_stack([obj.mlp_inputs, obj.mlp_targets])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-def load_dataset(path):
-    """Read back a dump_dataset CSV; returns (column_names, array)."""
-    with open(path) as fh:
-        names = fh.readline().strip().split(",")
-    return names, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

@@ -29,7 +29,9 @@ reduced gradient before the main update.
 
 Per-worker state is stacked: past gradients, half points and the post-local
 x^k / v^k are (K, d) arrays with one row per worker, and one oracle call on
-the (K, B) index matrix evaluates all K workers' batch gradients at once.
+`batches`, the (K, B) int64 index matrix of `cluster.draw_batches` whose row
+k is worker k's batch (so `len(batches)` is K), evaluates all K workers'
+batch gradients at once.
 Row k is bitwise what a separate call for worker k returns, and the worker
 mean is still `cluster.reduce_mean`, an ascending add over the rows, so the
 reduction chains sgd = nesterov(u=0), nesterov = extrap_sgd(gamma_hat=0) and
@@ -218,15 +220,14 @@ def _batch_grad(obj, values, indices, hp):
 
 
 def _worker_grads(obj, halves, batches, hp, extrap_b):
-    """All K workers' batch gradients from one oracle call, and the past
-    gradients they store for the next step: the same evaluation, or, when
-    extrap_b < B, one more call on the leading extrap_b indices of each batch.
+    """All K workers' batch gradients from one oracle call on the (K, B) matrix,
+    and the past gradients they store for the next step: the same evaluation,
+    or, when extrap_b < B, one more call on each row's leading extrap_b indices.
     `halves` is one shared (d,) point or a (K, d) point per worker."""
-    idx = np.array([bt.indices for bt in batches])
-    grads = _batch_grad(obj, halves, idx, hp)
-    if extrap_b is None or extrap_b == idx.shape[1]:
+    grads = _batch_grad(obj, halves, batches, hp)
+    if extrap_b is None or extrap_b == batches.shape[1]:
         return grads, grads   # reuse: extrapolation stays evaluation-free
-    return grads, _batch_grad(obj, halves, idx[:, :extrap_b], hp)
+    return grads, _batch_grad(obj, halves, batches[:, :extrap_b], hp)
 
 
 def lars_scale(grad_block, x_block, hp):
@@ -276,8 +277,8 @@ def _worker_dev2(halves, half_bar):
 _SGD_RULE, _MOMENTUM_RULE, _ADAM_RULE = "sgd", "momentum", "adam"
 
 
-def _synced_step(state, obj, batches, hp, rule, halves, eval_point,
-                 xi_bar=None, extrap_b=None):
+def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
+                 extrap_b=None):
     """The body every synchronized step shares.
 
     The workers evaluate at `halves`: the shared (d,) point of sgd, nesterov
@@ -317,21 +318,21 @@ def _synced_step(state, obj, batches, hp, rule, halves, eval_point,
     state.last_info = {
         "x_half_bar": half_bar, "g_bar": g,
         "xi_bar": xi_bar if xi_bar is not None else np.zeros_like(g),
-        "worker_dev2": dev2, "worker_dispersion": 0.0, "eval_point": eval_point,
+        "worker_dev2": dev2, "worker_dispersion": 0.0,
     }
     return state
 
 
 def step_minibatch_sgd(state, obj, batches, hp):
     """Plain mini-batch SGD: x <- x - gamma * mean_k mean_i grad f_i(x)."""
-    return _synced_step(state, obj, batches, hp, _SGD_RULE, state.x.values, "x_t")
+    return _synced_step(state, obj, batches, hp, _SGD_RULE, state.x.values)
 
 
 def step_nesterov(state, obj, batches, hp):
     """Three-line Nesterov recurrence, gradient at the shared lookahead."""
     x, v, u = state.x.values, state.v, hp.momentum_u
     x_half = x + u * v if u != 0.0 else x
-    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, x_half, "x_half")
+    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, x_half)
 
 
 def _extrap_momentum_step(state, obj, batches, hp, directions, extrap_b):
@@ -350,7 +351,7 @@ def _extrap_momentum_step(state, obj, batches, hp, directions, extrap_b):
     u = hp.momentum_u
     halves = quarters + u * state.v if u != 0.0 else quarters
     return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
-                        "x_half_bar", xi_bar, extrap_b)
+                        xi_bar, extrap_b)
 
 
 def step_extrap_sgd(state, obj, batches, hp, extrap_b=None):
@@ -409,7 +410,7 @@ def _filter_scale(zeta, x):
 
 def step_adam(state, obj, batches, hp):
     """Reference Adam without bias correction (the gamma_hat = 0 baseline)."""
-    return _synced_step(state, obj, batches, hp, _ADAM_RULE, state.x.values, "x_t")
+    return _synced_step(state, obj, batches, hp, _ADAM_RULE, state.x.values)
 
 
 def step_extrap_adam(state, obj, batches, hp, extrap_b=None):
@@ -432,7 +433,7 @@ def step_extrap_adam(state, obj, batches, hp, extrap_b=None):
     else:
         halves = np.broadcast_to(x, (n_workers, x.size))
     return _synced_step(state, obj, batches, hp, _ADAM_RULE, halves,
-                        "x_half_bar", extrap_b=extrap_b)
+                        extrap_b=extrap_b)
 
 
 def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
@@ -484,7 +485,7 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     state.last_info = {
         "x_half_bar": half_bar, "g_bar": reduce_mean(grads),
         "xi_bar": np.zeros_like(mean_x), "worker_dev2": _worker_dev2(halves, half_bar),
-        "worker_dispersion": dispersion, "eval_point": "x_half_bar",
+        "worker_dispersion": dispersion,
     }
     return state
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterConfig
 from .objectives import batch_gradient
 from .optimizers import HyperParams, effective_gamma_hat
 
@@ -41,10 +40,37 @@ EXTRAP_NOISE = "extrap_noise"
 EXTRAP_ADAM = "extrap_adam"
 ADAM = "adam"
 POST_LOCAL = "post_local"
-METHODS = (SGD, NESTEROV, EXTRAP_SGD, EXTRAP_NOISE, EXTRAP_ADAM, ADAM, POST_LOCAL)
 
-# methods with a closed-form rate bound, keyed to the bound they satisfy
-_BOUNDED = (SGD, NESTEROV, EXTRAP_SGD, EXTRAP_NOISE)
+
+@dataclass(frozen=True)
+class Method:
+    """What sets one method apart within the unified framework."""
+    summary: str            # one line for `exsgd list-methods`
+    direction: str = None   # extrapolation along None, "past", "noise" or "adam"
+    bounded: bool = False   # closed-form rate bound plus virtual-sequence replay
+    needs: str = None       # the RunConfig section the method requires
+
+
+METHOD_TABLE = {
+    SGD: Method("mini-batch SGD: x <- x - gamma * reduced batch gradient",
+                bounded=True),
+    NESTEROV: Method("momentum SGD, gradient taken at the lookahead x + u*v",
+                     bounded=True),
+    EXTRAP_SGD: Method("each worker first steps along its stored past batch "
+                       "gradient, then the usual momentum update follows",
+                       "past", bounded=True),
+    EXTRAP_NOISE: Method("like extrap_sgd but the lookahead direction is drawn "
+                         "noise (gaussian/uniform/shared/centered past gradients)",
+                         "noise", bounded=True, needs="noise"),
+    ADAM: Method("Adam without bias correction (reference baseline)"),
+    EXTRAP_ADAM: Method("Adam whose workers look ahead through the stored "
+                        "moments and their past gradient before the shared "
+                        "moment update", "adam"),
+    POST_LOCAL: Method("synchronized extrap_sgd until step t0, then per-worker "
+                       "local updates with model averaging every H steps",
+                       "past", needs="post_local"),
+}
+METHODS = tuple(METHOD_TABLE)
 
 
 @dataclass
@@ -239,7 +265,7 @@ def rate_bound(method, constants, hp, cluster, horizon_T, sigma_hat2=None):
         bound = (2.0 * (1.0 - u) * r0 / (gamma * horizon_T)
                  + (4.0 * ghat ** 2 * L ** 2 / cluster.extrap_batch_b
                     + gamma * L * (1.0 + 3.0 * u) / ((1.0 - u) ** 2 * KB)) * s2)
-    elif method == EXTRAP_NOISE:
+    else:   # EXTRAP_NOISE: stepsize_cap rejected the methods without a bound
         if u == 0.0:
             raise ValueError("the noise-extrapolation bound needs momentum_u > 0")
         if sigma_hat2 is None:
@@ -251,8 +277,6 @@ def rate_bound(method, constants, hp, cluster, horizon_T, sigma_hat2=None):
                  + gamma * L * (1.0 + u) / ((1.0 - u) ** 2 * KB) * s2
                  + (L ** 2 + (1.0 - u) ** 2 * L / (gamma * u ** 3 * cluster.workers_K))
                  * 2.0 * ghat ** 2 * horizon_T * sigma_hat2)
-    else:
-        raise ValueError(f"no rate bound for method {method!r}")
     return RateBoundReport(method=method, bound_value=float(bound),
                            stepsize_cap=cap, constants_used=used)
 
@@ -305,10 +329,8 @@ def tune_stepsize(method, constants, cluster, horizon_T, momentum_u=0.0):
     elif method in (EXTRAP_SGD, POST_LOCAL):
         candidate = math.sqrt(
             scale * (u ** 3 + 3.0 * u + 1.0) * (1.0 - u) ** 3 / (19.0 * u + 1.0))
-    elif method == EXTRAP_NOISE:
+    else:   # EXTRAP_NOISE: stepsize_cap rejected the methods without a rule
         candidate = math.sqrt(scale * (1.0 - u) ** 3 / (1.0 + u))
-    else:
-        raise ValueError(f"no stepsize rule for method {method!r}")
     return min(cap, candidate)
 
 
@@ -316,12 +338,9 @@ def tuned_hyperparams(method, constants, cluster, horizon_T, momentum_u=0.0):
     """HyperParams with the tuned gamma (and an admissible gamma_hat)."""
     gamma = tune_stepsize(method, constants, cluster, horizon_T, momentum_u)
     u = momentum_u
-    if method in (EXTRAP_SGD, POST_LOCAL) and u > 0.0:
+    ghat = None
+    if method in (EXTRAP_SGD, POST_LOCAL):   # the cap is 0 when u = 0
         ghat = min(gamma / cluster.workers_K, u ** 2 * gamma / (1.0 - u) ** 2)
-    elif method in (EXTRAP_SGD, POST_LOCAL):
-        ghat = 0.0
-    else:
-        ghat = None
     return HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=ghat, momentum_u=u)
 
 

@@ -1,10 +1,15 @@
 import filecmp
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exsgd.cli import main
+from exsgd.cluster import EPOCH_PERMUTATION, WITH_REPLACEMENT
+from exsgd.theory import METHODS
 
 BASE_CONFIG = {
     "objective": {"maker": "quadratic", "dimension": 3, "sample_count": 24,
@@ -120,6 +125,109 @@ def test_objective_shape_mismatch_exits_one_before_step_zero(tmp_path, capsys,
     assert err.startswith("error:") and field in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override,field", [
+    ("trials=abc", "trials"),
+    ("trials=true", "trials"),
+    ("total_steps_T=null", "total_steps_T"),
+    ("hyperparams.momentum_u=null", "hyperparams.momentum_u"),
+    ("cluster.workers_K=1.5", "cluster.workers_K"),
+    ("master_seed=1.5", "master_seed"),
+    ('init_scale="a"', "init_scale"),
+    ("record_virtual_sequence=1", "record_virtual_sequence"),
+    ("objective.kind=3", "objective.kind"),
+    ("cluster=null", "cluster"),
+])
+def test_wrongly_typed_value_exits_one_without_traceback(config_path, tmp_path,
+                                                         capsys, override,
+                                                         field):
+    out = tmp_path / "o"
+    assert main(["run", "--config", config_path, "--out", str(out),
+                 "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_wrongly_typed_config_file_value_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, total_steps_T=30.0)))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: total_steps_T must be int")
+
+
+def test_section_override_is_built_like_the_config_file(config_path, tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "--config", config_path, "--out", str(out),
+                 "--set", "method=post_local",
+                 "--set", 'post_local={"transition_step_t0":3,"local_steps_H":2}',
+                 "--set", "init_scale=1",
+                 "--set", "hyperparams.inner_lr_gamma_hat=null"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["post_local"] == {"transition_step_t0": 3, "local_steps_H": 2}
+    assert config["init_scale"] == 1
+
+
+@pytest.mark.parametrize("override,text", [
+    ("schedule=3", "'schedule' must be an object"),
+    ('noise={"kind":"isotropic_gaussian","scale":0.1}', "unknown noise fields"),
+    ('objective={"maker":"quadratic","dimension":3}', "missing objective fields"),
+])
+def test_malformed_section_override_exits_one(config_path, tmp_path, capsys,
+                                              override, text):
+    assert main(["run", "--config", config_path, "--out", str(tmp_path / "o"),
+                 "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and text in err
+    assert len(err.splitlines()) == 1
+
+
+_OBJECTIVES = {
+    "quadratic": {"maker": "quadratic", "dimension": 3, "sample_count": 24,
+                  "generator_seed": 2, "shift_spread": 1.5},
+    "logistic": {"maker": "logistic", "dimension": 3, "sample_count": 24,
+                 "generator_seed": 2, "l2": 1e-3},
+    "tiny_mlp": {"maker": "tiny_mlp", "widths": [2, 3, 1], "sample_count": 24,
+                 "generator_seed": 2},
+}
+
+
+@given(method=st.sampled_from(METHODS), kind=st.sampled_from(sorted(_OBJECTIVES)),
+       mode=st.sampled_from([WITH_REPLACEMENT, EPOCH_PERMUTATION]),
+       filter_scaled=st.booleans(), lars=st.booleans(), schedule=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_manifest_config_replays_byte_identical(method, kind, mode,
+                                                filter_scaled, lars, schedule):
+    doc = dict(
+        BASE_CONFIG, objective=_OBJECTIVES[kind], method=method,
+        cluster={"workers_K": 2, "local_batch_B": 4, "sampling_mode": mode},
+        hyperparams={"lr_gamma": 0.02, "momentum_u": 0.5,
+                     "lars_trust": 0.02 if lars else 0.0},
+        noise={"kind": "isotropic_gaussian", "raw_scale": 0.1,
+               "filter_scaled": filter_scaled},
+        post_local={"transition_step_t0": 4, "local_steps_H": 2},
+        total_steps_T=12, record_virtual_sequence=True)
+    if schedule:
+        doc["schedule"] = {"kind": "warmup_constant", "base_lr": 0.01,
+                           "scale_factor": 2.0, "warmup_epochs": 1}
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first"), os.path.join(tmp, "second")
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["run", "--config", path, "--out", first])
+        with open(os.path.join(first, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(manifest["config"], fh)
+        assert main(["run", "--config", path, "--out", second]) == code
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(second))
+        for name in names:
+            assert filecmp.cmp(os.path.join(first, name),
+                               os.path.join(second, name), shallow=False), name
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

@@ -30,24 +30,21 @@ def test_draw_batches_shape_and_determinism():
     cfg = ClusterConfig(workers_K=3, local_batch_B=5, master_seed=17)
     a = draw_batches(cfg, obj, 4)
     b = draw_batches(cfg, obj, 4)
-    assert len(a) == 3 and all(len(sb.indices) == 5 for sb in a)
-    assert [sb.worker for sb in a] == [0, 1, 2]
-    assert all(sb.step == 4 for sb in a)
-    for x, y in zip(a, b):
-        assert_array_equal(x.indices, y.indices)
+    assert a.shape == (3, 5) and a.dtype == np.int64
+    assert_array_equal(a, b)
     # different step or different seed gives different draws
     c = draw_batches(cfg, obj, 5)
     d = draw_batches(ClusterConfig(workers_K=3, local_batch_B=5,
                                    master_seed=18), obj, 4)
-    assert any(not np.array_equal(x.indices, y.indices) for x, y in zip(a, c))
-    assert any(not np.array_equal(x.indices, y.indices) for x, y in zip(a, d))
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
+    assert any(not np.array_equal(x, y) for x, y in zip(a, d))
 
 
 def test_workers_draw_distinct_streams():
     obj = make_quadratic(2, 1000)
     cfg = ClusterConfig(workers_K=2, local_batch_B=20, master_seed=3)
     k0, k1 = draw_batches(cfg, obj, 0)
-    assert not np.array_equal(k0.indices, k1.indices)
+    assert not np.array_equal(k0, k1)
 
 
 @given(seed=st.integers(0, 2**31 - 1), step=st.integers(0, 10_000))
@@ -56,15 +53,15 @@ def test_with_replacement_indices_in_range(seed, step):
     obj = make_quadratic(1, 7)
     cfg = ClusterConfig(workers_K=2, local_batch_B=3, master_seed=seed,
                         sampling_mode=WITH_REPLACEMENT)
-    for sb in draw_batches(cfg, obj, step):
-        assert np.all((0 <= sb.indices) & (sb.indices < 7))
+    batches = draw_batches(cfg, obj, step)
+    assert np.all((0 <= batches) & (batches < 7))
 
 
 def test_epoch_permutation_covers_every_sample():
     obj = make_quadratic(1, 12)
     cfg = ClusterConfig(workers_K=1, local_batch_B=3, master_seed=5,
                         sampling_mode=EPOCH_PERMUTATION)
-    seen = np.concatenate([draw_batches(cfg, obj, t)[0].indices for t in range(4)])
+    seen = np.concatenate([draw_batches(cfg, obj, t)[0] for t in range(4)])
     assert sorted(seen) == list(range(12))
 
 
@@ -73,7 +70,7 @@ def test_epoch_permutation_straddles_epoch_boundary():
     obj = make_quadratic(1, 8)
     cfg = ClusterConfig(workers_K=1, local_batch_B=3, master_seed=9,
                         sampling_mode=EPOCH_PERMUTATION)
-    draws = np.concatenate([draw_batches(cfg, obj, t)[0].indices for t in range(8)])
+    draws = np.concatenate([draw_batches(cfg, obj, t)[0] for t in range(8)])
     assert len(draws) == 24
     counts = np.bincount(draws, minlength=8)
     assert_array_equal(counts, 3)           # exactly three full epochs
@@ -85,10 +82,10 @@ def test_epoch_permutation_workers_independent():
                         sampling_mode=EPOCH_PERMUTATION)
     # every worker walks its own permutation over the full dataset
     k0, k1 = draw_batches(cfg, obj, 0)
-    assert len(set(k0.indices)) == len(set(k1.indices)) == 32
-    assert not np.array_equal(k0.indices, k1.indices)   # distinct permutations
+    assert len(set(k0)) == len(set(k1)) == 32
+    assert not np.array_equal(k0, k1)       # distinct permutations
     k0_next = draw_batches(cfg, obj, 1)[0]
-    assert sorted(np.concatenate([k0.indices, k0_next.indices])) == list(range(64))
+    assert sorted(np.concatenate([k0, k0_next])) == list(range(64))
 
 
 def test_epoch_mode_matches_per_step_permutation_formula():
@@ -110,9 +107,10 @@ def test_epoch_mode_matches_per_step_permutation_formula():
         return idx
 
     for t in range(10):
-        for sb in draw_batches(cfg, obj, t):
-            assert sb.indices.dtype == np.int64
-            assert_array_equal(sb.indices, reference(sb.worker, t))
+        batches = draw_batches(cfg, obj, t)
+        assert batches.dtype == np.int64
+        for worker, row in enumerate(batches):
+            assert_array_equal(row, reference(worker, t))
 
 
 @given(seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 3),
@@ -131,11 +129,9 @@ def test_stream_is_prefix_stable_and_private(seed, workers, n, mode, t, data):
     for s in range(t):
         draw_batches(cfg, obj, s)
     warm = draw_batches(cfg, obj, t)
-    for x, y in zip(cold, warm):
-        assert_array_equal(x.indices, y.indices)
-        x.indices[:] = -1                   # callers own their indices
-    for x, y in zip(draw_batches(cfg, obj, t), warm):
-        assert_array_equal(x.indices, y.indices)
+    assert_array_equal(cold, warm)
+    cold[:] = -1                            # callers own their indices
+    assert_array_equal(draw_batches(cfg, obj, t), warm)
 
 
 @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(2, 64),
@@ -148,13 +144,13 @@ def test_with_replacement_batches_straddle_blocks(seed, batch, boundary):
     obj = make_quadratic(1, n)
     cfg = ClusterConfig(workers_K=2, local_batch_B=batch, master_seed=seed)
     t = edge // batch                       # this step's batch covers `edge`
-    for sb in draw_batches(cfg, obj, t):
+    for worker, row in enumerate(draw_batches(cfg, obj, t)):
         # Reference: blocks are seeded by (seed, 21, worker, block).
         seq = np.concatenate([np.random.default_rng(np.random.SeedSequence(
-            (seed, 21, sb.worker, c))).integers(0, n, size=_BLOCK)
+            (seed, 21, worker, c))).integers(0, n, size=_BLOCK)
             for c in (boundary - 1, boundary)])
         start = t * batch - (boundary - 1) * _BLOCK
-        assert_array_equal(sb.indices, seq[start:start + batch])
+        assert_array_equal(row, seq[start:start + batch])
 
 
 def test_reduce_mean_serial_accumulation_order():

@@ -15,7 +15,7 @@ from exsgd.objectives import (ParamVector, estimate_constants, initial_point,
                               loss, make_quadratic)
 from exsgd.optimizers import (SMOOTHOUT_SHARED, WARMUP_CONSTANT, HyperParams,
                               NoiseSpec, PostLocalConfig, Schedule, lr_at)
-from exsgd.theory import stepsize_cap
+from exsgd.theory import METHOD_TABLE, METHODS, stepsize_cap
 
 
 def _base_config(**overrides):
@@ -283,3 +283,45 @@ def test_speedup_study_reports_steps_to_epsilon():
 def test_speedup_study_rejects_unsupported_methods():
     with pytest.raises(ValueError):
         speedup_study(_base_config(method="adam"), [(1, 4)], epsilon=0.5)
+
+
+# (method, replayed against a rate bound, speedup_study supported, section
+# the method needs): what each method's METHOD_TABLE entry must produce.
+_METHOD_BEHAVIOUR = [
+    ("sgd", True, True, None),
+    ("nesterov", True, True, None),
+    ("extrap_sgd", True, True, None),
+    ("extrap_noise", True, False, "noise"),
+    ("adam", False, False, None),
+    ("extrap_adam", False, False, None),
+    ("post_local", False, False, "post_local"),
+]
+
+
+@pytest.mark.parametrize("name,replayed,speedup,needs", _METHOD_BEHAVIOUR)
+def test_method_table_drives_replay_speedup_and_validation(name, replayed,
+                                                           speedup, needs):
+    assert sorted(METHODS) == sorted(row[0] for row in _METHOD_BEHAVIOUR)
+    method = METHOD_TABLE[name]
+    assert (method.bounded, method.needs) == (replayed, needs)
+    cfg = _base_config(
+        method=name, trials=1, total_steps_T=20, record_virtual_sequence=True,
+        hyperparams=HyperParams(lr_gamma=0.05, momentum_u=0.5),
+        noise=NoiseSpec(kind="isotropic_gaussian", raw_scale=0.1),
+        post_local=PostLocalConfig(transition_step_t0=5, local_steps_H=2))
+    tr = run(cfg).trials[0]
+    assert (tr.virtual_sequence is not None) == replayed
+    assert (tr.rate_report is not None or tr.rate_error != "") == replayed
+    if speedup:
+        table = speedup_study(cfg, [(1, 4)], epsilon=10.0)
+        assert table["rows"][0]["kb"] == 4
+    else:
+        with pytest.raises(ValueError, match="speedup_study"):
+            speedup_study(cfg, [(1, 4)], epsilon=10.0)
+    for section in ("noise", "post_local"):
+        without = dataclasses.replace(cfg, **{section: None})
+        if section == needs:
+            with pytest.raises(ValueError, match=section):
+                without.validate()
+        else:
+            without.validate()

@@ -9,11 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from exsgd.cluster import reduce_mean
 
 from exsgd.objectives import (ObjectiveSpec, ParamVector, batch_gradient,
-                              batch_loss, dump_dataset, estimate_constants,
+                              batch_loss, estimate_constants,
                               finite_difference_gradient, full_gradient,
-                              initial_point, load_dataset, loss, loss_sample,
-                              make_logistic, make_quadratic, make_tiny_mlp,
-                              sample_gradient)
+                              initial_point, loss, loss_sample, make_logistic,
+                              make_quadratic, make_tiny_mlp, sample_gradient)
 
 
 def test_quadratic_gradient_closed_form():
@@ -168,15 +167,6 @@ def test_logistic_loss_stable_at_huge_margin():
     assert np.isfinite(val) and val == pytest.approx(800.0)
     g = batch_gradient(obj, np.array([-800.0, 800.0]), [0, 1])
     assert np.all(np.isfinite(g))
-
-
-def test_dataset_csv_roundtrip(tmp_path):
-    obj = make_quadratic(3, 5, generator_seed=4, shift_spread=1.5)
-    path = tmp_path / "quad.csv"
-    dump_dataset(obj, path)
-    names, data = load_dataset(path)
-    assert names == ["a_0", "a_1", "a_2"]
-    assert_allclose(data, obj.quad_shifts, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

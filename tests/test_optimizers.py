@@ -228,7 +228,7 @@ def test_past_gradient_reuses_full_batch_evaluation():
     batches = draw_batches(cfg, obj, 0)
     step_extrap_sgd(st, obj, batches, hp)
     for k in range(2):
-        want = obj.quad_shifts[batches[k].indices].mean(axis=0)
+        want = obj.quad_shifts[batches[k]].mean(axis=0)
         # half point at t=0 is x0 = 0, so the stored gradient is -mean(a_i)
         assert_array_equal(st.past_grad[k], -want)
 
@@ -240,7 +240,7 @@ def test_sub_batch_past_gradient_uses_leading_indices():
     st = init_state(initial_point(obj), 1)
     batches = draw_batches(cfg, obj, 0)
     step_extrap_sgd(st, obj, batches, hp, extrap_b=2)
-    lead = batches[0].indices[:2]
+    lead = batches[0, :2]
     assert_array_equal(st.past_grad[0], -obj.quad_shifts[lead].mean(axis=0))
 
 
