@@ -62,10 +62,6 @@ def _build_objective(doc):
                 "logit_labels", "mlp_inputs", "mlp_targets"):
         if doc.get(key) is not None:
             doc[key] = np.asarray(doc[key], dtype=np.float64)
-    if doc.get("partition") is not None:
-        doc["partition"] = [tuple(p) for p in doc["partition"]]
-    if doc.get("mlp_widths") is not None:
-        doc["mlp_widths"] = tuple(doc["mlp_widths"])
     return _construct("objective", ObjectiveSpec, doc)
 
 
@@ -93,25 +89,6 @@ def build_config(doc):
                       {key: _build_section(key, value) for key, value in doc.items()})
 
 
-def _check_field_types(node, path=""):
-    """Check each scalar field of a config, and of the sections that
-    `_build_section` built, against its annotation.  A float field also
-    takes an int; null is allowed only where the default is None."""
-    for f in dataclasses.fields(node):
-        value, name = getattr(node, f.name), path + f.name
-        if value is None:
-            if f.default is not None:
-                raise ValueError(f"{name} must not be null")
-        elif dataclasses.is_dataclass(f.type):
-            _check_field_types(value, name + ".")
-        elif f.type in (int, float, bool, str):
-            takes = (int, float) if f.type is float else f.type
-            # bool is an int subclass: only a bool field takes a bool
-            if (not isinstance(value, takes)
-                    or isinstance(value, bool) != (f.type is bool)):
-                raise ValueError(f"{name} must be {f.type.__name__}, got {value!r}")
-
-
 def _parse_value(text):
     try:
         return json.loads(text)
@@ -132,7 +109,7 @@ def load_config(path, overrides, seed=None):
             config, key, _build_section(key, _parse_value(raw)))
     if seed is not None:
         config = dataclasses.replace(config, master_seed=seed)
-    _check_field_types(config)
+    harness.check_field_types(config)
     config.validate()
     return config
 
@@ -164,7 +141,9 @@ def _parse_grid(items):
         if "=" not in item:
             raise ValueError(f"--grid expects KEY=V1,V2,..., got {item!r}")
         key, _, raw = item.partition("=")
-        grid[key.strip()] = [_parse_value(v) for v in raw.split(",") if v]
+        key = key.strip()
+        grid[key] = [_build_section(key, _parse_value(v))
+                     for v in raw.split(",") if v]
     if not grid:
         raise ValueError("sweep needs at least one --grid KEY=V1,V2,...")
     return grid
@@ -416,7 +395,8 @@ def build_parser():
 
     p = sub.add_parser("verify",
                        help="run the theory checks on built-in quadratics")
-    _add_common(p, config_required=False)
+    p.add_argument("--out", help="also write the checks to "
+                                 "OUT/theory_report.json")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("smoothness", help="probe local smoothness")

@@ -14,9 +14,12 @@ The sequence is a concatenation of seeded blocks, each a pure function of
 A batch may straddle a block boundary.  Because blocks depend only on their
 seed tuple, replaying any (config, t) reproduces the same batches in any
 access order, batches at step t never depend on how many steps ran before,
-and worker k never touches its neighbours' streams.  Recently used blocks are
-kept read-only in a small cache, so a run generates each block once instead
-of once per step, and every call returns a fresh matrix the caller owns.
+and worker k never touches its neighbours' streams.  Block c of all K workers
+is kept as one read-only (K, block size) matrix, whose row k is worker k's
+block, in a small cache: a run generates each block once instead of once per
+step, and a step's batches are one slice copy of that matrix (a straddling
+batch joins consecutive matrices along the position axis), so every call
+returns a fresh matrix the caller owns.
 
 The gradient reduction is a plain ascending-worker-order serial mean over
 the K rows of a (K, d) array (or a list of K vectors): floating-point
@@ -39,10 +42,10 @@ _PERM_TAG = 22
 # Indices per with-replacement block: one seeded generator serves
 # _BLOCK // B steps of a worker.
 _BLOCK = 1024
-# Cached blocks.  A step touches one block per worker (two where a batch
-# straddles), so this covers clusters of up to 32 workers; an epoch block
-# holds N int64 indices.
-_CACHE_BLOCKS = 64
+# Cached block matrices.  A step reads one, or the next few where its batch
+# straddles a boundary, and the next step reads the last of them again; an
+# epoch block matrix holds K * N int64 indices.
+_CACHE_BLOCKS = 4
 
 
 @dataclass
@@ -74,14 +77,17 @@ class ClusterConfig:
 
 
 @functools.lru_cache(maxsize=_CACHE_BLOCKS)
-def _block(master_seed, mode, worker, block, n):
-    """Block `block` of worker's index sequence, read-only (it is shared)."""
+def _block(master_seed, mode, workers, block, n):
+    """Block `block` of every worker's index sequence as a read-only
+    (workers, block size) matrix (it is shared); row k is worker k's block."""
     epoch = mode == EPOCH_PERMUTATION
-    rng = np.random.default_rng(np.random.SeedSequence(
-        (master_seed, _PERM_TAG if epoch else _BATCH_TAG, worker, block)))
-    idx = rng.permutation(n) if epoch else rng.integers(0, n, size=_BLOCK)
-    idx.setflags(write=False)
-    return idx
+    rows = np.empty((workers, n if epoch else _BLOCK), dtype=np.int64)
+    for k in range(workers):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (master_seed, _PERM_TAG if epoch else _BATCH_TAG, k, block)))
+        rows[k] = rng.permutation(n) if epoch else rng.integers(0, n, size=_BLOCK)
+    rows.setflags(write=False)
+    return rows
 
 
 def draw_batches(cfg, obj, t):
@@ -95,21 +101,29 @@ def draw_batches(cfg, obj, t):
     size = n if mode == EPOCH_PERMUTATION else _BLOCK
     first, offset = divmod(t * b, size)
     last = (t * b + b - 1) // size
-    seed = cfg.master_seed
-    batches = np.empty((cfg.workers_K, b), dtype=np.int64)
-    for k in range(cfg.workers_K):
-        seq = _block(seed, mode, k, first, n)
-        if last > first:        # the batch straddles a block boundary
-            seq = np.concatenate([seq] + [_block(seed, mode, k, c, n)
-                                          for c in range(first + 1, last + 1)])
-        batches[k] = seq[offset:offset + b]
-    return batches
+    seed, workers = cfg.master_seed, cfg.workers_K
+    seq = _block(seed, mode, workers, first, n)
+    if last > first:        # the batch straddles a block boundary
+        seq = np.concatenate([seq] + [_block(seed, mode, workers, c, n)
+                                      for c in range(first + 1, last + 1)],
+                             axis=1)
+    return seq[:, offset:offset + b].copy()
 
 
 def reduce_mean(vectors):
-    """Arithmetic mean accumulated in ascending worker-index order."""
+    """Arithmetic mean accumulated in ascending worker-index order.
+
+    A C-ordered (K, d) array with d >= 2 is reduced in one call: numpy
+    adds its rows into the output row in ascending order, starting from a
+    copy of row 0 (`initial=None`, which keeps the sign of a zero), so the
+    result is bitwise the loop below.  For d = 1 and for other layouts numpy
+    may sum pairwise, so those, and lists, take the loop.
+    """
     if len(vectors) == 0:
         raise ValueError("reduce_mean of empty input")
+    if (isinstance(vectors, np.ndarray) and vectors.ndim == 2
+            and vectors.shape[1] >= 2 and vectors.flags.c_contiguous):
+        return np.add.reduce(vectors, axis=0, initial=None) / len(vectors)
     dim = vectors[0].shape
     acc = vectors[0].copy()
     for vec in vectors[1:]:

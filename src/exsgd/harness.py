@@ -82,6 +82,49 @@ class RunConfig:
         return self
 
 
+def _takes(value, typ):
+    """Whether a config field annotated `typ` takes `value`: a float field
+    also takes an int, and, bool being an int subclass, only a bool field
+    takes a bool."""
+    takes = (int, float) if typ is float else typ
+    return isinstance(value, takes) and isinstance(value, bool) == (typ is bool)
+
+
+def _is_list_of(value, ok):
+    return isinstance(value, (list, tuple)) and all(ok(v) for v in value)
+
+
+# The config fields that hold sequences: what each holds, and the check of
+# one element.
+_SEQUENCE_FIELDS = {
+    (Schedule, "decay_milestones"): ("a list of numbers",
+                                     lambda m: _takes(m, float)),
+    (ObjectiveSpec, "mlp_widths"): ("a list of ints", lambda w: _takes(w, int)),
+    (ObjectiveSpec, "partition"): (
+        "a list of [start, stop] int pairs",
+        lambda p: _is_list_of(p, lambda i: _takes(i, int)) and len(p) == 2),
+}
+
+
+def check_field_types(node, path=""):
+    """Check each scalar and sequence field of a config, and of its sections,
+    against its annotation, so that `validate` sees only well-typed values.
+    Null is allowed only where the default is None."""
+    for f in dataclasses.fields(node):
+        value, name = getattr(node, f.name), path + f.name
+        if value is None:
+            if f.default is not None:
+                raise ValueError(f"{name} must not be null")
+        elif dataclasses.is_dataclass(f.type):
+            check_field_types(value, name + ".")
+        elif (type(node), f.name) in _SEQUENCE_FIELDS:
+            what, ok = _SEQUENCE_FIELDS[type(node), f.name]
+            if not _is_list_of(value, ok):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+        elif f.type in (int, float, bool, str) and not _takes(value, f.type):
+            raise ValueError(f"{name} must be {f.type.__name__}, got {value!r}")
+
+
 @dataclass
 class MetricsRecord:
     step: int
@@ -203,10 +246,14 @@ def _run_trial(config, trial, stop_epsilon=None):
     method = theory.METHOD_TABLE[config.method]
     want_vs = config.record_virtual_sequence and method.bounded
 
-    xs = [x0.values.copy()]
-    vbuf = [state.v.copy()]
-    halves, gbars, xibars, dev2s = [], [], [], []
-    grad_series = []
+    if want_vs:
+        # Step t writes row t + 1 of xs and vbuf and row t of the rest; the
+        # replay writes the terminal half point and direction as row T.
+        steps, d = config.total_steps_T, obj.dimension
+        xs, vbuf, halves, xibars = (np.empty((steps + 1, d)) for _ in range(4))
+        gbars = np.empty((steps, d))
+        dev2s, grad_series = np.empty(steps), np.empty(steps)
+        xs[0], vbuf[0] = x0.values, state.v
     records = []
     aborted, abort_detail = False, ""
     reached = False
@@ -231,13 +278,10 @@ def _run_trial(config, trial, stop_epsilon=None):
         gn2 = (_full_grad_norm2(obj, info["x_half_bar"], hp.weight_decay)
                if need_grad else math.nan)
         if want_vs:
-            xs.append(state.x.values.copy())
-            vbuf.append(state.v.copy())
-            halves.append(info["x_half_bar"])
-            gbars.append(info["g_bar"])
-            xibars.append(info["xi_bar"])
-            dev2s.append(info["worker_dev2"])
-            grad_series.append(gn2)
+            xs[t + 1], vbuf[t + 1] = state.x.values, state.v
+            halves[t], gbars[t], xibars[t] = (info["x_half_bar"], info["g_bar"],
+                                              info["xi_bar"])
+            dev2s[t], grad_series[t] = info["worker_dev2"], gn2
         if record_now:
             sm = math.nan
             if (config.record_smoothness_every
@@ -267,22 +311,18 @@ def _run_trial(config, trial, stop_epsilon=None):
             lr_at(sched, s, cl, obj) == hp.lr_gamma for s in range(horizon))
         if const_lr:
             ghat = effective_gamma_hat(hp, cl.workers_K) if method.direction else 0.0
-            term_half, term_xi = _terminal_half_point(config, state, hp, cl,
-                                                      seed, horizon)
-            halves.append(term_half)
-            xibars.append(term_xi)
-            vs = theory.build_virtual_sequence(
-                np.stack(xs), np.stack(vbuf), np.stack(halves),
-                np.stack(gbars), np.stack(xibars),
-                hp.lr_gamma, ghat, hp.momentum_u)
+            halves[horizon], xibars[horizon] = _terminal_half_point(
+                config, state, hp, cl, seed, horizon)
+            vs = theory.build_virtual_sequence(xs, vbuf, halves, gbars, xibars,
+                                               hp.lr_gamma, ghat, hp.momentum_u)
             result.virtual_sequence = vs
             result.descent_residuals = _relative_descent_residuals(vs)
-            result.grad_norm2_series = np.asarray(grad_series)
+            result.grad_norm2_series = grad_series
             constants = estimate_constants(obj, x0, horizon_T=horizon)
             sig_hat2 = (noise_second_moment(config.noise, x0)
                         if method.direction == "noise" else None)
             result.proximity = theory.check_proximity_inequalities(
-                vs, worker_dev2=np.asarray(dev2s),
+                vs, worker_dev2=dev2s,
                 sigma2=constants.variance_sigma2, sigma_hat2=sig_hat2,
                 extrap_batch_b=cl.extrap_batch_b,
                 uses_past_gradients=method.direction == "past")
@@ -482,22 +522,29 @@ def apply_override(config, path, value):
 def sweep(base, grid):
     """Cartesian hyperparameter sweep.
 
-    grid: {dotted path: [values...]}.  Each point runs base.trials trials and
-    reports mean/std of final train loss and the min grad_norm2.  The result
-    flags whether the best point (lowest mean final loss) touches the grid
-    boundary on any swept axis with more than one value.
+    grid: {dotted path: [values...]}.  Every point is type-checked and
+    validated before any point runs.  Each point runs its own `trials` trials
+    and reports mean/std of final train loss and the min grad_norm2.  The
+    result flags whether the best point (lowest mean final loss) touches the
+    grid boundary on any swept axis with more than one value.
     """
-    base.validate()
     if not grid:
         raise ValueError("empty sweep grid")
     keys = sorted(grid)
-    rows = []
+    points = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         cfg = base
         for key, val in zip(keys, combo):
             cfg = apply_override(cfg, key, val)
+        try:
+            check_field_types(cfg)
+            points.append((combo, cfg.validate()))
+        except ValueError as exc:
+            raise ValueError(f"sweep point {dict(zip(keys, combo))}: {exc}") from exc
+    rows = []
+    for combo, cfg in points:
         finals, min_gns, aborted = [], [], 0
-        for i in range(base.trials):
+        for i in range(cfg.trials):
             tr = _run_trial(cfg, i)
             if tr.aborted:
                 aborted += 1

@@ -13,6 +13,7 @@ Everything is float64 and deterministic: datasets are regenerated from
 evaluation contains no internal randomness.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,16 @@ class ObjectiveSpec:
     mlp_f_star: float = 0.0             # configured lower bound on f
 
     partition: list = field(default_factory=list)
+
+    @functools.cached_property
+    def quad_shift_mean(self):
+        """Read-only mean of the quadratic's shifts over all N samples, built
+        once by the oracle's own `_batch_mean`: the full-sample gradient is
+        A (x - this) at every point.  `dataclasses.replace` makes a new
+        objective, which computes its own."""
+        mean = _batch_mean(self.quad_shifts)
+        mean.setflags(write=False)
+        return mean
 
     def validate(self):
         if self.kind not in KINDS:
@@ -305,7 +316,8 @@ def _sample_rows(obj, indices):
         raise ValueError("empty index set")
     if idx.ndim not in (1, 2):
         raise ValueError(f"indices must be a (B,) batch or a (K, B) matrix, got {idx.shape}")
-    if idx.min() < 0 or idx.max() >= obj.sample_count:
+    # One reduction checks both bounds: a negative index wraps above 2**63.
+    if idx.view(np.uint64).max() >= obj.sample_count:
         raise IndexError("sample index out of range")
     return idx
 
@@ -391,7 +403,10 @@ def batch_gradient(obj, values, indices):
     rows = _sample_rows(obj, indices)
     _check_dim(obj, values, rows)
     if obj.kind == QUADRATIC:
-        diff = values - _batch_mean(obj.quad_shifts[rows])
+        if isinstance(rows, slice) and rows == slice(0, obj.sample_count):
+            diff = values - obj.quad_shift_mean
+        else:
+            diff = values - _batch_mean(obj.quad_shifts[rows])
         if obj.quad_matrix is None:
             return diff * obj.quad_diag
         return np.matmul(diff[..., None, :], obj.quad_matrix.T)[..., 0, :]
@@ -481,10 +496,10 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0, target_epsilon=0.0
             lip = float(np.max(np.linalg.eigvalsh(obj.quad_matrix)))
         else:
             lip = float(np.max(obj.quad_diag))
-        centered = obj.quad_shifts - obj.quad_shifts.mean(axis=0)
+        centered = obj.quad_shifts - obj.quad_shift_mean
         dev = _quad_apply(obj, centered)
         sigma2 = float(np.max(np.sum(dev * dev, axis=1)))
-        f_star = batch_loss(obj, obj.quad_shifts.mean(axis=0), range(obj.sample_count))
+        f_star = batch_loss(obj, obj.quad_shift_mean, range(obj.sample_count))
     elif obj.kind == LOGISTIC:
         lip = float(0.25 * np.max(np.sum(obj.logit_features ** 2, axis=1)) + obj.logit_l2)
         sigma2 = _sigma2_at(obj, x0.values)

@@ -295,3 +295,67 @@ def test_verify_self_check_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "descent identity" in out
     assert (tmp_path / "v" / "theory_report.json").exists()
+
+
+@pytest.mark.parametrize("grid,field", [
+    ("hyperparams.lr_gamma=-0.05,0.05", "lr_gamma"),
+    ("trials=abc", "trials"),
+    ("schedule=3", "schedule"),
+])
+def test_sweep_with_an_invalid_point_exits_one_and_writes_nothing(
+        config_path, tmp_path, capsys, grid, field):
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config_path, "--out", str(out),
+                 "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and field in captured.err
+    assert len(captured.err.splitlines()) == 1 and "->" not in captured.out
+    assert not out.exists()
+
+
+def _quick_checks():
+    return [("a check", True, "")]
+
+
+def test_verify_writes_its_report_only_with_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("exsgd.cli._verify_checks", _quick_checks)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify"]) == 0
+    assert os.listdir(tmp_path) == []
+    assert main(["verify", "--out", "v"]) == 0
+    report = json.loads((tmp_path / "v" / "theory_report.json").read_text())
+    assert report == [{"check": "a check", "passed": True, "detail": ""}]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("option", [["--config", "/nonexistent.json"],
+                                    ["--set", "trials=2"], ["--seed", "3"]])
+def test_verify_takes_no_config_options(option, capsys):
+    assert main(["verify", *option]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override,field", [
+    ('schedule={"decay_milestones":3}', "schedule.decay_milestones"),
+    ('schedule={"decay_milestones":"ab"}', "schedule.decay_milestones"),
+    ('schedule={"decay_milestones":[0.5,true]}', "schedule.decay_milestones"),
+    ("objective.mlp_widths=3", "objective.mlp_widths"),
+    ('objective.mlp_widths=[2,"3",1]', "objective.mlp_widths"),
+    ("objective.partition=3", "objective.partition"),
+    ("objective.partition=[[0,1.5]]", "objective.partition"),
+    ("objective.partition=[[0,1,3]]", "objective.partition"),
+    ('objective={"kind":"tiny_mlp","dimension":9,"sample_count":4,'
+     '"generator_seed":0,"mlp_widths":3}', "objective.mlp_widths"),
+    ('objective={"kind":"quadratic","dimension":1,"sample_count":1,'
+     '"generator_seed":0,"quad_diag":[1],"quad_shifts":[[0]],"partition":[3]}',
+     "objective.partition"),
+])
+def test_wrongly_typed_sequence_exits_one_without_traceback(
+        config_path, tmp_path, capsys, override, field):
+    out = tmp_path / "o"
+    assert main(["run", "--config", config_path, "--out", str(out),
+                 "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be a list") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()

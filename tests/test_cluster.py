@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -178,3 +178,83 @@ def test_map_workers_actually_uses_threads():
 
     out = map_workers(record, list(range(200)), threads=4)
     assert out == list(range(200))
+
+
+def _ascending_mean(rows):
+    acc = rows[0].copy()
+    for row in rows[1:]:
+        acc += row
+    return acc / len(rows)
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 5e-324, -1e300, 1e300, np.inf]
+
+
+@given(workers=st.integers(1, 64), dim=st.integers(1, 8),
+       layout=st.sampled_from(["C", "F", "broadcast"]),
+       seed=st.integers(0, 2**32 - 1), special=st.booleans())
+@example(workers=8, dim=1, layout="C", seed=0, special=False)
+@example(workers=64, dim=1, layout="C", seed=1, special=False)
+@example(workers=8, dim=3, layout="F", seed=2, special=False)
+@example(workers=3, dim=4, layout="C", seed=3, special=True)
+@settings(max_examples=150, deadline=None)
+def test_reduce_mean_is_bitwise_the_ascending_add(workers, dim, layout, seed,
+                                                  special):
+    # np.add.reduce sums pairwise for d = 1 and for Fortran order with
+    # K >= 8, and starts from +0.0 unless given initial=None; reduce_mean
+    # must stay the ascending add in every layout, signed zeros included.
+    rng = np.random.default_rng(seed)
+    if special:
+        rows = rng.choice(_SPECIAL, (workers, dim))
+        rows[:, 0] = -0.0           # the ascending add keeps this sign
+    else:
+        rows = rng.standard_normal((workers, dim)) * 10.0 ** rng.integers(
+            -8, 9, (workers, dim))
+    if layout == "F":
+        rows = np.asfortranarray(rows)
+    elif layout == "broadcast":
+        rows = np.broadcast_to(rows[0], (workers, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _ascending_mean(rows)
+        got = reduce_mean(rows)
+        from_list = reduce_mean(list(rows))
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert_array_equal(from_list.view(np.uint64), want.view(np.uint64))
+
+
+def _reference_batches(seed, mode, workers, batch, n, t):
+    """Step t's batches from the per-worker block formula: worker k's
+    sequence is its blocks seeded by (seed, tag, k, c), concatenated."""
+    epoch = mode == EPOCH_PERMUTATION
+    size = n if epoch else _BLOCK
+    first, last = t * batch // size, (t * batch + batch - 1) // size
+    rows = []
+    for k in range(workers):
+        seq = np.concatenate([
+            np.random.default_rng(np.random.SeedSequence(
+                (seed, 22 if epoch else 21, k, c))).permutation(n) if epoch
+            else np.random.default_rng(np.random.SeedSequence(
+                (seed, 21, k, c))).integers(0, n, size=_BLOCK)
+            for c in range(first, last + 1)])
+        start = t * batch - first * size
+        rows.append(seq[start:start + batch])
+    return np.stack(rows)
+
+
+@given(seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 40),
+       n=st.integers(1, 64), batch=st.integers(1, 64),
+       mode=st.sampled_from([WITH_REPLACEMENT, EPOCH_PERMUTATION]),
+       t=st.integers(0, 3 * _BLOCK))
+@example(seed=3, workers=40, n=50, batch=48, mode=WITH_REPLACEMENT, t=21)
+@example(seed=4, workers=33, n=7, batch=5, mode=EPOCH_PERMUTATION, t=4)
+@settings(max_examples=40, deadline=None)
+def test_draw_batches_is_the_per_worker_block_formula(seed, workers, n, batch,
+                                                      mode, t):
+    batch = min(batch, n)
+    obj = make_quadratic(1, n)
+    cfg = ClusterConfig(workers_K=workers, local_batch_B=batch,
+                        master_seed=seed, sampling_mode=mode)
+    got = draw_batches(cfg, obj, t)
+    assert got.shape == (workers, batch) and got.dtype == np.int64
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert_array_equal(got, _reference_batches(seed, mode, workers, batch, n, t))

@@ -6,15 +6,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from exsgd.cluster import ClusterConfig
-from exsgd.harness import (RunConfig, apply_override, run, speedup_study,
-                           sweep, trial_seed, write_outputs)
+from exsgd.cluster import ClusterConfig, draw_batches
+from exsgd.harness import (RunConfig, _full_grad_norm2, _step_once,
+                           _terminal_half_point, apply_override, run,
+                           speedup_study, sweep, trial_seed, write_outputs)
 from exsgd.objectives import (ParamVector, estimate_constants, initial_point,
                               loss, make_quadratic)
 from exsgd.optimizers import (SMOOTHOUT_SHARED, WARMUP_CONSTANT, HyperParams,
-                              NoiseSpec, PostLocalConfig, Schedule, lr_at)
+                              NoiseSpec, PostLocalConfig, Schedule, init_state,
+                              lr_at)
 from exsgd.theory import METHOD_TABLE, METHODS, stepsize_cap
 
 
@@ -325,3 +329,60 @@ def test_method_table_drives_replay_speedup_and_validation(name, replayed,
                 without.validate()
         else:
             without.validate()
+
+
+@given(method=st.sampled_from([name for name in METHODS
+                               if METHOD_TABLE[name].bounded]),
+       workers=st.integers(1, 4), batch=st.integers(1, 6),
+       steps=st.integers(1, 12), u=st.sampled_from([0.0, 0.5]))
+@settings(max_examples=25, deadline=None)
+def test_virtual_sequence_rows_are_the_stacked_step_values(method, workers,
+                                                           batch, steps, u):
+    cfg = _base_config(
+        method=method, trials=1, total_steps_T=steps,
+        record_virtual_sequence=True,
+        cluster=ClusterConfig(workers_K=workers, local_batch_B=batch),
+        hyperparams=HyperParams(lr_gamma=0.05, momentum_u=u),
+        noise=NoiseSpec(kind="isotropic_gaussian", raw_scale=0.1))
+    tr = run(cfg).trials[0]
+    # Reference: the same trial stepped by hand, its per-step values stacked.
+    obj, hp = cfg.objective, cfg.hyperparams
+    cl = dataclasses.replace(cfg.cluster, master_seed=tr.seed)
+    state = init_state(initial_point(obj), workers)
+    xs, vs, halves, gbars, xibars, gn2s = [state.x.values], [state.v], [], [], [], []
+    for t in range(steps):
+        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, tr.seed, t)
+        info = state.last_info
+        xs.append(state.x.values)
+        vs.append(state.v)
+        halves.append(info["x_half_bar"])
+        gbars.append(info["g_bar"])
+        xibars.append(info["xi_bar"])
+        gn2s.append(_full_grad_norm2(obj, info["x_half_bar"], hp.weight_decay))
+    seq = tr.virtual_sequence
+    assert_array_equal(seq.x, np.stack(xs))
+    assert_array_equal(seq.v, np.stack(vs))
+    assert_array_equal(seq.x_bar_half[:-1], np.stack(halves))
+    assert_array_equal(seq.g_bar_half, np.stack(gbars))
+    assert_array_equal(seq.xi_bar[:-1], np.stack(xibars))
+    assert_array_equal(tr.grad_norm2_series, np.asarray(gn2s))
+    half, xi = _terminal_half_point(cfg, state, hp, cl, tr.seed, steps)
+    assert_array_equal(seq.x_bar_half[-1], half)
+    assert_array_equal(seq.xi_bar[-1], xi)
+
+
+def test_sweep_checks_every_point_before_running_any():
+    cfg = _base_config(trials=1)
+    with pytest.raises(ValueError, match="lr_gamma"):
+        sweep(cfg, {"hyperparams.lr_gamma": [0.05, -0.05]})
+    with pytest.raises(ValueError, match="trials must be int"):
+        sweep(cfg, {"trials": ["abc"]})
+
+
+def test_sweep_runs_each_points_own_trials():
+    cfg = _base_config(trials=1)
+    table = sweep(cfg, {"trials": [3]})
+    finals = [tr.records[-1].train_loss
+              for tr in run(dataclasses.replace(cfg, trials=3)).trials]
+    assert table["rows"][0]["final_loss_mean"] == float(np.mean(finals))
+    assert table["rows"][0]["final_loss_std"] == float(np.std(finals)) > 0

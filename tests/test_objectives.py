@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -8,8 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from exsgd.cluster import reduce_mean
 
-from exsgd.objectives import (ObjectiveSpec, ParamVector, batch_gradient,
-                              batch_loss, estimate_constants,
+from exsgd.objectives import (ObjectiveSpec, ParamVector, _batch_mean,
+                              batch_gradient, batch_loss, estimate_constants,
                               finite_difference_gradient, full_gradient,
                               initial_point, loss, loss_sample, make_logistic,
                               make_quadratic, make_tiny_mlp, sample_gradient)
@@ -253,3 +254,31 @@ def test_reduce_mean_of_stacked_rows_is_the_ascending_add(seed, workers, dim):
                                  rows[0].copy()) / workers
     assert_array_equal(reduce_mean(rows), reduce_mean(list(rows)))
     assert_array_equal(reduce_mean(rows), ascending)
+
+
+@given(kind=st.sampled_from(["quadratic", "quadratic_matrix"]),
+       seed=st.integers(0, 2**31 - 1), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cached_quadratic_shift_mean_is_a_fresh_batch_mean(kind, seed, data):
+    obj = _draw_objective(data, kind, seed)
+    mean = obj.quad_shift_mean
+    assert_array_equal(mean, _batch_mean(obj.quad_shifts))
+    assert obj.quad_shift_mean is mean and not mean.flags.writeable
+    x = np.random.default_rng(seed).standard_normal(obj.dimension)
+    # New shifts through dataclasses.replace get a mean of their own.
+    moved = dataclasses.replace(obj, quad_shifts=obj.quad_shifts + 1.0)
+    assert_array_equal(moved.quad_shift_mean, _batch_mean(moved.quad_shifts))
+    assert_array_equal(batch_gradient(moved, x, range(obj.sample_count)),
+                       batch_gradient(moved, x, np.arange(obj.sample_count)))
+    assert_array_equal(obj.quad_shift_mean, mean)
+
+
+@pytest.mark.parametrize("bad", [-1, 5, -2**63, 2**63 - 1])
+def test_out_of_range_indices_raise(bad):
+    obj = make_quadratic(2, 5)
+    matrix = np.array([[0, 1, 2], [bad, 4, 3]])
+    for indices in ([0, bad], matrix, matrix[:, :2]):
+        with pytest.raises(IndexError):
+            batch_gradient(obj, np.zeros(2), indices)
+    with pytest.raises(IndexError):
+        batch_loss(obj, np.zeros(2), [bad])
