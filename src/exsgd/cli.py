@@ -16,14 +16,12 @@ import sys
 
 import numpy as np
 
-from . import __version__, harness, theory
-from .cluster import ClusterConfig, draw_batches
+from . import __version__, gates, harness, theory
+from .cluster import ClusterConfig
 from .objectives import (ObjectiveSpec, batch_gradient, estimate_constants,
                          initial_point, make_logistic, make_quadratic,
                          make_tiny_mlp)
-from .optimizers import (HyperParams, Schedule, init_state, lars_scale, lr_at,
-                         step_adam, step_extrap_adam, step_extrap_sgd,
-                         step_minibatch_sgd, step_nesterov, warmup_increment)
+from .optimizers import HyperParams
 
 
 # ---------------------------------------------------------------------------
@@ -233,102 +231,30 @@ def _cmd_list_methods(_args):
 # verify: the built-in theory suite on quadratics
 # ---------------------------------------------------------------------------
 
-def _chain_runs_equal(obj, cl, steps, pairs):
-    """Run two step functions on identical batch streams; compare iterates."""
-    for step_a, hp_a, step_b, hp_b in pairs:
-        sa = init_state(initial_point(obj), cl.workers_K)
-        sb = init_state(initial_point(obj), cl.workers_K)
-        for t in range(steps):
-            batches = draw_batches(cl, obj, t)
-            step_a(sa, obj, batches, hp_a)
-            step_b(sb, obj, batches, hp_b)
-            if not np.array_equal(sa.x.values, sb.x.values):
-                return False, t
-    return True, None
-
-
 def _verify_checks():
-    checks = []
-    obj = make_quadratic(6, 48, generator_seed=5, shift_spread=2.0)
+    obj = make_quadratic(**gates.QUAD)
     cl = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=11)
-    x0 = initial_point(obj)
-    const = estimate_constants(obj, x0)
-    gamma = 0.5 / const.lipschitz_L
-
-    ok, at = _chain_runs_equal(obj, cl, 200, [
-        (step_extrap_sgd, HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=0.0,
-                                      momentum_u=0.9),
-         step_nesterov, HyperParams(lr_gamma=gamma, momentum_u=0.9)),
-    ])
-    checks.append(("extrap_sgd(gamma_hat=0) == nesterov, 200 steps", ok,
-                   f"first mismatch at step {at}" if not ok else ""))
-    ok, at = _chain_runs_equal(obj, cl, 200, [
-        (step_nesterov, HyperParams(lr_gamma=gamma, momentum_u=0.0),
-         step_minibatch_sgd, HyperParams(lr_gamma=gamma)),
-    ])
-    checks.append(("nesterov(u=0) == sgd, 200 steps", ok,
-                   f"first mismatch at step {at}" if not ok else ""))
-    ok, at = _chain_runs_equal(obj, cl, 200, [
-        (step_extrap_adam, HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=0.0),
-         step_adam, HyperParams(lr_gamma=gamma)),
-    ])
-    checks.append(("extrap_adam(gamma_hat=0) == adam, 200 steps", ok,
-                   f"first mismatch at step {at}" if not ok else ""))
-
-    for method, u in ((theory.NESTEROV, 0.8), (theory.EXTRAP_SGD, 0.6)):
-        cfg = harness.RunConfig(
-            objective=obj, cluster=cl, method=method,
-            hyperparams=HyperParams(lr_gamma=gamma, momentum_u=u),
-            total_steps_T=300, record_virtual_sequence=True, trials=1,
-            master_seed=3)
-        tr = harness.run(cfg).trials[0]
+    checks = []
+    for reduced, parent, hp in gates.reduction_chains(0.02, 0.9):
+        at = gates.chain_mismatch(obj, cl, reduced, parent, hp, 200)
+        checks.append((f"{reduced.__name__} reduces to {parent.__name__}, "
+                       f"200 steps", at is None,
+                       "" if at is None else f"first mismatch at step {at}"))
+    for method in (theory.NESTEROV, theory.EXTRAP_SGD):
+        tr, = gates.replay_trials(obj, method, cl, HyperParams(
+            lr_gamma=0.005, momentum_u=0.7), 300, 1, 5)
         worst = float(tr.descent_residuals.max())
         checks.append((f"descent identity ({method}), rel residual <= 1e-8",
                        worst <= 1e-8, f"max {worst:.3g}"))
-        prox_ok = all(c["holds"] for c in tr.proximity.values()
-                      if c["holds"] is not None)
-        checks.append((f"proximity inequalities ({method})", prox_ok,
-                       json.dumps(harness._jsonable(tr.proximity))
-                       if not prox_ok else ""))
-
-    trials = 6
+        failed = [k for k, c in tr.proximity.items() if c["holds"] is False]
+        checks.append((f"proximity inequalities ({method})", not failed,
+                       f"failed: {failed}" if failed else ""))
     for method, u in ((theory.SGD, 0.0), (theory.NESTEROV, 0.5),
                       (theory.EXTRAP_SGD, 0.5)):
-        horizon = 800
-        const_t = dataclasses.replace(const, horizon_T=horizon)
-        hp = theory.tuned_hyperparams(method, const_t, cl, horizon, u)
-        cfg = harness.RunConfig(
-            objective=obj, cluster=cl, method=method, hyperparams=hp,
-            total_steps_T=horizon, record_virtual_sequence=True,
-            trials=trials, master_seed=17)
-        result = harness.run(cfg)
-        holds = [t.rate_report.holds for t in result.trials
-                 if t.rate_report is not None]
-        frac = sum(holds) / len(holds) if holds else 0.0
-        checks.append((f"rate bound holds ({method}, {trials} trials)",
+        frac = gates.rate_bound_hold_fraction(obj, method, cl, 800, u, 6, 17)
+        checks.append((f"rate bound holds ({method}, 6 trials)",
                        frac >= 5 / 6, f"fraction {frac:.2f}"))
-
-    sched = Schedule(kind="warmup_constant", base_lr=0.1, scale_factor=32,
-                     warmup_epochs=5)
-    big_obj = dataclasses.replace(obj, sample_count=50000)
-    big_cl = ClusterConfig(workers_K=32, local_batch_B=256)
-    inc = warmup_increment(sched, big_cl, big_obj)
-    want = 3.1 / (5 * 50000 / 8192)
-    checks.append(("warmup increment formula", abs(inc - want) <= 1e-12,
-                   f"{inc!r} vs {want!r}"))
-    sched2 = Schedule(kind="warmup_step_decay", base_lr=0.1, scale_factor=32,
-                      warmup_epochs=5, total_steps=1000)
-    peak = 0.1 * 32
-    lr_end = lr_at(sched2, 990, big_cl, big_obj)
-    checks.append(("post-decay lr == peak/100", lr_end == peak / 100,
-                   f"{lr_end!r} vs {peak / 100!r}"))
-    scale = lars_scale(np.array([4.0, 0.0]), np.array([0.0, 2.0]),
-                       HyperParams(lr_gamma=1.0, lars_trust=1.0,
-                                   weight_decay=0.0))
-    got = float(np.linalg.norm(scale) / 4.0)
-    checks.append(("lars scale (trust=1, ||x||=2, ||g||=4) == 0.5",
-                   got == 0.5, f"{got!r}"))
-    return checks
+    return checks + gates.protocol_formulas()
 
 
 def _cmd_verify(args):
@@ -355,12 +281,13 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, config_required=True):
+def _add_common(p, config_required=True, out=True):
     p.add_argument("--config", required=config_required,
                    help="JSON config mirroring RunConfig fields")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="dotted-path override, repeatable")
-    p.add_argument("--out", default="out", help="output directory")
+    if out:
+        p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
 
 
@@ -400,7 +327,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("smoothness", help="probe local smoothness")
-    _add_common(p, config_required=False)
+    _add_common(p, config_required=False, out=False)
     p.add_argument("--probes", type=int, default=8)
     p.add_argument("--fraction", type=float, default=0.30)
     p.set_defaults(fn=_cmd_smoothness)

@@ -459,7 +459,8 @@ def speedup_study(base, kb_grid, epsilon, budget_factor=4):
     budget of budget_factor * T_eps steps (censored entries report no finite
     steps-to-epsilon).  The returned table carries the per-point tuned gamma,
     whether it sits at the stability cap, and the unit-constant critical KB
-    evaluated at the first grid point's horizon for context.
+    evaluated at the first grid point's horizon for context.  Every point's
+    cluster is validated before any point runs.
     """
     base.validate()
     method = theory.METHOD_TABLE[base.method]
@@ -470,11 +471,18 @@ def speedup_study(base, kb_grid, epsilon, budget_factor=4):
     x0 = initial_point(obj, base.init_scale)
     constants = estimate_constants(obj, x0)
     u = base.hyperparams.momentum_u
-    rows = []
-    critical_kb = None
+    clusters = []
     for K, B in kb_grid:
         cl = dataclasses.replace(base.cluster, workers_K=K, local_batch_B=B,
                                  extrap_batch_b=None)
+        try:
+            clusters.append(cl.validate(obj))
+        except ValueError as exc:
+            raise ValueError(f"speedup point K={K} B={B}: {exc}") from exc
+    rows = []
+    critical_kb = None
+    for cl in clusters:
+        K, B = cl.workers_K, cl.local_batch_B
         t_eps = theory.epsilon_horizon(base.method, constants, cl, epsilon, u)
         hp = theory.tuned_hyperparams(base.method, constants, cl, t_eps, u)
         hp = dataclasses.replace(

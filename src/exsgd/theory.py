@@ -386,8 +386,12 @@ def smoothness_estimate(obj, x_values, update_direction, probes=8, fraction=0.30
 
     Probes x + j * fraction * update for j = 1..probes and returns the largest
     gradient-difference ratio ||grad f(x_j) - grad f(x)|| / ||x_j - x||.
-    Returns 0.0 for a zero update direction.
+    Returns 0.0 for a zero update direction.  Raises ValueError unless
+    probes >= 1 and fraction is finite and > 0.
     """
+    if not (probes >= 1 and math.isfinite(fraction) and fraction > 0):
+        raise ValueError(f"smoothness probes must be >= 1 and fraction finite "
+                         f"and > 0, got probes={probes}, fraction={fraction}")
     x_values = np.asarray(x_values, dtype=np.float64)
     update = np.asarray(update_direction, dtype=np.float64)
     if float(np.linalg.norm(update)) == 0.0:

@@ -27,35 +27,20 @@ import os
 import numpy as np
 import pytest
 
-from exsgd.cluster import ClusterConfig, draw_batches
+from exsgd.cluster import ClusterConfig
+from exsgd.gates import (QUAD, chain_mismatch, protocol_formulas,
+                         rate_bound_hold_fraction, reduction_chains,
+                         replay_trials)
 from exsgd.harness import RunConfig, run, speedup_study, write_outputs
 from exsgd.objectives import (estimate_constants, initial_point, make_logistic,
                               make_quadratic, make_tiny_mlp)
-from exsgd.optimizers import (HyperParams, NoiseSpec, PostLocalConfig, Schedule,
-                              WARMUP_STEP_DECAY, init_state, lars_scale, lr_at,
-                              step_adam, step_extrap_adam, step_extrap_sgd,
-                              step_minibatch_sgd, step_nesterov, warmup_increment)
+from exsgd.optimizers import HyperParams, NoiseSpec, PostLocalConfig
 from exsgd.theory import smoothness_estimate, stepsize_cap, tuned_hyperparams
 
-# Shared frozen instances.  The quadratic's constants are analytic
-# (L = 4, nonzero shift mean so x0 = 0 is far from the optimum); the
-# tiny net is the same one used for the smoothness-ordering check.
-QUAD = dict(dimension=6, sample_count=48, generator_seed=21,
-            diag=[0.5, 0.8, 1.2, 2.0, 3.0, 4.0],
-            shift_spread=3.0, shift_mean=[1.5] * 6)
+# Shared frozen instances: the gate quadratic QUAD (exsgd.gates) and the
+# tiny net that the smoothness-ordering check also uses.
 MLP = dict(widths=(4, 12, 1), sample_count=64, generator_seed=3,
            target_noise=0.2)
-
-
-def _iterate_chain(step_fn, obj, hp, steps=200, seed=11):
-    """Run one synchronous method and return every iterate."""
-    cfg = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=seed)
-    state = init_state(initial_point(obj), cfg.workers_K)
-    out = []
-    for t in range(steps):
-        step_fn(state, obj, draw_batches(cfg, obj, t), hp)
-        out.append(state.x.values.copy())
-    return out
 
 
 def test_reduction_chains_bitwise():
@@ -68,24 +53,13 @@ def test_reduction_chains_bitwise():
         "logistic": (make_logistic(5, 40, generator_seed=2, l2=0.01), 0.2),
         "tiny_mlp": (make_tiny_mlp(**MLP), 0.05),
     }
+    cluster = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=11)
     pairs_checked = 0
     for name, (obj, gamma) in objectives.items():
-        hp_extrap = HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=0.0,
-                                momentum_u=0.7)
-        hp_plain = HyperParams(lr_gamma=gamma, momentum_u=0.0)
-        hp_adam = HyperParams(lr_gamma=0.01, inner_lr_gamma_hat=0.0)
-        chains = [
-            (step_extrap_sgd, step_nesterov, hp_extrap),
-            (step_nesterov, step_minibatch_sgd, hp_plain),
-            (step_extrap_adam, step_adam, hp_adam),
-        ]
-        for reduced, parent, hp in chains:
-            xs_a = _iterate_chain(reduced, obj, hp)
-            xs_b = _iterate_chain(parent, obj, hp)
-            for t, (a, b) in enumerate(zip(xs_a, xs_b)):
-                assert np.array_equal(a, b), (
-                    f"{name}: {reduced.__name__} diverged from "
-                    f"{parent.__name__} at step {t}")
+        for reduced, parent, hp in reduction_chains(gamma, 0.7):
+            at = chain_mismatch(obj, cluster, reduced, parent, hp, 200)
+            assert at is None, (f"{name}: {reduced.__name__} diverged from "
+                                f"{parent.__name__} at step {at}")
             pairs_checked += 1
     assert pairs_checked == 9
     print(f"PASS reduction chains: {pairs_checked}/9 pairs bitwise-identical "
@@ -102,14 +76,9 @@ def test_descent_identity_residuals():
     for obj, gamma in ((make_quadratic(**QUAD), 0.005),
                        (make_tiny_mlp(**MLP), 0.02)):
         for method in ("nesterov", "extrap_sgd"):
-            cfg = RunConfig(
-                objective=obj,
-                cluster=ClusterConfig(workers_K=2, local_batch_B=4),
-                method=method,
-                hyperparams=HyperParams(lr_gamma=gamma, momentum_u=0.7),
-                total_steps_T=1000, record_every=1000,
-                record_virtual_sequence=True, trials=1, master_seed=5)
-            trial = run(cfg).trials[0]
+            trial, = replay_trials(
+                obj, method, ClusterConfig(workers_K=2, local_batch_B=4),
+                HyperParams(lr_gamma=gamma, momentum_u=0.7), 1000, 1, 5)
             assert not trial.aborted
             assert trial.descent_residuals.shape == (1000,)
             peak = float(trial.descent_residuals.max())
@@ -136,18 +105,12 @@ def test_stationarity_rate_bounds():
                 hp = tuned_hyperparams(method, consts, cluster, 2000,
                                        momentum_u=0.5)
                 assert hp.lr_gamma <= stepsize_cap(method, consts, 0.5)
-                cfg = RunConfig(objective=obj, cluster=cluster, method=method,
-                                hyperparams=hp, total_steps_T=2000,
-                                record_every=2000,
-                                record_virtual_sequence=True,
-                                trials=30, master_seed=77)
-                reports = [t.rate_report for t in run(cfg).trials]
-                assert all(r is not None for r in reports)
-                held = sum(r.holds for r in reports)
-                frac = held / 30
+                # Raises if a trial has no rate report.
+                frac = rate_bound_hold_fraction(obj, method, cluster, 2000,
+                                                0.5, 30, 77)
                 assert frac >= 0.95, (
-                    f"{method} K={workers} B={batch}: bound held in only "
-                    f"{held}/30 trials")
+                    f"{method} K={workers} B={batch}: bound held in a "
+                    f"fraction {frac:.3f} of 30 trials")
                 summary.append(frac)
     print(f"PASS stationarity bounds: hold fraction >= 0.95 in all "
           f"{len(summary)} method/cluster settings "
@@ -162,11 +125,9 @@ def test_proximity_bounds():
     # first, then the injected-noise variant with its own deviation bound.
     obj = make_quadratic(**QUAD)
     cluster = ClusterConfig(workers_K=4, local_batch_B=8)
-    cfg = RunConfig(objective=obj, cluster=cluster, method="extrap_sgd",
-                    hyperparams=HyperParams(lr_gamma=0.005, momentum_u=0.7),
-                    total_steps_T=400, record_every=400,
-                    record_virtual_sequence=True, trials=30, master_seed=99)
-    trials = run(cfg).trials
+    trials = replay_trials(obj, "extrap_sgd", cluster,
+                           HyperParams(lr_gamma=0.005, momentum_u=0.7),
+                           400, 30, 99)
     fractions = {}
     for key in ("momentum_energy", "lookahead_proximity", "worker_deviation"):
         held = sum(t.proximity[key]["holds"] for t in trials)
@@ -174,14 +135,11 @@ def test_proximity_bounds():
         fractions[key] = held / 30
         assert fractions[key] >= 0.95, f"{key} held in only {held}/30 trials"
 
-    noise_cfg = RunConfig(
-        objective=obj, cluster=cluster, method="extrap_noise",
-        hyperparams=HyperParams(lr_gamma=0.005, inner_lr_gamma_hat=0.00125,
-                                momentum_u=0.7),
-        noise=NoiseSpec(kind="isotropic_gaussian", raw_scale=0.05),
-        total_steps_T=400, record_every=400, record_virtual_sequence=True,
-        trials=30, master_seed=100)
-    noise_trials = run(noise_cfg).trials
+    noise_trials = replay_trials(
+        obj, "extrap_noise", cluster,
+        HyperParams(lr_gamma=0.005, inner_lr_gamma_hat=0.00125,
+                    momentum_u=0.7), 400, 30, 100,
+        noise=NoiseSpec(kind="isotropic_gaussian", raw_scale=0.05))
     held = sum(t.proximity["worker_deviation"]["holds"] for t in noise_trials)
     fractions["noise_worker_deviation"] = held / 30
     assert held / 30 >= 0.95, f"noise deviation held in only {held}/30 trials"
@@ -264,29 +222,14 @@ def test_smoothness_probe_and_ordering():
 
 
 def test_schedule_and_lars_formulas():
-    # Closed-form checks of the large-batch training protocol pieces.
-    # Gradual warmup: with gamma = 0.1, K = 32, 5 warmup epochs, N = 50000,
-    # B = 256 the per-step increment is (K*gamma - gamma) / (5 N / (K B)).
-    obj = make_quadratic(2, 50000, generator_seed=0)
-    cluster = ClusterConfig(workers_K=32, local_batch_B=256)
-    sched = Schedule(kind=WARMUP_STEP_DECAY, base_lr=0.1, scale_factor=32.0,
-                     warmup_epochs=5, total_steps=1000)
-    inc = warmup_increment(sched, cluster, obj)
-    assert inc == pytest.approx(3.1 / (5 * 50000 / 8192), abs=1e-12)
-
-    # Step decay: after the second milestone the rate is exactly peak/100.
-    peak = sched.base_lr * sched.scale_factor
-    assert lr_at(sched, 800, cluster, obj) == peak / 100.0
-
-    # Trust-ratio scaling: ||x|| = 2, ||g|| = 4, trust 1, no weight decay
-    # rescales the block by exactly 0.5.
-    hp = HyperParams(lr_gamma=0.1, lars_trust=1.0, weight_decay=0.0)
-    grad = np.array([0.0, 4.0])
-    scaled = lars_scale(grad, np.array([2.0, 0.0]), hp)
-    factor = np.linalg.norm(scaled) / np.linalg.norm(grad)
-    assert factor == 0.5
-    print(f"PASS protocol formulas: warmup increment {inc:.6e}, "
-          f"post-decay lr == peak/100, trust ratio == 0.5")
+    # Closed-form checks of the large-batch training protocol pieces: the
+    # gradual-warmup increment to 1e-12, and the post-decay rate and a LARS
+    # trust ratio exactly (instances in gates.protocol_formulas).
+    rows = protocol_formulas()
+    assert len(rows) == 3
+    for name, ok, detail in rows:
+        assert ok, f"{name}: {detail}"
+    print(f"PASS protocol formulas: {', '.join(name for name, _, _ in rows)}")
 
 
 def test_post_local_dispersion_pattern():

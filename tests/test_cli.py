@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from exsgd.cli import main
 from exsgd.cluster import EPOCH_PERMUTATION, WITH_REPLACEMENT
+from exsgd.optimizers import step_minibatch_sgd
 from exsgd.theory import METHODS
 
 BASE_CONFIG = {
@@ -278,6 +279,22 @@ def test_speedup_writes_table(config_path, tmp_path, capsys):
     assert "mean steps" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kbs,error", [
+    (["0x4"], "K=0 B=4: workers_K must be >= 1"),
+    (["2x0"], "K=2 B=0: local_batch_B must be >= 1"),
+    (["1x4", "2x64"], "K=2 B=64: local_batch_B=64 exceeds sample_count=24"),
+])
+def test_speedup_with_an_invalid_point_exits_one_and_writes_nothing(
+        config_path, tmp_path, capsys, kbs, error):
+    out = tmp_path / "o"
+    kb_args = [arg for kb in kbs for arg in ("--kb", kb)]
+    assert main(["speedup", "--config", config_path, "--out", str(out),
+                 "--epsilon", "2.0", *kb_args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: speedup point {error}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_smoothness_demo_prints_top_eigenvalue(capsys):
     assert main(["smoothness"]) == 0
     out = capsys.readouterr().out
@@ -290,11 +307,34 @@ def test_smoothness_with_config_reports_analytic_l(config_path, capsys):
     assert "estimated L" in out and "analytic L" in out
 
 
+@pytest.mark.parametrize("option", [["--fraction", "0"], ["--fraction", "nan"],
+                                    ["--probes", "-3"], ["--probes", "0"]])
+def test_smoothness_bad_probe_settings_exit_one(config_path, capsys, option):
+    assert main(["smoothness", "--config", config_path, *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: smoothness probes")
+    assert len(captured.err.splitlines()) == 1 and "estimated" not in captured.out
+
+
+def test_smoothness_takes_no_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["smoothness", "--out", "zz"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_verify_self_check_passes(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path / "v")]) == 0
     out = capsys.readouterr().out
     assert "descent identity" in out
     assert (tmp_path / "v" / "theory_report.json").exists()
+
+
+def test_verify_exits_one_when_a_chain_breaks(monkeypatch, capsys):
+    monkeypatch.setattr("exsgd.gates.step_extrap_sgd", step_minibatch_sgd)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "first mismatch at step 1" in out and "12/13 checks passed" in out
 
 
 @pytest.mark.parametrize("grid,field", [

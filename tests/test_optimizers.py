@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from exsgd.cluster import EPOCH_PERMUTATION, ClusterConfig, draw_batches
+from exsgd.gates import QUAD, chain_mismatch, reduction_chains
 from exsgd.objectives import (initial_point, make_logistic, make_quadratic,
                               make_tiny_mlp)
 from exsgd.optimizers import (ANISO_STOCHASTIC, CONSTANT, INVERSE_SQRT,
@@ -165,23 +166,26 @@ def test_reduction_chains_hold_for_random_clusters(kind, seed, workers, batch, u
     make, gamma = _CHAIN_OBJECTIVES[kind]
     obj = make(seed % 1000)
     cfg = ClusterConfig(workers_K=workers, local_batch_B=batch, master_seed=seed)
-    chains = [
-        (step_nesterov, step_minibatch_sgd, HyperParams(lr_gamma=gamma)),
-        (step_extrap_sgd, step_nesterov,
-         HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=0.0, momentum_u=u)),
-        (step_extrap_adam, step_adam,
-         HyperParams(lr_gamma=0.01, inner_lr_gamma_hat=0.0)),
-    ]
-    for reduced, parent, hp in chains:
-        a = init_state(initial_point(obj), workers)
-        b = init_state(initial_point(obj), workers)
-        for t in range(50):
-            batches = draw_batches(cfg, obj, t)
-            reduced(a, obj, batches, hp)
-            parent(b, obj, batches, hp)
-            assert_array_equal(a.x.values, b.x.values,
-                               err_msg=f"{reduced.__name__} vs "
-                                       f"{parent.__name__} at step {t}")
+    for reduced, parent, hp in reduction_chains(gamma, u):
+        at = chain_mismatch(obj, cfg, reduced, parent, hp, 50)
+        assert at is None, (f"{reduced.__name__} vs {parent.__name__} "
+                            f"at step {at}")
+
+
+def test_chain_mismatch_reports_the_step_a_perturbation_lands():
+    # One ulp added to one coordinate after step 36 is caught at step 36,
+    # and not before it.
+    obj = make_quadratic(**QUAD)
+    cfg = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=11)
+    hp = HyperParams(lr_gamma=0.02, momentum_u=0.7)
+
+    def perturbed(state, obj, batches, hp):
+        step_nesterov(state, obj, batches, hp)
+        if state.step_t == 37:
+            state.x.values[0] = np.nextafter(state.x.values[0], np.inf)
+
+    assert chain_mismatch(obj, cfg, perturbed, step_nesterov, hp, 60) == 36
+    assert chain_mismatch(obj, cfg, perturbed, step_nesterov, hp, 36) is None
 
 
 def test_adam_single_step_hand_formula():

@@ -309,3 +309,12 @@ def test_smoothness_along_eigendirections():
 def test_smoothness_handles_zero_update():
     obj = make_quadratic(2, 2, diag=[1.0, 4.0])
     assert smoothness_estimate(obj, np.zeros(2), np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize("probes,fraction", [
+    (0, 0.3), (-3, 0.3), (8, 0.0), (8, -0.3), (8, math.nan), (8, math.inf)])
+def test_smoothness_rejects_bad_probe_settings(probes, fraction):
+    obj = make_quadratic(2, 8, generator_seed=1, diag=[1.0, 4.0])
+    with pytest.raises(ValueError, match="smoothness probes"):
+        smoothness_estimate(obj, np.zeros(2), np.array([0.0, 1.0]),
+                            probes=probes, fraction=fraction)
