@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 import tempfile
@@ -399,3 +400,96 @@ def test_wrongly_typed_sequence_exits_one_without_traceback(
     assert err.startswith(f"error: {field} must be a list") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+# Golden outputs: `exsgd run` on fixed maker-built configs must write the same
+# bytes before and after a refactor.  The shape is the benchmark's cli_threads
+# run with fewer steps (logistic d=20, N=512, K=4, B=16, 2 trials), plus one
+# tiny-MLP extrap_noise run whose filter-scaled noise and LARS read the
+# objective's block partition.
+_GOLDEN_STEPS = 40
+
+
+def _golden_doc(method):
+    doc = {
+        "objective": {"maker": "logistic", "dimension": 20, "sample_count": 512,
+                      "generator_seed": 3, "l2": 1e-3},
+        "cluster": {"workers_K": 4, "local_batch_B": 16},
+        "method": method,
+        "hyperparams": {"lr_gamma": 0.005, "momentum_u": 0.5},
+        "total_steps_T": _GOLDEN_STEPS, "record_every": 1, "trials": 2,
+        "master_seed": 7,
+        "record_virtual_sequence": method in ("extrap_sgd", "extrap_noise"),
+    }
+    if method in ("adam", "extrap_adam"):
+        doc["hyperparams"] = {"lr_gamma": 0.01}
+    if method == "extrap_noise":
+        doc["noise"] = {"kind": "isotropic_gaussian", "raw_scale": 0.1}
+    if method == "post_local":
+        doc["post_local"] = {"transition_step_t0": _GOLDEN_STEPS // 2,
+                             "local_steps_H": 4}
+    return doc
+
+
+def _golden_mlp_doc():
+    return dict(
+        _golden_doc("extrap_noise"),
+        objective={"maker": "tiny_mlp", "widths": [3, 4, 2],
+                   "sample_count": 128, "generator_seed": 3},
+        hyperparams={"lr_gamma": 0.05, "momentum_u": 0.9, "lars_trust": 0.02},
+        noise={"kind": "isotropic_gaussian", "filter_scaled": True})
+
+
+# First 16 hex digits of each written file's sha256.
+GOLDEN_DIGESTS = {
+    "sgd": {"aggregate.csv": "fd4829fc572c34d8",
+            "manifest.json": "a652b52ef5133cd8",
+            "trial_0.jsonl": "9f4d390953e5bb3f",
+            "trial_1.jsonl": "fa03d543d073771e"},
+    "nesterov": {"aggregate.csv": "a45e8858af9731bc",
+                 "manifest.json": "52ddd651b6372bc5",
+                 "trial_0.jsonl": "fcf3c4fcbdc1057e",
+                 "trial_1.jsonl": "a59ca6b8e9035013"},
+    "extrap_sgd": {"aggregate.csv": "80b8d543db30c460",
+                   "manifest.json": "db4b417a2939c6fb",
+                   "theory_report.json": "a36410ad036c17ec",
+                   "trial_0.jsonl": "7acf27c4e1544a1b",
+                   "trial_1.jsonl": "03f21fdabd3eef1a"},
+    "extrap_noise": {"aggregate.csv": "19ed157f8773db7d",
+                     "manifest.json": "20be0ddfd20ea1f4",
+                     "theory_report.json": "cfb0f684dc2cde47",
+                     "trial_0.jsonl": "4c7666951acd3165",
+                     "trial_1.jsonl": "8abf34ff4b4c198f"},
+    "adam": {"aggregate.csv": "f6092c06d7b1dba9",
+             "manifest.json": "16485a8b445876ba",
+             "trial_0.jsonl": "542d5e53b57206f6",
+             "trial_1.jsonl": "bcf1f00cf9c07fae"},
+    "extrap_adam": {"aggregate.csv": "41c438409f3a9b28",
+                    "manifest.json": "b9fef394ddb58d5e",
+                    "trial_0.jsonl": "f8557576fb3e5512",
+                    "trial_1.jsonl": "f2338e8c9e8c3769"},
+    "post_local": {"aggregate.csv": "f9a5fee495020b1e",
+                   "manifest.json": "6fed6c504c2c749a",
+                   "trial_0.jsonl": "19f9262a4510a4bf",
+                   "trial_1.jsonl": "2b2e8534e4ede4b5"},
+    "tiny_mlp_extrap_noise": {"aggregate.csv": "a68b65b676c9a6fe",
+                              "manifest.json": "e90105f3da3bbe5e",
+                              "theory_report.json": "32480d38d49bc128",
+                              "trial_0.jsonl": "0e5e2936c819cf95",
+                              "trial_1.jsonl": "f13782350d8e37e8"},
+}
+
+
+def _written_digests(doc, tmp_path):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+            for name in sorted(os.listdir(out))}
+
+
+@pytest.mark.parametrize("case", [*METHODS, "tiny_mlp_extrap_noise"])
+def test_run_writes_golden_bytes(case, tmp_path, capsys):
+    doc = _golden_mlp_doc() if case == "tiny_mlp_extrap_noise" else _golden_doc(case)
+    assert _written_digests(doc, tmp_path) == GOLDEN_DIGESTS[case]
+    capsys.readouterr()
