@@ -5,11 +5,10 @@ convergence theory."""
 __version__ = "0.1.0"
 
 from .cluster import ClusterConfig, draw_batches, map_workers, reduce_mean
-from .objectives import (ObjectiveSpec, ParamVector, TheoryConstants,
-                         batch_gradient, batch_loss, estimate_constants,
-                         finite_difference_gradient, full_gradient,
-                         initial_point, loss, loss_sample, make_logistic,
-                         make_quadratic, make_tiny_mlp, sample_gradient)
+from .objectives import (ObjectiveSpec, TheoryConstants, batch_gradient,
+                         batch_loss, estimate_constants,
+                         finite_difference_gradient, initial_point,
+                         make_logistic, make_quadratic, make_tiny_mlp)
 from .optimizers import (HyperParams, NoiseSpec, NumericAbort, OptimizerState,
                          PostLocalConfig, Schedule, effective_gamma_hat,
                          init_state, lars_scale, lr_at, noise_second_moment,

@@ -200,12 +200,14 @@ def _cmd_speedup(args):
 
 
 def _cmd_smoothness(args):
+    if args.set and not args.config:
+        raise ValueError("--set needs --config")
     if args.config:
-        config = load_config(args.config, args.set, args.seed)
+        config = load_config(args.config, args.set)
         obj = config.objective
         x0 = initial_point(obj, config.init_scale)
-        g = -batch_gradient(obj, x0.values, range(obj.sample_count))
-        est = theory.smoothness_estimate(obj, x0.values, g,
+        g = -batch_gradient(obj, x0, range(obj.sample_count))
+        est = theory.smoothness_estimate(obj, x0, g,
                                          probes=args.probes,
                                          fraction=args.fraction)
         print(f"estimated L along -grad at x0: {est:.9g}")
@@ -281,14 +283,17 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, config_required=True, out=True):
-    p.add_argument("--config", required=config_required,
+def _add_common(p, run_options=True):
+    """--config and --set; with run_options, a required --config, --out and
+    --seed."""
+    p.add_argument("--config", required=run_options,
                    help="JSON config mirroring RunConfig fields")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="dotted-path override, repeatable")
-    if out:
+    if run_options:
         p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="master seed override")
+        p.add_argument("--seed", type=int, default=None,
+                       help="master seed override")
 
 
 def build_parser():
@@ -327,7 +332,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("smoothness", help="probe local smoothness")
-    _add_common(p, config_required=False, out=False)
+    _add_common(p, run_options=False)
     p.add_argument("--probes", type=int, default=8)
     p.add_argument("--fraction", type=float, default=0.30)
     p.set_defaults(fn=_cmd_smoothness)

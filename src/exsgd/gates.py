@@ -43,7 +43,7 @@ def chain_mismatch(obj, cluster, reduced, parent, hp, steps):
         batches = draw_batches(cluster, obj, t)
         reduced(a, obj, batches, hp)
         parent(b, obj, batches, hp)
-        if not np.array_equal(a.x.values, b.x.values):
+        if not np.array_equal(a.x, b.x):
             return t
     return None
 

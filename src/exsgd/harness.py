@@ -204,7 +204,7 @@ def _step_once(config, state, obj, cl, batches, hp_t, seed, t):
 
 def _terminal_half_point(config, state, hp, cl, seed, horizon_T):
     """x_bar_{T+1/2} and xi_bar_T, reachable without gradient evaluations."""
-    x, v, u = state.x.values, state.v, hp.momentum_u
+    x, v, u = state.x, state.v, hp.momentum_u
     direction = theory.METHOD_TABLE[config.method].direction
     ghat = effective_gamma_hat(hp, cl.workers_K)
     if direction is None or ghat == 0.0 or horizon_T == 0:
@@ -214,8 +214,8 @@ def _terminal_half_point(config, state, hp, cl, seed, horizon_T):
     else:
         rng = np.random.default_rng(
             np.random.SeedSequence((seed, _NOISE_TAG, horizon_T)))
-        xi = reduce_mean(draw_noise_directions(config.noise, state, rng,
-                                               cl.workers_K))
+        xi = reduce_mean(draw_noise_directions(
+            config.noise, state, rng, cl.workers_K, config.objective.partition))
     half = x - ghat * xi
     if u != 0.0:    # sgd never moves v off zero
         half = half + u * v
@@ -253,7 +253,7 @@ def _run_trial(config, trial, stop_epsilon=None):
         xs, vbuf, halves, xibars = (np.empty((steps + 1, d)) for _ in range(4))
         gbars = np.empty((steps, d))
         dev2s, grad_series = np.empty(steps), np.empty(steps)
-        xs[0], vbuf[0] = x0.values, state.v
+        xs[0], vbuf[0] = x0, state.v
     records = []
     aborted, abort_detail = False, ""
     reached = False
@@ -262,7 +262,7 @@ def _run_trial(config, trial, stop_epsilon=None):
         lr = lr_at(sched, t, cl, obj) if sched is not None else hp.lr_gamma
         hp_t = hp if lr == hp.lr_gamma else dataclasses.replace(hp, lr_gamma=lr)
         batches = draw_batches(cl, obj, t)
-        x_before = state.x.values
+        x_before = state.x
         try:
             _step_once(config, state, obj, cl, batches, hp_t, seed, t)
         except NumericAbort as exc:
@@ -278,7 +278,7 @@ def _run_trial(config, trial, stop_epsilon=None):
         gn2 = (_full_grad_norm2(obj, info["x_half_bar"], hp.weight_decay)
                if need_grad else math.nan)
         if want_vs:
-            xs[t + 1], vbuf[t + 1] = state.x.values, state.v
+            xs[t + 1], vbuf[t + 1] = state.x, state.v
             halves[t], gbars[t], xibars[t] = (info["x_half_bar"], info["g_bar"],
                                               info["xi_bar"])
             dev2s[t], grad_series[t] = info["worker_dev2"], gn2
@@ -286,11 +286,11 @@ def _run_trial(config, trial, stop_epsilon=None):
             sm = math.nan
             if (config.record_smoothness_every
                     and t % config.record_smoothness_every == 0):
-                update = state.x.values - x_before
+                update = state.x - x_before
                 sm = theory.smoothness_estimate(obj, x_before, update)
             records.append(MetricsRecord(
                 step=t, lr=lr,
-                train_loss=_train_loss(obj, state.x.values, hp.weight_decay),
+                train_loss=_train_loss(obj, state.x, hp.weight_decay),
                 grad_norm2=gn2, smoothness_L=sm,
                 worker_dispersion=info["worker_dispersion"],
                 wall_events=_wall_events(cl, t + 1)))
@@ -302,7 +302,7 @@ def _run_trial(config, trial, stop_epsilon=None):
         t = config.total_steps_T
 
     result = TrialResult(trial=trial, seed=seed, records=records,
-                         final_x=state.x.values.copy(), steps_done=t,
+                         final_x=state.x.copy(), steps_done=t,
                          aborted=aborted, abort_detail=abort_detail,
                          reached_epsilon=reached)
     if want_vs and not aborted and stop_epsilon is None:

@@ -14,7 +14,7 @@ evaluation contains no internal randomness.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,58 +31,16 @@ _PROBE_TAG = 13
 
 
 @dataclass
-class ParamVector:
-    """Dense parameter vector with an optional block (filter/layer) partition.
-
-    `partition` is a list of (start, stop) index ranges; blocks must be
-    disjoint, ordered, and cover [0, d) exactly.  The default is a single
-    block covering the whole vector.
-    """
-
-    values: np.ndarray
-    partition: list = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("ParamVector.values must be one-dimensional")
-        if self.partition is None:
-            self.partition = [(0, self.values.size)]
-        self.partition = [(int(a), int(b)) for a, b in self.partition]
-
-    @property
-    def dim(self):
-        return self.values.size
-
-    def validate(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("ParamVector.values contains non-finite entries")
-        cursor = 0
-        for start, stop in self.partition:
-            if start != cursor or stop <= start:
-                raise ValueError(
-                    "ParamVector.partition blocks must be disjoint, ordered, "
-                    "and cover [0, d) exactly"
-                )
-            cursor = stop
-        if cursor != self.values.size:
-            raise ValueError("ParamVector.partition does not cover [0, d)")
-        return self
-
-    def copy(self):
-        return ParamVector(self.values.copy(), list(self.partition))
-
-    def norm(self):
-        return float(np.linalg.norm(self.values))
-
-
-@dataclass
 class ObjectiveSpec:
     """Finite-sum objective with its generated dataset.
 
     Only the fields for the active `kind` are populated.  Construct through
     `make_quadratic` / `make_logistic` / `make_tiny_mlp` so the dataset is a
     deterministic function of `generator_seed`.
+
+    `partition` is the block (filter/layer) split that LARS and filter-scaled
+    noise read: (start, stop) index ranges that are disjoint, ordered and
+    cover [0, d) exactly.  None means one block covering every parameter.
     """
 
     kind: str
@@ -106,7 +64,11 @@ class ObjectiveSpec:
     mlp_targets: np.ndarray = None      # (N, out)
     mlp_f_star: float = 0.0             # configured lower bound on f
 
-    partition: list = field(default_factory=list)
+    partition: list = None
+
+    def __post_init__(self):
+        if self.partition is None:
+            self.partition = [(0, self.dimension)]
 
     @functools.cached_property
     def quad_shift_mean(self):
@@ -166,8 +128,11 @@ class ObjectiveSpec:
             if value is not None and np.shape(value) != shape:
                 raise ValueError(f"{name} has shape {np.shape(value)}, expected "
                                  f"{shape} for sample_count={n}, dimension={d}")
-        if self.partition:
-            ParamVector(np.zeros(d), self.partition).validate()
+        starts = [start for start, _ in self.partition]
+        stops = [stop for _, stop in self.partition]
+        if [0] + stops != starts + [d] or any(a >= b for a, b in self.partition):
+            raise ValueError(f"partition {self.partition} must split [0, {d}) "
+                             f"into disjoint, ordered, nonempty blocks")
 
 
 @dataclass
@@ -184,7 +149,6 @@ class TheoryConstants:
     f_star: float
     r0: float
     horizon_T: int = 0
-    target_epsilon: float = 0.0
 
     def validate(self):
         if self.lipschitz_L < 0 or self.variance_sigma2 < 0 or self.r0 < 0:
@@ -218,8 +182,7 @@ def make_quadratic(dimension, sample_count, generator_seed=0, diag=None,
     return ObjectiveSpec(
         kind=QUADRATIC, dimension=dimension, sample_count=sample_count,
         generator_seed=generator_seed, quad_diag=diag, quad_matrix=matrix,
-        quad_shifts=shifts, partition=[(0, dimension)],
-    ).validate()
+        quad_shifts=shifts).validate()
 
 
 def make_logistic(dimension, sample_count, generator_seed=0, l2=0.0,
@@ -237,8 +200,7 @@ def make_logistic(dimension, sample_count, generator_seed=0, l2=0.0,
     return ObjectiveSpec(
         kind=LOGISTIC, dimension=dimension, sample_count=sample_count,
         generator_seed=generator_seed, logit_features=features,
-        logit_labels=labels, logit_l2=float(l2), partition=[(0, dimension)],
-    ).validate()
+        logit_labels=labels, logit_l2=float(l2)).validate()
 
 
 def make_tiny_mlp(widths, sample_count, generator_seed=0, input_scale=1.0,
@@ -283,7 +245,7 @@ def initial_point(obj, init_scale=1.0):
     """Deterministic starting point: zeros for quadratic/logistic, a seeded
     1/sqrt(fan_in) init (times init_scale) for tiny_mlp."""
     if obj.kind != TINY_MLP:
-        return ParamVector(np.zeros(obj.dimension), list(obj.partition))
+        return np.zeros(obj.dimension)
     rng = np.random.default_rng(np.random.SeedSequence((obj.generator_seed, _INIT_TAG)))
     chunks = []
     widths = obj.mlp_widths
@@ -291,7 +253,7 @@ def initial_point(obj, init_scale=1.0):
         w = init_scale * rng.standard_normal((widths[l + 1], widths[l])) / np.sqrt(widths[l])
         b = np.zeros(widths[l + 1])
         chunks.extend([w.ravel(), b])
-    return ParamVector(np.concatenate(chunks), list(obj.partition))
+    return np.concatenate(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -429,33 +391,6 @@ def _sigmoid(z):
     return out
 
 
-def sample_gradient(obj, x, i):
-    """Exact gradient of f_i at x. Deterministic, no internal randomness."""
-    i = int(i)
-    if i < 0 or i >= obj.sample_count:
-        raise IndexError(f"sample index {i} out of range [0, {obj.sample_count})")
-    return ParamVector(batch_gradient(obj, x.values, [i]), list(x.partition))
-
-
-def full_gradient(obj, x):
-    """Exact average (1/N) sum_i grad f_i(x)."""
-    return ParamVector(
-        batch_gradient(obj, x.values, range(obj.sample_count)),
-        list(x.partition),
-    )
-
-
-def loss_sample(obj, x, i):
-    i = int(i)
-    if i < 0 or i >= obj.sample_count:
-        raise IndexError(f"sample index {i} out of range [0, {obj.sample_count})")
-    return batch_loss(obj, x.values, [i])
-
-
-def loss(obj, x):
-    return batch_loss(obj, x.values, range(obj.sample_count))
-
-
 def batch_loss(obj, values, indices):
     """Mean per-sample loss over `indices`, a (B,) batch or a `range` (raw
     ndarray API)."""
@@ -480,8 +415,7 @@ def batch_loss(obj, values, indices):
 # constants
 # ---------------------------------------------------------------------------
 
-def estimate_constants(obj, x0, probe_budget=16, horizon_T=0, target_epsilon=0.0,
-                       f_star_override=None):
+def estimate_constants(obj, x0, probe_budget=16, horizon_T=0):
     """Lipschitz constant L, variance bound sigma^2, f*, and r0 = f(x0) - f*.
 
     Quadratic: analytic (L = lambda_max(A); sigma^2 = max_i ||A(a_i - abar)||^2,
@@ -502,27 +436,24 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0, target_epsilon=0.0
         f_star = batch_loss(obj, obj.quad_shift_mean, range(obj.sample_count))
     elif obj.kind == LOGISTIC:
         lip = float(0.25 * np.max(np.sum(obj.logit_features ** 2, axis=1)) + obj.logit_l2)
-        sigma2 = _sigma2_at(obj, x0.values)
+        sigma2 = _sigma2_at(obj, x0)
         f_star = 0.0
     else:
-        sigma2 = _sigma2_at(obj, x0.values)
+        sigma2 = _sigma2_at(obj, x0)
         rng = np.random.default_rng(np.random.SeedSequence((obj.generator_seed, _PROBE_TAG)))
-        g0 = batch_gradient(obj, x0.values, range(obj.sample_count))
+        g0 = batch_gradient(obj, x0, range(obj.sample_count))
         lip = 0.0
         for _ in range(int(probe_budget)):
             direction = rng.standard_normal(obj.dimension)
             direction /= np.linalg.norm(direction)
             step = 0.1 * rng.uniform(0.5, 2.0)
-            g1 = batch_gradient(obj, x0.values + step * direction, range(obj.sample_count))
+            g1 = batch_gradient(obj, x0 + step * direction, range(obj.sample_count))
             lip = max(lip, float(np.linalg.norm(g1 - g0) / step))
         f_star = obj.mlp_f_star
-    if f_star_override is not None:
-        f_star = float(f_star_override)
-    r0 = max(0.0, batch_loss(obj, x0.values, range(obj.sample_count)) - f_star)
+    r0 = max(0.0, batch_loss(obj, x0, range(obj.sample_count)) - f_star)
     return TheoryConstants(
         lipschitz_L=lip, variance_sigma2=sigma2, f_star=f_star, r0=r0,
-        horizon_T=int(horizon_T), target_epsilon=float(target_epsilon),
-    ).validate()
+        horizon_T=int(horizon_T)).validate()
 
 
 def _sigma2_at(obj, values):

@@ -50,7 +50,7 @@ import numpy as np
 # map_workers is unused by the stacked steps; benchmark/tracer.py patches
 # this name, so the import stays until the tracer changes with it.
 from .cluster import map_workers, reduce_mean  # noqa: F401
-from .objectives import ParamVector, batch_gradient
+from .objectives import batch_gradient
 
 NOISE_NONE = "none"
 ISO_GAUSSIAN = "isotropic_gaussian"
@@ -146,7 +146,7 @@ def noise_second_moment(noise, x):
         return noise.noise_sigma_hat2
     if noise.kind == ANISO_STOCHASTIC or noise.filter_scaled:
         return None
-    d = x.dim
+    d = x.size
     if noise.kind == ISO_GAUSSIAN:
         return d * noise.raw_scale ** 2
     return d * noise.raw_scale ** 2 / 3.0   # uniform half-width raw_scale
@@ -189,7 +189,7 @@ class PostLocalConfig:
 
 @dataclass
 class OptimizerState:
-    x: ParamVector
+    x: np.ndarray                 # the (d,) iterate
     v: np.ndarray                 # momentum buffer v_t
     past_grad: np.ndarray         # (K, d) stored local batch-mean gradients
     adam_m: np.ndarray
@@ -201,7 +201,7 @@ class OptimizerState:
 
 
 def init_state(x0, workers_K):
-    d = x0.dim
+    d = x0.size
     return OptimizerState(
         x=x0.copy(), v=np.zeros(d), past_grad=np.zeros((workers_K, d)),
         adam_m=np.zeros(d), adam_v=np.zeros(d),
@@ -289,11 +289,11 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
     gradients and report the mean and spread of their half points.  `rule`
     is the update applied to the reduced gradient.
     """
-    x = state.x.values
+    x = state.x
     grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
     g = reduce_mean(grads)
     _check_finite(state.step_t, "reduced gradient", g)
-    g_used = apply_lars(g, x, state.x.partition, hp) if hp.lars_trust > 0 else g
+    g_used = apply_lars(g, x, obj.partition, hp) if hp.lars_trust > 0 else g
     if rule == _ADAM_RULE:
         m_new = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * g_used
         v_new = hp.adam_beta2 * state.adam_v + (1.0 - hp.adam_beta2) * g_used * g_used
@@ -309,7 +309,7 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
     _check_finite(state.step_t, "iterate", x_new)
     for name, value in buffers.items():
         setattr(state, name, value)
-    state.x.values = x_new
+    state.x = x_new
     state.step_t += 1
     if halves.ndim == 2:
         state.past_grad = past
@@ -327,12 +327,12 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
 
 def step_minibatch_sgd(state, obj, batches, hp):
     """Plain mini-batch SGD: x <- x - gamma * mean_k mean_i grad f_i(x)."""
-    return _synced_step(state, obj, batches, hp, _SGD_RULE, state.x.values)
+    return _synced_step(state, obj, batches, hp, _SGD_RULE, state.x)
 
 
 def step_nesterov(state, obj, batches, hp):
     """Three-line Nesterov recurrence, gradient at the shared lookahead."""
-    x, v, u = state.x.values, state.v, hp.momentum_u
+    x, v, u = state.x, state.v, hp.momentum_u
     x_half = x + u * v if u != 0.0 else x
     return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, x_half)
 
@@ -343,7 +343,7 @@ def _extrap_momentum_step(state, obj, batches, hp, directions, extrap_b):
     `directions` is the (K, d) array of extrapolation directions, or None
     when extrapolation is skipped.
     """
-    x, n_workers = state.x.values, len(batches)
+    x, n_workers = state.x, len(batches)
     if directions is None:
         quarters = np.broadcast_to(x, (n_workers, x.size))
         xi_bar = None
@@ -373,16 +373,18 @@ def step_extrapolated_noise(state, obj, batches, hp, noise, rng, extrap_b=None):
         raise ValueError("noise.kind must not be 'none' for step_extrapolated_noise")
     ghat = effective_gamma_hat(hp, len(batches))
     if ghat != 0.0 and state.step_t > 0:
-        directions = draw_noise_directions(noise, state, rng, len(batches))
+        directions = draw_noise_directions(noise, state, rng, len(batches),
+                                           obj.partition)
     else:
         directions = None
     return _extrap_momentum_step(state, obj, batches, hp, directions, extrap_b)
 
 
-def draw_noise_directions(noise, state, rng, n_workers):
+def draw_noise_directions(noise, state, rng, n_workers, partition):
     """The (K, d) extrapolation directions for one step, drawn in ascending
-    worker order (the shared kind draws once)."""
-    d = state.x.dim
+    worker order (the shared kind draws once); filter-scaled noise is scaled
+    per block of the objective's `partition`."""
+    d = state.x.size
     if noise.kind == ANISO_STOCHASTIC:
         past = np.asarray(state.past_grad)
         return past - reduce_mean(past)
@@ -395,15 +397,15 @@ def draw_noise_directions(noise, state, rng, n_workers):
         raw = rng.uniform(-noise.raw_scale, noise.raw_scale, (n_workers, d))
     if not noise.filter_scaled:
         return raw
-    return np.stack([_filter_scale(z, state.x) for z in raw])
+    return np.stack([_filter_scale(z, state.x, partition) for z in raw])
 
 
-def _filter_scale(zeta, x):
+def _filter_scale(zeta, x, partition):
     """Per block: ||x_block|| * zeta_block / ||zeta_block||; zero-norm blocks
     (either side) produce zero noise for that block."""
     out = np.zeros_like(zeta)
-    for start, stop in x.partition:
-        x_norm = np.linalg.norm(x.values[start:stop])
+    for start, stop in partition:
+        x_norm = np.linalg.norm(x[start:stop])
         z_norm = np.linalg.norm(zeta[start:stop])
         if x_norm > 0.0 and z_norm > 0.0:
             out[start:stop] = (x_norm / z_norm) * zeta[start:stop]
@@ -412,7 +414,7 @@ def _filter_scale(zeta, x):
 
 def step_adam(state, obj, batches, hp):
     """Reference Adam without bias correction (the gamma_hat = 0 baseline)."""
-    return _synced_step(state, obj, batches, hp, _ADAM_RULE, state.x.values)
+    return _synced_step(state, obj, batches, hp, _ADAM_RULE, state.x)
 
 
 def step_extrap_adam(state, obj, batches, hp, extrap_b=None):
@@ -423,7 +425,7 @@ def step_extrap_adam(state, obj, batches, hp, extrap_b=None):
     sqrt variant.  Moments are shared, updated from the reduced gradient,
     without bias correction.  Extrapolation is skipped at t = 0.
     """
-    x, n_workers = state.x.values, len(batches)
+    x, n_workers = state.x, len(batches)
     ghat = effective_gamma_hat(hp, n_workers)
     if ghat != 0.0 and state.step_t > 0:
         pg = np.asarray(state.past_grad)
@@ -454,9 +456,9 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
 
     n_workers = len(batches)
     if state.local_x is None:
-        state.local_x = np.tile(state.x.values, (n_workers, 1))
+        state.local_x = np.tile(state.x, (n_workers, 1))
         if hp.reset_local_momentum:
-            state.local_v = np.zeros((n_workers, state.x.dim))
+            state.local_v = np.zeros((n_workers, state.x.size))
         else:
             state.local_v = np.tile(state.v, (n_workers, 1))
     local_x = np.asarray(state.local_x)
@@ -471,7 +473,7 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
 
     g_used = grads
     if hp.lars_trust > 0:
-        g_used = np.stack([apply_lars(gk, xk, state.x.partition, hp)
+        g_used = np.stack([apply_lars(gk, xk, obj.partition, hp)
                            for gk, xk in zip(grads, local_x)])
     local_v = _momentum_update(local_v, u, hp.lr_gamma, g_used)
     local_x = local_x + local_v
@@ -481,7 +483,7 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     state.local_x, state.local_v, state.past_grad = local_x, local_v, past
     _check_finite(t, "iterate", mean_x)
     dispersion = max(float(np.linalg.norm(xk - mean_x)) for xk in local_x)
-    state.x.values = mean_x
+    state.x = mean_x
     state.step_t += 1
     half_bar = reduce_mean(halves)
     state.last_info = {

@@ -32,6 +32,7 @@ from .objectives import batch_gradient
 from .optimizers import HyperParams, effective_gamma_hat
 
 _REL_SLACK = 1e-12
+_MAX_DOUBLINGS = 50    # epsilon_horizon gives up past T = 2**50
 
 SGD = "sgd"
 NESTEROV = "nesterov"
@@ -220,7 +221,7 @@ def stepsize_cap(method, constants, momentum_u=0.0):
         return 1.0 / L
     if method == NESTEROV:
         return 2.0 * (1.0 - u) ** 2 / (L * (u ** 3 + 1.0))
-    if method in (EXTRAP_SGD, POST_LOCAL):
+    if method == EXTRAP_SGD:
         return (1.0 - u) ** 2 / (L * (1.0 + 3.0 * u + u ** 3))
     if method == EXTRAP_NOISE:
         return (1.0 - u) ** 2 / (L * (1.0 + u + u ** 3))
@@ -254,7 +255,7 @@ def rate_bound(method, constants, hp, cluster, horizon_T, sigma_hat2=None):
         bracket = ((1.0 - u) * r0 / (gamma * horizon_T)
                    + gamma * L / (2.0 * (1.0 - u) ** 2) * s2 / KB)
         bound = bracket / denom if denom > 0 else math.inf
-    elif method in (EXTRAP_SGD, POST_LOCAL):
+    elif method == EXTRAP_SGD:
         ghat = effective_gamma_hat(hp, cluster.workers_K)
         ghat_cap = u ** 2 * gamma / (1.0 - u) ** 2
         if ghat > ghat_cap * (1.0 + _REL_SLACK):
@@ -305,7 +306,7 @@ def critical_batch_size(method, constants, momentum_u=0.0):
         return base
     if method == NESTEROV:
         return base * (1.0 - u) / (u ** 3 + 1.0) ** 2
-    if method in (EXTRAP_SGD, POST_LOCAL):
+    if method == EXTRAP_SGD:
         return base * (19.0 * u + 1.0) * (1.0 - u) / (u ** 3 + 3.0 * u + 1.0) ** 3
     raise ValueError(f"no critical batch size for method {method!r}")
 
@@ -326,7 +327,7 @@ def tune_stepsize(method, constants, cluster, horizon_T, momentum_u=0.0):
         candidate = math.sqrt(scale)
     elif method == NESTEROV:
         candidate = math.sqrt(scale * (1.0 - u) ** 3)
-    elif method in (EXTRAP_SGD, POST_LOCAL):
+    elif method == EXTRAP_SGD:
         candidate = math.sqrt(
             scale * (u ** 3 + 3.0 * u + 1.0) * (1.0 - u) ** 3 / (19.0 * u + 1.0))
     else:   # EXTRAP_NOISE: stepsize_cap rejected the methods without a rule
@@ -339,13 +340,13 @@ def tuned_hyperparams(method, constants, cluster, horizon_T, momentum_u=0.0):
     gamma = tune_stepsize(method, constants, cluster, horizon_T, momentum_u)
     u = momentum_u
     ghat = None
-    if method in (EXTRAP_SGD, POST_LOCAL):   # the cap is 0 when u = 0
+    if method == EXTRAP_SGD:   # the cap is 0 when u = 0
         ghat = min(gamma / cluster.workers_K, u ** 2 * gamma / (1.0 - u) ** 2)
     return HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=ghat, momentum_u=u)
 
 
 def epsilon_horizon(method, constants, cluster, epsilon, momentum_u=0.0,
-                    sigma_hat2=None, max_doublings=50):
+                    sigma_hat2=None):
     """Smallest integer T whose tuned bound is <= epsilon.
 
     The tuned bound is non-increasing in T for the methods with vanishing
@@ -362,7 +363,7 @@ def epsilon_horizon(method, constants, cluster, epsilon, momentum_u=0.0,
     if bound(1) <= epsilon:
         return 1
     lo, hi = 1, 2
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if bound(hi) <= epsilon:
             break
         lo, hi = hi, hi * 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from exsgd.cli import main
 from exsgd.cluster import EPOCH_PERMUTATION, WITH_REPLACEMENT
+from exsgd.objectives import make_logistic
 from exsgd.optimizers import step_minibatch_sgd
 from exsgd.theory import METHODS
 
@@ -127,6 +128,51 @@ def test_objective_shape_mismatch_exits_one_before_step_zero(tmp_path, capsys,
     assert err.startswith("error:") and field in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def _inline_logistic():
+    """A d=4 logistic objective given by its arrays, with no maker and no
+    partition."""
+    obj = make_logistic(4, 32, generator_seed=2, l2=1e-3)
+    return {"kind": "logistic", "dimension": 4, "sample_count": 32,
+            "generator_seed": 2, "logit_l2": 1e-3,
+            "logit_features": obj.logit_features.tolist(),
+            "logit_labels": obj.logit_labels.tolist()}
+
+
+@pytest.mark.parametrize("extra", [
+    {"hyperparams": {"lr_gamma": 0.05, "momentum_u": 0.5, "lars_trust": 0.02}},
+    {"method": "extrap_noise",
+     "noise": {"kind": "isotropic_gaussian", "filter_scaled": True}},
+])
+def test_inline_objective_without_partition_is_one_block(tmp_path, capsys,
+                                                         extra):
+    # LARS and filter-scaled noise read the partition: a missing one must
+    # act as the single block [0, d), byte for byte.
+    doc = dict(BASE_CONFIG, objective=_inline_logistic(), **extra)
+    outs = []
+    for name, partition in (("default", {}),
+                            ("explicit", {"partition": [[0, 4]]})):
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        objective = dict(doc["objective"], **partition)
+        path.write_text(json.dumps(dict(doc, objective=objective)))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+    capsys.readouterr()
+
+
+def test_empty_partition_exits_one(tmp_path, capsys):
+    path, out = tmp_path / "bad.json", tmp_path / "o"
+    path.write_text(json.dumps(dict(
+        BASE_CONFIG, objective=dict(_inline_logistic(), partition=[]))))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: partition [] must split [0, 4)")
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("override,field", [
@@ -324,6 +370,18 @@ def test_smoothness_takes_no_out(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_smoothness_takes_no_seed(capsys):
+    assert main(["smoothness", "--seed", "5"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_smoothness_set_without_config_exits_one(capsys):
+    assert main(["smoothness", "--set", "trials=2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --set needs --config\n"
+    assert captured.out == ""
+
+
 def test_verify_self_check_passes(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path / "v")]) == 0
     out = capsys.readouterr().out
@@ -412,8 +470,8 @@ _GOLDEN_STEPS = 40
 
 def _golden_doc(method):
     doc = {
-        "objective": {"maker": "logistic", "dimension": 20, "sample_count": 512,
-                      "generator_seed": 3, "l2": 1e-3},
+        "objective": {"maker": "logistic", "dimension": 20,
+                      "sample_count": 512, "generator_seed": 3, "l2": 1e-3},
         "cluster": {"workers_K": 4, "local_batch_B": 16},
         "method": method,
         "hyperparams": {"lr_gamma": 0.005, "momentum_u": 0.5},
@@ -490,6 +548,7 @@ def _written_digests(doc, tmp_path):
 
 @pytest.mark.parametrize("case", [*METHODS, "tiny_mlp_extrap_noise"])
 def test_run_writes_golden_bytes(case, tmp_path, capsys):
-    doc = _golden_mlp_doc() if case == "tiny_mlp_extrap_noise" else _golden_doc(case)
+    doc = (_golden_mlp_doc() if case == "tiny_mlp_extrap_noise"
+           else _golden_doc(case))
     assert _written_digests(doc, tmp_path) == GOLDEN_DIGESTS[case]
     capsys.readouterr()

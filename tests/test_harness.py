@@ -14,8 +14,8 @@ from exsgd.cluster import ClusterConfig, draw_batches
 from exsgd.harness import (RunConfig, _full_grad_norm2, _step_once,
                            _terminal_half_point, apply_override, run,
                            speedup_study, sweep, trial_seed, write_outputs)
-from exsgd.objectives import (ParamVector, estimate_constants, initial_point,
-                              loss, make_quadratic)
+from exsgd.objectives import (batch_loss, estimate_constants, initial_point,
+                              make_quadratic)
 from exsgd.optimizers import (SMOOTHOUT_SHARED, WARMUP_CONSTANT, HyperParams,
                               NoiseSpec, PostLocalConfig, Schedule, init_state,
                               lr_at)
@@ -95,8 +95,8 @@ def test_momentum_descends_on_quadratic_every_seed():
                        hyperparams=HyperParams(lr_gamma=0.02, momentum_u=0.5),
                        total_steps_T=50, trials=30)
     res = run(cfg)
-    x0 = initial_point(cfg.objective)
-    f0 = loss(cfg.objective, x0)
+    obj = cfg.objective
+    f0 = batch_loss(obj, initial_point(obj), range(obj.sample_count))
     for tr in res.trials:
         assert not tr.aborted
         assert tr.records[-1].train_loss < f0
@@ -349,11 +349,11 @@ def test_virtual_sequence_rows_are_the_stacked_step_values(method, workers,
     obj, hp = cfg.objective, cfg.hyperparams
     cl = dataclasses.replace(cfg.cluster, master_seed=tr.seed)
     state = init_state(initial_point(obj), workers)
-    xs, vs, halves, gbars, xibars, gn2s = [state.x.values], [state.v], [], [], [], []
+    xs, vs, halves, gbars, xibars, gn2s = [state.x], [state.v], [], [], [], []
     for t in range(steps):
         _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, tr.seed, t)
         info = state.last_info
-        xs.append(state.x.values)
+        xs.append(state.x)
         vs.append(state.v)
         halves.append(info["x_half_bar"])
         gbars.append(info["g_bar"])

@@ -9,11 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from exsgd.cluster import reduce_mean
 
-from exsgd.objectives import (ObjectiveSpec, ParamVector, _batch_mean,
-                              batch_gradient, batch_loss, estimate_constants,
-                              finite_difference_gradient, full_gradient,
-                              initial_point, loss, loss_sample, make_logistic,
-                              make_quadratic, make_tiny_mlp, sample_gradient)
+from exsgd.objectives import (ObjectiveSpec, _batch_mean, batch_gradient,
+                              batch_loss, estimate_constants,
+                              finite_difference_gradient, initial_point,
+                              make_logistic, make_quadratic, make_tiny_mlp)
 
 
 def test_quadratic_gradient_closed_form():
@@ -53,16 +52,17 @@ def test_gradient_matches_finite_differences(maker, kwargs):
 
 def test_batch_loss_is_mean_of_sample_losses():
     obj = make_logistic(3, 5, generator_seed=9)
-    x = ParamVector(np.array([0.2, -0.1, 0.4]))
-    per = [loss_sample(obj, x, i) for i in range(5)]
-    assert_allclose(loss(obj, x), np.mean(per), rtol=1e-14)
+    x = np.array([0.2, -0.1, 0.4])
+    per = [batch_loss(obj, x, [i]) for i in range(5)]
+    assert_allclose(batch_loss(obj, x, range(5)), np.mean(per), rtol=1e-14)
 
 
 def test_batch_gradient_is_mean_of_sample_gradients():
     obj = make_tiny_mlp((2, 2, 1), 6, generator_seed=11)
     x = initial_point(obj)
-    stack = np.stack([sample_gradient(obj, x, i).values for i in range(6)])
-    assert_allclose(full_gradient(obj, x).values, stack.mean(axis=0), rtol=1e-12)
+    stack = np.stack([batch_gradient(obj, x, [i]) for i in range(6)])
+    assert_allclose(batch_gradient(obj, x, range(6)), stack.mean(axis=0),
+                    rtol=1e-12)
 
 
 def test_dataset_generation_is_deterministic():
@@ -76,35 +76,38 @@ def test_dataset_generation_is_deterministic():
 
 def test_initial_point_zero_for_convex_seeded_for_mlp():
     quad = make_quadratic(3, 4)
-    assert_array_equal(initial_point(quad).values, np.zeros(3))
+    assert_array_equal(initial_point(quad), np.zeros(3))
     mlp = make_tiny_mlp((2, 3, 1), 4, generator_seed=8)
     x1, x2 = initial_point(mlp), initial_point(mlp)
-    assert_array_equal(x1.values, x2.values)
-    assert x1.norm() > 0
+    assert_array_equal(x1, x2)
+    assert np.linalg.norm(x1) > 0
     # biases start at zero, weight blocks are scaled by init_scale
     w_blk, b_blk = mlp.partition[0], mlp.partition[1]
-    assert_array_equal(x1.values[b_blk[0]:b_blk[1]], 0.0)
+    assert_array_equal(x1[b_blk[0]:b_blk[1]], 0.0)
     x3 = initial_point(mlp, init_scale=2.0)
-    assert_allclose(x3.values[w_blk[0]:w_blk[1]],
-                    2.0 * x1.values[w_blk[0]:w_blk[1]], rtol=1e-15)
+    assert_allclose(x3[w_blk[0]:w_blk[1]],
+                    2.0 * x1[w_blk[0]:w_blk[1]], rtol=1e-15)
 
 
 def test_mlp_partition_covers_all_parameters():
     mlp = make_tiny_mlp((3, 4, 2), 5, generator_seed=1)
-    x = initial_point(mlp)
-    x.validate()
+    assert initial_point(mlp).shape == (mlp.dimension,)
     assert mlp.dimension == 4 * 3 + 4 + 2 * 4 + 2
     assert len(mlp.partition) == 4    # W1, b1, W2, b2
+    mlp.validate()
 
 
-def test_param_vector_partition_validation():
-    with pytest.raises(ValueError):
-        ParamVector(np.zeros(4), [(0, 2), (3, 4)]).validate()   # gap
-    with pytest.raises(ValueError):
-        ParamVector(np.zeros(4), [(0, 2), (1, 4)]).validate()   # overlap
-    with pytest.raises(ValueError):
-        ParamVector(np.zeros(4), [(0, 2)]).validate()           # short
-    ParamVector(np.zeros(4), [(0, 2), (2, 4)]).validate()
+def test_objective_partition_validation():
+    quad = make_quadratic(4, 3)
+    assert quad.partition == [(0, 4)]     # the default: one block
+    for bad in ([(0, 2), (3, 4)],         # gap
+                [(0, 2), (1, 4)],         # overlap
+                [(0, 2)],                 # short
+                [(0, 2), (2, 2), (2, 4)], # empty block
+                []):                      # no blocks
+        with pytest.raises(ValueError, match="partition"):
+            dataclasses.replace(quad, partition=bad).validate()
+    dataclasses.replace(quad, partition=[(0, 2), (2, 4)]).validate()
 
 
 def test_objective_validation_rejects_bad_matrices():
@@ -121,7 +124,7 @@ def test_index_range_checks():
     with pytest.raises(IndexError):
         batch_gradient(obj, np.zeros(2), [3])
     with pytest.raises(IndexError):
-        sample_gradient(obj, initial_point(obj), -1)
+        batch_gradient(obj, initial_point(obj), [-1])
     with pytest.raises(ValueError):
         batch_gradient(obj, np.zeros(3), [0])   # dimension mismatch
 
@@ -145,8 +148,8 @@ def test_logistic_constants():
     want_l = 0.25 * max(np.sum(obj.logit_features ** 2, axis=1)) + 0.05
     assert_allclose(c.lipschitz_L, want_l, rtol=1e-14)
     # sigma^2 is the worst per-sample gradient deviation at x0, brute force
-    gbar = batch_gradient(obj, x0.values, np.arange(8))
-    devs = [batch_gradient(obj, x0.values, [i]) - gbar for i in range(8)]
+    gbar = batch_gradient(obj, x0, np.arange(8))
+    devs = [batch_gradient(obj, x0, [i]) - gbar for i in range(8)]
     assert_allclose(c.variance_sigma2, max(float(d @ d) for d in devs),
                     rtol=1e-14)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ def test_sgd_single_step_hand_value():
     obj = _scalar_quad()
     st = init_state(initial_point(obj), 1)
     step_minibatch_sgd(st, obj, _full_batches(obj, 1, 0), HyperParams(lr_gamma=0.1))
-    assert st.x.values[0] == 0.2
+    assert st.x[0] == 0.2
     assert st.step_t == 1
 
 
@@ -59,9 +60,9 @@ def test_nesterov_two_steps_match_scalar_recurrence():
         g = half - 2.0
         v = 0.5 * v - 0.1 * g
         x = x + v
-    assert st.x.values[0] == x
+    assert st.x[0] == x
     assert st.v[0] == v
-    assert abs(st.x.values[0] - 0.47) < 1e-15
+    assert abs(st.x[0] - 0.47) < 1e-15
 
 
 def test_extrap_two_steps_match_scalar_recurrence():
@@ -78,9 +79,9 @@ def test_extrap_two_steps_match_scalar_recurrence():
         v = 0.5 * v - 0.1 * g
         x = x + v
         past = g
-    assert st.x.values[0] == x
+    assert st.x[0] == x
     assert st.past_grad[0][0] == past
-    assert abs(st.x.values[0] - 0.46) < 1e-15
+    assert abs(st.x[0] - 0.46) < 1e-15
 
 
 def test_extrapolation_skipped_at_step_zero():
@@ -89,14 +90,14 @@ def test_extrapolation_skipped_at_step_zero():
     st = init_state(initial_point(obj), 1)
     step_extrap_sgd(st, obj, _full_batches(obj, 1, 0), hp)
     assert st.last_info["x_half_bar"][0] == 0.0     # gradient taken at x0
-    assert st.x.values[0] == 0.2
+    assert st.x[0] == 0.2
 
 
 def test_half_point_is_extrapolate_then_momentum():
     obj = _scalar_quad()
     hp = HyperParams(lr_gamma=0.1, inner_lr_gamma_hat=0.05, momentum_u=0.5)
     st = init_state(initial_point(obj), 1)
-    st.x.values = np.array([1.0])
+    st.x = np.array([1.0])
     st.v = np.array([0.4])
     st.past_grad = [np.array([-2.0])]
     st.step_t = 3                                    # past data available
@@ -124,7 +125,7 @@ def test_extrap_with_zero_gamma_hat_is_bitwise_nesterov():
     hp = HyperParams(lr_gamma=0.2, inner_lr_gamma_hat=0.0, momentum_u=0.7)
     a = _run_chain(step_nesterov, obj, hp, 2, 60)
     b = _run_chain(step_extrap_sgd, obj, hp, 2, 60)
-    assert_array_equal(a.x.values, b.x.values)
+    assert_array_equal(a.x, b.x)
     assert_array_equal(a.v, b.v)
 
 
@@ -133,7 +134,7 @@ def test_nesterov_without_momentum_is_bitwise_sgd():
     hp = HyperParams(lr_gamma=0.05, momentum_u=0.0)
     a = _run_chain(step_minibatch_sgd, obj, hp, 2, 60)
     b = _run_chain(step_nesterov, obj, hp, 2, 60)
-    assert_array_equal(a.x.values, b.x.values)
+    assert_array_equal(a.x, b.x)
 
 
 def test_extrap_adam_with_zero_gamma_hat_is_bitwise_adam():
@@ -141,7 +142,7 @@ def test_extrap_adam_with_zero_gamma_hat_is_bitwise_adam():
     hp = HyperParams(lr_gamma=0.01, inner_lr_gamma_hat=0.0)
     a = _run_chain(step_adam, obj, hp, 2, 60)
     b = _run_chain(step_extrap_adam, obj, hp, 2, 60)
-    assert_array_equal(a.x.values, b.x.values)
+    assert_array_equal(a.x, b.x)
     assert_array_equal(a.adam_m, b.adam_m)
     assert_array_equal(a.adam_v, b.adam_v)
 
@@ -182,7 +183,7 @@ def test_chain_mismatch_reports_the_step_a_perturbation_lands():
     def perturbed(state, obj, batches, hp):
         step_nesterov(state, obj, batches, hp)
         if state.step_t == 37:
-            state.x.values[0] = np.nextafter(state.x.values[0], np.inf)
+            state.x[0] = np.nextafter(state.x[0], np.inf)
 
     assert chain_mismatch(obj, cfg, perturbed, step_nesterov, hp, 60) == 36
     assert chain_mismatch(obj, cfg, perturbed, step_nesterov, hp, 36) is None
@@ -195,7 +196,7 @@ def test_adam_single_step_hand_formula():
     step_adam(st, obj, _full_batches(obj, 1, 0), hp)
     m = (1.0 - 0.9) * -2.0      # mirror the float ops, (1-b1) is not 0.1
     v = (1.0 - 0.98) * 4.0
-    assert st.x.values[0] == -(0.1 * m / (math.sqrt(v) + 1e-9))
+    assert st.x[0] == -(0.1 * m / (math.sqrt(v) + 1e-9))
     assert st.adam_m[0] == m and st.adam_v[0] == v
 
 
@@ -252,20 +253,20 @@ def test_zero_lr_leaves_iterate_unchanged():
     obj = make_quadratic(2, 8, generator_seed=7)
     hp = HyperParams(lr_gamma=0.0, momentum_u=0.5)
     st = init_state(initial_point(obj), 1)
-    x0 = st.x.values.copy()
+    x0 = st.x.copy()
     for t in range(3):
         step_nesterov(st, obj, _full_batches(obj, 1, t), hp)
-    assert_array_equal(st.x.values, x0)
+    assert_array_equal(st.x, x0)
 
 
 def test_weight_decay_enters_gradient():
     obj = _scalar_quad()
     hp = HyperParams(lr_gamma=0.1, weight_decay=0.5)
     st = init_state(initial_point(obj), 1)
-    st.x.values = np.array([4.0])
+    st.x = np.array([4.0])
     step_minibatch_sgd(st, obj, _full_batches(obj, 1, 0), hp)
     g = (4.0 - 2.0) + 0.5 * 4.0
-    assert st.x.values[0] == 4.0 - 0.1 * g
+    assert st.x[0] == 4.0 - 0.1 * g
 
 
 def test_numeric_abort_on_divergence():
@@ -297,7 +298,8 @@ def test_gaussian_noise_directions_replayable():
     obj = make_quadratic(4, 8)
     st = init_state(initial_point(obj), 3)
     noise = NoiseSpec(kind=ISO_GAUSSIAN, raw_scale=0.3)
-    dirs = draw_noise_directions(noise, st, np.random.default_rng(12), 3)
+    dirs = draw_noise_directions(noise, st, np.random.default_rng(12), 3,
+                                 obj.partition)
     twin = np.random.default_rng(12)
     for k in range(3):
         assert_array_equal(dirs[k], 0.3 * twin.standard_normal(4))
@@ -307,7 +309,8 @@ def test_smoothout_noise_is_shared_across_workers():
     obj = make_quadratic(4, 8)
     st = init_state(initial_point(obj), 3)
     noise = NoiseSpec(kind=SMOOTHOUT_SHARED, raw_scale=0.5)
-    dirs = draw_noise_directions(noise, st, np.random.default_rng(1), 3)
+    dirs = draw_noise_directions(noise, st, np.random.default_rng(1), 3,
+                                 obj.partition)
     assert_array_equal(dirs[0], dirs[1])
     assert_array_equal(dirs[0], dirs[2])
     assert np.all(np.abs(dirs[0]) <= 0.5)
@@ -318,18 +321,18 @@ def test_anisotropic_directions_are_centered_past_gradients():
     st = init_state(initial_point(obj), 2)
     st.past_grad = [np.array([1.0, 3.0]), np.array([2.0, -1.0])]
     dirs = draw_noise_directions(NoiseSpec(kind=ANISO_STOCHASTIC), st,
-                                 np.random.default_rng(0), 2)
+                                 np.random.default_rng(0), 2, obj.partition)
     assert_array_equal(dirs[0] + dirs[1], np.zeros(2))  # exactly centered, K=2
     assert_array_equal(dirs[0], np.array([-0.5, 2.0]))
 
 
 def test_filter_scaled_noise_matches_block_norms():
-    obj = make_quadratic(4, 8)
+    obj = dataclasses.replace(make_quadratic(4, 8), partition=[(0, 2), (2, 4)])
     st = init_state(initial_point(obj), 1)
-    st.x.values = np.array([3.0, 4.0, 0.0, 0.0])
-    st.x.partition = [(0, 2), (2, 4)]
+    st.x = np.array([3.0, 4.0, 0.0, 0.0])
     noise = NoiseSpec(kind=ISO_UNIFORM, raw_scale=1.0, filter_scaled=True)
-    z, = draw_noise_directions(noise, st, np.random.default_rng(5), 1)
+    z, = draw_noise_directions(noise, st, np.random.default_rng(5), 1,
+                               obj.partition)
     assert_allclose(np.linalg.norm(z[:2]), 5.0, rtol=1e-14)
     assert_array_equal(z[2:], 0.0)      # zero-norm weight block stays quiet
 
@@ -405,10 +408,10 @@ def test_lars_applies_to_sgd_update():
     obj = _scalar_quad()
     hp = HyperParams(lr_gamma=0.1, lars_trust=1.0)
     st = init_state(initial_point(obj), 1)
-    st.x.values = np.array([1.0])
+    st.x = np.array([1.0])
     step_minibatch_sgd(st, obj, _full_batches(obj, 1, 0), hp)
     # g = -1, trust ratio = 1 * |1| / |-1| = 1, update is -0.1 * (-1)
-    assert st.x.values[0] == 1.1
+    assert st.x[0] == 1.1
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +428,7 @@ def test_post_local_is_extrap_before_transition():
     for t in range(20):
         step_extrap_sgd(a, obj, draw_batches(cfg, obj, t), hp)
         step_post_local(b, obj, draw_batches(cfg, obj, t), hp, plc)
-    assert_array_equal(a.x.values, b.x.values)
+    assert_array_equal(a.x, b.x)
     assert b.local_x is None
 
 
@@ -457,7 +460,7 @@ def test_post_local_mean_is_published_iterate():
     st = init_state(initial_point(obj), 2)
     for t in range(8):
         step_post_local(st, obj, draw_batches(cfg, obj, t), hp, plc)
-    assert_array_equal(st.x.values, (st.local_x[0] + st.local_x[1]) / 2.0)
+    assert_array_equal(st.x, (st.local_x[0] + st.local_x[1]) / 2.0)
 
 
 def test_post_local_momentum_reset_changes_trajectory():
@@ -472,7 +475,7 @@ def test_post_local_momentum_reset_changes_trajectory():
         step_post_local(drop, obj, draw_batches(cfg, obj, t),
                         HyperParams(lr_gamma=0.05, momentum_u=0.8,
                                     reset_local_momentum=True), plc)
-    assert not np.array_equal(keep.x.values, drop.x.values)
+    assert not np.array_equal(keep.x, drop.x)
     assert_array_equal(drop.local_v[0] * 0.0, 0.0)      # buffers exist
 
 

@@ -85,13 +85,14 @@ def test_bound_validity_caps_are_enforced():
                                momentum_u=0.5), CLUSTER, 100)
     with pytest.raises(ValueError):
         rate_bound("adam", CONSTS, HyperParams(lr_gamma=0.01), CLUSTER, 100)
-
-
-def test_post_local_shares_the_extrap_bound():
-    hp = HyperParams(lr_gamma=0.04, momentum_u=0.5)
-    a = rate_bound(EXTRAP_SGD, CONSTS, hp, CLUSTER, 100)
-    b = rate_bound(POST_LOCAL, CONSTS, hp, CLUSTER, 100)
-    assert a.bound_value == b.bound_value
+    # post_local's local phase drifts: it has no closed-form bound
+    with pytest.raises(ValueError, match="no rate bound"):
+        stepsize_cap(POST_LOCAL, CONSTS, 0.5)
+    with pytest.raises(ValueError, match="no rate bound"):
+        rate_bound(POST_LOCAL, CONSTS,
+                   HyperParams(lr_gamma=0.04, momentum_u=0.5), CLUSTER, 100)
+    with pytest.raises(ValueError, match="no critical batch size"):
+        critical_batch_size(POST_LOCAL, CONSTS, 0.5)
 
 
 def test_finish_report_fills_measurements():
@@ -186,7 +187,7 @@ def _record_sync_run(step_fn, obj, hp, cfg, steps, gamma_hat):
     st = init_state(initial_point(obj), cfg.workers_K)
     xs, vs, halves, gs, xis, dev2 = [], [], [], [], [], []
     for t in range(steps):
-        xs.append(st.x.values.copy())
+        xs.append(st.x.copy())
         vs.append(st.v.copy())
         step_fn(st, obj, draw_batches(cfg, obj, t), hp)
         info = st.last_info
@@ -194,12 +195,12 @@ def _record_sync_run(step_fn, obj, hp, cfg, steps, gamma_hat):
         gs.append(info["g_bar"])
         xis.append(info["xi_bar"])
         dev2.append(info["worker_dev2"])
-    xs.append(st.x.values.copy())
+    xs.append(st.x.copy())
     vs.append(st.v.copy())
     # terminal lookahead from stored state only: no fresh gradient needed
     xi_term = reduce_mean(st.past_grad) if gamma_hat != 0.0 else np.zeros_like(st.v)
     xis.append(xi_term)
-    halves.append(st.x.values - gamma_hat * xi_term + hp.momentum_u * st.v)
+    halves.append(st.x - gamma_hat * xi_term + hp.momentum_u * st.v)
     vseq = build_virtual_sequence(np.stack(xs), np.stack(vs), np.stack(halves),
                                   np.stack(gs), np.stack(xis), hp.lr_gamma,
                                   gamma_hat, hp.momentum_u)
