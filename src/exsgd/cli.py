@@ -2,14 +2,13 @@
 Command-line front end.
 
 Subcommands: run, sweep, speedup, verify, smoothness, list-methods.
-Configs are JSON documents mirroring RunConfig field names; --set overrides
-use dotted paths (hyperparams.lr_gamma=0.2).  Exit codes: 0 success,
-1 validation/usage error, 2 runtime abort (partial results are kept).
+Configs are JSON documents mirroring RunConfig, built by `harness.from_doc`;
+--set and --grid put JSON values at dotted paths (hyperparams.lr_gamma=0.2)
+through `harness.apply_override`.  Exit codes: 0 success, 1 validation/usage
+error, 2 runtime abort (partial results are kept).
 """
 
 import argparse
-import dataclasses
-import inspect
 import json
 import os
 import sys
@@ -18,74 +17,14 @@ import numpy as np
 
 from . import __version__, gates, harness, theory
 from .cluster import ClusterConfig
-from .objectives import (ObjectiveSpec, batch_gradient, estimate_constants,
-                         initial_point, make_logistic, make_quadratic,
-                         make_tiny_mlp)
+from .objectives import (batch_gradient, estimate_constants, initial_point,
+                         make_quadratic)
 from .optimizers import HyperParams
 
 
 # ---------------------------------------------------------------------------
 # config loading
 # ---------------------------------------------------------------------------
-
-def _construct(section, factory, doc):
-    """factory(**doc), reporting a malformed section as a ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"config section {section!r} must be an object")
-    params = inspect.signature(factory).parameters
-    unknown = sorted(set(doc) - set(params))
-    if unknown:
-        raise ValueError(f"unknown {section} fields: {unknown}")
-    missing = sorted(name for name, p in params.items()
-                     if p.default is p.empty and name not in doc)
-    if missing:
-        raise ValueError(f"missing {section} fields: {missing}")
-    return factory(**doc)
-
-
-def _build_objective(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("config section 'objective' must be an object")
-    doc = dict(doc)
-    maker = doc.pop("maker", None)
-    if maker == "quadratic":
-        return _construct("objective", make_quadratic, doc)
-    if maker == "logistic":
-        return _construct("objective", make_logistic, doc)
-    if maker == "tiny_mlp":
-        return _construct("objective", make_tiny_mlp, doc)
-    if maker is not None:
-        raise ValueError(f"unknown objective maker {maker!r}")
-    for key in ("quad_diag", "quad_matrix", "quad_shifts", "logit_features",
-                "logit_labels", "mlp_inputs", "mlp_targets"):
-        if doc.get(key) is not None:
-            doc[key] = np.asarray(doc[key], dtype=np.float64)
-    return _construct("objective", ObjectiveSpec, doc)
-
-
-# RunConfig's sections: its fields annotated with a config dataclass.
-_SECTIONS = {f.name: f.type for f in dataclasses.fields(harness.RunConfig)
-             if dataclasses.is_dataclass(f.type)}
-
-
-def _build_section(key, value):
-    """`value` built into the section `key` names, alike in a config file and
-    a --set override; null and the values of other keys pass through."""
-    if key not in _SECTIONS or value is None:
-        return value
-    if key == "objective":
-        return _build_objective(value)
-    return _construct(key, _SECTIONS[key], value)
-
-
-def build_config(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    if "objective" not in doc:
-        raise ValueError("config must define 'objective'")
-    return _construct("config", harness.RunConfig,
-                      {key: _build_section(key, value) for key, value in doc.items()})
-
 
 def _parse_value(text):
     try:
@@ -95,21 +34,17 @@ def _parse_value(text):
 
 
 def load_config(path, overrides, seed=None):
+    """The config file at `path` with `overrides` and `seed` applied, validated."""
     with open(path) as fh:
-        doc = json.load(fh)
-    config = build_config(doc)
+        config = harness.from_doc(harness.RunConfig, json.load(fh))
     for item in overrides or ():
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
-        key = key.strip()
-        config = harness.apply_override(
-            config, key, _build_section(key, _parse_value(raw)))
+        config = harness.apply_override(config, key.strip(), _parse_value(raw))
     if seed is not None:
-        config = dataclasses.replace(config, master_seed=seed)
-    harness.check_field_types(config)
-    config.validate()
-    return config
+        config = harness.apply_override(config, "master_seed", seed)
+    return config.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +74,7 @@ def _parse_grid(items):
         if "=" not in item:
             raise ValueError(f"--grid expects KEY=V1,V2,..., got {item!r}")
         key, _, raw = item.partition("=")
-        key = key.strip()
-        grid[key] = [_build_section(key, _parse_value(v))
-                     for v in raw.split(",") if v]
+        grid[key.strip()] = [_parse_value(v) for v in raw.split(",") if v]
     if not grid:
         raise ValueError("sweep needs at least one --grid KEY=V1,V2,...")
     return grid
@@ -236,6 +169,7 @@ def _cmd_list_methods(_args):
 def _verify_checks():
     obj = make_quadratic(**gates.QUAD)
     cl = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=11)
+    run_cl = ClusterConfig(workers_K=2, local_batch_B=4)   # a run seeds each trial
     checks = []
     for reduced, parent, hp in gates.reduction_chains(0.02, 0.9):
         at = gates.chain_mismatch(obj, cl, reduced, parent, hp, 200)
@@ -243,7 +177,7 @@ def _verify_checks():
                        f"200 steps", at is None,
                        "" if at is None else f"first mismatch at step {at}"))
     for method in (theory.NESTEROV, theory.EXTRAP_SGD):
-        tr, = gates.replay_trials(obj, method, cl, HyperParams(
+        tr, = gates.replay_trials(obj, method, run_cl, HyperParams(
             lr_gamma=0.005, momentum_u=0.7), 300, 1, 5)
         worst = float(tr.descent_residuals.max())
         checks.append((f"descent identity ({method}), rel residual <= 1e-8",
@@ -253,7 +187,7 @@ def _verify_checks():
                        f"failed: {failed}" if failed else ""))
     for method, u in ((theory.SGD, 0.0), (theory.NESTEROV, 0.5),
                       (theory.EXTRAP_SGD, 0.5)):
-        frac = gates.rate_bound_hold_fraction(obj, method, cl, 800, u, 6, 17)
+        frac = gates.rate_bound_hold_fraction(obj, method, run_cl, 800, u, 6, 17)
         checks.append((f"rate bound holds ({method}, 6 trials)",
                        frac >= 5 / 6, f"fraction {frac:.2f}"))
     return checks + gates.protocol_formulas()

@@ -12,22 +12,27 @@ details, so repeated runs are byte-identical.  Trials run serially and each
 step evaluates all K workers in one stacked oracle call on the (K, B) batch
 matrix; the `threads` argument of `run` is accepted and has no effect.
 Method facts come from `theory.METHOD_TABLE`; `_step_once` is the one place
-that binds a method to its step function.
+that binds a method to its step function.  Config values have one schema, the
+dataclass and maker annotations, which `from_doc` (whole documents) and
+`apply_override` (dotted paths) read through `_typed`.
 """
 
 import csv
 import dataclasses
+import inspect
 import itertools
 import json
 import math
 import os
+import reprlib
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import theory
 from .cluster import ClusterConfig, draw_batches, reduce_mean
-from .objectives import (ObjectiveSpec, batch_gradient, batch_loss,
+from .objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
                          estimate_constants, initial_point)
 from .optimizers import (HyperParams, NoiseSpec, PostLocalConfig, Schedule,
                          NumericAbort, draw_noise_directions, effective_gamma_hat,
@@ -61,6 +66,8 @@ class RunConfig:
             raise ValueError("objective is required")
         self.objective.validate()
         self.cluster.validate(self.objective)
+        if self.cluster.master_seed != 0:
+            raise ValueError("cluster.master_seed must be 0; trials are seeded by master_seed")
         if self.method not in theory.METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         self.hyperparams.validate()
@@ -82,47 +89,74 @@ class RunConfig:
         return self
 
 
-def _takes(value, typ):
-    """Whether a config field annotated `typ` takes `value`: a float field
-    also takes an int, and, bool being an int subclass, only a bool field
-    takes a bool."""
-    takes = (int, float) if typ is float else typ
-    return isinstance(value, takes) and isinstance(value, bool) == (typ is bool)
+def from_doc(cls, doc, name=""):
+    """`cls`, or the objective of the `maker` that `doc` names, built from the
+    JSON object `doc` at dotted path `name` ("" for a whole config), its keys
+    checked against the signature and its values by `_typed`."""
+    section = name or "config"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section!r} must be an object, got {reprlib.repr(doc)}")
+    doc = dict(doc)
+    maker = doc.pop("maker", None) if cls is ObjectiveSpec else None
+    factory = cls if maker is None else MAKERS.get(str(maker))
+    if factory is None:
+        raise ValueError(f"unknown objective maker {maker!r}")
+    params = inspect.signature(factory).parameters
+    missing = [key for key, p in params.items()
+               if p.default is p.empty and key not in doc]
+    for problem, keys in (("unknown", sorted(set(doc) - set(params))),
+                          ("missing", sorted(missing))):
+        if keys:
+            raise ValueError(f"{problem} {section} fields: {keys}")
+    return factory(**{key: _typed(f"{name}.{key}" if name else key,
+                                  params[key].annotation, params[key].default, value)
+                      for key, value in doc.items()})
 
 
-def _is_list_of(value, ok):
-    return isinstance(value, (list, tuple)) and all(ok(v) for v in value)
+def _typed(name, typ, default, value):
+    """JSON `value` as the field `name` annotated `typ` holds it: a section as
+    its class, an array as float64, a list as `typ`'s container of checked
+    elements; a float field also takes an int, and null needs a None default."""
+    if value is None:
+        if default is not None:
+            raise ValueError(f"{name} must not be null")
+        return None
+    if dataclasses.is_dataclass(typ):
+        return value if isinstance(value, typ) else from_doc(typ, value, name)
+    try:
+        return _as(typ, value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be {_describe(typ)}, "
+                         f"got {reprlib.repr(value)}") from None
 
 
-# The config fields that hold sequences: what each holds, and the check of
-# one element.
-_SEQUENCE_FIELDS = {
-    (Schedule, "decay_milestones"): ("a list of numbers",
-                                     lambda m: _takes(m, float)),
-    (ObjectiveSpec, "mlp_widths"): ("a list of ints", lambda w: _takes(w, int)),
-    (ObjectiveSpec, "partition"): (
-        "a list of [start, stop] int pairs",
-        lambda p: _is_list_of(p, lambda i: _takes(i, int)) and len(p) == 2),
-}
+def _as(typ, value):
+    """`value` as `typ` holds it; TypeError or ValueError if it does not fit."""
+    origin, args = typing.get_origin(typ), typing.get_args(typ)
+    if typ is np.ndarray:
+        array = np.asarray(value)
+        if array.dtype.kind in "iuf":
+            return array.astype(np.float64, copy=False)
+    elif origin in (list, tuple):
+        if origin is list or args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if isinstance(value, (list, tuple)) and len(args) == len(value):
+            return origin(map(_as, args, value))
+    elif (isinstance(value, (int, float) if typ is float else typ)
+          and isinstance(value, bool) == (typ is bool)):   # bool subclasses int
+        return value
+    raise TypeError(typ)
 
 
-def check_field_types(node, path=""):
-    """Check each scalar and sequence field of a config, and of its sections,
-    against its annotation, so that `validate` sees only well-typed values.
-    Null is allowed only where the default is None."""
-    for f in dataclasses.fields(node):
-        value, name = getattr(node, f.name), path + f.name
-        if value is None:
-            if f.default is not None:
-                raise ValueError(f"{name} must not be null")
-        elif dataclasses.is_dataclass(f.type):
-            check_field_types(value, name + ".")
-        elif (type(node), f.name) in _SEQUENCE_FIELDS:
-            what, ok = _SEQUENCE_FIELDS[type(node), f.name]
-            if not _is_list_of(value, ok):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
-        elif f.type in (int, float, bool, str) and not _takes(value, f.type):
-            raise ValueError(f"{name} must be {f.type.__name__}, got {value!r}")
+def _describe(typ):
+    """What a `typ` value must be; KeyError if `_typed` cannot handle `typ`."""
+    origin, args = typing.get_origin(typ), typing.get_args(typ)
+    if origin is list or (origin is tuple and args[-1] is Ellipsis):
+        return f"a list of {_describe(args[0])}"
+    if origin is tuple:
+        return "[" + ", ".join(map(_describe, args)) + "]"
+    return {int: "int", float: "float", bool: "bool", str: "str",
+            np.ndarray: "an array of numbers"}[typ]
 
 
 @dataclass
@@ -239,11 +273,13 @@ def _run_trial(config, trial, stop_epsilon=None):
     sched = config.schedule
     if sched is not None and sched.total_steps == 0:
         sched = dataclasses.replace(sched, total_steps=config.total_steps_T)
+    method = theory.METHOD_TABLE[config.method]
     hp = config.hyperparams
+    if not method.momentum:     # the update applies none, so the replay neither
+        hp = dataclasses.replace(hp, momentum_u=0.0)
 
     x0 = initial_point(obj, config.init_scale)
     state = init_state(x0, cl.workers_K)
-    method = theory.METHOD_TABLE[config.method]
     want_vs = config.record_virtual_sequence and method.bounded
 
     if want_vs:
@@ -513,25 +549,24 @@ def speedup_study(base, kb_grid, epsilon, budget_factor=4):
 
 
 def apply_override(config, path, value):
-    """Return a copy of `config` with the dotted-path field replaced."""
-    parts = path.split(".")
-    def rebuild(node, idx):
-        if idx == len(parts) - 1:
-            if not hasattr(node, parts[idx]):
-                raise ValueError(f"unknown config field {path!r}")
-            return dataclasses.replace(node, **{parts[idx]: value})
-        child = getattr(node, parts[idx], None)
-        if child is None:
+    """A copy of `config` with the field at the dotted `path` set to `value`,
+    which `_typed` reads as it reads the same field in a config file."""
+    def rebuild(node, keys):
+        p = (inspect.signature(type(node)).parameters.get(keys[0])
+             if dataclasses.is_dataclass(node) else None)
+        if p is None:
             raise ValueError(f"unknown config field {path!r}")
-        return dataclasses.replace(node, **{parts[idx]: rebuild(child, idx + 1)})
-    return rebuild(config, 0)
+        new = (_typed(path, p.annotation, p.default, value) if len(keys) == 1
+               else rebuild(getattr(node, keys[0]), keys[1:]))
+        return dataclasses.replace(node, **{keys[0]: new})
+    return rebuild(config, path.split("."))
 
 
 def sweep(base, grid):
     """Cartesian hyperparameter sweep.
 
-    grid: {dotted path: [values...]}.  Every point is type-checked and
-    validated before any point runs.  Each point runs its own `trials` trials
+    grid: {dotted path: [JSON values...]}.  Every point is built through
+    `apply_override` and validated before any point runs.  Each point runs its own `trials` trials
     and reports mean/std of final train loss and the min grad_norm2.  The
     result flags whether the best point (lowest mean final loss) touches the
     grid boundary on any swept axis with more than one value.
@@ -541,11 +576,10 @@ def sweep(base, grid):
     keys = sorted(grid)
     points = []
     for combo in itertools.product(*(grid[k] for k in keys)):
-        cfg = base
-        for key, val in zip(keys, combo):
-            cfg = apply_override(cfg, key, val)
         try:
-            check_field_types(cfg)
+            cfg = base
+            for key, val in zip(keys, combo):
+                cfg = apply_override(cfg, key, val)
             points.append((combo, cfg.validate()))
         except ValueError as exc:
             raise ValueError(f"sweep point {dict(zip(keys, combo))}: {exc}") from exc
@@ -554,8 +588,7 @@ def sweep(base, grid):
         finals, min_gns, aborted = [], [], 0
         for i in range(cfg.trials):
             tr = _run_trial(cfg, i)
-            if tr.aborted:
-                aborted += 1
+            aborted += tr.aborted
             losses = [r.train_loss for r in tr.records
                       if not math.isnan(r.train_loss)]
             gns = [r.grad_norm2 for r in tr.records if not math.isnan(r.grad_norm2)]
@@ -571,9 +604,6 @@ def sweep(base, grid):
             "aborted": aborted,
         })
     best = min(rows, key=lambda r: r["final_loss_mean"])
-    boundary = False
-    for k in keys:
-        vals = grid[k]
-        if len(vals) > 1 and best["point"][k] in (vals[0], vals[-1]):
-            boundary = True
+    boundary = any(len(grid[k]) > 1 and best["point"][k] in (grid[k][0], grid[k][-1])
+                   for k in keys)
     return {"rows": rows, "best": best["point"], "boundary_optimum": boundary}

@@ -59,12 +59,12 @@ class ObjectiveSpec:
     logit_l2: float = 0.0
 
     # tiny_mlp
-    mlp_widths: tuple = None            # (in, h1[, h2], out)
+    mlp_widths: tuple[int, ...] = None  # (in, h1[, h2], out)
     mlp_inputs: np.ndarray = None       # (N, in)
     mlp_targets: np.ndarray = None      # (N, out)
     mlp_f_star: float = 0.0             # configured lower bound on f
 
-    partition: list = None
+    partition: list[tuple[int, int]] = None
 
     def __post_init__(self):
         if self.partition is None:
@@ -160,8 +160,10 @@ class TheoryConstants:
 # constructors
 # ---------------------------------------------------------------------------
 
-def make_quadratic(dimension, sample_count, generator_seed=0, diag=None,
-                   matrix=None, shifts=None, shift_spread=1.0, shift_mean=None):
+def make_quadratic(dimension: int, sample_count: int, generator_seed: int = 0,
+                   diag: np.ndarray = None, matrix: np.ndarray = None,
+                   shifts: np.ndarray = None, shift_spread: float = 1.0,
+                   shift_mean: np.ndarray = None):
     """Quadratic finite sum 0.5 (x - a_i)^T A (x - a_i).
 
     Pass `diag` (eigenvalues) or a full PSD `matrix`; defaults to identity.
@@ -185,8 +187,9 @@ def make_quadratic(dimension, sample_count, generator_seed=0, diag=None,
         quad_shifts=shifts).validate()
 
 
-def make_logistic(dimension, sample_count, generator_seed=0, l2=0.0,
-                  features=None, labels=None, feature_scale=1.0):
+def make_logistic(dimension: int, sample_count: int, generator_seed: int = 0,
+                  l2: float = 0.0, features: np.ndarray = None,
+                  labels: np.ndarray = None, feature_scale: float = 1.0):
     """Binary logistic regression on seeded Gaussian features, labels +-1."""
     rng = np.random.default_rng(np.random.SeedSequence((generator_seed, _DATA_TAG)))
     if features is None:
@@ -203,8 +206,9 @@ def make_logistic(dimension, sample_count, generator_seed=0, l2=0.0,
         logit_labels=labels, logit_l2=float(l2)).validate()
 
 
-def make_tiny_mlp(widths, sample_count, generator_seed=0, input_scale=1.0,
-                  target_noise=0.1, f_star=0.0):
+def make_tiny_mlp(widths: tuple[int, ...], sample_count: int,
+                  generator_seed: int = 0, input_scale: float = 1.0,
+                  target_noise: float = 0.1, f_star: float = 0.0):
     """Tanh MLP regression objective, at most 2 hidden layers.
 
     Targets come from a seeded teacher network of the same shape plus
@@ -239,6 +243,10 @@ def make_tiny_mlp(widths, sample_count, generator_seed=0, input_scale=1.0,
         generator_seed=generator_seed, mlp_widths=widths, mlp_inputs=inputs,
         mlp_targets=targets, mlp_f_star=float(f_star), partition=partition,
     ).validate()
+
+
+# The makers a config's objective may name, keyed by the kind each builds.
+MAKERS = {QUADRATIC: make_quadratic, LOGISTIC: make_logistic, TINY_MLP: make_tiny_mlp}
 
 
 def initial_point(obj, init_scale=1.0):

@@ -38,8 +38,8 @@ reduction chains sgd = nesterov(u=0), nesterov = extrap_sgd(gamma_hat=0) and
 adam = extrap_adam(gamma_hat=0) hold bitwise.
 
 Step functions mutate `state` in place and return it; per-step quantities
-needed by the theory checks (mean half point, reduced gradient, mean
-extrapolation direction, worker deviation) are left in `state.last_info`.
+needed by the theory checks (mean half point, reduced gradient as applied after
+LARS, mean extrapolation direction, worker deviation) are in `state.last_info`.
 """
 
 import math
@@ -158,7 +158,7 @@ class Schedule:
     base_lr: float = 0.1           # small-batch gamma
     scale_factor: float = 1.0      # K for linear scaling
     warmup_epochs: int = 5
-    decay_milestones: tuple = (0.5, 0.75)   # fractions of total training samples
+    decay_milestones: tuple[float, ...] = (0.5, 0.75)   # fractions of total training samples
     decay_factor: float = 10.0
     warmup_steps_inverse_sqrt: int = 1000
     total_steps: int = 0           # filled by the harness when 0
@@ -318,7 +318,7 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
     else:
         half_bar, dev2 = halves.copy(), 0.0
     state.last_info = {
-        "x_half_bar": half_bar, "g_bar": g,
+        "x_half_bar": half_bar, "g_bar": g_used,
         "xi_bar": xi_bar if xi_bar is not None else np.zeros_like(g),
         "worker_dev2": dev2, "worker_dispersion": 0.0,
     }

@@ -50,11 +50,12 @@ class Method:
     direction: str = None   # extrapolation along None, "past", "noise" or "adam"
     bounded: bool = False   # closed-form rate bound plus virtual-sequence replay
     needs: str = None       # the RunConfig section the method requires
+    momentum: bool = True   # applies hp.momentum_u; the replay takes u = 0 if not
 
 
 METHOD_TABLE = {
     SGD: Method("mini-batch SGD: x <- x - gamma * reduced batch gradient",
-                bounded=True),
+                bounded=True, momentum=False),
     NESTEROV: Method("momentum SGD, gradient taken at the lookahead x + u*v",
                      bounded=True),
     EXTRAP_SGD: Method("each worker first steps along its stored past batch "
@@ -63,10 +64,10 @@ METHOD_TABLE = {
     EXTRAP_NOISE: Method("like extrap_sgd but the lookahead direction is drawn "
                          "noise (gaussian/uniform/shared/centered past gradients)",
                          "noise", bounded=True, needs="noise"),
-    ADAM: Method("Adam without bias correction (reference baseline)"),
+    ADAM: Method("Adam without bias correction (reference baseline)", momentum=False),
     EXTRAP_ADAM: Method("Adam whose workers look ahead through the stored "
                         "moments and their past gradient before the shared "
-                        "moment update", "adam"),
+                        "moment update", "adam", momentum=False),
     POST_LOCAL: Method("synchronized extrap_sgd until step t0, then per-worker "
                        "local updates with model averaging every H steps",
                        "past", needs="post_local"),

@@ -186,6 +186,12 @@ def test_empty_partition_exits_one(tmp_path, capsys):
     ("record_virtual_sequence=1", "record_virtual_sequence"),
     ("objective.kind=3", "objective.kind"),
     ("cluster=null", "cluster"),
+    ('objective={"maker":"quadratic","dimension":"abc","sample_count":24}',
+     "objective.dimension"),
+    ('objective={"maker":"tiny_mlp","widths":5,"sample_count":24}',
+     "objective.widths"),
+    ('objective={"maker":"tiny_mlp","widths":[2,"a",1],"sample_count":24}',
+     "objective.widths"),
 ])
 def test_wrongly_typed_value_exits_one_without_traceback(config_path, tmp_path,
                                                          capsys, override,
@@ -197,6 +203,39 @@ def test_wrongly_typed_value_exits_one_without_traceback(config_path, tmp_path,
     assert err.startswith(f"error: {field} must") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_config_without_objective_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"method": "sgd"}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: objective is required\n"
+
+
+def test_cluster_master_seed_exits_one(config_path, tmp_path, capsys):
+    # Each trial seeds its own batches, so a cluster seed would have no effect.
+    out = tmp_path / "o"
+    assert main(["run", "--config", config_path, "--out", str(out),
+                 "--set", "cluster.master_seed=12345"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cluster.master_seed must be 0")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
+def test_sgd_theory_report_does_not_depend_on_momentum_u(config_path,
+                                                          tmp_path, capsys):
+    # sgd applies no momentum, so neither may its replay: its trajectory and
+    # its theory report are the same for any momentum_u.
+    reports = []
+    for u in ("0.5", "0.0"):
+        out = tmp_path / u
+        assert main(["run", "--config", config_path, "--out", str(out),
+                     "--set", "method=sgd", "--set", "hyperparams.lr_gamma=0.02",
+                     "--set", f"hyperparams.momentum_u={u}",
+                     "--set", "record_virtual_sequence=true"]) == 0
+        reports.append((out / "theory_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    capsys.readouterr()
 
 
 def test_wrongly_typed_config_file_value_exits_one(tmp_path, capsys):
@@ -532,7 +571,7 @@ GOLDEN_DIGESTS = {
                    "trial_1.jsonl": "2b2e8534e4ede4b5"},
     "tiny_mlp_extrap_noise": {"aggregate.csv": "a68b65b676c9a6fe",
                               "manifest.json": "e90105f3da3bbe5e",
-                              "theory_report.json": "32480d38d49bc128",
+                              "theory_report.json": "e9bc7c6315e03ae0",
                               "trial_0.jsonl": "0e5e2936c819cf95",
                               "trial_1.jsonl": "f13782350d8e37e8"},
 }

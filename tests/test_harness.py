@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import inspect
 import json
 import math
 import os
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from exsgd.cluster import ClusterConfig, draw_batches
-from exsgd.harness import (RunConfig, _full_grad_norm2, _step_once,
-                           _terminal_half_point, apply_override, run,
-                           speedup_study, sweep, trial_seed, write_outputs)
-from exsgd.objectives import (batch_loss, estimate_constants, initial_point,
-                              make_quadratic)
+from exsgd.harness import (RunConfig, _describe, _full_grad_norm2,
+                           _step_once, _terminal_half_point, apply_override,
+                           run, speedup_study, sweep, trial_seed, write_outputs)
+from exsgd.objectives import (MAKERS, batch_loss, estimate_constants,
+                              initial_point, make_quadratic, make_tiny_mlp)
 from exsgd.optimizers import (SMOOTHOUT_SHARED, WARMUP_CONSTANT, HyperParams,
                               NoiseSpec, PostLocalConfig, Schedule, init_state,
                               lr_at)
@@ -235,6 +236,49 @@ def test_config_validation_rejects_incomplete_setups():
         _base_config(total_steps_T=0).validate()
     with pytest.raises(ValueError):
         RunConfig().validate()                           # objective required
+
+
+def test_cluster_master_seed_is_rejected():
+    # Each trial draws its batches from its own seed, so a cluster seed has
+    # no effect on a run.
+    cfg = _base_config(cluster=ClusterConfig(workers_K=2, local_batch_B=4,
+                                             master_seed=3))
+    with pytest.raises(ValueError, match="^cluster.master_seed must be 0"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("method", ["nesterov", "extrap_sgd"])
+def test_replay_records_the_gradient_lars_applied(method):
+    # The descent identity holds for the gradient the update applied, which
+    # with LARS on is the rescaled one.
+    cfg = _base_config(
+        objective=make_tiny_mlp((3, 4, 2), 64, generator_seed=3), method=method,
+        hyperparams=HyperParams(lr_gamma=0.05, momentum_u=0.9, lars_trust=0.02),
+        total_steps_T=30, trials=1, record_virtual_sequence=True)
+    tr = run(cfg).trials[0]
+    assert float(tr.descent_residuals.max()) <= 1e-8
+
+
+def _config_classes(cls):
+    """`cls` and every config dataclass reachable from its fields."""
+    found = [cls]
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            found += _config_classes(f.type)
+    return found
+
+
+@pytest.mark.parametrize("factory", [*_config_classes(RunConfig),
+                                     *MAKERS.values()],
+                         ids=lambda factory: factory.__name__)
+def test_every_config_field_has_an_annotation_the_builder_handles(factory):
+    # One builder reads every config document: a field or maker argument
+    # whose annotation it does not handle would slip past its checks.
+    for name, param in inspect.signature(factory).parameters.items():
+        typ = param.annotation
+        assert typ is not param.empty, name
+        if not dataclasses.is_dataclass(typ):
+            assert _describe(typ), name
 
 
 def test_apply_override_nested_paths():
