@@ -98,11 +98,11 @@ def _cmd_sweep(args):
 def _parse_kb(items):
     grid = []
     for item in items or ():
-        txt = item.lower().replace(":", "x")
-        parts = txt.split("x")
-        if len(parts) != 2:
-            raise ValueError(f"--kb expects KxB (e.g. 4x16), got {item!r}")
-        grid.append((int(parts[0]), int(parts[1])))
+        try:
+            k, b = item.lower().replace(":", "x").split("x")
+            grid.append((int(k), int(b)))
+        except ValueError:
+            raise ValueError(f"--kb expects KxB (e.g. 4x16), got {item!r}") from None
     if not grid:
         raise ValueError("speedup needs at least one --kb KxB")
     return grid

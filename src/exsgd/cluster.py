@@ -52,20 +52,24 @@ _CACHE_BLOCKS = 4
 class ClusterConfig:
     workers_K: int = 1
     local_batch_B: int = 1
-    extrap_batch_b: int = None   # defaults to B
+    extrap_batch_b: int = None   # None means B
     sampling_mode: str = WITH_REPLACEMENT
     master_seed: int = 0
 
-    def __post_init__(self):
+    def effective_extrap_b(self):
+        """b, the leading share of each batch whose mean gradient a worker
+        stores as its past gradient; the whole batch B when unset."""
         if self.extrap_batch_b is None:
-            self.extrap_batch_b = self.local_batch_B
+            return self.local_batch_B
+        return self.extrap_batch_b
 
     def validate(self, obj=None):
         if self.workers_K < 1:
             raise ValueError("workers_K must be >= 1")
         if self.local_batch_B < 1:
             raise ValueError("local_batch_B must be >= 1")
-        if not 1 <= self.extrap_batch_b <= self.local_batch_B:
+        if (self.extrap_batch_b is not None
+                and not 1 <= self.extrap_batch_b <= self.local_batch_B):
             raise ValueError("extrap_batch_b must satisfy 1 <= b <= B")
         if self.sampling_mode not in (WITH_REPLACEMENT, EPOCH_PERMUTATION):
             raise ValueError(f"unknown sampling_mode {self.sampling_mode!r}")

@@ -31,17 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theory
-from .cluster import ClusterConfig, draw_batches, reduce_mean
+# Unused here, but benchmark/tracer.py patches harness.reduce_mean.
+from .cluster import ClusterConfig, draw_batches, reduce_mean  # noqa: F401
 from .objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
                          estimate_constants, initial_point)
 from .optimizers import (HyperParams, NoiseSpec, PostLocalConfig, Schedule,
-                         NumericAbort, draw_noise_directions, effective_gamma_hat,
-                         init_state, lr_at, noise_second_moment, step_adam,
+                         NumericAbort, effective_gamma_hat, init_state,
+                         lookahead, lr_at, noise_second_moment, step_adam,
                          step_extrap_adam, step_extrap_sgd,
                          step_extrapolated_noise, step_minibatch_sgd,
                          step_nesterov, step_post_local)
-
-_NOISE_TAG = 31
 
 
 @dataclass
@@ -214,45 +213,48 @@ def _train_loss(obj, values, weight_decay):
     return float(loss)
 
 
-def _step_once(config, state, obj, cl, batches, hp_t, seed, t):
-    m = config.method
+def _constants(obj, x0, weight_decay, horizon_T=0):
+    """The theory constants of f + (lambda/2)||x||^2, the objective a run with
+    weight decay lambda minimizes: L grows by lambda and the bound r0 on the
+    initial gap by (lambda/2)||x0||^2, while sigma^2 is unchanged (the decay
+    term is the same in every sample)."""
+    constants = estimate_constants(obj, x0, horizon_T=horizon_T)
+    if weight_decay == 0.0:
+        return constants
+    return dataclasses.replace(
+        constants, lipschitz_L=constants.lipschitz_L + weight_decay,
+        r0=constants.r0 + 0.5 * weight_decay * float(x0 @ x0))
+
+
+def _step_once(config, state, obj, cl, batches, hp_t, seed):
+    m, b = config.method, cl.effective_extrap_b()
     if m == theory.SGD:
         return step_minibatch_sgd(state, obj, batches, hp_t)
     if m == theory.NESTEROV:
         return step_nesterov(state, obj, batches, hp_t)
     if m == theory.EXTRAP_SGD:
-        return step_extrap_sgd(state, obj, batches, hp_t,
-                               extrap_b=cl.extrap_batch_b)
+        return step_extrap_sgd(state, obj, batches, hp_t, extrap_b=b)
     if m == theory.EXTRAP_NOISE:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _NOISE_TAG, t)))
         return step_extrapolated_noise(state, obj, batches, hp_t, config.noise,
-                                       rng, extrap_b=cl.extrap_batch_b)
+                                       seed, extrap_b=b)
     if m == theory.ADAM:
         return step_adam(state, obj, batches, hp_t)
     if m == theory.EXTRAP_ADAM:
-        return step_extrap_adam(state, obj, batches, hp_t,
-                                extrap_b=cl.extrap_batch_b)
+        return step_extrap_adam(state, obj, batches, hp_t, extrap_b=b)
     return step_post_local(state, obj, batches, hp_t, config.post_local,
-                           extrap_b=cl.extrap_batch_b)
+                           extrap_b=b)
 
 
-def _terminal_half_point(config, state, hp, cl, seed, horizon_T):
-    """x_bar_{T+1/2} and xi_bar_T, reachable without gradient evaluations."""
-    x, v, u = state.x, state.v, hp.momentum_u
-    direction = theory.METHOD_TABLE[config.method].direction
-    ghat = effective_gamma_hat(hp, cl.workers_K)
-    if direction is None or ghat == 0.0 or horizon_T == 0:
-        xi = np.zeros_like(x)
-    elif direction == "past":
-        xi = reduce_mean(state.past_grad)
-    else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((seed, _NOISE_TAG, horizon_T)))
-        xi = reduce_mean(draw_noise_directions(
-            config.noise, state, rng, cl.workers_K, config.objective.partition))
-    half = x - ghat * xi
-    if u != 0.0:    # sgd never moves v off zero
-        half = half + u * v
+def _terminal_half_point(config, state, hp, cl, seed):
+    """x_bar_{T+1/2} = x - gamma_hat xi_bar_T + u v and xi_bar_T, step T =
+    state.step_t's mean direction from `lookahead`; no gradient is evaluated."""
+    _, xi = lookahead(state, hp, cl.workers_K,
+                      theory.METHOD_TABLE[config.method].direction,
+                      config.noise, seed, config.objective.partition)
+    xi = np.zeros_like(state.x) if xi is None else xi
+    half = state.x - effective_gamma_hat(hp, cl.workers_K) * xi
+    if hp.momentum_u != 0.0:    # sgd never moves v off zero
+        half = half + hp.momentum_u * state.v
     return half, xi
 
 
@@ -300,7 +302,7 @@ def _run_trial(config, trial, stop_epsilon=None):
         batches = draw_batches(cl, obj, t)
         x_before = state.x
         try:
-            _step_once(config, state, obj, cl, batches, hp_t, seed, t)
+            _step_once(config, state, obj, cl, batches, hp_t, seed)
         except NumericAbort as exc:
             aborted, abort_detail = True, str(exc)
             records.append(MetricsRecord(
@@ -348,19 +350,19 @@ def _run_trial(config, trial, stop_epsilon=None):
         if const_lr:
             ghat = effective_gamma_hat(hp, cl.workers_K) if method.direction else 0.0
             halves[horizon], xibars[horizon] = _terminal_half_point(
-                config, state, hp, cl, seed, horizon)
+                config, state, hp, cl, seed)
             vs = theory.build_virtual_sequence(xs, vbuf, halves, gbars, xibars,
                                                hp.lr_gamma, ghat, hp.momentum_u)
             result.virtual_sequence = vs
             result.descent_residuals = _relative_descent_residuals(vs)
             result.grad_norm2_series = grad_series
-            constants = estimate_constants(obj, x0, horizon_T=horizon)
+            constants = _constants(obj, x0, hp.weight_decay, horizon)
             sig_hat2 = (noise_second_moment(config.noise, x0)
                         if method.direction == "noise" else None)
             result.proximity = theory.check_proximity_inequalities(
                 vs, worker_dev2=dev2s,
                 sigma2=constants.variance_sigma2, sigma_hat2=sig_hat2,
-                extrap_batch_b=cl.extrap_batch_b,
+                extrap_batch_b=cl.effective_extrap_b(),
                 uses_past_gradients=method.direction == "past")
             try:
                 report = theory.rate_bound(config.method, constants, hp, cl,
@@ -505,7 +507,7 @@ def speedup_study(base, kb_grid, epsilon, budget_factor=4):
                          f"T grows; {base.method} has none")
     obj = base.objective
     x0 = initial_point(obj, base.init_scale)
-    constants = estimate_constants(obj, x0)
+    constants = _constants(obj, x0, base.hyperparams.weight_decay)
     u = base.hyperparams.momentum_u
     clusters = []
     for K, B in kb_grid:
@@ -574,6 +576,9 @@ def sweep(base, grid):
     if not grid:
         raise ValueError("empty sweep grid")
     keys = sorted(grid)
+    for key in keys:
+        if not grid[key]:
+            raise ValueError(f"sweep grid {key!r} has no values")
     points = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         try:

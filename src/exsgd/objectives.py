@@ -160,6 +160,14 @@ class TheoryConstants:
 # constructors
 # ---------------------------------------------------------------------------
 
+def _check_sizes(**sizes):
+    """The sizes a maker draws its data with must be >= 1; checked before
+    numpy sees them, so the error names the argument."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
+
+
 def make_quadratic(dimension: int, sample_count: int, generator_seed: int = 0,
                    diag: np.ndarray = None, matrix: np.ndarray = None,
                    shifts: np.ndarray = None, shift_spread: float = 1.0,
@@ -170,6 +178,7 @@ def make_quadratic(dimension: int, sample_count: int, generator_seed: int = 0,
     Shifts a_i can be given explicitly or are drawn N(shift_mean, spread^2)
     from `generator_seed`.
     """
+    _check_sizes(dimension=dimension, sample_count=sample_count)
     if matrix is not None:
         matrix = np.asarray(matrix, dtype=np.float64)
         diag = None
@@ -191,6 +200,7 @@ def make_logistic(dimension: int, sample_count: int, generator_seed: int = 0,
                   l2: float = 0.0, features: np.ndarray = None,
                   labels: np.ndarray = None, feature_scale: float = 1.0):
     """Binary logistic regression on seeded Gaussian features, labels +-1."""
+    _check_sizes(dimension=dimension, sample_count=sample_count)
     rng = np.random.default_rng(np.random.SeedSequence((generator_seed, _DATA_TAG)))
     if features is None:
         features = feature_scale * rng.standard_normal((sample_count, dimension))
@@ -217,6 +227,8 @@ def make_tiny_mlp(widths: tuple[int, ...], sample_count: int,
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or len(widths) > 4:
         raise ValueError("tiny_mlp widths must be (in, [h1, [h2,]] out): at most 2 hidden layers")
+    _check_sizes(sample_count=sample_count, **{f"widths[{i}]": w
+                                                for i, w in enumerate(widths)})
     rng = np.random.default_rng(np.random.SeedSequence((generator_seed, _DATA_TAG)))
     inputs = input_scale * rng.standard_normal((sample_count, widths[0]))
     teacher = [

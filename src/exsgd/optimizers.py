@@ -6,6 +6,9 @@ All methods share the same skeleton per step t:
     lookahead point(s)  ->  per-worker batch gradients  ->  fixed-order
     reduction  ->  buffer/parameter update
 
+`lookahead` decides the evaluation points of the synchronized steps and the
+mean direction the harness replay reads for its terminal step.
+
 - sgd:          x <- x - gamma * g(x)
 - nesterov:     x_half = x + u v;  v <- u v - gamma g(x_half);  x <- x + v
 - extrap_sgd:   per worker, x_quarter^k = x - gamma_hat * past_grad[k], then
@@ -64,6 +67,8 @@ WARMUP_CONSTANT = "warmup_constant"
 WARMUP_STEP_DECAY = "warmup_step_decay"
 INVERSE_SQRT = "inverse_sqrt"
 SCHEDULE_KINDS = (CONSTANT, WARMUP_CONSTANT, WARMUP_STEP_DECAY, INVERSE_SQRT)
+
+_NOISE_TAG = 31   # seeds step t's noise draw as (trial seed, _NOISE_TAG, t)
 
 
 class NumericAbort(RuntimeError):
@@ -168,6 +173,14 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not self.base_lr > 0:
             raise ValueError("base_lr must be > 0")
+        if not self.scale_factor > 0:
+            raise ValueError("scale_factor must be > 0")
+        if self.warmup_epochs < 0:
+            raise ValueError("warmup_epochs must be >= 0")
+        if not self.decay_factor > 0:
+            raise ValueError("decay_factor must be > 0")
+        if self.warmup_steps_inverse_sqrt < 1:
+            raise ValueError("warmup_steps_inverse_sqrt must be >= 1")
         ms = tuple(self.decay_milestones)
         if any(not 0 < m < 1 for m in ms) or list(ms) != sorted(set(ms)):
             raise ValueError("decay_milestones must be strictly increasing in (0, 1)")
@@ -332,52 +345,63 @@ def step_minibatch_sgd(state, obj, batches, hp):
 
 def step_nesterov(state, obj, batches, hp):
     """Three-line Nesterov recurrence, gradient at the shared lookahead."""
-    x, v, u = state.x, state.v, hp.momentum_u
-    x_half = x + u * v if u != 0.0 else x
-    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, x_half)
-
-
-def _extrap_momentum_step(state, obj, batches, hp, directions, extrap_b):
-    """Nesterov at the per-worker half points x - gamma_hat z^k + u v.
-
-    `directions` is the (K, d) array of extrapolation directions, or None
-    when extrapolation is skipped.
-    """
-    x, n_workers = state.x, len(batches)
-    if directions is None:
-        quarters = np.broadcast_to(x, (n_workers, x.size))
-        xi_bar = None
-    else:
-        quarters = x - effective_gamma_hat(hp, n_workers) * directions
-        xi_bar = reduce_mean(directions)
-    u = hp.momentum_u
-    halves = quarters + u * state.v if u != 0.0 else quarters
-    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
-                        xi_bar, extrap_b)
+    halves, xi_bar = lookahead(state, hp, len(batches), None)
+    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves, xi_bar)
 
 
 def step_extrap_sgd(state, obj, batches, hp, extrap_b=None):
     """Gradient extrapolation from the stored past local batch gradients."""
-    ghat = effective_gamma_hat(hp, len(batches))
-    if ghat != 0.0 and state.step_t > 0:
-        directions = np.asarray(state.past_grad)
-    else:
-        directions = None   # skipped at t=0 or with gamma_hat = 0
-    return _extrap_momentum_step(state, obj, batches, hp, directions, extrap_b)
+    halves, xi_bar = lookahead(state, hp, len(batches), "past")
+    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
+                        xi_bar, extrap_b)
 
 
-def step_extrapolated_noise(state, obj, batches, hp, noise, rng, extrap_b=None):
-    """Extrapolation along a noise direction zeta^k instead of past gradients."""
+def step_extrapolated_noise(state, obj, batches, hp, noise, seed, extrap_b=None):
+    """Extrapolation along a seeded noise direction instead of past gradients."""
     noise.validate()
     if noise.kind == NOISE_NONE:
         raise ValueError("noise.kind must not be 'none' for step_extrapolated_noise")
-    ghat = effective_gamma_hat(hp, len(batches))
-    if ghat != 0.0 and state.step_t > 0:
-        directions = draw_noise_directions(noise, state, rng, len(batches),
-                                           obj.partition)
+    halves, xi_bar = lookahead(state, hp, len(batches), "noise", noise, seed,
+                               obj.partition)
+    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
+                        xi_bar, extrap_b)
+
+
+def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
+              partition=None):
+    """Step t = `state.step_t`'s evaluation point(s) and mean direction xi_bar.
+
+    `direction` (`theory.Method.direction`) None gives nesterov's shared (d,)
+    point x + u v; the others give the (K, d) points x - gamma_hat z^k + u v
+    with z^k the stored past gradient ("past"), a draw seeded by (seed,
+    _NOISE_TAG, t) ("noise"), or the Adam-preconditioned past gradient
+    ("adam", without momentum).  At t = 0 and with gamma_hat = 0 no worker
+    extrapolates.  xi_bar is the mean of z^k; None without extrapolation and
+    for "adam", whose direction no replay reads.
+    """
+    x = state.x
+    u = 0.0 if direction == "adam" else hp.momentum_u   # Adam keeps no v
+    ghat = effective_gamma_hat(hp, n_workers)
+    xi_bar = None
+    if direction is None:
+        quarters = x
+    elif ghat == 0.0 or state.step_t == 0:
+        quarters = np.broadcast_to(x, (n_workers, x.size))
+    elif direction == "adam":
+        pg = np.asarray(state.past_grad)
+        num = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * pg
+        den = hp.adam_beta2 * state.adam_v + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
+        if hp.extrap_denominator_sqrt:
+            den = np.sqrt(den)
+        quarters = x - ghat * num / den
     else:
-        directions = None
-    return _extrap_momentum_step(state, obj, batches, hp, directions, extrap_b)
+        z = np.asarray(state.past_grad)
+        if direction == "noise":
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, _NOISE_TAG, state.step_t)))
+            z = draw_noise_directions(noise, state, rng, n_workers, partition)
+        quarters, xi_bar = x - ghat * z, reduce_mean(z)
+    return (quarters + u * state.v if u != 0.0 else quarters), xi_bar
 
 
 def draw_noise_directions(noise, state, rng, n_workers, partition):
@@ -425,19 +449,9 @@ def step_extrap_adam(state, obj, batches, hp, extrap_b=None):
     sqrt variant.  Moments are shared, updated from the reduced gradient,
     without bias correction.  Extrapolation is skipped at t = 0.
     """
-    x, n_workers = state.x, len(batches)
-    ghat = effective_gamma_hat(hp, n_workers)
-    if ghat != 0.0 and state.step_t > 0:
-        pg = np.asarray(state.past_grad)
-        num = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * pg
-        den = hp.adam_beta2 * state.adam_v + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
-        if hp.extrap_denominator_sqrt:
-            den = np.sqrt(den)
-        halves = x - ghat * num / den
-    else:
-        halves = np.broadcast_to(x, (n_workers, x.size))
-    return _synced_step(state, obj, batches, hp, _ADAM_RULE, halves,
-                        extrap_b=extrap_b)
+    halves, xi_bar = lookahead(state, hp, len(batches), "adam")
+    return _synced_step(state, obj, batches, hp, _ADAM_RULE, halves, xi_bar,
+                        extrap_b)
 
 
 def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
@@ -516,7 +530,7 @@ def lr_at(sched, t, cluster, obj):
     if sched.kind == CONSTANT:
         return peak
     if sched.kind == INVERSE_SQRT:
-        w = max(1, sched.warmup_steps_inverse_sqrt)
+        w = sched.warmup_steps_inverse_sqrt
         step = t + 1
         return peak * min(step / w, math.sqrt(w / step))
     lr = min(sched.base_lr + t * warmup_increment(sched, cluster, obj), peak)

@@ -263,9 +263,9 @@ def rate_bound(method, constants, hp, cluster, horizon_T, sigma_hat2=None):
             raise ValueError(
                 f"gamma_hat {ghat} above the cap u^2 gamma/(1-u)^2 = {ghat_cap}")
         used["gamma_hat"] = ghat
-        used["b"] = cluster.extrap_batch_b
+        b = used["b"] = cluster.effective_extrap_b()
         bound = (2.0 * (1.0 - u) * r0 / (gamma * horizon_T)
-                 + (4.0 * ghat ** 2 * L ** 2 / cluster.extrap_batch_b
+                 + (4.0 * ghat ** 2 * L ** 2 / b
                     + gamma * L * (1.0 + 3.0 * u) / ((1.0 - u) ** 2 * KB)) * s2)
     else:   # EXTRAP_NOISE: stepsize_cap rejected the methods without a bound
         if u == 0.0:

@@ -261,6 +261,12 @@ def test_section_override_is_built_like_the_config_file(config_path, tmp_path):
     ("schedule=3", "'schedule' must be an object"),
     ('noise={"kind":"isotropic_gaussian","scale":0.1}', "unknown noise fields"),
     ('objective={"maker":"quadratic","dimension":3}', "missing objective fields"),
+    ('objective={"maker":"quadratic","dimension":-3,"sample_count":24}',
+     "dimension must be >= 1, got -3"),
+    ('objective={"maker":"logistic","dimension":3,"sample_count":0}',
+     "sample_count must be >= 1, got 0"),
+    ('objective={"maker":"tiny_mlp","widths":[2,-1,1],"sample_count":24}',
+     "widths[1] must be >= 1, got -1"),
 ])
 def test_malformed_section_override_exits_one(config_path, tmp_path, capsys,
                                               override, text):
@@ -381,6 +387,49 @@ def test_speedup_with_an_invalid_point_exits_one_and_writes_nothing(
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("kb", ["2x", "x4", "2x3x4", "axb", "8"])
+def test_speedup_with_a_malformed_kb_exits_one_naming_the_option(
+        config_path, tmp_path, capsys, kb):
+    out = tmp_path / "o"
+    assert main(["speedup", "--config", config_path, "--out", str(out),
+                 "--epsilon", "2.0", "--kb", kb]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --kb expects KxB (e.g. 4x16), got {kb!r}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_local_batch_override_moves_the_default_extrap_batch(config_path,
+                                                             tmp_path, capsys):
+    # An unset extrap_batch_b is B wherever it is read, so overriding B
+    # moves it too: the run is the one with b = B = 8 set explicitly.
+    outs = {}
+    for name, sets in (("unset", []), ("explicit", ["cluster.extrap_batch_b=8"])):
+        outs[name] = tmp_path / name
+        assert main(["run", "--config", config_path, "--out", str(outs[name]),
+                     "--set", "method=extrap_sgd",
+                     "--set", "cluster.local_batch_B=8", *(
+                         arg for s in sets for arg in ("--set", s))]) == 0
+    cluster = json.loads((outs["unset"] / "manifest.json").read_text())[
+        "config"]["cluster"]
+    assert (cluster["local_batch_B"], cluster["extrap_batch_b"]) == (8, None)
+    for name in ("aggregate.csv", "trial_0.jsonl", "trial_1.jsonl"):
+        assert filecmp.cmp(outs["unset"] / name, outs["explicit"] / name,
+                           shallow=False), name
+    capsys.readouterr()
+
+
+def test_sweep_over_local_batch_keeps_the_default_extrap_batch(config_path,
+                                                               tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config_path, "--out", str(out),
+                 "--set", "method=extrap_sgd",
+                 "--grid", "cluster.local_batch_B=2,4"]) == 0
+    table = json.loads((out / "sweep.json").read_text())
+    assert [row["point"] for row in table["rows"]] == [
+        {"cluster.local_batch_B": 2}, {"cluster.local_batch_B": 4}]
+    capsys.readouterr()
+
+
 def test_smoothness_demo_prints_top_eigenvalue(capsys):
     assert main(["smoothness"]) == 0
     out = capsys.readouterr().out
@@ -439,6 +488,7 @@ def test_verify_exits_one_when_a_chain_breaks(monkeypatch, capsys):
     ("hyperparams.lr_gamma=-0.05,0.05", "lr_gamma"),
     ("trials=abc", "trials"),
     ("schedule=3", "schedule"),
+    ("hyperparams.lr_gamma=", "'hyperparams.lr_gamma' has no values"),
 ])
 def test_sweep_with_an_invalid_point_exits_one_and_writes_nothing(
         config_path, tmp_path, capsys, grid, field):
@@ -540,37 +590,37 @@ def _golden_mlp_doc():
 # First 16 hex digits of each written file's sha256.
 GOLDEN_DIGESTS = {
     "sgd": {"aggregate.csv": "fd4829fc572c34d8",
-            "manifest.json": "a652b52ef5133cd8",
+            "manifest.json": "01d6bcd7c7e64423",
             "trial_0.jsonl": "9f4d390953e5bb3f",
             "trial_1.jsonl": "fa03d543d073771e"},
     "nesterov": {"aggregate.csv": "a45e8858af9731bc",
-                 "manifest.json": "52ddd651b6372bc5",
+                 "manifest.json": "cdff6b856a80b8c7",
                  "trial_0.jsonl": "fcf3c4fcbdc1057e",
                  "trial_1.jsonl": "a59ca6b8e9035013"},
     "extrap_sgd": {"aggregate.csv": "80b8d543db30c460",
-                   "manifest.json": "db4b417a2939c6fb",
+                   "manifest.json": "836a95ed8bc53c01",
                    "theory_report.json": "a36410ad036c17ec",
                    "trial_0.jsonl": "7acf27c4e1544a1b",
                    "trial_1.jsonl": "03f21fdabd3eef1a"},
     "extrap_noise": {"aggregate.csv": "19ed157f8773db7d",
-                     "manifest.json": "20be0ddfd20ea1f4",
+                     "manifest.json": "5c6fde025b88e8b6",
                      "theory_report.json": "cfb0f684dc2cde47",
                      "trial_0.jsonl": "4c7666951acd3165",
                      "trial_1.jsonl": "8abf34ff4b4c198f"},
     "adam": {"aggregate.csv": "f6092c06d7b1dba9",
-             "manifest.json": "16485a8b445876ba",
+             "manifest.json": "9e9ff9d18cad05b1",
              "trial_0.jsonl": "542d5e53b57206f6",
              "trial_1.jsonl": "bcf1f00cf9c07fae"},
     "extrap_adam": {"aggregate.csv": "41c438409f3a9b28",
-                    "manifest.json": "b9fef394ddb58d5e",
+                    "manifest.json": "4a0da33ec045e15b",
                     "trial_0.jsonl": "f8557576fb3e5512",
                     "trial_1.jsonl": "f2338e8c9e8c3769"},
     "post_local": {"aggregate.csv": "f9a5fee495020b1e",
-                   "manifest.json": "6fed6c504c2c749a",
+                   "manifest.json": "c4fcba5237e0df0b",
                    "trial_0.jsonl": "19f9262a4510a4bf",
                    "trial_1.jsonl": "2b2e8534e4ede4b5"},
     "tiny_mlp_extrap_noise": {"aggregate.csv": "a68b65b676c9a6fe",
-                              "manifest.json": "e90105f3da3bbe5e",
+                              "manifest.json": "6b9038806c2ee90b",
                               "theory_report.json": "e9bc7c6315e03ae0",
                               "trial_0.jsonl": "0e5e2936c819cf95",
                               "trial_1.jsonl": "f13782350d8e37e8"},

@@ -14,7 +14,8 @@ from exsgd.objectives import make_quadratic
 
 def test_config_defaults_and_validation():
     cfg = ClusterConfig(workers_K=4, local_batch_B=8)
-    assert cfg.extrap_batch_b == 8          # defaults to the full local batch
+    assert cfg.extrap_batch_b is None       # unset means the full local batch
+    assert cfg.effective_extrap_b() == 8
     cfg.validate()
     with pytest.raises(ValueError):
         ClusterConfig(workers_K=0, local_batch_B=1).validate()

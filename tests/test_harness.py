@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from exsgd.cluster import ClusterConfig, draw_batches
-from exsgd.harness import (RunConfig, _describe, _full_grad_norm2,
-                           _step_once, _terminal_half_point, apply_override,
-                           run, speedup_study, sweep, trial_seed, write_outputs)
+from exsgd.harness import (RunConfig, _constants, _describe,
+                           _full_grad_norm2, _step_once, _terminal_half_point,
+                           apply_override, run, speedup_study, sweep,
+                           trial_seed, write_outputs)
 from exsgd.objectives import (MAKERS, batch_loss, estimate_constants,
                               initial_point, make_quadratic, make_tiny_mlp)
 from exsgd.optimizers import (SMOOTHOUT_SHARED, WARMUP_CONSTANT, HyperParams,
@@ -395,7 +396,7 @@ def test_virtual_sequence_rows_are_the_stacked_step_values(method, workers,
     state = init_state(initial_point(obj), workers)
     xs, vs, halves, gbars, xibars, gn2s = [state.x], [state.v], [], [], [], []
     for t in range(steps):
-        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, tr.seed, t)
+        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, tr.seed)
         info = state.last_info
         xs.append(state.x)
         vs.append(state.v)
@@ -410,9 +411,73 @@ def test_virtual_sequence_rows_are_the_stacked_step_values(method, workers,
     assert_array_equal(seq.g_bar_half, np.stack(gbars))
     assert_array_equal(seq.xi_bar[:-1], np.stack(xibars))
     assert_array_equal(tr.grad_norm2_series, np.asarray(gn2s))
-    half, xi = _terminal_half_point(cfg, state, hp, cl, tr.seed, steps)
+    half, xi = _terminal_half_point(cfg, state, hp, cl, tr.seed)
     assert_array_equal(seq.x_bar_half[-1], half)
     assert_array_equal(seq.xi_bar[-1], xi)
+
+
+@pytest.mark.parametrize("method", ["sgd", "nesterov", "extrap_sgd",
+                                    "extrap_noise"])
+def test_terminal_direction_is_the_next_steps_direction(method):
+    # The replay's terminal row T holds the mean direction that step T would
+    # use, decided by the method's METHOD_TABLE direction; step T taken by
+    # hand decides it through the method's own step function.
+    steps, workers = 6, 3
+    cfg = _base_config(
+        method=method, trials=1, total_steps_T=steps,
+        record_virtual_sequence=True,
+        cluster=ClusterConfig(workers_K=workers, local_batch_B=4),
+        hyperparams=HyperParams(lr_gamma=0.05, momentum_u=0.5),
+        noise=NoiseSpec(kind="isotropic_gaussian", raw_scale=0.1))
+    tr = run(cfg).trials[0]
+    obj, hp = cfg.objective, cfg.hyperparams
+    if not METHOD_TABLE[method].momentum:
+        hp = dataclasses.replace(hp, momentum_u=0.0)
+    cl = dataclasses.replace(cfg.cluster, master_seed=tr.seed)
+    state = init_state(initial_point(obj), workers)
+    for t in range(steps + 1):
+        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, tr.seed)
+    xi_bar = tr.virtual_sequence.xi_bar[steps]
+    assert_array_equal(xi_bar, state.last_info["xi_bar"])
+    assert np.any(xi_bar != 0.0) == (METHOD_TABLE[method].direction is not None)
+
+
+def test_rate_bound_uses_the_constants_of_the_decayed_objective():
+    # Weight decay lambda minimizes f + (lambda/2)||x||^2: L grows by lambda.
+    obj = make_quadratic(3, 24, generator_seed=2, diag=[1.0, 2.0, 4.0],
+                         shift_mean=[1.0, 1.0, 1.0])
+    reports = {}
+    for decay in (0.0, 3.0):
+        cfg = _base_config(
+            objective=obj, method="nesterov", trials=1, total_steps_T=30,
+            record_virtual_sequence=True,
+            hyperparams=HyperParams(lr_gamma=0.02, momentum_u=0.5,
+                                    weight_decay=decay))
+        reports[decay] = run(cfg).trials[0].rate_report
+    plain, decayed = (reports[d].constants_used for d in (0.0, 3.0))
+    assert (plain["L"], decayed["L"]) == (4.0, 7.0)
+    assert decayed["sigma2"] == plain["sigma2"]
+    assert decayed["r0"] == plain["r0"]          # x0 = 0 on a quadratic
+    assert reports[3.0].bound_value != reports[0.0].bound_value
+
+
+def test_decayed_r0_grows_by_half_lambda_x0_norm2():
+    obj = make_tiny_mlp((2, 3, 1), 16, generator_seed=4)
+    x0 = initial_point(obj)
+    plain = estimate_constants(obj, x0)
+    decayed = _constants(obj, x0, 0.5)
+    assert decayed.r0 == plain.r0 + 0.25 * float(x0 @ x0) > plain.r0
+    assert decayed.lipschitz_L == plain.lipschitz_L + 0.5
+    assert decayed.variance_sigma2 == plain.variance_sigma2
+
+
+def test_speedup_study_tunes_with_the_decayed_constants():
+    cfg = _base_config(method="sgd", trials=1)
+    decayed = dataclasses.replace(
+        cfg, hyperparams=HyperParams(lr_gamma=0.1, weight_decay=2.0))
+    plain_row, = speedup_study(cfg, [(1, 4)], epsilon=10.0)["rows"]
+    decayed_row, = speedup_study(decayed, [(1, 4)], epsilon=10.0)["rows"]
+    assert decayed_row["gamma"] < plain_row["gamma"]
 
 
 def test_sweep_checks_every_point_before_running_any():

@@ -354,10 +354,9 @@ def test_noise_step_worker_dev_zero_for_shared_kind():
     cfg = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=4)
     hp = HyperParams(lr_gamma=0.05, inner_lr_gamma_hat=0.02, momentum_u=0.5)
     st = init_state(initial_point(obj), 2)
-    rng = np.random.default_rng(9)
     for t in range(3):
         step_extrapolated_noise(st, obj, draw_batches(cfg, obj, t), hp,
-                                NoiseSpec(SMOOTHOUT_SHARED, raw_scale=0.1), rng)
+                                NoiseSpec(SMOOTHOUT_SHARED, raw_scale=0.1), 9)
     assert st.last_info["worker_dev2"] == 0.0
 
 
@@ -371,7 +370,7 @@ def test_noise_spec_validation():
         st = init_state(initial_point(obj), 1)
         step_extrapolated_noise(st, obj, _full_batches(obj, 1, 0),
                                 HyperParams(lr_gamma=0.1),
-                                NoiseSpec(kind="none"), np.random.default_rng(0))
+                                NoiseSpec(kind="none"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -553,3 +552,17 @@ def test_schedule_validation():
         Schedule(kind=CONSTANT, base_lr=0.0).validate()
     with pytest.raises(ValueError):
         Schedule(kind=WARMUP_STEP_DECAY, decay_milestones=(0.75, 0.5)).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("decay_factor", 0.0), ("decay_factor", -2.0), ("scale_factor", 0.0),
+    ("scale_factor", -2.0), ("warmup_epochs", -1),
+    ("warmup_steps_inverse_sqrt", 0),
+])
+def test_schedule_rejects_factors_that_break_lr_at(field, value):
+    sched = Schedule(kind=WARMUP_STEP_DECAY, total_steps=100, **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        sched.validate()
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        lr_at(sched, 60, ClusterConfig(workers_K=1, local_batch_B=1),
+              make_quadratic(1, 8))
