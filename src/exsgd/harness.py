@@ -290,7 +290,7 @@ def _run_trial(config, trial, stop_epsilon=None):
         steps, d = config.total_steps_T, obj.dimension
         xs, vbuf, halves, xibars = (np.empty((steps + 1, d)) for _ in range(4))
         gbars = np.empty((steps, d))
-        dev2s, grad_series = np.empty(steps), np.empty(steps)
+        dev2s, grad_series, lrs = np.empty(steps), np.empty(steps), np.empty(steps)
         xs[0], vbuf[0] = x0, state.v
     records = []
     aborted, abort_detail = False, ""
@@ -319,7 +319,7 @@ def _run_trial(config, trial, stop_epsilon=None):
             xs[t + 1], vbuf[t + 1] = state.x, state.v
             halves[t], gbars[t], xibars[t] = (info["x_half_bar"], info["g_bar"],
                                               info["xi_bar"])
-            dev2s[t], grad_series[t] = info["worker_dev2"], gn2
+            dev2s[t], grad_series[t], lrs[t] = info["worker_dev2"], gn2, lr
         if record_now:
             sm = math.nan
             if (config.record_smoothness_every
@@ -345,9 +345,7 @@ def _run_trial(config, trial, stop_epsilon=None):
                          reached_epsilon=reached)
     if want_vs and not aborted and stop_epsilon is None:
         horizon = config.total_steps_T
-        const_lr = sched is None or all(
-            lr_at(sched, s, cl, obj) == hp.lr_gamma for s in range(horizon))
-        if const_lr:
+        if (lrs == hp.lr_gamma).all():     # the replay assumes one stepsize
             ghat = effective_gamma_hat(hp, cl.workers_K) if method.direction else 0.0
             halves[horizon], xibars[horizon] = _terminal_half_point(
                 config, state, hp, cl, seed)

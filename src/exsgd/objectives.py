@@ -342,21 +342,34 @@ def _mlp_forward(obj, values, rows):
     return layers, acts, acts[-1] - obj.mlp_targets[rows]
 
 
-def _mlp_gradient(obj, values, rows):
-    """Mean gradient of 0.5||net(x_i) - y_i||^2 by manual backprop."""
+def _mlp_gradient(obj, values, rows, lead=None):
+    """Mean gradient of 0.5||net(x_i) - y_i||^2 by manual backprop; with
+    `lead`, also the mean over the leading `lead` samples, summed from the
+    same propagated deltas and scaled by B / lead."""
     layers, acts, resid = _mlp_forward(obj, values, rows)
-    lead = resid.shape[:-2]
-    grad_chunks = [None] * len(layers)
-    delta = resid / resid.shape[-2]        # output layer is linear
+    lead_axes = resid.shape[:-2]
+    batch = resid.shape[-2]
+    chunks, lead_chunks = [None] * len(layers), [None] * len(layers)
+    delta = resid / batch                  # output layer is linear
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
-        g_w = np.matmul(delta.swapaxes(-1, -2), acts[l])
-        g_b = delta.sum(axis=-2)
-        grad_chunks[l] = (g_w, g_b)
+        chunks[l] = (np.matmul(delta.swapaxes(-1, -2), acts[l]), delta.sum(axis=-2))
+        if lead is not None:
+            head = delta[..., :lead, :]
+            lead_chunks[l] = (np.matmul(head.swapaxes(-1, -2), acts[l][..., :lead, :]),
+                              head.sum(axis=-2))
         if l > 0:
             delta = np.matmul(delta, w) * (1.0 - acts[l] * acts[l])   # tanh'
-    return np.concatenate([np.concatenate([gw.reshape(lead + (-1,)), gb], axis=-1)
-                           for gw, gb in grad_chunks], axis=-1)
+    if lead is None:
+        return _flatten_layers(chunks, lead_axes)
+    return (_flatten_layers(chunks, lead_axes),
+            _flatten_layers(lead_chunks, lead_axes) * (batch / lead))
+
+
+def _flatten_layers(chunks, lead_axes):
+    """The (weight, bias) gradient of each layer as one parameter vector."""
+    return np.concatenate([np.concatenate([gw.reshape(lead_axes + (-1,)), gb], axis=-1)
+                           for gw, gb in chunks], axis=-1)
 
 
 def _batch_mean(a):
@@ -372,7 +385,7 @@ def _quad_apply(obj, vecs):
     return vecs * obj.quad_diag
 
 
-def batch_gradient(obj, values, indices):
+def batch_gradient(obj, values, indices, *, lead=None):
     """Mean of exact per-sample gradients over `indices` (raw ndarray API).
 
     `indices` is a (B,) batch, a `range` or a (K, B) matrix of K batches.
@@ -380,26 +393,50 @@ def batch_gradient(obj, values, indices):
     point per row, and the result is (K, d): row k is bitwise what the call
     on row k alone returns, because every kernel reduces along the batch
     axis and multiplies one matrix-vector or matrix-matrix product per row.
+
+    With `lead` = b in [1, B] (a batch or matrix, not a `range`) the call
+    returns (g_B, g_b) from one gather and one forward/backward pass: g_B is
+    bitwise the call without `lead`, and g_b is the mean over each batch's
+    leading b indices, reduced from per-sample terms already computed.  It is
+    bitwise the call on `indices[..., :b]` for quadratics and agrees with it
+    to rounding for logistic and tiny_mlp.
     """
     values = np.asarray(values, dtype=np.float64)
     rows = _sample_rows(obj, indices)
     _check_dim(obj, values, rows)
+    if lead is not None:
+        if isinstance(indices, range):
+            raise ValueError("lead needs a (B,) batch or a (K, B) index matrix, "
+                             "not a range")
+        if not 1 <= lead <= rows.shape[-1]:
+            raise ValueError(f"lead must satisfy 1 <= lead <= B = {rows.shape[-1]}, "
+                             f"got {lead!r}")
     if obj.kind == QUADRATIC:
         if isinstance(rows, slice) and rows == slice(0, obj.sample_count):
-            diff = values - obj.quad_shift_mean
-        else:
-            diff = values - _batch_mean(obj.quad_shifts[rows])
-        if obj.quad_matrix is None:
-            return diff * obj.quad_diag
-        return np.matmul(diff[..., None, :], obj.quad_matrix.T)[..., 0, :]
+            return _quad_gradient(obj, values - obj.quad_shift_mean)
+        shifts = obj.quad_shifts[rows]
+        g = _quad_gradient(obj, values - _batch_mean(shifts))
+        if lead is None:
+            return g
+        return g, _quad_gradient(obj, values - _batch_mean(shifts[..., :lead, :]))
     if obj.kind == LOGISTIC:
         phi = obj.logit_features[rows]
         y = obj.logit_labels[rows]
         margin = y * np.matmul(phi, values[..., None])[..., 0]
         # d/dw log(1+exp(-m)) = -y phi sigmoid(-m)
-        coef = -y * _sigmoid(-margin)
-        return _batch_mean(coef[..., None] * phi) + obj.logit_l2 * values
-    return _mlp_gradient(obj, values, rows)
+        terms = (-y * _sigmoid(-margin))[..., None] * phi
+        g = _batch_mean(terms) + obj.logit_l2 * values
+        if lead is None:
+            return g
+        return g, _batch_mean(terms[..., :lead, :]) + obj.logit_l2 * values
+    return _mlp_gradient(obj, values, rows, lead)
+
+
+def _quad_gradient(obj, diff):
+    """A (x - mean shift) from the difference, one product per row."""
+    if obj.quad_matrix is None:
+        return diff * obj.quad_diag
+    return np.matmul(diff[..., None, :], obj.quad_matrix.T)[..., 0, :]
 
 
 def _sigmoid(z):

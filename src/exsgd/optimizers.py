@@ -15,7 +15,9 @@ mean direction the harness replay reads for its terminal step.
                 the nesterov lines evaluated at x_half^k = x_quarter^k + u v.
                 past_grad[k] is the batch-mean gradient the worker computed at
                 its previous half point (stored, never recomputed), so the
-                extrapolation costs no extra gradient evaluations.  The
+                extrapolation costs no extra gradient evaluations.  With
+                extrap_b = b < B it is the mean over the batch's leading b
+                indices, reduced in the same oracle call.  The
                 extrapolation is skipped at t = 0 (past_grad = 0).
 - extrap_noise: extrapolation direction replaced by a noise draw zeta^k
                 (isotropic gaussian/uniform, optionally filter-scaled;
@@ -31,10 +33,12 @@ identically across methods.  LARS (when trust > 0) rescales each block of the
 reduced gradient before the main update.
 
 Per-worker state is stacked: past gradients, half points and the post-local
-x^k / v^k are (K, d) arrays with one row per worker, and one oracle call on
-`batches`, the (K, B) int64 index matrix of `cluster.draw_batches` whose row
-k is worker k's batch (so `len(batches)` is K), evaluates all K workers'
-batch gradients at once.
+x^k / v^k are (K, d) arrays with one row per worker, and one oracle call per
+step on `batches`, the (K, B) int64 index matrix of `cluster.draw_batches`
+whose row k is worker k's batch (so `len(batches)` is K), evaluates all K
+workers' batch gradients at once, for every extrap_b: with b < B the same
+call also returns the leading-b means the workers store (`batch_gradient`'s
+`lead`), so the oracle evaluates exactly K * B samples per step.
 Row k is bitwise what a separate call for worker k returns, and the worker
 mean is still `cluster.reduce_mean`, an ascending add over the rows, so the
 reduction chains sgd = nesterov(u=0), nesterov = extrap_sgd(gamma_hat=0) and
@@ -233,14 +237,19 @@ def _batch_grad(obj, values, indices, hp):
 
 
 def _worker_grads(obj, halves, batches, hp, extrap_b):
-    """All K workers' batch gradients from one oracle call on the (K, B) matrix,
-    and the past gradients they store for the next step: the same evaluation,
-    or, when extrap_b < B, one more call on each row's leading extrap_b indices.
+    """All K workers' batch gradients and the past gradients they store for
+    the next step, from one oracle call on the (K, B) matrix: the same
+    evaluation when extrap_b is B (or None), else the mean over each row's
+    leading extrap_b indices that the call reduces alongside (`lead`).
     `halves` is one shared (d,) point or a (K, d) point per worker."""
-    grads = _batch_grad(obj, halves, batches, hp)
     if extrap_b is None or extrap_b == batches.shape[1]:
+        grads = _batch_grad(obj, halves, batches, hp)
         return grads, grads   # reuse: extrapolation stays evaluation-free
-    return grads, _batch_grad(obj, halves, batches[:, :extrap_b], hp)
+    grads, past = batch_gradient(obj, halves, batches, lead=extrap_b)
+    if hp.weight_decay != 0.0:
+        decay = hp.weight_decay * halves
+        grads, past = grads + decay, past + decay
+    return grads, past
 
 
 def lars_scale(grad_block, x_block, hp):
@@ -501,7 +510,7 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     state.step_t += 1
     half_bar = reduce_mean(halves)
     state.last_info = {
-        "x_half_bar": half_bar, "g_bar": reduce_mean(grads),
+        "x_half_bar": half_bar, "g_bar": reduce_mean(g_used),
         "xi_bar": np.zeros_like(mean_x), "worker_dev2": _worker_dev2(halves, half_bar),
         "worker_dispersion": dispersion,
     }

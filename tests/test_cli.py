@@ -553,7 +553,8 @@ def test_wrongly_typed_sequence_exits_one_without_traceback(
 # bytes before and after a refactor.  The shape is the benchmark's cli_threads
 # run with fewer steps (logistic d=20, N=512, K=4, B=16, 2 trials), plus one
 # tiny-MLP extrap_noise run whose filter-scaled noise and LARS read the
-# objective's block partition.
+# objective's block partition, and one tiny-MLP extrap_sgd run that stores
+# past gradients over b = 5 of the B = 16 indices.
 _GOLDEN_STEPS = 40
 
 
@@ -585,6 +586,15 @@ def _golden_mlp_doc():
                    "sample_count": 128, "generator_seed": 3},
         hyperparams={"lr_gamma": 0.05, "momentum_u": 0.9, "lars_trust": 0.02},
         noise={"kind": "isotropic_gaussian", "filter_scaled": True})
+
+
+def _golden_sub_batch_doc():
+    return dict(
+        _golden_doc("extrap_sgd"),
+        objective={"maker": "tiny_mlp", "widths": [3, 4, 2],
+                   "sample_count": 128, "generator_seed": 3},
+        cluster={"workers_K": 4, "local_batch_B": 16, "extrap_batch_b": 5},
+        hyperparams={"lr_gamma": 0.05, "momentum_u": 0.9})
 
 
 # First 16 hex digits of each written file's sha256.
@@ -624,6 +634,11 @@ GOLDEN_DIGESTS = {
                               "theory_report.json": "e9bc7c6315e03ae0",
                               "trial_0.jsonl": "0e5e2936c819cf95",
                               "trial_1.jsonl": "f13782350d8e37e8"},
+    "tiny_mlp_extrap_sgd_sub_batch": {"aggregate.csv": "0dc1670ff597b54d",
+                                      "manifest.json": "f93c52170b2c6606",
+                                      "theory_report.json": "49b28a7973e7aa17",
+                                      "trial_0.jsonl": "25f0de4e42d326db",
+                                      "trial_1.jsonl": "bce9487220361c36"},
 }
 
 
@@ -635,9 +650,12 @@ def _written_digests(doc, tmp_path):
             for name in sorted(os.listdir(out))}
 
 
-@pytest.mark.parametrize("case", [*METHODS, "tiny_mlp_extrap_noise"])
+_GOLDEN_DOCS = {"tiny_mlp_extrap_noise": _golden_mlp_doc,
+                "tiny_mlp_extrap_sgd_sub_batch": _golden_sub_batch_doc}
+
+
+@pytest.mark.parametrize("case", [*METHODS, *_GOLDEN_DOCS])
 def test_run_writes_golden_bytes(case, tmp_path, capsys):
-    doc = (_golden_mlp_doc() if case == "tiny_mlp_extrap_noise"
-           else _golden_doc(case))
+    doc = _GOLDEN_DOCS[case]() if case in _GOLDEN_DOCS else _golden_doc(case)
     assert _written_digests(doc, tmp_path) == GOLDEN_DIGESTS[case]
     capsys.readouterr()

@@ -120,6 +120,25 @@ def test_schedule_lr_is_recorded():
         assert rec.lr == lr_at(sched, rec.step, cl, obj)
 
 
+@pytest.mark.parametrize("kind,replayed", [("constant", True),
+                                            ("warmup_constant", False)])
+def test_trial_computes_each_step_lr_once(monkeypatch, kind, replayed):
+    # The replay's constant-stepsize check reads the lrs the steps used.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return lr_at(*args)
+
+    monkeypatch.setattr("exsgd.harness.lr_at", counted)
+    sched = Schedule(kind=kind, base_lr=0.05, scale_factor=2.0, warmup_epochs=1)
+    cfg = _base_config(method="extrap_sgd", schedule=sched, trials=1,
+                       total_steps_T=12, record_virtual_sequence=True)
+    trial = run(cfg).trials[0]
+    assert calls == list(range(12))
+    assert (trial.virtual_sequence is not None) == replayed
+
+
 def test_abort_is_reported_not_raised(tmp_path):
     cfg = _base_config(
         objective=make_quadratic(2, 8, diag=[1e4, 1e4], shift_spread=1.0),

@@ -13,6 +13,7 @@ from exsgd.objectives import (ObjectiveSpec, _batch_mean, batch_gradient,
                               batch_loss, estimate_constants,
                               finite_difference_gradient, initial_point,
                               make_logistic, make_quadratic, make_tiny_mlp)
+from exsgd.optimizers import HyperParams, _batch_grad, _worker_grads
 
 
 def test_quadratic_gradient_closed_form():
@@ -213,6 +214,43 @@ def test_stacked_oracle_rows_are_bitwise_single_calls(kind, seed, workers, data)
     for k in range(workers):
         assert_array_equal(stacked[k], batch_gradient(obj, points[k], idx[k]))
         assert_array_equal(shared[k], batch_gradient(obj, points[0], idx[k]))
+
+
+@given(kind=st.sampled_from(OBJECTIVE_KINDS), seed=st.integers(0, 2**31 - 1),
+       workers=st.integers(1, 8), shared=st.booleans(),
+       decay=st.sampled_from([0.0, 0.3]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_one_oracle_call_gives_the_sub_batch_past_gradient(
+        kind, seed, workers, shared, decay, data):
+    # Reference: the two-call form, a second oracle call on the leading b
+    # indices of every row.
+    obj = _draw_objective(data, kind, seed)
+    batch = data.draw(st.integers(1, 24), label="B")
+    b = data.draw(st.integers(1, batch), label="b")
+    rng = np.random.default_rng(seed)
+    batches = rng.integers(0, obj.sample_count, size=(workers, batch))
+    points = rng.standard_normal(obj.dimension if shared else (workers, obj.dimension))
+    hp = HyperParams(weight_decay=decay)
+    grads, past = _worker_grads(obj, points, batches, hp, b)
+    assert_array_equal(grads, _batch_grad(obj, points, batches, hp))
+    want = _batch_grad(obj, points, batches[:, :b], hp)
+    if obj.kind == "quadratic":
+        assert_array_equal(past, want)
+    else:
+        assert np.linalg.norm(past - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_lead_takes_a_batch_or_matrix_and_a_count_in_one_to_b():
+    obj = make_quadratic(2, 5, generator_seed=1)
+    x, idx = np.ones(2), np.array([[0, 1, 2], [2, 4, 3]])
+    g, past = batch_gradient(obj, x, idx[1], lead=2)       # a (B,) batch
+    assert_array_equal(g, batch_gradient(obj, x, idx[1]))
+    assert_array_equal(past, batch_gradient(obj, x, idx[1, :2]))
+    for indices, lead in ((idx, 0), (idx, 4), (idx, -1), (idx[0], 4),
+                          (range(3), 2)):
+        with pytest.raises(ValueError, match="lead") as err:
+            batch_gradient(obj, x, indices, lead=lead)
+        assert len(str(err.value).splitlines()) == 1
 
 
 @given(kind=st.sampled_from(OBJECTIVE_KINDS), seed=st.integers(0, 2**31 - 1),

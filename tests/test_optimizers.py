@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from exsgd.cluster import EPOCH_PERMUTATION, ClusterConfig, draw_batches
+from exsgd.cluster import (EPOCH_PERMUTATION, ClusterConfig, draw_batches,
+                           reduce_mean)
 from exsgd.gates import QUAD, chain_mismatch, reduction_chains
 from exsgd.objectives import (initial_point, make_logistic, make_quadratic,
                               make_tiny_mlp)
@@ -476,6 +477,20 @@ def test_post_local_momentum_reset_changes_trajectory():
                                     reset_local_momentum=True), plc)
     assert not np.array_equal(keep.x, drop.x)
     assert_array_equal(drop.local_v[0] * 0.0, 0.0)      # buffers exist
+
+
+def test_post_local_records_the_gradient_lars_applied():
+    # With gamma = 1 and u = 0 each local buffer is exactly -g_used^k, so
+    # g_bar must be their mean, not the mean before per-worker LARS.
+    obj = make_tiny_mlp((3, 4, 2), 64, generator_seed=4)
+    cfg = ClusterConfig(workers_K=3, local_batch_B=4, master_seed=5)
+    hp = HyperParams(lr_gamma=1.0, lars_trust=0.02)
+    plc = PostLocalConfig(transition_step_t0=1, local_steps_H=2)
+    st = init_state(initial_point(obj), 3)
+    for t in range(6):
+        step_post_local(st, obj, draw_batches(cfg, obj, t), hp, plc)
+        if t > 1:
+            assert_array_equal(st.last_info["g_bar"], reduce_mean(-st.local_v))
 
 
 def test_post_local_config_validation():
