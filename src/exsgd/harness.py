@@ -4,7 +4,9 @@ Seeded experiment runner.
 Composes objective + cluster + method + schedule, runs seeded trials, records
 metrics, optionally replays the trajectory through the theory checks, and
 persists everything as plain files (JSONL per trial, one manifest, CSV
-aggregates, JSON theory report).
+aggregates, JSON theory report).  Persistence converts each value to JSON
+once: `_dump_json` converts a whole payload, config dataclasses included, in
+one pass.
 
 Determinism contract: every trial is a pure function of (master_seed, trial
 index) and the config, and output files contain no timestamps or environment
@@ -115,7 +117,8 @@ def from_doc(cls, doc, name=""):
 def _typed(name, typ, default, value):
     """JSON `value` as the field `name` annotated `typ` holds it: a section as
     its class, an array as float64, a list as `typ`'s container of checked
-    elements; a float field also takes an int, and null needs a None default."""
+    elements; a float field also takes an int, every number must be finite,
+    and null needs a None default."""
     if value is None:
         if default is not None:
             raise ValueError(f"{name} must not be null")
@@ -124,17 +127,18 @@ def _typed(name, typ, default, value):
         return value if isinstance(value, typ) else from_doc(typ, value, name)
     try:
         return _as(typ, value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be {_describe(typ)}, "
                          f"got {reprlib.repr(value)}") from None
 
 
 def _as(typ, value):
-    """`value` as `typ` holds it; TypeError or ValueError if it does not fit."""
+    """`value` as `typ` holds it; TypeError, ValueError or OverflowError (an
+    int beyond every float) if it does not fit."""
     origin, args = typing.get_origin(typ), typing.get_args(typ)
     if typ is np.ndarray:
         array = np.asarray(value)
-        if array.dtype.kind in "iuf":
+        if array.dtype.kind in "iuf" and np.isfinite(array).all():
             return array.astype(np.float64, copy=False)
     elif origin in (list, tuple):
         if origin is list or args[-1] is Ellipsis:
@@ -142,7 +146,8 @@ def _as(typ, value):
         if isinstance(value, (list, tuple)) and len(args) == len(value):
             return origin(map(_as, args, value))
     elif (isinstance(value, (int, float) if typ is float else typ)
-          and isinstance(value, bool) == (typ is bool)):   # bool subclasses int
+          and isinstance(value, bool) == (typ is bool)     # bool subclasses int
+          and (typ is not float or math.isfinite(value))):
         return value
     raise TypeError(typ)
 
@@ -154,8 +159,8 @@ def _describe(typ):
         return f"a list of {_describe(args[0])}"
     if origin is tuple:
         return "[" + ", ".join(map(_describe, args)) + "]"
-    return {int: "int", float: "float", bool: "bool", str: "str",
-            np.ndarray: "an array of numbers"}[typ]
+    return {int: "int", float: "finite float", bool: "bool", str: "str",
+            np.ndarray: "an array of finite numbers"}[typ]
 
 
 @dataclass
@@ -406,7 +411,8 @@ def _jsonable(value):
             return None
         return "Infinity" if value > 0 else "-Infinity"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -427,7 +433,7 @@ def write_outputs(result, out_dir):
     from . import __version__
     manifest = {
         "version": __version__,
-        "config": _jsonable(result.config),
+        "config": result.config,
         "trial_seeds": result.trial_seeds,
     }
     _dump_json(manifest, os.path.join(out_dir, "manifest.json"))

@@ -95,7 +95,7 @@ class ObjectiveSpec:
                     raise ValueError("quadratic matrix A must be symmetric")
                 if np.min(np.linalg.eigvalsh(a)) < -1e-12:
                     raise ValueError("quadratic matrix A must be PSD")
-            elif np.min(self.quad_diag) < 0:
+            elif not np.min(self.quad_diag) >= 0:     # a NaN fails too
                 raise ValueError("quadratic diagonal must be nonnegative")
         return self
 
@@ -440,12 +440,12 @@ def _quad_gradient(obj, diff):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) without overflow: exp runs on min(z, -z) <= 0, which
+    is -z where z >= 0 and z itself elsewhere (a NaN included), so each
+    element sees the same IEEE operations as the two-branch form."""
+    e = np.exp(np.minimum(z, -z))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
 def batch_loss(obj, values, indices):
@@ -513,13 +513,23 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0):
         horizon_T=int(horizon_T)).validate()
 
 
+# Doubles in one (n, d) block of per-sample gradients in `_sigma2_at`.
+_SIGMA2_BLOCK = 2 ** 18
+
+
 def _sigma2_at(obj, values):
-    """max_i ||grad f_i - grad f||^2 at one point, brute force over all N."""
+    """max_i ||grad f_i - grad f||^2 at one point, brute force over all N.
+
+    The per-sample gradients come from stacked oracle calls on (n, 1) index
+    matrices, n rows of at most about _SIGMA2_BLOCK doubles at a time; row i
+    is bitwise the call on [i], and the max runs in sample order."""
     gbar = batch_gradient(obj, values, range(obj.sample_count))
+    samples = np.arange(obj.sample_count)[:, None]
+    rows = max(1, _SIGMA2_BLOCK // obj.dimension)
     worst = 0.0
-    for i in range(obj.sample_count):
-        dev = batch_gradient(obj, values, [i]) - gbar
-        worst = max(worst, float(dev @ dev))
+    for start in range(0, obj.sample_count, rows):
+        for dev in batch_gradient(obj, values, samples[start:start + rows]) - gbar:
+            worst = max(worst, float(dev @ dev))
     return worst
 
 

@@ -98,16 +98,17 @@ class HyperParams:
     reset_local_momentum: bool = False      # post-local: zero v^k at t0 instead of copying v
 
     def validate(self):
-        # 0 is allowed as the degenerate no-op stepsize (x provably unchanged)
-        if self.lr_gamma < 0:
+        # 0 is allowed as the degenerate no-op stepsize (x provably unchanged).
+        # Each check is written so that a NaN fails it.
+        if not self.lr_gamma >= 0:
             raise ValueError("lr_gamma must be >= 0")
-        if self.inner_lr_gamma_hat is not None and self.inner_lr_gamma_hat < 0:
+        if self.inner_lr_gamma_hat is not None and not self.inner_lr_gamma_hat >= 0:
             raise ValueError("inner_lr_gamma_hat must be >= 0")
         if not 0.0 <= self.momentum_u < 1.0:
             raise ValueError("momentum_u must lie in [0, 1)")
-        if self.lars_trust < 0:
+        if not self.lars_trust >= 0:
             raise ValueError("lars_trust must be >= 0")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
         if not 0.0 <= self.adam_beta1 < 1.0:
             raise ValueError("adam_beta1 must lie in [0, 1)")
@@ -135,8 +136,10 @@ class NoiseSpec:
     def validate(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.raw_scale < 0:
+        if not self.raw_scale >= 0:
             raise ValueError("raw_scale must be >= 0")
+        if not self.noise_sigma_hat2 >= 0:
+            raise ValueError("noise_sigma_hat2 must be >= 0")
         if self.filter_scaled and self.kind == ANISO_STOCHASTIC:
             raise ValueError("filter_scaled applies to isotropic/shared noise only")
         return self

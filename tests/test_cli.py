@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -203,6 +204,41 @@ def test_wrongly_typed_value_exits_one_without_traceback(config_path, tmp_path,
     assert err.startswith(f"error: {field} must") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+# A non-finite number is a validation error wherever it enters: a NaN or
+# an infinity would abort the run or be written to the manifest as null or
+# a string that cannot be replayed.
+@pytest.mark.parametrize("entry,path,value", [
+    ("config", "hyperparams.lr_gamma", math.nan),
+    ("config", "hyperparams.adam_eps", math.inf),
+    ("config", "objective.shift_mean", [2.0, math.nan, 2.0]),
+    ("set", "hyperparams.lars_trust", -math.inf),
+    ("set", "hyperparams.weight_decay", math.nan),
+    pytest.param("set", "hyperparams.momentum_u", 10 ** 400,
+                 id="set-hyperparams.momentum_u-int_beyond_every_float"),
+    ("set", "objective.quad_diag", [1.0, math.inf, 2.0]),
+])
+def test_non_finite_number_exits_one_without_output(entry, path, value,
+                                                    tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    sets = []
+    if entry == "config":
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+    else:
+        sets = ["--set", f"{path}={json.dumps(value)}"]
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 *sets]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path} must be ")
+    assert "finite" in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not out.exists()
 
 
 def test_config_without_objective_exits_one(tmp_path, capsys):
@@ -489,6 +525,7 @@ def test_verify_exits_one_when_a_chain_breaks(monkeypatch, capsys):
     ("trials=abc", "trials"),
     ("schedule=3", "schedule"),
     ("hyperparams.lr_gamma=", "'hyperparams.lr_gamma' has no values"),
+    ("hyperparams.lr_gamma=0.05,NaN", "hyperparams.lr_gamma must be finite"),
 ])
 def test_sweep_with_an_invalid_point_exits_one_and_writes_nothing(
         config_path, tmp_path, capsys, grid, field):
@@ -658,4 +695,36 @@ _GOLDEN_DOCS = {"tiny_mlp_extrap_noise": _golden_mlp_doc,
 def test_run_writes_golden_bytes(case, tmp_path, capsys):
     doc = _GOLDEN_DOCS[case]() if case in _GOLDEN_DOCS else _golden_doc(case)
     assert _written_digests(doc, tmp_path) == GOLDEN_DIGESTS[case]
+    capsys.readouterr()
+
+
+# First 16 hex digits of the file each other `_dump_json` writer produces on
+# a small fixed config, so every writer is pinned byte for byte, not only run.
+WRITER_DIGESTS = {
+    "sweep": ("sweep.json", "a61faa6a68da2bbc"),
+    "speedup": ("speedup.json", "1cb0c53e0a1c5af7"),
+    "verify": ("theory_report.json", "13af670d2303f7f7"),
+}
+
+_WRITER_ARGS = {
+    "sweep": ["--grid", "hyperparams.lr_gamma=0.002,0.005",
+              "--grid", "hyperparams.momentum_u=0,0.5"],
+    "speedup": ["--kb", "1x4", "--kb", "2x8", "--epsilon", "0.15"],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITER_DIGESTS))
+def test_other_writers_write_golden_bytes(command, tmp_path, capsys):
+    argv = [command, "--out", str(tmp_path / "out"), *_WRITER_ARGS[command]]
+    if command != "verify":
+        doc = dict(_golden_doc("extrap_sgd"), total_steps_T=20,
+                   record_virtual_sequence=False)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        argv[1:1] = ["--config", str(path)]
+    assert main(argv) == 0
+    name, digest = WRITER_DIGESTS[command]
+    written = (tmp_path / "out" / name).read_bytes()
+    assert hashlib.sha256(written).hexdigest()[:16] == digest
     capsys.readouterr()

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from exsgd.cluster import reduce_mean
 
-from exsgd.objectives import (ObjectiveSpec, _batch_mean, batch_gradient,
+from exsgd import objectives
+from exsgd.objectives import (ObjectiveSpec, _batch_mean, _sigma2_at,
+                              _sigmoid, batch_gradient,
                               batch_loss, estimate_constants,
                               finite_difference_gradient, initial_point,
                               make_logistic, make_quadratic, make_tiny_mlp)
@@ -118,6 +121,8 @@ def test_objective_validation_rejects_bad_matrices():
         make_quadratic(2, 2, matrix=[[1.0, 2.0], [2.0, 1.0]])   # indefinite
     with pytest.raises(ValueError):
         make_quadratic(2, 2, diag=[1.0, -0.1])
+    with pytest.raises(ValueError, match="diagonal must be nonnegative"):
+        make_quadratic(3, 8, diag=[1.0, np.nan, 2.0])
 
 
 def test_index_range_checks():
@@ -323,3 +328,66 @@ def test_out_of_range_indices_raise(bad):
             batch_gradient(obj, np.zeros(2), indices)
     with pytest.raises(IndexError):
         batch_loss(obj, np.zeros(2), [bad])
+
+
+# ---------------------------------------------------------------------------
+# the logistic sigmoid and the brute-force sigma^2 against their plain forms
+# ---------------------------------------------------------------------------
+
+def _masked_sigmoid(z):
+    """The two-branch sigmoid on boolean masks, the reference form."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                                5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                                1e308, -1e308, 745.0, -745.0, 710.0, -710.0])
+
+
+@given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                 max_side=40),
+                    elements=st.floats(allow_subnormal=True) | _EDGE_FLOATS))
+@settings(max_examples=300, deadline=None)
+def test_sigmoid_is_bitwise_the_masked_form(z):
+    with np.errstate(invalid="ignore"):     # a signaling NaN input
+        got, want = _sigmoid(z), _masked_sigmoid(z)
+    assert got.shape == want.shape
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _sigma2_by_single_calls(obj, x):
+    gbar = batch_gradient(obj, x, range(obj.sample_count))
+    worst = 0.0
+    for i in range(obj.sample_count):
+        dev = batch_gradient(obj, x, [i]) - gbar
+        worst = max(worst, float(dev @ dev))
+    return worst
+
+
+_N = 29
+_SIGMA2_OBJECTIVES = {
+    "quadratic": lambda: make_quadratic(5, _N, generator_seed=4,
+                                        diag=np.linspace(0.5, 3.0, 5),
+                                        shift_spread=2.0),
+    "quadratic_matrix": lambda: make_quadratic(
+        5, _N, generator_seed=4, matrix=np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+        + 0.3 * np.ones((5, 5))),
+    "logistic": lambda: make_logistic(7, _N, generator_seed=4, l2=0.01),
+    "tiny_mlp": lambda: make_tiny_mlp((3, 4, 5, 2), _N, generator_seed=4),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 7, _N])
+@pytest.mark.parametrize("kind", sorted(_SIGMA2_OBJECTIVES))
+def test_sigma2_is_bitwise_the_loop_of_single_sample_calls(kind, rows,
+                                                            monkeypatch):
+    obj = _SIGMA2_OBJECTIVES[kind]()
+    x = np.random.default_rng(5).standard_normal(obj.dimension)
+    want = _sigma2_by_single_calls(obj, x)
+    monkeypatch.setattr(objectives, "_SIGMA2_BLOCK", rows * obj.dimension)
+    assert _sigma2_at(obj, x).hex() == want.hex()

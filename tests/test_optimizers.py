@@ -560,6 +560,19 @@ def test_inverse_sqrt_schedule_shape():
         lr_at(sched, -1, cl, obj)
 
 
+@pytest.mark.parametrize("spec", [
+    HyperParams(lr_gamma=math.nan), HyperParams(inner_lr_gamma_hat=math.nan),
+    HyperParams(lars_trust=math.nan), HyperParams(weight_decay=math.nan),
+    HyperParams(adam_eps=math.nan), NoiseSpec(ISO_GAUSSIAN, raw_scale=math.nan),
+    NoiseSpec(ISO_GAUSSIAN, noise_sigma_hat2=math.nan),
+    NoiseSpec(ISO_GAUSSIAN, noise_sigma_hat2=-1.0),
+    Schedule(base_lr=math.nan), Schedule(decay_factor=math.nan),
+])
+def test_config_section_bounds_reject_nan_and_negatives(spec):
+    with pytest.raises(ValueError, match="must"):
+        spec.validate()
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(kind="bogus").validate()
