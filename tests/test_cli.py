@@ -591,7 +591,9 @@ def test_wrongly_typed_sequence_exits_one_without_traceback(
 # run with fewer steps (logistic d=20, N=512, K=4, B=16, 2 trials), plus one
 # tiny-MLP extrap_noise run whose filter-scaled noise and LARS read the
 # objective's block partition, and one tiny-MLP extrap_sgd run that stores
-# past gradients over b = 5 of the B = 16 indices.
+# past gradients over b = 5 of the B = 16 indices.  Two more replayed runs, a
+# dense-matrix quadratic (nesterov, with smoothness probes) and a tiny MLP
+# (extrap_sgd), use weight decay and record every 7th step.
 _GOLDEN_STEPS = 40
 
 
@@ -632,6 +634,29 @@ def _golden_sub_batch_doc():
                    "sample_count": 128, "generator_seed": 3},
         cluster={"workers_K": 4, "local_batch_B": 16, "extrap_batch_b": 5},
         hyperparams={"lr_gamma": 0.05, "momentum_u": 0.9})
+
+
+def _golden_decay_doc(method, objective, lr_gamma, **extra):
+    return dict(
+        _golden_doc(method), objective=objective, record_every=7,
+        record_virtual_sequence=True,
+        hyperparams={"lr_gamma": lr_gamma, "momentum_u": 0.5,
+                     "weight_decay": 0.01}, **extra)
+
+
+def _golden_dense_quadratic_doc():
+    return _golden_decay_doc(
+        "nesterov", {"maker": "quadratic", "dimension": 3, "sample_count": 64,
+                     "generator_seed": 5,
+                     "matrix": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.25],
+                                [0.0, 0.25, 0.5]]},
+        0.05, record_smoothness_every=14)
+
+
+def _golden_mlp_decay_doc():
+    return _golden_decay_doc(
+        "extrap_sgd", {"maker": "tiny_mlp", "widths": [3, 4, 2],
+                       "sample_count": 128, "generator_seed": 3}, 0.002)
 
 
 # First 16 hex digits of each written file's sha256.
@@ -676,6 +701,16 @@ GOLDEN_DIGESTS = {
                                       "theory_report.json": "49b28a7973e7aa17",
                                       "trial_0.jsonl": "25f0de4e42d326db",
                                       "trial_1.jsonl": "bce9487220361c36"},
+    "dense_quadratic_nesterov_decay": {"aggregate.csv": "b0565450d2e3eb8a",
+                                       "manifest.json": "271d1180d80a2024",
+                                       "theory_report.json": "f378f0d89c16f3c7",
+                                       "trial_0.jsonl": "e6bbf084d3ad6c49",
+                                       "trial_1.jsonl": "382973990ff6c0e4"},
+    "tiny_mlp_extrap_sgd_decay": {"aggregate.csv": "1a666c20368eee71",
+                                  "manifest.json": "827bf3b4ab385919",
+                                  "theory_report.json": "222ae51ec84ec521",
+                                  "trial_0.jsonl": "b6df5f4fd34941f6",
+                                  "trial_1.jsonl": "0ccd17f10a9c06be"},
 }
 
 
@@ -688,7 +723,9 @@ def _written_digests(doc, tmp_path):
 
 
 _GOLDEN_DOCS = {"tiny_mlp_extrap_noise": _golden_mlp_doc,
-                "tiny_mlp_extrap_sgd_sub_batch": _golden_sub_batch_doc}
+                "tiny_mlp_extrap_sgd_sub_batch": _golden_sub_batch_doc,
+                "dense_quadratic_nesterov_decay": _golden_dense_quadratic_doc,
+                "tiny_mlp_extrap_sgd_decay": _golden_mlp_decay_doc}
 
 
 @pytest.mark.parametrize("case", [*METHODS, *_GOLDEN_DOCS])
