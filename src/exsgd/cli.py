@@ -10,6 +10,7 @@ error, 2 runtime abort (partial results are kept).
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -109,6 +110,9 @@ def _parse_kb(items):
 
 
 def _cmd_speedup(args):
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise ValueError(f"--epsilon must be a finite number > 0, "
+                         f"got {args.epsilon!r}")
     config = load_config(args.config, args.set, args.seed)
     kb_grid = _parse_kb(args.kb)
     table = harness.speedup_study(config, kb_grid, args.epsilon)

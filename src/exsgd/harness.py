@@ -4,15 +4,23 @@ Seeded experiment runner.
 Composes objective + cluster + method + schedule, runs seeded trials, records
 metrics, optionally replays the trajectory through the theory checks, and
 persists everything as plain files (JSONL per trial, one manifest, CSV
-aggregates, JSON theory report).  Persistence converts each value to JSON
-once: `_dump_json` converts a whole payload, config dataclasses included, in
-one pass.
+aggregates, JSON theory report).  `_dump_json` builds a payload's text,
+config dataclasses included, in one recursive pass that writes each row of a
+numeric array as one join of its elements' reprs; the text is byte for byte
+what `json.dump(..., sort_keys=True, indent=1)` writes for `_jsonable`'s form
+of the payload.
 
 Determinism contract: every trial is a pure function of (master_seed, trial
 index) and the config, and output files contain no timestamps or environment
 details, so repeated runs are byte-identical.  Trials run serially and each
 step evaluates all K workers in one stacked oracle call on the (K, B) batch
 matrix; the `threads` argument of `run` is accepted and has no effect.
+The per-step metrics (the full-gradient norm at x_bar_{t+1/2} and the train
+loss at x_{t+1}, each a pass over all N samples) wait until a block of steps
+is due, at most `objectives._SIGMA2_BLOCK` // (N d) of them, and are then
+evaluated in one stacked oracle call each; every value is bitwise its
+single-point call, so the block size never shows in an output.  A trial with
+a stopping rule evaluates each step's norm at once.
 Method facts come from `theory.METHOD_TABLE`; `_step_once` is the one place
 that binds a method to its step function.  Config values have one schema, the
 dataclass and maker annotations, which `from_doc` (whole documents) and
@@ -21,6 +29,7 @@ dataclass and maker annotations, which `from_doc` (whole documents) and
 
 import csv
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -32,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import theory
+from . import objectives, theory
 # Unused here, but benchmark/tracer.py patches harness.reduce_mean.
 from .cluster import ClusterConfig, draw_batches, reduce_mean  # noqa: F401
 from .objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
@@ -204,18 +213,51 @@ def trial_seed(master_seed, trial):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _full_grad_norm2(obj, values, weight_decay):
-    g = batch_gradient(obj, values, range(obj.sample_count))
+def _full_grad_norm2s(obj, points, weight_decay):
+    """||grad f(x) + lambda x||^2 at each row x of the (R, d) `points`, from
+    one stacked oracle call; entry r is bitwise the single-point value."""
+    g = batch_gradient(obj, points, range(obj.sample_count))
     if weight_decay != 0.0:
-        g = g + weight_decay * values
-    return float(g @ g)
+        g = g + weight_decay * points
+    return [float(row @ row) for row in g]
 
 
-def _train_loss(obj, values, weight_decay):
-    loss = batch_loss(obj, values, range(obj.sample_count))
-    if weight_decay != 0.0:
-        loss += 0.5 * weight_decay * float(values @ values)
-    return float(loss)
+def _train_losses(obj, points, weight_decay):
+    """f(x) + (lambda/2)||x||^2 at each row x of the (R, d) `points`, from one
+    stacked loss call; entry r is bitwise the single-point value."""
+    losses = batch_loss(obj, points, range(obj.sample_count)).tolist()
+    if weight_decay == 0.0:
+        return losses
+    return [loss + 0.5 * weight_decay * float(x @ x)
+            for loss, x in zip(losses, points)]
+
+
+def _evaluate_pending(obj, weight_decay, pending, half_rows, x_rows, series):
+    """Evaluate the metrics of the `pending` (row, record or None) steps and
+    empty it: the full-gradient norm at the consecutive rows of `half_rows`
+    (written to `series` too, if given) and, for each step with a record,
+    the train loss at its row of `x_rows`.  Returns the gradient norms."""
+    lo, hi = pending[0][0], pending[-1][0] + 1
+    gn2s = _full_grad_norm2s(obj, half_rows[lo:hi], weight_decay)
+    if series is not None:
+        series[lo:hi] = gn2s
+    recorded = [(row, record) for row, record in pending if record is not None]
+    if recorded:
+        losses = _train_losses(obj, x_rows[[row for row, _ in recorded]],
+                               weight_decay)
+        for (row, record), loss in zip(recorded, losses):
+            record.train_loss, record.grad_norm2 = loss, gn2s[row - lo]
+    pending.clear()
+    return gn2s
+
+
+def _replay_constants(config):
+    """A function returning the theory constants that every replayed trial of
+    `config` reads; they are computed at its first call only."""
+    obj = config.objective
+    return functools.cache(lambda: _constants(
+        obj, initial_point(obj, config.init_scale),
+        config.hyperparams.weight_decay, config.total_steps_T))
 
 
 def _constants(obj, x0, weight_decay, horizon_T=0):
@@ -273,7 +315,10 @@ def _relative_descent_residuals(vs):
     return resid / denom
 
 
-def _run_trial(config, trial, stop_epsilon=None):
+def _run_trial(config, trial, constants, stop_epsilon=None):
+    """Trial `trial` of `config`.  `constants` is `_replay_constants(config)`,
+    called only by a replay; with `stop_epsilon` the trial stops after the
+    first step whose full-gradient norm is <= it, and is not replayed."""
     obj = config.objective
     seed = trial_seed(config.master_seed, trial)
     cl = dataclasses.replace(config.cluster, master_seed=seed)
@@ -288,20 +333,30 @@ def _run_trial(config, trial, stop_epsilon=None):
     x0 = initial_point(obj, config.init_scale)
     state = init_state(x0, cl.workers_K)
     want_vs = config.record_virtual_sequence and method.bounded
+    # Steps whose metrics are due wait in `pending` until a block of `size`
+    # is full: one stacked call then evaluates each metric for all of them,
+    # over (size, N, d) doubles at most.  A stopping rule needs every step's
+    # norm at once, so it evaluates each step on its own.
+    steps, d = config.total_steps_T, obj.dimension
+    size = 1 if stop_epsilon is not None else min(steps, max(
+        1, objectives._SIGMA2_BLOCK // (obj.sample_count * d)))
+    pending, grad_series = [], None
 
     if want_vs:
         # Step t writes row t + 1 of xs and vbuf and row t of the rest; the
         # replay writes the terminal half point and direction as row T.
-        steps, d = config.total_steps_T, obj.dimension
         xs, vbuf, halves, xibars = (np.empty((steps + 1, d)) for _ in range(4))
         gbars = np.empty((steps, d))
         dev2s, grad_series, lrs = np.empty(steps), np.empty(steps), np.empty(steps)
         xs[0], vbuf[0] = x0, state.v
+        half_rows, x_rows = halves, xs[1:]      # row t: step t's points
+    else:
+        half_rows, x_rows = np.empty((size, d)), np.empty((size, d))
     records = []
     aborted, abort_detail = False, ""
     reached = False
     t = 0
-    for t in range(config.total_steps_T):
+    for t in range(steps):
         lr = lr_at(sched, t, cl, obj) if sched is not None else hp.lr_gamma
         hp_t = hp if lr == hp.lr_gamma else dataclasses.replace(hp, lr_gamma=lr)
         batches = draw_batches(cl, obj, t)
@@ -316,33 +371,41 @@ def _run_trial(config, trial, stop_epsilon=None):
                 wall_events=_wall_events(cl, t + 1)))
             break
         info = state.last_info
-        record_now = (t % config.record_every == 0) or (t == config.total_steps_T - 1)
-        need_grad = want_vs or record_now or stop_epsilon is not None
-        gn2 = (_full_grad_norm2(obj, info["x_half_bar"], hp.weight_decay)
-               if need_grad else math.nan)
-        if want_vs:
-            xs[t + 1], vbuf[t + 1] = state.x, state.v
-            halves[t], gbars[t], xibars[t] = (info["x_half_bar"], info["g_bar"],
-                                              info["xi_bar"])
-            dev2s[t], grad_series[t], lrs[t] = info["worker_dev2"], gn2, lr
-        if record_now:
+        record = None
+        if (t % config.record_every == 0) or (t == steps - 1):
             sm = math.nan
             if (config.record_smoothness_every
                     and t % config.record_smoothness_every == 0):
                 update = state.x - x_before
                 sm = theory.smoothness_estimate(obj, x_before, update)
-            records.append(MetricsRecord(
-                step=t, lr=lr,
-                train_loss=_train_loss(obj, state.x, hp.weight_decay),
-                grad_norm2=gn2, smoothness_L=sm,
-                worker_dispersion=info["worker_dispersion"],
-                wall_events=_wall_events(cl, t + 1)))
-        if stop_epsilon is not None and gn2 <= stop_epsilon:
-            reached = True
-            t += 1
-            break
+            # train_loss and grad_norm2 are filled in when the block is.
+            record = MetricsRecord(
+                step=t, lr=lr, train_loss=math.nan, grad_norm2=math.nan,
+                smoothness_L=sm, worker_dispersion=info["worker_dispersion"],
+                wall_events=_wall_events(cl, t + 1))
+            records.append(record)
+        if want_vs:
+            xs[t + 1], vbuf[t + 1] = state.x, state.v
+            halves[t], gbars[t], xibars[t] = (info["x_half_bar"], info["g_bar"],
+                                              info["xi_bar"])
+            dev2s[t], lrs[t] = info["worker_dev2"], lr
+            pending.append((t, record))
+        elif record is not None or stop_epsilon is not None:
+            row = len(pending)
+            half_rows[row], x_rows[row] = info["x_half_bar"], state.x
+            pending.append((row, record))
+        if len(pending) == size:
+            gn2s = _evaluate_pending(obj, hp.weight_decay, pending, half_rows,
+                                     x_rows, grad_series)
+            if stop_epsilon is not None and gn2s[-1] <= stop_epsilon:
+                reached = True
+                t += 1
+                break
     else:
-        t = config.total_steps_T
+        t = steps
+    if pending:
+        _evaluate_pending(obj, hp.weight_decay, pending, half_rows, x_rows,
+                          grad_series)
 
     result = TrialResult(trial=trial, seed=seed, records=records,
                          final_x=state.x.copy(), steps_done=t,
@@ -359,16 +422,16 @@ def _run_trial(config, trial, stop_epsilon=None):
             result.virtual_sequence = vs
             result.descent_residuals = _relative_descent_residuals(vs)
             result.grad_norm2_series = grad_series
-            constants = _constants(obj, x0, hp.weight_decay, horizon)
+            replay = constants()
             sig_hat2 = (noise_second_moment(config.noise, x0)
                         if method.direction == "noise" else None)
             result.proximity = theory.check_proximity_inequalities(
                 vs, worker_dev2=dev2s,
-                sigma2=constants.variance_sigma2, sigma_hat2=sig_hat2,
+                sigma2=replay.variance_sigma2, sigma_hat2=sig_hat2,
                 extrap_batch_b=cl.effective_extrap_b(),
                 uses_past_gradients=method.direction == "past")
             try:
-                report = theory.rate_bound(config.method, constants, hp, cl,
+                report = theory.rate_bound(config.method, replay, hp, cl,
                                            horizon, sigma_hat2=sig_hat2)
                 result.rate_report = theory.finish_report(
                     report, result.grad_norm2_series)
@@ -389,7 +452,8 @@ def run(config, threads=1):
     """Execute config.trials seeded trials; see module docstring (`threads`
     has no effect)."""
     config.validate()
-    trials = [_run_trial(config, i) for i in range(config.trials)]
+    constants = _replay_constants(config)
+    trials = [_run_trial(config, i, constants) for i in range(config.trials)]
     seeds = [t.seed for t in trials]
     return RunResult(config=config, trials=trials, trial_seeds=seeds)
 
@@ -420,10 +484,68 @@ def _jsonable(value):
     return value
 
 
+def _json_text(value, level=0):
+    """`json.dumps(_jsonable(value), sort_keys=True, indent=1,
+    allow_nan=False)`, byte for byte, built in one recursive pass: each row of
+    an int or float array is one join of its elements' reprs.  What this pass
+    does not build itself (an array of another dtype, a dict with a non-str
+    key, an unknown type) goes through that very call, indented to `level`."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        if value.ndim == 0:
+            return _json_text(value.tolist(), level)
+        if value.ndim > 1:
+            return _json_block("[", "]", [_json_text(row, level + 1)
+                                          for row in value], level)
+        items = value.tolist()
+        finite = value.dtype.kind != "f" or np.isfinite(value).all()
+        return _json_block("[", "]", map(repr if finite else _json_float, items),
+                           level)
+    if isinstance(value, (np.floating, np.integer)):
+        return _json_text(value.item(), level)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = {f.name: getattr(value, f.name)
+                 for f in dataclasses.fields(value)}
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        return _json_block("{", "}", [
+            f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(v, level + 1)}"
+            for k, v in sorted(value.items())], level)
+    if isinstance(value, (list, tuple)):
+        return _json_block("[", "]", [_json_text(v, level + 1) for v in value],
+                           level)
+    text = json.dumps(_jsonable(value), sort_keys=True, indent=1, allow_nan=False)
+    return text.replace("\n", "\n" + " " * level)
+
+
+def _json_float(value):
+    """A float as `json` writes `_jsonable`'s form of it."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if math.isnan(value):
+        return "null"
+    return '"Infinity"' if value > 0 else '"-Infinity"'
+
+
+def _json_block(open_, close, items, level):
+    """`items`, the texts of a container's entries, one per line at `level` + 1."""
+    pad = "\n" + " " * (level + 1)
+    body = ("," + pad).join(items)
+    if not body:
+        return open_ + close
+    return f"{open_}{pad}{body}\n{' ' * level}{close}"
+
+
 def _dump_json(payload, path):
+    text = _json_text(payload)
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=1,
-                  allow_nan=False)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -539,7 +661,8 @@ def speedup_study(base, kb_grid, epsilon, budget_factor=4):
                                   total_steps_T=max(1, budget_factor * t_eps))
         steps, censored = [], 0
         for i in range(base.trials):
-            tr = _run_trial(cfg, i, stop_epsilon=epsilon)
+            # A trial with a stopping rule is never replayed: no constants.
+            tr = _run_trial(cfg, i, None, stop_epsilon=epsilon)
             if tr.reached_epsilon:
                 steps.append(tr.steps_done)
             else:
@@ -595,8 +718,9 @@ def sweep(base, grid):
     rows = []
     for combo, cfg in points:
         finals, min_gns, aborted = [], [], 0
+        constants = _replay_constants(cfg)
         for i in range(cfg.trials):
-            tr = _run_trial(cfg, i)
+            tr = _run_trial(cfg, i, constants)
             aborted += tr.aborted
             losses = [r.train_loss for r in tr.records
                       if not math.isnan(r.train_loss)]

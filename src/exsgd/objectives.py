@@ -305,8 +305,12 @@ def _sample_rows(obj, indices):
 
 
 def _check_dim(obj, values, rows):
-    """values is one (d,) point, or a (K, d) point per row of a (K, B) matrix."""
+    """values is one (d,) point, a (K, d) point per row of a (K, B) matrix,
+    or an (R, d) stack of points sharing a `range` of indices."""
     if values.shape == (obj.dimension,):
+        return
+    if isinstance(rows, slice) and values.ndim == 2 \
+            and values.shape[1] == obj.dimension:
         return
     stacked = isinstance(rows, np.ndarray) and rows.ndim == 2
     if stacked and values.shape == (rows.shape[0], obj.dimension):
@@ -393,6 +397,8 @@ def batch_gradient(obj, values, indices, *, lead=None):
     point per row, and the result is (K, d): row k is bitwise what the call
     on row k alone returns, because every kernel reduces along the batch
     axis and multiplies one matrix-vector or matrix-matrix product per row.
+    For a `range`, `values` may be an (R, d) stack of points, and the (R, d)
+    result's row r is bitwise the call at point r alone.
 
     With `lead` = b in [1, B] (a batch or matrix, not a `range`) the call
     returns (g_B, g_b) from one gather and one forward/backward pass: g_B is
@@ -450,22 +456,29 @@ def _sigmoid(z):
 
 def batch_loss(obj, values, indices):
     """Mean per-sample loss over `indices`, a (B,) batch or a `range` (raw
-    ndarray API)."""
+    ndarray API).  For a `range`, `values` may be an (R, d) stack of points,
+    and the result is the (R,) array whose entry r is bitwise the call at
+    point r alone."""
     values = np.asarray(values, dtype=np.float64)
     rows = _sample_rows(obj, indices)
     if isinstance(rows, np.ndarray) and rows.ndim != 1:
         raise ValueError("batch_loss takes one batch of indices")
     _check_dim(obj, values, rows)
     if obj.kind == QUADRATIC:
-        diffs = values - obj.quad_shifts[rows]
-        return 0.5 * float(np.mean(np.sum(diffs * _quad_apply(obj, diffs), axis=1)))
-    if obj.kind == LOGISTIC:
-        margin = obj.logit_labels[rows] * (obj.logit_features[rows] @ values)
-        # log(1+exp(-m)) computed stably
-        val = np.logaddexp(0.0, -margin).mean()
-        return float(val + 0.5 * obj.logit_l2 * values @ values)
-    _, _, resid = _mlp_forward(obj, values, rows)
-    return 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
+        diffs = values[..., None, :] - obj.quad_shifts[rows]
+        loss = 0.5 * np.sum(diffs * _quad_apply(obj, diffs), axis=-1).mean(axis=-1)
+    elif obj.kind == LOGISTIC:
+        margin = obj.logit_labels[rows] * np.matmul(
+            obj.logit_features[rows], values[..., None])[..., 0]
+        # log(1+exp(-m)) computed stably; the l2 term is one dot per point.
+        loss = np.logaddexp(0.0, -margin).mean(axis=-1)
+        scaled = 0.5 * obj.logit_l2 * values
+        loss = loss + (scaled @ values if values.ndim == 1 else
+                       np.array([row @ x for row, x in zip(scaled, values)]))
+    else:
+        _, _, resid = _mlp_forward(obj, values, rows)
+        loss = 0.5 * np.sum(resid * resid, axis=-1).mean(axis=-1)
+    return float(loss) if values.ndim == 1 else loss
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +526,8 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0):
         horizon_T=int(horizon_T)).validate()
 
 
-# Doubles in one (n, d) block of per-sample gradients in `_sigma2_at`.
+# Doubles in one (n, d) block of per-sample gradients in `_sigma2_at`, and in
+# one (R, N, d) block of the stacked per-step metrics of `harness._run_trial`.
 _SIGMA2_BLOCK = 2 ** 18
 
 

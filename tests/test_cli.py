@@ -434,6 +434,19 @@ def test_speedup_with_a_malformed_kb_exits_one_naming_the_option(
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("epsilon,shown", [
+    ("inf", "inf"), ("nan", "nan"), ("0", "0.0"), ("-1", "-1.0")])
+def test_speedup_with_a_bad_epsilon_exits_one_naming_the_option(
+        config_path, tmp_path, capsys, epsilon, shown):
+    out = tmp_path / "o"
+    assert main(["speedup", "--config", config_path, "--out", str(out),
+                 "--kb", "1x4", "--epsilon", epsilon]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --epsilon must be a finite number > 0, "
+                            f"got {shown}\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_local_batch_override_moves_the_default_extrap_batch(config_path,
                                                              tmp_path, capsys):
     # An unset extrap_batch_b is B wherever it is read, so overriding B

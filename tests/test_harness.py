@@ -4,20 +4,26 @@ import inspect
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_array_equal
 
+from exsgd import objectives
+
 from exsgd.cluster import ClusterConfig, draw_batches
-from exsgd.harness import (RunConfig, _constants, _describe,
-                           _full_grad_norm2, _step_once, _terminal_half_point,
+from exsgd.harness import (RunConfig, _constants, _describe, _json_text,
+                           _jsonable, _replay_constants, _run_trial,
+                           _step_once, _terminal_half_point,
                            apply_override, run, speedup_study, sweep,
                            trial_seed, write_outputs)
-from exsgd.objectives import (MAKERS, batch_loss, estimate_constants,
-                              initial_point, make_quadratic, make_tiny_mlp)
+from exsgd.objectives import (MAKERS, batch_gradient, batch_loss,
+                              estimate_constants, initial_point, make_logistic,
+                              make_quadratic, make_tiny_mlp)
 from exsgd.optimizers import (SMOOTHOUT_SHARED, WARMUP_CONSTANT, HyperParams,
                               NoiseSpec, PostLocalConfig, Schedule, init_state,
                               lr_at)
@@ -37,6 +43,12 @@ def _base_config(**overrides):
         master_seed=7,
     )
     return dataclasses.replace(cfg, **overrides)
+
+
+def _grad_norm2(obj, x, weight_decay):
+    """The reference full-gradient metric: one single-point oracle call."""
+    g = batch_gradient(obj, x, range(obj.sample_count)) + weight_decay * x
+    return float(g @ g)
 
 
 def _reject_constant(name):
@@ -422,7 +434,7 @@ def test_virtual_sequence_rows_are_the_stacked_step_values(method, workers,
         halves.append(info["x_half_bar"])
         gbars.append(info["g_bar"])
         xibars.append(info["xi_bar"])
-        gn2s.append(_full_grad_norm2(obj, info["x_half_bar"], hp.weight_decay))
+        gn2s.append(_grad_norm2(obj, info["x_half_bar"], hp.weight_decay))
     seq = tr.virtual_sequence
     assert_array_equal(seq.x, np.stack(xs))
     assert_array_equal(seq.v, np.stack(vs))
@@ -514,3 +526,137 @@ def test_sweep_runs_each_points_own_trials():
               for tr in run(dataclasses.replace(cfg, trials=3)).trials]
     assert table["rows"][0]["final_loss_mean"] == float(np.mean(finals))
     assert table["rows"][0]["final_loss_std"] == float(np.std(finals)) > 0
+
+
+@dataclasses.dataclass
+class _Pair:
+    left: object
+    right: object
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan])
+_ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.uint8, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+_LEAVES = (st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
+           | st.sampled_from(["", "\"", "\\", "\n\t\x00\x7f", "é€😀"])
+           | _ARRAYS | st.builds(np.float64, _FLOATS)
+           | st.builds(np.int32, st.integers(-2**31, 2**31 - 1)))
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)
+                   | st.builds(_Pair, inner, inner)),
+    max_leaves=16)
+
+
+@given(value=_JSON_VALUES)
+@example(value=np.array([1.5, math.nan, math.inf, -math.inf, -0.0]))
+@example(value={"rows": np.array([[1.0, 2.0], [math.nan, 3.0]]),
+                "empty": np.zeros((2, 0)), "scalar": np.float64(math.inf)})
+@settings(max_examples=200, deadline=None)
+def test_one_pass_writer_is_the_json_module_byte_for_byte(value):
+    assert _json_text(value) == json.dumps(_jsonable(value), sort_keys=True,
+                                           indent=1, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), {"a": [object()]},
+                                   np.zeros(2, dtype=complex), {1: 1, "a": 2}])
+def test_one_pass_writer_refuses_what_the_json_module_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(_jsonable(value), sort_keys=True, indent=1, allow_nan=False)
+    with pytest.raises(TypeError) as got:
+        _json_text(value)
+    assert str(got.value) == str(expected.value)
+
+
+def _trial_in_blocks(cfg, block, **kwargs):
+    """Trial 0 of `cfg` with metric blocks of `block` steps (None: the
+    default size)."""
+    obj = cfg.objective
+    doubles = (block * obj.sample_count * obj.dimension if block
+               else objectives._SIGMA2_BLOCK)
+    with mock.patch.object(objectives, "_SIGMA2_BLOCK", doubles):
+        return _run_trial(cfg, 0, _replay_constants(cfg), **kwargs)
+
+
+def _assert_same_trial(got, want):
+    assert repr(got.records) == repr(want.records)
+    assert got.final_x.tobytes() == want.final_x.tobytes()
+    assert ((got.steps_done, got.aborted, got.reached_epsilon)
+            == (want.steps_done, want.aborted, want.reached_epsilon))
+    if want.grad_norm2_series is None:
+        assert got.grad_norm2_series is None
+    else:
+        assert got.grad_norm2_series.tobytes() == want.grad_norm2_series.tobytes()
+
+
+_BLOCK_OBJECTIVES = {
+    "quadratic": lambda: make_quadratic(3, 20, generator_seed=1,
+                                        diag=[0.5, 1.0, 2.0]),
+    "quadratic_matrix": lambda: make_quadratic(
+        2, 20, generator_seed=1, matrix=[[2.0, 0.5], [0.5, 1.0]]),
+    "logistic": lambda: make_logistic(5, 24, generator_seed=2, l2=0.01),
+    "tiny_mlp": lambda: make_tiny_mlp((2, 3, 1), 24, generator_seed=3),
+}
+
+
+@given(method=st.sampled_from(METHODS), kind=st.sampled_from(sorted(_BLOCK_OBJECTIVES)),
+       steps=st.integers(1, 12), record_every=st.integers(1, 5),
+       decay=st.sampled_from([0.0, 0.1]), replay=st.booleans(),
+       smoothness=st.sampled_from([0, 2]))
+@settings(max_examples=40, deadline=None)
+def test_metric_blocks_do_not_change_a_trial(method, kind, steps, record_every,
+                                             decay, replay, smoothness):
+    cfg = _base_config(
+        objective=_BLOCK_OBJECTIVES[kind](), method=method, trials=1,
+        total_steps_T=steps, record_every=record_every,
+        record_virtual_sequence=replay, record_smoothness_every=smoothness,
+        hyperparams=HyperParams(lr_gamma=0.02, momentum_u=0.5,
+                                weight_decay=decay),
+        noise=NoiseSpec(kind="isotropic_gaussian", raw_scale=0.1),
+        post_local=PostLocalConfig(transition_step_t0=2, local_steps_H=2))
+    want = _trial_in_blocks(cfg, 1)
+    for block in (3, None):
+        _assert_same_trial(_trial_in_blocks(cfg, block), want)
+    # Reference: each metric from a single-point call.
+    obj, seq = cfg.objective, want.virtual_sequence
+    if seq is None:
+        return
+    for record in want.records:
+        x = seq.x[record.step + 1]
+        loss = batch_loss(obj, x, range(obj.sample_count))
+        assert record.train_loss == loss + 0.5 * decay * float(x @ x)
+        assert record.grad_norm2 == want.grad_norm2_series[record.step] == \
+            _grad_norm2(obj, seq.x_bar_half[record.step], decay)
+
+
+def test_metric_blocks_hold_across_an_abort_inside_a_block():
+    cfg = _base_config(
+        objective=make_quadratic(2, 8, diag=[1e4, 1e4], shift_spread=1.0),
+        hyperparams=HyperParams(lr_gamma=1.0), total_steps_T=300, trials=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _trial_in_blocks(cfg, 1)
+        done = want.steps_done           # steps before the aborted one
+        assert want.aborted and done >= 3
+        assert [r.step for r in want.records] == list(range(done + 1))
+        # done // 2 + 1 never divides done, and the default block is the
+        # whole trial, so the abort falls inside a block.
+        for block in (3, done // 2 + 1, None):
+            _assert_same_trial(_trial_in_blocks(cfg, block), want)
+
+
+def test_metric_blocks_keep_the_stopping_rule_exact():
+    cfg = _base_config(trials=1, record_every=3)
+    norms = [r.grad_norm2 for r in _trial_in_blocks(
+        dataclasses.replace(cfg, record_every=1), None).records]
+    for epsilon in sorted(norms)[::3]:
+        first = next(t for t, gn2 in enumerate(norms) if gn2 <= epsilon)
+        want = _trial_in_blocks(cfg, 1, stop_epsilon=epsilon)
+        assert want.reached_epsilon and want.steps_done == first + 1
+        for block in (3, None):
+            _assert_same_trial(
+                _trial_in_blocks(cfg, block, stop_epsilon=epsilon), want)

@@ -271,6 +271,24 @@ def test_range_indices_are_bitwise_arange(kind, seed, data):
         batch_loss(obj, x, everything)
 
 
+@given(kind=st.sampled_from(OBJECTIVE_KINDS), seed=st.integers(0, 2**31 - 1),
+       points=st.sampled_from([1, 2, 7, 33]), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_stacked_points_are_bitwise_single_point_calls(kind, seed, points, data):
+    obj = _draw_objective(data, kind, seed)
+    start = data.draw(st.integers(0, obj.sample_count - 1), label="start")
+    stop = data.draw(st.integers(start + 1, obj.sample_count), label="stop")
+    rows = data.draw(st.sampled_from([range(obj.sample_count),
+                                      range(start, stop)]), label="rows")
+    stack = 2.0 * np.random.default_rng(seed).standard_normal((points, obj.dimension))
+    grads, losses = batch_gradient(obj, stack, rows), batch_loss(obj, stack, rows)
+    assert grads.shape == stack.shape and losses.shape == (points,)
+    for r, x in enumerate(stack):
+        assert grads[r].tobytes() == batch_gradient(obj, x, rows).tobytes()
+        assert losses[r:r + 1].tobytes() == \
+            np.float64(batch_loss(obj, x, rows)).tobytes()
+
+
 def test_stacked_oracle_index_and_shape_checks():
     obj = make_quadratic(2, 5)
     idx = np.array([[0, 1], [2, 4]])
@@ -286,6 +304,13 @@ def test_stacked_oracle_index_and_shape_checks():
         batch_gradient(obj, np.zeros(2), range(0))
     with pytest.raises(ValueError):
         batch_loss(obj, np.zeros(2), idx)
+    for points in (np.zeros((3, 3)), np.zeros((2, 2, 2))):    # wrong d, 3-D
+        with pytest.raises(ValueError):
+            batch_gradient(obj, points, range(5))
+        with pytest.raises(ValueError):
+            batch_loss(obj, points, range(5))
+    with pytest.raises(ValueError):
+        batch_loss(obj, np.zeros((3, 2)), [0, 1])     # a stack needs a range
 
 
 @given(seed=st.integers(0, 2**31 - 1), workers=st.integers(1, 16),
