@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_array_equal
 
 from exsgd import objectives
-
 from exsgd.cluster import ClusterConfig, draw_batches
 from exsgd.harness import (RunConfig, _constants, _describe, _json_text,
                            _jsonable, _replay_constants, _run_trial,
