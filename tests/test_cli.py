@@ -672,6 +672,35 @@ def _golden_mlp_decay_doc():
                        "sample_count": 128, "generator_seed": 3}, 0.002)
 
 
+# Three runs that stack more trials than two: five extrap_noise trials with a
+# shared SmoothOut draw, a warmup/step-decay schedule (so no replay) and
+# epoch-permuted batches that cross an epoch boundary; anisotropic
+# past-gradient noise over b = 8 of B = 16 with the replay on; and three
+# post-local trials whose workers start the local phase with zero momentum.
+def _golden_schedule_doc():
+    return dict(
+        _golden_doc("extrap_noise"), trials=5,
+        cluster={"workers_K": 4, "local_batch_B": 16,
+                 "sampling_mode": "epoch_permutation"},
+        noise={"kind": "smoothout_shared", "raw_scale": 0.05},
+        schedule={"kind": "warmup_step_decay", "base_lr": 0.002,
+                  "scale_factor": 2.0, "warmup_epochs": 1})
+
+
+def _golden_anisotropic_doc():
+    return dict(
+        _golden_doc("extrap_noise"),
+        cluster={"workers_K": 4, "local_batch_B": 16, "extrap_batch_b": 8},
+        noise={"kind": "anisotropic_stochastic"})
+
+
+def _golden_post_local_reset_doc():
+    return dict(
+        _golden_doc("post_local"), trials=3,
+        hyperparams={"lr_gamma": 0.005, "momentum_u": 0.5,
+                     "reset_local_momentum": True})
+
+
 # First 16 hex digits of each written file's sha256.
 GOLDEN_DIGESTS = {
     "sgd": {"aggregate.csv": "fd4829fc572c34d8",
@@ -724,6 +753,24 @@ GOLDEN_DIGESTS = {
                                   "theory_report.json": "222ae51ec84ec521",
                                   "trial_0.jsonl": "b6df5f4fd34941f6",
                                   "trial_1.jsonl": "0ccd17f10a9c06be"},
+    "five_trials_schedule_smoothout_epochs": {
+        "aggregate.csv": "04b95c5147a26651",
+        "manifest.json": "5db056f8fe2c0c43",
+        "trial_0.jsonl": "2513e366ec8af90f",
+        "trial_1.jsonl": "528f8b4d3c40bfc5",
+        "trial_2.jsonl": "c86e521bf2cec4e8",
+        "trial_3.jsonl": "eb9b72169a05eeb7",
+        "trial_4.jsonl": "e53b39eb73a9c7ec"},
+    "anisotropic_noise_sub_batch": {"aggregate.csv": "f531137962b618f7",
+                                    "manifest.json": "6af718f8652bde2b",
+                                    "theory_report.json": "c906978bb17d77e1",
+                                    "trial_0.jsonl": "51f15e9dff2998ff",
+                                    "trial_1.jsonl": "96ac296fecd43a15"},
+    "post_local_three_trials_reset": {"aggregate.csv": "17b503d0edec0f3b",
+                                      "manifest.json": "3e52ed0b1bd979f7",
+                                      "trial_0.jsonl": "9bf74ec8197d1d26",
+                                      "trial_1.jsonl": "270cb75726051622",
+                                      "trial_2.jsonl": "967823d24641b701"},
 }
 
 
@@ -738,7 +785,10 @@ def _written_digests(doc, tmp_path):
 _GOLDEN_DOCS = {"tiny_mlp_extrap_noise": _golden_mlp_doc,
                 "tiny_mlp_extrap_sgd_sub_batch": _golden_sub_batch_doc,
                 "dense_quadratic_nesterov_decay": _golden_dense_quadratic_doc,
-                "tiny_mlp_extrap_sgd_decay": _golden_mlp_decay_doc}
+                "tiny_mlp_extrap_sgd_decay": _golden_mlp_decay_doc,
+                "five_trials_schedule_smoothout_epochs": _golden_schedule_doc,
+                "anisotropic_noise_sub_batch": _golden_anisotropic_doc,
+                "post_local_three_trials_reset": _golden_post_local_reset_doc}
 
 
 @pytest.mark.parametrize("case", [*METHODS, *_GOLDEN_DOCS])
