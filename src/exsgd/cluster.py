@@ -19,15 +19,18 @@ is kept as one read-only (K, block size) matrix, whose row k is worker k's
 block, in a small cache: a run generates each block once instead of once per
 step, and a step's batches are one slice copy of that matrix (a straddling
 batch joins consecutive matrices along the position axis), so every call
-returns a fresh matrix the caller owns.
+returns a fresh matrix the caller owns.  `draw_batches` also serves R trials
+at once: given R trial seeds it returns their (R K, B) matrix, trial r's K
+rows after trial r - 1's, and the cache then keeps as many blocks for each of
+the R streams as it keeps for one.
 
 The gradient reduction is a plain ascending-worker-order serial mean over
-the K rows of a (K, d) array (or a list of K vectors): floating-point
-determinism outranks reduction speed at desk scale.  The step engine
-evaluates all K workers in one stacked call, so no step uses threads.
+the K rows of a (K, d) array (or a list of K vectors), or over each trial's K
+rows of an (R, K, d) stack: floating-point determinism outranks reduction
+speed at desk scale.  The step engine evaluates all K workers in one stacked
+call, so no step uses threads.
 """
 
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,9 +45,9 @@ _PERM_TAG = 22
 # Indices per with-replacement block: one seeded generator serves
 # _BLOCK // B steps of a worker.
 _BLOCK = 1024
-# Cached block matrices.  A step reads one, or the next few where its batch
-# straddles a boundary, and the next step reads the last of them again; an
-# epoch block matrix holds K * N int64 indices.
+# Cached block matrices per stream.  A step reads one, or the next few where
+# its batch straddles a boundary, and the next step reads the last of them
+# again; an epoch block matrix holds K * N int64 indices.
 _CACHE_BLOCKS = 4
 
 
@@ -80,10 +83,26 @@ class ClusterConfig:
         return self
 
 
-@functools.lru_cache(maxsize=_CACHE_BLOCKS)
-def _block(master_seed, mode, workers, block, n):
+# (seed, mode, workers, n, block) -> block matrix, oldest first.
+_blocks = {}
+
+
+def _block(master_seed, mode, workers, block, n, streams=1):
     """Block `block` of every worker's index sequence as a read-only
-    (workers, block size) matrix (it is shared); row k is worker k's block."""
+    (workers, block size) matrix (it is shared); row k is worker k's block.
+    The cache keeps the `_CACHE_BLOCKS` * `streams` newest: every stream
+    reads its blocks in ascending order, and a call for R streams reads block
+    c of all of them before block c + 1 of any."""
+    key = (master_seed, mode, workers, n, block)
+    rows = _blocks.get(key)
+    if rows is None:
+        rows = _blocks[key] = _new_block(master_seed, mode, workers, block, n)
+        while len(_blocks) > _CACHE_BLOCKS * streams:
+            del _blocks[next(iter(_blocks))]
+    return rows
+
+
+def _new_block(master_seed, mode, workers, block, n):
     epoch = mode == EPOCH_PERMUTATION
     rows = np.empty((workers, n if epoch else _BLOCK), dtype=np.int64)
     for k in range(workers):
@@ -94,10 +113,12 @@ def _block(master_seed, mode, workers, block, n):
     return rows
 
 
-def draw_batches(cfg, obj, t):
+def draw_batches(cfg, obj, t, seeds=None):
     """The (K, B) int64 index matrix of step t; row k is worker k's batch.
     Streams are independent per worker and replaying (cfg, t) yields
-    identical indices."""
+    identical indices.  With `seeds`, a list of R trial seeds, the (R K, B)
+    matrix whose rows r K .. r K + K - 1 are the matrix of the cluster seeded
+    `seeds[r]`; `cfg.master_seed` is then not read."""
     if t < 0:
         raise ValueError("step t must be >= 0")
     cfg.validate(obj)
@@ -105,13 +126,17 @@ def draw_batches(cfg, obj, t):
     size = n if mode == EPOCH_PERMUTATION else _BLOCK
     first, offset = divmod(t * b, size)
     last = (t * b + b - 1) // size
-    seed, workers = cfg.master_seed, cfg.workers_K
-    seq = _block(seed, mode, workers, first, n)
-    if last > first:        # the batch straddles a block boundary
-        seq = np.concatenate([seq] + [_block(seed, mode, workers, c, n)
-                                      for c in range(first + 1, last + 1)],
-                             axis=1)
-    return seq[:, offset:offset + b].copy()
+    seeds = [cfg.master_seed] if seeds is None else seeds
+    workers, streams = cfg.workers_K, len(seeds)
+    mats = []
+    for seed in seeds:
+        seq = _block(seed, mode, workers, first, n, streams)
+        if last > first:        # the batch straddles a block boundary
+            seq = np.concatenate([seq] + [_block(seed, mode, workers, c, n, streams)
+                                          for c in range(first + 1, last + 1)],
+                                 axis=1)
+        mats.append(seq[:, offset:offset + b])
+    return mats[0].copy() if streams == 1 else np.concatenate(mats)
 
 
 def reduce_mean(vectors):
@@ -121,13 +146,19 @@ def reduce_mean(vectors):
     adds its rows into the output row in ascending order, starting from a
     copy of row 0 (`initial=None`, which keeps the sign of a zero), so the
     result is bitwise the loop below.  For d = 1 and for other layouts numpy
-    may sum pairwise, so those, and lists, take the loop.
+    may sum pairwise, so those, and lists, take the loop.  A stack of shape
+    (..., K, d) is reduced over its K axis the same way, to (..., d): entry
+    r of an (R, K, d) stack's mean is bitwise the mean of its (K, d) row r.
     """
+    if isinstance(vectors, np.ndarray) and vectors.ndim >= 2:
+        count = vectors.shape[-2]
+        if count == 0:
+            raise ValueError("reduce_mean of empty input")
+        if vectors.shape[-1] >= 2 and vectors.flags.c_contiguous:
+            return np.add.reduce(vectors, axis=-2, initial=None) / count
+        vectors = np.moveaxis(vectors, -2, 0)    # the loop runs over axis 0
     if len(vectors) == 0:
         raise ValueError("reduce_mean of empty input")
-    if (isinstance(vectors, np.ndarray) and vectors.ndim == 2
-            and vectors.shape[1] >= 2 and vectors.flags.c_contiguous):
-        return np.add.reduce(vectors, axis=0, initial=None) / len(vectors)
     dim = vectors[0].shape
     acc = vectors[0].copy()
     for vec in vectors[1:]:

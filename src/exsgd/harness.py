@@ -48,7 +48,7 @@ from .objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
                          estimate_constants, initial_point)
 from .optimizers import (HyperParams, NoiseSpec, PostLocalConfig, Schedule,
                          NumericAbort, effective_gamma_hat, init_state,
-                         lookahead, lr_at, noise_second_moment, step_adam,
+                         lookahead, lr_series, noise_second_moment, step_adam,
                          step_extrap_adam, step_extrap_sgd,
                          step_extrapolated_noise, step_minibatch_sgd,
                          step_nesterov, step_post_local)
@@ -232,23 +232,29 @@ def _train_losses(obj, points, weight_decay):
             for loss, x in zip(losses, points)]
 
 
-def _evaluate_pending(obj, weight_decay, pending, half_rows, x_rows, series):
-    """Evaluate the metrics of the `pending` (row, record or None) steps and
-    empty it: the full-gradient norm at the consecutive rows of `half_rows`
-    (written to `series` too, if given) and, for each step with a record,
-    the train loss at its row of `x_rows`.  Returns the gradient norms."""
-    lo, hi = pending[0][0], pending[-1][0] + 1
-    gn2s = _full_grad_norm2s(obj, half_rows[lo:hi], weight_decay)
+def _evaluate_pending(obj, weight_decay, pending, series):
+    """Evaluate the metrics of the `pending` (step, records or None, half
+    points, points) steps, whose points are one (d,) row per running trial,
+    and empty it: the full-gradient norm at every half point (written to
+    `series[step]` too, if given) and, for each step with records, the train
+    loss at its points.  Returns the last step's gradient norms."""
+    d = obj.dimension
+    halves = np.concatenate([half for _, _, half, _ in pending]).reshape(-1, d)
+    trials = len(halves) // len(pending)
+    gn2s = _full_grad_norm2s(obj, halves, weight_decay)
     if series is not None:
-        series[lo:hi] = gn2s
-    recorded = [(row, record) for row, record in pending if record is not None]
+        lo, hi = pending[0][0], pending[-1][0] + 1
+        series[lo:hi] = np.reshape(gn2s, series[lo:hi].shape)
+    recorded = [(i, records, x) for i, (_, records, _, x) in enumerate(pending)
+                if records is not None]
     if recorded:
-        losses = _train_losses(obj, x_rows[[row for row, _ in recorded]],
-                               weight_decay)
-        for (row, record), loss in zip(recorded, losses):
-            record.train_loss, record.grad_norm2 = loss, gn2s[row - lo]
+        points = np.concatenate([x for _, _, x in recorded]).reshape(-1, d)
+        losses = iter(_train_losses(obj, points, weight_decay))
+        for i, records, _ in recorded:
+            for record, gn2 in zip(records, gn2s[i * trials:(i + 1) * trials]):
+                record.train_loss, record.grad_norm2 = next(losses), gn2
     pending.clear()
-    return gn2s
+    return gn2s[-trials:]
 
 
 def _replay_constants(config):
@@ -294,7 +300,8 @@ def _step_once(config, state, obj, cl, batches, hp_t, seed):
 
 def _terminal_half_point(config, state, hp, cl, seed):
     """x_bar_{T+1/2} = x - gamma_hat xi_bar_T + u v and xi_bar_T, step T =
-    state.step_t's mean direction from `lookahead`; no gradient is evaluated."""
+    state.step_t's mean direction from `lookahead`; no gradient is evaluated.
+    A stacked state gives one row per trial and takes the trials' seeds."""
     _, xi = lookahead(state, hp, cl.workers_K,
                       theory.METHOD_TABLE[config.method].direction,
                       config.noise, seed, config.objective.partition)
@@ -315,129 +322,203 @@ def _relative_descent_residuals(vs):
     return resid / denom
 
 
-def _run_trial(config, trial, constants, stop_epsilon=None):
-    """Trial `trial` of `config`.  `constants` is `_replay_constants(config)`,
-    called only by a replay; with `stop_epsilon` the trial stops after the
-    first step whose full-gradient norm is <= it, and is not replayed."""
-    obj = config.objective
-    seed = trial_seed(config.master_seed, trial)
-    cl = dataclasses.replace(config.cluster, master_seed=seed)
+# Doubles that one chunk of trials may hold in one stacked step's gathered
+# samples or full-gradient metric: a chunk advances at most
+# _CHUNK_DOUBLES // (max(N, K B) d) trials together, so the gate-size
+# quadratics stack all their trials and a wide objective runs one at a time.
+_CHUNK_DOUBLES = 2 ** 18
+
+
+def _chunk_size(config):
+    obj, cl = config.objective, config.cluster
+    rows = max(obj.sample_count, cl.workers_K * cl.local_batch_B)
+    return max(1, _CHUNK_DOUBLES // (rows * obj.dimension))
+
+
+def _lr_series(config):
+    """Each step's learning rate, shared by all trials of `config`; None
+    without a schedule, where every step uses `hyperparams.lr_gamma`."""
     sched = config.schedule
-    if sched is not None and sched.total_steps == 0:
+    if sched is None:
+        return None
+    if sched.total_steps == 0:
         sched = dataclasses.replace(sched, total_steps=config.total_steps_T)
+    return lr_series(sched, config.total_steps_T, config.cluster,
+                     config.objective)
+
+
+def _trial_results(config, stop_epsilon=None):
+    """The results of all `config.trials` trials of the validated `config`,
+    in order, run in chunks of `_chunk_size(config)` trials that advance
+    together (`_run_trials`)."""
+    constants, lrs = _replay_constants(config), _lr_series(config)
+    chunk = _chunk_size(config)
+    results = []
+    for lo in range(0, config.trials, chunk):
+        results += _run_trials(config, range(lo, min(lo + chunk, config.trials)),
+                               constants, lrs, stop_epsilon)
+    return results
+
+
+def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
+    """The results of the trials of `config` with the indices `trials`,
+    advanced together as one stacked state whose row r is trial trials[r]
+    (one trial runs on the plain (d,) state); each result is bitwise that of
+    its trial run alone.  `constants` is `_replay_constants(config)`, called
+    only by a replay, and `lrs` is `_lr_series(config)`.  A trial that meets
+    a non-finite value ends with an abort record and its rows leave the
+    stack; the others go on.  With `stop_epsilon` a trial stops after the
+    first step whose full-gradient norm is <= it, and no trial is
+    replayed."""
+    obj, cl = config.objective, config.cluster
     method = theory.METHOD_TABLE[config.method]
     hp = config.hyperparams
     if not method.momentum:     # the update applies none, so the replay neither
         hp = dataclasses.replace(hp, momentum_u=0.0)
-
+    steps, d, workers = config.total_steps_T, obj.dimension, cl.workers_K
+    live = [TrialResult(trial=i, seed=trial_seed(config.master_seed, i),
+                        records=[], final_x=None, steps_done=steps)
+            for i in trials]
+    results, seeds = list(live), [tr.seed for tr in live]
+    stacked = len(live) > 1
     x0 = initial_point(obj, config.init_scale)
-    state = init_state(x0, cl.workers_K)
-    want_vs = config.record_virtual_sequence and method.bounded
-    # Steps whose metrics are due wait in `pending` until a block of `size`
-    # is full: one stacked call then evaluates each metric for all of them,
-    # over (size, N, d) doubles at most.  A stopping rule needs every step's
-    # norm at once, so it evaluates each step on its own.
-    steps, d = config.total_steps_T, obj.dimension
-    size = 1 if stop_epsilon is not None else min(steps, max(
-        1, objectives._SIGMA2_BLOCK // (obj.sample_count * d)))
-    pending, grad_series = [], None
-
+    state = init_state(np.tile(x0, (len(live), 1)) if stacked else x0, workers)
+    step_seed = seeds if stacked else seeds[0]
+    want_vs = (config.record_virtual_sequence and method.bounded
+               and stop_epsilon is None)
+    # Steps whose metrics are due wait in `pending` until the next step would
+    # take the block past `capacity` points (one per running trial and step):
+    # one stacked call then evaluates each metric for all of them, over
+    # (capacity, N, d) doubles at most.  A stopping rule needs every step's
+    # norms at once, so it evaluates each step on its own.
+    capacity = max(1, objectives._SIGMA2_BLOCK // (obj.sample_count * d))
+    pending, buf = [], {}
     if want_vs:
-        # Step t writes row t + 1 of xs and vbuf and row t of the rest; the
-        # replay writes the terminal half point and direction as row T.
-        xs, vbuf, halves, xibars = (np.empty((steps + 1, d)) for _ in range(4))
-        gbars = np.empty((steps, d))
-        dev2s, grad_series, lrs = np.empty(steps), np.empty(steps), np.empty(steps)
-        xs[0], vbuf[0] = x0, state.v
-        half_rows, x_rows = halves, xs[1:]      # row t: step t's points
-    else:
-        half_rows, x_rows = np.empty((size, d)), np.empty((size, d))
-    records = []
-    aborted, abort_detail = False, ""
-    reached = False
-    t = 0
+        # Row t + 1 of "x" and "v" and row t of the rest hold step t's values,
+        # shaped as the state holds them; the replay writes the terminal half
+        # point and direction as row T.
+        shape = state.x.shape
+        buf = {name: np.empty((steps + 1,) + shape) for name in ("x", "v", "half", "xi")}
+        buf["gbar"] = np.empty((steps,) + shape)
+        buf["dev2"], buf["gn2"] = (np.empty((steps,) + shape[:-1]) for _ in range(2))
+        buf["x"][0], buf["v"][0] = state.x, state.v
+
+    def keep(rows):
+        """Go on with the running trials at `rows` only."""
+        nonlocal live, seeds, step_seed
+        live, seeds = [live[r] for r in rows], [seeds[r] for r in rows]
+        step_seed = seeds
+        if live:        # a one-trial state never loses a row and keeps one
+            state.keep_trials(rows)
+            for name, values in buf.items():
+                buf[name] = values[:, rows]
+
     for t in range(steps):
-        lr = lr_at(sched, t, cl, obj) if sched is not None else hp.lr_gamma
+        lr = hp.lr_gamma if lrs is None else lrs[t]
         hp_t = hp if lr == hp.lr_gamma else dataclasses.replace(hp, lr_gamma=lr)
-        batches = draw_batches(cl, obj, t)
-        x_before = state.x
-        try:
-            _step_once(config, state, obj, cl, batches, hp_t, seed)
-        except NumericAbort as exc:
-            aborted, abort_detail = True, str(exc)
-            records.append(MetricsRecord(
-                step=t, lr=lr, train_loss=math.nan, grad_norm2=math.nan,
-                worker_dispersion=math.nan,
-                wall_events=_wall_events(cl, t + 1)))
+        batches = draw_batches(cl, obj, t, seeds)
+        while True:
+            x_before = state.x
+            try:
+                _step_once(config, state, obj, cl, batches, hp_t, step_seed)
+                break
+            except NumericAbort as exc:
+                if pending:     # the aborting trials' earlier metrics first
+                    _evaluate_pending(obj, hp.weight_decay, pending, buf.get("gn2"))
+                failed = exc.trials if stacked else [0]
+                for row in failed:
+                    tr = live[row]
+                    tr.aborted, tr.abort_detail, tr.steps_done = True, str(exc), t
+                    tr.final_x = x_before.reshape(-1, d)[row].copy()
+                    tr.records.append(MetricsRecord(
+                        step=t, lr=lr, train_loss=math.nan, grad_norm2=math.nan,
+                        worker_dispersion=math.nan,
+                        wall_events=_wall_events(cl, t + 1)))
+                rows = [r for r in range(len(live)) if r not in failed]
+                keep(rows)
+                if not live:
+                    break
+                batches = batches.reshape(-1, workers, batches.shape[-1])[rows]
+                batches = batches.reshape(-1, batches.shape[-1])
+        if not live:
             break
         info = state.last_info
-        record = None
+        records = None
         if (t % config.record_every == 0) or (t == steps - 1):
-            sm = math.nan
-            if (config.record_smoothness_every
-                    and t % config.record_smoothness_every == 0):
-                update = state.x - x_before
-                sm = theory.smoothness_estimate(obj, x_before, update)
-            # train_loss and grad_norm2 are filled in when the block is.
-            record = MetricsRecord(
-                step=t, lr=lr, train_loss=math.nan, grad_norm2=math.nan,
-                smoothness_L=sm, worker_dispersion=info["worker_dispersion"],
-                wall_events=_wall_events(cl, t + 1))
-            records.append(record)
+            dispersion = info["worker_dispersion"]
+            if not isinstance(dispersion, list):
+                dispersion = [dispersion] * len(live)
+            probe = (config.record_smoothness_every
+                     and t % config.record_smoothness_every == 0)
+            before, after = x_before.reshape(-1, d), state.x.reshape(-1, d)
+            records = []
+            for row, tr in enumerate(live):
+                sm = math.nan
+                if probe:
+                    sm = theory.smoothness_estimate(obj, before[row],
+                                                    after[row] - before[row])
+                # train_loss and grad_norm2 are filled in when the block is.
+                records.append(MetricsRecord(
+                    step=t, lr=lr, train_loss=math.nan, grad_norm2=math.nan,
+                    smoothness_L=sm, worker_dispersion=dispersion[row],
+                    wall_events=_wall_events(cl, t + 1)))
+                tr.records.append(records[-1])
         if want_vs:
-            xs[t + 1], vbuf[t + 1] = state.x, state.v
-            halves[t], gbars[t], xibars[t] = (info["x_half_bar"], info["g_bar"],
-                                              info["xi_bar"])
-            dev2s[t], lrs[t] = info["worker_dev2"], lr
-            pending.append((t, record))
-        elif record is not None or stop_epsilon is not None:
-            row = len(pending)
-            half_rows[row], x_rows[row] = info["x_half_bar"], state.x
-            pending.append((row, record))
-        if len(pending) == size:
-            gn2s = _evaluate_pending(obj, hp.weight_decay, pending, half_rows,
-                                     x_rows, grad_series)
-            if stop_epsilon is not None and gn2s[-1] <= stop_epsilon:
-                reached = True
-                t += 1
-                break
-    else:
-        t = steps
+            buf["x"][t + 1], buf["v"][t + 1] = state.x, state.v
+            buf["half"][t], buf["gbar"][t], buf["xi"][t] = (
+                info["x_half_bar"], info["g_bar"], info["xi_bar"])
+            buf["dev2"][t] = info["worker_dev2"]
+        if want_vs or records is not None or stop_epsilon is not None:
+            pending.append((t, records, info["x_half_bar"], state.x))
+        if (stop_epsilon is not None
+                or (len(pending) + 1) * len(live) > capacity):
+            gn2s = _evaluate_pending(obj, hp.weight_decay, pending, buf.get("gn2"))
+            if stop_epsilon is not None:
+                x_rows = state.x.reshape(-1, d)
+                for row, gn2 in enumerate(gn2s):
+                    if gn2 <= stop_epsilon:
+                        tr = live[row]
+                        tr.reached_epsilon, tr.steps_done = True, t + 1
+                        tr.final_x = x_rows[row].copy()
+                if any(tr.reached_epsilon for tr in live):
+                    keep([r for r, tr in enumerate(live) if not tr.reached_epsilon])
+                    if not live:
+                        break
     if pending:
-        _evaluate_pending(obj, hp.weight_decay, pending, half_rows, x_rows,
-                          grad_series)
+        _evaluate_pending(obj, hp.weight_decay, pending, buf.get("gn2"))
+    for row, tr in enumerate(live):
+        tr.final_x = state.x.reshape(-1, d)[row].copy()
 
-    result = TrialResult(trial=trial, seed=seed, records=records,
-                         final_x=state.x.copy(), steps_done=t,
-                         aborted=aborted, abort_detail=abort_detail,
-                         reached_epsilon=reached)
-    if want_vs and not aborted and stop_epsilon is None:
-        horizon = config.total_steps_T
-        if (lrs == hp.lr_gamma).all():     # the replay assumes one stepsize
-            ghat = effective_gamma_hat(hp, cl.workers_K) if method.direction else 0.0
-            halves[horizon], xibars[horizon] = _terminal_half_point(
-                config, state, hp, cl, seed)
-            vs = theory.build_virtual_sequence(xs, vbuf, halves, gbars, xibars,
-                                               hp.lr_gamma, ghat, hp.momentum_u)
-            result.virtual_sequence = vs
-            result.descent_residuals = _relative_descent_residuals(vs)
-            result.grad_norm2_series = grad_series
-            replay = constants()
-            sig_hat2 = (noise_second_moment(config.noise, x0)
-                        if method.direction == "noise" else None)
-            result.proximity = theory.check_proximity_inequalities(
-                vs, worker_dev2=dev2s,
+    if want_vs and live and (lrs is None or all(lr == hp.lr_gamma for lr in lrs)):
+        # The replay assumes one stepsize.
+        ghat = effective_gamma_hat(hp, workers) if method.direction else 0.0
+        buf["half"][steps], buf["xi"][steps] = _terminal_half_point(
+            config, state, hp, cl, step_seed)
+        replay = constants()
+        sig_hat2 = (noise_second_moment(config.noise, x0)
+                    if method.direction == "noise" else None)
+        for row, tr in enumerate(live):
+            # Trial row's own series, contiguous as a one-trial run holds it.
+            x, v, half, xi, gbar, dev2, gn2 = (
+                np.ascontiguousarray(buf[name][:, row]) if stacked else buf[name]
+                for name in ("x", "v", "half", "xi", "gbar", "dev2", "gn2"))
+            vs = theory.build_virtual_sequence(x, v, half, gbar, xi, hp.lr_gamma,
+                                               ghat, hp.momentum_u)
+            tr.virtual_sequence = vs
+            tr.descent_residuals = _relative_descent_residuals(vs)
+            tr.grad_norm2_series = gn2
+            tr.proximity = theory.check_proximity_inequalities(
+                vs, worker_dev2=dev2,
                 sigma2=replay.variance_sigma2, sigma_hat2=sig_hat2,
                 extrap_batch_b=cl.effective_extrap_b(),
                 uses_past_gradients=method.direction == "past")
             try:
                 report = theory.rate_bound(config.method, replay, hp, cl,
-                                           horizon, sigma_hat2=sig_hat2)
-                result.rate_report = theory.finish_report(
-                    report, result.grad_norm2_series)
+                                           steps, sigma_hat2=sig_hat2)
+                tr.rate_report = theory.finish_report(report, gn2)
             except ValueError as exc:
-                result.rate_error = str(exc)
-    return result
+                tr.rate_error = str(exc)
+    return results
 
 
 def _wall_events(cl, steps):
@@ -452,8 +533,7 @@ def run(config, threads=1):
     """Execute config.trials seeded trials; see module docstring (`threads`
     has no effect)."""
     config.validate()
-    constants = _replay_constants(config)
-    trials = [_run_trial(config, i, constants) for i in range(config.trials)]
+    trials = _trial_results(config)
     seeds = [t.seed for t in trials]
     return RunResult(config=config, trials=trials, trial_seeds=seeds)
 
@@ -533,6 +613,34 @@ def _json_float(value):
     return '"Infinity"' if value > 0 else '"-Infinity"'
 
 
+# ("name", '"name": ') for each MetricsRecord field, in sorted-key order.
+_RECORD_KEYS = [(name, json.dumps(name) + ": ") for name in
+                sorted(f.name for f in dataclasses.fields(MetricsRecord))]
+
+
+def _record_line(record):
+    """`json.dumps(_jsonable(record), sort_keys=True, allow_nan=False)` and a
+    newline, byte for byte, built directly from the record's fields."""
+    return "{" + ", ".join([key + _json_line_value(getattr(record, name))
+                            for name, key in _RECORD_KEYS]) + "}\n"
+
+
+def _json_line_value(value):
+    """`json.dumps(_jsonable(value), sort_keys=True, allow_nan=False)`: a
+    float, an int or a dict of them with str keys written directly, any other
+    value through that very call."""
+    kind = type(value)
+    if kind is float:
+        return _json_float(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict and all(type(k) is str for k in value):
+        return "{" + ", ".join([
+            f"{json.encoder.encode_basestring_ascii(k)}: {_json_line_value(v)}"
+            for k, v in sorted(value.items())]) + "}"
+    return json.dumps(_jsonable(value), sort_keys=True, allow_nan=False)
+
+
 def _json_block(open_, close, items, level):
     """`items`, the texts of a container's entries, one per line at `level` + 1."""
     pad = "\n" + " " * (level + 1)
@@ -563,10 +671,7 @@ def write_outputs(result, out_dir):
     for tr in result.trials:
         path = os.path.join(out_dir, f"trial_{tr.trial}.jsonl")
         with open(path, "w") as fh:
-            for rec in tr.records:
-                fh.write(json.dumps(_jsonable(rec), sort_keys=True,
-                                    allow_nan=False))
-                fh.write("\n")
+            fh.write("".join(map(_record_line, tr.records)))
             if tr.aborted:
                 fh.write(json.dumps({"abort": tr.abort_detail,
                                      "step": tr.steps_done},
@@ -660,9 +765,7 @@ def speedup_study(base, kb_grid, epsilon, budget_factor=4):
                                   schedule=None, record_virtual_sequence=False,
                                   total_steps_T=max(1, budget_factor * t_eps))
         steps, censored = [], 0
-        for i in range(base.trials):
-            # A trial with a stopping rule is never replayed: no constants.
-            tr = _run_trial(cfg, i, None, stop_epsilon=epsilon)
+        for tr in _trial_results(cfg, stop_epsilon=epsilon):
             if tr.reached_epsilon:
                 steps.append(tr.steps_done)
             else:
@@ -718,9 +821,7 @@ def sweep(base, grid):
     rows = []
     for combo, cfg in points:
         finals, min_gns, aborted = [], [], 0
-        constants = _replay_constants(cfg)
-        for i in range(cfg.trials):
-            tr = _run_trial(cfg, i, constants)
+        for tr in _trial_results(cfg):
             aborted += tr.aborted
             losses = [r.train_loss for r in tr.records
                       if not math.isnan(r.train_loss)]

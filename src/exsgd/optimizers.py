@@ -47,6 +47,16 @@ adam = extrap_adam(gamma_hat=0) hold bitwise.
 Step functions mutate `state` in place and return it; per-step quantities
 needed by the theory checks (mean half point, reduced gradient as applied after
 LARS, mean extrapolation direction, worker deviation) are in `state.last_info`.
+
+Trial axis: a state may also hold R trials at once.  Its x, v and Adam
+moments are then (R, d), its per-worker arrays (past gradients, post-local
+x^k and v^k) are (R K, d) with trial r's K rows after trial r - 1's, the
+step's `batches` are the (R K, B) matrix of the R trials, and a noise step
+takes R trial seeds.  Every operation acts on each trial's rows alone, in the
+order a one-trial step uses, so trial r of a stacked step is bitwise the
+one-trial step; `last_info` then holds (R, d) points and per-trial values.
+A step that meets a non-finite value raises before it changes the state, and
+`NumericAbort.trials` names the trials (rows of x) that hold it.
 """
 
 import math
@@ -76,12 +86,14 @@ _NOISE_TAG = 31   # seeds step t's noise draw as (trial seed, _NOISE_TAG, t)
 
 
 class NumericAbort(RuntimeError):
-    """A gradient or iterate went non-finite; the run stops with a record."""
+    """A gradient or iterate went non-finite; the run stops with a record.
+    For a stacked state, `trials` lists the rows that went non-finite."""
 
-    def __init__(self, step, detail):
+    def __init__(self, step, detail, trials=None):
         super().__init__(f"non-finite value at step {step}: {detail}")
         self.step = step
         self.detail = detail
+        self.trials = trials
 
 
 @dataclass
@@ -209,7 +221,7 @@ class PostLocalConfig:
 
 @dataclass
 class OptimizerState:
-    x: np.ndarray                 # the (d,) iterate
+    x: np.ndarray                 # the (d,) iterate, or (R, d) for R trials
     v: np.ndarray                 # momentum buffer v_t
     past_grad: np.ndarray         # (K, d) stored local batch-mean gradients
     adam_m: np.ndarray
@@ -219,13 +231,32 @@ class OptimizerState:
     step_t: int = 0
     last_info: dict = field(default_factory=dict, repr=False)
 
+    def keep_trials(self, rows):
+        """Keep only the trials at `rows` (ascending) of a stacked state."""
+        workers = len(self.past_grad) // len(self.x)
+        for name in ("x", "v", "adam_m", "adam_v"):
+            setattr(self, name, getattr(self, name)[rows])
+        for name in ("past_grad", "local_x", "local_v"):
+            value = getattr(self, name)
+            if value is not None:
+                d = value.shape[-1]
+                setattr(self, name,
+                        value.reshape(-1, workers, d)[rows].reshape(-1, d))
+
 
 def init_state(x0, workers_K):
-    d = x0.size
+    """The state at `x0`: one (d,) point, or an (R, d) stack of R trials'."""
+    d = x0.shape[-1]
     return OptimizerState(
-        x=x0.copy(), v=np.zeros(d), past_grad=np.zeros((workers_K, d)),
-        adam_m=np.zeros(d), adam_v=np.zeros(d),
+        x=x0.copy(), v=np.zeros_like(x0),
+        past_grad=np.zeros((x0.size // d * workers_K, d)),
+        adam_m=np.zeros_like(x0), adam_v=np.zeros_like(x0),
     )
+
+
+def _workers(state, batches):
+    """K, the rows of `batches` per trial of `state`."""
+    return len(batches) // (len(state.x) if state.x.ndim == 2 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +271,11 @@ def _batch_grad(obj, values, indices, hp):
 
 
 def _worker_grads(obj, halves, batches, hp, extrap_b):
-    """All K workers' batch gradients and the past gradients they store for
-    the next step, from one oracle call on the (K, B) matrix: the same
-    evaluation when extrap_b is B (or None), else the mean over each row's
-    leading extrap_b indices that the call reduces alongside (`lead`).
-    `halves` is one shared (d,) point or a (K, d) point per worker."""
+    """All workers' batch gradients and the past gradients they store for
+    the next step, from one oracle call on the (K, B) or (R K, B) matrix:
+    the same evaluation when extrap_b is B (or None), else the mean over each
+    row's leading extrap_b indices that the call reduces alongside (`lead`).
+    `halves` is one shared (d,) point or a point per row of `batches`."""
     if extrap_b is None or extrap_b == batches.shape[1]:
         grads = _batch_grad(obj, halves, batches, hp)
         return grads, grads   # reuse: extrapolation stays evaluation-free
@@ -269,15 +300,27 @@ def lars_scale(grad_block, x_block, hp):
 
 
 def apply_lars(grad, x_values, partition, hp):
+    """`lars_scale` on each block of `partition`; a stack of gradients,
+    (..., d), is scaled row by row, each with its own row of `x_values`."""
     out = np.empty_like(grad)
-    for start, stop in partition:
-        out[start:stop] = lars_scale(grad[start:stop], x_values[start:stop], hp)
+    d = grad.shape[-1]
+    for g, x, o in zip(grad.reshape(-1, d), x_values.reshape(-1, d),
+                       out.reshape(-1, d)):
+        for start, stop in partition:
+            o[start:stop] = lars_scale(g[start:stop], x[start:stop], hp)
     return out
 
 
-def _check_finite(step, name, arr):
+def _check_finite(state, name, arr):
+    """NumericAbort at `state`'s step if `arr` holds a non-finite value; for
+    a stacked state `arr` holds the trials' rows in order, and the abort
+    names the trials whose rows do."""
     if not np.isfinite(arr).all():
-        raise NumericAbort(step, name)
+        trials = None
+        if state.x.ndim == 2:
+            rows = arr.reshape(len(state.x), -1)
+            trials = [r for r, row in enumerate(rows) if not np.isfinite(row).all()]
+        raise NumericAbort(state.step_t, name, trials)
 
 
 def _momentum_update(v, u, gamma, g):
@@ -288,13 +331,17 @@ def _momentum_update(v, u, gamma, g):
 
 
 def _worker_dev2(halves, half_bar):
-    """Mean squared distance of the (K, d) half points from their mean."""
-    if len(halves) == 1:
+    """Mean squared distance of the (K, d) half points from their mean; for
+    an (R, K, d) stack, the (R,) array of each trial's."""
+    count = halves.shape[-2]
+    if count == 1:
         return 0.0
-    dev = halves - half_bar
+    stacked = halves.ndim == 3
+    dev = halves - (half_bar[:, None, :] if stacked else half_bar)
     # np.add.reduce is what np.sum and np.mean call, bitwise, without their
     # per-call wrappers.
-    return float(np.add.reduce(np.add.reduce(dev * dev, axis=1)) / len(halves))
+    dev2 = np.add.reduce(np.add.reduce(dev * dev, axis=-1), axis=-1) / count
+    return dev2 if stacked else float(dev2)
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +355,23 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
                  extrap_b=None):
     """The body every synchronized step shares.
 
-    The workers evaluate at `halves`: the shared (d,) point of sgd, nesterov
-    and adam, or the (K, d) per-worker half points of the extrapolated
-    methods, which also store their fresh gradients as the next past
-    gradients and report the mean and spread of their half points.  `rule`
-    is the update applied to the reduced gradient.
+    The workers evaluate at `halves`: the shared point of sgd, nesterov
+    and adam (one per trial, shaped like x), or the (K, d) per-worker half
+    points of the extrapolated methods ((R, K, d) for R trials), which also
+    store their fresh gradients as the next past gradients and report the
+    mean and spread of their half points.  `rule` is the update applied to
+    the reduced gradient.
     """
     x = state.x
-    grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
-    g = reduce_mean(grads)
-    _check_finite(state.step_t, "reduced gradient", g)
+    per_worker = halves.ndim > x.ndim
+    points = halves
+    if x.ndim == 2:     # R trials: R K rows of points, reduced per trial
+        workers, d = len(batches) // len(x), x.shape[-1]
+        points = (halves.reshape(-1, d) if per_worker
+                  else np.repeat(halves, workers, axis=0))
+    grads, past = _worker_grads(obj, points, batches, hp, extrap_b)
+    g = reduce_mean(grads if x.ndim == 1 else grads.reshape(len(x), workers, d))
+    _check_finite(state, "reduced gradient", g)
     g_used = apply_lars(g, x, obj.partition, hp) if hp.lars_trust > 0 else g
     if rule == _ADAM_RULE:
         m_new = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * g_used
@@ -331,12 +385,12 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
     else:
         x_new = x - hp.lr_gamma * g_used
         buffers = {}
-    _check_finite(state.step_t, "iterate", x_new)
+    _check_finite(state, "iterate", x_new)
     for name, value in buffers.items():
         setattr(state, name, value)
     state.x = x_new
     state.step_t += 1
-    if halves.ndim == 2:
+    if per_worker:
         state.past_grad = past
         half_bar = reduce_mean(halves)
         dev2 = _worker_dev2(halves, half_bar)
@@ -357,13 +411,13 @@ def step_minibatch_sgd(state, obj, batches, hp):
 
 def step_nesterov(state, obj, batches, hp):
     """Three-line Nesterov recurrence, gradient at the shared lookahead."""
-    halves, xi_bar = lookahead(state, hp, len(batches), None)
+    halves, xi_bar = lookahead(state, hp, _workers(state, batches), None)
     return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves, xi_bar)
 
 
 def step_extrap_sgd(state, obj, batches, hp, extrap_b=None):
     """Gradient extrapolation from the stored past local batch gradients."""
-    halves, xi_bar = lookahead(state, hp, len(batches), "past")
+    halves, xi_bar = lookahead(state, hp, _workers(state, batches), "past")
     return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
                         xi_bar, extrap_b)
 
@@ -373,8 +427,8 @@ def step_extrapolated_noise(state, obj, batches, hp, noise, seed, extrap_b=None)
     noise.validate()
     if noise.kind == NOISE_NONE:
         raise ValueError("noise.kind must not be 'none' for step_extrapolated_noise")
-    halves, xi_bar = lookahead(state, hp, len(batches), "noise", noise, seed,
-                               obj.partition)
+    halves, xi_bar = lookahead(state, hp, _workers(state, batches), "noise",
+                               noise, seed, obj.partition)
     return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
                         xi_bar, extrap_b)
 
@@ -389,51 +443,78 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
     _NOISE_TAG, t) ("noise"), or the Adam-preconditioned past gradient
     ("adam", without momentum).  At t = 0 and with gamma_hat = 0 no worker
     extrapolates.  xi_bar is the mean of z^k; None without extrapolation and
-    for "adam", whose direction no replay reads.
+    for "adam", whose direction no replay reads.  For a stacked state the
+    points are (R, d) or (R, K, d), xi_bar is (R, d), and `seed` holds the R
+    trial seeds.
     """
     x = state.x
     u = 0.0 if direction == "adam" else hp.momentum_u   # Adam keeps no v
     ghat = effective_gamma_hat(hp, n_workers)
     xi_bar = None
     if direction is None:
-        quarters = x
-    elif ghat == 0.0 or state.step_t == 0:
-        quarters = np.broadcast_to(x, (n_workers, x.size))
+        return (x + u * state.v if u != 0.0 else x), xi_bar
+    stacked = x.ndim == 2
+    workers = (n_workers, x.shape[-1])
+    if stacked:     # each trial's row against its (K, d) workers
+        workers = (len(x),) + workers
+        x = x[:, None, :]
+    if ghat == 0.0 or state.step_t == 0:
+        quarters = np.broadcast_to(x, workers)
     elif direction == "adam":
-        pg = np.asarray(state.past_grad)
-        num = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * pg
-        den = hp.adam_beta2 * state.adam_v + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
+        pg = np.asarray(state.past_grad).reshape(workers)
+        m, v = ((state.adam_m[:, None, :], state.adam_v[:, None, :]) if stacked
+                else (state.adam_m, state.adam_v))
+        num = hp.adam_beta1 * m + (1.0 - hp.adam_beta1) * pg
+        den = hp.adam_beta2 * v + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
         if hp.extrap_denominator_sqrt:
             den = np.sqrt(den)
         quarters = x - ghat * num / den
     else:
-        z = np.asarray(state.past_grad)
         if direction == "noise":
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, _NOISE_TAG, state.step_t)))
-            z = draw_noise_directions(noise, state, rng, n_workers, partition)
+            rngs = [np.random.default_rng(
+                np.random.SeedSequence((s, _NOISE_TAG, state.step_t)))
+                for s in (seed if stacked else [seed])]
+            z = draw_noise_directions(noise, state, rngs if stacked else rngs[0],
+                                      n_workers, partition)
+        else:
+            z = np.asarray(state.past_grad)
+            z = z.reshape(workers) if stacked else z
         quarters, xi_bar = x - ghat * z, reduce_mean(z)
-    return (quarters + u * state.v if u != 0.0 else quarters), xi_bar
+    if u == 0.0:
+        return quarters, xi_bar
+    return quarters + u * (state.v[:, None, :] if stacked else state.v), xi_bar
 
 
 def draw_noise_directions(noise, state, rng, n_workers, partition):
     """The (K, d) extrapolation directions for one step, drawn in ascending
     worker order (the shared kind draws once); filter-scaled noise is scaled
-    per block of the objective's `partition`."""
-    d = state.x.size
+    per block of the objective's `partition`.  For a stacked state, the
+    (R, K, d) directions, trial r's drawn from `rng[r]`, in ascending trial
+    order."""
+    x = state.x
+    d = x.shape[-1]
     if noise.kind == ANISO_STOCHASTIC:
-        past = np.asarray(state.past_grad)
-        return past - reduce_mean(past)
-    if noise.kind == SMOOTHOUT_SHARED:
-        shared = rng.uniform(-noise.raw_scale, noise.raw_scale, d)
-        raw = np.broadcast_to(shared, (n_workers, d))
-    elif noise.kind == ISO_GAUSSIAN:
-        raw = noise.raw_scale * rng.standard_normal((n_workers, d))
-    else:  # ISO_UNIFORM
-        raw = rng.uniform(-noise.raw_scale, noise.raw_scale, (n_workers, d))
+        past = np.asarray(state.past_grad).reshape(x.shape[:-1] + (n_workers, d))
+        return past - reduce_mean(past)[..., None, :]
+    if x.ndim == 2:
+        raw = np.stack([_raw_noise(noise, g, n_workers, d) for g in rng])
+    else:
+        raw = _raw_noise(noise, rng, n_workers, d)
     if not noise.filter_scaled:
         return raw
-    return np.stack([_filter_scale(z, state.x, partition) for z in raw])
+    return np.array([[_filter_scale(z, xr, partition) for z in zs]
+                     for zs, xr in zip(raw.reshape(-1, n_workers, d),
+                                       x.reshape(-1, d))]).reshape(raw.shape)
+
+
+def _raw_noise(noise, rng, n_workers, d):
+    """One trial's (K, d) unscaled draws from `rng`."""
+    if noise.kind == SMOOTHOUT_SHARED:
+        shared = rng.uniform(-noise.raw_scale, noise.raw_scale, d)
+        return np.broadcast_to(shared, (n_workers, d))
+    if noise.kind == ISO_GAUSSIAN:
+        return noise.raw_scale * rng.standard_normal((n_workers, d))
+    return rng.uniform(-noise.raw_scale, noise.raw_scale, (n_workers, d))  # ISO_UNIFORM
 
 
 def _filter_scale(zeta, x, partition):
@@ -461,7 +542,7 @@ def step_extrap_adam(state, obj, batches, hp, extrap_b=None):
     sqrt variant.  Moments are shared, updated from the reduced gradient,
     without bias correction.  Extrapolation is skipped at t = 0.
     """
-    halves, xi_bar = lookahead(state, hp, len(batches), "adam")
+    halves, xi_bar = lookahead(state, hp, _workers(state, batches), "adam")
     return _synced_step(state, obj, batches, hp, _ADAM_RULE, halves, xi_bar,
                         extrap_b)
 
@@ -480,13 +561,16 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     if t <= plc.transition_step_t0:
         return step_extrap_sgd(state, obj, batches, hp, extrap_b=extrap_b)
 
-    n_workers = len(batches)
+    n_workers = _workers(state, batches)
+    x = state.x
+    d = x.shape[-1]
+    workers = x.shape[:-1] + (n_workers, d)
     if state.local_x is None:
-        state.local_x = np.tile(state.x, (n_workers, 1))
+        state.local_x = np.broadcast_to(x[..., None, :], workers).reshape(-1, d)
         if hp.reset_local_momentum:
-            state.local_v = np.zeros((n_workers, state.x.size))
+            state.local_v = np.zeros_like(state.local_x)
         else:
-            state.local_v = np.tile(state.v, (n_workers, 1))
+            state.local_v = np.broadcast_to(state.v[..., None, :], workers).reshape(-1, d)
     local_x = np.asarray(state.local_x)
     local_v = np.asarray(state.local_v)
 
@@ -495,27 +579,29 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     quarters = local_x - ghat * np.asarray(state.past_grad) if ghat != 0.0 else local_x
     halves = quarters + u * local_v if u != 0.0 else quarters
     grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
-    _check_finite(t, "local gradients", grads)
+    _check_finite(state, "local gradients", grads)
 
     g_used = grads
     if hp.lars_trust > 0:
-        g_used = np.stack([apply_lars(gk, xk, obj.partition, hp)
-                           for gk, xk in zip(grads, local_x)])
+        g_used = apply_lars(grads, local_x, obj.partition, hp)
     local_v = _momentum_update(local_v, u, hp.lr_gamma, g_used)
     local_x = local_x + local_v
-    mean_x = reduce_mean(local_x)
+    mean_x = reduce_mean(local_x.reshape(workers))
+    _check_finite(state, "iterate", mean_x)
     if t % plc.local_steps_H == 0:
-        local_x = np.tile(mean_x, (n_workers, 1))
+        local_x = np.broadcast_to(mean_x[..., None, :], workers).reshape(-1, d)
     state.local_x, state.local_v, state.past_grad = local_x, local_v, past
-    _check_finite(t, "iterate", mean_x)
-    dispersion = max(float(np.linalg.norm(xk - mean_x)) for xk in local_x)
+    spread = local_x.reshape(workers) - mean_x[..., None, :]
+    dispersion = [max(float(np.linalg.norm(row)) for row in trial)
+                  for trial in spread.reshape(-1, n_workers, d)]
     state.x = mean_x
     state.step_t += 1
+    halves = halves.reshape(workers)
     half_bar = reduce_mean(halves)
     state.last_info = {
-        "x_half_bar": half_bar, "g_bar": reduce_mean(g_used),
+        "x_half_bar": half_bar, "g_bar": reduce_mean(g_used.reshape(workers)),
         "xi_bar": np.zeros_like(mean_x), "worker_dev2": _worker_dev2(halves, half_bar),
-        "worker_dispersion": dispersion,
+        "worker_dispersion": dispersion if x.ndim == 2 else dispersion[0],
     }
     return state
 
@@ -538,6 +624,17 @@ def lr_at(sched, t, cluster, obj):
     if t < 0:
         raise ValueError("step t must be >= 0")
     sched.validate()
+    return _lr(sched, t, cluster, obj)
+
+
+def lr_series(sched, steps, cluster, obj):
+    """The learning rates of steps 0 .. steps - 1 under `sched`, each
+    `lr_at`'s value, with the schedule validated once."""
+    sched.validate()
+    return [_lr(sched, t, cluster, obj) for t in range(steps)]
+
+
+def _lr(sched, t, cluster, obj):
     peak = sched.base_lr * sched.scale_factor
     if sched.kind == CONSTANT:
         return peak

@@ -18,15 +18,18 @@ Checklist order:
   6. smoothness probe exact on a quadratic; extrapolation ordering on a net
   7. warmup / step-decay / trust-ratio formulas match closed forms
   8. post-local averaging: zero dispersion at syncs, positive between
-  9. worker threading never changes persisted bytes
+  9. worker threading and trial stacking never change persisted bytes
 """
 
 import filecmp
 import os
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from exsgd import harness
 from exsgd.cluster import ClusterConfig
 from exsgd.gates import (QUAD, chain_mismatch, protocol_formulas,
                          rate_bound_hold_fraction, reduction_chains,
@@ -262,8 +265,9 @@ def test_post_local_dispersion_pattern():
 
 
 def test_thread_determinism_byte_identical(tmp_path):
-    # The worker thread pool must never leak into results: the same config
-    # run with 1 and 4 threads has to persist byte-identical files.
+    # Neither the thread count nor how many trials advance together may leak
+    # into results: the same config run with 1 and 4 threads, and with its
+    # trials stacked or one at a time, has to persist byte-identical files.
     cfg = RunConfig(
         objective=make_quadratic(**QUAD),
         cluster=ClusterConfig(workers_K=4, local_batch_B=4),
@@ -271,16 +275,23 @@ def test_thread_determinism_byte_identical(tmp_path):
         hyperparams=HyperParams(lr_gamma=0.01, momentum_u=0.6),
         total_steps_T=50, record_virtual_sequence=True,
         trials=2, master_seed=13)
+    assert harness._chunk_size(cfg) >= 2      # by default both trials stack
+    one_at_a_time = mock.patch.object(harness, "_CHUNK_DOUBLES", 1)
     dirs = []
-    for threads in (1, 4):
-        out_dir = tmp_path / f"threads_{threads}"
-        write_outputs(run(cfg, threads=threads), out_dir)
+    for name, threads, chunking in (("threads_1", 1, nullcontext()),
+                                    ("threads_4", 4, nullcontext()),
+                                    ("one_trial_chunks", 1, one_at_a_time)):
+        out_dir = tmp_path / name
+        with chunking:
+            write_outputs(run(cfg, threads=threads), out_dir)
         dirs.append(out_dir)
     names = sorted(os.listdir(dirs[0]))
-    assert names == sorted(os.listdir(dirs[1]))
-    match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], names,
-                                               shallow=False)
-    assert mismatch == [] and errors == []
-    assert sorted(match) == names
+    for other in dirs[1:]:
+        assert names == sorted(os.listdir(other))
+        match, mismatch, errors = filecmp.cmpfiles(dirs[0], other, names,
+                                                   shallow=False)
+        assert mismatch == [] and errors == []
+        assert sorted(match) == names
     print(f"PASS thread determinism: {len(names)} output files "
-          f"byte-identical between 1 and 4 threads")
+          f"byte-identical between 1 and 4 threads and between stacked and "
+          f"one-at-a-time trials")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from exsgd.cluster import (_BLOCK, EPOCH_PERMUTATION, WITH_REPLACEMENT,
-                           ClusterConfig, _block, draw_batches, map_workers,
+                           ClusterConfig, _blocks, draw_batches, map_workers,
                            reduce_mean)
 from exsgd.objectives import make_quadratic
 
@@ -124,9 +124,9 @@ def test_stream_is_prefix_stable_and_private(seed, workers, n, mode, t, data):
     obj = make_quadratic(1, n)
     cfg = ClusterConfig(workers_K=workers, local_batch_B=batch,
                         master_seed=seed, sampling_mode=mode)
-    _block.cache_clear()
+    _blocks.clear()
     cold = draw_batches(cfg, obj, t)
-    _block.cache_clear()
+    _blocks.clear()
     for s in range(t):
         draw_batches(cfg, obj, s)
     warm = draw_batches(cfg, obj, t)
@@ -193,32 +193,40 @@ _SPECIAL = [0.0, -0.0, 1.0, -1.0, 5e-324, -1e300, 1e300, np.inf]
 
 @given(workers=st.integers(1, 64), dim=st.integers(1, 8),
        layout=st.sampled_from(["C", "F", "broadcast"]),
-       seed=st.integers(0, 2**32 - 1), special=st.booleans())
-@example(workers=8, dim=1, layout="C", seed=0, special=False)
-@example(workers=64, dim=1, layout="C", seed=1, special=False)
-@example(workers=8, dim=3, layout="F", seed=2, special=False)
-@example(workers=3, dim=4, layout="C", seed=3, special=True)
+       seed=st.integers(0, 2**32 - 1), special=st.booleans(),
+       trials=st.sampled_from([None, 1, 3]))
+@example(workers=8, dim=1, layout="C", seed=0, special=False, trials=None)
+@example(workers=64, dim=1, layout="C", seed=1, special=False, trials=None)
+@example(workers=8, dim=3, layout="F", seed=2, special=False, trials=None)
+@example(workers=3, dim=4, layout="C", seed=3, special=True, trials=None)
+@example(workers=16, dim=1, layout="C", seed=4, special=False, trials=3)
+@example(workers=16, dim=5, layout="F", seed=5, special=True, trials=3)
 @settings(max_examples=150, deadline=None)
 def test_reduce_mean_is_bitwise_the_ascending_add(workers, dim, layout, seed,
-                                                  special):
+                                                  special, trials):
     # np.add.reduce sums pairwise for d = 1 and for Fortran order with
     # K >= 8, and starts from +0.0 unless given initial=None; reduce_mean
-    # must stay the ascending add in every layout, signed zeros included.
+    # must stay the ascending add in every layout, signed zeros included,
+    # and reduce each (K, d) row of an (R, K, d) stack on its own.
     rng = np.random.default_rng(seed)
+    shape = (workers, dim) if trials is None else (trials, workers, dim)
     if special:
-        rows = rng.choice(_SPECIAL, (workers, dim))
-        rows[:, 0] = -0.0           # the ascending add keeps this sign
+        rows = rng.choice(_SPECIAL, shape)
+        rows[..., 0] = -0.0         # the ascending add keeps this sign
     else:
-        rows = rng.standard_normal((workers, dim)) * 10.0 ** rng.integers(
-            -8, 9, (workers, dim))
+        rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
     if layout == "F":
         rows = np.asfortranarray(rows)
     elif layout == "broadcast":
-        rows = np.broadcast_to(rows[0], (workers, dim))
+        rows = np.broadcast_to(rows[..., :1, :], shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _ascending_mean(rows)
         got = reduce_mean(rows)
-        from_list = reduce_mean(list(rows))
+        if trials is None:
+            want = _ascending_mean(rows)
+            from_list = reduce_mean(list(rows))
+        else:
+            want = np.stack([_ascending_mean(stack) for stack in rows])
+            from_list = want
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert_array_equal(from_list.view(np.uint64), want.view(np.uint64))
 
@@ -245,12 +253,16 @@ def _reference_batches(seed, mode, workers, batch, n, t):
 @given(seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 40),
        n=st.integers(1, 64), batch=st.integers(1, 64),
        mode=st.sampled_from([WITH_REPLACEMENT, EPOCH_PERMUTATION]),
-       t=st.integers(0, 3 * _BLOCK))
-@example(seed=3, workers=40, n=50, batch=48, mode=WITH_REPLACEMENT, t=21)
-@example(seed=4, workers=33, n=7, batch=5, mode=EPOCH_PERMUTATION, t=4)
+       t=st.integers(0, 3 * _BLOCK), trials=st.integers(1, 6))
+@example(seed=3, workers=40, n=50, batch=48, mode=WITH_REPLACEMENT, t=21,
+         trials=1)
+@example(seed=4, workers=33, n=7, batch=5, mode=EPOCH_PERMUTATION, t=4,
+         trials=1)
+@example(seed=5, workers=3, n=9, batch=4, mode=EPOCH_PERMUTATION, t=2,
+         trials=6)
 @settings(max_examples=40, deadline=None)
 def test_draw_batches_is_the_per_worker_block_formula(seed, workers, n, batch,
-                                                      mode, t):
+                                                      mode, t, trials):
     batch = min(batch, n)
     obj = make_quadratic(1, n)
     cfg = ClusterConfig(workers_K=workers, local_batch_B=batch,
@@ -259,3 +271,9 @@ def test_draw_batches_is_the_per_worker_block_formula(seed, workers, n, batch,
     assert got.shape == (workers, batch) and got.dtype == np.int64
     assert got.flags.writeable and got.flags.c_contiguous
     assert_array_equal(got, _reference_batches(seed, mode, workers, batch, n, t))
+    # R trial seeds: their matrices one after another, in seed order.
+    seeds = [seed + 7 * r for r in range(trials)]
+    stacked = draw_batches(cfg, obj, t, seeds)
+    assert stacked.flags.writeable and stacked.flags.c_contiguous
+    assert_array_equal(stacked, np.concatenate(
+        [_reference_batches(s, mode, workers, batch, n, t) for s in seeds]))

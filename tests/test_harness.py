@@ -13,19 +13,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_array_equal
 
-from exsgd import objectives
-from exsgd.cluster import ClusterConfig, draw_batches
-from exsgd.harness import (RunConfig, _constants, _describe, _json_text,
-                           _jsonable, _replay_constants, _run_trial,
-                           _step_once, _terminal_half_point,
-                           apply_override, run, speedup_study, sweep,
-                           trial_seed, write_outputs)
+from exsgd import cluster, harness, objectives, optimizers
+from exsgd.cluster import EPOCH_PERMUTATION, ClusterConfig, draw_batches
+from exsgd.harness import (MetricsRecord, RunConfig, _constants, _describe,
+                           _json_text, _jsonable, _lr_series, _replay_constants,
+                           _run_trials, _step_once, _terminal_half_point,
+                           _trial_results, apply_override, run, speedup_study,
+                           sweep, trial_seed, write_outputs)
 from exsgd.objectives import (MAKERS, batch_gradient, batch_loss,
                               estimate_constants, initial_point, make_logistic,
                               make_quadratic, make_tiny_mlp)
-from exsgd.optimizers import (SMOOTHOUT_SHARED, WARMUP_CONSTANT, HyperParams,
-                              NoiseSpec, PostLocalConfig, Schedule, init_state,
-                              lr_at)
+from exsgd.optimizers import (ANISO_STOCHASTIC, ISO_GAUSSIAN, ISO_UNIFORM,
+                              SMOOTHOUT_SHARED, WARMUP_CONSTANT,
+                              WARMUP_STEP_DECAY, HyperParams, NoiseSpec,
+                              PostLocalConfig, Schedule, init_state, lr_at)
 from exsgd.theory import METHOD_TABLE, METHODS, stepsize_cap
 
 
@@ -133,21 +134,32 @@ def test_schedule_lr_is_recorded():
 
 @pytest.mark.parametrize("kind,replayed", [("constant", True),
                                             ("warmup_constant", False)])
-def test_trial_computes_each_step_lr_once(monkeypatch, kind, replayed):
-    # The replay's constant-stepsize check reads the lrs the steps used.
-    calls = []
+@pytest.mark.parametrize("trials", [1, 3])
+def test_trial_computes_each_step_lr_once(monkeypatch, kind, replayed, trials):
+    # One lr series per config, validated once, serves every trial; the
+    # replay's constant-stepsize check reads it too.
+    steps, validations = [], []
+    lr, validate = optimizers._lr, Schedule.validate
 
-    def counted(*args):
-        calls.append(args[1])
-        return lr_at(*args)
+    def counted_lr(sched, t, *args):
+        steps.append(t)
+        return lr(sched, t, *args)
 
-    monkeypatch.setattr("exsgd.harness.lr_at", counted)
+    def counted_validate(self):
+        validations.append(self.kind)
+        return validate(self)
+
+    monkeypatch.setattr(optimizers, "_lr", counted_lr)
+    monkeypatch.setattr(Schedule, "validate", counted_validate)
     sched = Schedule(kind=kind, base_lr=0.05, scale_factor=2.0, warmup_epochs=1)
-    cfg = _base_config(method="extrap_sgd", schedule=sched, trials=1,
+    cfg = _base_config(method="extrap_sgd", schedule=sched, trials=trials,
                        total_steps_T=12, record_virtual_sequence=True)
-    trial = run(cfg).trials[0]
-    assert calls == list(range(12))
-    assert (trial.virtual_sequence is not None) == replayed
+    result = run(cfg)
+    assert steps == list(range(12))
+    # RunConfig.validate checks the schedule, and the lr series once more.
+    assert validations == [kind, kind]
+    assert [(tr.virtual_sequence is not None) for tr in result.trials] == \
+        [replayed] * trials
 
 
 def test_abort_is_reported_not_raised(tmp_path):
@@ -579,18 +591,23 @@ def _trial_in_blocks(cfg, block, **kwargs):
     doubles = (block * obj.sample_count * obj.dimension if block
                else objectives._SIGMA2_BLOCK)
     with mock.patch.object(objectives, "_SIGMA2_BLOCK", doubles):
-        return _run_trial(cfg, 0, _replay_constants(cfg), **kwargs)
+        return _trial_results(cfg, **kwargs)[0]
 
 
 def _assert_same_trial(got, want):
     assert repr(got.records) == repr(want.records)
     assert got.final_x.tobytes() == want.final_x.tobytes()
-    assert ((got.steps_done, got.aborted, got.reached_epsilon)
-            == (want.steps_done, want.aborted, want.reached_epsilon))
-    if want.grad_norm2_series is None:
-        assert got.grad_norm2_series is None
-    else:
-        assert got.grad_norm2_series.tobytes() == want.grad_norm2_series.tobytes()
+    assert ((got.trial, got.seed, got.steps_done, got.aborted, got.abort_detail,
+             got.reached_epsilon, got.rate_error)
+            == (want.trial, want.seed, want.steps_done, want.aborted,
+                want.abort_detail, want.reached_epsilon, want.rate_error))
+    for name in ("grad_norm2_series", "descent_residuals"):
+        if getattr(want, name) is None:
+            assert getattr(got, name) is None
+        else:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert repr(got.proximity) == repr(want.proximity)
+    assert repr(got.rate_report) == repr(want.rate_report)
 
 
 _BLOCK_OBJECTIVES = {
@@ -659,3 +676,174 @@ def test_metric_blocks_keep_the_stopping_rule_exact():
         for block in (3, None):
             _assert_same_trial(
                 _trial_in_blocks(cfg, block, stop_epsilon=epsilon), want)
+
+
+# ---------------------------------------------------------------------------
+# the trial axis: R trials of a config advance as one stacked state
+# ---------------------------------------------------------------------------
+
+def _chunked(cfg, chunk):
+    """A patch of `harness._CHUNK_DOUBLES` under which `cfg` runs its trials
+    in chunks of `chunk`."""
+    obj, cl = cfg.objective, cfg.cluster
+    rows = max(obj.sample_count, cl.workers_K * cl.local_batch_B)
+    return mock.patch.object(harness, "_CHUNK_DOUBLES",
+                             chunk * rows * obj.dimension)
+
+
+def _one_trial_runs(cfg, **kwargs):
+    """Each trial of `cfg` run alone, at its own trial index."""
+    constants, lrs = _replay_constants(cfg), _lr_series(cfg)
+    return [_run_trials(cfg, [i], constants, lrs, **kwargs)[0]
+            for i in range(cfg.trials)]
+
+
+def _unstacked_final_x(cfg, trial):
+    """Trial `trial`'s last iterate from a one-point (d,) state stepped
+    through the public step functions, the reference for the stacked rows."""
+    obj, T = cfg.objective, cfg.total_steps_T
+    seed = trial_seed(cfg.master_seed, trial)
+    cl = dataclasses.replace(cfg.cluster, master_seed=seed)
+    hp = cfg.hyperparams
+    if not METHOD_TABLE[cfg.method].momentum:
+        hp = dataclasses.replace(hp, momentum_u=0.0)
+    sched = cfg.schedule and dataclasses.replace(cfg.schedule, total_steps=T)
+    state = init_state(initial_point(obj, cfg.init_scale), cl.workers_K)
+    for t in range(T):
+        hp_t = hp if sched is None else dataclasses.replace(
+            hp, lr_gamma=lr_at(sched, t, cl, obj))
+        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp_t, seed)
+    return state.x
+
+
+@given(method=st.sampled_from(METHODS), kind=st.sampled_from(sorted(_BLOCK_OBJECTIVES)),
+       trials=st.sampled_from([1, 2, 5]), sub_batch=st.booleans(),
+       decay=st.sampled_from([0.0, 0.1]), scheduled=st.booleans(),
+       noise=st.sampled_from([(ISO_GAUSSIAN, False), (ISO_GAUSSIAN, True),
+                              (ISO_UNIFORM, False), (SMOOTHOUT_SHARED, True),
+                              (ANISO_STOCHASTIC, False)]),
+       lars=st.booleans())
+@example(method="post_local", kind="tiny_mlp", trials=5, sub_batch=True,
+         decay=0.1, scheduled=False, noise=(ISO_GAUSSIAN, False), lars=True)
+@example(method="extrap_noise", kind="quadratic_matrix", trials=5,
+         sub_batch=False, decay=0.0, scheduled=True,
+         noise=(SMOOTHOUT_SHARED, True), lars=False)
+@settings(max_examples=30, deadline=None)
+def test_stacked_trials_are_bitwise_one_trial_runs(method, kind, trials,
+                                                   sub_batch, decay, scheduled,
+                                                   noise, lars):
+    cfg = _base_config(
+        objective=_BLOCK_OBJECTIVES[kind](), method=method, trials=trials,
+        total_steps_T=9, record_every=2, record_virtual_sequence=True,
+        cluster=ClusterConfig(workers_K=3, local_batch_B=4,
+                              extrap_batch_b=2 if sub_batch else None),
+        hyperparams=HyperParams(lr_gamma=0.02, momentum_u=0.5,
+                                weight_decay=decay,
+                                lars_trust=0.02 if lars else 0.0),
+        schedule=Schedule(kind=WARMUP_STEP_DECAY, base_lr=0.01,
+                          scale_factor=2.0, warmup_epochs=1) if scheduled else None,
+        noise=NoiseSpec(kind=noise[0], raw_scale=0.1, filter_scaled=noise[1]),
+        post_local=PostLocalConfig(transition_step_t0=2, local_steps_H=2))
+    want = _one_trial_runs(cfg)
+    for chunk in sorted({1, 2, trials}):
+        with _chunked(cfg, chunk):
+            got = run(cfg).trials
+        assert len(got) == trials
+        for g, w in zip(got, want):
+            _assert_same_trial(g, w)
+    for i, w in enumerate(want):
+        assert w.final_x.tobytes() == _unstacked_final_x(cfg, i).tobytes()
+
+
+def test_an_aborting_trial_leaves_its_siblings_unchanged():
+    # Sample 5's shift is so large that a batch holding it overflows the
+    # gradient: each trial that draws it aborts at that step, the others run
+    # on (every train loss is inf, since the mean loss covers that sample).
+    shifts = np.ones((32, 2))
+    shifts[5] = 1e308
+    cfg = _base_config(
+        objective=make_quadratic(2, 32, shifts=shifts, diag=[10.0, 10.0]),
+        cluster=ClusterConfig(workers_K=2, local_batch_B=1),
+        method="extrap_sgd", hyperparams=HyperParams(lr_gamma=0.01,
+                                                     momentum_u=0.5),
+        total_steps_T=20, trials=6, master_seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _one_trial_runs(cfg)
+        aborts = sorted(tr.steps_done for tr in want if tr.aborted)
+        assert len(set(aborts)) >= 2 and len(aborts) < cfg.trials
+        for chunk in (1, 4, 6):
+            with _chunked(cfg, chunk):
+                got = run(cfg).trials
+            for g, w in zip(got, want):
+                _assert_same_trial(g, w)
+    for tr in want:
+        assert tr.records[-1].step == (tr.steps_done if tr.aborted else 19)
+
+
+def test_speedup_trials_stop_at_their_own_steps():
+    cfg = _base_config(trials=6, total_steps_T=60, record_every=4)
+    norms = [[r.grad_norm2 for r in tr.records] for tr in run(
+        dataclasses.replace(cfg, record_every=1)).trials]
+    epsilon = sorted(min(gn2s) for gn2s in norms)[3]    # 2 trials censored
+    want = _one_trial_runs(cfg, stop_epsilon=epsilon)
+    stops = [tr.steps_done for tr in want if tr.reached_epsilon]
+    assert len(stops) == 4 and len(set(stops)) >= 3
+    for tr, gn2s in zip(want, norms):
+        first = next((t + 1 for t, gn2 in enumerate(gn2s) if gn2 <= epsilon),
+                     None)
+        assert tr.steps_done == (first or cfg.total_steps_T)
+    tables = []
+    for chunk in (1, 4, 6):
+        with _chunked(cfg, chunk):
+            got = _trial_results(cfg, stop_epsilon=epsilon)
+            # A larger epsilon keeps the study's step budgets short.
+            tables.append(speedup_study(cfg, [(1, 4), (2, 4)], 20 * epsilon))
+        for g, w in zip(got, want):
+            _assert_same_trial(g, w)
+    assert tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize("mode,steps", [("with_replacement", 150),
+                                        (EPOCH_PERMUTATION, 12)])
+def test_thirty_stacked_trials_generate_each_block_once(monkeypatch, mode,
+                                                        steps):
+    made = []
+    new_block = cluster._new_block
+
+    def counted(seed, mode, workers, block, n):
+        made.append((seed, block))
+        return new_block(seed, mode, workers, block, n)
+
+    monkeypatch.setattr(cluster, "_new_block", counted)
+    cluster._blocks.clear()
+    cfg = _base_config(trials=30, total_steps_T=steps,
+                       cluster=ClusterConfig(workers_K=2, local_batch_B=24,
+                                             sampling_mode=mode))
+    assert harness._chunk_size(cfg) >= 30      # one chunk: all 30 stacked
+    run(cfg)
+    size = 32 if mode == EPOCH_PERMUTATION else cluster._BLOCK
+    blocks = (steps * 24 - 1) // size + 1      # batches straddle blocks
+    assert len(made) == len(set(made)) == 30 * blocks
+
+
+_RECORD_FLOATS = _FLOATS | st.builds(np.float64, _FLOATS)
+_RECORD_VALUES = (st.integers() | _RECORD_FLOATS | st.none() | st.booleans()
+                  | st.dictionaries(st.text(max_size=4),
+                                    st.integers() | _RECORD_FLOATS, max_size=4))
+
+
+@given(record=st.builds(MetricsRecord, step=st.integers(0, 10**6),
+                        lr=_RECORD_FLOATS, train_loss=_RECORD_FLOATS,
+                        grad_norm2=_RECORD_FLOATS, smoothness_L=_RECORD_VALUES,
+                        worker_dispersion=_RECORD_VALUES,
+                        wall_events=_RECORD_VALUES))
+@example(record=MetricsRecord(step=3, lr=0.005, train_loss=math.nan,
+                              grad_norm2=math.inf, smoothness_L=-0.0,
+                              worker_dispersion=5e-324,
+                              wall_events=harness._wall_events(
+                                  ClusterConfig(workers_K=4, local_batch_B=16),
+                                  4)))
+@settings(max_examples=200, deadline=None)
+def test_record_lines_are_the_json_module_byte_for_byte(record):
+    assert harness._record_line(record) == json.dumps(
+        _jsonable(record), sort_keys=True, allow_nan=False) + "\n"
