@@ -8,19 +8,27 @@ aggregates, JSON theory report).  `_dump_json` builds a payload's text,
 config dataclasses included, in one recursive pass that writes each row of a
 numeric array as one join of its elements' reprs; the text is byte for byte
 what `json.dump(..., sort_keys=True, indent=1)` writes for `_jsonable`'s form
-of the payload.
+of the payload.  `_record_line` builds each JSONL record line from the
+record's fields the same way.
 
 Determinism contract: every trial is a pure function of (master_seed, trial
 index) and the config, and output files contain no timestamps or environment
-details, so repeated runs are byte-identical.  Trials run serially and each
-step evaluates all K workers in one stacked oracle call on the (K, B) batch
-matrix; the `threads` argument of `run` is accepted and has no effect.
+details, so repeated runs are byte-identical.  The trials of a config
+advance together in chunks of at most `_CHUNK_DOUBLES` // (max(N, K B) d)
+trials: a chunk of R > 1 trials is one stacked optimizer state, each step
+draws the (R K, B) batch matrix of its R trial seeds in one `draw_batches`
+call and evaluates all R K workers in one stacked oracle call, and trial r
+of the stack is bitwise the trial run alone (a chunk of one runs on the
+plain (d,) state).  A trial that aborts or stops leaves the stack; records
+and the replay stay per trial.  The `threads` argument of `run` is accepted
+and has no effect.
 The per-step metrics (the full-gradient norm at x_bar_{t+1/2} and the train
-loss at x_{t+1}, each a pass over all N samples) wait until a block of steps
-is due, at most `objectives._SIGMA2_BLOCK` // (N d) of them, and are then
-evaluated in one stacked oracle call each; every value is bitwise its
-single-point call, so the block size never shows in an output.  A trial with
-a stopping rule evaluates each step's norm at once.
+loss at x_{t+1}, each a pass over all N samples) wait until a block of
+points is due, one per running trial and step, at most
+`objectives._SIGMA2_BLOCK` // (N d) of them, and are then evaluated in one
+stacked oracle call each; every value is bitwise its single-point call, so
+neither the block nor the chunk size ever shows in an output.  A run with a
+stopping rule evaluates each step's norms at once.
 Method facts come from `theory.METHOD_TABLE`; `_step_once` is the one place
 that binds a method to its step function.  Config values have one schema, the
 dataclass and maker annotations, which `from_doc` (whole documents) and
@@ -232,26 +240,27 @@ def _train_losses(obj, points, weight_decay):
             for loss, x in zip(losses, points)]
 
 
-def _evaluate_pending(obj, weight_decay, pending, series):
-    """Evaluate the metrics of the `pending` (step, records or None, half
-    points, points) steps, whose points are one (d,) row per running trial,
-    and empty it: the full-gradient norm at every half point (written to
-    `series[step]` too, if given) and, for each step with records, the train
-    loss at its points.  Returns the last step's gradient norms."""
+def _evaluate_pending(obj, weight_decay, pending, half_rows, x_rows, series):
+    """Evaluate the metrics of the `pending` (row, records or None) steps and
+    empty it: the full-gradient norm at the consecutive rows of `half_rows`
+    (written to `series` too, if given) and, for each step with records, the
+    train loss at its row of `x_rows`.  A row holds one point per running
+    trial, shaped as the state holds them.  Returns the last step's gradient
+    norms, one per trial."""
     d = obj.dimension
-    halves = np.concatenate([half for _, _, half, _ in pending]).reshape(-1, d)
-    trials = len(halves) // len(pending)
+    lo, hi = pending[0][0], pending[-1][0] + 1
+    halves = half_rows[lo:hi].reshape(-1, d)
+    trials = len(halves) // (hi - lo)
     gn2s = _full_grad_norm2s(obj, halves, weight_decay)
     if series is not None:
-        lo, hi = pending[0][0], pending[-1][0] + 1
         series[lo:hi] = np.reshape(gn2s, series[lo:hi].shape)
-    recorded = [(i, records, x) for i, (_, records, _, x) in enumerate(pending)
-                if records is not None]
+    recorded = [(row, records) for row, records in pending if records is not None]
     if recorded:
-        points = np.concatenate([x for _, _, x in recorded]).reshape(-1, d)
+        points = x_rows[[row for row, _ in recorded]].reshape(-1, d)
         losses = iter(_train_losses(obj, points, weight_decay))
-        for i, records, _ in recorded:
-            for record, gn2 in zip(records, gn2s[i * trials:(i + 1) * trials]):
+        for row, records in recorded:
+            first = (row - lo) * trials
+            for record, gn2 in zip(records, gn2s[first:first + trials]):
                 record.train_loss, record.grad_norm2 = next(losses), gn2
     pending.clear()
     return gn2s[-trials:]
@@ -386,11 +395,11 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     step_seed = seeds if stacked else seeds[0]
     want_vs = (config.record_virtual_sequence and method.bounded
                and stop_epsilon is None)
-    # Steps whose metrics are due wait in `pending` until the next step would
-    # take the block past `capacity` points (one per running trial and step):
-    # one stacked call then evaluates each metric for all of them, over
-    # (capacity, N, d) doubles at most.  A stopping rule needs every step's
-    # norms at once, so it evaluates each step on its own.
+    # Steps whose metrics are due wait in `pending` until a block of `size`
+    # steps is full: one stacked call then evaluates each metric for all of
+    # them, over (capacity, N, d) doubles at most, a point per running trial
+    # and step.  A stopping rule needs every step's norms at once, so it
+    # evaluates each step on its own.
     capacity = max(1, objectives._SIGMA2_BLOCK // (obj.sample_count * d))
     pending, buf = [], {}
     if want_vs:
@@ -403,15 +412,26 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
         buf["dev2"], buf["gn2"] = (np.empty((steps,) + shape[:-1]) for _ in range(2))
         buf["x"][0], buf["v"][0] = state.x, state.v
 
+    def blocks():
+        """The block size in steps and the (row, trial, d) point rows."""
+        size = 1 if stop_epsilon is not None else min(
+            steps, max(1, capacity // len(live)))
+        if want_vs:         # row t: step t's points
+            return size, buf["half"], buf["x"][1:]
+        return size, np.empty((size,) + state.x.shape), np.empty((size,) + state.x.shape)
+
     def keep(rows):
         """Go on with the running trials at `rows` only."""
-        nonlocal live, seeds, step_seed
+        nonlocal live, seeds, step_seed, size, half_rows, x_rows
         live, seeds = [live[r] for r in rows], [seeds[r] for r in rows]
         step_seed = seeds
         if live:        # a one-trial state never loses a row and keeps one
             state.keep_trials(rows)
             for name, values in buf.items():
                 buf[name] = values[:, rows]
+            size, half_rows, x_rows = blocks()
+
+    size, half_rows, x_rows = blocks()
 
     for t in range(steps):
         lr = hp.lr_gamma if lrs is None else lrs[t]
@@ -424,7 +444,8 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                 break
             except NumericAbort as exc:
                 if pending:     # the aborting trials' earlier metrics first
-                    _evaluate_pending(obj, hp.weight_decay, pending, buf.get("gn2"))
+                    _evaluate_pending(obj, hp.weight_decay, pending, half_rows,
+                                      x_rows, buf.get("gn2"))
                 failed = exc.trials if stacked else [0]
                 for row in failed:
                     tr = live[row]
@@ -468,24 +489,27 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
             buf["half"][t], buf["gbar"][t], buf["xi"][t] = (
                 info["x_half_bar"], info["g_bar"], info["xi_bar"])
             buf["dev2"][t] = info["worker_dev2"]
-        if want_vs or records is not None or stop_epsilon is not None:
-            pending.append((t, records, info["x_half_bar"], state.x))
-        if (stop_epsilon is not None
-                or (len(pending) + 1) * len(live) > capacity):
-            gn2s = _evaluate_pending(obj, hp.weight_decay, pending, buf.get("gn2"))
+            pending.append((t, records))
+        elif records is not None or stop_epsilon is not None:
+            row = len(pending)
+            half_rows[row], x_rows[row] = info["x_half_bar"], state.x
+            pending.append((row, records))
+        if len(pending) == size:
+            gn2s = _evaluate_pending(obj, hp.weight_decay, pending, half_rows,
+                                     x_rows, buf.get("gn2"))
             if stop_epsilon is not None:
-                x_rows = state.x.reshape(-1, d)
                 for row, gn2 in enumerate(gn2s):
                     if gn2 <= stop_epsilon:
                         tr = live[row]
                         tr.reached_epsilon, tr.steps_done = True, t + 1
-                        tr.final_x = x_rows[row].copy()
+                        tr.final_x = state.x.reshape(-1, d)[row].copy()
                 if any(tr.reached_epsilon for tr in live):
                     keep([r for r, tr in enumerate(live) if not tr.reached_epsilon])
                     if not live:
                         break
     if pending:
-        _evaluate_pending(obj, hp.weight_decay, pending, buf.get("gn2"))
+        _evaluate_pending(obj, hp.weight_decay, pending, half_rows, x_rows,
+                          buf.get("gn2"))
     for row, tr in enumerate(live):
         tr.final_x = state.x.reshape(-1, d)[row].copy()
 

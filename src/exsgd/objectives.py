@@ -527,7 +527,7 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0):
 
 
 # Doubles in one (n, d) block of per-sample gradients in `_sigma2_at`, and in
-# one (R, N, d) block of the stacked per-step metrics of `harness._run_trial`.
+# one (R, N, d) block of the stacked per-step metrics of `harness._run_trials`.
 _SIGMA2_BLOCK = 2 ** 18
 
 
