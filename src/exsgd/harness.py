@@ -413,12 +413,13 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
         buf["x"][0], buf["v"][0] = state.x, state.v
 
     def blocks():
-        """The block size in steps and the (row, trial, d) point rows."""
+        """The block size in steps, and the arrays whose rows hold a pending
+        step's half points and points (row t is step t's in a replay)."""
         size = 1 if stop_epsilon is not None else min(
             steps, max(1, capacity // len(live)))
-        if want_vs:         # row t: step t's points
+        if want_vs:
             return size, buf["half"], buf["x"][1:]
-        return size, np.empty((size,) + state.x.shape), np.empty((size,) + state.x.shape)
+        return (size, *(np.empty((size,) + state.x.shape) for _ in range(2)))
 
     def keep(rows):
         """Go on with the running trials at `rows` only."""

@@ -454,14 +454,14 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
     if direction is None:
         return (x + u * state.v if u != 0.0 else x), xi_bar
     stacked = x.ndim == 2
-    workers = (n_workers, x.shape[-1])
+    worker_shape = (n_workers, x.shape[-1])
     if stacked:     # each trial's row against its (K, d) workers
-        workers = (len(x),) + workers
+        worker_shape = (len(x),) + worker_shape
         x = x[:, None, :]
     if ghat == 0.0 or state.step_t == 0:
-        quarters = np.broadcast_to(x, workers)
+        quarters = np.broadcast_to(x, worker_shape)
     elif direction == "adam":
-        pg = np.asarray(state.past_grad).reshape(workers)
+        pg = np.asarray(state.past_grad).reshape(worker_shape)
         m, v = ((state.adam_m[:, None, :], state.adam_v[:, None, :]) if stacked
                 else (state.adam_m, state.adam_v))
         num = hp.adam_beta1 * m + (1.0 - hp.adam_beta1) * pg
@@ -478,7 +478,7 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
                                       n_workers, partition)
         else:
             z = np.asarray(state.past_grad)
-            z = z.reshape(workers) if stacked else z
+            z = z.reshape(worker_shape) if stacked else z
         quarters, xi_bar = x - ghat * z, reduce_mean(z)
     if u == 0.0:
         return quarters, xi_bar
@@ -502,9 +502,10 @@ def draw_noise_directions(noise, state, rng, n_workers, partition):
         raw = _raw_noise(noise, rng, n_workers, d)
     if not noise.filter_scaled:
         return raw
-    return np.array([[_filter_scale(z, xr, partition) for z in zs]
+    return np.stack([_filter_scale(z, xr, partition)
                      for zs, xr in zip(raw.reshape(-1, n_workers, d),
-                                       x.reshape(-1, d))]).reshape(raw.shape)
+                                       x.reshape(-1, d))
+                     for z in zs]).reshape(raw.shape)
 
 
 def _raw_noise(noise, rng, n_workers, d):
@@ -564,13 +565,14 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     n_workers = _workers(state, batches)
     x = state.x
     d = x.shape[-1]
-    workers = x.shape[:-1] + (n_workers, d)
+    worker_shape = x.shape[:-1] + (n_workers, d)
     if state.local_x is None:
-        state.local_x = np.broadcast_to(x[..., None, :], workers).reshape(-1, d)
+        state.local_x = np.broadcast_to(x[..., None, :], worker_shape).reshape(-1, d)
         if hp.reset_local_momentum:
             state.local_v = np.zeros_like(state.local_x)
         else:
-            state.local_v = np.broadcast_to(state.v[..., None, :], workers).reshape(-1, d)
+            state.local_v = np.broadcast_to(state.v[..., None, :],
+                                            worker_shape).reshape(-1, d)
     local_x = np.asarray(state.local_x)
     local_v = np.asarray(state.local_v)
 
@@ -586,20 +588,20 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
         g_used = apply_lars(grads, local_x, obj.partition, hp)
     local_v = _momentum_update(local_v, u, hp.lr_gamma, g_used)
     local_x = local_x + local_v
-    mean_x = reduce_mean(local_x.reshape(workers))
+    mean_x = reduce_mean(local_x.reshape(worker_shape))
     _check_finite(state, "iterate", mean_x)
     if t % plc.local_steps_H == 0:
-        local_x = np.broadcast_to(mean_x[..., None, :], workers).reshape(-1, d)
+        local_x = np.broadcast_to(mean_x[..., None, :], worker_shape).reshape(-1, d)
     state.local_x, state.local_v, state.past_grad = local_x, local_v, past
-    spread = local_x.reshape(workers) - mean_x[..., None, :]
+    spread = local_x.reshape(worker_shape) - mean_x[..., None, :]
     dispersion = [max(float(np.linalg.norm(row)) for row in trial)
                   for trial in spread.reshape(-1, n_workers, d)]
     state.x = mean_x
     state.step_t += 1
-    halves = halves.reshape(workers)
+    halves = halves.reshape(worker_shape)
     half_bar = reduce_mean(halves)
     state.last_info = {
-        "x_half_bar": half_bar, "g_bar": reduce_mean(g_used.reshape(workers)),
+        "x_half_bar": half_bar, "g_bar": reduce_mean(g_used.reshape(worker_shape)),
         "xi_bar": np.zeros_like(mean_x), "worker_dev2": _worker_dev2(halves, half_bar),
         "worker_dispersion": dispersion if x.ndim == 2 else dispersion[0],
     }
