@@ -130,7 +130,9 @@ def draw_batches(cfg, obj, t, seeds=None):
     workers, streams = cfg.workers_K, len(seeds)
     mats = []
     for seed in seeds:
-        seq = _block(seed, mode, workers, first, n, streams)
+        seq = _blocks.get((seed, mode, workers, n, first))    # the common hit
+        if seq is None:
+            seq = _block(seed, mode, workers, first, n, streams)
         if last > first:        # the batch straddles a block boundary
             seq = np.concatenate([seq] + [_block(seed, mode, workers, c, n, streams)
                                           for c in range(first + 1, last + 1)],
@@ -152,9 +154,7 @@ def reduce_mean(vectors):
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim >= 2:
         count = vectors.shape[-2]
-        if count == 0:
-            raise ValueError("reduce_mean of empty input")
-        if vectors.shape[-1] >= 2 and vectors.flags.c_contiguous:
+        if count and vectors.shape[-1] >= 2 and vectors.flags.c_contiguous:
             return np.add.reduce(vectors, axis=-2, initial=None) / count
         vectors = np.moveaxis(vectors, -2, 0)    # the loop runs over axis 0
     if len(vectors) == 0:

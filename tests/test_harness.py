@@ -134,8 +134,7 @@ def test_schedule_lr_is_recorded():
 
 @pytest.mark.parametrize("kind,replayed", [("constant", True),
                                             ("warmup_constant", False)])
-@pytest.mark.parametrize("trials", [1, 3])
-def test_trial_computes_each_step_lr_once(monkeypatch, kind, replayed, trials):
+def test_trial_computes_each_step_lr_once(monkeypatch, kind, replayed):
     # One lr series per config, validated once, serves every trial; the
     # replay's constant-stepsize check reads it too.
     steps, validations = [], []
@@ -152,14 +151,17 @@ def test_trial_computes_each_step_lr_once(monkeypatch, kind, replayed, trials):
     monkeypatch.setattr(optimizers, "_lr", counted_lr)
     monkeypatch.setattr(Schedule, "validate", counted_validate)
     sched = Schedule(kind=kind, base_lr=0.05, scale_factor=2.0, warmup_epochs=1)
-    cfg = _base_config(method="extrap_sgd", schedule=sched, trials=trials,
-                       total_steps_T=12, record_virtual_sequence=True)
-    result = run(cfg)
-    assert steps == list(range(12))
-    # RunConfig.validate checks the schedule, and the lr series once more.
-    assert validations == [kind, kind]
-    assert [(tr.virtual_sequence is not None) for tr in result.trials] == \
-        [replayed] * trials
+    for trials in (1, 3):
+        steps.clear()
+        validations.clear()
+        cfg = _base_config(method="extrap_sgd", schedule=sched, trials=trials,
+                           total_steps_T=12, record_virtual_sequence=True)
+        result = run(cfg)
+        assert steps == list(range(12))
+        # RunConfig.validate checks the schedule, and the lr series once more.
+        assert validations == [kind, kind]
+        assert [(tr.virtual_sequence is not None) for tr in result.trials] == \
+            [replayed] * trials
 
 
 def test_abort_is_reported_not_raised(tmp_path):
