@@ -130,9 +130,7 @@ def draw_batches(cfg, obj, t, seeds=None):
     workers, streams = cfg.workers_K, len(seeds)
     mats = []
     for seed in seeds:
-        seq = _blocks.get((seed, mode, workers, n, first))    # the common hit
-        if seq is None:
-            seq = _block(seed, mode, workers, first, n, streams)
+        seq = _block(seed, mode, workers, first, n, streams)
         if last > first:        # the batch straddles a block boundary
             seq = np.concatenate([seq] + [_block(seed, mode, workers, c, n, streams)
                                           for c in range(first + 1, last + 1)],
