@@ -102,6 +102,13 @@ def _block(master_seed, mode, workers, block, n, streams=1):
     return rows
 
 
+def cached_indices(cfg, obj):
+    """The int64 indices the block cache may keep for one stream: its
+    `_CACHE_BLOCKS` newest blocks of all K workers."""
+    size = obj.sample_count if cfg.sampling_mode == EPOCH_PERMUTATION else _BLOCK
+    return _CACHE_BLOCKS * cfg.workers_K * size
+
+
 def _new_block(master_seed, mode, workers, block, n):
     epoch = mode == EPOCH_PERMUTATION
     rows = np.empty((workers, n if epoch else _BLOCK), dtype=np.int64)

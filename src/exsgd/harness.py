@@ -15,7 +15,7 @@ Determinism contract: every trial is a pure function of (master_seed, trial
 index) and the config, and output files contain no timestamps or environment
 details, so repeated runs are byte-identical.  The trials of a config
 advance together in chunks of at most `_CHUNK_DOUBLES` // (max(N, K B) d)
-trials: a chunk of R > 1 trials is one stacked optimizer state, each step
+trials, fewer where a stream's cached index blocks are larger: a chunk of R > 1 trials is one stacked optimizer state, each step
 draws the (R K, B) batch matrix of its R trial seeds in one `draw_batches`
 call and evaluates all R K workers in one stacked oracle call, and trial r
 of the stack is bitwise the trial run alone (a chunk of one runs on the
@@ -50,8 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objectives, theory
-# Unused here, but benchmark/tracer.py patches harness.reduce_mean.
-from .cluster import ClusterConfig, draw_batches, reduce_mean  # noqa: F401
+# reduce_mean is unused here, but benchmark/tracer.py patches it here.
+from .cluster import (ClusterConfig, cached_indices, draw_batches,
+                      reduce_mean)  # noqa: F401
 from .objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
                          estimate_constants, initial_point)
 from .optimizers import (HyperParams, NoiseSpec, PostLocalConfig, Schedule,
@@ -331,17 +332,24 @@ def _relative_descent_residuals(vs):
     return resid / denom
 
 
-# Doubles that one chunk of trials may hold in one stacked step's gathered
-# samples or full-gradient metric: a chunk advances at most
-# _CHUNK_DOUBLES // (max(N, K B) d) trials together, so the gate-size
-# quadratics stack all their trials and a wide objective runs one at a time.
+# 8-byte words that one chunk of trials may hold in one stacked step's
+# gathered samples, its full-gradient metric or the cached index blocks of
+# its batch streams: a chunk advances at most _CHUNK_DOUBLES // (the larger
+# of max(N, K B) d and `cluster.cached_indices`) trials together, so the
+# gate-size quadratics stack 16 to 64 trials and a wide objective runs one
+# at a time.
 _CHUNK_DOUBLES = 2 ** 18
 
 
-def _chunk_size(config):
+def _trial_words(config):
+    """The words one trial of `config` adds to a chunk (see above)."""
     obj, cl = config.objective, config.cluster
-    rows = max(obj.sample_count, cl.workers_K * cl.local_batch_B)
-    return max(1, _CHUNK_DOUBLES // (rows * obj.dimension))
+    return max(max(obj.sample_count, cl.workers_K * cl.local_batch_B)
+               * obj.dimension, cached_indices(cl, obj))
+
+
+def _chunk_size(config):
+    return max(1, _CHUNK_DOUBLES // _trial_words(config))
 
 
 def _lr_series(config):

@@ -336,12 +336,13 @@ def _worker_dev2(halves, half_bar):
     count = halves.shape[-2]
     if count == 1:
         return 0.0
-    stacked = halves.ndim == 3
-    dev = halves - (half_bar[:, None, :] if stacked else half_bar)
+    if halves.ndim == 3:
+        half_bar = half_bar[:, None, :]
+    dev = halves - half_bar
     # np.add.reduce is what np.sum and np.mean call, bitwise, without their
     # per-call wrappers.
     dev2 = np.add.reduce(np.add.reduce(dev * dev, axis=-1), axis=-1) / count
-    return dev2 if stacked else float(dev2)
+    return dev2 if halves.ndim == 3 else float(dev2)
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +455,14 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
     if direction is None:
         return (x + u * state.v if u != 0.0 else x), xi_bar
     stacked = x.ndim == 2
-    worker_shape = (n_workers, x.shape[-1])
-    if stacked:     # each trial's row against its (K, d) workers
-        worker_shape = (len(x),) + worker_shape
+    if stacked:     # each trial's (1, d) row against its (K, d) workers
         x = x[:, None, :]
     if ghat == 0.0 or state.step_t == 0:
-        quarters = np.broadcast_to(x, worker_shape)
+        quarters = np.broadcast_to(x, x.shape[:-2] + (n_workers, x.shape[-1]))
     elif direction == "adam":
-        pg = np.asarray(state.past_grad).reshape(worker_shape)
-        m, v = ((state.adam_m[:, None, :], state.adam_v[:, None, :]) if stacked
-                else (state.adam_m, state.adam_v))
+        pg, m, v = np.asarray(state.past_grad), state.adam_m, state.adam_v
+        if stacked:
+            pg, m, v = pg.reshape(len(x), n_workers, -1), m[:, None, :], v[:, None, :]
         num = hp.adam_beta1 * m + (1.0 - hp.adam_beta1) * pg
         den = hp.adam_beta2 * v + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
         if hp.extrap_denominator_sqrt:
@@ -478,7 +477,8 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
                                       n_workers, partition)
         else:
             z = np.asarray(state.past_grad)
-            z = z.reshape(worker_shape) if stacked else z
+            if stacked:
+                z = z.reshape(len(x), n_workers, -1)
         quarters, xi_bar = x - ghat * z, reduce_mean(z)
     if u == 0.0:
         return quarters, xi_bar

@@ -687,10 +687,8 @@ def test_metric_blocks_keep_the_stopping_rule_exact():
 def _chunked(cfg, chunk):
     """A patch of `harness._CHUNK_DOUBLES` under which `cfg` runs its trials
     in chunks of `chunk`."""
-    obj, cl = cfg.objective, cfg.cluster
-    rows = max(obj.sample_count, cl.workers_K * cl.local_batch_B)
     return mock.patch.object(harness, "_CHUNK_DOUBLES",
-                             chunk * rows * obj.dimension)
+                             chunk * harness._trial_words(cfg))
 
 
 def _one_trial_runs(cfg, **kwargs):
@@ -749,6 +747,7 @@ def test_stacked_trials_are_bitwise_one_trial_runs(method, kind, trials,
     want = _one_trial_runs(cfg)
     for chunk in sorted({1, 2, trials}):
         with _chunked(cfg, chunk):
+            assert harness._chunk_size(cfg) == chunk
             got = run(cfg).trials
         assert len(got) == trials
         for g, w in zip(got, want):
