@@ -14,14 +14,14 @@ record's fields the same way.
 Determinism contract: every trial is a pure function of (master_seed, trial
 index) and the config, and output files contain no timestamps or environment
 details, so repeated runs are byte-identical.  The trials of a config
-advance together in chunks of at most `_CHUNK_DOUBLES` // (max(N, K B) d)
-trials, fewer where a stream's cached index blocks are larger: a chunk of R > 1 trials is one stacked optimizer state, each step
-draws the (R K, B) batch matrix of its R trial seeds in one `draw_batches`
-call and evaluates all R K workers in one stacked oracle call, and trial r
-of the stack is bitwise the trial run alone (a chunk of one runs on the
-plain (d,) state).  A trial that aborts or stops leaves the stack; records
-and the replay stay per trial.  The `threads` argument of `run` is accepted
-and has no effect.
+advance together in chunks of at most `_CHUNK_WORDS` // (max(N, K B) d)
+trials, fewer where a stream's cached index blocks are larger.  A chunk of
+R > 1 trials is one stacked optimizer state: each step draws the (R K, B)
+batch matrix of its R trial seeds in one `draw_batches` call and evaluates
+all R K workers in one stacked oracle call, and trial r of the stack is
+bitwise the trial run alone (a chunk of one runs on the plain (d,) state).
+A trial that aborts or stops leaves the stack; records and the replay stay
+per trial.  The `threads` argument of `run` is accepted and has no effect.
 The per-step metrics (the full-gradient norm at x_bar_{t+1/2} and the train
 loss at x_{t+1}, each a pass over all N samples) wait until a block of
 points is due, one per running trial and step, at most
@@ -334,11 +334,11 @@ def _relative_descent_residuals(vs):
 
 # 8-byte words that one chunk of trials may hold in one stacked step's
 # gathered samples, its full-gradient metric or the cached index blocks of
-# its batch streams: a chunk advances at most _CHUNK_DOUBLES // (the larger
+# its batch streams: a chunk advances at most _CHUNK_WORDS // (the larger
 # of max(N, K B) d and `cluster.cached_indices`) trials together, so the
 # gate-size quadratics stack 16 to 64 trials and a wide objective runs one
 # at a time.
-_CHUNK_DOUBLES = 2 ** 18
+_CHUNK_WORDS = 2 ** 18
 
 
 def _trial_words(config):
@@ -349,7 +349,7 @@ def _trial_words(config):
 
 
 def _chunk_size(config):
-    return max(1, _CHUNK_DOUBLES // _trial_words(config))
+    return max(1, _CHUNK_WORDS // _trial_words(config))
 
 
 def _lr_series(config):

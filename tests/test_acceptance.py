@@ -276,7 +276,7 @@ def test_thread_determinism_byte_identical(tmp_path):
         total_steps_T=50, record_virtual_sequence=True,
         trials=2, master_seed=13)
     assert harness._chunk_size(cfg) >= 2      # by default both trials stack
-    one_at_a_time = mock.patch.object(harness, "_CHUNK_DOUBLES", 1)
+    one_at_a_time = mock.patch.object(harness, "_CHUNK_WORDS", 1)
     dirs = []
     for name, threads, chunking in (("threads_1", 1, nullcontext()),
                                     ("threads_4", 4, nullcontext()),

@@ -685,9 +685,9 @@ def test_metric_blocks_keep_the_stopping_rule_exact():
 # ---------------------------------------------------------------------------
 
 def _chunked(cfg, chunk):
-    """A patch of `harness._CHUNK_DOUBLES` under which `cfg` runs its trials
+    """A patch of `harness._CHUNK_WORDS` under which `cfg` runs its trials
     in chunks of `chunk`."""
-    return mock.patch.object(harness, "_CHUNK_DOUBLES",
+    return mock.patch.object(harness, "_CHUNK_WORDS",
                              chunk * harness._trial_words(cfg))
 
 
