@@ -2,10 +2,11 @@
 Simulated cluster of K synchronous workers.
 
 Each worker k reads its batches from one endless index sequence, and the batch
-of step t is positions [tB, (t+1)B) of that sequence; `draw_batches` returns
-step t's batches as one (K, B) int64 matrix whose row k is worker k's batch.
-The sequence is a concatenation of seeded blocks, each a pure function of
-(master_seed, worker, block):
+of step t is positions [tB, (t+1)B) of that sequence.  `draw_batches` serves
+the R trials of a chunk at once: it returns step t's batches as one
+(R, K, B) int64 tensor whose entry [r, k] is worker k's batch in the cluster
+seeded by trial r's seed.  The sequence is a concatenation of seeded blocks,
+each a pure function of (master_seed, worker, block):
 
 * epoch permutation: block e is a fresh permutation of all N samples, so
   every epoch visits each sample once;
@@ -16,13 +17,11 @@ seed tuple, replaying any (config, t) reproduces the same batches in any
 access order, batches at step t never depend on how many steps ran before,
 and worker k never touches its neighbours' streams.  Block c of all K workers
 is kept as one read-only (K, block size) matrix, whose row k is worker k's
-block, in a small cache: a run generates each block once instead of once per
-step, and a step's batches are one slice copy of that matrix (a straddling
-batch joins consecutive matrices along the position axis), so every call
-returns a fresh matrix the caller owns.  `draw_batches` also serves R trials
-at once: given R trial seeds it returns their (R K, B) matrix, trial r's K
-rows after trial r - 1's, and the cache then keeps as many blocks for each of
-the R streams as it keeps for one.
+block, in a small cache that keeps as many blocks for each of the R streams
+as it keeps for one: a run generates each block once instead of once per
+step, and a step copies each trial's slice of that matrix (or of the
+consecutive matrices a straddling batch spans) into one fresh tensor the
+caller owns.
 
 The gradient reduction is a plain ascending-worker-order serial mean over
 the K rows of a (K, d) array (or a list of K vectors), or over each trial's K
@@ -121,11 +120,11 @@ def _new_block(master_seed, mode, workers, block, n):
 
 
 def draw_batches(cfg, obj, t, seeds=None):
-    """The (K, B) int64 index matrix of step t; row k is worker k's batch.
+    """The (R, K, B) int64 index tensor of step t for the R trial `seeds`:
+    entry [r, k] is worker k's batch in the cluster seeded `seeds[r]`.
     Streams are independent per worker and replaying (cfg, t) yields
-    identical indices.  With `seeds`, a list of R trial seeds, the (R K, B)
-    matrix whose rows r K .. r K + K - 1 are the matrix of the cluster seeded
-    `seeds[r]`; `cfg.master_seed` is then not read."""
+    identical indices.  Without `seeds` it is the (1, K, B) tensor of the
+    cluster seeded `cfg.master_seed`, which is otherwise not read."""
     if t < 0:
         raise ValueError("step t must be >= 0")
     cfg.validate(obj)
@@ -135,15 +134,15 @@ def draw_batches(cfg, obj, t, seeds=None):
     last = (t * b + b - 1) // size
     seeds = [cfg.master_seed] if seeds is None else seeds
     workers, streams = cfg.workers_K, len(seeds)
-    mats = []
-    for seed in seeds:
+    out = np.empty((streams, workers, b), np.int64)
+    for r, seed in enumerate(seeds):
         seq = _block(seed, mode, workers, first, n, streams)
         if last > first:        # the batch straddles a block boundary
             seq = np.concatenate([seq] + [_block(seed, mode, workers, c, n, streams)
                                           for c in range(first + 1, last + 1)],
                                  axis=1)
-        mats.append(seq[:, offset:offset + b])
-    return mats[0].copy() if streams == 1 else np.concatenate(mats)
+        out[r] = seq[:, offset:offset + b]
+    return out
 
 
 def reduce_mean(vectors):

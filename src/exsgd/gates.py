@@ -37,8 +37,9 @@ def reduction_chains(gamma, u):
 def chain_mismatch(obj, cluster, reduced, parent, hp, steps):
     """The first step after which `reduced` and `parent`, fed the same
     batches, hold different iterates; None if they agree bitwise for all
-    `steps` steps."""
-    a, b = (init_state(initial_point(obj), cluster.workers_K) for _ in range(2))
+    `steps` steps.  Each runs one trial, a stack of one row."""
+    a, b = (init_state(initial_point(obj)[None], cluster.workers_K)
+            for _ in range(2))
     for t in range(steps):
         batches = draw_batches(cluster, obj, t)
         reduced(a, obj, batches, hp)

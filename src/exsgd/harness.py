@@ -16,12 +16,12 @@ index) and the config, and output files contain no timestamps or environment
 details, so repeated runs are byte-identical.  The trials of a config
 advance together in chunks of at most `_CHUNK_WORDS` // (max(N, K B) d)
 trials, fewer where a stream's cached index blocks are larger.  A chunk of
-R > 1 trials is one stacked optimizer state: each step draws the (R K, B)
-batch matrix of its R trial seeds in one `draw_batches` call and evaluates
-all R K workers in one stacked oracle call, and trial r of the stack is
-bitwise the trial run alone (a chunk of one runs on the plain (d,) state).
-A trial that aborts or stops leaves the stack; records and the replay stay
-per trial.  The `threads` argument of `run` is accepted and has no effect.
+R trials, one or more, is one optimizer state of R stacked trials: each step
+draws the (R, K, B) batches of its R trial seeds in one `draw_batches` call
+and evaluates all R K workers in one oracle call, and trial r of the stack
+is bitwise the trial run alone.  A trial that aborts or stops leaves the
+stack; records and the replay stay per trial.  The `threads` argument of
+`run` is accepted and has no effect.
 The per-step metrics (the full-gradient norm at x_bar_{t+1/2} and the train
 loss at x_{t+1}, each a pass over all N samples) wait until a block of
 points is due, one per running trial and step, at most
@@ -55,8 +55,8 @@ from .cluster import (ClusterConfig, cached_indices, draw_batches,
                       reduce_mean)  # noqa: F401
 from .objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
                          estimate_constants, initial_point)
-from .optimizers import (HyperParams, NoiseSpec, PostLocalConfig, Schedule,
-                         NumericAbort, effective_gamma_hat, init_state,
+from .optimizers import (NOISE_NONE, HyperParams, NoiseSpec, PostLocalConfig,
+                         Schedule, NumericAbort, effective_gamma_hat, init_state,
                          lookahead, lr_series, noise_second_moment, step_adam,
                          step_extrap_adam, step_extrap_sgd,
                          step_extrapolated_noise, step_minibatch_sgd,
@@ -97,6 +97,8 @@ class RunConfig:
             if getattr(self, needs) is None:
                 raise ValueError(f"method {self.method} needs a {needs} config")
             getattr(self, needs).validate()
+        if self.method == theory.EXTRAP_NOISE and self.noise.kind == NOISE_NONE:
+            raise ValueError("method extrap_noise needs a noise kind other than 'none'")
         if self.total_steps_T < 1:
             raise ValueError("total_steps_T must be >= 1")
         if self.record_every < 1:
@@ -245,13 +247,12 @@ def _evaluate_pending(obj, weight_decay, pending, half_rows, x_rows, series):
     """Evaluate the metrics of the `pending` (row, records or None) steps and
     empty it: the full-gradient norm at the consecutive rows of `half_rows`
     (written to `series` too, if given) and, for each step with records, the
-    train loss at its row of `x_rows`.  A row holds one point per running
-    trial, shaped as the state holds them.  Returns the last step's gradient
-    norms, one per trial."""
-    d = obj.dimension
+    train loss at its row of `x_rows`.  A row holds the (R, d) points of the
+    R running trials.  Returns the last step's gradient norms, one per
+    trial."""
+    d, trials = obj.dimension, half_rows.shape[1]
     lo, hi = pending[0][0], pending[-1][0] + 1
     halves = half_rows[lo:hi].reshape(-1, d)
-    trials = len(halves) // (hi - lo)
     gn2s = _full_grad_norm2s(obj, halves, weight_decay)
     if series is not None:
         series[lo:hi] = np.reshape(gn2s, series[lo:hi].shape)
@@ -311,7 +312,8 @@ def _step_once(config, state, obj, cl, batches, hp_t, seed):
 def _terminal_half_point(config, state, hp, cl, seed):
     """x_bar_{T+1/2} = x - gamma_hat xi_bar_T + u v and xi_bar_T, step T =
     state.step_t's mean direction from `lookahead`; no gradient is evaluated.
-    A stacked state gives one row per trial and takes the trials' seeds."""
+    Both have one (d,) row per trial of `state`; `seed` holds the trials'
+    seeds."""
     _, xi = lookahead(state, hp, cl.workers_K,
                       theory.METHOD_TABLE[config.method].direction,
                       config.noise, seed, config.objective.partition)
@@ -379,14 +381,13 @@ def _trial_results(config, stop_epsilon=None):
 
 def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     """The results of the trials of `config` with the indices `trials`,
-    advanced together as one stacked state whose row r is trial trials[r]
-    (one trial runs on the plain (d,) state); each result is bitwise that of
-    its trial run alone.  `constants` is `_replay_constants(config)`, called
-    only by a replay, and `lrs` is `_lr_series(config)`.  A trial that meets
-    a non-finite value ends with an abort record and its rows leave the
-    stack; the others go on.  With `stop_epsilon` a trial stops after the
-    first step whose full-gradient norm is <= it, and no trial is
-    replayed."""
+    advanced together as one state of stacked trials whose row r is trial
+    trials[r]; each result is bitwise that of its trial run alone.
+    `constants` is `_replay_constants(config)`, called only by a replay, and
+    `lrs` is `_lr_series(config)`.  A trial that meets a non-finite value
+    ends with an abort record and leaves the stack; the others go on.  With
+    `stop_epsilon` a trial stops after the first step whose full-gradient
+    norm is <= it, and no trial is replayed."""
     obj, cl = config.objective, config.cluster
     method = theory.METHOD_TABLE[config.method]
     hp = config.hyperparams
@@ -397,10 +398,8 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                         records=[], final_x=None, steps_done=steps)
             for i in trials]
     results, seeds = list(live), [tr.seed for tr in live]
-    stacked = len(live) > 1
     x0 = initial_point(obj, config.init_scale)
-    state = init_state(np.tile(x0, (len(live), 1)) if stacked else x0, workers)
-    step_seed = seeds if stacked else seeds[0]
+    state = init_state(np.tile(x0, (len(live), 1)), workers)
     want_vs = (config.record_virtual_sequence and method.bounded
                and stop_epsilon is None)
     # Steps whose metrics are due wait in `pending` until a block of `size`
@@ -412,7 +411,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     pending, buf = [], {}
     if want_vs:
         # Row t + 1 of "x" and "v" and row t of the rest hold step t's values,
-        # shaped as the state holds them; the replay writes the terminal half
+        # one row or value per trial; the replay writes the terminal half
         # point and direction as row T.
         shape = state.x.shape
         buf = {name: np.empty((steps + 1,) + shape) for name in ("x", "v", "half", "xi")}
@@ -431,10 +430,9 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
 
     def keep(rows):
         """Go on with the running trials at `rows` only."""
-        nonlocal live, seeds, step_seed, size, half_rows, x_rows
+        nonlocal live, seeds, size, half_rows, x_rows
         live, seeds = [live[r] for r in rows], [seeds[r] for r in rows]
-        step_seed = seeds
-        if live:        # a one-trial state never loses a row and keeps one
+        if live:        # with none left the run ends
             state.keep_trials(rows)
             for name, values in buf.items():
                 buf[name] = values[:, rows]
@@ -449,38 +447,34 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
         while True:
             x_before = state.x
             try:
-                _step_once(config, state, obj, cl, batches, hp_t, step_seed)
+                _step_once(config, state, obj, cl, batches, hp_t, seeds)
                 break
             except NumericAbort as exc:
                 if pending:     # the aborting trials' earlier metrics first
                     _evaluate_pending(obj, hp.weight_decay, pending, half_rows,
                                       x_rows, buf.get("gn2"))
-                failed = exc.trials if stacked else [0]
-                for row in failed:
+                for row in exc.trials:
                     tr = live[row]
                     tr.aborted, tr.abort_detail, tr.steps_done = True, str(exc), t
-                    tr.final_x = x_before.reshape(-1, d)[row].copy()
+                    tr.final_x = x_before[row].copy()
                     tr.records.append(MetricsRecord(
                         step=t, lr=lr, train_loss=math.nan, grad_norm2=math.nan,
                         worker_dispersion=math.nan,
                         wall_events=_wall_events(cl, t + 1)))
-                rows = [r for r in range(len(live)) if r not in failed]
+                rows = [r for r in range(len(live)) if r not in exc.trials]
                 keep(rows)
                 if not live:
                     break
-                batches = batches.reshape(-1, workers, batches.shape[-1])[rows]
-                batches = batches.reshape(-1, batches.shape[-1])
+                batches = batches[rows]
         if not live:
             break
         info = state.last_info
         records = None
         if (t % config.record_every == 0) or (t == steps - 1):
             dispersion = info["worker_dispersion"]
-            if not isinstance(dispersion, list):
-                dispersion = [dispersion] * len(live)
             probe = (config.record_smoothness_every
                      and t % config.record_smoothness_every == 0)
-            before, after = x_before.reshape(-1, d), state.x.reshape(-1, d)
+            before, after = x_before, state.x
             records = []
             for row, tr in enumerate(live):
                 sm = math.nan
@@ -511,7 +505,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                     if gn2 <= stop_epsilon:
                         tr = live[row]
                         tr.reached_epsilon, tr.steps_done = True, t + 1
-                        tr.final_x = state.x.reshape(-1, d)[row].copy()
+                        tr.final_x = state.x[row].copy()
                 if any(tr.reached_epsilon for tr in live):
                     keep([r for r, tr in enumerate(live) if not tr.reached_epsilon])
                     if not live:
@@ -520,20 +514,20 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
         _evaluate_pending(obj, hp.weight_decay, pending, half_rows, x_rows,
                           buf.get("gn2"))
     for row, tr in enumerate(live):
-        tr.final_x = state.x.reshape(-1, d)[row].copy()
+        tr.final_x = state.x[row].copy()
 
     if want_vs and live and (lrs is None or all(lr == hp.lr_gamma for lr in lrs)):
         # The replay assumes one stepsize.
         ghat = effective_gamma_hat(hp, workers) if method.direction else 0.0
         buf["half"][steps], buf["xi"][steps] = _terminal_half_point(
-            config, state, hp, cl, step_seed)
+            config, state, hp, cl, seeds)
         replay = constants()
         sig_hat2 = (noise_second_moment(config.noise, x0)
                     if method.direction == "noise" else None)
         for row, tr in enumerate(live):
-            # Trial row's own series, contiguous as a one-trial run holds it.
+            # Trial row's own series, contiguous.
             x, v, half, xi, gbar, dev2, gn2 = (
-                np.ascontiguousarray(buf[name][:, row]) if stacked else buf[name]
+                np.ascontiguousarray(buf[name][:, row])
                 for name in ("x", "v", "half", "xi", "gbar", "dev2", "gn2"))
             vs = theory.build_virtual_sequence(x, v, half, gbar, xi, hp.lr_gamma,
                                                ghat, hp.momentum_u)

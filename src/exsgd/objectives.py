@@ -284,8 +284,8 @@ def _sample_rows(obj, indices):
     """`indices` as an index into the per-sample arrays, validated once.
 
     A step-1 `range` becomes a basic slice: a view, with no gather and no
-    per-element check.  Anything else becomes an int64 array, a (B,) batch or
-    a (K, B) matrix holding one batch per row.
+    per-element check.  Anything else becomes an int64 array of batches, its
+    last axis B: a (B,) batch, a (K, B) matrix or an (R, K, B) tensor.
     """
     if isinstance(indices, range) and indices.step == 1:
         if len(indices) == 0:
@@ -296,33 +296,32 @@ def _sample_rows(obj, indices):
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("empty index set")
-    if idx.ndim not in (1, 2):
-        raise ValueError(f"indices must be a (B,) batch or a (K, B) matrix, got {idx.shape}")
+    if idx.ndim == 0:
+        raise ValueError("indices must hold batches of shape (..., B), got a scalar")
     # One reduction checks both bounds: a negative index wraps above 2**63.
-    if idx.view(np.uint64).max() >= obj.sample_count:
+    if np.maximum.reduce(idx.view(np.uint64), axis=None) >= obj.sample_count:
         raise IndexError("sample index out of range")
     return idx
 
 
 def _check_dim(obj, values, rows):
-    """values is one (d,) point, a (K, d) point per row of a (K, B) matrix,
-    or an (R, d) stack of points sharing a `range` of indices."""
-    if values.shape == (obj.dimension,):
-        return
-    if isinstance(rows, slice) and values.ndim == 2 \
-            and values.shape[1] == obj.dimension:
-        return
-    stacked = isinstance(rows, np.ndarray) and rows.ndim == 2
-    if stacked and values.shape == (rows.shape[0], obj.dimension):
-        return
-    raise ValueError(
-        f"dimension mismatch: objective has d={obj.dimension}, got {values.shape}"
-    )
+    """values is (..., d): one (d,) point for every batch, or one per batch
+    whose leading axes are the indices' batch axes, the last of which may be
+    1 to share a point across it, as the (R, 1, d) points of R trials' K
+    workers do.  A `range` has one batch axis of any length: it is the one
+    index set of every point of an (R, d) stack."""
+    lead = values.shape[:-1]
+    axes = lead[-1:] if isinstance(rows, slice) else rows.shape[:-1]
+    if (values.shape[-1:] != (obj.dimension,)
+            or lead and lead != axes and lead != axes[:-1] + (1,)):
+        raise ValueError(
+            f"dimension mismatch: objective has d={obj.dimension}, got "
+            f"{values.shape} for indices of batch axes {axes}")
 
 
 def _unpack_mlp(obj, values):
-    """(weight, bias) per layer; for (K, d) values each gains a leading K axis
-    (the bias as (K, 1, out), so it broadcasts over the batch axis)."""
+    """(weight, bias) per layer; for (..., d) values each gains the leading
+    axes (the bias as (..., 1, out), so it broadcasts over the batch axis)."""
     layers, cursor = [], 0
     widths = obj.mlp_widths
     lead = values.shape[:-1]
@@ -337,7 +336,7 @@ def _unpack_mlp(obj, values):
 
 def _mlp_forward(obj, values, rows):
     """(layers, activations, residual net(x_i) - y_i); activations[0] is the
-    input.  The matmuls are stacked over any leading K axis."""
+    input.  The matmuls are stacked over any leading axes."""
     layers = _unpack_mlp(obj, values)
     acts = [obj.mlp_inputs[rows]]
     for l, (w, b) in enumerate(layers):
@@ -392,28 +391,30 @@ def _quad_apply(obj, vecs):
 def batch_gradient(obj, values, indices, *, lead=None):
     """Mean of exact per-sample gradients over `indices` (raw ndarray API).
 
-    `indices` is a (B,) batch, a `range` or a (K, B) matrix of K batches.
-    For a matrix, `values` is one (d,) point shared by all rows or a (K, d)
-    point per row, and the result is (K, d): row k is bitwise what the call
-    on row k alone returns, because every kernel reduces along the batch
-    axis and multiplies one matrix-vector or matrix-matrix product per row.
-    For a `range`, `values` may be an (R, d) stack of points, and the (R, d)
+    `indices` is a `range`, a (B,) batch or a tensor of batches (..., B),
+    such as the (R, K, B) batches of R trials' K workers.  `values` holds one
+    point per batch, its leading axes broadcast against the batch axes
+    (`_check_dim`): one (d,) point shared by all batches, (R, 1, d) shared by
+    each trial's workers, or (R, K, d) per worker.  The result has a
+    gradient per batch, and each is bitwise what the call on that batch and
+    point alone returns, because every kernel reduces along the batch axis
+    and multiplies one matrix-vector or matrix-matrix product per batch.  For
+    a `range`, `values` may be an (R, d) stack of points, and the (R, d)
     result's row r is bitwise the call at point r alone.
 
-    With `lead` = b in [1, B] (a batch or matrix, not a `range`) the call
-    returns (g_B, g_b) from one gather and one forward/backward pass: g_B is
-    bitwise the call without `lead`, and g_b is the mean over each batch's
-    leading b indices, reduced from per-sample terms already computed.  It is
-    bitwise the call on `indices[..., :b]` for quadratics and agrees with it
-    to rounding for logistic and tiny_mlp.
+    With `lead` = b in [1, B] (batches, not a `range`) the call returns
+    (g_B, g_b) from one gather and one forward/backward pass: g_B is bitwise
+    the call without `lead`, and g_b is the mean over each batch's leading b
+    indices, reduced from per-sample terms already computed.  It is bitwise
+    the call on `indices[..., :b]` for quadratics and agrees with it to
+    rounding for logistic and tiny_mlp.
     """
     values = np.asarray(values, dtype=np.float64)
     rows = _sample_rows(obj, indices)
     _check_dim(obj, values, rows)
     if lead is not None:
         if isinstance(indices, range):
-            raise ValueError("lead needs a (B,) batch or a (K, B) index matrix, "
-                             "not a range")
+            raise ValueError("lead needs batches of indices, not a range")
         if not 1 <= lead <= rows.shape[-1]:
             raise ValueError(f"lead must satisfy 1 <= lead <= B = {rows.shape[-1]}, "
                              f"got {lead!r}")

@@ -32,31 +32,30 @@ Weight decay (when nonzero) enters as +lambda*x at every gradient evaluation,
 identically across methods.  LARS (when trust > 0) rescales each block of the
 reduced gradient before the main update.
 
-Per-worker state is stacked: past gradients, half points and the post-local
-x^k / v^k are (K, d) arrays with one row per worker, and one oracle call per
-step on `batches`, the (K, B) int64 index matrix of `cluster.draw_batches`
-whose row k is worker k's batch (so `len(batches)` is K), evaluates all K
-workers' batch gradients at once, for every extrap_b: with b < B the same
-call also returns the leading-b means the workers store (`batch_gradient`'s
-`lead`), so the oracle evaluates exactly K * B samples per step.
-Row k is bitwise what a separate call for worker k returns, and the worker
-mean is still `cluster.reduce_mean`, an ascending add over the rows, so the
-reduction chains sgd = nesterov(u=0), nesterov = extrap_sgd(gamma_hat=0) and
-adam = extrap_adam(gamma_hat=0) hold bitwise.
+Trial stack: a state holds R trials of one config at once, R >= 1, and
+every array keeps the trial axis first and the worker axis as its own axis.
+x, v and the Adam moments are (R, d); past gradients and the post-local
+x^k / v^k are (R, K, d); a step's `batches` are the (R, K, B) int64 tensor of
+`cluster.draw_batches`, entry [r, k] worker k's batch in trial r (so K is
+`batches.shape[1]`); and a noise step takes the R trial seeds.  The workers
+evaluate at (R, 1, d) points, shared by a trial's workers, or (R, K, d)
+points, one per worker, and one oracle call per step evaluates every
+worker of every trial at once, for every extrap_b: with b < B the same call
+also returns the leading-b means the workers store (`batch_gradient`'s
+`lead`), so the oracle evaluates exactly R * K * B samples per step.  Entry
+[r, k] is bitwise what a separate call for that batch returns, and the
+worker mean is still `cluster.reduce_mean`, an ascending add over each
+trial's K rows, so trial r of a step is bitwise the step of a stack of that
+trial alone, and the reduction chains sgd = nesterov(u=0),
+nesterov = extrap_sgd(gamma_hat=0) and adam = extrap_adam(gamma_hat=0) hold
+bitwise.
 
 Step functions mutate `state` in place and return it; per-step quantities
 needed by the theory checks (mean half point, reduced gradient as applied after
-LARS, mean extrapolation direction, worker deviation) are in `state.last_info`.
-
-Trial axis: a state may also hold R trials at once.  Its x, v and Adam
-moments are then (R, d), its per-worker arrays (past gradients, post-local
-x^k and v^k) are (R K, d) with trial r's K rows after trial r - 1's, the
-step's `batches` are the (R K, B) matrix of the R trials, and a noise step
-takes R trial seeds.  Every operation acts on each trial's rows alone, in the
-order a one-trial step uses, so trial r of a stacked step is bitwise the
-one-trial step; `last_info` then holds (R, d) points and per-trial values.
-A step that meets a non-finite value raises before it changes the state, and
-`NumericAbort.trials` names the trials (rows of x) that hold it.
+LARS, mean extrapolation direction, worker deviation, worker dispersion) are
+in `state.last_info`, one (d,) row or one value per trial.  A step that meets
+a non-finite value raises before it changes the state, and
+`NumericAbort.trials` lists the trials (rows of x) that hold it.
 """
 
 import math
@@ -64,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# map_workers is unused by the stacked steps; benchmark/tracer.py patches
+# map_workers is unused by the steps; benchmark/tracer.py patches
 # this name, so the import stays until the tracer changes with it.
 from .cluster import map_workers, reduce_mean  # noqa: F401
 from .objectives import batch_gradient
@@ -87,9 +86,9 @@ _NOISE_TAG = 31   # seeds step t's noise draw as (trial seed, _NOISE_TAG, t)
 
 class NumericAbort(RuntimeError):
     """A gradient or iterate went non-finite; the run stops with a record.
-    For a stacked state, `trials` lists the rows that went non-finite."""
+    `trials` lists the rows of the state's trial stack that went non-finite."""
 
-    def __init__(self, step, detail, trials=None):
+    def __init__(self, step, detail, trials):
         super().__init__(f"non-finite value at step {step}: {detail}")
         self.step = step
         self.detail = detail
@@ -221,42 +220,32 @@ class PostLocalConfig:
 
 @dataclass
 class OptimizerState:
-    x: np.ndarray                 # the (d,) iterate, or (R, d) for R trials
-    v: np.ndarray                 # momentum buffer v_t
-    past_grad: np.ndarray         # (K, d) stored local batch-mean gradients
+    x: np.ndarray                 # (R, d) iterates, one per trial
+    v: np.ndarray                 # (R, d) momentum buffers v_t
+    past_grad: np.ndarray         # (R, K, d) stored local batch-mean gradients
     adam_m: np.ndarray
     adam_v: np.ndarray
-    local_x: np.ndarray = None    # (K, d), post-local phase only
+    local_x: np.ndarray = None    # (R, K, d), post-local phase only
     local_v: np.ndarray = None
     step_t: int = 0
     last_info: dict = field(default_factory=dict, repr=False)
 
     def keep_trials(self, rows):
-        """Keep only the trials at `rows` (ascending) of a stacked state."""
-        workers = len(self.past_grad) // len(self.x)
-        for name in ("x", "v", "adam_m", "adam_v"):
-            setattr(self, name, getattr(self, name)[rows])
-        for name in ("past_grad", "local_x", "local_v"):
+        """Keep only the trials at `rows` (ascending)."""
+        for name in ("x", "v", "adam_m", "adam_v", "past_grad", "local_x",
+                     "local_v"):
             value = getattr(self, name)
             if value is not None:
-                d = value.shape[-1]
-                setattr(self, name,
-                        value.reshape(-1, workers, d)[rows].reshape(-1, d))
+                setattr(self, name, value[rows])
 
 
 def init_state(x0, workers_K):
-    """The state at `x0`: one (d,) point, or an (R, d) stack of R trials'."""
-    d = x0.shape[-1]
+    """The state of the trials starting at the rows of the (R, d) `x0`."""
     return OptimizerState(
         x=x0.copy(), v=np.zeros_like(x0),
-        past_grad=np.zeros((x0.size // d * workers_K, d)),
+        past_grad=np.zeros((len(x0), workers_K, x0.shape[-1])),
         adam_m=np.zeros_like(x0), adam_v=np.zeros_like(x0),
     )
-
-
-def _workers(state, batches):
-    """K, the rows of `batches` per trial of `state`."""
-    return len(batches) // (len(state.x) if state.x.ndim == 2 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +260,13 @@ def _batch_grad(obj, values, indices, hp):
 
 
 def _worker_grads(obj, halves, batches, hp, extrap_b):
-    """All workers' batch gradients and the past gradients they store for
-    the next step, from one oracle call on the (K, B) or (R K, B) matrix:
+    """All workers' (R, K, d) batch gradients and the past gradients they
+    store for the next step, from one oracle call on the (R, K, B) batches:
     the same evaluation when extrap_b is B (or None), else the mean over each
-    row's leading extrap_b indices that the call reduces alongside (`lead`).
-    `halves` is one shared (d,) point or a point per row of `batches`."""
-    if extrap_b is None or extrap_b == batches.shape[1]:
+    batch's leading extrap_b indices that the call reduces alongside
+    (`lead`).  `halves` holds the (R, 1, d) points a trial's workers share
+    or the (R, K, d) points of each worker."""
+    if extrap_b is None or extrap_b == batches.shape[-1]:
         grads = _batch_grad(obj, halves, batches, hp)
         return grads, grads   # reuse: extrapolation stays evaluation-free
     grads, past = batch_gradient(obj, halves, batches, lead=extrap_b)
@@ -301,25 +291,21 @@ def lars_scale(grad_block, x_block, hp):
 
 def apply_lars(grad, x_values, partition, hp):
     """`lars_scale` on each block of `partition`; a stack of gradients,
-    (..., d), is scaled row by row, each with its own row of `x_values`."""
+    (..., d), is scaled vector by vector, each with its own `x_values` row."""
     out = np.empty_like(grad)
-    d = grad.shape[-1]
-    for g, x, o in zip(grad.reshape(-1, d), x_values.reshape(-1, d),
-                       out.reshape(-1, d)):
+    for row in np.ndindex(grad.shape[:-1]):
+        g, x, o = grad[row], x_values[row], out[row]
         for start, stop in partition:
             o[start:stop] = lars_scale(g[start:stop], x[start:stop], hp)
     return out
 
 
 def _check_finite(state, name, arr):
-    """NumericAbort at `state`'s step if `arr` holds a non-finite value; for
-    a stacked state `arr` holds the trials' rows in order, and the abort
-    names the trials whose rows do."""
-    if not np.isfinite(arr).all():
-        trials = None
-        if state.x.ndim == 2:
-            rows = arr.reshape(len(state.x), -1)
-            trials = [r for r, row in enumerate(rows) if not np.isfinite(row).all()]
+    """NumericAbort at `state`'s step if `arr`, whose first axis is the
+    trial axis, holds a non-finite value; the abort lists those trials."""
+    # np.logical_and.reduce is what ndarray.all calls, without its wrapper.
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        trials = [r for r, row in enumerate(arr) if not np.isfinite(row).all()]
         raise NumericAbort(state.step_t, name, trials)
 
 
@@ -331,18 +317,12 @@ def _momentum_update(v, u, gamma, g):
 
 
 def _worker_dev2(halves, half_bar):
-    """Mean squared distance of the (K, d) half points from their mean; for
-    an (R, K, d) stack, the (R,) array of each trial's."""
-    count = halves.shape[-2]
-    if count == 1:
-        return 0.0
-    if halves.ndim == 3:
-        half_bar = half_bar[:, None, :]
-    dev = halves - half_bar
+    """Each trial's mean squared distance of its workers' half points, the
+    rows of (R, K, d) `halves`, from their (R, d) mean `half_bar`."""
+    dev = halves - half_bar[:, None]
     # np.add.reduce is what np.sum and np.mean call, bitwise, without their
     # per-call wrappers.
-    dev2 = np.add.reduce(np.add.reduce(dev * dev, axis=-1), axis=-1) / count
-    return dev2 if halves.ndim == 3 else float(dev2)
+    return np.add.reduce(np.add.reduce(dev * dev, axis=-1), axis=-1) / halves.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +336,15 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
                  extrap_b=None):
     """The body every synchronized step shares.
 
-    The workers evaluate at `halves`: the shared point of sgd, nesterov
-    and adam (one per trial, shaped like x), or the (K, d) per-worker half
-    points of the extrapolated methods ((R, K, d) for R trials), which also
-    store their fresh gradients as the next past gradients and report the
-    mean and spread of their half points.  `rule` is the update applied to
-    the reduced gradient.
+    The workers evaluate at `halves`: the (R, 1, d) points a trial's workers
+    share in sgd, nesterov and adam, or the (R, K, d) per-worker half points
+    of the extrapolated methods.  They store their fresh gradients as the
+    next past gradients, and `last_info` reports the mean and spread of the
+    half points.  `rule` is the update applied to the reduced gradient.
     """
     x = state.x
-    per_worker = halves.ndim > x.ndim
-    points = halves
-    if x.ndim == 2:     # R trials: R K rows of points, reduced per trial
-        workers, d = len(batches) // len(x), x.shape[-1]
-        points = (halves.reshape(-1, d) if per_worker
-                  else np.repeat(halves, workers, axis=0))
-    grads, past = _worker_grads(obj, points, batches, hp, extrap_b)
-    g = reduce_mean(grads if x.ndim == 1 else grads.reshape(len(x), workers, d))
+    grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
+    g = reduce_mean(grads)
     _check_finite(state, "reduced gradient", g)
     g_used = apply_lars(g, x, obj.partition, hp) if hp.lars_trust > 0 else g
     if rule == _ADAM_RULE:
@@ -391,78 +364,71 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
         setattr(state, name, value)
     state.x = x_new
     state.step_t += 1
-    if per_worker:
-        state.past_grad = past
+    state.past_grad = past
+    if halves.shape[1] == 1:    # a point a trial's workers share is its mean
+        half_bar, dev2 = halves[:, 0].copy(), np.zeros(len(x))
+    else:
         half_bar = reduce_mean(halves)
         dev2 = _worker_dev2(halves, half_bar)
-    else:
-        half_bar, dev2 = halves.copy(), 0.0
     state.last_info = {
         "x_half_bar": half_bar, "g_bar": g_used,
-        "xi_bar": xi_bar if xi_bar is not None else np.zeros_like(g),
-        "worker_dev2": dev2, "worker_dispersion": 0.0,
+        "xi_bar": xi_bar if xi_bar is not None else np.zeros(g.shape),
+        "worker_dev2": dev2,
+        "worker_dispersion": [0.0] * len(x),
     }
     return state
 
 
 def step_minibatch_sgd(state, obj, batches, hp):
     """Plain mini-batch SGD: x <- x - gamma * mean_k mean_i grad f_i(x)."""
-    return _synced_step(state, obj, batches, hp, _SGD_RULE, state.x)
+    return _synced_step(state, obj, batches, hp, _SGD_RULE, state.x[:, None])
 
 
 def step_nesterov(state, obj, batches, hp):
     """Three-line Nesterov recurrence, gradient at the shared lookahead."""
-    halves, xi_bar = lookahead(state, hp, _workers(state, batches), None)
+    halves, xi_bar = lookahead(state, hp, batches.shape[1], None)
     return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves, xi_bar)
 
 
 def step_extrap_sgd(state, obj, batches, hp, extrap_b=None):
     """Gradient extrapolation from the stored past local batch gradients."""
-    halves, xi_bar = lookahead(state, hp, _workers(state, batches), "past")
+    halves, xi_bar = lookahead(state, hp, batches.shape[1], "past")
     return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
                         xi_bar, extrap_b)
 
 
 def step_extrapolated_noise(state, obj, batches, hp, noise, seed, extrap_b=None):
-    """Extrapolation along a seeded noise direction instead of past gradients."""
-    noise.validate()
-    if noise.kind == NOISE_NONE:
-        raise ValueError("noise.kind must not be 'none' for step_extrapolated_noise")
-    halves, xi_bar = lookahead(state, hp, _workers(state, batches), "noise",
-                               noise, seed, obj.partition)
+    """Extrapolation along a seeded noise direction instead of past gradients;
+    `seed` holds the R trial seeds."""
+    halves, xi_bar = lookahead(state, hp, batches.shape[1], "noise", noise,
+                               seed, obj.partition)
     return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
                         xi_bar, extrap_b)
 
 
 def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
               partition=None):
-    """Step t = `state.step_t`'s evaluation point(s) and mean direction xi_bar.
+    """Step t = `state.step_t`'s evaluation points and mean direction xi_bar.
 
-    `direction` (`theory.Method.direction`) None gives nesterov's shared (d,)
-    point x + u v; the others give the (K, d) points x - gamma_hat z^k + u v
-    with z^k the stored past gradient ("past"), a draw seeded by (seed,
-    _NOISE_TAG, t) ("noise"), or the Adam-preconditioned past gradient
-    ("adam", without momentum).  At t = 0 and with gamma_hat = 0 no worker
-    extrapolates.  xi_bar is the mean of z^k; None without extrapolation and
-    for "adam", whose direction no replay reads.  For a stacked state the
-    points are (R, d) or (R, K, d), xi_bar is (R, d), and `seed` holds the R
-    trial seeds.
+    `direction` (`theory.Method.direction`) None gives nesterov's (R, 1, d)
+    points x + u v, one per trial; the others give the (R, K, d) points
+    x - gamma_hat z^k + u v with z^k the stored past gradient ("past"), a
+    draw seeded by (trial seed, _NOISE_TAG, t) for each of the R trial seeds
+    in `seed` ("noise"), or the Adam-preconditioned past gradient ("adam",
+    without momentum).  At t = 0 and with gamma_hat = 0 no worker
+    extrapolates.  xi_bar is the (R, d) mean of z^k; None without
+    extrapolation and for "adam", whose direction no replay reads.
     """
-    x = state.x
     u = 0.0 if direction == "adam" else hp.momentum_u   # Adam keeps no v
+    if direction is None:
+        return (state.x + u * state.v if u != 0.0 else state.x)[:, None], None
+    x = state.x[:, None]     # each trial's point against its K workers
     ghat = effective_gamma_hat(hp, n_workers)
     xi_bar = None
-    if direction is None:
-        return (x + u * state.v if u != 0.0 else x), xi_bar
-    stacked = x.ndim == 2
-    if stacked:     # each trial's (1, d) row against its (K, d) workers
-        x = x[:, None, :]
     if ghat == 0.0 or state.step_t == 0:
-        quarters = np.broadcast_to(x, x.shape[:-2] + (n_workers, x.shape[-1]))
+        quarters = np.broadcast_to(x, (len(x), n_workers, x.shape[-1]))
     elif direction == "adam":
-        pg, m, v = np.asarray(state.past_grad), state.adam_m, state.adam_v
-        if stacked:
-            pg, m, v = pg.reshape(len(x), n_workers, -1), m[:, None, :], v[:, None, :]
+        pg, m, v = state.past_grad, state.adam_m[:, None], state.adam_v[:, None]
         num = hp.adam_beta1 * m + (1.0 - hp.adam_beta1) * pg
         den = hp.adam_beta2 * v + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
         if hp.extrap_denominator_sqrt:
@@ -472,40 +438,31 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
         if direction == "noise":
             rngs = [np.random.default_rng(
                 np.random.SeedSequence((s, _NOISE_TAG, state.step_t)))
-                for s in (seed if stacked else [seed])]
-            z = draw_noise_directions(noise, state, rngs if stacked else rngs[0],
-                                      n_workers, partition)
+                for s in seed]
+            z = draw_noise_directions(noise, state, rngs, n_workers, partition)
         else:
-            z = np.asarray(state.past_grad)
-            if stacked:
-                z = z.reshape(len(x), n_workers, -1)
+            z = state.past_grad
         quarters, xi_bar = x - ghat * z, reduce_mean(z)
     if u == 0.0:
         return quarters, xi_bar
-    return quarters + u * (state.v[:, None, :] if stacked else state.v), xi_bar
+    return quarters + u * state.v[:, None], xi_bar
 
 
-def draw_noise_directions(noise, state, rng, n_workers, partition):
-    """The (K, d) extrapolation directions for one step, drawn in ascending
-    worker order (the shared kind draws once); filter-scaled noise is scaled
-    per block of the objective's `partition`.  For a stacked state, the
-    (R, K, d) directions, trial r's drawn from `rng[r]`, in ascending trial
-    order."""
+def draw_noise_directions(noise, state, rngs, n_workers, partition):
+    """The (R, K, d) extrapolation directions for one step: trial r's drawn
+    from `rngs[r]` in ascending worker order (the shared kind draws once),
+    the trials in ascending order; filter-scaled noise is scaled per block
+    of the objective's `partition`."""
     x = state.x
-    d = x.shape[-1]
     if noise.kind == ANISO_STOCHASTIC:
-        past = np.asarray(state.past_grad).reshape(x.shape[:-1] + (n_workers, d))
-        return past - reduce_mean(past)[..., None, :]
-    if x.ndim == 2:
-        raw = np.stack([_raw_noise(noise, g, n_workers, d) for g in rng])
-    else:
-        raw = _raw_noise(noise, rng, n_workers, d)
+        past = state.past_grad
+        return past - reduce_mean(past)[:, None]
+    raw = np.stack([_raw_noise(noise, rng, n_workers, x.shape[-1])
+                    for rng in rngs])
     if not noise.filter_scaled:
         return raw
-    return np.stack([_filter_scale(z, xr, partition)
-                     for zs, xr in zip(raw.reshape(-1, n_workers, d),
-                                       x.reshape(-1, d))
-                     for z in zs]).reshape(raw.shape)
+    return np.array([[_filter_scale(z, x_r, partition) for z in zs]
+                     for zs, x_r in zip(raw, x)])
 
 
 def _raw_noise(noise, rng, n_workers, d):
@@ -532,7 +489,7 @@ def _filter_scale(zeta, x, partition):
 
 def step_adam(state, obj, batches, hp):
     """Reference Adam without bias correction (the gamma_hat = 0 baseline)."""
-    return _synced_step(state, obj, batches, hp, _ADAM_RULE, state.x)
+    return _synced_step(state, obj, batches, hp, _ADAM_RULE, state.x[:, None])
 
 
 def step_extrap_adam(state, obj, batches, hp, extrap_b=None):
@@ -543,7 +500,7 @@ def step_extrap_adam(state, obj, batches, hp, extrap_b=None):
     sqrt variant.  Moments are shared, updated from the reduced gradient,
     without bias correction.  Extrapolation is skipped at t = 0.
     """
-    halves, xi_bar = lookahead(state, hp, _workers(state, batches), "adam")
+    halves, xi_bar = lookahead(state, hp, batches.shape[1], "adam")
     return _synced_step(state, obj, batches, hp, _ADAM_RULE, halves, xi_bar,
                         extrap_b)
 
@@ -557,28 +514,21 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     the workers inherit the global momentum buffer (or zeros when
     hp.reset_local_momentum is set).
     """
-    plc.validate()
     t = state.step_t
     if t <= plc.transition_step_t0:
         return step_extrap_sgd(state, obj, batches, hp, extrap_b=extrap_b)
 
-    n_workers = _workers(state, batches)
-    x = state.x
-    d = x.shape[-1]
-    worker_shape = x.shape[:-1] + (n_workers, d)
+    n_workers = batches.shape[1]
+    shape = batches.shape[:2] + state.x.shape[-1:]      # (R, K, d)
     if state.local_x is None:
-        state.local_x = np.broadcast_to(x[..., None, :], worker_shape).reshape(-1, d)
-        if hp.reset_local_momentum:
-            state.local_v = np.zeros_like(state.local_x)
-        else:
-            state.local_v = np.broadcast_to(state.v[..., None, :],
-                                            worker_shape).reshape(-1, d)
-    local_x = np.asarray(state.local_x)
-    local_v = np.asarray(state.local_v)
+        state.local_x = np.broadcast_to(state.x[:, None], shape).copy()
+        state.local_v = (np.zeros(shape) if hp.reset_local_momentum else
+                         np.broadcast_to(state.v[:, None], shape).copy())
+    local_x, local_v = state.local_x, state.local_v
 
     u = hp.momentum_u
     ghat = effective_gamma_hat(hp, n_workers)
-    quarters = local_x - ghat * np.asarray(state.past_grad) if ghat != 0.0 else local_x
+    quarters = local_x - ghat * state.past_grad if ghat != 0.0 else local_x
     halves = quarters + u * local_v if u != 0.0 else quarters
     grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
     _check_finite(state, "local gradients", grads)
@@ -588,22 +538,21 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
         g_used = apply_lars(grads, local_x, obj.partition, hp)
     local_v = _momentum_update(local_v, u, hp.lr_gamma, g_used)
     local_x = local_x + local_v
-    mean_x = reduce_mean(local_x.reshape(worker_shape))
+    mean_x = reduce_mean(local_x)
     _check_finite(state, "iterate", mean_x)
     if t % plc.local_steps_H == 0:
-        local_x = np.broadcast_to(mean_x[..., None, :], worker_shape).reshape(-1, d)
+        local_x = np.broadcast_to(mean_x[:, None], shape).copy()
     state.local_x, state.local_v, state.past_grad = local_x, local_v, past
-    spread = local_x.reshape(worker_shape) - mean_x[..., None, :]
-    dispersion = [max(float(np.linalg.norm(row)) for row in trial)
-                  for trial in spread.reshape(-1, n_workers, d)]
+    spread = local_x - mean_x[:, None]
     state.x = mean_x
     state.step_t += 1
-    halves = halves.reshape(worker_shape)
     half_bar = reduce_mean(halves)
     state.last_info = {
-        "x_half_bar": half_bar, "g_bar": reduce_mean(g_used.reshape(worker_shape)),
-        "xi_bar": np.zeros_like(mean_x), "worker_dev2": _worker_dev2(halves, half_bar),
-        "worker_dispersion": dispersion if x.ndim == 2 else dispersion[0],
+        "x_half_bar": half_bar, "g_bar": reduce_mean(g_used),
+        "xi_bar": np.zeros(mean_x.shape),
+        "worker_dev2": _worker_dev2(halves, half_bar),
+        "worker_dispersion": [max(float(np.linalg.norm(row)) for row in trial)
+                              for trial in spread],
     }
     return state
 

@@ -30,10 +30,13 @@ def _load_tracer():
     return module
 
 
-@pytest.mark.parametrize("method,extrap_b", [
-    *(pytest.param(method, None, id=method) for method in METHODS),
-    *(pytest.param(method, 2, id=f"{method}-b2") for method in METHODS)])
-def test_tracer_counts_every_step_and_uninstalls(method, extrap_b):
+@pytest.mark.parametrize("method,extrap_b,trials", [
+    *(pytest.param(method, b, trials, id=method + tag + suffix)
+      for method in METHODS for b, tag in ((None, ""), (2, "-b2"))
+      for trials, suffix in ((1, ""), (3, "-3trials")))])
+def test_tracer_counts_every_step_and_uninstalls(method, extrap_b, trials):
+    # A chunk of 3 trials is one stacked state: still one step call and one
+    # step-oracle call per step.
     before = {name: dict(vars(getattr(exsgd, name))) for name in _MODULES}
     tracer = _load_tracer().Tracer(exsgd)
     tracer.install()
@@ -45,7 +48,7 @@ def test_tracer_counts_every_step_and_uninstalls(method, extrap_b):
             method=method, hyperparams=HyperParams(lr_gamma=0.05, momentum_u=0.5),
             noise=NoiseSpec(kind="isotropic_gaussian", raw_scale=0.1),
             post_local=PostLocalConfig(transition_step_t0=2, local_steps_H=2),
-            total_steps_T=5, trials=1))
+            total_steps_T=5, trials=trials))
     finally:
         tracer.uninstall()
     calls = tracer.aggregate()["calls"]

@@ -109,6 +109,17 @@ def test_unknown_nested_key_exits_one_without_traceback(tmp_path, capsys,
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_extrap_noise_without_noise_exits_one_before_step_zero(tmp_path, capsys):
+    doc = dict(BASE_CONFIG, method="extrap_noise", noise={"kind": "none"})
+    path = tmp_path / "none.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "noise kind" in err
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("override,field", [
     ("objective.sample_count=100", "quad_shifts"),
     ("objective.dimension=3", "quad_diag"),

@@ -29,14 +29,14 @@ def test_config_defaults_and_validation():
 def test_draw_batches_shape_and_determinism():
     obj = make_quadratic(2, 32)
     cfg = ClusterConfig(workers_K=3, local_batch_B=5, master_seed=17)
-    a = draw_batches(cfg, obj, 4)
-    b = draw_batches(cfg, obj, 4)
+    a = draw_batches(cfg, obj, 4)[0]
+    b = draw_batches(cfg, obj, 4)[0]
     assert a.shape == (3, 5) and a.dtype == np.int64
     assert_array_equal(a, b)
     # different step or different seed gives different draws
-    c = draw_batches(cfg, obj, 5)
+    c = draw_batches(cfg, obj, 5)[0]
     d = draw_batches(ClusterConfig(workers_K=3, local_batch_B=5,
-                                   master_seed=18), obj, 4)
+                                   master_seed=18), obj, 4)[0]
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
     assert any(not np.array_equal(x, y) for x, y in zip(a, d))
 
@@ -44,7 +44,7 @@ def test_draw_batches_shape_and_determinism():
 def test_workers_draw_distinct_streams():
     obj = make_quadratic(2, 1000)
     cfg = ClusterConfig(workers_K=2, local_batch_B=20, master_seed=3)
-    k0, k1 = draw_batches(cfg, obj, 0)
+    k0, k1 = draw_batches(cfg, obj, 0)[0]
     assert not np.array_equal(k0, k1)
 
 
@@ -54,7 +54,7 @@ def test_with_replacement_indices_in_range(seed, step):
     obj = make_quadratic(1, 7)
     cfg = ClusterConfig(workers_K=2, local_batch_B=3, master_seed=seed,
                         sampling_mode=WITH_REPLACEMENT)
-    batches = draw_batches(cfg, obj, step)
+    batches = draw_batches(cfg, obj, step)[0]
     assert np.all((0 <= batches) & (batches < 7))
 
 
@@ -62,7 +62,7 @@ def test_epoch_permutation_covers_every_sample():
     obj = make_quadratic(1, 12)
     cfg = ClusterConfig(workers_K=1, local_batch_B=3, master_seed=5,
                         sampling_mode=EPOCH_PERMUTATION)
-    seen = np.concatenate([draw_batches(cfg, obj, t)[0] for t in range(4)])
+    seen = np.concatenate([draw_batches(cfg, obj, t)[0, 0] for t in range(4)])
     assert sorted(seen) == list(range(12))
 
 
@@ -71,7 +71,7 @@ def test_epoch_permutation_straddles_epoch_boundary():
     obj = make_quadratic(1, 8)
     cfg = ClusterConfig(workers_K=1, local_batch_B=3, master_seed=9,
                         sampling_mode=EPOCH_PERMUTATION)
-    draws = np.concatenate([draw_batches(cfg, obj, t)[0] for t in range(8)])
+    draws = np.concatenate([draw_batches(cfg, obj, t)[0, 0] for t in range(8)])
     assert len(draws) == 24
     counts = np.bincount(draws, minlength=8)
     assert_array_equal(counts, 3)           # exactly three full epochs
@@ -82,10 +82,10 @@ def test_epoch_permutation_workers_independent():
     cfg = ClusterConfig(workers_K=2, local_batch_B=32, master_seed=1,
                         sampling_mode=EPOCH_PERMUTATION)
     # every worker walks its own permutation over the full dataset
-    k0, k1 = draw_batches(cfg, obj, 0)
+    k0, k1 = draw_batches(cfg, obj, 0)[0]
     assert len(set(k0)) == len(set(k1)) == 32
     assert not np.array_equal(k0, k1)       # distinct permutations
-    k0_next = draw_batches(cfg, obj, 1)[0]
+    k0_next = draw_batches(cfg, obj, 1)[0, 0]
     assert sorted(np.concatenate([k0, k0_next])) == list(range(64))
 
 
@@ -108,7 +108,7 @@ def test_epoch_mode_matches_per_step_permutation_formula():
         return idx
 
     for t in range(10):
-        batches = draw_batches(cfg, obj, t)
+        batches = draw_batches(cfg, obj, t)[0]
         assert batches.dtype == np.int64
         for worker, row in enumerate(batches):
             assert_array_equal(row, reference(worker, t))
@@ -125,14 +125,14 @@ def test_stream_is_prefix_stable_and_private(seed, workers, n, mode, t, data):
     cfg = ClusterConfig(workers_K=workers, local_batch_B=batch,
                         master_seed=seed, sampling_mode=mode)
     _blocks.clear()
-    cold = draw_batches(cfg, obj, t)
+    cold = draw_batches(cfg, obj, t)[0]
     _blocks.clear()
     for s in range(t):
         draw_batches(cfg, obj, s)
-    warm = draw_batches(cfg, obj, t)
+    warm = draw_batches(cfg, obj, t)[0]
     assert_array_equal(cold, warm)
     cold[:] = -1                            # callers own their indices
-    assert_array_equal(draw_batches(cfg, obj, t), warm)
+    assert_array_equal(draw_batches(cfg, obj, t)[0], warm)
 
 
 @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(2, 64),
@@ -145,7 +145,7 @@ def test_with_replacement_batches_straddle_blocks(seed, batch, boundary):
     obj = make_quadratic(1, n)
     cfg = ClusterConfig(workers_K=2, local_batch_B=batch, master_seed=seed)
     t = edge // batch                       # this step's batch covers `edge`
-    for worker, row in enumerate(draw_batches(cfg, obj, t)):
+    for worker, row in enumerate(draw_batches(cfg, obj, t)[0]):
         # Reference: blocks are seeded by (seed, 21, worker, block).
         seq = np.concatenate([np.random.default_rng(np.random.SeedSequence(
             (seed, 21, worker, c))).integers(0, n, size=_BLOCK)
@@ -267,13 +267,15 @@ def test_draw_batches_is_the_per_worker_block_formula(seed, workers, n, batch,
     obj = make_quadratic(1, n)
     cfg = ClusterConfig(workers_K=workers, local_batch_B=batch,
                         master_seed=seed, sampling_mode=mode)
-    got = draw_batches(cfg, obj, t)
+    one = draw_batches(cfg, obj, t)     # the cluster's own seed: one trial
+    assert one.shape == (1, workers, batch)
+    got = one[0]
     assert got.shape == (workers, batch) and got.dtype == np.int64
     assert got.flags.writeable and got.flags.c_contiguous
     assert_array_equal(got, _reference_batches(seed, mode, workers, batch, n, t))
-    # R trial seeds: their matrices one after another, in seed order.
+    # R trial seeds: their matrices along the trial axis, in seed order.
     seeds = [seed + 7 * r for r in range(trials)]
     stacked = draw_batches(cfg, obj, t, seeds)
     assert stacked.flags.writeable and stacked.flags.c_contiguous
-    assert_array_equal(stacked, np.concatenate(
+    assert_array_equal(stacked, np.stack(
         [_reference_batches(s, mode, workers, batch, n, t) for s in seeds]))

@@ -437,17 +437,17 @@ def test_virtual_sequence_rows_are_the_stacked_step_values(method, workers,
     # Reference: the same trial stepped by hand, its per-step values stacked.
     obj, hp = cfg.objective, cfg.hyperparams
     cl = dataclasses.replace(cfg.cluster, master_seed=tr.seed)
-    state = init_state(initial_point(obj), workers)
-    xs, vs, halves, gbars, xibars, gn2s = [state.x], [state.v], [], [], [], []
+    state = init_state(initial_point(obj)[None], workers)
+    xs, vs, halves, gbars, xibars, gn2s = [state.x[0]], [state.v[0]], [], [], [], []
     for t in range(steps):
-        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, tr.seed)
+        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, [tr.seed])
         info = state.last_info
-        xs.append(state.x)
-        vs.append(state.v)
-        halves.append(info["x_half_bar"])
-        gbars.append(info["g_bar"])
-        xibars.append(info["xi_bar"])
-        gn2s.append(_grad_norm2(obj, info["x_half_bar"], hp.weight_decay))
+        xs.append(state.x[0])
+        vs.append(state.v[0])
+        halves.append(info["x_half_bar"][0])
+        gbars.append(info["g_bar"][0])
+        xibars.append(info["xi_bar"][0])
+        gn2s.append(_grad_norm2(obj, info["x_half_bar"][0], hp.weight_decay))
     seq = tr.virtual_sequence
     assert_array_equal(seq.x, np.stack(xs))
     assert_array_equal(seq.v, np.stack(vs))
@@ -455,7 +455,7 @@ def test_virtual_sequence_rows_are_the_stacked_step_values(method, workers,
     assert_array_equal(seq.g_bar_half, np.stack(gbars))
     assert_array_equal(seq.xi_bar[:-1], np.stack(xibars))
     assert_array_equal(tr.grad_norm2_series, np.asarray(gn2s))
-    half, xi = _terminal_half_point(cfg, state, hp, cl, tr.seed)
+    (half,), (xi,) = _terminal_half_point(cfg, state, hp, cl, [tr.seed])
     assert_array_equal(seq.x_bar_half[-1], half)
     assert_array_equal(seq.xi_bar[-1], xi)
 
@@ -478,11 +478,11 @@ def test_terminal_direction_is_the_next_steps_direction(method):
     if not METHOD_TABLE[method].momentum:
         hp = dataclasses.replace(hp, momentum_u=0.0)
     cl = dataclasses.replace(cfg.cluster, master_seed=tr.seed)
-    state = init_state(initial_point(obj), workers)
+    state = init_state(initial_point(obj)[None], workers)
     for t in range(steps + 1):
-        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, tr.seed)
+        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, [tr.seed])
     xi_bar = tr.virtual_sequence.xi_bar[steps]
-    assert_array_equal(xi_bar, state.last_info["xi_bar"])
+    assert_array_equal(xi_bar, state.last_info["xi_bar"][0])
     assert np.any(xi_bar != 0.0) == (METHOD_TABLE[method].direction is not None)
 
 
@@ -530,6 +530,19 @@ def test_sweep_checks_every_point_before_running_any():
         sweep(cfg, {"hyperparams.lr_gamma": [0.05, -0.05]})
     with pytest.raises(ValueError, match="trials must be int"):
         sweep(cfg, {"trials": ["abc"]})
+
+
+def test_extrap_noise_without_noise_is_rejected_before_any_point_runs():
+    cfg = _base_config(method="extrap_noise", trials=1,
+                       noise=NoiseSpec(kind=ISO_GAUSSIAN, raw_scale=0.1))
+    cfg.validate()
+    with pytest.raises(ValueError, match="noise kind") as err:
+        dataclasses.replace(cfg, noise=NoiseSpec(kind="none")).validate()
+    assert len(str(err.value).splitlines()) == 1
+    with mock.patch.object(harness, "_run_trials") as runs:
+        with pytest.raises(ValueError, match="noise kind"):
+            sweep(cfg, {"noise.kind": [ISO_GAUSSIAN, "none"]})
+    runs.assert_not_called()
 
 
 def test_sweep_runs_each_points_own_trials():
@@ -698,8 +711,8 @@ def _one_trial_runs(cfg, **kwargs):
             for i in range(cfg.trials)]
 
 
-def _unstacked_final_x(cfg, trial):
-    """Trial `trial`'s last iterate from a one-point (d,) state stepped
+def _stepped_final_x(cfg, trial):
+    """Trial `trial`'s last iterate from a stack of that trial alone stepped
     through the public step functions, the reference for the stacked rows."""
     obj, T = cfg.objective, cfg.total_steps_T
     seed = trial_seed(cfg.master_seed, trial)
@@ -708,12 +721,12 @@ def _unstacked_final_x(cfg, trial):
     if not METHOD_TABLE[cfg.method].momentum:
         hp = dataclasses.replace(hp, momentum_u=0.0)
     sched = cfg.schedule and dataclasses.replace(cfg.schedule, total_steps=T)
-    state = init_state(initial_point(obj, cfg.init_scale), cl.workers_K)
+    state = init_state(initial_point(obj, cfg.init_scale)[None], cl.workers_K)
     for t in range(T):
         hp_t = hp if sched is None else dataclasses.replace(
             hp, lr_gamma=lr_at(sched, t, cl, obj))
-        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp_t, seed)
-    return state.x
+        _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp_t, [seed])
+    return state.x[0]
 
 
 @given(method=st.sampled_from(METHODS), kind=st.sampled_from(sorted(_BLOCK_OBJECTIVES)),
@@ -753,7 +766,7 @@ def test_stacked_trials_are_bitwise_one_trial_runs(method, kind, trials,
         for g, w in zip(got, want):
             _assert_same_trial(g, w)
     for i, w in enumerate(want):
-        assert w.final_x.tobytes() == _unstacked_final_x(cfg, i).tobytes()
+        assert w.final_x.tobytes() == _stepped_final_x(cfg, i).tobytes()
 
 
 def test_an_aborting_trial_leaves_its_siblings_unchanged():

@@ -205,9 +205,10 @@ def _draw_objective(data, kind, seed):
 
 
 @given(kind=st.sampled_from(OBJECTIVE_KINDS), seed=st.integers(0, 2**31 - 1),
-       workers=st.integers(1, 16), data=st.data())
+       workers=st.integers(1, 16), trials=st.integers(1, 4), data=st.data())
 @settings(max_examples=120, deadline=None)
-def test_stacked_oracle_rows_are_bitwise_single_calls(kind, seed, workers, data):
+def test_stacked_oracle_rows_are_bitwise_single_calls(kind, seed, workers,
+                                                      trials, data):
     obj = _draw_objective(data, kind, seed)
     batch = data.draw(st.integers(1, 24), label="B")
     rng = np.random.default_rng(seed)
@@ -219,6 +220,23 @@ def test_stacked_oracle_rows_are_bitwise_single_calls(kind, seed, workers, data)
     for k in range(workers):
         assert_array_equal(stacked[k], batch_gradient(obj, points[k], idx[k]))
         assert_array_equal(shared[k], batch_gradient(obj, points[0], idx[k]))
+    # The (R, K, B) batches of R trials, at (R, K, d) points, one per worker,
+    # or (R, 1, d) points a trial's workers share; with `lead`, both means.
+    lead = data.draw(st.none() | st.integers(1, batch), label="lead")
+    tensor = rng.integers(0, obj.sample_count, size=(trials, workers, batch))
+    per_worker = rng.standard_normal((trials, workers, obj.dimension))
+    for pts in (per_worker, per_worker[:, :1]):
+        got = batch_gradient(obj, pts, tensor, lead=lead)
+        for r, k in np.ndindex(trials, workers):
+            want = batch_gradient(obj, pts[r, min(k, len(pts[r]) - 1)],
+                                  tensor[r, k], lead=lead)
+            if lead is None:
+                assert got.shape == (trials, workers, obj.dimension)
+                assert got[r, k].tobytes() == want.tobytes()
+            else:
+                for g, w in zip(got, want):
+                    assert g.shape == (trials, workers, obj.dimension)
+                    assert g[r, k].tobytes() == w.tobytes()
 
 
 @given(kind=st.sampled_from(OBJECTIVE_KINDS), seed=st.integers(0, 2**31 - 1),
@@ -311,6 +329,10 @@ def test_stacked_oracle_index_and_shape_checks():
             batch_loss(obj, points, range(5))
     with pytest.raises(ValueError):
         batch_loss(obj, np.zeros((3, 2)), [0, 1])     # a stack needs a range
+    tensor = np.zeros((3, 2, 4), dtype=np.int64)      # 3 trials' 2 batches
+    for points in (np.zeros((3, 3, 2)), np.zeros((2, 1, 2)), np.zeros((3, 2))):
+        with pytest.raises(ValueError):
+            batch_gradient(obj, points, tensor)
 
 
 @given(seed=st.integers(0, 2**31 - 1), workers=st.integers(1, 16),

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from exsgd.cluster import (EPOCH_PERMUTATION, ClusterConfig, draw_batches,
                            reduce_mean)
 from exsgd.gates import QUAD, chain_mismatch, reduction_chains
+from exsgd.harness import RunConfig
 from exsgd.objectives import (initial_point, make_logistic, make_quadratic,
                               make_tiny_mlp)
 from exsgd.optimizers import (ANISO_STOCHASTIC, CONSTANT, INVERSE_SQRT,
@@ -42,16 +43,16 @@ def _full_batches(obj, workers_K, t, seed=0):
 def test_sgd_single_step_hand_value():
     # grad at x=0 is 0 - mean{1,3} = -2, so x1 = 0 - 0.1 * (-2) = 0.2
     obj = _scalar_quad()
-    st = init_state(initial_point(obj), 1)
+    st = init_state(initial_point(obj)[None], 1)
     step_minibatch_sgd(st, obj, _full_batches(obj, 1, 0), HyperParams(lr_gamma=0.1))
-    assert st.x[0] == 0.2
+    assert st.x[0, 0] == 0.2
     assert st.step_t == 1
 
 
 def test_nesterov_two_steps_match_scalar_recurrence():
     obj = _scalar_quad()
     hp = HyperParams(lr_gamma=0.1, momentum_u=0.5)
-    st = init_state(initial_point(obj), 1)
+    st = init_state(initial_point(obj)[None], 1)
     for t in range(2):
         step_nesterov(st, obj, _full_batches(obj, 1, t), hp)
     # mirror the recurrence in scalar arithmetic
@@ -61,15 +62,15 @@ def test_nesterov_two_steps_match_scalar_recurrence():
         g = half - 2.0
         v = 0.5 * v - 0.1 * g
         x = x + v
-    assert st.x[0] == x
-    assert st.v[0] == v
-    assert abs(st.x[0] - 0.47) < 1e-15
+    assert st.x[0, 0] == x
+    assert st.v[0, 0] == v
+    assert abs(st.x[0, 0] - 0.47) < 1e-15
 
 
 def test_extrap_two_steps_match_scalar_recurrence():
     obj = _scalar_quad()
     hp = HyperParams(lr_gamma=0.1, inner_lr_gamma_hat=0.05, momentum_u=0.5)
-    st = init_state(initial_point(obj), 1)
+    st = init_state(initial_point(obj)[None], 1)
     for t in range(2):
         step_extrap_sgd(st, obj, _full_batches(obj, 1, t), hp)
     x, v, past = 0.0, 0.0, 0.0
@@ -80,31 +81,31 @@ def test_extrap_two_steps_match_scalar_recurrence():
         v = 0.5 * v - 0.1 * g
         x = x + v
         past = g
-    assert st.x[0] == x
-    assert st.past_grad[0][0] == past
-    assert abs(st.x[0] - 0.46) < 1e-15
+    assert st.x[0, 0] == x
+    assert st.past_grad[0, 0, 0] == past
+    assert abs(st.x[0, 0] - 0.46) < 1e-15
 
 
 def test_extrapolation_skipped_at_step_zero():
     obj = _scalar_quad()
     hp = HyperParams(lr_gamma=0.1, inner_lr_gamma_hat=0.5, momentum_u=0.0)
-    st = init_state(initial_point(obj), 1)
+    st = init_state(initial_point(obj)[None], 1)
     step_extrap_sgd(st, obj, _full_batches(obj, 1, 0), hp)
-    assert st.last_info["x_half_bar"][0] == 0.0     # gradient taken at x0
-    assert st.x[0] == 0.2
+    assert st.last_info["x_half_bar"][0, 0] == 0.0     # gradient taken at x0
+    assert st.x[0, 0] == 0.2
 
 
 def test_half_point_is_extrapolate_then_momentum():
     obj = _scalar_quad()
     hp = HyperParams(lr_gamma=0.1, inner_lr_gamma_hat=0.05, momentum_u=0.5)
-    st = init_state(initial_point(obj), 1)
-    st.x = np.array([1.0])
-    st.v = np.array([0.4])
-    st.past_grad = [np.array([-2.0])]
+    st = init_state(initial_point(obj)[None], 1)
+    st.x = np.array([[1.0]])
+    st.v = np.array([[0.4]])
+    st.past_grad = np.array([[[-2.0]]])
     st.step_t = 3                                    # past data available
     step_extrap_sgd(st, obj, _full_batches(obj, 1, 3), hp)
     # x_half = (x - ghat * past) + u * v = 1.0 + 0.1 + 0.2
-    assert st.last_info["x_half_bar"][0] == (1.0 - 0.05 * -2.0) + 0.5 * 0.4
+    assert st.last_info["x_half_bar"][0, 0] == (1.0 - 0.05 * -2.0) + 0.5 * 0.4
 
 
 def test_gamma_hat_defaults_to_gamma_over_K():
@@ -115,7 +116,7 @@ def test_gamma_hat_defaults_to_gamma_over_K():
 
 def _run_chain(step_fn, obj, hp, workers_K, steps, seed=0, **kw):
     cfg = ClusterConfig(workers_K=workers_K, local_batch_B=4, master_seed=seed)
-    st = init_state(initial_point(obj), workers_K)
+    st = init_state(initial_point(obj)[None], workers_K)
     for t in range(steps):
         step_fn(st, obj, draw_batches(cfg, obj, t), hp, **kw)
     return st
@@ -184,7 +185,7 @@ def test_chain_mismatch_reports_the_step_a_perturbation_lands():
     def perturbed(state, obj, batches, hp):
         step_nesterov(state, obj, batches, hp)
         if state.step_t == 37:
-            state.x[0] = np.nextafter(state.x[0], np.inf)
+            state.x[0, 0] = np.nextafter(state.x[0, 0], np.inf)
 
     assert chain_mismatch(obj, cfg, perturbed, step_nesterov, hp, 60) == 36
     assert chain_mismatch(obj, cfg, perturbed, step_nesterov, hp, 36) is None
@@ -193,67 +194,67 @@ def test_chain_mismatch_reports_the_step_a_perturbation_lands():
 def test_adam_single_step_hand_formula():
     obj = _scalar_quad()        # g0 = -2 at x0 = 0
     hp = HyperParams(lr_gamma=0.1, adam_beta1=0.9, adam_beta2=0.98, adam_eps=1e-9)
-    st = init_state(initial_point(obj), 1)
+    st = init_state(initial_point(obj)[None], 1)
     step_adam(st, obj, _full_batches(obj, 1, 0), hp)
     m = (1.0 - 0.9) * -2.0      # mirror the float ops, (1-b1) is not 0.1
     v = (1.0 - 0.98) * 4.0
-    assert st.x[0] == -(0.1 * m / (math.sqrt(v) + 1e-9))
-    assert st.adam_m[0] == m and st.adam_v[0] == v
+    assert st.x[0, 0] == -(0.1 * m / (math.sqrt(v) + 1e-9))
+    assert st.adam_m[0, 0] == m and st.adam_v[0, 0] == v
 
 
 def test_extrap_adam_half_point_denominator_has_no_sqrt():
     obj = _scalar_quad()
     hp = HyperParams(lr_gamma=0.1, inner_lr_gamma_hat=0.05,
                      adam_beta1=0.9, adam_beta2=0.98, adam_eps=1e-9)
-    st = init_state(initial_point(obj), 1)
-    st.adam_m = np.array([-0.2])
-    st.adam_v = np.array([0.08])
-    st.past_grad = [np.array([-2.0])]
+    st = init_state(initial_point(obj)[None], 1)
+    st.adam_m = np.array([[-0.2]])
+    st.adam_v = np.array([[0.08]])
+    st.past_grad = np.array([[[-2.0]]])
     st.step_t = 1
     step_extrap_adam(st, obj, _full_batches(obj, 1, 1), hp)
     num = 0.9 * -0.2 + (1.0 - 0.9) * -2.0
     den = 0.98 * 0.08 + (1.0 - 0.98) * 4.0 + 1e-9
-    assert st.last_info["x_half_bar"][0] == -(0.05 * num / den)
+    assert st.last_info["x_half_bar"][0, 0] == -(0.05 * num / den)
 
-    st2 = init_state(initial_point(obj), 1)
-    st2.adam_m = np.array([-0.2])
-    st2.adam_v = np.array([0.08])
-    st2.past_grad = [np.array([-2.0])]
+    st2 = init_state(initial_point(obj)[None], 1)
+    st2.adam_m = np.array([[-0.2]])
+    st2.adam_v = np.array([[0.08]])
+    st2.past_grad = np.array([[[-2.0]]])
     st2.step_t = 1
     hp2 = HyperParams(lr_gamma=0.1, inner_lr_gamma_hat=0.05, adam_beta1=0.9,
                       adam_beta2=0.98, adam_eps=1e-9, extrap_denominator_sqrt=True)
     step_extrap_adam(st2, obj, _full_batches(obj, 1, 1), hp2)
-    assert st2.last_info["x_half_bar"][0] == -(0.05 * num / math.sqrt(den))
+    assert st2.last_info["x_half_bar"][0, 0] == -(0.05 * num / math.sqrt(den))
 
 
 def test_past_gradient_reuses_full_batch_evaluation():
     obj = make_quadratic(3, 20, generator_seed=5)
     cfg = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=1)
     hp = HyperParams(lr_gamma=0.1, momentum_u=0.5)
-    st = init_state(initial_point(obj), 2)
+    st = init_state(initial_point(obj)[None], 2)
     batches = draw_batches(cfg, obj, 0)
     step_extrap_sgd(st, obj, batches, hp)
     for k in range(2):
-        want = obj.quad_shifts[batches[k]].mean(axis=0)
+        want = obj.quad_shifts[batches[0, k]].mean(axis=0)
         # half point at t=0 is x0 = 0, so the stored gradient is -mean(a_i)
-        assert_array_equal(st.past_grad[k], -want)
+        assert_array_equal(st.past_grad[0, k], -want)
 
 
 def test_sub_batch_past_gradient_uses_leading_indices():
     obj = make_quadratic(3, 20, generator_seed=6)
     cfg = ClusterConfig(workers_K=1, local_batch_B=6, extrap_batch_b=2, master_seed=2)
     hp = HyperParams(lr_gamma=0.1, momentum_u=0.5)
-    st = init_state(initial_point(obj), 1)
+    st = init_state(initial_point(obj)[None], 1)
     batches = draw_batches(cfg, obj, 0)
     step_extrap_sgd(st, obj, batches, hp, extrap_b=2)
-    lead = batches[0, :2]
-    assert_array_equal(st.past_grad[0], -obj.quad_shifts[lead].mean(axis=0))
+    lead = batches[0, 0, :2]
+    assert_array_equal(st.past_grad[0, 0], -obj.quad_shifts[lead].mean(axis=0))
 
 
 def test_zero_lr_leaves_iterate_unchanged():
     obj = make_quadratic(2, 8, generator_seed=7)
     hp = HyperParams(lr_gamma=0.0, momentum_u=0.5)
-    st = init_state(initial_point(obj), 1)
+    st = init_state(initial_point(obj)[None], 1)
     x0 = st.x.copy()
     for t in range(3):
         step_nesterov(st, obj, _full_batches(obj, 1, t), hp)
@@ -263,17 +264,17 @@ def test_zero_lr_leaves_iterate_unchanged():
 def test_weight_decay_enters_gradient():
     obj = _scalar_quad()
     hp = HyperParams(lr_gamma=0.1, weight_decay=0.5)
-    st = init_state(initial_point(obj), 1)
-    st.x = np.array([4.0])
+    st = init_state(initial_point(obj)[None], 1)
+    st.x = np.array([[4.0]])
     step_minibatch_sgd(st, obj, _full_batches(obj, 1, 0), hp)
     g = (4.0 - 2.0) + 0.5 * 4.0
-    assert st.x[0] == 4.0 - 0.1 * g
+    assert st.x[0, 0] == 4.0 - 0.1 * g
 
 
 def test_numeric_abort_on_divergence():
     obj = make_quadratic(1, 4, diag=[1e4], shifts=[[1.0], [2.0], [3.0], [4.0]])
     hp = HyperParams(lr_gamma=1.0)      # gamma L = 1e4: wildly unstable
-    st = init_state(initial_point(obj), 1)
+    st = init_state(initial_point(obj)[None], 1)
     with pytest.raises(NumericAbort) as err, np.errstate(over="ignore"):
         for t in range(200):
             step_minibatch_sgd(st, obj, _full_batches(obj, 1, t), hp)
@@ -297,10 +298,10 @@ def test_hyperparams_validation():
 
 def test_gaussian_noise_directions_replayable():
     obj = make_quadratic(4, 8)
-    st = init_state(initial_point(obj), 3)
+    st = init_state(initial_point(obj)[None], 3)
     noise = NoiseSpec(kind=ISO_GAUSSIAN, raw_scale=0.3)
-    dirs = draw_noise_directions(noise, st, np.random.default_rng(12), 3,
-                                 obj.partition)
+    dirs = draw_noise_directions(noise, st, [np.random.default_rng(12)], 3,
+                                 obj.partition)[0]
     twin = np.random.default_rng(12)
     for k in range(3):
         assert_array_equal(dirs[k], 0.3 * twin.standard_normal(4))
@@ -308,10 +309,10 @@ def test_gaussian_noise_directions_replayable():
 
 def test_smoothout_noise_is_shared_across_workers():
     obj = make_quadratic(4, 8)
-    st = init_state(initial_point(obj), 3)
+    st = init_state(initial_point(obj)[None], 3)
     noise = NoiseSpec(kind=SMOOTHOUT_SHARED, raw_scale=0.5)
-    dirs = draw_noise_directions(noise, st, np.random.default_rng(1), 3,
-                                 obj.partition)
+    dirs = draw_noise_directions(noise, st, [np.random.default_rng(1)], 3,
+                                 obj.partition)[0]
     assert_array_equal(dirs[0], dirs[1])
     assert_array_equal(dirs[0], dirs[2])
     assert np.all(np.abs(dirs[0]) <= 0.5)
@@ -319,21 +320,21 @@ def test_smoothout_noise_is_shared_across_workers():
 
 def test_anisotropic_directions_are_centered_past_gradients():
     obj = make_quadratic(2, 8)
-    st = init_state(initial_point(obj), 2)
-    st.past_grad = [np.array([1.0, 3.0]), np.array([2.0, -1.0])]
+    st = init_state(initial_point(obj)[None], 2)
+    st.past_grad = np.array([[[1.0, 3.0], [2.0, -1.0]]])
     dirs = draw_noise_directions(NoiseSpec(kind=ANISO_STOCHASTIC), st,
-                                 np.random.default_rng(0), 2, obj.partition)
+                                 [np.random.default_rng(0)], 2, obj.partition)[0]
     assert_array_equal(dirs[0] + dirs[1], np.zeros(2))  # exactly centered, K=2
     assert_array_equal(dirs[0], np.array([-0.5, 2.0]))
 
 
 def test_filter_scaled_noise_matches_block_norms():
     obj = dataclasses.replace(make_quadratic(4, 8), partition=[(0, 2), (2, 4)])
-    st = init_state(initial_point(obj), 1)
-    st.x = np.array([3.0, 4.0, 0.0, 0.0])
+    st = init_state(initial_point(obj)[None], 1)
+    st.x = np.array([[3.0, 4.0, 0.0, 0.0]])
     noise = NoiseSpec(kind=ISO_UNIFORM, raw_scale=1.0, filter_scaled=True)
-    z, = draw_noise_directions(noise, st, np.random.default_rng(5), 1,
-                               obj.partition)
+    z, = draw_noise_directions(noise, st, [np.random.default_rng(5)], 1,
+                               obj.partition)[0]
     assert_allclose(np.linalg.norm(z[:2]), 5.0, rtol=1e-14)
     assert_array_equal(z[2:], 0.0)      # zero-norm weight block stays quiet
 
@@ -354,11 +355,11 @@ def test_noise_step_worker_dev_zero_for_shared_kind():
     obj = make_quadratic(3, 16, generator_seed=8)
     cfg = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=4)
     hp = HyperParams(lr_gamma=0.05, inner_lr_gamma_hat=0.02, momentum_u=0.5)
-    st = init_state(initial_point(obj), 2)
+    st = init_state(initial_point(obj)[None], 2)
     for t in range(3):
         step_extrapolated_noise(st, obj, draw_batches(cfg, obj, t), hp,
-                                NoiseSpec(SMOOTHOUT_SHARED, raw_scale=0.1), 9)
-    assert st.last_info["worker_dev2"] == 0.0
+                                NoiseSpec(SMOOTHOUT_SHARED, raw_scale=0.1), [9])
+    assert st.last_info["worker_dev2"][0] == 0.0
 
 
 def test_noise_spec_validation():
@@ -366,12 +367,9 @@ def test_noise_spec_validation():
         NoiseSpec(kind="bogus").validate()
     with pytest.raises(ValueError):
         NoiseSpec(kind=ANISO_STOCHASTIC, filter_scaled=True).validate()
-    with pytest.raises(ValueError):
-        obj = make_quadratic(1, 2)
-        st = init_state(initial_point(obj), 1)
-        step_extrapolated_noise(st, obj, _full_batches(obj, 1, 0),
-                                HyperParams(lr_gamma=0.1),
-                                NoiseSpec(kind="none"), 0)
+    with pytest.raises(ValueError, match="noise kind"):
+        RunConfig(objective=make_quadratic(1, 2), method="extrap_noise",
+                  noise=NoiseSpec(kind="none")).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +405,11 @@ def test_apply_lars_is_blockwise():
 def test_lars_applies_to_sgd_update():
     obj = _scalar_quad()
     hp = HyperParams(lr_gamma=0.1, lars_trust=1.0)
-    st = init_state(initial_point(obj), 1)
-    st.x = np.array([1.0])
+    st = init_state(initial_point(obj)[None], 1)
+    st.x = np.array([[1.0]])
     step_minibatch_sgd(st, obj, _full_batches(obj, 1, 0), hp)
     # g = -1, trust ratio = 1 * |1| / |-1| = 1, update is -0.1 * (-1)
-    assert st.x[0] == 1.1
+    assert st.x[0, 0] == 1.1
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +421,8 @@ def test_post_local_is_extrap_before_transition():
     cfg = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=6)
     hp = HyperParams(lr_gamma=0.1, momentum_u=0.5)
     plc = PostLocalConfig(transition_step_t0=10 ** 9, local_steps_H=4)
-    a = init_state(initial_point(obj), 2)
-    b = init_state(initial_point(obj), 2)
+    a = init_state(initial_point(obj)[None], 2)
+    b = init_state(initial_point(obj)[None], 2)
     for t in range(20):
         step_extrap_sgd(a, obj, draw_batches(cfg, obj, t), hp)
         step_post_local(b, obj, draw_batches(cfg, obj, t), hp, plc)
@@ -437,11 +435,11 @@ def test_post_local_dispersion_pattern():
     cfg = ClusterConfig(workers_K=4, local_batch_B=4, master_seed=7)
     hp = HyperParams(lr_gamma=0.05, momentum_u=0.5)
     plc = PostLocalConfig(transition_step_t0=2, local_steps_H=3)
-    st = init_state(initial_point(obj), 4)
+    st = init_state(initial_point(obj)[None], 4)
     seen_positive = 0
     for t in range(14):
         step_post_local(st, obj, draw_batches(cfg, obj, t), hp, plc)
-        disp = st.last_info["worker_dispersion"]
+        disp = st.last_info["worker_dispersion"][0]
         if t <= 2:
             assert disp == 0.0          # still synchronized
         elif t % 3 == 0:
@@ -457,18 +455,18 @@ def test_post_local_mean_is_published_iterate():
     cfg = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=8)
     hp = HyperParams(lr_gamma=0.05, momentum_u=0.3)
     plc = PostLocalConfig(transition_step_t0=1, local_steps_H=5)
-    st = init_state(initial_point(obj), 2)
+    st = init_state(initial_point(obj)[None], 2)
     for t in range(8):
         step_post_local(st, obj, draw_batches(cfg, obj, t), hp, plc)
-    assert_array_equal(st.x, (st.local_x[0] + st.local_x[1]) / 2.0)
+    assert_array_equal(st.x[0], (st.local_x[0, 0] + st.local_x[0, 1]) / 2.0)
 
 
 def test_post_local_momentum_reset_changes_trajectory():
     obj = make_quadratic(3, 32, generator_seed=13, shift_spread=2.0)
     cfg = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=9)
     plc = PostLocalConfig(transition_step_t0=3, local_steps_H=4)
-    keep = init_state(initial_point(obj), 2)
-    drop = init_state(initial_point(obj), 2)
+    keep = init_state(initial_point(obj)[None], 2)
+    drop = init_state(initial_point(obj)[None], 2)
     for t in range(10):
         step_post_local(keep, obj, draw_batches(cfg, obj, t),
                         HyperParams(lr_gamma=0.05, momentum_u=0.8), plc)
@@ -486,7 +484,7 @@ def test_post_local_records_the_gradient_lars_applied():
     cfg = ClusterConfig(workers_K=3, local_batch_B=4, master_seed=5)
     hp = HyperParams(lr_gamma=1.0, lars_trust=0.02)
     plc = PostLocalConfig(transition_step_t0=1, local_steps_H=2)
-    st = init_state(initial_point(obj), 3)
+    st = init_state(initial_point(obj)[None], 3)
     for t in range(6):
         step_post_local(st, obj, draw_batches(cfg, obj, t), hp, plc)
         if t > 1:

@@ -184,23 +184,24 @@ def test_epsilon_horizon_scaling_with_batch():
 
 def _record_sync_run(step_fn, obj, hp, cfg, steps, gamma_hat):
     """Run a synchronized optimizer and assemble the trajectory arrays."""
-    st = init_state(initial_point(obj), cfg.workers_K)
+    st = init_state(initial_point(obj)[None], cfg.workers_K)
     xs, vs, halves, gs, xis, dev2 = [], [], [], [], [], []
     for t in range(steps):
-        xs.append(st.x.copy())
-        vs.append(st.v.copy())
+        xs.append(st.x[0].copy())
+        vs.append(st.v[0].copy())
         step_fn(st, obj, draw_batches(cfg, obj, t), hp)
         info = st.last_info
-        halves.append(info["x_half_bar"])
-        gs.append(info["g_bar"])
-        xis.append(info["xi_bar"])
-        dev2.append(info["worker_dev2"])
-    xs.append(st.x.copy())
-    vs.append(st.v.copy())
+        halves.append(info["x_half_bar"][0])
+        gs.append(info["g_bar"][0])
+        xis.append(info["xi_bar"][0])
+        dev2.append(info["worker_dev2"][0])
+    x, v = st.x[0], st.v[0]
+    xs.append(x.copy())
+    vs.append(v.copy())
     # terminal lookahead from stored state only: no fresh gradient needed
-    xi_term = reduce_mean(st.past_grad) if gamma_hat != 0.0 else np.zeros_like(st.v)
+    xi_term = reduce_mean(st.past_grad[0]) if gamma_hat != 0.0 else np.zeros_like(v)
     xis.append(xi_term)
-    halves.append(st.x - gamma_hat * xi_term + hp.momentum_u * st.v)
+    halves.append(x - gamma_hat * xi_term + hp.momentum_u * v)
     vseq = build_virtual_sequence(np.stack(xs), np.stack(vs), np.stack(halves),
                                   np.stack(gs), np.stack(xis), hp.lr_gamma,
                                   gamma_hat, hp.momentum_u)
