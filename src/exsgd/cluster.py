@@ -15,13 +15,15 @@ each a pure function of (master_seed, worker, block):
 A batch may straddle a block boundary.  Because blocks depend only on their
 seed tuple, replaying any (config, t) reproduces the same batches in any
 access order, batches at step t never depend on how many steps ran before,
-and worker k never touches its neighbours' streams.  Block c of all K workers
-is kept as one read-only (K, block size) matrix, whose row k is worker k's
-block, in a small cache that keeps as many blocks for each of the R streams
-as it keeps for one: a run generates each block once instead of once per
-step, and a step copies each trial's slice of that matrix (or of the
-consecutive matrices a straddling batch spans) into one fresh tensor the
-caller owns.
+and worker k never touches its neighbours' streams.  Block c of the R
+streams a call reads is kept as one read-only (R, K, block size) tensor,
+whose entry [r, k] is worker k's block in the cluster seeded by trial r's
+seed, in a small cache keyed by the tuple of trial seeds: a chunk generates
+each block once instead of once per step, and a step copies its slice of
+that tensor (or joins the consecutive tensors a straddling batch spans) into
+one fresh tensor the caller owns.  A chunk that shrinks (a trial aborts or
+stops) reads under a new seed tuple, whose tensors take the rows of its
+remaining trials from the cached tensors of the larger tuple.
 
 The gradient reduction is a plain ascending-worker-order serial mean over
 the K rows of a (K, d) array (or a list of K vectors), or over each trial's K
@@ -44,9 +46,9 @@ _PERM_TAG = 22
 # Indices per with-replacement block: one seeded generator serves
 # _BLOCK // B steps of a worker.
 _BLOCK = 1024
-# Cached block matrices per stream.  A step reads one, or the next few where
-# its batch straddles a boundary, and the next step reads the last of them
-# again; an epoch block matrix holds K * N int64 indices.
+# Cached block tensors.  A step reads one, or the next few where its batch
+# straddles a boundary, and the next step reads the last of them again; an
+# epoch block tensor holds R * K * N int64 indices.
 _CACHE_BLOCKS = 4
 
 
@@ -82,28 +84,38 @@ class ClusterConfig:
         return self
 
 
-# (seed, mode, workers, n, block) -> block matrix, oldest first.
+# (seeds, mode, workers, n, block) -> block tensor, oldest first.
 _blocks = {}
 
 
-def _block(master_seed, mode, workers, block, n, streams=1):
-    """Block `block` of every worker's index sequence as a read-only
-    (workers, block size) matrix (it is shared); row k is worker k's block.
-    The cache keeps the `_CACHE_BLOCKS` * `streams` newest: every stream
-    reads its blocks in ascending order, and a call for R streams reads block
-    c of all of them before block c + 1 of any."""
-    key = (master_seed, mode, workers, n, block)
+def _block(seeds, mode, workers, block, n):
+    """Block `block` of every worker's index sequence in the clusters seeded
+    by the tuple `seeds`, as a read-only (R, workers, block size) tensor (it
+    is shared) whose entry [r, k] is worker k's block under `seeds[r]`.  The
+    cache keeps the `_CACHE_BLOCKS` newest: a call reads its blocks in
+    ascending order.  A new tensor copies the rows that a cached tensor of
+    the same block already holds, so a chunk that shrinks to some of its
+    seeds generates no block again."""
+    key = (seeds, mode, workers, n, block)
     rows = _blocks.get(key)
     if rows is None:
-        rows = _blocks[key] = _new_block(master_seed, mode, workers, block, n)
-        while len(_blocks) > _CACHE_BLOCKS * streams:
+        known = {}
+        for (cached_seeds, *rest), cached in _blocks.items():
+            if rest == [mode, workers, n, block]:
+                known.update(zip(cached_seeds, cached))
+        rows = np.stack([known[seed] if seed in known
+                         else _new_block(seed, mode, workers, block, n)
+                         for seed in seeds])
+        rows.setflags(write=False)
+        _blocks[key] = rows
+        while len(_blocks) > _CACHE_BLOCKS:
             del _blocks[next(iter(_blocks))]
     return rows
 
 
 def cached_indices(cfg, obj):
-    """The int64 indices the block cache may keep for one stream: its
-    `_CACHE_BLOCKS` newest blocks of all K workers."""
+    """The int64 indices the block cache may keep for one stream: its share
+    of the `_CACHE_BLOCKS` newest block tensors, all K workers' blocks."""
     size = obj.sample_count if cfg.sampling_mode == EPOCH_PERMUTATION else _BLOCK
     return _CACHE_BLOCKS * cfg.workers_K * size
 
@@ -115,7 +127,6 @@ def _new_block(master_seed, mode, workers, block, n):
         rng = np.random.default_rng(np.random.SeedSequence(
             (master_seed, _PERM_TAG if epoch else _BATCH_TAG, k, block)))
         rows[k] = rng.permutation(n) if epoch else rng.integers(0, n, size=_BLOCK)
-    rows.setflags(write=False)
     return rows
 
 
@@ -132,17 +143,16 @@ def draw_batches(cfg, obj, t, seeds=None):
     size = n if mode == EPOCH_PERMUTATION else _BLOCK
     first, offset = divmod(t * b, size)
     last = (t * b + b - 1) // size
-    seeds = [cfg.master_seed] if seeds is None else seeds
-    workers, streams = cfg.workers_K, len(seeds)
-    out = np.empty((streams, workers, b), np.int64)
-    for r, seed in enumerate(seeds):
-        seq = _block(seed, mode, workers, first, n, streams)
-        if last > first:        # the batch straddles a block boundary
-            seq = np.concatenate([seq] + [_block(seed, mode, workers, c, n, streams)
-                                          for c in range(first + 1, last + 1)],
-                                 axis=1)
-        out[r] = seq[:, offset:offset + b]
-    return out
+    seeds = (cfg.master_seed,) if seeds is None else tuple(seeds)
+    workers = cfg.workers_K
+    seq = _block(seeds, mode, workers, first, n)
+    if last == first:
+        return seq[..., offset:offset + b].copy()
+    # The batch straddles a block boundary: join its pieces of each block.
+    parts = [seq[..., offset:]]
+    parts += [_block(seeds, mode, workers, c, n) for c in range(first + 1, last + 1)]
+    parts[-1] = parts[-1][..., :offset + b - (last - first) * size]
+    return np.concatenate(parts, axis=-1)
 
 
 def reduce_mean(vectors):

@@ -230,7 +230,7 @@ def _full_grad_norm2s(obj, points, weight_decay):
     g = batch_gradient(obj, points, range(obj.sample_count))
     if weight_decay != 0.0:
         g = g + weight_decay * points
-    return [float(row @ row) for row in g]
+    return np.vecdot(g, g).tolist()
 
 
 def _train_losses(obj, points, weight_decay):
@@ -239,8 +239,8 @@ def _train_losses(obj, points, weight_decay):
     losses = batch_loss(obj, points, range(obj.sample_count)).tolist()
     if weight_decay == 0.0:
         return losses
-    return [loss + 0.5 * weight_decay * float(x @ x)
-            for loss, x in zip(losses, points)]
+    return [loss + 0.5 * weight_decay * norm2
+            for loss, norm2 in zip(losses, np.vecdot(points, points).tolist())]
 
 
 def _evaluate_pending(obj, weight_decay, pending, half_rows, x_rows, series):
@@ -472,19 +472,18 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
         records = None
         if (t % config.record_every == 0) or (t == steps - 1):
             dispersion = info["worker_dispersion"]
-            probe = (config.record_smoothness_every
-                     and t % config.record_smoothness_every == 0)
-            before, after = x_before, state.x
+            if (config.record_smoothness_every
+                    and t % config.record_smoothness_every == 0):
+                sms = theory.smoothness_estimates(obj, x_before,
+                                                  state.x - x_before)
+            else:
+                sms = [math.nan] * len(live)
             records = []
             for row, tr in enumerate(live):
-                sm = math.nan
-                if probe:
-                    sm = theory.smoothness_estimate(obj, before[row],
-                                                    after[row] - before[row])
                 # train_loss and grad_norm2 are filled in when the block is.
                 records.append(MetricsRecord(
                     step=t, lr=lr, train_loss=math.nan, grad_norm2=math.nan,
-                    smoothness_L=sm, worker_dispersion=dispersion[row],
+                    smoothness_L=sms[row], worker_dispersion=dispersion[row],
                     wall_events=_wall_events(cl, t + 1)))
                 tr.records.append(records[-1])
         if want_vs:

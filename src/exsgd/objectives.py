@@ -299,7 +299,7 @@ def _sample_rows(obj, indices):
     if idx.ndim == 0:
         raise ValueError("indices must hold batches of shape (..., B), got a scalar")
     # One reduction checks both bounds: a negative index wraps above 2**63.
-    if np.maximum.reduce(idx.view(np.uint64), axis=None) >= obj.sample_count:
+    if np.maximum.reduce(idx.view(np.uint64), None) >= obj.sample_count:
         raise IndexError("sample index out of range")
     return idx
 
@@ -378,7 +378,7 @@ def _flatten_layers(chunks, lead_axes):
 def _batch_mean(a):
     """Mean over the batch axis (-2): bitwise ndarray.mean, without its
     per-call Python overhead."""
-    return np.add.reduce(a, axis=-2) / a.shape[-2]
+    return np.add.reduce(a, -2) / a.shape[-2]
 
 
 def _quad_apply(obj, vecs):

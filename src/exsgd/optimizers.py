@@ -304,7 +304,7 @@ def _check_finite(state, name, arr):
     """NumericAbort at `state`'s step if `arr`, whose first axis is the
     trial axis, holds a non-finite value; the abort lists those trials."""
     # np.logical_and.reduce is what ndarray.all calls, without its wrapper.
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+    if not np.logical_and.reduce(np.isfinite(arr), None):
         trials = [r for r, row in enumerate(arr) if not np.isfinite(row).all()]
         raise NumericAbort(state.step_t, name, trials)
 
@@ -321,8 +321,8 @@ def _worker_dev2(halves, half_bar):
     rows of (R, K, d) `halves`, from their (R, d) mean `half_bar`."""
     dev = halves - half_bar[:, None]
     # np.add.reduce is what np.sum and np.mean call, bitwise, without their
-    # per-call wrappers.
-    return np.add.reduce(np.add.reduce(dev * dev, axis=-1), axis=-1) / halves.shape[1]
+    # per-call wrappers; numpy parses a positional axis faster than a keyword.
+    return np.add.reduce(np.add.reduce(dev * dev, -1), -1) / halves.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +466,16 @@ def draw_noise_directions(noise, state, rngs, n_workers, partition):
 
 
 def _raw_noise(noise, rng, n_workers, d):
-    """One trial's (K, d) unscaled draws from `rng`."""
+    """One trial's (K, d) unscaled draws from `rng`; ValueError for a kind
+    that draws none, so an unvalidated `noise` cannot extrapolate."""
     if noise.kind == SMOOTHOUT_SHARED:
         shared = rng.uniform(-noise.raw_scale, noise.raw_scale, d)
         return np.broadcast_to(shared, (n_workers, d))
     if noise.kind == ISO_GAUSSIAN:
         return noise.raw_scale * rng.standard_normal((n_workers, d))
-    return rng.uniform(-noise.raw_scale, noise.raw_scale, (n_workers, d))  # ISO_UNIFORM
+    if noise.kind == ISO_UNIFORM:
+        return rng.uniform(-noise.raw_scale, noise.raw_scale, (n_workers, d))
+    raise ValueError(f"noise kind {noise.kind!r} draws no extrapolation direction")
 
 
 def _filter_scale(zeta, x, partition):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import batch_gradient
+from .objectives import _SIGMA2_BLOCK, batch_gradient
 from .optimizers import HyperParams, effective_gamma_hat
 
 _REL_SLACK = 1e-12
@@ -391,19 +391,36 @@ def smoothness_estimate(obj, x_values, update_direction, probes=8, fraction=0.30
     Returns 0.0 for a zero update direction.  Raises ValueError unless
     probes >= 1 and fraction is finite and > 0.
     """
+    return smoothness_estimates(
+        obj, np.asarray(x_values, dtype=np.float64)[None],
+        np.asarray(update_direction, dtype=np.float64)[None], probes, fraction)[0]
+
+
+def smoothness_estimates(obj, x_rows, updates, probes=8, fraction=0.30):
+    """`smoothness_estimate` at each row of the (R, d) `x_rows` along the same
+    row of `updates`, one value per row.  The 1 + probes points of all rows
+    go to stacked full-gradient calls of at most `_SIGMA2_BLOCK` // (N d)
+    points each (one call at gate sizes); a stacked row is bitwise its
+    single-point call, so each value is bitwise the probe of its row alone."""
     if not (probes >= 1 and math.isfinite(fraction) and fraction > 0):
         raise ValueError(f"smoothness probes must be >= 1 and fraction finite "
                          f"and > 0, got probes={probes}, fraction={fraction}")
-    x_values = np.asarray(x_values, dtype=np.float64)
-    update = np.asarray(update_direction, dtype=np.float64)
-    if float(np.linalg.norm(update)) == 0.0:
-        return 0.0
-    all_idx = range(obj.sample_count)
-    base = batch_gradient(obj, x_values, all_idx)
-    best = 0.0
-    for j in range(1, probes + 1):
-        delta = (j * fraction) * update
-        g = batch_gradient(obj, x_values + delta, all_idx)
-        ratio = float(np.linalg.norm(g - base) / np.linalg.norm(delta))
-        best = max(best, ratio)
+    x_rows = np.asarray(x_rows, dtype=np.float64)
+    updates = np.asarray(updates, dtype=np.float64)
+    best = [0.0] * len(x_rows)
+    moving = [r for r, u in enumerate(updates) if float(np.linalg.norm(u)) != 0.0]
+    if not moving:
+        return best
+    steps = np.array([j * fraction for j in range(1, probes + 1)])
+    deltas = steps[:, None] * updates[moving, None]         # (M, probes, d)
+    bases = x_rows[moving, None]
+    points = np.concatenate([bases, bases + deltas], axis=1).reshape(
+        -1, x_rows.shape[-1])
+    size = max(1, _SIGMA2_BLOCK // (obj.sample_count * obj.dimension))
+    grads = np.concatenate([
+        batch_gradient(obj, points[lo:lo + size], range(obj.sample_count))
+        for lo in range(0, len(points), size)]).reshape(len(moving), probes + 1, -1)
+    for r, g, delta in zip(moving, grads[:, 1:] - grads[:, :1], deltas):
+        for g_j, delta_j in zip(g, delta):
+            best[r] = max(best[r], float(np.linalg.norm(g_j) / np.linalg.norm(delta_j)))
     return best

@@ -35,8 +35,8 @@ def _load_tracer():
       for method in METHODS for b, tag in ((None, ""), (2, "-b2"))
       for trials, suffix in ((1, ""), (3, "-3trials")))])
 def test_tracer_counts_every_step_and_uninstalls(method, extrap_b, trials):
-    # A chunk of 3 trials is one stacked state: still one step call and one
-    # step-oracle call per step.
+    # A chunk of 3 trials is one stacked state: still one batch draw, one
+    # step call and one step-oracle call per step.
     before = {name: dict(vars(getattr(exsgd, name))) for name in _MODULES}
     tracer = _load_tracer().Tracer(exsgd)
     tracer.install()
@@ -52,6 +52,7 @@ def test_tracer_counts_every_step_and_uninstalls(method, extrap_b, trials):
     finally:
         tracer.uninstall()
     calls = tracer.aggregate()["calls"]
+    assert calls["cluster.draw_batches"] == 5
     assert calls["optimizers.step"] == 5
     assert calls["objectives.batch_gradient.step"] == 5   # one per step, any b
     for name, names in before.items():

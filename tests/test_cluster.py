@@ -279,3 +279,48 @@ def test_draw_batches_is_the_per_worker_block_formula(seed, workers, n, batch,
     assert stacked.flags.writeable and stacked.flags.c_contiguous
     assert_array_equal(stacked, np.stack(
         [_reference_batches(s, mode, workers, batch, n, t) for s in seeds]))
+
+
+def _single_seed_draws(cfg, obj, t, seeds):
+    return np.stack([draw_batches(cfg, obj, t, [seed])[0] for seed in seeds])
+
+
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+       others=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+       workers=st.integers(1, 3), n=st.integers(1, 64), batch=st.integers(1, 64),
+       mode=st.sampled_from([WITH_REPLACEMENT, EPOCH_PERMUTATION]),
+       t=st.integers(0, 3 * _BLOCK),
+       keep=st.lists(st.booleans(), min_size=6, max_size=6))
+@example(seeds=[1, 2, 3], others=[4, 5], workers=2, n=64, batch=48,
+         mode=WITH_REPLACEMENT, t=20, keep=[True, False, True] * 2)
+@example(seeds=[6, 7, 8, 9, 10, 11], others=[6], workers=3, n=7, batch=5,
+         mode=EPOCH_PERMUTATION, t=3, keep=[False] * 5 + [True])
+@settings(max_examples=40, deadline=None)
+def test_stacked_draws_are_the_single_seed_draws_in_any_cache_state(
+        seeds, others, workers, n, batch, mode, t, keep):
+    # The (R, K, block) cache entries are keyed by the seed tuple: two
+    # chunks' draws interleaved, a chunk shrunk to some of its seeds (as
+    # after an abort) and writes into an earlier result never change a draw.
+    # The examples' step t + 1 straddles a block boundary.
+    batch = min(batch, n)
+    obj = make_quadratic(1, n)
+    cfg = ClusterConfig(workers_K=workers, local_batch_B=batch, sampling_mode=mode)
+    _blocks.clear()
+    want = {(tuple(chunk), s): _single_seed_draws(cfg, obj, s, chunk)
+            for chunk in (seeds, others) for s in (t, t + 1)}
+    _blocks.clear()
+    for s in (t, t + 1):
+        for chunk in (seeds, others):
+            got = draw_batches(cfg, obj, s, chunk)
+            assert got.shape == (len(chunk), workers, batch)
+            assert got.flags.writeable and got.flags.c_contiguous
+            assert_array_equal(got, want[tuple(chunk), s])
+            got[:] = -1                     # callers own their indices
+        assert_array_equal(draw_batches(cfg, obj, s, seeds),
+                           want[tuple(seeds), s])
+    rows = [r for r in range(len(seeds)) if keep[r]] or [len(seeds) - 1]
+    shrunk = [seeds[r] for r in rows]
+    assert_array_equal(draw_batches(cfg, obj, t + 1, shrunk),
+                       want[tuple(seeds), t + 1][rows])
+    assert_array_equal(draw_batches(cfg, obj, t + 2, shrunk),
+                       _single_seed_draws(cfg, obj, t + 2, shrunk))

@@ -840,6 +840,36 @@ def test_thirty_stacked_trials_generate_each_block_once(monkeypatch, mode,
     assert len(made) == len(set(made)) == 30 * blocks
 
 
+def test_a_shrinking_chunk_generates_each_block_once(monkeypatch):
+    # Trials that abort or stop leave the stack; the remaining trials read
+    # their blocks' rows from the cached tensors of the larger chunk.
+    made = []
+    new_block = cluster._new_block
+
+    def counted(seed, mode, workers, block, n):
+        made.append((seed, block))
+        return new_block(seed, mode, workers, block, n)
+
+    monkeypatch.setattr(cluster, "_new_block", counted)
+    shifts = np.ones((32, 2))
+    shifts[5] = 1e308           # a batch holding sample 5 aborts its trial
+    aborting = _base_config(
+        objective=make_quadratic(2, 32, shifts=shifts, diag=[10.0, 10.0]),
+        cluster=ClusterConfig(workers_K=2, local_batch_B=1),
+        method="extrap_sgd", total_steps_T=20, trials=6, master_seed=3)
+    stopping = _base_config(trials=6, total_steps_T=300,
+                            cluster=ClusterConfig(workers_K=2, local_batch_B=8))
+    norms = [min(r.grad_norm2 for r in tr.records)
+             for tr in run(dataclasses.replace(stopping, record_every=1)).trials]
+    for cfg, epsilon in ((aborting, None), (stopping, sorted(norms)[3])):
+        cluster._blocks.clear()
+        made.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            trials = _trial_results(cfg, stop_epsilon=epsilon)
+        ends = {tr.steps_done for tr in trials if tr.aborted or tr.reached_epsilon}
+        assert len(ends) >= 2 and len(made) == len(set(made))
+
+
 _RECORD_FLOATS = _FLOATS | st.builds(np.float64, _FLOATS)
 _RECORD_VALUES = (st.integers() | _RECORD_FLOATS | st.none() | st.booleans()
                   | st.dictionaries(st.text(max_size=4),

@@ -362,6 +362,24 @@ def test_noise_step_worker_dev_zero_for_shared_kind():
     assert st.last_info["worker_dev2"][0] == 0.0
 
 
+@pytest.mark.parametrize("kind", ["none", "bogus"])
+def test_noise_step_without_a_drawing_kind_raises(kind):
+    # RunConfig.validate rejects these kinds; a direct step call must not
+    # extrapolate along some other kind's noise instead.
+    obj = make_quadratic(3, 16, generator_seed=8)
+    cfg = ClusterConfig(workers_K=2, local_batch_B=4, master_seed=4)
+    hp = HyperParams(lr_gamma=0.05, inner_lr_gamma_hat=0.02, momentum_u=0.5)
+    st = init_state(initial_point(obj)[None], 2)
+    noise = NoiseSpec(kind=kind, raw_scale=0.1)
+    step_extrapolated_noise(st, obj, draw_batches(cfg, obj, 0), hp, noise, [9])
+    x = st.x.copy()         # no worker extrapolates at step 0: no draw
+    with pytest.raises(ValueError, match=repr(kind)):
+        step_extrapolated_noise(st, obj, draw_batches(cfg, obj, 1), hp, noise,
+                                [9])
+    assert st.step_t == 1
+    assert_array_equal(st.x, x)
+
+
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(kind="bogus").validate()

@@ -5,14 +5,17 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from exsgd.cluster import ClusterConfig, draw_batches, reduce_mean
-from exsgd.objectives import TheoryConstants, initial_point, make_quadratic
+from exsgd import theory
+from exsgd.objectives import (TheoryConstants, batch_gradient, initial_point,
+                              make_logistic, make_quadratic, make_tiny_mlp)
 from exsgd.optimizers import (HyperParams, effective_gamma_hat, init_state,
                               step_extrap_sgd, step_nesterov)
 from exsgd.theory import (EXTRAP_NOISE, EXTRAP_SGD, NESTEROV, POST_LOCAL, SGD,
                           build_virtual_sequence, check_descent_identity,
                           check_proximity_inequalities, critical_batch_size,
                           epsilon_horizon, finish_report, rate_bound,
-                          smoothness_estimate, stepsize_cap, tune_stepsize,
+                          smoothness_estimate, smoothness_estimates,
+                          stepsize_cap, tune_stepsize,
                           tuned_hyperparams)
 
 # one shared problem scale for the closed-form oracles below
@@ -311,6 +314,48 @@ def test_smoothness_along_eigendirections():
 def test_smoothness_handles_zero_update():
     obj = make_quadratic(2, 2, diag=[1.0, 4.0])
     assert smoothness_estimate(obj, np.zeros(2), np.zeros(2)) == 0.0
+
+
+def _probe_loop(obj, x, update, probes, fraction):
+    """The probe as one single-point full-gradient call per point."""
+    if float(np.linalg.norm(update)) == 0.0:
+        return 0.0
+    everything = range(obj.sample_count)
+    base = batch_gradient(obj, x, everything)
+    best = 0.0
+    for j in range(1, probes + 1):
+        delta = (j * fraction) * update
+        g = batch_gradient(obj, x + delta, everything)
+        best = max(best, float(np.linalg.norm(g - base) / np.linalg.norm(delta)))
+    return best
+
+
+@pytest.mark.parametrize("obj", [
+    make_quadratic(3, 64, generator_seed=5, matrix=[[2.0, 0.5, 0.0],
+                                                   [0.5, 1.0, 0.25],
+                                                   [0.0, 0.25, 0.5]]),
+    make_logistic(5, 40, generator_seed=2, l2=1e-3),
+    make_tiny_mlp((3, 4, 2), 24, generator_seed=3)], ids=["dense", "logistic", "mlp"])
+@pytest.mark.parametrize("block", [None, 1, 200])
+def test_stacked_probe_rows_are_bitwise_the_single_point_loop(obj, block,
+                                                               monkeypatch):
+    # One stacked call (or blocks of `block` doubles, down to one point a
+    # call) gives every row the value of its own loop of single calls; a
+    # zero update row gives 0.0 without probing.
+    if block is not None:
+        monkeypatch.setattr(theory, "_SIGMA2_BLOCK", block)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, obj.dimension))
+    updates = 0.1 * rng.standard_normal((4, obj.dimension))
+    updates[2] = 0.0
+    for probes, fraction in ((8, 0.30), (3, 1.7)):
+        got = smoothness_estimates(obj, x, updates, probes, fraction)
+        want = [_probe_loop(obj, x_r, u_r, probes, fraction)
+                for x_r, u_r in zip(x, updates)]
+        assert got[2] == 0.0
+        assert_array_equal(np.array(got).view(np.uint64),
+                           np.array(want).view(np.uint64))
+        assert smoothness_estimate(obj, x[1], updates[1], probes, fraction) == want[1]
 
 
 @pytest.mark.parametrize("probes,fraction", [
