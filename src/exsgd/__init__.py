@@ -11,7 +11,7 @@ from .objectives import (ObjectiveSpec, TheoryConstants, batch_gradient,
                          make_logistic, make_quadratic, make_tiny_mlp)
 from .optimizers import (HyperParams, NoiseSpec, NumericAbort, OptimizerState,
                          PostLocalConfig, Schedule, effective_gamma_hat,
-                         init_state, lars_scale, lr_at, noise_second_moment,
+                         init_state, lars_scale, noise_second_moment,
                          step_adam, step_extrap_adam, step_extrap_sgd,
                          step_extrapolated_noise, step_minibatch_sgd,
                          step_nesterov, step_post_local, warmup_increment)

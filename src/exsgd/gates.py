@@ -9,7 +9,7 @@ from .cluster import ClusterConfig, draw_batches
 from .harness import RunConfig, run
 from .objectives import estimate_constants, initial_point, make_quadratic
 from .optimizers import (WARMUP_STEP_DECAY, HyperParams, Schedule, init_state,
-                         lars_scale, lr_at, step_adam, step_extrap_adam,
+                         lars_scale, lr_series, step_adam, step_extrap_adam,
                          step_extrap_sgd, step_minibatch_sgd, step_nesterov,
                          warmup_increment)
 from .theory import tuned_hyperparams
@@ -85,7 +85,7 @@ def protocol_formulas():
     inc = warmup_increment(sched, cluster, obj)
     want = 3.1 / (5 * 50000 / 8192)     # (K gamma - gamma) / (5 N / (K B))
     peak = sched.base_lr * sched.scale_factor
-    lr_end = lr_at(sched, 800, cluster, obj)
+    lr_end = lr_series(sched, 801, cluster, obj)[800]
     grad = np.array([0.0, 4.0])
     scaled = lars_scale(grad, np.array([2.0, 0.0]), HyperParams(
         lr_gamma=0.1, lars_trust=1.0, weight_decay=0.0))

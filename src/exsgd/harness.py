@@ -107,6 +107,8 @@ class RunConfig:
             raise ValueError("record_smoothness_every must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         return self
 
 
@@ -809,6 +811,9 @@ def speedup_study(base, kb_grid, epsilon, budget_factor=4):
 def apply_override(config, path, value):
     """A copy of `config` with the field at the dotted `path` set to `value`,
     which `_typed` reads as it reads the same field in a config file."""
+    if path == "objective.generator_seed":   # the data would keep the old seed
+        raise ValueError("objective.generator_seed cannot be set alone; "
+                         "override the whole objective section")
     def rebuild(node, keys):
         p = (inspect.signature(type(node)).parameters.get(keys[0])
              if dataclasses.is_dataclass(node) else None)

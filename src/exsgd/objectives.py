@@ -473,9 +473,7 @@ def batch_loss(obj, values, indices):
             obj.logit_features[rows], values[..., None])[..., 0]
         # log(1+exp(-m)) computed stably; the l2 term is one dot per point.
         loss = np.logaddexp(0.0, -margin).mean(axis=-1)
-        scaled = 0.5 * obj.logit_l2 * values
-        loss = loss + (scaled @ values if values.ndim == 1 else
-                       np.array([row @ x for row, x in zip(scaled, values)]))
+        loss = loss + np.vecdot(0.5 * obj.logit_l2 * values, values)
     else:
         _, _, resid = _mlp_forward(obj, values, rows)
         loss = 0.5 * np.sum(resid * resid, axis=-1).mean(axis=-1)

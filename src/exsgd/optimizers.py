@@ -6,8 +6,9 @@ All methods share the same skeleton per step t:
     lookahead point(s)  ->  per-worker batch gradients  ->  fixed-order
     reduction  ->  buffer/parameter update
 
-`lookahead` decides the evaluation points of the synchronized steps and the
-mean direction the harness replay reads for its terminal step.
+`lookahead` decides the evaluation points of every step, post-local's local
+phase included, and the mean direction the harness replay reads for its
+terminal step.
 
 - sgd:          x <- x - gamma * g(x)
 - nesterov:     x_half = x + u v;  v <- u v - gamma g(x_half);  x <- x + v
@@ -26,7 +27,8 @@ mean direction the harness replay reads for its terminal step.
   extrap_adam:  extrapolates per worker through the stored moments and past
                 gradient before the shared moment update.
 - post_local:   synchronized extrap_sgd until step t0, then per-worker local
-                extrap updates with model averaging every H steps.
+                extrap updates, each worker looking ahead from its own x^k
+                and v^k, with model averaging every H steps.
 
 Weight decay (when nonzero) enters as +lambda*x at every gradient evaluation,
 identically across methods.  LARS (when trust > 0) rescales each block of the
@@ -362,19 +364,32 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
     _check_finite(state, "iterate", x_new)
     for name, value in buffers.items():
         setattr(state, name, value)
+    return _step_tail(state, x_new, past, halves, g_used, xi_bar)
+
+
+def _step_tail(state, x_new, past, halves, g_bar, xi_bar):
+    """The end of every step, its values checked finite: store the (R, d)
+    iterate `x_new` and the `past` gradients, advance t, and report in
+    `last_info` the mean and spread of `halves`, `g_bar`, `xi_bar` (None:
+    zero) and in the local phase each trial's largest worker distance."""
     state.x = x_new
     state.step_t += 1
     state.past_grad = past
     if halves.shape[1] == 1:    # a point a trial's workers share is its mean
-        half_bar, dev2 = halves[:, 0].copy(), np.zeros(len(x))
+        half_bar, dev2 = halves[:, 0].copy(), np.zeros(len(x_new))
     else:
         half_bar = reduce_mean(halves)
         dev2 = _worker_dev2(halves, half_bar)
+    if state.local_x is None:
+        dispersion = [0.0] * len(x_new)
+    else:
+        spread = state.local_x - x_new[:, None]
+        dispersion = [max(float(np.linalg.norm(row)) for row in trial)
+                      for trial in spread]
     state.last_info = {
-        "x_half_bar": half_bar, "g_bar": g_used,
-        "xi_bar": xi_bar if xi_bar is not None else np.zeros(g.shape),
-        "worker_dev2": dev2,
-        "worker_dispersion": [0.0] * len(x),
+        "x_half_bar": half_bar, "g_bar": g_bar,
+        "xi_bar": xi_bar if xi_bar is not None else np.zeros(x_new.shape),
+        "worker_dev2": dev2, "worker_dispersion": dispersion,
     }
     return state
 
@@ -410,27 +425,32 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
               partition=None):
     """Step t = `state.step_t`'s evaluation points and mean direction xi_bar.
 
-    `direction` (`theory.Method.direction`) None gives nesterov's (R, 1, d)
-    points x + u v, one per trial; the others give the (R, K, d) points
-    x - gamma_hat z^k + u v with z^k the stored past gradient ("past"), a
-    draw seeded by (trial seed, _NOISE_TAG, t) for each of the R trial seeds
-    in `seed` ("noise"), or the Adam-preconditioned past gradient ("adam",
-    without momentum).  At t = 0 and with gamma_hat = 0 no worker
-    extrapolates.  xi_bar is the (R, d) mean of z^k; None without
+    The points start from each trial's x and v, shared by its workers, or,
+    once post-local's local phase has set `state.local_x`, from each
+    worker's own x^k and v^k.  `direction` (`theory.Method.direction`) None
+    gives nesterov's points x + u v, (R, 1, d) when shared; the others give
+    the (R, K, d) points x - gamma_hat z^k + u v with z^k the stored past
+    gradient ("past"), a draw seeded by (trial seed, _NOISE_TAG, t) for each
+    of the R trial seeds in `seed` ("noise"), or the Adam-preconditioned past
+    gradient ("adam", without momentum).  At t = 0 and with gamma_hat = 0 no
+    worker extrapolates.  xi_bar is the (R, d) mean of z^k; None without
     extrapolation and for "adam", whose direction no replay reads.
     """
     u = 0.0 if direction == "adam" else hp.momentum_u   # Adam keeps no v
-    if direction is None:
-        return (state.x + u * state.v if u != 0.0 else state.x)[:, None], None
-    x = state.x[:, None]     # each trial's point against its K workers
+    if state.local_x is None:   # each trial's point against its K workers
+        x, v = state.x[:, None], state.v[:, None]
+    else:
+        x, v = state.local_x, state.local_v
     ghat = effective_gamma_hat(hp, n_workers)
     xi_bar = None
-    if ghat == 0.0 or state.step_t == 0:
+    if direction is None:
+        quarters = x
+    elif ghat == 0.0 or state.step_t == 0:
         quarters = np.broadcast_to(x, (len(x), n_workers, x.shape[-1]))
     elif direction == "adam":
-        pg, m, v = state.past_grad, state.adam_m[:, None], state.adam_v[:, None]
-        num = hp.adam_beta1 * m + (1.0 - hp.adam_beta1) * pg
-        den = hp.adam_beta2 * v + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
+        pg, m1, m2 = state.past_grad, state.adam_m[:, None], state.adam_v[:, None]
+        num = hp.adam_beta1 * m1 + (1.0 - hp.adam_beta1) * pg
+        den = hp.adam_beta2 * m2 + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
         if hp.extrap_denominator_sqrt:
             den = np.sqrt(den)
         quarters = x - ghat * num / den
@@ -445,7 +465,7 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
         quarters, xi_bar = x - ghat * z, reduce_mean(z)
     if u == 0.0:
         return quarters, xi_bar
-    return quarters + u * state.v[:, None], xi_bar
+    return quarters + u * v, xi_bar
 
 
 def draw_noise_directions(noise, state, rngs, n_workers, partition):
@@ -521,43 +541,24 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     if t <= plc.transition_step_t0:
         return step_extrap_sgd(state, obj, batches, hp, extrap_b=extrap_b)
 
-    n_workers = batches.shape[1]
     shape = batches.shape[:2] + state.x.shape[-1:]      # (R, K, d)
     if state.local_x is None:
         state.local_x = np.broadcast_to(state.x[:, None], shape).copy()
         state.local_v = (np.zeros(shape) if hp.reset_local_momentum else
                          np.broadcast_to(state.v[:, None], shape).copy())
-    local_x, local_v = state.local_x, state.local_v
-
-    u = hp.momentum_u
-    ghat = effective_gamma_hat(hp, n_workers)
-    quarters = local_x - ghat * state.past_grad if ghat != 0.0 else local_x
-    halves = quarters + u * local_v if u != 0.0 else quarters
+    halves, xi_bar = lookahead(state, hp, batches.shape[1], "past")
     grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
     _check_finite(state, "local gradients", grads)
-
-    g_used = grads
-    if hp.lars_trust > 0:
-        g_used = apply_lars(grads, local_x, obj.partition, hp)
-    local_v = _momentum_update(local_v, u, hp.lr_gamma, g_used)
-    local_x = local_x + local_v
+    g_used = (apply_lars(grads, state.local_x, obj.partition, hp)
+              if hp.lars_trust > 0 else grads)
+    local_v = _momentum_update(state.local_v, hp.momentum_u, hp.lr_gamma, g_used)
+    local_x = state.local_x + local_v
     mean_x = reduce_mean(local_x)
     _check_finite(state, "iterate", mean_x)
     if t % plc.local_steps_H == 0:
         local_x = np.broadcast_to(mean_x[:, None], shape).copy()
-    state.local_x, state.local_v, state.past_grad = local_x, local_v, past
-    spread = local_x - mean_x[:, None]
-    state.x = mean_x
-    state.step_t += 1
-    half_bar = reduce_mean(halves)
-    state.last_info = {
-        "x_half_bar": half_bar, "g_bar": reduce_mean(g_used),
-        "xi_bar": np.zeros(mean_x.shape),
-        "worker_dev2": _worker_dev2(halves, half_bar),
-        "worker_dispersion": [max(float(np.linalg.norm(row)) for row in trial)
-                              for trial in spread],
-    }
-    return state
+    state.local_x, state.local_v = local_x, local_v
+    return _step_tail(state, mean_x, past, halves, reduce_mean(g_used), xi_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +574,9 @@ def warmup_increment(sched, cluster, obj):
     return (peak - sched.base_lr) / steps
 
 
-def lr_at(sched, t, cluster, obj):
-    """Learning rate at step t under `sched`."""
-    if t < 0:
-        raise ValueError("step t must be >= 0")
-    sched.validate()
-    return _lr(sched, t, cluster, obj)
-
-
 def lr_series(sched, steps, cluster, obj):
-    """The learning rates of steps 0 .. steps - 1 under `sched`, each
-    `lr_at`'s value, with the schedule validated once."""
+    """The learning rates of steps 0 .. steps - 1 under `sched`, with the
+    schedule validated once."""
     sched.validate()
     return [_lr(sched, t, cluster, obj) for t in range(steps)]
 

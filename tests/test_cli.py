@@ -269,6 +269,22 @@ def test_cluster_master_seed_exits_one(config_path, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("option,message", [
+    (["--set", "objective.generator_seed=5"],
+     "objective.generator_seed cannot be set alone"),
+    (["--set", "master_seed=-1"], "master_seed must be >= 0"),
+    (["--seed", "-1"], "master_seed must be >= 0"),
+])
+def test_seed_override_that_cannot_run_exits_one(config_path, tmp_path, capsys,
+                                                  option, message):
+    out = tmp_path / "o"
+    assert main(["run", "--config", config_path, "--out", str(out),
+                 *option]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
 def test_sgd_theory_report_does_not_depend_on_momentum_u(config_path,
                                                           tmp_path, capsys):
     # sgd applies no momentum, so neither may its replay: its trajectory and

@@ -26,7 +26,7 @@ from exsgd.objectives import (MAKERS, batch_gradient, batch_loss,
 from exsgd.optimizers import (ANISO_STOCHASTIC, ISO_GAUSSIAN, ISO_UNIFORM,
                               SMOOTHOUT_SHARED, WARMUP_CONSTANT,
                               WARMUP_STEP_DECAY, HyperParams, NoiseSpec,
-                              PostLocalConfig, Schedule, init_state, lr_at)
+                              PostLocalConfig, Schedule, init_state, lr_series)
 from exsgd.theory import METHOD_TABLE, METHODS, stepsize_cap
 
 
@@ -127,9 +127,9 @@ def test_schedule_lr_is_recorded():
                      warmup_epochs=2)
     cfg = _base_config(schedule=sched, trials=1, total_steps_T=20)
     res = run(cfg)
-    obj, cl = cfg.objective, cfg.cluster
+    lrs = lr_series(sched, 20, cfg.cluster, cfg.objective)
     for rec in res.trials[0].records:
-        assert rec.lr == lr_at(sched, rec.step, cl, obj)
+        assert rec.lr == lrs[rec.step]
 
 
 @pytest.mark.parametrize("kind,replayed", [("constant", True),
@@ -545,6 +545,35 @@ def test_extrap_noise_without_noise_is_rejected_before_any_point_runs():
     runs.assert_not_called()
 
 
+@pytest.mark.parametrize("grid,match", [
+    ({"master_seed": [1, -1]}, "^sweep point .*: master_seed must be >= 0$"),
+    ({"objective.generator_seed": [1, 5]},
+     "objective.generator_seed cannot be set alone"),
+])
+def test_seed_overrides_that_cannot_run_are_rejected_before_any_point_runs(
+        grid, match):
+    # A lone generator_seed would relabel data generated from the old seed;
+    # a negative master_seed cannot seed a trial.
+    with mock.patch.object(harness, "_run_trials") as runs:
+        with pytest.raises(ValueError, match=match) as err:
+            sweep(_base_config(trials=1), grid)
+    runs.assert_not_called()
+    assert len(str(err.value).splitlines()) == 1
+
+
+def test_whole_objective_override_regenerates_the_data():
+    cfg = _base_config()
+    doc = {"maker": "quadratic", "dimension": 4, "sample_count": 32,
+           "generator_seed": 5, "shift_spread": 1.5}
+    out = apply_override(cfg, "objective", doc)
+    want = make_quadratic(4, 32, generator_seed=5, shift_spread=1.5)
+    assert out.objective.generator_seed == 5
+    assert_array_equal(out.objective.quad_shifts, want.quad_shifts)
+    seed_one = make_quadratic(4, 32, generator_seed=1, shift_spread=1.5)
+    assert not np.array_equal(out.objective.quad_shifts, seed_one.quad_shifts)
+    assert_array_equal(initial_point(out.objective), initial_point(want))
+
+
 def test_sweep_runs_each_points_own_trials():
     cfg = _base_config(trials=1)
     table = sweep(cfg, {"trials": [3]})
@@ -721,10 +750,10 @@ def _stepped_final_x(cfg, trial):
     if not METHOD_TABLE[cfg.method].momentum:
         hp = dataclasses.replace(hp, momentum_u=0.0)
     sched = cfg.schedule and dataclasses.replace(cfg.schedule, total_steps=T)
+    lrs = sched and lr_series(sched, T, cl, obj)
     state = init_state(initial_point(obj, cfg.init_scale)[None], cl.workers_K)
     for t in range(T):
-        hp_t = hp if sched is None else dataclasses.replace(
-            hp, lr_gamma=lr_at(sched, t, cl, obj))
+        hp_t = hp if sched is None else dataclasses.replace(hp, lr_gamma=lrs[t])
         _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp_t, [seed])
     return state.x[0]
 

@@ -19,7 +19,7 @@ from exsgd.optimizers import (ANISO_STOCHASTIC, CONSTANT, INVERSE_SQRT,
                               NoiseSpec, NumericAbort, PostLocalConfig,
                               Schedule, apply_lars, draw_noise_directions,
                               effective_gamma_hat, init_state, lars_scale,
-                              lr_at, noise_second_moment, step_adam,
+                              lr_series, noise_second_moment, step_adam,
                               step_extrap_adam, step_extrap_sgd,
                               step_extrapolated_noise, step_minibatch_sgd,
                               step_nesterov, step_post_local,
@@ -509,6 +509,40 @@ def test_post_local_records_the_gradient_lars_applied():
             assert_array_equal(st.last_info["g_bar"], reduce_mean(-st.local_v))
 
 
+@pytest.mark.parametrize("workers_K", [1, 3])
+@pytest.mark.parametrize("u", [0.0, 0.5])
+@pytest.mark.parametrize("gamma_hat", [0.0, None])
+@pytest.mark.parametrize("extrap_b,decay", [(None, 0.0), (2, 0.1)])
+def test_post_local_looks_ahead_from_each_workers_own_point(
+        workers_K, u, gamma_hat, extrap_b, decay):
+    # The local phase evaluates at x^k - gamma_hat p^k + u v^k, built from the
+    # state before the step, and reports the mean past gradient it used.
+    obj = make_quadratic(3, 32, generator_seed=14, shift_spread=2.0)
+    cfg = ClusterConfig(workers_K=workers_K, local_batch_B=4,
+                        extrap_batch_b=extrap_b, master_seed=10)
+    hp = HyperParams(lr_gamma=0.05, inner_lr_gamma_hat=gamma_hat,
+                     momentum_u=u, weight_decay=decay)
+    plc = PostLocalConfig(transition_step_t0=2, local_steps_H=3)
+    st = init_state(initial_point(obj)[None], workers_K)
+    ghat = effective_gamma_hat(hp, workers_K)
+    for t in range(10):
+        if st.local_x is None:
+            xk, vk = st.x[:, None], st.v[:, None]
+        else:
+            xk, vk = st.local_x.copy(), st.local_v.copy()
+        pk = st.past_grad.copy()
+        step_post_local(st, obj, draw_batches(cfg, obj, t), hp, plc,
+                        extrap_b=extrap_b)
+        if t <= plc.transition_step_t0:
+            continue
+        halves = np.broadcast_to(xk - ghat * pk + u * vk, pk.shape)
+        assert_array_equal(st.last_info["x_half_bar"], reduce_mean(halves))
+        xi_bar = reduce_mean(pk) if ghat != 0.0 else np.zeros_like(st.x)
+        assert_array_equal(st.last_info["xi_bar"], xi_bar)
+        if ghat != 0.0:
+            assert np.any(xi_bar != 0.0)
+
+
 def test_post_local_config_validation():
     with pytest.raises(ValueError):
         PostLocalConfig(transition_step_t0=-1).validate()
@@ -524,7 +558,8 @@ def test_constant_schedule_scales_base():
     sched = Schedule(kind=CONSTANT, base_lr=0.1, scale_factor=4.0)
     obj = make_quadratic(1, 8)
     cl = ClusterConfig(workers_K=1, local_batch_B=1)
-    assert lr_at(sched, 0, cl, obj) == lr_at(sched, 999, cl, obj) == 0.4
+    lrs = lr_series(sched, 1000, cl, obj)
+    assert lrs[0] == lrs[999] == 0.4
 
 
 def test_warmup_increment_hand_value():
@@ -536,9 +571,10 @@ def test_warmup_increment_hand_value():
                      warmup_epochs=5)
     want = 3.1 / (5 * 50000 / 8192)
     assert abs(warmup_increment(sched, cl, obj) - want) < 1e-12
-    assert lr_at(sched, 0, cl, obj) == 0.1
     t_done = math.ceil(5 * 50000 / 8192)
-    assert lr_at(sched, t_done + 5, cl, obj) == pytest.approx(3.2, rel=1e-12)
+    lrs = lr_series(sched, t_done + 6, cl, obj)
+    assert lrs[0] == 0.1
+    assert lrs[t_done + 5] == pytest.approx(3.2, rel=1e-12)
 
 
 def test_warmup_ramp_is_linear_and_clipped():
@@ -547,9 +583,10 @@ def test_warmup_ramp_is_linear_and_clipped():
     sched = Schedule(kind=WARMUP_CONSTANT, base_lr=0.2, scale_factor=2.0,
                      warmup_epochs=2)     # 20 warmup steps
     inc = warmup_increment(sched, cl, obj)
-    assert lr_at(sched, 7, cl, obj) == pytest.approx(0.2 + 7 * inc, rel=1e-15)
-    assert lr_at(sched, 20, cl, obj) == 0.4
-    assert lr_at(sched, 3000, cl, obj) == 0.4
+    lrs = lr_series(sched, 3001, cl, obj)
+    assert lrs[7] == pytest.approx(0.2 + 7 * inc, rel=1e-15)
+    assert lrs[20] == 0.4
+    assert lrs[3000] == 0.4
 
 
 def test_step_decay_hits_exact_fractions():
@@ -559,21 +596,21 @@ def test_step_decay_hits_exact_fractions():
                      warmup_epochs=1, decay_milestones=(0.5, 0.75),
                      decay_factor=10.0, total_steps=100)
     peak = 0.4
-    assert lr_at(sched, 40, cl, obj) == peak
-    assert lr_at(sched, 50, cl, obj) == peak / 10.0
-    assert lr_at(sched, 75, cl, obj) == peak / 100.0
-    assert lr_at(sched, 99, cl, obj) == peak / 100.0
+    lrs = lr_series(sched, 100, cl, obj)
+    assert lrs[40] == peak
+    assert lrs[50] == peak / 10.0
+    assert lrs[75] == peak / 100.0
+    assert lrs[99] == peak / 100.0
 
 
 def test_inverse_sqrt_schedule_shape():
     obj = make_quadratic(1, 8)
     cl = ClusterConfig(workers_K=1, local_batch_B=1)
     sched = Schedule(kind=INVERSE_SQRT, base_lr=0.3, warmup_steps_inverse_sqrt=100)
-    assert lr_at(sched, 99, cl, obj) == 0.3                    # peak at t = W-1
-    assert lr_at(sched, 49, cl, obj) == 0.3 * 0.5              # mid-ramp
-    assert lr_at(sched, 399, cl, obj) == pytest.approx(0.15, rel=1e-12)
-    with pytest.raises(ValueError):
-        lr_at(sched, -1, cl, obj)
+    lrs = lr_series(sched, 400, cl, obj)
+    assert lrs[99] == 0.3                    # peak at t = W-1
+    assert lrs[49] == 0.3 * 0.5              # mid-ramp
+    assert lrs[399] == pytest.approx(0.15, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -608,5 +645,5 @@ def test_schedule_rejects_factors_that_break_lr_at(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         sched.validate()
     with pytest.raises(ValueError, match=f"^{field} must be"):
-        lr_at(sched, 60, ClusterConfig(workers_K=1, local_batch_B=1),
-              make_quadratic(1, 8))
+        lr_series(sched, 61, ClusterConfig(workers_K=1, local_batch_B=1),
+                  make_quadratic(1, 8))
