@@ -11,10 +11,10 @@ from .objectives import (ObjectiveSpec, TheoryConstants, batch_gradient,
                          make_logistic, make_quadratic, make_tiny_mlp)
 from .optimizers import (HyperParams, NoiseSpec, NumericAbort, OptimizerState,
                          PostLocalConfig, Schedule, effective_gamma_hat,
-                         init_state, lars_scale, noise_second_moment,
-                         step_adam, step_extrap_adam, step_extrap_sgd,
+                         init_state, noise_second_moment, step_adam,
+                         step_extrap_adam, step_extrap_sgd, step_post_local,
                          step_extrapolated_noise, step_minibatch_sgd,
-                         step_nesterov, step_post_local, warmup_increment)
+                         step_nesterov, trust_scale, warmup_increment)
 from .theory import (RateBoundReport, VirtualSequence, build_virtual_sequence,
                      check_descent_identity, check_proximity_inequalities,
                      critical_batch_size, epsilon_horizon, finish_report,

@@ -7,11 +7,12 @@ import numpy as np
 
 from .cluster import ClusterConfig, draw_batches
 from .harness import RunConfig, run
-from .objectives import estimate_constants, initial_point, make_quadratic
+from .objectives import (estimate_constants, initial_point, make_quadratic,
+                         row_dots)
 from .optimizers import (WARMUP_STEP_DECAY, HyperParams, Schedule, init_state,
-                         lars_scale, lr_series, step_adam, step_extrap_adam,
+                         lr_series, step_adam, step_extrap_adam,
                          step_extrap_sgd, step_minibatch_sgd, step_nesterov,
-                         warmup_increment)
+                         trust_scale, warmup_increment)
 from .theory import tuned_hyperparams
 
 # The gate quadratic: its constants are analytic (L = 4), and its nonzero
@@ -87,9 +88,9 @@ def protocol_formulas():
     peak = sched.base_lr * sched.scale_factor
     lr_end = lr_series(sched, 801, cluster, obj)[800]
     grad = np.array([0.0, 4.0])
-    scaled = lars_scale(grad, np.array([2.0, 0.0]), HyperParams(
-        lr_gamma=0.1, lars_trust=1.0, weight_decay=0.0))
-    ratio = float(np.linalg.norm(scaled) / np.linalg.norm(grad))
+    scaled = trust_scale(grad, np.array([2.0, 0.0]), [(0, 2)], 1.0, 0.0)
+    ratio = float(np.sqrt(row_dots(scaled, scaled))
+                  / np.sqrt(row_dots(grad, grad)))
     return [
         ("warmup increment formula", abs(inc - want) <= 1e-12,
          f"{inc!r} vs {want!r}"),

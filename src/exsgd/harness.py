@@ -54,7 +54,7 @@ from . import objectives, theory
 from .cluster import (ClusterConfig, cached_indices, draw_batches,
                       reduce_mean)  # noqa: F401
 from .objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
-                         estimate_constants, initial_point)
+                         estimate_constants, initial_point, row_dots)
 from .optimizers import (NOISE_NONE, HyperParams, NoiseSpec, PostLocalConfig,
                          Schedule, NumericAbort, effective_gamma_hat, init_state,
                          lookahead, lr_series, noise_second_moment, step_adam,
@@ -232,7 +232,7 @@ def _full_grad_norm2s(obj, points, weight_decay):
     g = batch_gradient(obj, points, range(obj.sample_count))
     if weight_decay != 0.0:
         g = g + weight_decay * points
-    return np.vecdot(g, g).tolist()
+    return row_dots(g, g).tolist()
 
 
 def _train_losses(obj, points, weight_decay):
@@ -242,7 +242,7 @@ def _train_losses(obj, points, weight_decay):
     if weight_decay == 0.0:
         return losses
     return [loss + 0.5 * weight_decay * norm2
-            for loss, norm2 in zip(losses, np.vecdot(points, points).tolist())]
+            for loss, norm2 in zip(losses, row_dots(points, points).tolist())]
 
 
 def _evaluate_pending(obj, weight_decay, pending, half_rows, x_rows, series):
@@ -289,7 +289,7 @@ def _constants(obj, x0, weight_decay, horizon_T=0):
         return constants
     return dataclasses.replace(
         constants, lipschitz_L=constants.lipschitz_L + weight_decay,
-        r0=constants.r0 + 0.5 * weight_decay * float(x0 @ x0))
+        r0=constants.r0 + 0.5 * weight_decay * float(row_dots(x0, x0)))
 
 
 def _step_once(config, state, obj, cl, batches, hp_t, seed):
@@ -747,13 +747,16 @@ def write_outputs(result, out_dir):
 # studies
 # ---------------------------------------------------------------------------
 
-def speedup_study(base, kb_grid, epsilon, budget_factor=4):
+_SPEEDUP_BUDGET = 4     # a speedup point's trials run at most 4 T_eps steps
+
+
+def speedup_study(base, kb_grid, epsilon):
     """Steps-to-epsilon per aggregate batch size KB.
 
     For each (K, B): the horizon T_eps at which the tuned bound first reaches
     epsilon fixes the stepsize (theory.tuned_hyperparams at that horizon);
     trials then run until the recorded grad_norm2 drops to epsilon, with a
-    budget of budget_factor * T_eps steps (censored entries report no finite
+    budget of _SPEEDUP_BUDGET * T_eps steps (censored entries report no finite
     steps-to-epsilon).  The returned table carries the per-point tuned gamma,
     whether it sits at the stability cap, and the unit-constant critical KB
     evaluated at the first grid point's horizon for context.  Every point's
@@ -791,7 +794,7 @@ def speedup_study(base, kb_grid, epsilon, budget_factor=4):
             critical_kb = theory.critical_batch_size(base.method, const_t, u)
         cfg = dataclasses.replace(base, cluster=cl, hyperparams=hp,
                                   schedule=None, record_virtual_sequence=False,
-                                  total_steps_T=max(1, budget_factor * t_eps))
+                                  total_steps_T=max(1, _SPEEDUP_BUDGET * t_eps))
         steps, censored = [], 0
         for tr in _trial_results(cfg, stop_epsilon=epsilon):
             if tr.reached_epsilon:

@@ -381,6 +381,14 @@ def _batch_mean(a):
     return np.add.reduce(a, -2) / a.shape[-2]
 
 
+def row_dots(a, b):
+    """Each row's (last axis) dot of the broadcast stacks `a` and `b`, bitwise
+    `a_row @ b_row`; its `np.sqrt` is bitwise `np.linalg.norm(a_row)`.  Every
+    vector dot and norm of the package is this one BLAS `ddot` call, whose
+    last bits depend on the SIMD kernel the host's BLAS picks."""
+    return np.vecdot(a, b)
+
+
 def _quad_apply(obj, vecs):
     """A @ v for a single vector or row-wise for a matrix of vectors."""
     if obj.quad_matrix is not None:
@@ -473,7 +481,7 @@ def batch_loss(obj, values, indices):
             obj.logit_features[rows], values[..., None])[..., 0]
         # log(1+exp(-m)) computed stably; the l2 term is one dot per point.
         loss = np.logaddexp(0.0, -margin).mean(axis=-1)
-        loss = loss + np.vecdot(0.5 * obj.logit_l2 * values, values)
+        loss = loss + row_dots(0.5 * obj.logit_l2 * values, values)
     else:
         _, _, resid = _mlp_forward(obj, values, rows)
         loss = 0.5 * np.sum(resid * resid, axis=-1).mean(axis=-1)
@@ -514,10 +522,10 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0):
         lip = 0.0
         for _ in range(int(probe_budget)):
             direction = rng.standard_normal(obj.dimension)
-            direction /= np.linalg.norm(direction)
+            direction /= np.sqrt(row_dots(direction, direction))
             step = 0.1 * rng.uniform(0.5, 2.0)
-            g1 = batch_gradient(obj, x0 + step * direction, range(obj.sample_count))
-            lip = max(lip, float(np.linalg.norm(g1 - g0) / step))
+            diff = batch_gradient(obj, x0 + step * direction, range(obj.sample_count)) - g0
+            lip = max(lip, float(np.sqrt(row_dots(diff, diff)) / step))
         f_star = obj.mlp_f_star
     r0 = max(0.0, batch_loss(obj, x0, range(obj.sample_count)) - f_star)
     return TheoryConstants(
@@ -535,15 +543,15 @@ def _sigma2_at(obj, values):
 
     The per-sample gradients come from stacked oracle calls on (n, 1) index
     matrices, n rows of at most about _SIGMA2_BLOCK doubles at a time; row i
-    is bitwise the call on [i], and the max runs in sample order."""
+    is bitwise the call on [i], and the max skips a NaN as Python's does."""
     gbar = batch_gradient(obj, values, range(obj.sample_count))
     samples = np.arange(obj.sample_count)[:, None]
     rows = max(1, _SIGMA2_BLOCK // obj.dimension)
     worst = 0.0
     for start in range(0, obj.sample_count, rows):
-        for dev in batch_gradient(obj, values, samples[start:start + rows]) - gbar:
-            worst = max(worst, float(dev @ dev))
-    return worst
+        dev = batch_gradient(obj, values, samples[start:start + rows]) - gbar
+        worst = np.fmax.reduce(row_dots(dev, dev), initial=worst)
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ import numpy as np
 # map_workers is unused by the steps; benchmark/tracer.py patches
 # this name, so the import stays until the tracer changes with it.
 from .cluster import map_workers, reduce_mean  # noqa: F401
-from .objectives import batch_gradient
+from .objectives import batch_gradient, row_dots
 
 NOISE_NONE = "none"
 ISO_GAUSSIAN = "isotropic_gaussian"
@@ -278,27 +278,23 @@ def _worker_grads(obj, halves, batches, hp, extrap_b):
     return grads, past
 
 
-def lars_scale(grad_block, x_block, hp):
-    """Trust-ratio rescaling of one gradient block; direction unchanged.
-
-    scale = trust * ||x_j|| / (||g_j|| + lambda ||x_j||); zero-weight or
-    zero-denominator blocks get scale 0 (block update suppressed).
-    """
-    x_norm = float(np.linalg.norm(x_block))
-    denom = float(np.linalg.norm(grad_block)) + hp.weight_decay * x_norm
-    if x_norm == 0.0 or denom == 0.0:
-        return np.zeros_like(grad_block)
-    return (hp.lars_trust * x_norm / denom) * grad_block
-
-
-def apply_lars(grad, x_values, partition, hp):
-    """`lars_scale` on each block of `partition`; a stack of gradients,
-    (..., d), is scaled vector by vector, each with its own `x_values` row."""
-    out = np.empty_like(grad)
-    for row in np.ndindex(grad.shape[:-1]):
-        g, x, o = grad[row], x_values[row], out[row]
-        for start, stop in partition:
-            o[start:stop] = lars_scale(g[start:stop], x[start:stop], hp)
+def trust_scale(v, x, partition, trust, decay):
+    """Block j of each row of the (..., d) stack `v` scaled by the trust ratio
+    trust ||x_j|| / (||v_j|| + decay ||x_j||), `x` the rows' weights (an
+    (R, d) `x` is shared by the workers of an (R, K, d) `v`); a block with
+    zero weights or a zero denominator is suppressed to +0.0.  LARS is
+    (lars_trust, weight_decay); filter-scaled noise, ||x_j|| zeta_j /
+    ||zeta_j||, is (1, 0)."""
+    if x.ndim < v.ndim:
+        x = x[:, None]
+    out = np.zeros(v.shape)
+    for start, stop in partition:
+        vj, xj = v[..., start:stop], x[..., start:stop]
+        x_norm = np.sqrt(row_dots(xj, xj))
+        denom = np.sqrt(row_dots(vj, vj)) + decay * x_norm
+        keep = (x_norm != 0.0) & (denom != 0.0)
+        scale = trust * x_norm / np.where(keep, denom, 1.0)
+        out[..., start:stop] = np.where(keep[..., None], scale[..., None] * vj, 0.0)
     return out
 
 
@@ -348,7 +344,8 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
     grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
     g = reduce_mean(grads)
     _check_finite(state, "reduced gradient", g)
-    g_used = apply_lars(g, x, obj.partition, hp) if hp.lars_trust > 0 else g
+    g_used = (trust_scale(g, x, obj.partition, hp.lars_trust, hp.weight_decay)
+              if hp.lars_trust > 0 else g)
     if rule == _ADAM_RULE:
         m_new = hp.adam_beta1 * state.adam_m + (1.0 - hp.adam_beta1) * g_used
         v_new = hp.adam_beta2 * state.adam_v + (1.0 - hp.adam_beta2) * g_used * g_used
@@ -384,8 +381,8 @@ def _step_tail(state, x_new, past, halves, g_bar, xi_bar):
         dispersion = [0.0] * len(x_new)
     else:
         spread = state.local_x - x_new[:, None]
-        dispersion = [max(float(np.linalg.norm(row)) for row in trial)
-                      for trial in spread]
+        dispersion = np.fmax.reduce(np.sqrt(row_dots(spread, spread)), -1,
+                                    initial=0.0).tolist()
     state.last_info = {
         "x_half_bar": half_bar, "g_bar": g_bar,
         "xi_bar": xi_bar if xi_bar is not None else np.zeros(x_new.shape),
@@ -481,8 +478,7 @@ def draw_noise_directions(noise, state, rngs, n_workers, partition):
                     for rng in rngs])
     if not noise.filter_scaled:
         return raw
-    return np.array([[_filter_scale(z, x_r, partition) for z in zs]
-                     for zs, x_r in zip(raw, x)])
+    return trust_scale(raw, x, partition, 1.0, 0.0)
 
 
 def _raw_noise(noise, rng, n_workers, d):
@@ -496,18 +492,6 @@ def _raw_noise(noise, rng, n_workers, d):
     if noise.kind == ISO_UNIFORM:
         return rng.uniform(-noise.raw_scale, noise.raw_scale, (n_workers, d))
     raise ValueError(f"noise kind {noise.kind!r} draws no extrapolation direction")
-
-
-def _filter_scale(zeta, x, partition):
-    """Per block: ||x_block|| * zeta_block / ||zeta_block||; zero-norm blocks
-    (either side) produce zero noise for that block."""
-    out = np.zeros_like(zeta)
-    for start, stop in partition:
-        x_norm = np.linalg.norm(x[start:stop])
-        z_norm = np.linalg.norm(zeta[start:stop])
-        if x_norm > 0.0 and z_norm > 0.0:
-            out[start:stop] = (x_norm / z_norm) * zeta[start:stop]
-    return out
 
 
 def step_adam(state, obj, batches, hp):
@@ -549,8 +533,8 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     halves, xi_bar = lookahead(state, hp, batches.shape[1], "past")
     grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
     _check_finite(state, "local gradients", grads)
-    g_used = (apply_lars(grads, state.local_x, obj.partition, hp)
-              if hp.lars_trust > 0 else grads)
+    g_used = (trust_scale(grads, state.local_x, obj.partition, hp.lars_trust,
+                          hp.weight_decay) if hp.lars_trust > 0 else grads)
     local_v = _momentum_update(state.local_v, hp.momentum_u, hp.lr_gamma, g_used)
     local_x = state.local_x + local_v
     mean_x = reduce_mean(local_x)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import _SIGMA2_BLOCK, batch_gradient
+from .objectives import _SIGMA2_BLOCK, batch_gradient, row_dots
 from .optimizers import HyperParams, effective_gamma_hat
 
 _REL_SLACK = 1e-12
@@ -407,10 +407,10 @@ def smoothness_estimates(obj, x_rows, updates, probes=8, fraction=0.30):
                          f"and > 0, got probes={probes}, fraction={fraction}")
     x_rows = np.asarray(x_rows, dtype=np.float64)
     updates = np.asarray(updates, dtype=np.float64)
-    best = [0.0] * len(x_rows)
-    moving = [r for r, u in enumerate(updates) if float(np.linalg.norm(u)) != 0.0]
+    best = np.zeros(len(x_rows))
+    moving = np.flatnonzero(row_dots(updates, updates) != 0.0).tolist()
     if not moving:
-        return best
+        return best.tolist()
     steps = np.array([j * fraction for j in range(1, probes + 1)])
     deltas = steps[:, None] * updates[moving, None]         # (M, probes, d)
     bases = x_rows[moving, None]
@@ -420,7 +420,7 @@ def smoothness_estimates(obj, x_rows, updates, probes=8, fraction=0.30):
     grads = np.concatenate([
         batch_gradient(obj, points[lo:lo + size], range(obj.sample_count))
         for lo in range(0, len(points), size)]).reshape(len(moving), probes + 1, -1)
-    for r, g, delta in zip(moving, grads[:, 1:] - grads[:, :1], deltas):
-        for g_j, delta_j in zip(g, delta):
-            best[r] = max(best[r], float(np.linalg.norm(g_j) / np.linalg.norm(delta_j)))
-    return best
+    g = grads[:, 1:] - grads[:, :1]
+    ratios = np.sqrt(row_dots(g, g)) / np.sqrt(row_dots(deltas, deltas))
+    best[moving] = np.fmax.reduce(ratios, -1, initial=0.0)   # skips NaN as max
+    return best.tolist()

@@ -15,7 +15,8 @@ from exsgd.objectives import (ObjectiveSpec, _batch_mean, _sigma2_at,
                               _sigmoid, batch_gradient,
                               batch_loss, estimate_constants,
                               finite_difference_gradient, initial_point,
-                              make_logistic, make_quadratic, make_tiny_mlp)
+                              make_logistic, make_quadratic, make_tiny_mlp,
+                              row_dots)
 from exsgd.optimizers import HyperParams, _batch_grad, _worker_grads
 
 
@@ -347,6 +348,29 @@ def test_reduce_mean_of_stacked_rows_is_the_ascending_add(seed, workers, dim):
                                  rows[0].copy()) / workers
     assert_array_equal(reduce_mean(rows), reduce_mean(list(rows)))
     assert_array_equal(reduce_mean(rows), ascending)
+
+
+@given(seed=st.integers(0, 2**31 - 1), trials=st.integers(1, 3),
+       workers=st.integers(1, 4), dim=st.integers(1, 9), shared=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_row_dots_of_block_views_are_bitwise_row_dots(seed, trials, workers,
+                                                      dim, shared):
+    # The trust scale and the dispersion take norms of block views of an
+    # (R, K, d) stack, or of an (R, 1, d) stack a trial's workers share;
+    # each must be bitwise the `@` and `np.linalg.norm` of that row alone.
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((trials, 1 if shared else workers, dim)) * 1e3
+    if shared:
+        stack = np.broadcast_to(stack, (trials, workers, dim))
+    cuts = sorted(rng.choice(np.arange(1, dim), rng.integers(0, dim), replace=False))
+    for start, stop in zip([0] + cuts, cuts + [dim]):
+        block = stack[..., start:stop]
+        dots = row_dots(block, block)
+        norms = np.sqrt(dots)
+        for row in np.ndindex(block.shape[:-1]):
+            v = block[row].copy()
+            assert dots[row].hex() == float(v @ v).hex()
+            assert norms[row].hex() == float(np.linalg.norm(v)).hex()
 
 
 @given(kind=st.sampled_from(["quadratic", "quadratic_matrix"]),

@@ -17,12 +17,12 @@ from exsgd.optimizers import (ANISO_STOCHASTIC, CONSTANT, INVERSE_SQRT,
                               ISO_GAUSSIAN, ISO_UNIFORM, SMOOTHOUT_SHARED,
                               WARMUP_CONSTANT, WARMUP_STEP_DECAY, HyperParams,
                               NoiseSpec, NumericAbort, PostLocalConfig,
-                              Schedule, apply_lars, draw_noise_directions,
-                              effective_gamma_hat, init_state, lars_scale,
-                              lr_series, noise_second_moment, step_adam,
+                              Schedule, draw_noise_directions,
+                              effective_gamma_hat, init_state, lr_series,
+                              noise_second_moment, step_adam,
                               step_extrap_adam, step_extrap_sgd,
                               step_extrapolated_noise, step_minibatch_sgd,
-                              step_nesterov, step_post_local,
+                              step_nesterov, step_post_local, trust_scale,
                               warmup_increment)
 
 
@@ -330,13 +330,18 @@ def test_anisotropic_directions_are_centered_past_gradients():
 
 def test_filter_scaled_noise_matches_block_norms():
     obj = dataclasses.replace(make_quadratic(4, 8), partition=[(0, 2), (2, 4)])
-    st = init_state(initial_point(obj)[None], 1)
-    st.x = np.array([[3.0, 4.0, 0.0, 0.0]])
+    st = init_state(np.zeros((2, 4)), 3)
+    st.x = np.array([[3.0, 4.0, 0.0, 0.0], [1.0, -2.0, 0.5, 0.25]])
     noise = NoiseSpec(kind=ISO_UNIFORM, raw_scale=1.0, filter_scaled=True)
-    z, = draw_noise_directions(noise, st, [np.random.default_rng(5)], 1,
-                               obj.partition)[0]
-    assert_allclose(np.linalg.norm(z[:2]), 5.0, rtol=1e-14)
-    assert_array_equal(z[2:], 0.0)      # zero-norm weight block stays quiet
+    z = draw_noise_directions(noise, st, [np.random.default_rng(s) for s in (5, 6)],
+                              3, obj.partition)
+    assert_allclose(np.linalg.norm(z[0, :, :2], axis=-1), 5.0, rtol=1e-14)
+    assert_array_equal(z[0, :, 2:], 0.0)    # zero-norm weight block stays quiet
+    raw = draw_noise_directions(dataclasses.replace(noise, filter_scaled=False), st,
+                                [np.random.default_rng(s) for s in (5, 6)],
+                                3, obj.partition)
+    want = _filter_scale_loop(raw, st.x, obj.partition)
+    assert_array_equal(z.view(np.uint64), want.view(np.uint64))
 
 
 def test_noise_second_moment_values():
@@ -395,29 +400,95 @@ def test_noise_spec_validation():
 # ---------------------------------------------------------------------------
 
 def test_lars_scale_hand_value():
-    hp = HyperParams(lr_gamma=1.0, lars_trust=1.0, weight_decay=0.0)
     x = np.array([2.0, 0.0])
     g = np.array([0.0, 4.0])
-    scaled = lars_scale(g, x, hp)
+    scaled = trust_scale(g, x, [(0, 2)], 1.0, 0.0)
     assert np.linalg.norm(scaled) / np.linalg.norm(g) == 0.5   # 1 * 2 / 4
-    assert_array_equal(lars_scale(g, np.zeros(2), hp), 0.0)
-    assert_array_equal(lars_scale(np.zeros(2), x, hp), 0.0)
+    assert_array_equal(trust_scale(g, np.zeros(2), [(0, 2)], 1.0, 0.0), 0.0)
+    assert_array_equal(trust_scale(np.zeros(2), x, [(0, 2)], 1.0, 0.0), 0.0)
 
 
 def test_lars_weight_decay_in_denominator():
-    hp = HyperParams(lr_gamma=1.0, lars_trust=0.1, weight_decay=0.5)
     x, g = np.array([3.0, 4.0]), np.array([0.0, 2.0])
     want = 0.1 * 5.0 / (2.0 + 0.5 * 5.0)
-    assert_allclose(lars_scale(g, x, hp), want * g, rtol=1e-15)
+    assert_allclose(trust_scale(g, x, [(0, 2)], 0.1, 0.5), want * g, rtol=1e-15)
 
 
 def test_apply_lars_is_blockwise():
-    hp = HyperParams(lr_gamma=1.0, lars_trust=1.0)
     x = np.array([2.0, 0.0, 1.0])
     g = np.array([4.0, 0.0, 1.0])
-    out = apply_lars(g, x, [(0, 2), (2, 3)], hp)
+    out = trust_scale(g, x, [(0, 2), (2, 3)], 1.0, 0.0)
     assert_allclose(out[:2], 0.5 * g[:2], rtol=1e-15)
     assert_allclose(out[2:], 1.0 * g[2:], rtol=1e-15)
+
+
+def _lars_scale_loop(v, x, partition, trust, decay):
+    """The reference trust scale: LARS one block of one row at a time, each
+    zero-weight or zero-denominator block suppressed to +0.0."""
+    x = np.broadcast_to(x if x.ndim == v.ndim else x[:, None], v.shape)
+    out = np.empty_like(v)
+    for row in np.ndindex(v.shape[:-1]):
+        for start, stop in partition:
+            g, w = v[row][start:stop], x[row][start:stop]
+            x_norm = float(np.linalg.norm(w))
+            denom = float(np.linalg.norm(g)) + decay * x_norm
+            if x_norm == 0.0 or denom == 0.0:
+                out[row][start:stop] = np.zeros_like(g)
+            else:
+                out[row][start:stop] = (trust * x_norm / denom) * g
+    return out
+
+
+def _filter_scale_loop(zeta, x, partition):
+    """The reference filter scale: ||x_j|| zeta_j / ||zeta_j|| one block of
+    one row at a time, zero-norm blocks (either side) left +0.0."""
+    x = np.broadcast_to(x if x.ndim == zeta.ndim else x[:, None], zeta.shape)
+    out = np.zeros_like(zeta)
+    for row in np.ndindex(zeta.shape[:-1]):
+        for start, stop in partition:
+            x_norm = np.linalg.norm(x[row][start:stop])
+            z_norm = np.linalg.norm(zeta[row][start:stop])
+            if x_norm > 0.0 and z_norm > 0.0:
+                out[row][start:stop] = (x_norm / z_norm) * zeta[row][start:stop]
+    return out
+
+
+def _with_zeros(rng, a, partition):
+    """`a` with some blocks of rows all zero and some entries +0.0 or -0.0."""
+    a = a.copy()
+    for row in np.ndindex(a.shape[:-1]):
+        for start, stop in partition:
+            if rng.random() < 0.25:
+                a[row][start:stop] = 0.0
+    spots = rng.random(a.shape)
+    a[spots < 0.1] = 0.0
+    a[(spots >= 0.1) & (spots < 0.2)] = -0.0
+    return a
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 3),
+       workers=st.integers(1, 3), dim=st.integers(1, 7),
+       x_shape=st.sampled_from(["(R, d)", "(R, 1, d)", "(R, K, d)", "flat"]),
+       trust=st.floats(1e-3, 10.0), decay=st.floats(1e-3, 5.0))
+@settings(max_examples=150, deadline=None)
+def test_trust_scale_is_the_per_row_block_loop(seed, trials, workers, dim,
+                                               x_shape, trust, decay):
+    # "flat" is the (R, d) stack of a synchronized LARS step; the others are
+    # an (R, K, d) stack of worker vectors against each x shape.
+    rng = np.random.default_rng(seed)
+    cuts = sorted(rng.choice(np.arange(1, dim), rng.integers(0, dim), replace=False))
+    partition = list(zip([0] + cuts, cuts + [dim]))
+    v_lead = (trials,) if x_shape == "flat" else (trials, workers)
+    x_lead = {"(R, 1, d)": (trials, 1), "(R, K, d)": (trials, workers)}.get(
+        x_shape, (trials,))
+    v = _with_zeros(rng, rng.standard_normal(v_lead + (dim,)), partition)
+    x = _with_zeros(rng, rng.standard_normal(x_lead + (dim,)), partition)
+    for got, want in ((trust_scale(v, x, partition, trust, decay),
+                       _lars_scale_loop(v, x, partition, trust, decay)),
+                      (trust_scale(v, x, partition, 1.0, 0.0),
+                       _filter_scale_loop(v, x, partition))):
+        assert got.shape == v.shape
+        assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_lars_applies_to_sgd_update():
@@ -466,6 +537,26 @@ def test_post_local_dispersion_pattern():
             assert disp > 0.0
             seen_positive += 1
     assert seen_positive >= 6
+
+
+def test_post_local_dispersion_is_the_per_row_norm_max():
+    obj = make_quadratic(5, 64, generator_seed=11, shift_spread=2.0)
+    cfg = ClusterConfig(workers_K=4, local_batch_B=4)
+    hp = HyperParams(lr_gamma=0.05, momentum_u=0.5)
+    plc = PostLocalConfig(transition_step_t0=1, local_steps_H=4)
+    x0 = np.random.default_rng(3).standard_normal((3, obj.dimension))
+    st = init_state(x0, 4)
+    seen_positive = 0
+    for t in range(7):
+        step_post_local(st, obj, draw_batches(cfg, obj, t, seeds=[1, 2, 3]),
+                        hp, plc)
+        want = [0.0] * 3 if st.local_x is None else [
+            max(float(np.linalg.norm(row)) for row in trial)
+            for trial in st.local_x - st.x[:, None]]
+        got = st.last_info["worker_dispersion"]
+        assert [w.hex() for w in got] == [w.hex() for w in want]
+        seen_positive += min(got) > 0.0
+    assert seen_positive >= 3
 
 
 def test_post_local_mean_is_published_iterate():
