@@ -4,12 +4,9 @@ Seeded experiment runner.
 Composes objective + cluster + method + schedule, runs seeded trials, records
 metrics, optionally replays the trajectory through the theory checks, and
 persists everything as plain files (JSONL per trial, one manifest, CSV
-aggregates, JSON theory report).  `_dump_json` builds a payload's text,
-config dataclasses included, in one recursive pass that writes each row of a
-numeric array as one join of its elements' reprs; the text is byte for byte
-what `json.dump(..., sort_keys=True, indent=1)` writes for `_jsonable`'s form
-of the payload.  `_record_line` builds each JSONL record line from the
-record's fields the same way.
+aggregates, JSON theory report).  The manifest writes a maker-built
+objective as its maker call (`ObjectiveSpec.maker_call`), which `from_doc`
+rebuilds bitwise, and any other objective field by field.
 
 Determinism contract: every trial is a pure function of (master_seed, trial
 index) and the config, and output files contain no timestamps or environment
@@ -43,6 +40,7 @@ import itertools
 import json
 import math
 import os
+import re
 import reprlib
 import typing
 from dataclasses import dataclass, field
@@ -572,9 +570,7 @@ def run(config, threads=1):
 
 def _jsonable(value):
     if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f" and not np.isfinite(value).all():
-            return _jsonable(value.tolist())
-        return value.tolist()
+        return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
         return _jsonable(value.item())
     if isinstance(value, float) and not math.isfinite(value):
@@ -582,6 +578,8 @@ def _jsonable(value):
         if math.isnan(value):
             return None
         return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, ObjectiveSpec) and value.maker_call is not None:
+        return _jsonable(value.maker_call)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _jsonable(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
@@ -592,102 +590,28 @@ def _jsonable(value):
     return value
 
 
-def _json_text(value, level=0):
-    """`json.dumps(_jsonable(value), sort_keys=True, indent=1,
-    allow_nan=False)`, byte for byte, built in one recursive pass: each row of
-    an int or float array is one join of its elements' reprs.  What this pass
-    does not build itself (an array of another dtype, a dict with a non-str
-    key, an unknown type) goes through that very call, indented to `level`."""
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        if value.ndim == 0:
-            return _json_text(value.tolist(), level)
-        if value.ndim > 1:
-            return _json_block("[", "]", [_json_text(row, level + 1)
-                                          for row in value], level)
-        items = value.tolist()
-        finite = value.dtype.kind != "f" or np.isfinite(value).all()
-        return _json_block("[", "]", map(repr if finite else _json_float, items),
-                           level)
-    if isinstance(value, (np.floating, np.integer)):
-        return _json_text(value.item(), level)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        value = {f.name: getattr(value, f.name)
-                 for f in dataclasses.fields(value)}
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        return _json_block("{", "}", [
-            f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(v, level + 1)}"
-            for k, v in sorted(value.items())], level)
-    if isinstance(value, (list, tuple)):
-        return _json_block("[", "]", [_json_text(v, level + 1) for v in value],
-                           level)
-    text = json.dumps(_jsonable(value), sort_keys=True, indent=1, allow_nan=False)
-    return text.replace("\n", "\n" + " " * level)
-
-
-def _json_float(value):
-    """A float as `json` writes `_jsonable`'s form of it."""
-    if math.isfinite(value):
-        return float.__repr__(value)
-    if math.isnan(value):
-        return "null"
-    return '"Infinity"' if value > 0 else '"-Infinity"'
-
-
-# ("name", '"name": ') for each MetricsRecord field, in sorted-key order.
-_RECORD_KEYS = [(name, json.dumps(name) + ": ") for name in
-                sorted(f.name for f in dataclasses.fields(MetricsRecord))]
-
-
-def _record_line(record):
-    """`json.dumps(_jsonable(record), sort_keys=True, allow_nan=False)` and a
-    newline, byte for byte, built directly from the record's fields."""
-    return "{" + ", ".join([key + _json_line_value(getattr(record, name))
-                            for name, key in _RECORD_KEYS]) + "}\n"
-
-
-def _json_line_value(value):
-    """`json.dumps(_jsonable(value), sort_keys=True, allow_nan=False)`: a
-    float, an int or a dict of them with str keys written directly, any other
-    value through that very call."""
-    kind = type(value)
-    if kind is float:
-        return _json_float(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is dict and all(type(k) is str for k in value):
-        return "{" + ", ".join([
-            f"{json.encoder.encode_basestring_ascii(k)}: {_json_line_value(v)}"
-            for k, v in sorted(value.items())]) + "}"
-    return json.dumps(_jsonable(value), sort_keys=True, allow_nan=False)
-
-
-def _json_block(open_, close, items, level):
-    """`items`, the texts of a container's entries, one per line at `level` + 1."""
-    pad = "\n" + " " * (level + 1)
-    body = ("," + pad).join(items)
-    if not body:
-        return open_ + close
-    return f"{open_}{pad}{body}\n{' ' * level}{close}"
-
-
 def _dump_json(payload, path):
-    text = _json_text(payload)
+    """`_jsonable`'s form of `payload` as strict JSON at `path`; the text is
+    built before the file is opened, so a value JSON cannot hold raises
+    TypeError and writes nothing."""
+    text = json.dumps(_jsonable(payload), sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_outputs(result, out_dir):
-    """manifest.json + trial_<i>.jsonl + aggregate.csv (+ theory_report.json)."""
+    """manifest.json + trial_<i>.jsonl + aggregate.csv (+ theory_report.json);
+    an earlier run's trial file or theory report that this run does not write
+    is removed, so `out_dir` ends as a fresh directory would."""
     os.makedirs(out_dir, exist_ok=True)
+    report = any(tr.virtual_sequence is not None or tr.rate_error
+                 for tr in result.trials)
+    written = {f"trial_{tr.trial}.jsonl" for tr in result.trials} | (
+        {"theory_report.json"} if report else set())
+    for name in os.listdir(out_dir):
+        if (name not in written
+                and re.fullmatch(r"trial_[0-9]+\.jsonl|theory_report\.json", name)):
+            os.remove(os.path.join(out_dir, name))
     from . import __version__
     manifest = {
         "version": __version__,
@@ -697,14 +621,12 @@ def write_outputs(result, out_dir):
     _dump_json(manifest, os.path.join(out_dir, "manifest.json"))
 
     for tr in result.trials:
-        path = os.path.join(out_dir, f"trial_{tr.trial}.jsonl")
-        with open(path, "w") as fh:
-            fh.write("".join(map(_record_line, tr.records)))
-            if tr.aborted:
-                fh.write(json.dumps({"abort": tr.abort_detail,
-                                     "step": tr.steps_done},
-                                    sort_keys=True, allow_nan=False))
-                fh.write("\n")
+        lines = tr.records + ([{"abort": tr.abort_detail, "step": tr.steps_done}]
+                              if tr.aborted else [])
+        with open(os.path.join(out_dir, f"trial_{tr.trial}.jsonl"), "w") as fh:
+            fh.write("".join(json.dumps(_jsonable(line), sort_keys=True,
+                                        allow_nan=False) + "\n"
+                             for line in lines))
 
     agg_path = os.path.join(out_dir, "aggregate.csv")
     with open(agg_path, "w", newline="") as fh:
@@ -722,7 +644,7 @@ def write_outputs(result, out_dir):
                         repr(min(gns)) if gns else "",
                         int(tr.aborted)])
 
-    if any(tr.virtual_sequence is not None or tr.rate_error for tr in result.trials):
+    if report:
         payload = {"trials": []}
         for tr in result.trials:
             entry = {"trial": tr.trial, "seed": tr.seed}

@@ -13,7 +13,9 @@ Everything is float64 and deterministic: datasets are regenerated from
 evaluation contains no internal randomness.
 """
 
+import copy
 import functools
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,13 @@ class ObjectiveSpec:
     `partition` is the block (filter/layer) split that LARS and filter-scaled
     noise read: (start, stop) index ranges that are disjoint, ordered and
     cover [0, d) exactly.  None means one block covering every parameter.
+
+    `maker_call` is the config document of the maker call that built the
+    objective, or None: a plain attribute, not a field, so `==` ignores it
+    and `dataclasses.replace`, whose objective may differ, drops it.
     """
+
+    maker_call = None
 
     kind: str
     dimension: int
@@ -168,6 +176,29 @@ def _check_sizes(**sizes):
             raise ValueError(f"{name} must be >= 1, got {size}")
 
 
+def _records_call(maker):
+    """`maker`, setting `maker_call` = {"maker": kind, every argument with
+    defaults applied} on each objective it returns.  Arrays are kept as
+    float64 copies and the rest as deep copies, so mutating an argument later
+    cannot change the record, and a call rebuilt from it records the same."""
+    signature = inspect.signature(maker)
+
+    @functools.wraps(maker)
+    def make(*args, **kwargs):
+        obj = maker(*args, **kwargs)
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        obj.maker_call = {"maker": obj.kind, **{
+            name: (np.array(value, dtype=np.float64)
+                   if value is not None
+                   and signature.parameters[name].annotation is np.ndarray
+                   else copy.deepcopy(value))
+            for name, value in call.arguments.items()}}
+        return obj
+    return make
+
+
+@_records_call
 def make_quadratic(dimension: int, sample_count: int, generator_seed: int = 0,
                    diag: np.ndarray = None, matrix: np.ndarray = None,
                    shifts: np.ndarray = None, shift_spread: float = 1.0,
@@ -196,6 +227,7 @@ def make_quadratic(dimension: int, sample_count: int, generator_seed: int = 0,
         quad_shifts=shifts).validate()
 
 
+@_records_call
 def make_logistic(dimension: int, sample_count: int, generator_seed: int = 0,
                   l2: float = 0.0, features: np.ndarray = None,
                   labels: np.ndarray = None, feature_scale: float = 1.0):
@@ -216,6 +248,7 @@ def make_logistic(dimension: int, sample_count: int, generator_seed: int = 0,
         logit_labels=labels, logit_l2=float(l2)).validate()
 
 
+@_records_call
 def make_tiny_mlp(widths: tuple[int, ...], sample_count: int,
                   generator_seed: int = 0, input_scale: float = 1.0,
                   target_noise: float = 0.1, f_star: float = 0.0):

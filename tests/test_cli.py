@@ -386,6 +386,37 @@ def test_manifest_config_replays_byte_identical(method, kind, mode,
                                os.path.join(second, name), shallow=False), name
 
 
+def test_manifest_objective_is_the_config_makers_call(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["objective"] == dict(BASE_CONFIG["objective"], diag=None,
+                                       matrix=None, shifts=None)
+
+
+@pytest.mark.parametrize("kind,override", [
+    ("quadratic", "objective.quad_diag=[1, 2, 3]"),
+    ("logistic", "objective.logit_l2=0.01"),
+    ("tiny_mlp", "objective.mlp_f_star=0.001"),
+])
+def test_altered_objective_is_written_in_full_and_replays(kind, override,
+                                                          tmp_path, capsys):
+    path, first, second = (tmp_path / name for name in ("c.json", "1", "2"))
+    path.write_text(json.dumps(dict(BASE_CONFIG, objective=_OBJECTIVES[kind])))
+    assert main(["run", "--config", str(path), "--out", str(first),
+                 "--set", override]) == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    assert "maker" not in config["objective"]
+    assert config["objective"]["kind"] == kind
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(second)]) == 0
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(second))
+    for name in names:
+        assert filecmp.cmp(first / name, second / name, shallow=False), name
+    capsys.readouterr()
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 1
@@ -731,70 +762,70 @@ def _golden_post_local_reset_doc():
 # First 16 hex digits of each written file's sha256.
 GOLDEN_DIGESTS = {
     "sgd": {"aggregate.csv": "fd4829fc572c34d8",
-            "manifest.json": "01d6bcd7c7e64423",
+            "manifest.json": "a04f31612a933b7e",
             "trial_0.jsonl": "9f4d390953e5bb3f",
             "trial_1.jsonl": "fa03d543d073771e"},
     "nesterov": {"aggregate.csv": "a45e8858af9731bc",
-                 "manifest.json": "cdff6b856a80b8c7",
+                 "manifest.json": "18f3f43047b399c7",
                  "trial_0.jsonl": "fcf3c4fcbdc1057e",
                  "trial_1.jsonl": "a59ca6b8e9035013"},
     "extrap_sgd": {"aggregate.csv": "80b8d543db30c460",
-                   "manifest.json": "836a95ed8bc53c01",
+                   "manifest.json": "5271fee2e9c224ff",
                    "theory_report.json": "a36410ad036c17ec",
                    "trial_0.jsonl": "7acf27c4e1544a1b",
                    "trial_1.jsonl": "03f21fdabd3eef1a"},
     "extrap_noise": {"aggregate.csv": "19ed157f8773db7d",
-                     "manifest.json": "5c6fde025b88e8b6",
+                     "manifest.json": "feee8e74a7fe5291",
                      "theory_report.json": "cfb0f684dc2cde47",
                      "trial_0.jsonl": "4c7666951acd3165",
                      "trial_1.jsonl": "8abf34ff4b4c198f"},
     "adam": {"aggregate.csv": "f6092c06d7b1dba9",
-             "manifest.json": "9e9ff9d18cad05b1",
+             "manifest.json": "b495d19e6a2ca9a7",
              "trial_0.jsonl": "542d5e53b57206f6",
              "trial_1.jsonl": "bcf1f00cf9c07fae"},
     "extrap_adam": {"aggregate.csv": "41c438409f3a9b28",
-                    "manifest.json": "4a0da33ec045e15b",
+                    "manifest.json": "033e7f0fa9373d08",
                     "trial_0.jsonl": "f8557576fb3e5512",
                     "trial_1.jsonl": "f2338e8c9e8c3769"},
     "post_local": {"aggregate.csv": "f9a5fee495020b1e",
-                   "manifest.json": "c4fcba5237e0df0b",
+                   "manifest.json": "fdd8b54e95b1325d",
                    "trial_0.jsonl": "19f9262a4510a4bf",
                    "trial_1.jsonl": "2b2e8534e4ede4b5"},
     "tiny_mlp_extrap_noise": {"aggregate.csv": "a68b65b676c9a6fe",
-                              "manifest.json": "6b9038806c2ee90b",
+                              "manifest.json": "5e91e3e66b326fcb",
                               "theory_report.json": "e9bc7c6315e03ae0",
                               "trial_0.jsonl": "0e5e2936c819cf95",
                               "trial_1.jsonl": "f13782350d8e37e8"},
     "tiny_mlp_extrap_sgd_sub_batch": {"aggregate.csv": "0dc1670ff597b54d",
-                                      "manifest.json": "f93c52170b2c6606",
+                                      "manifest.json": "47ba712aaa23a6b8",
                                       "theory_report.json": "49b28a7973e7aa17",
                                       "trial_0.jsonl": "25f0de4e42d326db",
                                       "trial_1.jsonl": "bce9487220361c36"},
     "dense_quadratic_nesterov_decay": {"aggregate.csv": "b0565450d2e3eb8a",
-                                       "manifest.json": "271d1180d80a2024",
+                                       "manifest.json": "c46313678921a3f4",
                                        "theory_report.json": "f378f0d89c16f3c7",
                                        "trial_0.jsonl": "e6bbf084d3ad6c49",
                                        "trial_1.jsonl": "382973990ff6c0e4"},
     "tiny_mlp_extrap_sgd_decay": {"aggregate.csv": "1a666c20368eee71",
-                                  "manifest.json": "827bf3b4ab385919",
+                                  "manifest.json": "12c23ef9e7a073da",
                                   "theory_report.json": "222ae51ec84ec521",
                                   "trial_0.jsonl": "b6df5f4fd34941f6",
                                   "trial_1.jsonl": "0ccd17f10a9c06be"},
     "five_trials_schedule_smoothout_epochs": {
         "aggregate.csv": "04b95c5147a26651",
-        "manifest.json": "5db056f8fe2c0c43",
+        "manifest.json": "10d9abe0f8a3a5d3",
         "trial_0.jsonl": "2513e366ec8af90f",
         "trial_1.jsonl": "528f8b4d3c40bfc5",
         "trial_2.jsonl": "c86e521bf2cec4e8",
         "trial_3.jsonl": "eb9b72169a05eeb7",
         "trial_4.jsonl": "e53b39eb73a9c7ec"},
     "anisotropic_noise_sub_batch": {"aggregate.csv": "f531137962b618f7",
-                                    "manifest.json": "6af718f8652bde2b",
+                                    "manifest.json": "83cbe02a6e5b310a",
                                     "theory_report.json": "c906978bb17d77e1",
                                     "trial_0.jsonl": "51f15e9dff2998ff",
                                     "trial_1.jsonl": "96ac296fecd43a15"},
     "post_local_three_trials_reset": {"aggregate.csv": "17b503d0edec0f3b",
-                                      "manifest.json": "3e52ed0b1bd979f7",
+                                      "manifest.json": "d914f79ff3c4622e",
                                       "trial_0.jsonl": "9bf74ec8197d1d26",
                                       "trial_1.jsonl": "270cb75726051622",
                                       "trial_2.jsonl": "967823d24641b701"},

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -15,12 +16,12 @@ from numpy.testing import assert_array_equal
 
 from exsgd import cluster, harness, objectives, optimizers
 from exsgd.cluster import EPOCH_PERMUTATION, ClusterConfig, draw_batches
-from exsgd.harness import (MetricsRecord, RunConfig, _constants, _describe,
-                           _json_text, _jsonable, _lr_series, _replay_constants,
+from exsgd.harness import (RunConfig, _constants, _describe, _dump_json,
+                           _jsonable, _lr_series, _replay_constants,
                            _run_trials, _step_once, _terminal_half_point,
-                           _trial_results, apply_override, run, speedup_study,
-                           sweep, trial_seed, write_outputs)
-from exsgd.objectives import (MAKERS, batch_gradient, batch_loss,
+                           _trial_results, apply_override, from_doc, run,
+                           speedup_study, sweep, trial_seed, write_outputs)
+from exsgd.objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
                               estimate_constants, initial_point, make_logistic,
                               make_quadratic, make_tiny_mlp)
 from exsgd.optimizers import (ANISO_STOCHASTIC, ISO_GAUSSIAN, ISO_UNIFORM,
@@ -241,6 +242,22 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
     write_outputs(run(_base_config()), d2)
     for name in os.listdir(d1):
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
+
+
+def test_outputs_over_an_earlier_run_match_a_fresh_directory(tmp_path):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    write_outputs(run(_base_config(
+        trials=4, record_virtual_sequence=True, method="nesterov",
+        hyperparams=HyperParams(lr_gamma=0.05, momentum_u=0.5))), reused)
+    assert {"trial_3.jsonl", "theory_report.json"} <= set(os.listdir(reused))
+    (reused / "notes.txt").write_text("not a run output")
+    second = run(_base_config(trials=2))
+    write_outputs(second, reused)
+    write_outputs(second, fresh)
+    names = sorted(os.listdir(fresh))
+    assert sorted(os.listdir(reused)) == sorted(names + ["notes.txt"])
+    for name in names:
+        assert filecmp.cmp(reused / name, fresh / name, shallow=False), name
 
 
 def test_noise_method_runs_and_persists(tmp_path):
@@ -574,6 +591,95 @@ def test_whole_objective_override_regenerates_the_data():
     assert_array_equal(initial_point(out.objective), initial_point(want))
 
 
+@st.composite
+def _maker_calls(draw):
+    """(maker, keyword arguments) of a small maker call; each explicit array
+    argument is a list or an array."""
+    seed = draw(st.integers(0, 2**32))
+    n = draw(st.integers(1, 6))
+    as_given = draw(st.sampled_from([np.ndarray.tolist, np.array]))
+
+    def values(shape, elements=st.floats(-4, 4)):
+        return as_given(draw(hnp.arrays(np.float64, shape, elements=elements)))
+
+    kind = draw(st.sampled_from(sorted(MAKERS)))
+    if kind == "tiny_mlp":
+        return make_tiny_mlp, dict(
+            widths=draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)),
+            sample_count=n, generator_seed=seed)
+    d = draw(st.integers(1, 4))
+    kwargs = dict(dimension=d, sample_count=n, generator_seed=seed)
+    explicit = draw(st.booleans())
+    if kind == "logistic":
+        if explicit:
+            kwargs.update(features=values((n, d)),
+                          labels=values((n,), st.sampled_from([-1.0, 1.0])))
+        return make_logistic, dict(kwargs, l2=draw(st.sampled_from([0.0, 1e-3, 1])))
+    shape = draw(st.sampled_from(["identity", "diag", "matrix"]))
+    if shape == "diag":
+        kwargs["diag"] = values((d,), st.floats(0, 4))
+    elif shape == "matrix":
+        root = draw(hnp.arrays(np.int64, (d, d), elements=st.integers(-2, 2)))
+        kwargs["matrix"] = as_given(root @ root.T)
+    if explicit:
+        kwargs["shifts"] = values((n, d))
+    return make_quadratic, kwargs
+
+
+def _assert_same_objective(got, want):
+    for f in dataclasses.fields(ObjectiveSpec):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert a == b, f.name
+
+
+def _manifest(result, out_dir):
+    write_outputs(result, out_dir)
+    with open(os.path.join(out_dir, "manifest.json"), "rb") as fh:
+        return fh.read()
+
+
+@given(call=_maker_calls())
+@settings(max_examples=40, deadline=None)
+def test_manifest_objective_is_the_maker_call(call):
+    maker, kwargs = call
+    obj = maker(**kwargs)
+    cfg = RunConfig(objective=obj, total_steps_T=2,
+                    cluster=ClusterConfig(workers_K=1, local_batch_B=1),
+                    hyperparams=HyperParams(lr_gamma=0.01))
+    result = run(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = _manifest(result, os.path.join(tmp, "made"))
+        doc = json.loads(manifest)["config"]["objective"]
+        assert set(doc) == {"maker", *inspect.signature(maker).parameters}
+        assert doc["maker"] == obj.kind
+        rebuilt = from_doc(ObjectiveSpec, doc)
+        _assert_same_objective(rebuilt, obj)
+        # The rebuilt call records the same text: an int matrix is float64.
+        assert (json.dumps(_jsonable(rebuilt), sort_keys=True)
+                == json.dumps(doc, sort_keys=True))
+
+        # An altered objective has no call to record: it is written field by
+        # field, and its manifest's config replays every file.
+        altered = dataclasses.replace(cfg, objective=dataclasses.replace(obj))
+        first, second = os.path.join(tmp, "first"), os.path.join(tmp, "second")
+        doc = json.loads(_manifest(run(altered), first))["config"]
+        assert "maker" not in doc["objective"]
+        _manifest(run(from_doc(RunConfig, doc)), second)
+        for name in os.listdir(first):
+            assert filecmp.cmp(os.path.join(first, name),
+                               os.path.join(second, name), shallow=False), name
+
+        for value in kwargs.values():
+            if isinstance(value, list):
+                value.append(value[-1])
+            elif isinstance(value, np.ndarray):
+                value += 1
+        assert _manifest(result, os.path.join(tmp, "mutated")) == manifest
+
+
 def test_sweep_runs_each_points_own_trials():
     cfg = _base_config(trials=1)
     table = sweep(cfg, {"trials": [3]})
@@ -603,7 +709,6 @@ _JSON_VALUES = st.recursive(
     lambda inner: (st.lists(inner, max_size=4)
                    | st.tuples(inner, inner)
                    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
-                   | st.dictionaries(st.integers(), inner, max_size=3)
                    | st.builds(_Pair, inner, inner)),
     max_leaves=16)
 
@@ -613,19 +718,25 @@ _JSON_VALUES = st.recursive(
 @example(value={"rows": np.array([[1.0, 2.0], [math.nan, 3.0]]),
                 "empty": np.zeros((2, 0)), "scalar": np.float64(math.inf)})
 @settings(max_examples=200, deadline=None)
-def test_one_pass_writer_is_the_json_module_byte_for_byte(value):
-    assert _json_text(value) == json.dumps(_jsonable(value), sort_keys=True,
-                                           indent=1, allow_nan=False)
+def test_dump_json_writes_strict_json_of_the_jsonable_form(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "value.json")
+        _dump_json(value, path)
+        with open(path) as fh:
+            text = fh.read()
+    assert text.endswith("\n")
+    assert json.loads(text, parse_constant=_reject_constant) == _jsonable(value)
 
 
 @pytest.mark.parametrize("value", [np.bool_(True), {"a": [object()]},
                                    np.zeros(2, dtype=complex), {1: 1, "a": 2}])
-def test_one_pass_writer_refuses_what_the_json_module_refuses(value):
-    with pytest.raises(TypeError) as expected:
-        json.dumps(_jsonable(value), sort_keys=True, indent=1, allow_nan=False)
-    with pytest.raises(TypeError) as got:
-        _json_text(value)
-    assert str(got.value) == str(expected.value)
+def test_dump_json_refuses_what_json_cannot_hold_and_writes_nothing(value,
+                                                                    tmp_path):
+    # A writer streaming into the file would leave "head" there.
+    path = tmp_path / "value.json"
+    with pytest.raises(TypeError):
+        _dump_json({"head": list(range(10_000)), "tail": value}, path)
+    assert not path.exists()
 
 
 def _trial_in_blocks(cfg, block, **kwargs):
@@ -897,26 +1008,3 @@ def test_a_shrinking_chunk_generates_each_block_once(monkeypatch):
             trials = _trial_results(cfg, stop_epsilon=epsilon)
         ends = {tr.steps_done for tr in trials if tr.aborted or tr.reached_epsilon}
         assert len(ends) >= 2 and len(made) == len(set(made))
-
-
-_RECORD_FLOATS = _FLOATS | st.builds(np.float64, _FLOATS)
-_RECORD_VALUES = (st.integers() | _RECORD_FLOATS | st.none() | st.booleans()
-                  | st.dictionaries(st.text(max_size=4),
-                                    st.integers() | _RECORD_FLOATS, max_size=4))
-
-
-@given(record=st.builds(MetricsRecord, step=st.integers(0, 10**6),
-                        lr=_RECORD_FLOATS, train_loss=_RECORD_FLOATS,
-                        grad_norm2=_RECORD_FLOATS, smoothness_L=_RECORD_VALUES,
-                        worker_dispersion=_RECORD_VALUES,
-                        wall_events=_RECORD_VALUES))
-@example(record=MetricsRecord(step=3, lr=0.005, train_loss=math.nan,
-                              grad_norm2=math.inf, smoothness_L=-0.0,
-                              worker_dispersion=5e-324,
-                              wall_events=harness._wall_events(
-                                  ClusterConfig(workers_K=4, local_batch_B=16),
-                                  4)))
-@settings(max_examples=200, deadline=None)
-def test_record_lines_are_the_json_module_byte_for_byte(record):
-    assert harness._record_line(record) == json.dumps(
-        _jsonable(record), sort_keys=True, allow_nan=False) + "\n"
