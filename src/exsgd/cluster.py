@@ -21,9 +21,8 @@ whose entry [r, k] is worker k's block in the cluster seeded by trial r's
 seed, in a small cache keyed by the tuple of trial seeds: a chunk generates
 each block once instead of once per step, and a step copies its slice of
 that tensor (or joins the consecutive tensors a straddling batch spans) into
-one fresh tensor the caller owns.  A chunk that shrinks (a trial aborts or
-stops) reads under a new seed tuple, whose tensors take the rows of its
-remaining trials from the cached tensors of the larger tuple.
+one fresh tensor the caller owns.  A chunk reads every step under the one
+seed tuple of all its trials, also after some have aborted or stopped.
 
 The gradient reduction is a plain ascending-worker-order serial mean over
 the K rows of a (K, d) array (or a list of K vectors), or over each trial's K
@@ -93,18 +92,11 @@ def _block(seeds, mode, workers, block, n):
     by the tuple `seeds`, as a read-only (R, workers, block size) tensor (it
     is shared) whose entry [r, k] is worker k's block under `seeds[r]`.  The
     cache keeps the `_CACHE_BLOCKS` newest: a call reads its blocks in
-    ascending order.  A new tensor copies the rows that a cached tensor of
-    the same block already holds, so a chunk that shrinks to some of its
-    seeds generates no block again."""
+    ascending order."""
     key = (seeds, mode, workers, n, block)
     rows = _blocks.get(key)
     if rows is None:
-        known = {}
-        for (cached_seeds, *rest), cached in _blocks.items():
-            if rest == [mode, workers, n, block]:
-                known.update(zip(cached_seeds, cached))
-        rows = np.stack([known[seed] if seed in known
-                         else _new_block(seed, mode, workers, block, n)
+        rows = np.stack([_new_block(seed, mode, workers, block, n)
                          for seed in seeds])
         rows.setflags(write=False)
         _blocks[key] = rows

@@ -17,7 +17,8 @@ R trials, one or more, is one optimizer state of R stacked trials: each step
 draws the (R, K, B) batches of its R trial seeds in one `draw_batches` call
 and evaluates all R K workers in one oracle call, and trial r of the stack
 is bitwise the trial run alone.  A trial that aborts or stops leaves the
-stack; records and the replay stay per trial.  The `threads` argument of
+stack, and later steps keep only the running trials' rows of the chunk's
+draw; records and the replay stay per trial.  The `threads` argument of
 `run` is accepted and has no effect.
 The per-step metrics (the full-gradient norm at x_bar_{t+1/2} and the train
 loss at x_{t+1}, each a pass over all N samples) wait until a block of
@@ -243,22 +244,22 @@ def _train_losses(obj, points, weight_decay):
             for loss, norm2 in zip(losses, row_dots(points, points).tolist())]
 
 
-def _evaluate_pending(obj, weight_decay, pending, half_rows, x_rows, series):
+def _evaluate_pending(obj, weight_decay, pending, buf):
     """Evaluate the metrics of the `pending` (row, records or None) steps and
-    empty it: the full-gradient norm at the consecutive rows of `half_rows`
-    (written to `series` too, if given) and, for each step with records, the
-    train loss at its row of `x_rows`.  A row holds the (R, d) points of the
-    R running trials.  Returns the last step's gradient norms, one per
-    trial."""
-    d, trials = obj.dimension, half_rows.shape[1]
+    empty it: the full-gradient norm at the consecutive rows of buf["half"]
+    (written to buf["gn2"] too, if present) and, for each step with records,
+    the train loss at the next row of buf["x"].  A row holds the (R, d)
+    points of the R running trials.  Returns the last step's gradient norms,
+    one per trial."""
+    d, trials = obj.dimension, buf["half"].shape[1]
     lo, hi = pending[0][0], pending[-1][0] + 1
-    halves = half_rows[lo:hi].reshape(-1, d)
-    gn2s = _full_grad_norm2s(obj, halves, weight_decay)
-    if series is not None:
-        series[lo:hi] = np.reshape(gn2s, series[lo:hi].shape)
+    gn2s = _full_grad_norm2s(obj, buf["half"][lo:hi].reshape(-1, d),
+                             weight_decay)
+    if "gn2" in buf:
+        buf["gn2"][lo:hi] = np.reshape(gn2s, buf["gn2"][lo:hi].shape)
     recorded = [(row, records) for row, records in pending if records is not None]
     if recorded:
-        points = x_rows[[row for row, _ in recorded]].reshape(-1, d)
+        points = buf["x"][[row + 1 for row, _ in recorded]].reshape(-1, d)
         losses = iter(_train_losses(obj, points, weight_decay))
         for row, records in recorded:
             first = (row - lo) * trials
@@ -394,56 +395,54 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     if not method.momentum:     # the update applies none, so the replay neither
         hp = dataclasses.replace(hp, momentum_u=0.0)
     steps, d, workers = config.total_steps_T, obj.dimension, cl.workers_K
-    live = [TrialResult(trial=i, seed=trial_seed(config.master_seed, i),
-                        records=[], final_x=None, steps_done=steps)
-            for i in trials]
-    results, seeds = list(live), [tr.seed for tr in live]
+    results = [TrialResult(trial=i, seed=trial_seed(config.master_seed, i),
+                           records=[], final_x=None, steps_done=steps)
+               for i in trials]
+    # Every step draws the batches of the whole chunk under one seed tuple;
+    # the running trials are the rows `alive` of it.
+    chunk = tuple(tr.seed for tr in results)
+    alive, live, seeds = list(range(len(chunk))), list(results), list(chunk)
     x0 = initial_point(obj, config.init_scale)
-    state = init_state(np.tile(x0, (len(live), 1)), workers)
+    state = init_state(np.tile(x0, (len(chunk), 1)), workers)
     want_vs = (config.record_virtual_sequence and method.bounded
                and stop_epsilon is None)
     # Steps whose metrics are due wait in `pending` until a block of `size`
     # steps is full: one stacked call then evaluates each metric for all of
-    # them, over (capacity, N, d) doubles at most, a point per running trial
-    # and step.  A stopping rule needs every step's norms at once, so it
-    # evaluates each step on its own.
-    capacity = max(1, objectives._SIGMA2_BLOCK // (obj.sample_count * d))
-    pending, buf = [], {}
+    # them, a point per trial and step and at most `_SIGMA2_BLOCK` doubles of
+    # (point, N, d) for the whole chunk.  A stopping rule needs every step's
+    # norms at once, so it evaluates each step on its own.  A pending step's
+    # half points are row r of buf["half"] and its points row r + 1 of
+    # buf["x"], one row per trial; r is the step in a replay and the step's
+    # place in the block otherwise.
+    size = 1 if stop_epsilon is not None else min(steps, max(
+        1, objectives._SIGMA2_BLOCK // (obj.sample_count * d * len(chunk))))
+    pending, shape = [], state.x.shape
+    names = ("x", "v", "half", "xi") if want_vs else ("x", "half")
+    buf = {name: np.empty(((steps if want_vs else size) + 1,) + shape)
+           for name in names}
     if want_vs:
-        # Row t + 1 of "x" and "v" and row t of the rest hold step t's values,
-        # one row or value per trial; the replay writes the terminal half
-        # point and direction as row T.
-        shape = state.x.shape
-        buf = {name: np.empty((steps + 1,) + shape) for name in ("x", "v", "half", "xi")}
+        # Row t + 1 of "v" and row t of the rest hold step t's values too;
+        # the replay writes the terminal half point and direction as row T.
         buf["gbar"] = np.empty((steps,) + shape)
         buf["dev2"], buf["gn2"] = (np.empty((steps,) + shape[:-1]) for _ in range(2))
         buf["x"][0], buf["v"][0] = state.x, state.v
 
-    def blocks():
-        """The block size in steps, and the arrays whose rows hold a pending
-        step's half points and points (row t is step t's in a replay)."""
-        size = 1 if stop_epsilon is not None else min(
-            steps, max(1, capacity // len(live)))
-        if want_vs:
-            return size, buf["half"], buf["x"][1:]
-        return (size, *(np.empty((size,) + state.x.shape) for _ in range(2)))
-
     def keep(rows):
         """Go on with the running trials at `rows` only."""
-        nonlocal live, seeds, size, half_rows, x_rows
-        live, seeds = [live[r] for r in rows], [seeds[r] for r in rows]
+        nonlocal alive, live, seeds
+        alive = [alive[r] for r in rows]
+        live, seeds = [results[r] for r in alive], [chunk[r] for r in alive]
         if live:        # with none left the run ends
             state.keep_trials(rows)
             for name, values in buf.items():
                 buf[name] = values[:, rows]
-            size, half_rows, x_rows = blocks()
-
-    size, half_rows, x_rows = blocks()
 
     for t in range(steps):
         lr = hp.lr_gamma if lrs is None else lrs[t]
         hp_t = hp if lr == hp.lr_gamma else dataclasses.replace(hp, lr_gamma=lr)
-        batches = draw_batches(cl, obj, t, seeds)
+        batches = draw_batches(cl, obj, t, chunk)
+        if len(alive) < len(chunk):
+            batches = batches[alive]
         while True:
             x_before = state.x
             try:
@@ -451,8 +450,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                 break
             except NumericAbort as exc:
                 if pending:     # the aborting trials' earlier metrics first
-                    _evaluate_pending(obj, hp.weight_decay, pending, half_rows,
-                                      x_rows, buf.get("gn2"))
+                    _evaluate_pending(obj, hp.weight_decay, pending, buf)
                 for row in exc.trials:
                     tr = live[row]
                     tr.aborted, tr.abort_detail, tr.steps_done = True, str(exc), t
@@ -486,19 +484,16 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                     smoothness_L=sms[row], worker_dispersion=dispersion[row],
                     wall_events=_wall_events(cl, t + 1)))
                 tr.records.append(records[-1])
-        if want_vs:
-            buf["x"][t + 1], buf["v"][t + 1] = state.x, state.v
-            buf["half"][t], buf["gbar"][t], buf["xi"][t] = (
-                info["x_half_bar"], info["g_bar"], info["xi_bar"])
-            buf["dev2"][t] = info["worker_dev2"]
-            pending.append((t, records))
-        elif records is not None or stop_epsilon is not None:
-            row = len(pending)
-            half_rows[row], x_rows[row] = info["x_half_bar"], state.x
+        if want_vs or records is not None or stop_epsilon is not None:
+            row = t if want_vs else len(pending)
+            buf["half"][row], buf["x"][row + 1] = info["x_half_bar"], state.x
+            if want_vs:
+                buf["v"][t + 1], buf["gbar"][t], buf["xi"][t] = (
+                    state.v, info["g_bar"], info["xi_bar"])
+                buf["dev2"][t] = info["worker_dev2"]
             pending.append((row, records))
         if len(pending) == size:
-            gn2s = _evaluate_pending(obj, hp.weight_decay, pending, half_rows,
-                                     x_rows, buf.get("gn2"))
+            gn2s = _evaluate_pending(obj, hp.weight_decay, pending, buf)
             if stop_epsilon is not None:
                 for row, gn2 in enumerate(gn2s):
                     if gn2 <= stop_epsilon:
@@ -510,8 +505,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                     if not live:
                         break
     if pending:
-        _evaluate_pending(obj, hp.weight_decay, pending, half_rows, x_rows,
-                          buf.get("gn2"))
+        _evaluate_pending(obj, hp.weight_decay, pending, buf)
     for row, tr in enumerate(live):
         tr.final_x = state.x[row].copy()
 

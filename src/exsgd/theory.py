@@ -216,8 +216,9 @@ class RateBoundReport:
 
 def stepsize_cap(method, constants, momentum_u=0.0):
     """Largest gamma for which the method's bound is stated."""
-    L = constants.lipschitz_L
-    u = momentum_u
+    L, u = constants.lipschitz_L, momentum_u
+    if not L > 0:
+        raise ValueError(f"rate bounds need lipschitz_L > 0, got {L!r}")
     if method == SGD:
         return 1.0 / L
     if method == NESTEROV:
@@ -301,6 +302,9 @@ def critical_batch_size(method, constants, momentum_u=0.0):
     r0, T = constants.r0, constants.horizon_T
     if T < 1:
         raise ValueError("constants.horizon_T must be set (>= 1)")
+    if not L * r0 > 0:
+        raise ValueError("a critical batch size needs lipschitz_L * r0 > 0, "
+                         f"got L={L!r}, r0={r0!r}")
     base = s2 * T / (L * r0)
     u = momentum_u
     if method == SGD:

@@ -505,6 +505,41 @@ def test_speedup_with_a_bad_epsilon_exits_one_naming_the_option(
     assert captured.out == "" and not out.exists()
 
 
+# A flat quadratic (L = 0) and one whose every sample is its minimum
+# (sigma^2 = r0 = 0): the theory has no stepsize cap for the first and no
+# critical batch size for either.
+_FLAT = dict(BASE_CONFIG, record_virtual_sequence=True, objective=dict(
+    BASE_CONFIG["objective"], diag=[0.0, 0.0, 0.0]))
+_AT_MINIMUM = dict(BASE_CONFIG, method="sgd", objective=dict(
+    BASE_CONFIG["objective"], shift_spread=0.0, shift_mean=None))
+
+
+def test_run_on_a_flat_objective_records_the_rate_bound_error(tmp_path):
+    path, out = tmp_path / "flat.json", tmp_path / "o"
+    path.write_text(json.dumps(_FLAT))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "theory_report.json").read_text())
+    assert [entry["rate_bound_error"] for entry in report["trials"]] == [
+        "rate bounds need lipschitz_L > 0, got 0.0"] * 2
+
+
+@pytest.mark.parametrize("doc,error", [
+    (_FLAT, "rate bounds need lipschitz_L > 0, got 0.0"),
+    (_AT_MINIMUM, "a critical batch size needs lipschitz_L * r0 > 0, "
+                  "got L=1.0, r0=0.0"),
+], ids=["flat", "at-minimum"])
+def test_speedup_without_a_bound_exits_one_without_traceback(
+        tmp_path, capsys, doc, error):
+    path, out = tmp_path / "config.json", tmp_path / "o"
+    path.write_text(json.dumps(doc))
+    assert main(["speedup", "--config", str(path), "--out", str(out),
+                 "--epsilon", "0.1", "--kb", "1x2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not out.exists()
+
+
 def test_local_batch_override_moves_the_default_extrap_batch(config_path,
                                                              tmp_path, capsys):
     # An unset extrap_batch_b is B wherever it is read, so overriding B

@@ -299,8 +299,9 @@ def _single_seed_draws(cfg, obj, t, seeds):
 def test_stacked_draws_are_the_single_seed_draws_in_any_cache_state(
         seeds, others, workers, n, batch, mode, t, keep):
     # The (R, K, block) cache entries are keyed by the seed tuple: two
-    # chunks' draws interleaved, a chunk shrunk to some of its seeds (as
-    # after an abort) and writes into an earlier result never change a draw.
+    # chunks' draws interleaved, a draw under some of a chunk's seeds right
+    # after the chunk's own, and writes into an earlier result never change a
+    # draw.
     # The examples' step t + 1 straddles a block boundary.
     batch = min(batch, n)
     obj = make_quadratic(1, n)

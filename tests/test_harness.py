@@ -909,18 +909,32 @@ def test_stacked_trials_are_bitwise_one_trial_runs(method, kind, trials,
         assert w.final_x.tobytes() == _stepped_final_x(cfg, i).tobytes()
 
 
-def test_an_aborting_trial_leaves_its_siblings_unchanged():
-    # Sample 5's shift is so large that a batch holding it overflows the
-    # gradient: each trial that draws it aborts at that step, the others run
-    # on (every train loss is inf, since the mean loss covers that sample).
+def _aborting_config():
+    """Six trials of which some abort, at different steps: sample 5's shift
+    is so large that a batch holding it overflows the gradient, so each
+    trial that draws it aborts at that step and the others run on (every
+    train loss is inf, since the mean loss covers that sample)."""
     shifts = np.ones((32, 2))
     shifts[5] = 1e308
-    cfg = _base_config(
+    return _base_config(
         objective=make_quadratic(2, 32, shifts=shifts, diag=[10.0, 10.0]),
         cluster=ClusterConfig(workers_K=2, local_batch_B=1),
         method="extrap_sgd", hyperparams=HyperParams(lr_gamma=0.01,
                                                      momentum_u=0.5),
         total_steps_T=20, trials=6, master_seed=3)
+
+
+def _stopping_config():
+    """Six trials, an epsilon that four of them reach, at their own steps,
+    and two never do, and each trial's gradient norms at every step."""
+    cfg = _base_config(trials=6, total_steps_T=60, record_every=4)
+    norms = [[r.grad_norm2 for r in tr.records] for tr in run(
+        dataclasses.replace(cfg, record_every=1)).trials]
+    return cfg, sorted(min(gn2s) for gn2s in norms)[3], norms
+
+
+def test_an_aborting_trial_leaves_its_siblings_unchanged():
+    cfg = _aborting_config()
     with np.errstate(over="ignore", invalid="ignore"):
         want = _one_trial_runs(cfg)
         aborts = sorted(tr.steps_done for tr in want if tr.aborted)
@@ -935,10 +949,7 @@ def test_an_aborting_trial_leaves_its_siblings_unchanged():
 
 
 def test_speedup_trials_stop_at_their_own_steps():
-    cfg = _base_config(trials=6, total_steps_T=60, record_every=4)
-    norms = [[r.grad_norm2 for r in tr.records] for tr in run(
-        dataclasses.replace(cfg, record_every=1)).trials]
-    epsilon = sorted(min(gn2s) for gn2s in norms)[3]    # 2 trials censored
+    cfg, epsilon, norms = _stopping_config()
     want = _one_trial_runs(cfg, stop_epsilon=epsilon)
     stops = [tr.steps_done for tr in want if tr.reached_epsilon]
     assert len(stops) == 4 and len(set(stops)) >= 3
@@ -980,9 +991,32 @@ def test_thirty_stacked_trials_generate_each_block_once(monkeypatch, mode,
     assert len(made) == len(set(made)) == 30 * blocks
 
 
+def test_trials_that_leave_a_chunk_keep_its_one_seed_tuple(monkeypatch):
+    # A chunk draws each step once, under the seeds of all its trials, also
+    # after some have aborted or stopped; it keeps the running trials' rows.
+    stopping, epsilon, _ = _stopping_config()
+    draws = []
+
+    def recording(cl, obj, t, seeds=None):
+        draws.append((t, tuple(seeds)))
+        return draw_batches(cl, obj, t, seeds)
+
+    monkeypatch.setattr(harness, "draw_batches", recording)
+    for cfg, kwargs in ((_aborting_config(), {}),
+                        (stopping, {"stop_epsilon": epsilon})):
+        draws.clear()
+        with _chunked(cfg, 6), np.errstate(over="ignore", invalid="ignore"):
+            trials = _trial_results(cfg, **kwargs)
+        assert any(tr.aborted or tr.reached_epsilon for tr in trials)
+        steps = max(tr.steps_done + tr.aborted for tr in trials)
+        assert steps == cfg.total_steps_T
+        assert draws == [(t, tuple(tr.seed for tr in trials))
+                         for t in range(steps)]
+
+
 def test_a_shrinking_chunk_generates_each_block_once(monkeypatch):
-    # Trials that abort or stop leave the stack; the remaining trials read
-    # their blocks' rows from the cached tensors of the larger chunk.
+    # Trials that abort or stop leave the stack; the chunk goes on drawing
+    # under its own seed tuple, so its cached tensors serve the rest.
     made = []
     new_block = cluster._new_block
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -157,6 +158,32 @@ def test_critical_batch_size_hand_values():
                                  f_star=0.0, r0=1.0)
     with pytest.raises(ValueError):
         critical_batch_size(SGD, no_horizon)
+
+
+@pytest.mark.parametrize("lipschitz_L", [0.0, -1.0, math.nan])
+def test_bounds_refuse_a_nonpositive_lipschitz_constant(lipschitz_L):
+    # Every rate-bound, tuning and speedup path goes through stepsize_cap,
+    # which would divide by L.
+    flat = dataclasses.replace(CONSTS, lipschitz_L=lipschitz_L)
+    for method in (SGD, NESTEROV, EXTRAP_SGD, EXTRAP_NOISE):
+        with pytest.raises(ValueError, match="lipschitz_L > 0"):
+            stepsize_cap(method, flat, 0.5)
+    with pytest.raises(ValueError, match="lipschitz_L > 0"):
+        rate_bound(SGD, flat, HyperParams(lr_gamma=0.1), CLUSTER, 100)
+    with pytest.raises(ValueError, match="lipschitz_L > 0"):
+        tune_stepsize(NESTEROV, flat, CLUSTER, 100, 0.5)
+    with pytest.raises(ValueError, match="lipschitz_L > 0"):
+        epsilon_horizon(SGD, flat, CLUSTER, 0.1)
+
+
+@pytest.mark.parametrize("lipschitz_L,r0", [(0.0, 1.0), (2.0, 0.0),
+                                            (2.0, -1.0)])
+def test_critical_batch_size_refuses_a_zero_scale(lipschitz_L, r0):
+    # sigma^2 T / (L r0) has no value when L r0 <= 0 (r0 = 0: x0 is optimal).
+    consts = dataclasses.replace(CONSTS, lipschitz_L=lipschitz_L, r0=r0)
+    for method in (SGD, NESTEROV, EXTRAP_SGD):
+        with pytest.raises(ValueError, match=r"lipschitz_L \* r0 > 0"):
+            critical_batch_size(method, consts, 0.5)
 
 
 def test_epsilon_horizon_boundary():
