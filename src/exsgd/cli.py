@@ -9,6 +9,7 @@ error, 2 runtime abort (partial results are kept).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -234,7 +235,10 @@ def _add_common(p, run_options=True):
                        help="master seed override")
 
 
+@functools.cache
 def build_parser():
+    """The `exsgd` argument parser, built once per process: parsing leaves
+    no state in it, so every `main` call sees a fresh one's behaviour."""
     ap = argparse.ArgumentParser(
         prog="exsgd",
         description="Distributed large-batch optimization testbed with "

@@ -562,7 +562,27 @@ def run(config, threads=1):
 # persistence
 # ---------------------------------------------------------------------------
 
+# Types `_jsonable` returns as they are, checked before its general checks.
+_JSON_LEAVES = frozenset((int, str, bool, type(None)))
+# The encoder of a trial_*.jsonl line, shared by every line.
+_encode_line = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
 def _jsonable(value):
+    """`value` in the types JSON holds: arrays and numpy scalars as Python
+    lists and numbers, NaN as null and +-inf as strings, a maker-built
+    objective as its maker call, other dataclasses as dicts of their fields
+    and tuples as lists.  The exact types a record is made of (int, str,
+    bool, None, finite float, dict, list) are checked first; anything else
+    JSON cannot hold, such as an `np.bool_`, is returned unchanged, so the
+    encoder raises TypeError on it."""
+    kind = type(value)
+    if kind in _JSON_LEAVES or kind is float and math.isfinite(value):
+        return value
+    if kind is dict:
+        return {k: _jsonable(v) for k, v in value.items()}
+    if kind is list:
+        return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
@@ -618,8 +638,7 @@ def write_outputs(result, out_dir):
         lines = tr.records + ([{"abort": tr.abort_detail, "step": tr.steps_done}]
                               if tr.aborted else [])
         with open(os.path.join(out_dir, f"trial_{tr.trial}.jsonl"), "w") as fh:
-            fh.write("".join(json.dumps(_jsonable(line), sort_keys=True,
-                                        allow_nan=False) + "\n"
+            fh.write("".join(_encode_line(_jsonable(line)) + "\n"
                              for line in lines))
 
     agg_path = os.path.join(out_dir, "aggregate.csv")

@@ -441,7 +441,9 @@ def batch_gradient(obj, values, indices, *, lead=None):
     point alone returns, because every kernel reduces along the batch axis
     and multiplies one matrix-vector or matrix-matrix product per batch.  For
     a `range`, `values` may be an (R, d) stack of points, and the (R, d)
-    result's row r is bitwise the call at point r alone.
+    result's row r is bitwise the call at point r alone.  A logistic `range`
+    call with d >= 2 sums its per-sample terms sample-major in blocks
+    (`_sample_major_sum`), bitwise the batch-axis mean of the other calls.
 
     With `lead` = b in [1, B] (batches, not a `range`) the call returns
     (g_B, g_b) from one gather and one forward/backward pass: g_B is bitwise
@@ -472,12 +474,42 @@ def batch_gradient(obj, values, indices, *, lead=None):
         y = obj.logit_labels[rows]
         margin = y * np.matmul(phi, values[..., None])[..., 0]
         # d/dw log(1+exp(-m)) = -y phi sigmoid(-m)
-        terms = (-y * _sigmoid(-margin))[..., None] * phi
+        coef = -y * _sigmoid(-margin)
+        if isinstance(rows, slice) and obj.dimension > 1:
+            return _sample_major_sum(coef, phi) / len(y) + obj.logit_l2 * values
+        terms = coef[..., None] * phi
         g = _batch_mean(terms) + obj.logit_l2 * values
         if lead is None:
             return g
         return g, _batch_mean(terms[..., :lead, :]) + obj.logit_l2 * values
     return _mlp_gradient(obj, values, rows, lead)
+
+
+def _sample_major_sum(coef, phi):
+    """sum_i coef[..., i] phi_i for the (..., n) `coef` of one shared (n, d)
+    `phi`, bitwise `np.add.reduce(coef[..., None] * phi, -2)` for d >= 2.
+
+    That reduce adds each point's n products in ascending order onto numpy's
+    +0.0 identity, d doubles at a time, over a (..., n, d) temporary.  Here
+    blocks of about `_SUM_BLOCK` doubles, and at least `_SUM_BLOCK_MIN_ROWS`
+    samples, write their (rows, points, d) products after row 0 of one
+    buffer, which holds the running sum (+0.0 at first), and reduce it over
+    axis 0: the same additions, each points * d wide.  `einsum` writes each
+    product in one rounding, as `*` does; it may give +0.0 for a -0.0
+    product, which the sum, never -0.0 from its +0.0 start, cannot tell
+    apart.  With d = 1 numpy sums the batch axis of the other form
+    pairwise, so callers keep that form there."""
+    lead, n = coef.shape[:-1], coef.shape[-1]
+    cols = coef.reshape(-1, n).T
+    points, d = cols.shape[1], phi.shape[1]
+    rows = min(n, max(_SUM_BLOCK_MIN_ROWS, _SUM_BLOCK // (points * d)))
+    buf = np.zeros((rows + 1, points, d))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = buf[:stop - start + 1]
+        np.einsum("ip,id->ipd", cols[start:stop], phi[start:stop], out=block[1:])
+        buf[0] = np.add.reduce(block, 0)
+    return buf[0].reshape(lead + (d,))
 
 
 def _quad_gradient(obj, diff):
@@ -566,9 +598,16 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0):
         horizon_T=int(horizon_T)).validate()
 
 
-# Doubles in one (n, d) block of per-sample gradients in `_sigma2_at`, and in
-# one (R, N, d) block of the stacked per-step metrics of `harness._run_trials`.
+# Doubles in one (n, d) block of per-sample gradients in `_sigma2_at`, and
+# the bound on points * N * d of one stacked per-step metric call of
+# `harness._run_trials`; a logistic call sums its products in blocks of
+# `_SUM_BLOCK` doubles, the other kinds hold them all at once.
 _SIGMA2_BLOCK = 2 ** 18
+# Doubles in one block of a full-sample logistic gradient's per-sample
+# products (`_sample_major_sum`), sized to stay in L2; a block has at least
+# a few dozen samples, so a wide objective loops over few blocks in Python.
+_SUM_BLOCK = 2 ** 16
+_SUM_BLOCK_MIN_ROWS = 32
 
 
 def _sigma2_at(obj, values):

@@ -7,6 +7,7 @@ if a patched name disappears or if a step stops going through those names.
 """
 
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
@@ -14,9 +15,10 @@ import pytest
 
 import exsgd
 import exsgd.cli  # noqa: F401  (the tracer patches exsgd.cli)
+from exsgd import objectives
 from exsgd.cluster import ClusterConfig
 from exsgd.harness import RunConfig
-from exsgd.objectives import make_quadratic
+from exsgd.objectives import make_logistic, make_quadratic
 from exsgd.optimizers import HyperParams, NoiseSpec, PostLocalConfig
 from exsgd.theory import METHODS
 
@@ -67,6 +69,24 @@ def test_tracer_counts_one_draw_per_step_when_trials_leave_the_chunk():
     aborts = {tr.steps_done for tr in result.trials if tr.aborted}
     assert len(aborts) >= 2 and len(aborts) < len(result.trials)
     assert calls["cluster.draw_batches"] == 20
+
+
+def test_tracer_counts_one_metric_call_of_each_kind_per_metric_block():
+    # The full-sample metrics run behind the `harness.batch_gradient` and
+    # `harness.batch_loss` names the tracer patches, once per block of
+    # recorded steps: one stacked call for the block's 3-trial points.
+    obj = make_logistic(20, 512, generator_seed=4, l2=1e-3)
+    steps, trials = 20, 3
+    size = objectives._SIGMA2_BLOCK // (obj.sample_count * obj.dimension * trials)
+    blocks = math.ceil(steps / size)
+    assert 1 < blocks < steps
+    _, calls = _traced_run(RunConfig(
+        objective=obj, cluster=ClusterConfig(workers_K=2, local_batch_B=8),
+        method="extrap_sgd",
+        hyperparams=HyperParams(lr_gamma=0.05, momentum_u=0.5),
+        total_steps_T=steps, record_every=1, trials=trials))
+    assert calls["objectives.batch_gradient.metrics"] == blocks
+    assert calls["objectives.batch_loss"] == blocks
 
 
 def _traced_run(config):

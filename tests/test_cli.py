@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exsgd.cli import main
+from exsgd.cli import build_parser, main
 from exsgd.cluster import EPOCH_PERMUTATION, WITH_REPLACEMENT
 from exsgd.objectives import make_logistic
 from exsgd.optimizers import step_minibatch_sgd
@@ -428,6 +428,42 @@ def test_usage_error_exit_codes(capsys):
     assert main([]) == 1
     assert main(["--version"]) == 0
     capsys.readouterr()
+
+
+def test_main_calls_in_one_process_behave_as_in_a_fresh_one(
+        config_path, tmp_path, monkeypatch, capsys):
+    # The parser is built once per process; each call below must exit,
+    # print and write as it does with a parser built just for it.
+    calls = [["run", "--config", config_path, "--out", "out",
+              "--set", "hyperparams.lr_gamma=0.02"],
+             ["list-methods"],
+             ["run", "--config", config_path, "--bogus"],
+             ["run", "--config", config_path, "--out", "out",
+              "--set", "hyperparams.lr_gamma=0.02"]]
+
+    def outcomes(fresh):
+        seen = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                build_parser.cache_clear()
+            here = tmp_path / ("fresh" if fresh else "shared") / str(i)
+            here.mkdir(parents=True)
+            monkeypatch.chdir(here)
+            code = main(argv)
+            written = {name: (here / "out" / name).read_bytes()
+                       for name in sorted(os.listdir(here / "out"))} \
+                if (here / "out").exists() else {}
+            seen.append((code, capsys.readouterr(), written))
+        return seen
+
+    shared = outcomes(fresh=False)
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0]
+    assert "--bogus" in shared[2][1].err
+    assert shared[0] == shared[3] and shared[0][2]
+    manifest = json.loads(shared[3][2]["manifest.json"])
+    assert manifest["config"]["hyperparams"]["lr_gamma"] == 0.02
+    assert shared == outcomes(fresh=True)
 
 
 def test_list_methods_names_every_method(capsys):

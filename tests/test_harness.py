@@ -16,7 +16,8 @@ from numpy.testing import assert_array_equal
 
 from exsgd import cluster, harness, objectives, optimizers
 from exsgd.cluster import EPOCH_PERMUTATION, ClusterConfig, draw_batches
-from exsgd.harness import (RunConfig, _constants, _describe, _dump_json,
+from exsgd.harness import (MetricsRecord, RunConfig, _constants, _describe,
+                           _dump_json, _encode_line,
                            _jsonable, _lr_series, _replay_constants,
                            _run_trials, _step_once, _terminal_half_point,
                            _trial_results, apply_override, from_doc, run,
@@ -737,6 +738,74 @@ def test_dump_json_refuses_what_json_cannot_hold_and_writes_nothing(value,
     with pytest.raises(TypeError):
         _dump_json({"head": list(range(10_000)), "tail": value}, path)
     assert not path.exists()
+
+
+def _jsonable_by_isinstance(value):
+    """`harness._jsonable` as it was before its exact-type checks, verbatim:
+    the reference the writer's output must keep."""
+    if isinstance(value, np.ndarray):
+        return _jsonable_by_isinstance(value.tolist())
+    if isinstance(value, (np.floating, np.integer)):
+        return _jsonable_by_isinstance(value.item())
+    if isinstance(value, float) and not math.isfinite(value):
+        # Strict JSON has neither: NaN becomes null and +-inf a string.
+        if math.isnan(value):
+            return None
+        return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, ObjectiveSpec) and value.maker_call is not None:
+        return _jsonable_by_isinstance(value.maker_call)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable_by_isinstance(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _jsonable_by_isinstance(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable_by_isinstance(v) for v in value]
+    return value
+
+
+_EDGE = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+_WRITER_FLOATS = st.floats() | _EDGE | st.builds(np.float64, st.floats() | _EDGE)
+_MAKER_BUILT = make_logistic(2, 3, generator_seed=1, l2=0.5)
+_WRITER_LEAVES = (
+    _WRITER_FLOATS | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+    | st.integers() | st.booleans() | st.none() | st.text(max_size=4)
+    | hnp.arrays(st.sampled_from([np.float64, np.int64]),
+                 hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+    | st.builds(MetricsRecord, step=st.integers(0, 99), lr=_WRITER_FLOATS,
+                train_loss=_WRITER_FLOATS, grad_norm2=_WRITER_FLOATS,
+                smoothness_L=_WRITER_FLOATS, worker_dispersion=_WRITER_FLOATS,
+                wall_events=st.dictionaries(st.text(max_size=3),
+                                            st.integers(0, 99), max_size=3))
+    | st.sampled_from([_MAKER_BUILT, dataclasses.replace(_MAKER_BUILT)]))
+
+
+@given(value=st.recursive(
+    _WRITER_LEAVES,
+    lambda inner: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12))
+@example(value=MetricsRecord(step=0, lr=math.nan, train_loss=math.nan,
+                             grad_norm2=-math.inf, worker_dispersion=np.float64(-0.0)))
+@settings(max_examples=300, deadline=None)
+def test_jsonable_writes_what_its_isinstance_form_wrote(value):
+    # A trial line is `_encode_line` of this form; manifests are `_dump_json`.
+    want = json.dumps(_jsonable_by_isinstance(value), sort_keys=True,
+                      allow_nan=False)
+    assert json.dumps(_jsonable(value), sort_keys=True, allow_nan=False) == want
+    assert _encode_line(_jsonable(value)) == want
+
+
+@pytest.mark.parametrize("value", [
+    np.bool_(False), [1.0, np.bool_(True)], {"a": (np.bool_(True),)},
+    MetricsRecord(step=0, lr=0.1, train_loss=0.0, grad_norm2=0.0,
+                  wall_events={"x": np.bool_(True)})])
+def test_jsonable_leaves_an_np_bool_for_the_encoder_to_refuse(value):
+    for form in (_jsonable, _jsonable_by_isinstance):
+        with pytest.raises(TypeError):
+            json.dumps(form(value), sort_keys=True, allow_nan=False)
+    with pytest.raises(TypeError):
+        _encode_line(_jsonable(value))
 
 
 def _trial_in_blocks(cfg, block, **kwargs):

@@ -308,6 +308,51 @@ def test_stacked_points_are_bitwise_single_point_calls(kind, seed, points, data)
             np.float64(batch_loss(obj, x, rows)).tobytes()
 
 
+def _logistic_gradient_by_the_batch_mean(obj, points, rows):
+    """The full-sample logistic gradient as one (..., N, d) temporary reduced
+    over its batch axis: the form every `range` call had before the
+    sample-major sum."""
+    phi, y = obj.logit_features[rows.start:rows.stop], obj.logit_labels[rows.start:rows.stop]
+    m = y * np.matmul(phi, points[..., None])[..., 0]
+    return _batch_mean((-y * _sigmoid(-m))[..., None] * phi) + obj.logit_l2 * points
+
+
+def _d_at_minimum_block(points):
+    """The least d at which a block of the sample-major sum of `points`
+    points holds only its minimum number of samples."""
+    return objectives._SUM_BLOCK // (points * objectives._SUM_BLOCK_MIN_ROWS) + 1
+
+
+@pytest.mark.parametrize("n,d,points", [
+    *((n, d, p) for n in (7, 8, 10, 513) for d in (1, 2, 20) for p in (1, 2, 24)),
+    (513, _d_at_minimum_block(24), 24), (100, _d_at_minimum_block(1), 1)])
+@pytest.mark.parametrize("features", ["drawn", "zero"])
+def test_full_sample_logistic_stack_is_bitwise_single_points_and_the_batch_mean(
+        n, d, points, features):
+    # d = 1 must keep the batch-axis form: numpy sums an (N, 1) batch axis
+    # pairwise, and a sample-major sum would add the stack's samples one by
+    # one.  Zero features make every product a signed zero, so the sign of
+    # the sum's zero must match too; with l2 = 0 and negative points it shows
+    # in the gradient.
+    if features == "zero":
+        obj = make_logistic(d, n, features=np.zeros((n, d)), labels=np.ones(n))
+        stack = -1.0 - np.random.default_rng(n).random((points, d))
+    else:
+        obj = make_logistic(d, n, generator_seed=n + d, l2=0.01)
+        stack = 2.0 * np.random.default_rng(n * d).standard_normal((points, d))
+    if d == _d_at_minimum_block(points):
+        assert objectives._SUM_BLOCK // (points * d) < objectives._SUM_BLOCK_MIN_ROWS
+    for rows in (range(n), range(n // 3, n)):
+        got = batch_gradient(obj, stack, rows)
+        want = _logistic_gradient_by_the_batch_mean(obj, stack, rows)
+        assert got.shape == stack.shape
+        assert got.tobytes() == want.tobytes()
+        for r, x in enumerate(stack):
+            assert got[r].tobytes() == batch_gradient(obj, x, rows).tobytes()
+            assert got[r].tobytes() == \
+                _logistic_gradient_by_the_batch_mean(obj, x, rows).tobytes()
+
+
 def test_stacked_oracle_index_and_shape_checks():
     obj = make_quadratic(2, 5)
     idx = np.array([[0, 1], [2, 4]])
