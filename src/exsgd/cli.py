@@ -3,9 +3,10 @@ Command-line front end.
 
 Subcommands: run, sweep, speedup, verify, smoothness, list-methods.
 Configs are JSON documents mirroring RunConfig, built by `harness.from_doc`;
---set and --grid put JSON values at dotted paths (hyperparams.lr_gamma=0.2)
-through `harness.apply_override`.  Exit codes: 0 success, 1 validation/usage
-error, 2 runtime abort (partial results are kept).
+--set and --grid put JSON values at dotted paths (hyperparams.lr_gamma=0.2),
+each the config file's key, through `harness.apply_override`; a --grid
+KEY=V1,V2 is the JSON array [V1,V2], else split at commas.  Exit codes: 0
+success, 1 validation/usage error, 2 runtime abort (partial results are kept).
 """
 
 import argparse
@@ -76,7 +77,9 @@ def _parse_grid(items):
         if "=" not in item:
             raise ValueError(f"--grid expects KEY=V1,V2,..., got {item!r}")
         key, _, raw = item.partition("=")
-        grid[key.strip()] = [_parse_value(v) for v in raw.split(",") if v]
+        values = _parse_value(f"[{raw}]")    # a JSON array first: values may hold commas
+        grid[key.strip()] = (values if isinstance(values, list)
+                             else [_parse_value(v) for v in raw.split(",") if v])
     if not grid:
         raise ValueError("sweep needs at least one --grid KEY=V1,V2,...")
     return grid

@@ -29,8 +29,8 @@ neither the block nor the chunk size ever shows in an output.  A run with a
 stopping rule evaluates each step's norms at once.
 Method facts come from `theory.METHOD_TABLE`; `_step_once` is the one place
 that binds a method to its step function.  Config values have one schema, the
-dataclass and maker annotations, which `from_doc` (whole documents) and
-`apply_override` (dotted paths) read through `_typed`.
+dataclass and maker annotations: `from_doc` reads whole documents, and
+`apply_override` reads a dotted path as the same key in a config file.
 """
 
 import csv
@@ -89,13 +89,12 @@ class RunConfig:
         if self.method not in theory.METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         self.hyperparams.validate()
-        if self.schedule is not None:
-            self.schedule.validate()
+        for section in (self.schedule, self.noise, self.post_local):
+            if section is not None:
+                section.validate()
         needs = theory.METHOD_TABLE[self.method].needs
-        if needs is not None:
-            if getattr(self, needs) is None:
-                raise ValueError(f"method {self.method} needs a {needs} config")
-            getattr(self, needs).validate()
+        if needs is not None and getattr(self, needs) is None:
+            raise ValueError(f"method {self.method} needs a {needs} config")
         if self.method == theory.EXTRAP_NOISE and self.noise.kind == NOISE_NONE:
             raise ValueError("method extrap_noise needs a noise kind other than 'none'")
         if self.total_steps_T < 1:
@@ -747,20 +746,28 @@ def speedup_study(base, kb_grid, epsilon):
 
 
 def apply_override(config, path, value):
-    """A copy of `config` with the field at the dotted `path` set to `value`,
-    which `_typed` reads as it reads the same field in a config file."""
-    if path == "objective.generator_seed":   # the data would keep the old seed
-        raise ValueError("objective.generator_seed cannot be set alone; "
-                         "override the whole objective section")
-    def rebuild(node, keys):
-        p = (inspect.signature(type(node)).parameters.get(keys[0])
+    """A copy of `config` with the dotted `path` set to `value` as the same key
+    in a config file sets it: an unset section is built from the rest of the
+    path, a maker argument calls a maker-built objective's maker again, and any
+    other objective key sets that field and drops the maker call."""
+    keys = path.split(".")
+    def rebuild(node, depth):
+        key, last = keys[depth], depth == len(keys) - 1
+        call = getattr(node, "maker_call", None) or {}
+        if last and key != "maker" and key in call:   # wins over a field
+            return from_doc(ObjectiveSpec, {**call, key: value}, ".".join(keys[:depth]))
+        p = (inspect.signature(type(node)).parameters.get(key)
              if dataclasses.is_dataclass(node) else None)
         if p is None:
             raise ValueError(f"unknown config field {path!r}")
-        new = (_typed(path, p.annotation, p.default, value) if len(keys) == 1
-               else rebuild(getattr(node, keys[0]), keys[1:]))
-        return dataclasses.replace(node, **{keys[0]: new})
-    return rebuild(config, path.split("."))
+        child = getattr(node, key)
+        if last or child is None and dataclasses.is_dataclass(p.annotation):
+            doc = functools.reduce(lambda v, k: {k: v}, reversed(keys[depth + 1:]), value)
+            child = _typed(".".join(keys[:depth + 1]), p.annotation, p.default, doc)
+        else:
+            child = rebuild(child, depth + 1)
+        return dataclasses.replace(node, **{key: child})
+    return rebuild(config, 0)
 
 
 def sweep(base, grid):

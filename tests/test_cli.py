@@ -5,13 +5,14 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exsgd.cli import build_parser, main
+from exsgd.cli import _parse_grid, build_parser, main
 from exsgd.cluster import EPOCH_PERMUTATION, WITH_REPLACEMENT
-from exsgd.objectives import make_logistic
+from exsgd.objectives import make_logistic, make_quadratic
 from exsgd.optimizers import step_minibatch_sgd
 from exsgd.theory import METHODS
 
@@ -126,11 +127,14 @@ def test_extrap_noise_without_noise_exits_one_before_step_zero(tmp_path, capsys)
 ])
 def test_objective_shape_mismatch_exits_one_before_step_zero(tmp_path, capsys,
                                                               override, field):
-    # The arrays of a d=6, N=48 quadratic no longer match the overridden
-    # size, which must be caught before the first step.
+    # The arrays of an inline d=6, N=48 quadratic no longer match the
+    # overridden size, which must be caught before the first step.  (On a
+    # maker-built objective these keys are maker arguments and remake it.)
+    obj = make_quadratic(6, 48, generator_seed=2, diag=[0.5, 0.8, 1.2, 2.0, 3.0, 4.0])
     doc = dict(BASE_CONFIG, objective={
-        "maker": "quadratic", "dimension": 6, "sample_count": 48,
-        "generator_seed": 2, "diag": [0.5, 0.8, 1.2, 2.0, 3.0, 4.0]})
+        "kind": "quadratic", "dimension": 6, "sample_count": 48,
+        "generator_seed": 2, "quad_diag": obj.quad_diag.tolist(),
+        "quad_shifts": obj.quad_shifts.tolist()})
     path = tmp_path / "quad.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "o"
@@ -270,8 +274,6 @@ def test_cluster_master_seed_exits_one(config_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option,message", [
-    (["--set", "objective.generator_seed=5"],
-     "objective.generator_seed cannot be set alone"),
     (["--set", "master_seed=-1"], "master_seed must be >= 0"),
     (["--seed", "-1"], "master_seed must be >= 0"),
 ])
@@ -283,6 +285,89 @@ def test_seed_override_that_cannot_run_exits_one(config_path, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1 and not out.exists()
+
+
+def _edited(doc, path, value):
+    """A deep copy of the config document `doc` with the dotted `path` set to
+    `value`, creating the sections it passes through."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path.split(".")
+    node = doc
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return doc
+
+
+def _run_files(tmp_path, name, doc, *options):
+    """The files `exsgd run` writes for the config `doc` (and `options`),
+    by name."""
+    path, out = tmp_path / f"{name}.json", tmp_path / name
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(out), *options]) == 0
+    return {entry: (out / entry).read_bytes() for entry in os.listdir(out)}
+
+
+@pytest.mark.parametrize("path,value", [
+    ("objective.shift_spread", 0.0),
+    ("objective.sample_count", 30),
+    ("objective.shift_mean", [1.0, -1.0, 0.5]),
+    ("schedule.kind", "inverse_sqrt"),
+    ("noise.kind", "isotropic_gaussian"),
+    ("post_local.local_steps_H", 3),
+])
+def test_set_writes_what_the_same_config_file_key_writes(path, value,
+                                                         tmp_path, capsys):
+    # A dotted path is the config file's key: a maker argument remakes the
+    # objective, and an unset section is built from its defaults.
+    files = _run_files(tmp_path, "set", BASE_CONFIG,
+                       "--set", f"{path}={json.dumps(value)}")
+    assert files == _run_files(tmp_path, "file", _edited(BASE_CONFIG, path, value))
+    config = json.loads(files["manifest.json"])["config"]
+    if path.startswith("objective."):
+        assert config["objective"] == _edited(
+            dict(BASE_CONFIG["objective"], diag=None, matrix=None, shifts=None),
+            path.split(".", 1)[1], value)
+    # The manifest's config replays every file byte-identical.
+    assert _run_files(tmp_path, "replay", config) == files
+    capsys.readouterr()
+
+
+def test_generator_seed_override_regenerates_the_data(tmp_path, capsys):
+    # The maker is called again with the new seed: the run is the seed-5
+    # config file's run, not the seed-2 data under a new label.
+    files = _run_files(tmp_path, "set", BASE_CONFIG,
+                       "--set", "objective.generator_seed=5")
+    assert files == _run_files(tmp_path, "five", _edited(
+        BASE_CONFIG, "objective.generator_seed", 5))
+    assert files["trial_0.jsonl"] != _run_files(
+        tmp_path, "two", BASE_CONFIG)["trial_0.jsonl"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("override,message", [
+    ("objective.shift_spread=nan", "objective.shift_spread must be finite float"),
+    ("schedule.kind=bogus", "unknown schedule kind 'bogus'"),
+])
+def test_bad_value_at_a_maker_argument_or_unset_section_exits_one(
+        config_path, tmp_path, capsys, override, message):
+    out = tmp_path / "o"
+    assert main(["run", "--config", config_path, "--out", str(out),
+                 "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
+def test_every_set_section_is_validated_even_if_the_method_ignores_it(
+        tmp_path, capsys):
+    doc = dict(BASE_CONFIG, noise={"kind": "bogus", "raw_scale": -1},
+               post_local={"local_steps_H": 0})
+    path, out = tmp_path / "c.json", tmp_path / "o"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown noise kind 'bogus'\n"
+    assert not out.exists()
 
 
 def test_sgd_theory_report_does_not_depend_on_momentum_u(config_path,
@@ -482,6 +567,32 @@ def test_sweep_writes_table(config_path, tmp_path, capsys):
     assert len(table["rows"]) == 2
     assert "best" in table
     assert "->" in capsys.readouterr().out
+
+
+def test_sweep_grid_takes_array_values(config_path, tmp_path, capsys):
+    # Each grid value is the config file's shift_mean; a row's final loss is
+    # the mean over its trials of `run` on that config file.
+    out = tmp_path / "out"
+    means = [[1.0, 1.0, 1.0], [3.0, -1.0, 0.5]]
+    assert main(["sweep", "--config", config_path, "--out", str(out),
+                 "--grid", "objective.shift_mean=" + ",".join(map(json.dumps, means))]) == 0
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert [row["point"] for row in rows] == [{"objective.shift_mean": m} for m in means]
+    for row, mean in zip(rows, means):
+        files = _run_files(tmp_path, str(mean), _edited(
+            BASE_CONFIG, "objective.shift_mean", mean))
+        finals = [float(line.split(",")[3]) for line in
+                  files["aggregate.csv"].decode().splitlines()[1:]]
+        assert row["final_loss_mean"] == float(np.mean(finals))
+    assert rows[0]["final_loss_mean"] != rows[1]["final_loss_mean"]
+    capsys.readouterr()
+
+
+def test_grid_values_are_a_json_array_or_else_split_at_commas():
+    assert _parse_grid(["a=[1,2],[2,3]", 'b={"k":1},{"k":[2]}', "c=0.1,2,null",
+                        "d=isotropic_gaussian,none", "e=1,x,,", "f="]) == {
+        "a": [[1, 2], [2, 3]], "b": [{"k": 1}, {"k": [2]}], "c": [0.1, 2, None],
+        "d": ["isotropic_gaussian", "none"], "e": [1, "x"], "f": []}
 
 
 def test_sweep_without_grid_exits_one(config_path, tmp_path, capsys):

@@ -565,13 +565,10 @@ def test_extrap_noise_without_noise_is_rejected_before_any_point_runs():
 
 @pytest.mark.parametrize("grid,match", [
     ({"master_seed": [1, -1]}, "^sweep point .*: master_seed must be >= 0$"),
-    ({"objective.generator_seed": [1, 5]},
-     "objective.generator_seed cannot be set alone"),
 ])
 def test_seed_overrides_that_cannot_run_are_rejected_before_any_point_runs(
         grid, match):
-    # A lone generator_seed would relabel data generated from the old seed;
-    # a negative master_seed cannot seed a trial.
+    # A negative master_seed cannot seed a trial.
     with mock.patch.object(harness, "_run_trials") as runs:
         with pytest.raises(ValueError, match=match) as err:
             sweep(_base_config(trials=1), grid)
@@ -590,6 +587,43 @@ def test_whole_objective_override_regenerates_the_data():
     seed_one = make_quadratic(4, 32, generator_seed=1, shift_spread=1.5)
     assert not np.array_equal(out.objective.quad_shifts, seed_one.quad_shifts)
     assert_array_equal(initial_point(out.objective), initial_point(want))
+
+
+def test_generator_seed_sweep_regenerates_each_points_data():
+    # Each point calls the maker again with its seed, so it runs what a config
+    # whose maker call holds that seed runs.
+    cfg = _base_config(trials=1)
+    table = sweep(cfg, {"objective.generator_seed": [1, 5]})
+    call = {k: v for k, v in cfg.objective.maker_call.items() if k != "maker"}
+    for row, seed in zip(table["rows"], (1, 5)):
+        obj = make_quadratic(**dict(call, generator_seed=seed))
+        tr, = run(dataclasses.replace(cfg, objective=obj)).trials
+        assert row["final_loss_mean"] == tr.records[-1].train_loss
+    assert table["rows"][0]["final_loss_mean"] != table["rows"][1]["final_loss_mean"]
+
+
+def test_field_path_drops_the_maker_call_and_later_paths_reach_fields():
+    cfg = _base_config()
+    out = apply_override(cfg, "objective.quad_diag", [1.0, 1.0, 2.0, 2.0])
+    assert out.objective.maker_call is None
+    assert_array_equal(out.objective.quad_shifts, cfg.objective.quad_shifts)
+    out = apply_override(out, "objective.sample_count", 16)
+    assert out.objective.sample_count == 16
+    with pytest.raises(ValueError, match="quad_shifts has shape"):
+        out.validate()
+    with pytest.raises(ValueError, match="unknown config field 'objective.maker'"):
+        apply_override(cfg, "objective.maker", "logistic")
+
+
+def test_path_into_an_unset_section_builds_it_as_a_config_file_does():
+    cfg = _base_config()
+    out = apply_override(cfg, "schedule.kind", WARMUP_CONSTANT)
+    assert out.schedule == Schedule(kind=WARMUP_CONSTANT)
+    assert cfg.schedule is None                          # original untouched
+    assert (apply_override(cfg, "noise.raw_scale", 0.5).noise
+            == from_doc(RunConfig, {"noise": {"raw_scale": 0.5}}).noise)
+    with pytest.raises(ValueError, match="unknown noise fields: .'bogus'"):
+        apply_override(cfg, "noise.bogus", 1)
 
 
 @st.composite
@@ -679,6 +713,51 @@ def test_manifest_objective_is_the_maker_call(call):
             elif isinstance(value, np.ndarray):
                 value += 1
         assert _manifest(result, os.path.join(tmp, "mutated")) == manifest
+
+
+# Values for a maker argument; a drawn value may not fit the other arguments
+# (a dimension against an explicit diag, say), which both builds must refuse.
+_ARGUMENT_VALUES = {
+    "dimension": st.integers(1, 4), "sample_count": st.integers(1, 6),
+    "generator_seed": st.integers(0, 2**32),
+    "widths": st.lists(st.integers(1, 3), min_size=2, max_size=4),
+    "diag": st.lists(st.floats(0, 4), min_size=1, max_size=4),
+    "shift_mean": st.lists(st.floats(-4, 4), min_size=1, max_size=4),
+    "l2": st.sampled_from([0.0, 1e-3, 1]),
+    **dict.fromkeys(["shift_spread", "feature_scale", "input_scale",
+                     "target_noise", "f_star"], st.floats(0, 4)),
+}
+
+
+@given(call=_maker_calls(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_maker_argument_path_remakes_the_objective(call, data):
+    maker, kwargs = call
+    cfg = RunConfig(objective=maker(**kwargs), total_steps_T=2,
+                    cluster=ClusterConfig(workers_K=1, local_batch_B=1),
+                    hyperparams=HyperParams(lr_gamma=0.01))
+    key = data.draw(st.sampled_from(sorted(
+        set(inspect.signature(maker).parameters) & set(_ARGUMENT_VALUES))))
+    value = data.draw(_ARGUMENT_VALUES[key])
+    edited = {**cfg.objective.maker_call, key: value}
+    try:
+        want = from_doc(ObjectiveSpec, edited, "objective")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            apply_override(cfg, f"objective.{key}", value).validate()
+        assert str(err.value) == str(exc)
+        return
+    got = apply_override(cfg, f"objective.{key}", value).validate()
+    _assert_same_objective(got.objective, want)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first"), os.path.join(tmp, "second")
+        doc = json.loads(_manifest(run(got), first))["config"]
+        assert doc["objective"] == json.loads(json.dumps(_jsonable(want.maker_call)))
+        assert set(doc["objective"]) == set(edited)
+        _manifest(run(from_doc(RunConfig, doc)), second)
+        for name in os.listdir(first):
+            assert filecmp.cmp(os.path.join(first, name),
+                               os.path.join(second, name), shallow=False), name
 
 
 def test_sweep_runs_each_points_own_trials():
