@@ -95,6 +95,8 @@ class ObjectiveSpec:
             raise ValueError("sample_count must be >= 1")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if self.generator_seed < 0:
+            raise ValueError(f"generator_seed must be >= 0, got {self.generator_seed}")
         self._check_shapes()
         if self.kind == QUADRATIC:
             if self.quad_matrix is not None:
@@ -168,12 +170,24 @@ class TheoryConstants:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _check_sizes(**sizes):
-    """The sizes a maker draws its data with must be >= 1; checked before
-    numpy sees them, so the error names the argument."""
+def _check_sizes(generator_seed, **sizes):
+    """The sizes a maker draws its data with must be >= 1, and its seed
+    >= 0; checked before numpy sees them, so the error names the argument."""
     for name, size in sizes.items():
         if size < 1:
             raise ValueError(f"{name} must be >= 1, got {size}")
+    if generator_seed < 0:
+        raise ValueError(f"generator_seed must be >= 0, got {generator_seed}")
+
+
+def _check_given(sample_count, dimension, **arrays):
+    """Each explicit array argument, {name: (value, shape)}, must hold the
+    values of the shape the maker reshapes it to; checked before numpy
+    broadcasts or reshapes it, so the error names the argument."""
+    for name, (value, shape) in arrays.items():
+        if value is not None and np.size(value) != np.prod(shape):
+            raise ValueError(f"{name} has shape {np.shape(value)}, expected {shape} "
+                             f"for sample_count={sample_count}, dimension={dimension}")
 
 
 def _records_call(maker):
@@ -209,7 +223,9 @@ def make_quadratic(dimension: int, sample_count: int, generator_seed: int = 0,
     Shifts a_i can be given explicitly or are drawn N(shift_mean, spread^2)
     from `generator_seed`.
     """
-    _check_sizes(dimension=dimension, sample_count=sample_count)
+    _check_sizes(generator_seed, dimension=dimension, sample_count=sample_count)
+    _check_given(sample_count, dimension, shifts=(shifts, (sample_count, dimension)),
+                 shift_mean=(shift_mean, (dimension,)))
     if matrix is not None:
         matrix = np.asarray(matrix, dtype=np.float64)
         diag = None
@@ -219,7 +235,8 @@ def make_quadratic(dimension: int, sample_count: int, generator_seed: int = 0,
         rng = np.random.default_rng(np.random.SeedSequence((generator_seed, _DATA_TAG)))
         shifts = shift_spread * rng.standard_normal((sample_count, dimension))
         if shift_mean is not None:
-            shifts = shifts - shifts.mean(axis=0) + np.asarray(shift_mean, dtype=np.float64)
+            shifts = (shifts - shifts.mean(axis=0)
+                      + np.asarray(shift_mean, dtype=np.float64).reshape(dimension))
     shifts = np.asarray(shifts, dtype=np.float64).reshape(sample_count, dimension)
     return ObjectiveSpec(
         kind=QUADRATIC, dimension=dimension, sample_count=sample_count,
@@ -232,7 +249,11 @@ def make_logistic(dimension: int, sample_count: int, generator_seed: int = 0,
                   l2: float = 0.0, features: np.ndarray = None,
                   labels: np.ndarray = None, feature_scale: float = 1.0):
     """Binary logistic regression on seeded Gaussian features, labels +-1."""
-    _check_sizes(dimension=dimension, sample_count=sample_count)
+    _check_sizes(generator_seed, dimension=dimension, sample_count=sample_count)
+    if (features is None) != (labels is None):
+        raise ValueError("logistic features and labels must be given together")
+    _check_given(sample_count, dimension, features=(features, (sample_count, dimension)),
+                 labels=(labels, (sample_count,)))
     rng = np.random.default_rng(np.random.SeedSequence((generator_seed, _DATA_TAG)))
     if features is None:
         features = feature_scale * rng.standard_normal((sample_count, dimension))
@@ -260,8 +281,8 @@ def make_tiny_mlp(widths: tuple[int, ...], sample_count: int,
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or len(widths) > 4:
         raise ValueError("tiny_mlp widths must be (in, [h1, [h2,]] out): at most 2 hidden layers")
-    _check_sizes(sample_count=sample_count, **{f"widths[{i}]": w
-                                                for i, w in enumerate(widths)})
+    _check_sizes(generator_seed, sample_count=sample_count,
+                 **{f"widths[{i}]": w for i, w in enumerate(widths)})
     rng = np.random.default_rng(np.random.SeedSequence((generator_seed, _DATA_TAG)))
     inputs = input_scale * rng.standard_normal((sample_count, widths[0]))
     teacher = [
@@ -369,13 +390,18 @@ def _unpack_mlp(obj, values):
 
 def _mlp_forward(obj, values, rows):
     """(layers, activations, residual net(x_i) - y_i); activations[0] is the
-    input.  The matmuls are stacked over any leading axes."""
+    input, then one per hidden layer.  The matmuls are stacked over any
+    leading axes; each layer's bias and tanh, and the residual, are formed in
+    the array its matmul created."""
     layers = _unpack_mlp(obj, values)
     acts = [obj.mlp_inputs[rows]]
     for l, (w, b) in enumerate(layers):
-        z = np.matmul(acts[-1], w.swapaxes(-1, -2)) + b
-        acts.append(np.tanh(z) if l < len(layers) - 1 else z)
-    return layers, acts, acts[-1] - obj.mlp_targets[rows]
+        z = np.matmul(acts[-1], w.swapaxes(-1, -2))
+        z += b
+        acts.append(np.tanh(z, out=z) if l < len(layers) - 1 else z)
+    resid = acts.pop()                     # output layer is linear
+    resid -= obj.mlp_targets[rows]
+    return layers, acts, resid
 
 
 def _mlp_gradient(obj, values, rows, lead=None):
@@ -394,8 +420,10 @@ def _mlp_gradient(obj, values, rows, lead=None):
             head = delta[..., :lead, :]
             lead_chunks[l] = (np.matmul(head.swapaxes(-1, -2), acts[l][..., :lead, :]),
                               head.sum(axis=-2))
-        if l > 0:
-            delta = np.matmul(delta, w) * (1.0 - acts[l] * acts[l])   # tanh'
+        if l > 0:                          # tanh' = 1 - a^2, formed in a
+            a = acts[l]
+            np.subtract(1.0, np.multiply(a, a, out=a), out=a)
+            delta = np.multiply(np.matmul(delta, w), a, out=a)
     if lead is None:
         return _flatten_layers(chunks, lead_axes)
     return (_flatten_layers(chunks, lead_axes),
@@ -475,9 +503,12 @@ def batch_gradient(obj, values, indices, *, lead=None):
         margin = y * np.matmul(phi, values[..., None])[..., 0]
         # d/dw log(1+exp(-m)) = -y phi sigmoid(-m)
         coef = -y * _sigmoid(-margin)
-        if isinstance(rows, slice) and obj.dimension > 1:
-            return _sample_major_sum(coef, phi) / len(y) + obj.logit_l2 * values
-        terms = coef[..., None] * phi
+        if isinstance(rows, slice):        # phi is a view of the dataset
+            if obj.dimension > 1:
+                return _sample_major_sum(coef, phi) / len(y) + obj.logit_l2 * values
+            terms = coef[..., None] * phi
+        else:                              # phi is the gather's own copy
+            terms = np.multiply(coef[..., None], phi, out=phi)
         g = _batch_mean(terms) + obj.logit_l2 * values
         if lead is None:
             return g

@@ -348,6 +348,12 @@ def test_generator_seed_override_regenerates_the_data(tmp_path, capsys):
 @pytest.mark.parametrize("override,message", [
     ("objective.shift_spread=nan", "objective.shift_spread must be finite float"),
     ("schedule.kind=bogus", "unknown schedule kind 'bogus'"),
+    # The maker call keeps its 3-entry shift_mean, so a new dimension or an
+    # explicit shifts array must fit it and the sample count.
+    ("objective.dimension=2", "shift_mean has shape (3,), expected (2,) "
+     "for sample_count=24, dimension=2"),
+    ("objective.shifts=" + json.dumps([[0.0] * 2] * 23), "shifts has shape "
+     "(23, 2), expected (24, 3) for sample_count=24, dimension=3"),
 ])
 def test_bad_value_at_a_maker_argument_or_unset_section_exits_one(
         config_path, tmp_path, capsys, override, message):
@@ -357,6 +363,25 @@ def test_bad_value_at_a_maker_argument_or_unset_section_exits_one(
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert len(err.splitlines()) == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["config", "set", "grid"])
+def test_negative_generator_seed_exits_one_naming_the_argument(entry, tmp_path,
+                                                               capsys):
+    doc, args = BASE_CONFIG, ["run"]
+    if entry == "config":
+        doc = _edited(BASE_CONFIG, "objective.generator_seed", -1)
+    elif entry == "set":
+        args += ["--set", "objective.generator_seed=-1"]
+    else:
+        args = ["sweep", "--grid", "objective.generator_seed=3,-1"]
+    path, out = tmp_path / "c.json", tmp_path / "o"
+    path.write_text(json.dumps(doc))
+    assert main([*args, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.endswith(
+        "generator_seed must be >= 0, got -1\n")
+    assert len(err.splitlines()) == 1
 
 
 def test_every_set_section_is_validated_even_if_the_method_ignores_it(

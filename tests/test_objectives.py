@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,44 @@ def test_objective_validation_rejects_bad_matrices():
         make_quadratic(3, 8, diag=[1.0, np.nan, 2.0])
 
 
+_GIVEN = "for sample_count=24, dimension=2"
+
+
+@pytest.mark.parametrize("maker,kwargs,message", [
+    (make_quadratic, dict(generator_seed=-1), "generator_seed must be >= 0, got -1"),
+    (make_logistic, dict(generator_seed=-1), "generator_seed must be >= 0, got -1"),
+    (make_quadratic, dict(shift_mean=[2.0, 2.0, 2.0]),
+     f"shift_mean has shape (3,), expected (2,) {_GIVEN}"),
+    (make_quadratic, dict(shifts=np.zeros((23, 2))),
+     f"shifts has shape (23, 2), expected (24, 2) {_GIVEN}"),
+    (make_logistic, dict(features=np.zeros((24, 3)), labels=np.ones(24)),
+     f"features has shape (24, 3), expected (24, 2) {_GIVEN}"),
+    (make_logistic, dict(features=np.zeros((24, 2)), labels=np.ones(23)),
+     f"labels has shape (23,), expected (24,) {_GIVEN}"),
+    (make_logistic, dict(features=np.zeros((24, 2))),
+     "logistic features and labels must be given together"),
+    (make_logistic, dict(labels=np.ones(24)),
+     "logistic features and labels must be given together"),
+])
+def test_makers_refuse_a_bad_argument_by_its_name(maker, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        maker(2, 24, **kwargs)
+    assert str(err.value) == message
+
+
+def test_tiny_mlp_and_a_written_objective_refuse_a_negative_seed():
+    with pytest.raises(ValueError, match="^generator_seed must be >= 0, got -2$"):
+        make_tiny_mlp((2, 3, 1), 24, generator_seed=-2)
+    with pytest.raises(ValueError, match="^generator_seed must be >= 0, got -1$"):
+        dataclasses.replace(make_tiny_mlp((2, 1), 4), generator_seed=-1).validate()
+
+
+def test_explicit_arrays_holding_their_shapes_values_are_reshaped():
+    obj = make_quadratic(1, 2, shifts=[1.0, 3.0])
+    assert obj.quad_shifts.tolist() == [[1.0], [3.0]]
+    assert_allclose(make_quadratic(1, 2, shift_mean=2.0).quad_shift_mean, [2.0])
+
+
 def test_index_range_checks():
     obj = make_quadratic(2, 3)
     with pytest.raises(IndexError):
@@ -188,15 +227,17 @@ OBJECTIVE_KINDS = ("quadratic", "quadratic_matrix", "logistic", "tiny_mlp")
 
 
 def _draw_objective(data, kind, seed):
+    """A small objective of `kind`, one of OBJECTIVE_KINDS, or `logistic_d1`
+    or `tiny_mlp_linear` (no hidden layer)."""
     n = data.draw(st.integers(1, 40), label="N")
-    if kind == "tiny_mlp":
-        hidden = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=2),
-                           label="hidden")
+    if kind.startswith("tiny_mlp"):
+        hidden = [] if kind == "tiny_mlp_linear" else data.draw(
+            st.lists(st.integers(1, 6), min_size=1, max_size=2), label="hidden")
         widths = (data.draw(st.integers(1, 4), label="in"), *hidden,
                   data.draw(st.integers(1, 3), label="out"))
         return make_tiny_mlp(widths, n, generator_seed=seed)
-    d = data.draw(st.integers(1, 9), label="d")
-    if kind == "logistic":
+    d = 1 if kind == "logistic_d1" else data.draw(st.integers(1, 9), label="d")
+    if kind.startswith("logistic"):
         return make_logistic(d, n, generator_seed=seed, l2=0.01)
     if kind == "quadratic":
         return make_quadratic(d, n, generator_seed=seed, shift_spread=2.0,
@@ -308,13 +349,21 @@ def test_stacked_points_are_bitwise_single_point_calls(kind, seed, points, data)
             np.float64(batch_loss(obj, x, rows)).tobytes()
 
 
-def _logistic_gradient_by_the_batch_mean(obj, points, rows):
-    """The full-sample logistic gradient as one (..., N, d) temporary reduced
-    over its batch axis: the form every `range` call had before the
-    sample-major sum."""
-    phi, y = obj.logit_features[rows.start:rows.stop], obj.logit_labels[rows.start:rows.stop]
+def _logistic_gradient_by_the_batch_mean(obj, points, rows, lead=None):
+    """The logistic gradient as one (..., B, d) temporary of fresh products
+    reduced over its batch axis: the form every `range` call had before the
+    sample-major sum, and every call on batches before its products were
+    formed in the gather.  With `lead`, also the mean over each batch's
+    leading `lead` samples."""
+    if isinstance(rows, range):
+        rows = slice(rows.start, rows.stop)
+    phi, y = obj.logit_features[rows], obj.logit_labels[rows]
     m = y * np.matmul(phi, points[..., None])[..., 0]
-    return _batch_mean((-y * _sigmoid(-m))[..., None] * phi) + obj.logit_l2 * points
+    terms = (-y * _sigmoid(-m))[..., None] * phi
+    g = _batch_mean(terms) + obj.logit_l2 * points
+    if lead is None:
+        return g
+    return g, _batch_mean(terms[..., :lead, :]) + obj.logit_l2 * points
 
 
 def _d_at_minimum_block(points):
@@ -351,6 +400,146 @@ def test_full_sample_logistic_stack_is_bitwise_single_points_and_the_batch_mean(
             assert got[r].tobytes() == batch_gradient(obj, x, rows).tobytes()
             assert got[r].tobytes() == \
                 _logistic_gradient_by_the_batch_mean(obj, x, rows).tobytes()
+
+
+def _mlp_by_fresh_arrays(obj, values, rows, lead=None):
+    """(gradient[, lead gradient], loss) of the MLP by a forward and backward
+    pass with a fresh array for every temporary: the form the oracle had
+    before its temporaries were formed in place."""
+    if isinstance(rows, range):
+        rows = slice(rows.start, rows.stop)
+    layers = objectives._unpack_mlp(obj, values)
+    acts = [obj.mlp_inputs[rows]]
+    for l, (w, b) in enumerate(layers):
+        z = np.matmul(acts[-1], w.swapaxes(-1, -2)) + b
+        acts.append(np.tanh(z) if l < len(layers) - 1 else z)
+    resid = acts[-1] - obj.mlp_targets[rows]
+    loss = 0.5 * np.sum(resid * resid, axis=-1).mean(axis=-1)
+    lead_axes, batch = resid.shape[:-2], resid.shape[-2]
+    chunks, lead_chunks = [None] * len(layers), [None] * len(layers)
+    delta = resid / batch
+    for l in range(len(layers) - 1, -1, -1):
+        chunks[l] = (np.matmul(delta.swapaxes(-1, -2), acts[l]), delta.sum(axis=-2))
+        if lead is not None:
+            head = delta[..., :lead, :]
+            lead_chunks[l] = (np.matmul(head.swapaxes(-1, -2), acts[l][..., :lead, :]),
+                              head.sum(axis=-2))
+        if l > 0:
+            delta = np.matmul(delta, layers[l][0]) * (1.0 - acts[l] * acts[l])
+    g = objectives._flatten_layers(chunks, lead_axes)
+    if lead is None:
+        return g, loss
+    return g, objectives._flatten_layers(lead_chunks, lead_axes) * (batch / lead), loss
+
+
+@given(kind=st.sampled_from(["logistic", "logistic_d1", "tiny_mlp",
+                             "tiny_mlp_linear"]),
+       seed=st.integers(0, 2**31 - 1), trials=st.integers(1, 3),
+       workers=st.integers(1, 4), shared=st.booleans(), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_oracle_is_bitwise_its_fresh_array_form(kind, seed, trials, workers,
+                                                shared, data):
+    # The oracle forms its products, activations and residuals in arrays it
+    # created itself; every byte must be what fresh temporaries give.
+    obj = _draw_objective(data, kind, seed)
+    batch = data.draw(st.integers(1, 24), label="B")
+    lead = data.draw(st.none() | st.integers(1, batch), label="lead")
+    rng = np.random.default_rng(seed)
+    tensor = rng.integers(0, obj.sample_count, size=(trials, workers, batch))
+    points = rng.standard_normal((trials, 1 if shared else workers, obj.dimension))
+    stack = rng.standard_normal((trials, obj.dimension))
+    n = obj.sample_count
+    for values, indices, b in ((points, tensor, lead), (points[0, 0], tensor[0, 0], lead),
+                               (stack, range(n), None), (stack[0], range(n), None)):
+        if obj.kind == "logistic" and isinstance(indices, range) and obj.dimension > 1:
+            continue                # the sample-major sum has its own test
+        got = batch_gradient(obj, values, indices, lead=b)
+        if obj.kind == "logistic":
+            want = _logistic_gradient_by_the_batch_mean(obj, values, indices, b)
+        else:
+            *want, loss = _mlp_by_fresh_arrays(obj, values, indices, b)
+            if isinstance(indices, range) or indices.ndim == 1:
+                assert np.asarray(batch_loss(obj, values, indices)).tobytes() == \
+                    loss.tobytes()
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _array_bytes(obj):
+    """{field: (shape, bytes)} of every array the objective holds."""
+    return {f.name: (value.shape, value.tobytes())
+            for f in dataclasses.fields(obj)
+            if isinstance(value := getattr(obj, f.name), np.ndarray)}
+
+
+@given(kind=st.sampled_from(OBJECTIVE_KINDS + ("logistic_d1", "tiny_mlp_linear")),
+       seed=st.integers(0, 2**31 - 1), trials=st.integers(1, 3),
+       workers=st.integers(1, 4), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_oracle_calls_never_write_the_dataset_or_the_points(kind, seed, trials,
+                                                            workers, data):
+    # A `range` reads views of the dataset, so a temporary formed in place
+    # there would overwrite it; so would one formed in a view of the points.
+    obj = _draw_objective(data, kind, seed)
+    n, d = obj.sample_count, obj.dimension
+    batch = data.draw(st.integers(1, 8), label="B")
+    start = data.draw(st.integers(0, n - 1), label="start")
+    before = _array_bytes(obj)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(d)
+    stack = rng.standard_normal((trials, d))
+    tensor = rng.integers(0, n, size=(trials, workers, batch))
+    per_worker = rng.standard_normal((trials, workers, d))
+    points = [x, stack, per_worker]
+    given_bytes = [p.tobytes() for p in points]
+    for rows in (range(n), range(start, n)):
+        for values in (x, stack):
+            batch_gradient(obj, values, rows)
+            batch_loss(obj, values, rows)
+    for values, indices in ((x, tensor[0, 0]), (x, tensor[0]),
+                            (per_worker[0], tensor[0]), (per_worker, tensor),
+                            (per_worker[:, :1], tensor), (x, tensor)):
+        for lead in (None, 1, batch):
+            batch_gradient(obj, values, indices, lead=lead)
+    batch_loss(obj, x, tensor[0, 0])
+    _sigma2_at(obj, x)
+    estimate_constants(obj, x, probe_budget=2)
+    assert _array_bytes(obj) == before
+    assert [p.tobytes() for p in points] == given_bytes
+
+
+def _peak_bytes(call):
+    """Peak bytes that `call()` holds at once, as tracemalloc sees them
+    (numpy reports every data buffer to it), after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_temporaries_stay_within_an_allocation_budget():
+    # A logistic step at the (R, K, B) = (1, 8, 128), d = 256, b = 64 shape
+    # holds its gather and little else: its products are formed in it.
+    obj = make_logistic(256, 2048, generator_seed=1, l2=0.01)
+    rng = np.random.default_rng(1)
+    batches = rng.integers(0, 2048, size=(1, 8, 128))
+    points = rng.standard_normal((1, 8, 256))
+    gather = batches.size * 256 * 8
+    assert _peak_bytes(lambda: batch_gradient(obj, points, batches, lead=64)) \
+        <= 1.1 * gather
+    # A full-sample pass of the (32, 64, 64, 4) MLP holds its two hidden
+    # activations and one backprop product, each (N, 64); with a fresh array
+    # for every temporary it held about 6.2 of them.
+    mlp = make_tiny_mlp((32, 64, 64, 4), 1024, generator_seed=1)
+    x = 0.1 * rng.standard_normal(mlp.dimension)
+    activation = 1024 * 64 * 8
+    for call in (lambda: batch_gradient(mlp, x, range(1024)),
+                 lambda: batch_loss(mlp, x, range(1024))):
+        assert _peak_bytes(call) <= 3.5 * activation
 
 
 def test_stacked_oracle_index_and_shape_checks():
