@@ -58,17 +58,15 @@ def _cmd_run(args):
     config = load_config(args.config, args.set, args.seed)
     result = harness.run(config, threads=args.threads)
     harness.write_outputs(result, args.out)
-    aborted = [t.trial for t in result.trials if t.aborted]
     for tr in result.trials:
-        last = tr.records[-1] if tr.records else None
         if tr.aborted:
             print(f"trial {tr.trial}: aborted at step {tr.steps_done} ({tr.abort_detail})")
-        elif last is not None:
+        else:       # every finished trial records its last step
             print(f"trial {tr.trial}: {tr.steps_done} steps, "
-                  f"final loss {last.train_loss:.6g}, "
-                  f"grad_norm2 {last.grad_norm2:.6g}")
+                  f"final loss {tr.records[-1].train_loss:.6g}, "
+                  f"grad_norm2 {tr.records[-1].grad_norm2:.6g}")
     print(f"wrote {args.out}")
-    return 2 if aborted else 0
+    return 2 if any(tr.aborted for tr in result.trials) else 0
 
 
 def _parse_grid(items):

@@ -18,17 +18,19 @@ draws the (R, K, B) batches of its R trial seeds in one `draw_batches` call
 and evaluates all R K workers in one oracle call, and trial r of the stack
 is bitwise the trial run alone.  A trial that aborts or stops leaves the
 stack, and later steps keep only the running trials' rows of the chunk's
-draw; records and the replay stay per trial.  The `threads` argument of
-`run` is accepted and has no effect.
-The per-step metrics (the full-gradient norm at x_bar_{t+1/2} and the train
-loss at x_{t+1}, each a pass over all N samples) wait until a block of
-points is due, one per running trial and step, at most
-`objectives._SIGMA2_BLOCK` // (N d) of them, and are then evaluated in one
-stacked oracle call each; every value is bitwise its single-point call, so
-neither the block nor the chunk size ever shows in an output.  A run with a
-stopping rule evaluates each step's norms at once.
-Method facts come from `theory.METHOD_TABLE`; `_step_once` is the one place
-that binds a method to its step function.  Config values have one schema, the
+draw; the replay stays per trial.  The `threads` argument of `run` is
+accepted and has no effect.
+A chunk writes its recorded steps' metrics into one NaN-initialised table, a
+row per trial and a column per recorded step, and builds each trial's
+records from its row once, when the chunk ends.  The full-gradient norm at
+x_bar_{t+1/2} and the train loss at x_{t+1}, each a pass over all N samples,
+wait until a block of points is due, one per running trial and step, at
+most `objectives._SIGMA2_BLOCK` // (N d) of them, and are then evaluated in
+one stacked oracle call each; every value is bitwise its single-point call,
+so neither the block nor the chunk size ever shows in an output.  A run
+with a stopping rule evaluates each step's norms at once.
+Method facts come from `theory.METHOD_TABLE`; `_step_once` calls the step
+function that a method's entry names.  Config values have one schema, the
 dataclass and maker annotations: `from_doc` reads whole documents, and
 `apply_override` reads a dotted path as the same key in a config file.
 """
@@ -56,8 +58,10 @@ from .objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
                          estimate_constants, initial_point, row_dots)
 from .optimizers import (NOISE_NONE, HyperParams, NoiseSpec, PostLocalConfig,
                          Schedule, NumericAbort, effective_gamma_hat, init_state,
-                         lookahead, lr_series, noise_second_moment, step_adam,
-                         step_extrap_adam, step_extrap_sgd,
+                         lookahead, lr_series, noise_second_moment)
+# `_step_once` calls these by name from this module, where
+# benchmark/tracer.py patches them.
+from .optimizers import (step_adam, step_extrap_adam, step_extrap_sgd,  # noqa: F401
                          step_extrapolated_noise, step_minibatch_sgd,
                          step_nesterov, step_post_local)
 
@@ -230,42 +234,45 @@ def _full_grad_norm2s(obj, points, weight_decay):
     g = batch_gradient(obj, points, range(obj.sample_count))
     if weight_decay != 0.0:
         g = g + weight_decay * points
-    return row_dots(g, g).tolist()
+    return row_dots(g, g)
 
 
 def _train_losses(obj, points, weight_decay):
     """f(x) + (lambda/2)||x||^2 at each row x of the (R, d) `points`, from one
     stacked loss call; entry r is bitwise the single-point value."""
-    losses = batch_loss(obj, points, range(obj.sample_count)).tolist()
+    losses = batch_loss(obj, points, range(obj.sample_count))
     if weight_decay == 0.0:
         return losses
-    return [loss + 0.5 * weight_decay * norm2
-            for loss, norm2 in zip(losses, row_dots(points, points).tolist())]
+    return losses + 0.5 * weight_decay * row_dots(points, points)
 
 
-def _evaluate_pending(obj, weight_decay, pending, buf):
-    """Evaluate the metrics of the `pending` (row, records or None) steps and
+# The columns of a chunk's metric table, in `MetricsRecord`'s field order.
+_LOSS, _GN2, _SMOOTHNESS, _DISPERSION = range(4)
+
+
+def _evaluate_pending(obj, weight_decay, pending, buf, table, alive):
+    """Evaluate the metrics of the `pending` (row, column or None) steps and
     empty it: the full-gradient norm at the consecutive rows of buf["half"]
-    (written to buf["gn2"] too, if present) and, for each step with records,
-    the train loss at the next row of buf["x"].  A row holds the (R, d)
+    (written to buf["gn2"] too, if present) and, for each step with a
+    column, the train loss at the next row of buf["x"], both written to that
+    column of `table` at the rows `alive`.  A buf row holds the (R, d)
     points of the R running trials.  Returns the last step's gradient norms,
     one per trial."""
     d, trials = obj.dimension, buf["half"].shape[1]
     lo, hi = pending[0][0], pending[-1][0] + 1
     gn2s = _full_grad_norm2s(obj, buf["half"][lo:hi].reshape(-1, d),
-                             weight_decay)
+                             weight_decay).reshape(hi - lo, trials)
     if "gn2" in buf:
-        buf["gn2"][lo:hi] = np.reshape(gn2s, buf["gn2"][lo:hi].shape)
-    recorded = [(row, records) for row, records in pending if records is not None]
+        buf["gn2"][lo:hi] = gn2s
+    recorded = [(row, column) for row, column in pending if column is not None]
     if recorded:
-        points = buf["x"][[row + 1 for row, _ in recorded]].reshape(-1, d)
-        losses = iter(_train_losses(obj, points, weight_decay))
-        for row, records in recorded:
-            first = (row - lo) * trials
-            for record, gn2 in zip(records, gn2s[first:first + trials]):
-                record.train_loss, record.grad_norm2 = next(losses), gn2
+        rows, columns = np.array(recorded).T
+        at = np.ix_(alive, columns)
+        table[..., _GN2][at] = gn2s[rows - lo].T
+        losses = _train_losses(obj, buf["x"][rows + 1].reshape(-1, d), weight_decay)
+        table[..., _LOSS][at] = losses.reshape(-1, trials).T
     pending.clear()
-    return gn2s[-trials:]
+    return gn2s[-1]
 
 
 def _replay_constants(config):
@@ -291,22 +298,16 @@ def _constants(obj, x0, weight_decay, horizon_T=0):
 
 
 def _step_once(config, state, obj, cl, batches, hp_t, seed):
-    m, b = config.method, cl.effective_extrap_b()
-    if m == theory.SGD:
-        return step_minibatch_sgd(state, obj, batches, hp_t)
-    if m == theory.NESTEROV:
-        return step_nesterov(state, obj, batches, hp_t)
-    if m == theory.EXTRAP_SGD:
-        return step_extrap_sgd(state, obj, batches, hp_t, extrap_b=b)
-    if m == theory.EXTRAP_NOISE:
-        return step_extrapolated_noise(state, obj, batches, hp_t, config.noise,
-                                       seed, extrap_b=b)
-    if m == theory.ADAM:
-        return step_adam(state, obj, batches, hp_t)
-    if m == theory.EXTRAP_ADAM:
-        return step_extrap_adam(state, obj, batches, hp_t, extrap_b=b)
-    return step_post_local(state, obj, batches, hp_t, config.post_local,
-                           extrap_b=b)
+    """One step through the `step_*` function that `config.method`'s table
+    entry names, looked up in this module at call time."""
+    method = theory.METHOD_TABLE[config.method]
+    args = [state, obj, batches, hp_t]
+    if method.needs is not None:
+        args.append(getattr(config, method.needs))
+    if method.direction == "noise":
+        args.append(seed)
+    extra = {"extrap_b": cl.effective_extrap_b()} if method.direction else {}
+    return globals()[method.step](*args, **extra)
 
 
 def _terminal_half_point(config, state, hp, cl, seed):
@@ -355,11 +356,11 @@ def _chunk_size(config):
 
 
 def _lr_series(config):
-    """Each step's learning rate, shared by all trials of `config`; None
-    without a schedule, where every step uses `hyperparams.lr_gamma`."""
+    """Each step's learning rate, shared by all trials of `config`:
+    `hyperparams.lr_gamma` at every step without a schedule."""
     sched = config.schedule
     if sched is None:
-        return None
+        return [config.hyperparams.lr_gamma] * config.total_steps_T
     if sched.total_steps == 0:
         sched = dataclasses.replace(sched, total_steps=config.total_steps_T)
     return lr_series(sched, config.total_steps_T, config.cluster,
@@ -385,9 +386,9 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     trials[r]; each result is bitwise that of its trial run alone.
     `constants` is `_replay_constants(config)`, called only by a replay, and
     `lrs` is `_lr_series(config)`.  A trial that meets a non-finite value
-    ends with an abort record and leaves the stack; the others go on.  With
-    `stop_epsilon` a trial stops after the first step whose full-gradient
-    norm is <= it, and no trial is replayed."""
+    ends with an all-NaN record at that step and leaves the stack; the
+    others go on.  With `stop_epsilon` a trial stops after the first step
+    whose full-gradient norm is <= it, and no trial is replayed."""
     obj, cl = config.objective, config.cluster
     method = theory.METHOD_TABLE[config.method]
     hp = config.hyperparams
@@ -395,7 +396,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
         hp = dataclasses.replace(hp, momentum_u=0.0)
     steps, d, workers = config.total_steps_T, obj.dimension, cl.workers_K
     results = [TrialResult(trial=i, seed=trial_seed(config.master_seed, i),
-                           records=[], final_x=None, steps_done=steps)
+                           records=None, final_x=None, steps_done=steps)
                for i in trials]
     # Every step draws the batches of the whole chunk under one seed tuple;
     # the running trials are the rows `alive` of it.
@@ -405,6 +406,12 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     state = init_state(np.tile(x0, (len(chunk), 1)), workers)
     want_vs = (config.record_virtual_sequence and method.bounded
                and stop_epsilon is None)
+    # A row per trial of the chunk and a column per recorded step, NaN
+    # until written: the metric table that each trial's records are read from.
+    recorded = [t for t in range(steps)
+                if t % config.record_every == 0 or t == steps - 1]
+    columns = {t: column for column, t in enumerate(recorded)}
+    table = np.full((len(chunk), len(recorded), 4), math.nan)
     # Steps whose metrics are due wait in `pending` until a block of `size`
     # steps is full: one stacked call then evaluates each metric for all of
     # them, a point per trial and step and at most `_SIGMA2_BLOCK` doubles of
@@ -437,7 +444,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                 buf[name] = values[:, rows]
 
     for t in range(steps):
-        lr = hp.lr_gamma if lrs is None else lrs[t]
+        lr = lrs[t]
         hp_t = hp if lr == hp.lr_gamma else dataclasses.replace(hp, lr_gamma=lr)
         batches = draw_batches(cl, obj, t, chunk)
         if len(alive) < len(chunk):
@@ -449,15 +456,12 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                 break
             except NumericAbort as exc:
                 if pending:     # the aborting trials' earlier metrics first
-                    _evaluate_pending(obj, hp.weight_decay, pending, buf)
+                    _evaluate_pending(obj, hp.weight_decay, pending, buf,
+                                      table, alive)
                 for row in exc.trials:
                     tr = live[row]
                     tr.aborted, tr.abort_detail, tr.steps_done = True, str(exc), t
                     tr.final_x = x_before[row].copy()
-                    tr.records.append(MetricsRecord(
-                        step=t, lr=lr, train_loss=math.nan, grad_norm2=math.nan,
-                        worker_dispersion=math.nan,
-                        wall_events=_wall_events(cl, t + 1)))
                 rows = [r for r in range(len(live)) if r not in exc.trials]
                 keep(rows)
                 if not live:
@@ -466,49 +470,49 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
         if not live:
             break
         info = state.last_info
-        records = None
-        if (t % config.record_every == 0) or (t == steps - 1):
-            dispersion = info["worker_dispersion"]
+        column = columns.get(t)
+        if column is not None:
+            # train_loss and grad_norm2 are written when the block is.
+            table[:, column, _DISPERSION][alive] = info["worker_dispersion"]
             if (config.record_smoothness_every
                     and t % config.record_smoothness_every == 0):
-                sms = theory.smoothness_estimates(obj, x_before,
-                                                  state.x - x_before)
-            else:
-                sms = [math.nan] * len(live)
-            records = []
-            for row, tr in enumerate(live):
-                # train_loss and grad_norm2 are filled in when the block is.
-                records.append(MetricsRecord(
-                    step=t, lr=lr, train_loss=math.nan, grad_norm2=math.nan,
-                    smoothness_L=sms[row], worker_dispersion=dispersion[row],
-                    wall_events=_wall_events(cl, t + 1)))
-                tr.records.append(records[-1])
-        if want_vs or records is not None or stop_epsilon is not None:
+                table[:, column, _SMOOTHNESS][alive] = theory.smoothness_estimates(
+                    obj, x_before, state.x - x_before)
+        if want_vs or column is not None or stop_epsilon is not None:
             row = t if want_vs else len(pending)
             buf["half"][row], buf["x"][row + 1] = info["x_half_bar"], state.x
             if want_vs:
                 buf["v"][t + 1], buf["gbar"][t], buf["xi"][t] = (
                     state.v, info["g_bar"], info["xi_bar"])
                 buf["dev2"][t] = info["worker_dev2"]
-            pending.append((row, records))
+            pending.append((row, column))
         if len(pending) == size:
-            gn2s = _evaluate_pending(obj, hp.weight_decay, pending, buf)
-            if stop_epsilon is not None:
-                for row, gn2 in enumerate(gn2s):
-                    if gn2 <= stop_epsilon:
-                        tr = live[row]
+            gn2s = _evaluate_pending(obj, hp.weight_decay, pending, buf, table,
+                                     alive)
+            reached = [] if stop_epsilon is None else (gn2s <= stop_epsilon).tolist()
+            if any(reached):
+                for tr, x, done in zip(live, state.x, reached):
+                    if done:
                         tr.reached_epsilon, tr.steps_done = True, t + 1
-                        tr.final_x = state.x[row].copy()
-                if any(tr.reached_epsilon for tr in live):
-                    keep([r for r, tr in enumerate(live) if not tr.reached_epsilon])
-                    if not live:
-                        break
+                        tr.final_x = x.copy()
+                keep([r for r, done in enumerate(reached) if not done])
+                if not live:
+                    break
     if pending:
-        _evaluate_pending(obj, hp.weight_decay, pending, buf)
+        _evaluate_pending(obj, hp.weight_decay, pending, buf, table, alive)
     for row, tr in enumerate(live):
         tr.final_x = state.x[row].copy()
+    # An aborted trial's last record reads the column of the first recorded
+    # step at or after its abort step, which it never wrote: all NaN.
+    for tr, row in zip(results, table.tolist()):
+        at = [t for t in recorded if t < tr.steps_done]
+        at += [tr.steps_done] if tr.aborted else []
+        tr.records = [MetricsRecord(t, lrs[t], *row[column], wall_events={
+            "reductions": t + 1, "worker_batches": workers * (t + 1),
+            "samples_seen": workers * cl.local_batch_B * (t + 1)})
+            for column, t in enumerate(at)]
 
-    if want_vs and live and (lrs is None or all(lr == hp.lr_gamma for lr in lrs)):
+    if want_vs and live and all(lr == hp.lr_gamma for lr in lrs):
         # The replay assumes one stepsize.
         ghat = effective_gamma_hat(hp, workers) if method.direction else 0.0
         buf["half"][steps], buf["xi"][steps] = _terminal_half_point(
@@ -538,14 +542,6 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
             except ValueError as exc:
                 tr.rate_error = str(exc)
     return results
-
-
-def _wall_events(cl, steps):
-    return {
-        "reductions": steps,
-        "worker_batches": cl.workers_K * steps,
-        "samples_seen": cl.workers_K * cl.local_batch_B * steps,
-    }
 
 
 def run(config, threads=1):
@@ -612,6 +608,16 @@ def _dump_json(payload, path):
         fh.write(text + "\n")
 
 
+def _final_metrics(tr):
+    """The last train loss and grad_norm2 that `tr` recorded and its least
+    grad_norm2, each skipping NaN (an abort record's) and None if no record
+    holds one."""
+    losses = [r.train_loss for r in tr.records if not math.isnan(r.train_loss)]
+    gns = [r.grad_norm2 for r in tr.records if not math.isnan(r.grad_norm2)]
+    return (losses[-1] if losses else None, gns[-1] if gns else None,
+            min(gns) if gns else None)
+
+
 def write_outputs(result, out_dir):
     """manifest.json + trial_<i>.jsonl + aggregate.csv (+ theory_report.json);
     an earlier run's trial file or theory report that this run does not write
@@ -646,14 +652,8 @@ def write_outputs(result, out_dir):
         w.writerow(["trial", "seed", "steps_done", "final_train_loss",
                     "final_grad_norm2", "min_grad_norm2", "aborted"])
         for tr in result.trials:
-            losses = [r.train_loss for r in tr.records
-                      if not math.isnan(r.train_loss)]
-            gns = [r.grad_norm2 for r in tr.records
-                   if not math.isnan(r.grad_norm2)]
             w.writerow([tr.trial, tr.seed, tr.steps_done,
-                        repr(losses[-1]) if losses else "",
-                        repr(gns[-1]) if gns else "",
-                        repr(min(gns)) if gns else "",
+                        *("" if v is None else repr(v) for v in _final_metrics(tr)),
                         int(tr.aborted)])
 
     if report:
@@ -729,18 +729,14 @@ def speedup_study(base, kb_grid, epsilon):
         cfg = dataclasses.replace(base, cluster=cl, hyperparams=hp,
                                   schedule=None, record_virtual_sequence=False,
                                   total_steps_T=max(1, _SPEEDUP_BUDGET * t_eps))
-        steps, censored = [], 0
-        for tr in _trial_results(cfg, stop_epsilon=epsilon):
-            if tr.reached_epsilon:
-                steps.append(tr.steps_done)
-            else:
-                censored += 1
+        trials = _trial_results(cfg, stop_epsilon=epsilon)
+        steps = [tr.steps_done for tr in trials if tr.reached_epsilon]
         rows.append({
             "workers_K": K, "local_batch_B": B, "kb": K * B,
             "gamma": hp.lr_gamma, "gamma_at_cap": bool(hp.lr_gamma >= cap),
             "predicted_T": t_eps,
             "mean_steps": float(np.mean(steps)) if steps else None,
-            "trials": base.trials, "censored": censored,
+            "trials": base.trials, "censored": len(trials) - len(steps),
         })
     return {"epsilon": epsilon, "critical_kb": critical_kb, "rows": rows}
 
@@ -796,22 +792,16 @@ def sweep(base, grid):
             raise ValueError(f"sweep point {dict(zip(keys, combo))}: {exc}") from exc
     rows = []
     for combo, cfg in points:
-        finals, min_gns, aborted = [], [], 0
-        for tr in _trial_results(cfg):
-            aborted += tr.aborted
-            losses = [r.train_loss for r in tr.records
-                      if not math.isnan(r.train_loss)]
-            gns = [r.grad_norm2 for r in tr.records if not math.isnan(r.grad_norm2)]
-            if losses:
-                finals.append(losses[-1])
-            if gns:
-                min_gns.append(min(gns))
+        trials = _trial_results(cfg)
+        metrics = [_final_metrics(tr) for tr in trials]
+        finals = [final for final, _, _ in metrics if final is not None]
+        min_gns = [least for _, _, least in metrics if least is not None]
         rows.append({
             "point": dict(zip(keys, combo)),
             "final_loss_mean": float(np.mean(finals)) if finals else math.inf,
             "final_loss_std": float(np.std(finals)) if finals else math.nan,
             "min_grad_norm2_mean": float(np.mean(min_gns)) if min_gns else math.nan,
-            "aborted": aborted,
+            "aborted": sum(tr.aborted for tr in trials),
         })
     best = min(rows, key=lambda r: r["final_loss_mean"])
     boundary = any(len(grid[k]) > 1 and best["point"][k] in (grid[k][0], grid[k][-1])

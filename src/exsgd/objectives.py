@@ -226,6 +226,9 @@ def make_quadratic(dimension: int, sample_count: int, generator_seed: int = 0,
     _check_sizes(generator_seed, dimension=dimension, sample_count=sample_count)
     _check_given(sample_count, dimension, shifts=(shifts, (sample_count, dimension)),
                  shift_mean=(shift_mean, (dimension,)))
+    if shifts is not None and (shift_mean is not None or shift_spread != 1.0):
+        raise ValueError("shift_mean and shift_spread shape drawn shifts only: "
+                         "leave them unset with explicit shifts")
     if matrix is not None:
         matrix = np.asarray(matrix, dtype=np.float64)
         diag = None
@@ -254,6 +257,9 @@ def make_logistic(dimension: int, sample_count: int, generator_seed: int = 0,
         raise ValueError("logistic features and labels must be given together")
     _check_given(sample_count, dimension, features=(features, (sample_count, dimension)),
                  labels=(labels, (sample_count,)))
+    if features is not None and feature_scale != 1.0:
+        raise ValueError("feature_scale scales drawn features only: "
+                         "leave it unset with explicit features")
     rng = np.random.default_rng(np.random.SeedSequence((generator_seed, _DATA_TAG)))
     if features is None:
         features = feature_scale * rng.standard_normal((sample_count, dimension))
@@ -588,16 +594,17 @@ def batch_loss(obj, values, indices):
 # constants
 # ---------------------------------------------------------------------------
 
-def estimate_constants(obj, x0, probe_budget=16, horizon_T=0):
+_PROBE_BUDGET = 16     # random gradient probes of a tiny_mlp's L
+
+
+def estimate_constants(obj, x0, horizon_T=0):
     """Lipschitz constant L, variance bound sigma^2, f*, and r0 = f(x0) - f*.
 
     Quadratic: analytic (L = lambda_max(A); sigma^2 = max_i ||A(a_i - abar)||^2,
     which is x-independent).  Logistic: analytic L = 0.25 max_i ||phi_i||^2 + l2,
     brute-force sigma^2 at x0.  tiny_mlp: empirical estimates — sigma^2 brute
-    force at x0, L from probe_budget random gradient probes around x0.
+    force at x0, L from _PROBE_BUDGET random gradient probes around x0.
     """
-    if probe_budget < 1:
-        raise ValueError("probe_budget must be >= 1")
     if obj.kind == QUADRATIC:
         if obj.quad_matrix is not None:
             lip = float(np.max(np.linalg.eigvalsh(obj.quad_matrix)))
@@ -616,7 +623,7 @@ def estimate_constants(obj, x0, probe_budget=16, horizon_T=0):
         rng = np.random.default_rng(np.random.SeedSequence((obj.generator_seed, _PROBE_TAG)))
         g0 = batch_gradient(obj, x0, range(obj.sample_count))
         lip = 0.0
-        for _ in range(int(probe_budget)):
+        for _ in range(_PROBE_BUDGET):
             direction = rng.standard_normal(obj.dimension)
             direction /= np.sqrt(row_dots(direction, direction))
             step = 0.1 * rng.uniform(0.5, 2.0)

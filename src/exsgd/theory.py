@@ -47,6 +47,7 @@ POST_LOCAL = "post_local"
 class Method:
     """What sets one method apart within the unified framework."""
     summary: str            # one line for `exsgd list-methods`
+    step: str               # the name of its `optimizers.step_*` function
     direction: str = None   # extrapolation along None, "past", "noise" or "adam"
     bounded: bool = False   # closed-form rate bound plus virtual-sequence replay
     needs: str = None       # the RunConfig section the method requires
@@ -55,22 +56,25 @@ class Method:
 
 METHOD_TABLE = {
     SGD: Method("mini-batch SGD: x <- x - gamma * reduced batch gradient",
-                bounded=True, momentum=False),
+                "step_minibatch_sgd", bounded=True, momentum=False),
     NESTEROV: Method("momentum SGD, gradient taken at the lookahead x + u*v",
-                     bounded=True),
+                     "step_nesterov", bounded=True),
     EXTRAP_SGD: Method("each worker first steps along its stored past batch "
                        "gradient, then the usual momentum update follows",
-                       "past", bounded=True),
+                       "step_extrap_sgd", "past", bounded=True),
     EXTRAP_NOISE: Method("like extrap_sgd but the lookahead direction is drawn "
                          "noise (gaussian/uniform/shared/centered past gradients)",
-                         "noise", bounded=True, needs="noise"),
-    ADAM: Method("Adam without bias correction (reference baseline)", momentum=False),
+                         "step_extrapolated_noise", "noise", bounded=True,
+                         needs="noise"),
+    ADAM: Method("Adam without bias correction (reference baseline)",
+                 "step_adam", momentum=False),
     EXTRAP_ADAM: Method("Adam whose workers look ahead through the stored "
                         "moments and their past gradient before the shared "
-                        "moment update", "adam", momentum=False),
+                        "moment update", "step_extrap_adam", "adam",
+                        momentum=False),
     POST_LOCAL: Method("synchronized extrap_sgd until step t0, then per-worker "
                        "local updates with model averaging every H steps",
-                       "past", needs="post_local"),
+                       "step_post_local", "past", needs="post_local"),
 }
 METHODS = tuple(METHOD_TABLE)
 

@@ -1,9 +1,11 @@
-"""The benchmark tracer's contract with the package.
+"""The benchmark's contract with the package.
 
 `benchmark/tracer.py` wraps exsgd functions by patching names in the modules
 that call them, among them the `harness.step_*` names that `_step_once`
-dispatches through.  These tests load the tracer by path, unchanged, and fail
-if a patched name disappears or if a step stops going through those names.
+dispatches through, and `benchmark/workloads.py` reads trial records as
+dataclasses.  These tests load both files by path, unchanged, and fail if a
+patched name disappears, if a step stops going through those names, or if
+the records the workloads digest and check change.
 """
 
 import importlib.util
@@ -22,12 +24,14 @@ from exsgd.objectives import make_logistic, make_quadratic
 from exsgd.optimizers import HyperParams, NoiseSpec, PostLocalConfig
 from exsgd.theory import METHODS
 
-_TRACER = pathlib.Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+_BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "benchmark"
 _MODULES = ("cli", "cluster", "harness", "objectives", "optimizers", "theory")
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", _TRACER)
+def _load(name):
+    """benchmark/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}",
+                                                  _BENCHMARK / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -53,19 +57,25 @@ def test_tracer_counts_every_step_and_uninstalls(method, extrap_b, trials):
     assert calls["objectives.batch_gradient.step"] == 5   # one per step, any b
 
 
-def test_tracer_counts_one_draw_per_step_when_trials_leave_the_chunk():
-    # Sample 5's shift overflows every batch that holds it, so the trials
-    # that draw it abort at different steps; the chunk still draws once per
-    # step it runs, including each aborting step.
+def _aborting_config(trials, **extra):
+    """`trials` trials of which some abort, at different steps: sample 5's
+    shift overflows every batch that holds it, so the trials that draw it
+    abort at that step."""
     shifts = np.ones((32, 2))
     shifts[5] = 1e308
+    return RunConfig(
+        objective=make_quadratic(2, 32, shifts=shifts, diag=[10.0, 10.0]),
+        cluster=ClusterConfig(workers_K=2, local_batch_B=1),
+        method="extrap_sgd",
+        hyperparams=HyperParams(lr_gamma=0.01, momentum_u=0.5),
+        total_steps_T=20, trials=trials, master_seed=3, **extra)
+
+
+def test_tracer_counts_one_draw_per_step_when_trials_leave_the_chunk():
+    # The chunk still draws once per step it runs, including each aborting
+    # step.
     with np.errstate(over="ignore", invalid="ignore"):
-        result, calls = _traced_run(RunConfig(
-            objective=make_quadratic(2, 32, shifts=shifts, diag=[10.0, 10.0]),
-            cluster=ClusterConfig(workers_K=2, local_batch_B=1),
-            method="extrap_sgd",
-            hyperparams=HyperParams(lr_gamma=0.01, momentum_u=0.5),
-            total_steps_T=20, trials=6, master_seed=3))
+        result, calls = _traced_run(_aborting_config(6))
     aborts = {tr.steps_done for tr in result.trials if tr.aborted}
     assert len(aborts) >= 2 and len(aborts) < len(result.trials)
     assert calls["cluster.draw_batches"] == 20
@@ -89,11 +99,39 @@ def test_tracer_counts_one_metric_call_of_each_kind_per_metric_block():
     assert calls["objectives.batch_loss"] == blocks
 
 
+# First 16 hex digits of `workloads.library_digest` over the trials of a
+# 3-trial run in which two trials abort, then of a finished 3-trial run.
+LIBRARY_DIGEST = "3788ee448bb5d889"
+
+
+def test_workload_readers_see_the_same_records():
+    # The workloads digest `dataclasses.asdict` of each record, check
+    # `r.train_loss` and read `records[-1].wall_events`.
+    workloads = _load("workloads")
+    with np.errstate(over="ignore", invalid="ignore"):
+        aborting = exsgd.harness.run(_aborting_config(
+            3, record_every=3, record_smoothness_every=2)).trials
+    assert [tr.aborted for tr in aborting] == [True, True, False]
+    finished = exsgd.harness.run(RunConfig(
+        objective=make_logistic(5, 64, generator_seed=2, l2=1e-3),
+        cluster=ClusterConfig(workers_K=2, local_batch_B=8),
+        method="extrap_sgd",
+        hyperparams=HyperParams(lr_gamma=0.05, momentum_u=0.5),
+        total_steps_T=12, record_every=5, record_smoothness_every=5,
+        trials=3, master_seed=4)).trials
+    for tr in finished:
+        assert workloads._check_wide_trial(tr) == ""
+        assert tr.records[-1].wall_events["samples_seen"] == 2 * 8 * 12
+    digest = workloads.library_digest(
+        workloads.Outcome(trials=aborting + finished))
+    assert digest[:16] == LIBRARY_DIGEST
+
+
 def _traced_run(config):
     """`harness.run(config)` under the tracer, and the tracer's call counts;
     fails unless uninstalling restores every name the tracer patched."""
     before = {name: dict(vars(getattr(exsgd, name))) for name in _MODULES}
-    tracer = _load_tracer().Tracer(exsgd)
+    tracer = _load("tracer").Tracer(exsgd)
     tracer.install()
     try:
         result = exsgd.harness.run(config)

@@ -354,6 +354,10 @@ def test_generator_seed_override_regenerates_the_data(tmp_path, capsys):
      "for sample_count=24, dimension=2"),
     ("objective.shifts=" + json.dumps([[0.0] * 2] * 23), "shifts has shape "
      "(23, 2), expected (24, 3) for sample_count=24, dimension=3"),
+    # A well-shaped shifts array would make that shift_mean and the
+    # shift_spread 1.5 dead arguments of the recorded call.
+    ("objective.shifts=" + json.dumps([[0.0] * 3] * 24), "shift_mean and "
+     "shift_spread shape drawn shifts only: leave them unset with explicit shifts"),
 ])
 def test_bad_value_at_a_maker_argument_or_unset_section_exits_one(
         config_path, tmp_path, capsys, override, message):
@@ -966,6 +970,24 @@ def _golden_post_local_reset_doc():
                      "reset_local_momentum": True})
 
 
+# Six replayed extrap_sgd trials on a quadratic whose sample 5 has the shift
+# 1e308: a batch that holds it overflows the step, so five trials abort, at
+# steps 1, 5, 6, 7 and 11, one of them a recorded step, and the sixth runs
+# on (every full-sample metric is inf).  Steps are recorded every third,
+# smoothness probed every second, so only steps 0, 6, 12 and 18 probe.
+def _golden_abort_doc():
+    shifts = [[1.0, 1.0]] * 32
+    shifts[5] = [1e308, 1e308]
+    return dict(
+        _golden_doc("extrap_sgd"),
+        objective={"maker": "quadratic", "dimension": 2, "sample_count": 32,
+                   "diag": [10.0, 10.0], "shifts": shifts},
+        cluster={"workers_K": 2, "local_batch_B": 1},
+        hyperparams={"lr_gamma": 0.01, "momentum_u": 0.5},
+        total_steps_T=20, record_every=3, record_smoothness_every=2,
+        trials=6, master_seed=3)
+
+
 # First 16 hex digits of each written file's sha256.
 GOLDEN_DIGESTS = {
     "sgd": {"aggregate.csv": "fd4829fc572c34d8",
@@ -1036,13 +1058,22 @@ GOLDEN_DIGESTS = {
                                       "trial_0.jsonl": "9bf74ec8197d1d26",
                                       "trial_1.jsonl": "270cb75726051622",
                                       "trial_2.jsonl": "967823d24641b701"},
+    "six_trials_five_abort": {"aggregate.csv": "33cced95f6bacfe4",
+                              "manifest.json": "93c494e7cd9cd058",
+                              "theory_report.json": "f5d3e05c32907d8c",
+                              "trial_0.jsonl": "dd99854f0fec9bd3",
+                              "trial_1.jsonl": "fa76a611b70bba85",
+                              "trial_2.jsonl": "08241f71884fa9d8",
+                              "trial_3.jsonl": "47c31e1ccbbc5d07",
+                              "trial_4.jsonl": "5ef028697d2bef9f",
+                              "trial_5.jsonl": "26a6e8b676f8f256"},
 }
 
 
-def _written_digests(doc, tmp_path):
+def _written_digests(doc, tmp_path, code=0):
     path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps(doc))
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out)]) == code
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
             for name in sorted(os.listdir(out))}
 
@@ -1053,13 +1084,19 @@ _GOLDEN_DOCS = {"tiny_mlp_extrap_noise": _golden_mlp_doc,
                 "tiny_mlp_extrap_sgd_decay": _golden_mlp_decay_doc,
                 "five_trials_schedule_smoothout_epochs": _golden_schedule_doc,
                 "anisotropic_noise_sub_batch": _golden_anisotropic_doc,
-                "post_local_three_trials_reset": _golden_post_local_reset_doc}
+                "post_local_three_trials_reset": _golden_post_local_reset_doc,
+                "six_trials_five_abort": _golden_abort_doc}
 
 
 @pytest.mark.parametrize("case", [*METHODS, *_GOLDEN_DOCS])
 def test_run_writes_golden_bytes(case, tmp_path, capsys):
     doc = _GOLDEN_DOCS[case]() if case in _GOLDEN_DOCS else _golden_doc(case)
-    assert _written_digests(doc, tmp_path) == GOLDEN_DIGESTS[case]
+    if case == "six_trials_five_abort":     # exits 2 past overflowing steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            digests = _written_digests(doc, tmp_path, code=2)
+    else:
+        digests = _written_digests(doc, tmp_path)
+    assert digests == GOLDEN_DIGESTS[case]
     capsys.readouterr()
 
 

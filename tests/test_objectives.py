@@ -145,6 +145,16 @@ _GIVEN = "for sample_count=24, dimension=2"
      "logistic features and labels must be given together"),
     (make_logistic, dict(labels=np.ones(24)),
      "logistic features and labels must be given together"),
+    # The drawn-data arguments would be ignored, yet recorded in the call.
+    *((make_quadratic, dict(shifts=np.zeros((24, 2)), **drawn),
+       "shift_mean and shift_spread shape drawn shifts only: "
+       "leave them unset with explicit shifts")
+      for drawn in (dict(shift_mean=[9.0, 9.0]), dict(shift_spread=5.0),
+                    dict(shift_mean=[0.0, 0.0], shift_spread=1.0))),
+    (make_logistic, dict(features=np.zeros((24, 2)), labels=np.ones(24),
+                         feature_scale=2.0),
+     "feature_scale scales drawn features only: "
+     "leave it unset with explicit features"),
 ])
 def test_makers_refuse_a_bad_argument_by_its_name(maker, kwargs, message):
     with pytest.raises(ValueError) as err:
@@ -203,10 +213,10 @@ def test_logistic_constants():
 def test_mlp_probed_lipschitz_reasonable():
     obj = make_tiny_mlp((2, 4, 1), 16, generator_seed=3)
     x0 = initial_point(obj)
-    c = estimate_constants(obj, x0, probe_budget=8)
+    c = estimate_constants(obj, x0)
     assert c.lipschitz_L > 0
     assert np.isfinite(c.variance_sigma2)
-    c2 = estimate_constants(obj, x0, probe_budget=8)
+    c2 = estimate_constants(obj, x0)
     assert c.lipschitz_L == c2.lipschitz_L     # probing is seeded
 
 
@@ -502,7 +512,7 @@ def test_oracle_calls_never_write_the_dataset_or_the_points(kind, seed, trials,
             batch_gradient(obj, values, indices, lead=lead)
     batch_loss(obj, x, tensor[0, 0])
     _sigma2_at(obj, x)
-    estimate_constants(obj, x, probe_budget=2)
+    estimate_constants(obj, x)
     assert _array_bytes(obj) == before
     assert [p.tobytes() for p in points] == given_bytes
 
