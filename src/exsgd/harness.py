@@ -18,8 +18,8 @@ draws the (R, K, B) batches of its R trial seeds in one `draw_batches` call
 and evaluates all R K workers in one oracle call, and trial r of the stack
 is bitwise the trial run alone.  A trial that aborts or stops leaves the
 stack, and later steps keep only the running trials' rows of the chunk's
-draw; the replay stays per trial.  The `threads` argument of `run` is
-accepted and has no effect.
+draw; the replay stays per trial, and runs only at a constant stepsize.
+The `threads` argument of `run` is accepted and has no effect.
 A chunk writes its recorded steps' metrics into one NaN-initialised table, a
 row per trial and a column per recorded step, and builds each trial's
 records from its row once, when the chunk ends.  The full-gradient norm at
@@ -29,6 +29,9 @@ most `objectives._SIGMA2_BLOCK` // (N d) of them, and are then evaluated in
 one stacked oracle call each; every value is bitwise its single-point call,
 so neither the block nor the chunk size ever shows in an output.  A run
 with a stopping rule evaluates each step's norms at once.
+Every gradient, loss and theory constant is of f + (lambda/2)||x||^2, the
+objective a run with weight decay lambda minimizes: the oracle and
+`estimate_constants` add the decay terms, given `weight_decay`.
 Method facts come from `theory.METHOD_TABLE`; `_step_once` calls the step
 function that a method's entry names.  Config values have one schema, the
 dataclass and maker annotations: `from_doc` reads whole documents, and
@@ -228,24 +231,6 @@ def trial_seed(master_seed, trial):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _full_grad_norm2s(obj, points, weight_decay):
-    """||grad f(x) + lambda x||^2 at each row x of the (R, d) `points`, from
-    one stacked oracle call; entry r is bitwise the single-point value."""
-    g = batch_gradient(obj, points, range(obj.sample_count))
-    if weight_decay != 0.0:
-        g = g + weight_decay * points
-    return row_dots(g, g)
-
-
-def _train_losses(obj, points, weight_decay):
-    """f(x) + (lambda/2)||x||^2 at each row x of the (R, d) `points`, from one
-    stacked loss call; entry r is bitwise the single-point value."""
-    losses = batch_loss(obj, points, range(obj.sample_count))
-    if weight_decay == 0.0:
-        return losses
-    return losses + 0.5 * weight_decay * row_dots(points, points)
-
-
 # The columns of a chunk's metric table, in `MetricsRecord`'s field order.
 _LOSS, _GN2, _SMOOTHNESS, _DISPERSION = range(4)
 
@@ -257,11 +242,13 @@ def _evaluate_pending(obj, weight_decay, pending, buf, table, alive):
     column, the train loss at the next row of buf["x"], both written to that
     column of `table` at the rows `alive`.  A buf row holds the (R, d)
     points of the R running trials.  Returns the last step's gradient norms,
-    one per trial."""
-    d, trials = obj.dimension, buf["half"].shape[1]
+    one per trial.  Each metric is one stacked oracle call, at weight decay
+    `weight_decay`, whose entry r is bitwise the single-point value."""
+    d, trials, every = obj.dimension, buf["half"].shape[1], range(obj.sample_count)
     lo, hi = pending[0][0], pending[-1][0] + 1
-    gn2s = _full_grad_norm2s(obj, buf["half"][lo:hi].reshape(-1, d),
-                             weight_decay).reshape(hi - lo, trials)
+    g = batch_gradient(obj, buf["half"][lo:hi].reshape(-1, d), every,
+                       weight_decay=weight_decay)
+    gn2s = row_dots(g, g).reshape(hi - lo, trials)
     if "gn2" in buf:
         buf["gn2"][lo:hi] = gn2s
     recorded = [(row, column) for row, column in pending if column is not None]
@@ -269,7 +256,8 @@ def _evaluate_pending(obj, weight_decay, pending, buf, table, alive):
         rows, columns = np.array(recorded).T
         at = np.ix_(alive, columns)
         table[..., _GN2][at] = gn2s[rows - lo].T
-        losses = _train_losses(obj, buf["x"][rows + 1].reshape(-1, d), weight_decay)
+        losses = batch_loss(obj, buf["x"][rows + 1].reshape(-1, d), every,
+                            weight_decay=weight_decay)
         table[..., _LOSS][at] = losses.reshape(-1, trials).T
     pending.clear()
     return gn2s[-1]
@@ -279,22 +267,10 @@ def _replay_constants(config):
     """A function returning the theory constants that every replayed trial of
     `config` reads; they are computed at its first call only."""
     obj = config.objective
-    return functools.cache(lambda: _constants(
+    return functools.cache(lambda: estimate_constants(
         obj, initial_point(obj, config.init_scale),
-        config.hyperparams.weight_decay, config.total_steps_T))
-
-
-def _constants(obj, x0, weight_decay, horizon_T=0):
-    """The theory constants of f + (lambda/2)||x||^2, the objective a run with
-    weight decay lambda minimizes: L grows by lambda and the bound r0 on the
-    initial gap by (lambda/2)||x0||^2, while sigma^2 is unchanged (the decay
-    term is the same in every sample)."""
-    constants = estimate_constants(obj, x0, horizon_T=horizon_T)
-    if weight_decay == 0.0:
-        return constants
-    return dataclasses.replace(
-        constants, lipschitz_L=constants.lipschitz_L + weight_decay,
-        r0=constants.r0 + 0.5 * weight_decay * float(row_dots(x0, x0)))
+        horizon_T=config.total_steps_T,
+        weight_decay=config.hyperparams.weight_decay))
 
 
 def _step_once(config, state, obj, cl, batches, hp_t, seed):
@@ -404,8 +380,9 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     alive, live, seeds = list(range(len(chunk))), list(results), list(chunk)
     x0 = initial_point(obj, config.init_scale)
     state = init_state(np.tile(x0, (len(chunk), 1)), workers)
+    # The replay assumes one stepsize.
     want_vs = (config.record_virtual_sequence and method.bounded
-               and stop_epsilon is None)
+               and stop_epsilon is None and all(lr == hp.lr_gamma for lr in lrs))
     # A row per trial of the chunk and a column per recorded step, NaN
     # until written: the metric table that each trial's records are read from.
     recorded = [t for t in range(steps)
@@ -512,8 +489,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
             "samples_seen": workers * cl.local_batch_B * (t + 1)})
             for column, t in enumerate(at)]
 
-    if want_vs and live and all(lr == hp.lr_gamma for lr in lrs):
-        # The replay assumes one stepsize.
+    if want_vs and live:
         ghat = effective_gamma_hat(hp, workers) if method.direction else 0.0
         buf["half"][steps], buf["xi"][steps] = _terminal_half_point(
             config, state, hp, cl, seeds)
@@ -703,7 +679,8 @@ def speedup_study(base, kb_grid, epsilon):
                          f"T grows; {base.method} has none")
     obj = base.objective
     x0 = initial_point(obj, base.init_scale)
-    constants = _constants(obj, x0, base.hyperparams.weight_decay)
+    constants = estimate_constants(obj, x0,
+                                   weight_decay=base.hyperparams.weight_decay)
     u = base.hyperparams.momentum_u
     clusters = []
     for K, B in kb_grid:

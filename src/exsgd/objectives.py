@@ -161,7 +161,8 @@ class TheoryConstants:
     horizon_T: int = 0
 
     def validate(self):
-        if self.lipschitz_L < 0 or self.variance_sigma2 < 0 or self.r0 < 0:
+        # Written so that a NaN fails it.
+        if not (self.lipschitz_L >= 0 and self.variance_sigma2 >= 0 and self.r0 >= 0):
             raise ValueError("TheoryConstants entries must be nonnegative")
         return self
 
@@ -463,8 +464,10 @@ def _quad_apply(obj, vecs):
     return vecs * obj.quad_diag
 
 
-def batch_gradient(obj, values, indices, *, lead=None):
-    """Mean of exact per-sample gradients over `indices` (raw ndarray API).
+def batch_gradient(obj, values, indices, *, lead=None, weight_decay=0.0):
+    """Mean of exact per-sample gradients over `indices` (raw ndarray API),
+    plus `weight_decay` * x at each point x: the gradient of the objective
+    f + (lambda/2)||x||^2 that a run with weight decay lambda minimizes.
 
     `indices` is a `range`, a (B,) batch or a tensor of batches (..., B),
     such as the (R, K, B) batches of R trials' K workers.  `values` holds one
@@ -484,7 +487,8 @@ def batch_gradient(obj, values, indices, *, lead=None):
     the call without `lead`, and g_b is the mean over each batch's leading b
     indices, reduced from per-sample terms already computed.  It is bitwise
     the call on `indices[..., :b]` for quadratics and agrees with it to
-    rounding for logistic and tiny_mlp.
+    rounding for logistic and tiny_mlp.  The decay term is added last, to
+    both gradients of a `lead` call.
     """
     values = np.asarray(values, dtype=np.float64)
     rows = _sample_rows(obj, indices)
@@ -495,6 +499,17 @@ def batch_gradient(obj, values, indices, *, lead=None):
         if not 1 <= lead <= rows.shape[-1]:
             raise ValueError(f"lead must satisfy 1 <= lead <= B = {rows.shape[-1]}, "
                              f"got {lead!r}")
+    grads = _gradient(obj, values, rows, lead)
+    if weight_decay == 0.0:
+        return grads
+    decay = weight_decay * values
+    if lead is None:
+        return grads + decay
+    return grads[0] + decay, grads[1] + decay
+
+
+def _gradient(obj, values, rows, lead):
+    """`batch_gradient` without the decay term, its arguments checked."""
     if obj.kind == QUADRATIC:
         if isinstance(rows, slice) and rows == slice(0, obj.sample_count):
             return _quad_gradient(obj, values - obj.quad_shift_mean)
@@ -565,11 +580,11 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
-def batch_loss(obj, values, indices):
+def batch_loss(obj, values, indices, *, weight_decay=0.0):
     """Mean per-sample loss over `indices`, a (B,) batch or a `range` (raw
-    ndarray API).  For a `range`, `values` may be an (R, d) stack of points,
-    and the result is the (R,) array whose entry r is bitwise the call at
-    point r alone."""
+    ndarray API), plus (`weight_decay`/2)||x||^2 at each point x.  For a
+    `range`, `values` may be an (R, d) stack of points, and the result is the
+    (R,) array whose entry r is bitwise the call at point r alone."""
     values = np.asarray(values, dtype=np.float64)
     rows = _sample_rows(obj, indices)
     if isinstance(rows, np.ndarray) and rows.ndim != 1:
@@ -587,6 +602,8 @@ def batch_loss(obj, values, indices):
     else:
         _, _, resid = _mlp_forward(obj, values, rows)
         loss = 0.5 * np.sum(resid * resid, axis=-1).mean(axis=-1)
+    if weight_decay != 0.0:
+        loss = loss + 0.5 * weight_decay * row_dots(values, values)
     return float(loss) if values.ndim == 1 else loss
 
 
@@ -597,13 +614,17 @@ def batch_loss(obj, values, indices):
 _PROBE_BUDGET = 16     # random gradient probes of a tiny_mlp's L
 
 
-def estimate_constants(obj, x0, horizon_T=0):
+def estimate_constants(obj, x0, horizon_T=0, *, weight_decay=0.0):
     """Lipschitz constant L, variance bound sigma^2, f*, and r0 = f(x0) - f*.
 
     Quadratic: analytic (L = lambda_max(A); sigma^2 = max_i ||A(a_i - abar)||^2,
     which is x-independent).  Logistic: analytic L = 0.25 max_i ||phi_i||^2 + l2,
     brute-force sigma^2 at x0.  tiny_mlp: empirical estimates — sigma^2 brute
     force at x0, L from _PROBE_BUDGET random gradient probes around x0.
+
+    With `weight_decay` lambda they are the constants of f + (lambda/2)||x||^2:
+    L grows by lambda and r0 by (lambda/2)||x0||^2, while sigma^2 is unchanged
+    (the decay term is the same in every sample).
     """
     if obj.kind == QUADRATIC:
         if obj.quad_matrix is not None:
@@ -631,6 +652,9 @@ def estimate_constants(obj, x0, horizon_T=0):
             lip = max(lip, float(np.sqrt(row_dots(diff, diff)) / step))
         f_star = obj.mlp_f_star
     r0 = max(0.0, batch_loss(obj, x0, range(obj.sample_count)) - f_star)
+    if weight_decay != 0.0:
+        lip += weight_decay
+        r0 += 0.5 * weight_decay * float(row_dots(x0, x0))
     return TheoryConstants(
         lipschitz_L=lip, variance_sigma2=sigma2, f_star=f_star, r0=r0,
         horizon_T=int(horizon_T)).validate()

@@ -30,9 +30,11 @@ terminal step.
                 extrap updates, each worker looking ahead from its own x^k
                 and v^k, with model averaging every H steps.
 
-Weight decay (when nonzero) enters as +lambda*x at every gradient evaluation,
-identically across methods.  LARS (when trust > 0) rescales each block of the
-reduced gradient before the main update.
+Weight decay lambda (when nonzero) enters as +lambda*x at every gradient
+evaluation, identically across methods: the oracle adds it
+(`batch_gradient`'s `weight_decay`), and only LARS's trust ratio reads
+lambda here.  LARS (when trust > 0) rescales each block of the reduced
+gradient before the main update.
 
 Trial stack: a state holds R trials of one config at once, R >= 1, and
 every array keeps the trial axis first and the worker axis as its own axis.
@@ -201,6 +203,8 @@ class Schedule:
             raise ValueError("decay_factor must be > 0")
         if self.warmup_steps_inverse_sqrt < 1:
             raise ValueError("warmup_steps_inverse_sqrt must be >= 1")
+        if self.total_steps < 0:
+            raise ValueError("total_steps must be >= 0")
         ms = tuple(self.decay_milestones)
         if any(not 0 < m < 1 for m in ms) or list(ms) != sorted(set(ms)):
             raise ValueError("decay_milestones must be strictly increasing in (0, 1)")
@@ -254,13 +258,6 @@ def init_state(x0, workers_K):
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _batch_grad(obj, values, indices, hp):
-    g = batch_gradient(obj, values, indices)
-    if hp.weight_decay != 0.0:
-        g = g + hp.weight_decay * values
-    return g
-
-
 def _worker_grads(obj, halves, batches, hp, extrap_b):
     """All workers' (R, K, d) batch gradients and the past gradients they
     store for the next step, from one oracle call on the (R, K, B) batches:
@@ -269,13 +266,10 @@ def _worker_grads(obj, halves, batches, hp, extrap_b):
     (`lead`).  `halves` holds the (R, 1, d) points a trial's workers share
     or the (R, K, d) points of each worker."""
     if extrap_b is None or extrap_b == batches.shape[-1]:
-        grads = _batch_grad(obj, halves, batches, hp)
+        grads = batch_gradient(obj, halves, batches, weight_decay=hp.weight_decay)
         return grads, grads   # reuse: extrapolation stays evaluation-free
-    grads, past = batch_gradient(obj, halves, batches, lead=extrap_b)
-    if hp.weight_decay != 0.0:
-        decay = hp.weight_decay * halves
-        grads, past = grads + decay, past + decay
-    return grads, past
+    return batch_gradient(obj, halves, batches, lead=extrap_b,
+                          weight_decay=hp.weight_decay)
 
 
 def trust_scale(v, x, partition, trust, decay):
@@ -573,7 +567,9 @@ def _lr(sched, t, cluster, obj):
         w = sched.warmup_steps_inverse_sqrt
         step = t + 1
         return peak * min(step / w, math.sqrt(w / step))
-    lr = min(sched.base_lr + t * warmup_increment(sched, cluster, obj), peak)
+    lr = peak           # zero warmup epochs: the peak from step 0
+    if sched.warmup_epochs > 0:
+        lr = min(sched.base_lr + t * warmup_increment(sched, cluster, obj), peak)
     if sched.kind == WARMUP_STEP_DECAY and sched.total_steps > 0:
         passed = sum(1 for m in sched.decay_milestones if t >= m * sched.total_steps)
         lr = lr / sched.decay_factor ** passed

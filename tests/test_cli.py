@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exsgd import harness
 from exsgd.cli import _parse_grid, build_parser, main
 from exsgd.cluster import EPOCH_PERMUTATION, WITH_REPLACEMENT
 from exsgd.objectives import make_logistic, make_quadratic
@@ -60,7 +62,7 @@ def test_set_override_lands_in_manifest(config_path, tmp_path):
     assert main(["run", "--config", config_path, "--out", out,
                  "--set", "hyperparams.lr_gamma=0.02",
                  "--set", "cluster.workers_K=4"]) == 0
-    manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+    manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
     assert manifest["config"]["hyperparams"]["lr_gamma"] == 0.02
     assert manifest["config"]["cluster"]["workers_K"] == 4
 
@@ -69,8 +71,8 @@ def test_seed_flag_changes_trials(config_path, tmp_path):
     d1, d2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     main(["run", "--config", config_path, "--out", d1, "--seed", "1"])
     main(["run", "--config", config_path, "--out", d2, "--seed", "2"])
-    a = open(os.path.join(d1, "aggregate.csv")).read()
-    b = open(os.path.join(d2, "aggregate.csv")).read()
+    a = pathlib.Path(d1, "aggregate.csv").read_text()
+    b = pathlib.Path(d2, "aggregate.csv").read_text()
     assert a != b
 
 
@@ -348,6 +350,10 @@ def test_generator_seed_override_regenerates_the_data(tmp_path, capsys):
 @pytest.mark.parametrize("override,message", [
     ("objective.shift_spread=nan", "objective.shift_spread must be finite float"),
     ("schedule.kind=bogus", "unknown schedule kind 'bogus'"),
+    # A negative total_steps would switch off the decay milestones.
+    ("schedule.total_steps=-5", "total_steps must be >= 0"),
+    ('objective={"maker":"bogus","dimension":3,"sample_count":24}',
+     "unknown objective maker 'bogus'"),
     # The maker call keeps its 3-entry shift_mean, so a new dimension or an
     # explicit shifts array must fit it and the sample count.
     ("objective.dimension=2", "shift_mean has shape (3,), expected (2,) "
@@ -592,7 +598,7 @@ def test_sweep_writes_table(config_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", config_path, "--out", out,
                  "--grid", "hyperparams.lr_gamma=0.02,0.05"]) == 0
-    table = json.loads(open(os.path.join(out, "sweep.json")).read())
+    table = json.loads(pathlib.Path(out, "sweep.json").read_text())
     assert len(table["rows"]) == 2
     assert "best" in table
     assert "->" in capsys.readouterr().out
@@ -624,6 +630,20 @@ def test_grid_values_are_a_json_array_or_else_split_at_commas():
         "d": ["isotropic_gaussian", "none"], "e": [1, "x"], "f": []}
 
 
+@pytest.mark.parametrize("command,message", [
+    (["run", "--set", "trials"], "--set expects KEY=VALUE, got 'trials'"),
+    (["sweep", "--grid", "trials"], "--grid expects KEY=V1,V2,..., got 'trials'"),
+    (["speedup", "--epsilon", "2.0"], "speedup needs at least one --kb KxB"),
+])
+def test_option_without_its_value_exits_one_naming_the_option(
+        config_path, tmp_path, capsys, command, message):
+    out = tmp_path / "o"
+    assert main([*command, "--config", config_path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_sweep_without_grid_exits_one(config_path, tmp_path, capsys):
     assert main(["sweep", "--config", config_path,
                  "--out", str(tmp_path / "o")]) == 1
@@ -635,10 +655,20 @@ def test_speedup_writes_table(config_path, tmp_path, capsys):
     assert main(["speedup", "--config", config_path, "--out", out,
                  "--set", "method=sgd", "--set", "trials=3",
                  "--kb", "1x4", "--kb", "2x4", "--epsilon", "2.0"]) == 0
-    table = json.loads(open(os.path.join(out, "speedup.json")).read())
+    table = json.loads(pathlib.Path(out, "speedup.json").read_text())
     assert [r["kb"] for r in table["rows"]] == [4, 8]
     assert "critical_kb" in table
     assert "mean steps" in capsys.readouterr().out
+
+
+def test_speedup_prints_how_many_trials_are_censored(config_path, tmp_path,
+                                                     monkeypatch, capsys):
+    # A budget of one step: no trial reaches epsilon.
+    monkeypatch.setattr(harness, "_SPEEDUP_BUDGET", 0)
+    assert main(["speedup", "--config", config_path, "--out", str(tmp_path / "o"),
+                 "--set", "method=sgd", "--set", "trials=3",
+                 "--kb", "1x4", "--epsilon", "2.0"]) == 0
+    assert "mean steps None [3 censored]\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kbs,error", [

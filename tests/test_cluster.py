@@ -39,6 +39,8 @@ def test_draw_batches_shape_and_determinism():
                                    master_seed=18), obj, 4)[0]
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
     assert any(not np.array_equal(x, y) for x, y in zip(a, d))
+    with pytest.raises(ValueError, match="^step t must be >= 0$"):
+        draw_batches(cfg, obj, -1)
 
 
 def test_workers_draw_distinct_streams():
@@ -160,6 +162,10 @@ def test_reduce_mean_serial_accumulation_order():
     want = ((vecs[0] + vecs[1]) + vecs[2]) / 3.0
     assert_array_equal(got, want)           # bitwise: fixed ascending order
     assert_array_equal(reduce_mean(vecs[:1]), vecs[0])
+    with pytest.raises(ValueError, match="^reduce_mean of empty input$"):
+        reduce_mean([])
+    with pytest.raises(ValueError, match="^reduce_mean dimension mismatch$"):
+        reduce_mean([np.zeros(2), np.zeros(3)])
 
 
 def test_map_workers_threaded_matches_serial():

@@ -16,7 +16,7 @@ from numpy.testing import assert_array_equal
 
 from exsgd import cluster, harness, objectives, optimizers
 from exsgd.cluster import EPOCH_PERMUTATION, ClusterConfig, draw_batches
-from exsgd.harness import (MetricsRecord, RunConfig, _constants, _describe,
+from exsgd.harness import (MetricsRecord, RunConfig, _describe,
                            _dump_json, _encode_line,
                            _jsonable, _lr_series, _replay_constants,
                            _run_trials, _step_once, _terminal_half_point,
@@ -166,6 +166,30 @@ def test_trial_computes_each_step_lr_once(monkeypatch, kind, replayed):
             [replayed] * trials
 
 
+def test_a_scheduled_run_evaluates_no_replay_it_skips(monkeypatch):
+    # The replay assumes one stepsize, so a scheduled run asking for it
+    # evaluates the full-gradient norm at its two recorded steps only, one
+    # step to a metric block.
+    monkeypatch.setattr(objectives, "_SIGMA2_BLOCK", 1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return batch_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "batch_gradient", counted)
+    sched = Schedule(kind=WARMUP_CONSTANT, base_lr=0.05, scale_factor=2.0,
+                     warmup_epochs=1)
+    steps = 12
+    cfg = _base_config(method="extrap_sgd", schedule=sched, trials=1,
+                       total_steps_T=steps, record_every=steps,
+                       record_virtual_sequence=True)
+    trial, = run(cfg).trials
+    assert len(calls) == 2
+    assert trial.virtual_sequence is None and trial.grad_norm2_series is None
+    assert [r.step for r in trial.records] == [0, steps - 1]
+
+
 def test_abort_is_reported_not_raised(tmp_path):
     cfg = _base_config(
         objective=make_quadratic(2, 8, diag=[1e4, 1e4], shift_spread=1.0),
@@ -299,6 +323,17 @@ def test_config_validation_rejects_incomplete_setups():
         _base_config(total_steps_T=0).validate()
     with pytest.raises(ValueError):
         RunConfig().validate()                           # objective required
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("record_every", 0, "record_every must be >= 1"),
+    ("record_smoothness_every", -1, "record_smoothness_every must be >= 0"),
+    ("trials", 0, "trials must be >= 1"),
+])
+def test_run_config_refuses_a_count_below_its_bound(field, value, message):
+    with pytest.raises(ValueError) as err:
+        _base_config(**{field: value}).validate()
+    assert str(err.value) == message
 
 
 def test_cluster_master_seed_is_rejected():
@@ -527,7 +562,7 @@ def test_decayed_r0_grows_by_half_lambda_x0_norm2():
     obj = make_tiny_mlp((2, 3, 1), 16, generator_seed=4)
     x0 = initial_point(obj)
     plain = estimate_constants(obj, x0)
-    decayed = _constants(obj, x0, 0.5)
+    decayed = estimate_constants(obj, x0, weight_decay=0.5)
     assert decayed.r0 == plain.r0 + 0.25 * float(x0 @ x0) > plain.r0
     assert decayed.lipschitz_L == plain.lipschitz_L + 0.5
     assert decayed.variance_sigma2 == plain.variance_sigma2
@@ -548,6 +583,8 @@ def test_sweep_checks_every_point_before_running_any():
         sweep(cfg, {"hyperparams.lr_gamma": [0.05, -0.05]})
     with pytest.raises(ValueError, match="trials must be int"):
         sweep(cfg, {"trials": ["abc"]})
+    with pytest.raises(ValueError, match="^empty sweep grid$"):
+        sweep(cfg, {})
 
 
 def test_extrap_noise_without_noise_is_rejected_before_any_point_runs():

@@ -18,7 +18,7 @@ from exsgd.objectives import (ObjectiveSpec, _batch_mean, _sigma2_at,
                               finite_difference_gradient, initial_point,
                               make_logistic, make_quadratic, make_tiny_mlp,
                               row_dots)
-from exsgd.optimizers import HyperParams, _batch_grad, _worker_grads
+from exsgd.optimizers import HyperParams, _worker_grads
 
 
 def test_quadratic_gradient_closed_form():
@@ -145,6 +145,8 @@ _GIVEN = "for sample_count=24, dimension=2"
      "logistic features and labels must be given together"),
     (make_logistic, dict(labels=np.ones(24)),
      "logistic features and labels must be given together"),
+    (make_logistic, dict(features=np.zeros((24, 2)), labels=np.zeros(24)),
+     "logistic labels must be +-1"),
     # The drawn-data arguments would be ignored, yet recorded in the call.
     *((make_quadratic, dict(shifts=np.zeros((24, 2)), **drawn),
        "shift_mean and shift_spread shape drawn shifts only: "
@@ -167,6 +169,32 @@ def test_tiny_mlp_and_a_written_objective_refuse_a_negative_seed():
         make_tiny_mlp((2, 3, 1), 24, generator_seed=-2)
     with pytest.raises(ValueError, match="^generator_seed must be >= 0, got -1$"):
         dataclasses.replace(make_tiny_mlp((2, 1), 4), generator_seed=-1).validate()
+
+
+@pytest.mark.parametrize("widths", [(2,), (2, 3, 3, 3, 1)])
+def test_tiny_mlp_refuses_widths_of_the_wrong_length(widths):
+    with pytest.raises(ValueError, match=r"^tiny_mlp widths must be \(in, "
+                       r"\[h1, \[h2,\]\] out\): at most 2 hidden layers$"):
+        make_tiny_mlp(widths, 24)
+
+
+_QUAD, _MLP = make_quadratic(2, 4), make_tiny_mlp((2, 3, 1), 4)
+
+
+@pytest.mark.parametrize("obj,changes,message", [
+    (_QUAD, dict(kind="bogus"), "unknown objective kind 'bogus'"),
+    (_QUAD, dict(sample_count=0), "sample_count must be >= 1"),
+    (_QUAD, dict(dimension=0), "dimension must be >= 1"),
+    (_QUAD, dict(quad_diag=None), "quadratic objective needs quad_diag or quad_matrix"),
+    (_QUAD, dict(quad_shifts=None), "quadratic objective needs quad_shifts"),
+    (_MLP, dict(mlp_widths=None), "tiny_mlp widths must be (in, [h1, [h2,]] out)"),
+    (_MLP, dict(mlp_widths=(2, 2, 1)),
+     "mlp_widths (2, 2, 1) have 9 parameters, but dimension is 13"),
+])
+def test_a_written_objective_refuses_a_field_it_cannot_run(obj, changes, message):
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(obj, **changes).validate()
+    assert str(err.value) == message
 
 
 def test_explicit_arrays_holding_their_shapes_values_are_reshaped():
@@ -307,12 +335,38 @@ def test_one_oracle_call_gives_the_sub_batch_past_gradient(
     points = rng.standard_normal(obj.dimension if shared else (workers, obj.dimension))
     hp = HyperParams(weight_decay=decay)
     grads, past = _worker_grads(obj, points, batches, hp, b)
-    assert_array_equal(grads, _batch_grad(obj, points, batches, hp))
-    want = _batch_grad(obj, points, batches[:, :b], hp)
+    assert_array_equal(grads, batch_gradient(obj, points, batches, weight_decay=decay))
+    want = batch_gradient(obj, points, batches[:, :b], weight_decay=decay)
     if obj.kind == "quadratic":
         assert_array_equal(past, want)
     else:
         assert np.linalg.norm(past - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@given(kind=st.sampled_from(OBJECTIVE_KINDS), seed=st.integers(0, 2**31 - 1),
+       trials=st.integers(1, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_weight_decay_terms_are_added_last(kind, seed, trials, data):
+    # A run with weight decay lambda minimizes f + (lambda/2)||x||^2; the
+    # oracle adds lambda x and (lambda/2)||x||^2 after the kind's own terms.
+    obj = _draw_objective(data, kind, seed)
+    decay, every = 0.3, range(obj.sample_count)
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((trials, obj.dimension))
+    assert_array_equal(batch_gradient(obj, points, every, weight_decay=decay),
+                       batch_gradient(obj, points, every) + decay * points)
+    shared = points[:, None]
+    batches = rng.integers(0, obj.sample_count, size=(trials, 2, 5))
+    plain = batch_gradient(obj, shared, batches, lead=3)
+    for got, want in zip(batch_gradient(obj, shared, batches, lead=3,
+                                        weight_decay=decay), plain):
+        assert_array_equal(got, want + decay * shared)
+    assert_array_equal(batch_loss(obj, points, every, weight_decay=decay),
+                       batch_loss(obj, points, every)
+                       + 0.5 * decay * row_dots(points, points))
+    assert (batch_loss(obj, points[0], batches[0, 0], weight_decay=decay)
+            == batch_loss(obj, points[0], batches[0, 0])
+            + 0.5 * decay * row_dots(points[0], points[0]))
 
 
 def test_lead_takes_a_batch_or_matrix_and_a_count_in_one_to_b():
@@ -565,6 +619,10 @@ def test_stacked_oracle_index_and_shape_checks():
         batch_gradient(obj, np.zeros((2, 2)), [0, 1])    # (K, d) needs a matrix
     with pytest.raises(ValueError):
         batch_gradient(obj, np.zeros(2), range(0))
+    with pytest.raises(ValueError, match="^empty index set$"):
+        batch_gradient(obj, np.zeros(2), [])
+    with pytest.raises(ValueError, match="got a scalar$"):
+        batch_gradient(obj, np.zeros(2), 3)
     with pytest.raises(ValueError):
         batch_loss(obj, np.zeros(2), idx)
     for points in (np.zeros((3, 3)), np.zeros((2, 2, 2))):    # wrong d, 3-D

@@ -680,6 +680,17 @@ def test_warmup_ramp_is_linear_and_clipped():
     assert lrs[3000] == 0.4
 
 
+@pytest.mark.parametrize("kind", [WARMUP_CONSTANT, WARMUP_STEP_DECAY])
+def test_zero_warmup_epochs_start_at_the_peak(kind):
+    obj = make_quadratic(1, 100)
+    cl = ClusterConfig(workers_K=1, local_batch_B=10)
+    sched = Schedule(kind=kind, base_lr=0.1, scale_factor=4.0, warmup_epochs=0,
+                     decay_milestones=(0.5,), total_steps=10)
+    lrs = lr_series(sched, 10, cl, obj)
+    decayed = 0.4 / 10.0 if kind == WARMUP_STEP_DECAY else 0.4
+    assert lrs == [0.4] * 5 + [decayed] * 5
+
+
 def test_step_decay_hits_exact_fractions():
     obj = make_quadratic(1, 100)
     cl = ClusterConfig(workers_K=1, local_batch_B=10)
@@ -707,7 +718,8 @@ def test_inverse_sqrt_schedule_shape():
 @pytest.mark.parametrize("spec", [
     HyperParams(lr_gamma=math.nan), HyperParams(inner_lr_gamma_hat=math.nan),
     HyperParams(lars_trust=math.nan), HyperParams(weight_decay=math.nan),
-    HyperParams(adam_eps=math.nan), NoiseSpec(ISO_GAUSSIAN, raw_scale=math.nan),
+    HyperParams(adam_eps=math.nan), HyperParams(adam_beta1=math.nan),
+    HyperParams(adam_beta2=1.0), NoiseSpec(ISO_GAUSSIAN, raw_scale=math.nan),
     NoiseSpec(ISO_GAUSSIAN, noise_sigma_hat2=math.nan),
     NoiseSpec(ISO_GAUSSIAN, noise_sigma_hat2=-1.0),
     Schedule(base_lr=math.nan), Schedule(decay_factor=math.nan),
@@ -729,10 +741,10 @@ def test_schedule_validation():
 @pytest.mark.parametrize("field,value", [
     ("decay_factor", 0.0), ("decay_factor", -2.0), ("scale_factor", 0.0),
     ("scale_factor", -2.0), ("warmup_epochs", -1),
-    ("warmup_steps_inverse_sqrt", 0),
+    ("warmup_steps_inverse_sqrt", 0), ("total_steps", -5),
 ])
 def test_schedule_rejects_factors_that_break_lr_at(field, value):
-    sched = Schedule(kind=WARMUP_STEP_DECAY, total_steps=100, **{field: value})
+    sched = Schedule(kind=WARMUP_STEP_DECAY, **{"total_steps": 100, field: value})
     with pytest.raises(ValueError, match=f"^{field} must be"):
         sched.validate()
     with pytest.raises(ValueError, match=f"^{field} must be"):

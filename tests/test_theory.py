@@ -108,6 +108,8 @@ def test_finish_report_fills_measurements():
     rep2 = rate_bound(SGD, CONSTS, HyperParams(lr_gamma=0.1), CLUSTER, 100)
     finish_report(rep2, [0.5, 0.6])
     assert rep2.holds is False
+    with pytest.raises(ValueError, match="^empty gradient-norm series$"):
+        finish_report(rep2, [])
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +125,8 @@ def test_tuned_stepsize_two_case_rule():
     noiseless = TheoryConstants(lipschitz_L=2.0, variance_sigma2=0.0,
                                 f_star=0.0, r0=1.0)
     assert tune_stepsize(SGD, noiseless, CLUSTER, 100) == 0.5
+    with pytest.raises(ValueError, match="^horizon_T must be >= 1$"):
+        tune_stepsize(SGD, CONSTS, CLUSTER, 0)
 
 
 def test_tuned_stepsize_momentum_variants():
@@ -176,6 +180,15 @@ def test_bounds_refuse_a_nonpositive_lipschitz_constant(lipschitz_L):
         epsilon_horizon(SGD, flat, CLUSTER, 0.1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lipschitz_L", -1.0), ("variance_sigma2", -1.0), ("r0", -1.0),
+    ("lipschitz_L", math.nan), ("variance_sigma2", math.nan), ("r0", math.nan),
+])
+def test_theory_constants_refuse_a_negative_or_nan_entry(field, value):
+    with pytest.raises(ValueError, match="^TheoryConstants entries must be nonnegative$"):
+        dataclasses.replace(CONSTS, **{field: value}).validate()
+
+
 @pytest.mark.parametrize("lipschitz_L,r0", [(0.0, 1.0), (2.0, 0.0),
                                             (2.0, -1.0)])
 def test_critical_batch_size_refuses_a_zero_scale(lipschitz_L, r0):
@@ -198,6 +211,9 @@ def test_epsilon_horizon_boundary():
     assert bound_at(t_star) <= 0.1 < bound_at(t_star - 1)
     with pytest.raises(ValueError):
         epsilon_horizon(SGD, CONSTS, CLUSTER, 0.0)
+    # 4/sqrt(T) is still above 1e-9 at the last doubling, T = 2**50.
+    with pytest.raises(ValueError, match="^bound never reaches epsilon=1e-09$"):
+        epsilon_horizon(SGD, CONSTS, CLUSTER, 1e-9)
 
 
 def test_epsilon_horizon_scaling_with_batch():
