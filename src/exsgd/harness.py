@@ -22,13 +22,18 @@ draw; the replay stays per trial, and runs only at a constant stepsize.
 The `threads` argument of `run` is accepted and has no effect.
 A chunk writes its recorded steps' metrics into one NaN-initialised table, a
 row per trial and a column per recorded step, and builds each trial's
-records from its row once, when the chunk ends.  The full-gradient norm at
-x_bar_{t+1/2} and the train loss at x_{t+1}, each a pass over all N samples,
-wait until a block of points is due, one per running trial and step, at
-most `objectives._SIGMA2_BLOCK` // (N d) of them, and are then evaluated in
-one stacked oracle call each; every value is bitwise its single-point call,
-so neither the block nor the chunk size ever shows in an output.  A run
-with a stopping rule evaluates each step's norms at once.
+records from its row once, when the chunk ends.  A step leaves its raw
+evaluation points and directions in `state.last_info`, reduced by nothing.
+The full-gradient norm at x_bar_{t+1/2} and the train loss at x_{t+1}, each
+a pass over all N samples, wait until a block of steps is due, one point per
+running trial and step, at most `objectives._SIGMA2_BLOCK` // (N d) of
+them.  Then one `step_reports` call reduces the block's raw points (and, in
+a replay, directions) to the mean half points, worker deviations and mean
+directions, and one stacked oracle call evaluates each metric; every value
+is bitwise its single-step reduction and single-point call, so neither the
+block nor the chunk size ever shows in an output.  A run with a stopping
+rule evaluates each step's norms at once.  Post-local's worker dispersion
+is taken from the state at the recorded steps.
 Every gradient, loss and theory constant is of f + (lambda/2)||x||^2, the
 objective a run with weight decay lambda minimizes: the oracle and
 `estimate_constants` add the decay terms, given `weight_decay`.
@@ -54,14 +59,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objectives, theory
-# reduce_mean is unused here, but benchmark/tracer.py patches it here.
-from .cluster import (ClusterConfig, cached_indices, draw_batches,
-                      reduce_mean)  # noqa: F401
+from .cluster import ClusterConfig, cached_indices, draw_batches, reduce_mean
 from .objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
                          estimate_constants, initial_point, row_dots)
 from .optimizers import (NOISE_NONE, HyperParams, NoiseSpec, PostLocalConfig,
                          Schedule, NumericAbort, effective_gamma_hat, init_state,
-                         lookahead, lr_series, noise_second_moment)
+                         lookahead, lr_series, noise_second_moment,
+                         step_reports, worker_dispersion)
 # `_step_once` calls these by name from this module, where
 # benchmark/tracer.py patches them.
 from .optimizers import (step_adam, step_extrap_adam, step_extrap_sgd,  # noqa: F401
@@ -236,21 +240,30 @@ _LOSS, _GN2, _SMOOTHNESS, _DISPERSION = range(4)
 
 
 def _evaluate_pending(obj, weight_decay, pending, buf, table, alive):
-    """Evaluate the metrics of the `pending` (row, column or None) steps and
-    empty it: the full-gradient norm at the consecutive rows of buf["half"]
-    (written to buf["gn2"] too, if present) and, for each step with a
-    column, the train loss at the next row of buf["x"], both written to that
-    column of `table` at the rows `alive`.  A buf row holds the (R, d)
-    points of the R running trials.  Returns the last step's gradient norms,
-    one per trial.  Each metric is one stacked oracle call, at weight decay
-    `weight_decay`, whose entry r is bitwise the single-point value."""
-    d, trials, every = obj.dimension, buf["half"].shape[1], range(obj.sample_count)
-    lo, hi = pending[0][0], pending[-1][0] + 1
-    g = batch_gradient(obj, buf["half"][lo:hi].reshape(-1, d), every,
+    """Evaluate the metrics of the `pending` (row, column or None) steps, at
+    consecutive rows, and empty it.  Entry i of buf["halves"] (and of
+    buf["z"], if present) holds the raw points (directions) of pending step
+    i, and one `step_reports` call reduces them all.  The full-gradient norm
+    is taken at each step's mean half point and, for each step with a
+    column, the train loss at row + 1 of buf["x"], both written to that
+    column of `table` at the rows `alive`.  A replay's series, buf["half"],
+    ["dev2"], ["xi"] and ["gn2"], get the reports and norms at the pending
+    rows.  A buf row holds the values of the R running trials.  Returns the
+    last step's gradient norms, one per trial.  Each metric is one stacked
+    oracle call, at weight decay `weight_decay`, whose entry r is bitwise the
+    single-point value."""
+    d, trials, every = obj.dimension, len(alive), range(obj.sample_count)
+    n, lo = len(pending), pending[0][0]
+    half, dev2, xi = step_reports(buf["halves"][:n],
+                                  buf["z"][:n] if "z" in buf else None)
+    g = batch_gradient(obj, half.reshape(-1, d), every,
                        weight_decay=weight_decay)
-    gn2s = row_dots(g, g).reshape(hi - lo, trials)
-    if "gn2" in buf:
-        buf["gn2"][lo:hi] = gn2s
+    gn2s = row_dots(g, g).reshape(n, trials)
+    if "half" in buf:
+        buf["half"][lo:lo + n], buf["dev2"][lo:lo + n] = half, dev2
+        buf["gn2"][lo:lo + n] = gn2s
+        if xi is not None:
+            buf["xi"][lo:lo + n] = xi
     recorded = [(row, column) for row, column in pending if column is not None]
     if recorded:
         rows, columns = np.array(recorded).T
@@ -287,14 +300,14 @@ def _step_once(config, state, obj, cl, batches, hp_t, seed):
 
 
 def _terminal_half_point(config, state, hp, cl, seed):
-    """x_bar_{T+1/2} = x - gamma_hat xi_bar_T + u v and xi_bar_T, step T =
-    state.step_t's mean direction from `lookahead`; no gradient is evaluated.
-    Both have one (d,) row per trial of `state`; `seed` holds the trials'
-    seeds."""
-    _, xi = lookahead(state, hp, cl.workers_K,
-                      theory.METHOD_TABLE[config.method].direction,
-                      config.noise, seed, config.objective.partition)
-    xi = np.zeros_like(state.x) if xi is None else xi
+    """x_bar_{T+1/2} = x - gamma_hat xi_bar_T + u v and xi_bar_T, the mean
+    of step T = state.step_t's directions from `lookahead`; no gradient is
+    evaluated.  Both have one (d,) row per trial of `state`; `seed` holds
+    the trials' seeds."""
+    _, z = lookahead(state, hp, cl.workers_K,
+                     theory.METHOD_TABLE[config.method].direction,
+                     config.noise, seed, config.objective.partition)
+    xi = np.zeros_like(state.x) if z is None else reduce_mean(z)
     half = state.x - effective_gamma_hat(hp, cl.workers_K) * xi
     if hp.momentum_u != 0.0:    # sgd never moves v off zero
         half = half + hp.momentum_u * state.v
@@ -390,22 +403,29 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     columns = {t: column for column, t in enumerate(recorded)}
     table = np.full((len(chunk), len(recorded), 4), math.nan)
     # Steps whose metrics are due wait in `pending` until a block of `size`
-    # steps is full: one stacked call then evaluates each metric for all of
-    # them, a point per trial and step and at most `_SIGMA2_BLOCK` doubles of
-    # (point, N, d) for the whole chunk.  A stopping rule needs every step's
-    # norms at once, so it evaluates each step on its own.  A pending step's
-    # half points are row r of buf["half"] and its points row r + 1 of
-    # buf["x"], one row per trial; r is the step in a replay and the step's
-    # place in the block otherwise.
+    # steps is full: one stacked call then reduces the block's raw half
+    # points and directions (`step_reports`) and one evaluates each metric
+    # for all of them, a point per trial and step and at most
+    # `_SIGMA2_BLOCK` doubles of (point, N, d) for the whole chunk.  A
+    # stopping rule needs every step's norms at once, so it evaluates each
+    # step on its own.  A pending step's raw points are entry i of
+    # buf["halves"], its directions entry i of buf["z"] in a replay that
+    # extrapolates, with i its place in the block, and its points row r + 1
+    # of buf["x"]; r is the step in a replay and i otherwise.
     size = 1 if stop_epsilon is not None else min(steps, max(
         1, objectives._SIGMA2_BLOCK // (obj.sample_count * d * len(chunk))))
     pending, shape = [], state.x.shape
-    names = ("x", "v", "half", "xi") if want_vs else ("x", "half")
-    buf = {name: np.empty(((steps if want_vs else size) + 1,) + shape)
-           for name in names}
+    points = workers if method.direction else 1   # a shared point is (R, 1, d)
+    buf = {"x": np.empty(((steps if want_vs else size) + 1,) + shape),
+           "halves": np.empty((size, len(chunk), points, d))}
     if want_vs:
         # Row t + 1 of "v" and row t of the rest hold step t's values too;
         # the replay writes the terminal half point and direction as row T.
+        # A method that never extrapolates keeps xi = 0.
+        buf["v"], buf["half"] = (np.empty((steps + 1,) + shape) for _ in range(2))
+        buf["xi"] = np.zeros((steps + 1,) + shape)
+        if method.direction:
+            buf["z"] = np.empty((size, len(chunk), workers, d))
         buf["gbar"] = np.empty((steps,) + shape)
         buf["dev2"], buf["gn2"] = (np.empty((steps,) + shape[:-1]) for _ in range(2))
         buf["x"][0], buf["v"][0] = state.x, state.v
@@ -450,18 +470,20 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
         column = columns.get(t)
         if column is not None:
             # train_loss and grad_norm2 are written when the block is.
-            table[:, column, _DISPERSION][alive] = info["worker_dispersion"]
+            table[:, column, _DISPERSION][alive] = worker_dispersion(state)
             if (config.record_smoothness_every
                     and t % config.record_smoothness_every == 0):
                 table[:, column, _SMOOTHNESS][alive] = theory.smoothness_estimates(
                     obj, x_before, state.x - x_before)
         if want_vs or column is not None or stop_epsilon is not None:
-            row = t if want_vs else len(pending)
-            buf["half"][row], buf["x"][row + 1] = info["x_half_bar"], state.x
+            at = len(pending)
+            row = t if want_vs else at
+            buf["halves"][at], buf["x"][row + 1] = info["halves"], state.x
             if want_vs:
-                buf["v"][t + 1], buf["gbar"][t], buf["xi"][t] = (
-                    state.v, info["g_bar"], info["xi_bar"])
-                buf["dev2"][t] = info["worker_dev2"]
+                buf["v"][t + 1], buf["gbar"][t] = state.v, info["g_bar"]
+                if "z" in buf:
+                    z = info["z"]
+                    buf["z"][at] = 0.0 if z is None else z
             pending.append((row, column))
         if len(pending) == size:
             gn2s = _evaluate_pending(obj, hp.weight_decay, pending, buf, table,

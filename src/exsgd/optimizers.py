@@ -7,8 +7,7 @@ All methods share the same skeleton per step t:
     reduction  ->  buffer/parameter update
 
 `lookahead` decides the evaluation points of every step, post-local's local
-phase included, and the mean direction the harness replay reads for its
-terminal step.
+phase included, and the directions the harness replay reads.
 
 - sgd:          x <- x - gamma * g(x)
 - nesterov:     x_half = x + u v;  v <- u v - gamma g(x_half);  x <- x + v
@@ -54,11 +53,15 @@ trial alone, and the reduction chains sgd = nesterov(u=0),
 nesterov = extrap_sgd(gamma_hat=0) and adam = extrap_adam(gamma_hat=0) hold
 bitwise.
 
-Step functions mutate `state` in place and return it; per-step quantities
-needed by the theory checks (mean half point, reduced gradient as applied after
-LARS, mean extrapolation direction, worker deviation, worker dispersion) are
-in `state.last_info`, one (d,) row or one value per trial.  A step that meets
-a non-finite value raises before it changes the state, and
+Step functions mutate `state` in place and return it.  A step reduces
+nothing it does not apply: `state.last_info` holds its raw evaluation points
+"halves", (R, 1, d) or (R, K, d) as above, its (R, K, d) directions "z"
+(None when no worker extrapolated), and in a synchronized step the (R, d)
+reduced gradient "g_bar" as applied after LARS.  `step_reports` reduces
+points and directions, of one step or a stacked block of steps, to the mean
+half point, worker deviation and mean direction that the theory checks read,
+and `worker_dispersion` gives post-local's worker spread from the state.  A
+step that meets a non-finite value raises before it changes the state, and
 `NumericAbort.trials` lists the trials (rows of x) that hold it.
 """
 
@@ -308,13 +311,33 @@ def _momentum_update(v, u, gamma, g):
     return -(gamma * g)
 
 
-def _worker_dev2(halves, half_bar):
-    """Each trial's mean squared distance of its workers' half points, the
-    rows of (R, K, d) `halves`, from their (R, d) mean `half_bar`."""
-    dev = halves - half_bar[:, None]
-    # np.add.reduce is what np.sum and np.mean call, bitwise, without their
-    # per-call wrappers; numpy parses a positional axis faster than a keyword.
-    return np.add.reduce(np.add.reduce(dev * dev, -1), -1) / halves.shape[1]
+def step_reports(halves, z=None):
+    """The mean half point, the mean squared distance of the workers' half
+    points from it and the mean direction, from raw step values with any
+    leading axes: `halves` holds (..., 1, d) points a trial's workers share
+    or (..., K, d) points of each worker, and `z` the (..., K, d) directions
+    or None (the mean direction is then None).  Entry [...] of each is
+    bitwise the reduction of that entry alone: `reduce_mean` and the sums
+    below reduce each row on its own, so a block of steps reduces in one
+    call."""
+    if halves.shape[-2] == 1:   # a point a trial's workers share is its mean
+        half_bar, dev2 = halves[..., 0, :], np.zeros(halves.shape[:-2])
+    else:
+        half_bar = reduce_mean(halves)
+        dev = halves - half_bar[..., None, :]
+        # np.add.reduce is what np.sum and np.mean call, bitwise, without
+        # their per-call wrappers; numpy parses a positional axis faster.
+        dev2 = np.add.reduce(np.add.reduce(dev * dev, -1), -1) / halves.shape[-2]
+    return half_bar, dev2, None if z is None else reduce_mean(z)
+
+
+def worker_dispersion(state):
+    """Each trial's largest distance of a worker's x^k from the published x
+    in post-local's local phase, an (R,) array; zeros before it."""
+    if state.local_x is None:
+        return np.zeros(len(state.x))
+    spread = state.local_x - state.x[:, None]
+    return np.fmax.reduce(np.sqrt(row_dots(spread, spread)), -1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +347,15 @@ def _worker_dev2(halves, half_bar):
 _SGD_RULE, _MOMENTUM_RULE, _ADAM_RULE = "sgd", "momentum", "adam"
 
 
-def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
+def _synced_step(state, obj, batches, hp, rule, halves, z=None,
                  extrap_b=None):
     """The body every synchronized step shares.
 
     The workers evaluate at `halves`: the (R, 1, d) points a trial's workers
     share in sgd, nesterov and adam, or the (R, K, d) per-worker half points
-    of the extrapolated methods.  They store their fresh gradients as the
-    next past gradients, and `last_info` reports the mean and spread of the
-    half points.  `rule` is the update applied to the reduced gradient.
+    of the extrapolated methods, reached along the directions `z`.  They
+    store their fresh gradients as the next past gradients.  `rule` is the
+    update applied to the reduced gradient.
     """
     x = state.x
     grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
@@ -355,33 +378,18 @@ def _synced_step(state, obj, batches, hp, rule, halves, xi_bar=None,
     _check_finite(state, "iterate", x_new)
     for name, value in buffers.items():
         setattr(state, name, value)
-    return _step_tail(state, x_new, past, halves, g_used, xi_bar)
+    return _step_tail(state, x_new, past,
+                      {"halves": halves, "z": z, "g_bar": g_used})
 
 
-def _step_tail(state, x_new, past, halves, g_bar, xi_bar):
+def _step_tail(state, x_new, past, info):
     """The end of every step, its values checked finite: store the (R, d)
-    iterate `x_new` and the `past` gradients, advance t, and report in
-    `last_info` the mean and spread of `halves`, `g_bar`, `xi_bar` (None:
-    zero) and in the local phase each trial's largest worker distance."""
+    iterate `x_new` and the `past` gradients, advance t, and keep the step's
+    raw values `info` as `last_info`."""
     state.x = x_new
     state.step_t += 1
     state.past_grad = past
-    if halves.shape[1] == 1:    # a point a trial's workers share is its mean
-        half_bar, dev2 = halves[:, 0].copy(), np.zeros(len(x_new))
-    else:
-        half_bar = reduce_mean(halves)
-        dev2 = _worker_dev2(halves, half_bar)
-    if state.local_x is None:
-        dispersion = [0.0] * len(x_new)
-    else:
-        spread = state.local_x - x_new[:, None]
-        dispersion = np.fmax.reduce(np.sqrt(row_dots(spread, spread)), -1,
-                                    initial=0.0).tolist()
-    state.last_info = {
-        "x_half_bar": half_bar, "g_bar": g_bar,
-        "xi_bar": xi_bar if xi_bar is not None else np.zeros(x_new.shape),
-        "worker_dev2": dev2, "worker_dispersion": dispersion,
-    }
+    state.last_info = info
     return state
 
 
@@ -392,29 +400,29 @@ def step_minibatch_sgd(state, obj, batches, hp):
 
 def step_nesterov(state, obj, batches, hp):
     """Three-line Nesterov recurrence, gradient at the shared lookahead."""
-    halves, xi_bar = lookahead(state, hp, batches.shape[1], None)
-    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves, xi_bar)
+    halves, z = lookahead(state, hp, batches.shape[1], None)
+    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves, z)
 
 
 def step_extrap_sgd(state, obj, batches, hp, extrap_b=None):
     """Gradient extrapolation from the stored past local batch gradients."""
-    halves, xi_bar = lookahead(state, hp, batches.shape[1], "past")
-    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
-                        xi_bar, extrap_b)
+    halves, z = lookahead(state, hp, batches.shape[1], "past")
+    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves, z,
+                        extrap_b)
 
 
 def step_extrapolated_noise(state, obj, batches, hp, noise, seed, extrap_b=None):
     """Extrapolation along a seeded noise direction instead of past gradients;
     `seed` holds the R trial seeds."""
-    halves, xi_bar = lookahead(state, hp, batches.shape[1], "noise", noise,
-                               seed, obj.partition)
-    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves,
-                        xi_bar, extrap_b)
+    halves, z = lookahead(state, hp, batches.shape[1], "noise", noise, seed,
+                          obj.partition)
+    return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves, z,
+                        extrap_b)
 
 
 def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
               partition=None):
-    """Step t = `state.step_t`'s evaluation points and mean direction xi_bar.
+    """Step t = `state.step_t`'s evaluation points and directions z.
 
     The points start from each trial's x and v, shared by its workers, or,
     once post-local's local phase has set `state.local_x`, from each
@@ -424,7 +432,7 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
     gradient ("past"), a draw seeded by (trial seed, _NOISE_TAG, t) for each
     of the R trial seeds in `seed` ("noise"), or the Adam-preconditioned past
     gradient ("adam", without momentum).  At t = 0 and with gamma_hat = 0 no
-    worker extrapolates.  xi_bar is the (R, d) mean of z^k; None without
+    worker extrapolates.  z is the (R, K, d) stack of the z^k; None without
     extrapolation and for "adam", whose direction no replay reads.
     """
     u = 0.0 if direction == "adam" else hp.momentum_u   # Adam keeps no v
@@ -433,7 +441,7 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
     else:
         x, v = state.local_x, state.local_v
     ghat = effective_gamma_hat(hp, n_workers)
-    xi_bar = None
+    z = None
     if direction is None:
         quarters = x
     elif ghat == 0.0 or state.step_t == 0:
@@ -453,10 +461,10 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
             z = draw_noise_directions(noise, state, rngs, n_workers, partition)
         else:
             z = state.past_grad
-        quarters, xi_bar = x - ghat * z, reduce_mean(z)
+        quarters = x - ghat * z
     if u == 0.0:
-        return quarters, xi_bar
-    return quarters + u * v, xi_bar
+        return quarters, z
+    return quarters + u * v, z
 
 
 def draw_noise_directions(noise, state, rngs, n_workers, partition):
@@ -501,8 +509,8 @@ def step_extrap_adam(state, obj, batches, hp, extrap_b=None):
     sqrt variant.  Moments are shared, updated from the reduced gradient,
     without bias correction.  Extrapolation is skipped at t = 0.
     """
-    halves, xi_bar = lookahead(state, hp, batches.shape[1], "adam")
-    return _synced_step(state, obj, batches, hp, _ADAM_RULE, halves, xi_bar,
+    halves, z = lookahead(state, hp, batches.shape[1], "adam")
+    return _synced_step(state, obj, batches, hp, _ADAM_RULE, halves, z,
                         extrap_b)
 
 
@@ -524,7 +532,7 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
         state.local_x = np.broadcast_to(state.x[:, None], shape).copy()
         state.local_v = (np.zeros(shape) if hp.reset_local_momentum else
                          np.broadcast_to(state.v[:, None], shape).copy())
-    halves, xi_bar = lookahead(state, hp, batches.shape[1], "past")
+    halves, z = lookahead(state, hp, batches.shape[1], "past")
     grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
     _check_finite(state, "local gradients", grads)
     g_used = (trust_scale(grads, state.local_x, obj.partition, hp.lars_trust,
@@ -536,7 +544,7 @@ def step_post_local(state, obj, batches, hp, plc, extrap_b=None):
     if t % plc.local_steps_H == 0:
         local_x = np.broadcast_to(mean_x[:, None], shape).copy()
     state.local_x, state.local_v = local_x, local_v
-    return _step_tail(state, mean_x, past, halves, reduce_mean(g_used), xi_bar)
+    return _step_tail(state, mean_x, past, {"halves": halves, "z": z})
 
 
 # ---------------------------------------------------------------------------

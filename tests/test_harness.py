@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_array_equal
 
-from exsgd import cluster, harness, objectives, optimizers
-from exsgd.cluster import EPOCH_PERMUTATION, ClusterConfig, draw_batches
+from exsgd import cluster, harness, objectives, optimizers, theory
+from exsgd.cluster import (EPOCH_PERMUTATION, ClusterConfig, draw_batches,
+                           reduce_mean)
 from exsgd.harness import (MetricsRecord, RunConfig, _describe,
                            _dump_json, _encode_line,
                            _jsonable, _lr_series, _replay_constants,
@@ -495,12 +496,14 @@ def test_virtual_sequence_rows_are_the_stacked_step_values(method, workers,
     for t in range(steps):
         _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, [tr.seed])
         info = state.last_info
+        half_bar = reduce_mean(info["halves"][0])
         xs.append(state.x[0])
         vs.append(state.v[0])
-        halves.append(info["x_half_bar"][0])
+        halves.append(half_bar)
         gbars.append(info["g_bar"][0])
-        xibars.append(info["xi_bar"][0])
-        gn2s.append(_grad_norm2(obj, info["x_half_bar"][0], hp.weight_decay))
+        xibars.append(np.zeros(obj.dimension) if info["z"] is None
+                      else reduce_mean(info["z"][0]))
+        gn2s.append(_grad_norm2(obj, half_bar, hp.weight_decay))
     seq = tr.virtual_sequence
     assert_array_equal(seq.x, np.stack(xs))
     assert_array_equal(seq.v, np.stack(vs))
@@ -535,7 +538,9 @@ def test_terminal_direction_is_the_next_steps_direction(method):
     for t in range(steps + 1):
         _step_once(cfg, state, obj, cl, draw_batches(cl, obj, t), hp, [tr.seed])
     xi_bar = tr.virtual_sequence.xi_bar[steps]
-    assert_array_equal(xi_bar, state.last_info["xi_bar"][0])
+    z = state.last_info["z"]
+    assert_array_equal(xi_bar, np.zeros_like(xi_bar) if z is None
+                       else reduce_mean(z[0]))
     assert np.any(xi_bar != 0.0) == (METHOD_TABLE[method].direction is not None)
 
 
@@ -1227,3 +1232,186 @@ def test_a_shrinking_chunk_generates_each_block_once(monkeypatch):
             trials = _trial_results(cfg, stop_epsilon=epsilon)
         ends = {tr.steps_done for tr in trials if tr.aborted or tr.reached_epsilon}
         assert len(ends) >= 2 and len(made) == len(set(made))
+
+
+# ---------------------------------------------------------------------------
+# a step keeps its raw points and directions; the harness reduces them in
+# stacked blocks
+# ---------------------------------------------------------------------------
+
+def _logged_steps(log):
+    """A patch of `harness._step_once` that logs, after every step that
+    completes, each running trial's raw points and directions, its point
+    after the step and its post-local worker dispersion by hand, keyed by
+    (trial seed, step)."""
+    step_once = harness._step_once
+
+    def logged(config, state, obj, cl, batches, hp_t, seed):
+        out = step_once(config, state, obj, cl, batches, hp_t, seed)
+        info, t = state.last_info, state.step_t - 1
+        for row, trial_seed_ in enumerate(seed):
+            z = info["z"]
+            spread = [0.0] if state.local_x is None else [
+                float(np.linalg.norm(w))
+                for w in state.local_x[row] - state.x[row]]
+            log[trial_seed_, t] = (info["halves"][row].copy(),
+                                   None if z is None else z[row].copy(),
+                                   state.x[row].copy(), max(spread))
+        return out
+    return mock.patch.object(harness, "_step_once", logged)
+
+
+def _by_hand(obj, decay, halves, z):
+    """One trial's mean half point, worker deviation, mean direction and
+    full-gradient norm at one step, from its raw (K or 1, d) points and its
+    (K, d) directions or None."""
+    half_bar = reduce_mean(halves)
+    dev = halves - half_bar
+    dev2 = np.add.reduce(np.add.reduce(dev * dev, -1)) / len(halves)
+    xi = np.zeros_like(half_bar) if z is None else reduce_mean(z)
+    return half_bar, dev2, xi, _grad_norm2(obj, half_bar, decay)
+
+
+def _assert_records_are_by_hand(obj, decay, trials, log):
+    """Each record of a completed step holds the by-hand norm at its mean
+    half point, the loss at its point and the logged dispersion."""
+    for tr in trials:
+        for r in tr.records:
+            if tr.aborted and r.step == tr.steps_done:
+                continue        # the abort record
+            halves, z, x, spread = log[tr.seed, r.step]
+            *_, gn2 = _by_hand(obj, decay, halves, z)
+            loss = batch_loss(obj, x, range(obj.sample_count)) \
+                + 0.5 * decay * float(x @ x)
+            assert (r.grad_norm2, r.train_loss) == (gn2, loss)
+            assert r.worker_dispersion.hex() == spread.hex()
+
+
+@given(method=st.sampled_from([name for name in METHODS
+                               if METHOD_TABLE[name].bounded]),
+       dim=st.sampled_from([1, 3]), workers=st.sampled_from([1, 3]),
+       trials=st.integers(1, 3), block=st.integers(1, 3),
+       steps=st.integers(1, 12), record_every=st.integers(1, 3),
+       u=st.sampled_from([0.0, 0.5]), decay=st.sampled_from([0.0, 0.1]),
+       aborting=st.booleans(), master_seed=st.integers(0, 7))
+# Two trials abort, at steps 9 (inside a block) and 10, and one is replayed;
+# one trial aborts at step 7, inside a block.
+@example(method="extrap_sgd", dim=3, workers=3, trials=3, block=2, steps=12,
+         record_every=2, u=0.5, decay=0.0, aborting=True, master_seed=5)
+@example(method="extrap_sgd", dim=1, workers=1, trials=3, block=3, steps=12,
+         record_every=3, u=0.0, decay=0.1, aborting=True, master_seed=3)
+@example(method="extrap_noise", dim=3, workers=3, trials=2, block=2, steps=9,
+         record_every=1, u=0.5, decay=0.1, aborting=False, master_seed=0)
+@settings(max_examples=40, deadline=None)
+def test_replay_rows_are_the_per_step_reductions_of_the_raw_values(
+        method, dim, workers, trials, block, steps, record_every, u, decay,
+        aborting, master_seed):
+    # The replay rows x_bar_half, xi_bar and grad_norm2_series and the
+    # worker_dev2 the proximity checks read are bitwise each step's own
+    # reductions of the raw points and directions the step kept, for metric
+    # blocks of 1-3 steps and with trials that abort inside a block: the
+    # shift of sample 5 overflows every batch that holds it.
+    shifts = np.random.default_rng(dim).standard_normal((32, dim))
+    if aborting:
+        shifts[5] = 1e308
+    cfg = _base_config(
+        objective=make_quadratic(dim, 32, shifts=shifts,
+                                 diag=[2.0, 3.0, 4.0][:dim]),
+        method=method, trials=trials, total_steps_T=steps,
+        record_every=record_every, record_virtual_sequence=True,
+        master_seed=master_seed,
+        cluster=ClusterConfig(workers_K=workers, local_batch_B=1),
+        hyperparams=HyperParams(lr_gamma=0.05, momentum_u=u,
+                                weight_decay=decay),
+        noise=NoiseSpec(kind="isotropic_gaussian", raw_scale=0.1))
+    obj = cfg.objective
+    log, dev2s = {}, {}
+    proximity = theory.check_proximity_inequalities
+
+    def logged_proximity(vs, worker_dev2=None, **kwargs):
+        dev2s[id(vs)] = np.asarray(worker_dev2)
+        return proximity(vs, worker_dev2=worker_dev2, **kwargs)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with _logged_steps(log), mock.patch.object(
+                theory, "check_proximity_inequalities", logged_proximity), \
+                mock.patch.object(objectives, "_SIGMA2_BLOCK",
+                                  block * obj.sample_count * dim * trials):
+            assert harness._chunk_size(cfg) >= trials
+            got = run(cfg).trials
+        _assert_records_are_by_hand(obj, decay, got, log)
+        for tr in got:
+            seq = tr.virtual_sequence
+            assert (seq is None) == tr.aborted
+            if seq is None:
+                continue
+            half, dev2, xi, gn2 = (np.stack(rows) for rows in zip(*(
+                _by_hand(obj, decay, *log[tr.seed, t][:2])
+                for t in range(steps))))
+            assert seq.x_bar_half[:-1].tobytes() == half.tobytes()
+            assert seq.xi_bar[:-1].tobytes() == xi.tobytes()
+            assert tr.grad_norm2_series.tobytes() == gn2.tobytes()
+            assert dev2s[id(seq)].tobytes() == dev2.tobytes()
+
+
+@given(method=st.sampled_from(["sgd", "nesterov", "extrap_sgd"]),
+       dim=st.sampled_from([1, 3]), workers=st.sampled_from([1, 3]),
+       trials=st.integers(1, 3), record_every=st.integers(1, 3),
+       epsilon=st.sampled_from([0.3, 1.0]))
+@settings(max_examples=12, deadline=None)
+def test_a_speedup_stop_reads_the_per_step_reductions(method, dim, workers,
+                                                     trials, record_every,
+                                                     epsilon):
+    # Each trial stops after the first step whose by-hand norm, at the mean
+    # of that step's raw half points, is <= epsilon: after 1-7 steps at
+    # d = 1 and 18-650 steps at d = 3.
+    obj = make_quadratic(dim, 64, generator_seed=dim, shift_mean=[2.0] * dim,
+                         diag=[0.5, 1.0, 2.0][:dim])
+    base = _base_config(objective=obj, method=method, trials=trials,
+                        record_every=record_every,
+                        hyperparams=HyperParams(momentum_u=0.5))
+    log, runs = {}, []
+    trial_results = harness._trial_results
+
+    def logged_trials(cfg, stop_epsilon=None):
+        runs.append((cfg, trial_results(cfg, stop_epsilon)))
+        return runs[-1][1]
+
+    with _logged_steps(log), mock.patch.object(harness, "_trial_results",
+                                               logged_trials):
+        speedup_study(base, [(workers, 2)], epsilon)
+    (cfg, got), = runs
+    _assert_records_are_by_hand(obj, 0.0, got, log)
+    for tr in got:
+        norms = [_by_hand(obj, 0.0, *log[tr.seed, t][:2])[-1]
+                 for t in range(tr.steps_done)]
+        assert tr.reached_epsilon == (norms[-1] <= epsilon)
+        assert all(gn2 > epsilon for gn2 in norms[:-1])
+        if not tr.reached_epsilon:
+            assert tr.steps_done == cfg.total_steps_T
+
+
+@given(dim=st.sampled_from([1, 3]), workers=st.sampled_from([1, 3]),
+       trials=st.integers(1, 3), steps=st.integers(1, 12),
+       record_every=st.integers(2, 4), t0=st.integers(0, 3),
+       local_h=st.integers(1, 3), block=st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_post_local_records_read_the_state_at_recorded_steps(
+        dim, workers, trials, steps, record_every, t0, local_h, block):
+    # Post-local's dispersion is taken from the state at the recorded steps
+    # only, and its norms and losses from the raw half points.
+    obj = make_quadratic(dim, 32, generator_seed=dim, shift_spread=2.0)
+    cfg = _base_config(
+        objective=obj, method="post_local", trials=trials,
+        total_steps_T=steps, record_every=record_every,
+        cluster=ClusterConfig(workers_K=workers, local_batch_B=2),
+        hyperparams=HyperParams(lr_gamma=0.05, momentum_u=0.5),
+        post_local=PostLocalConfig(transition_step_t0=t0,
+                                   local_steps_H=local_h))
+    log = {}
+    with _logged_steps(log), mock.patch.object(
+            objectives, "_SIGMA2_BLOCK", block * obj.sample_count * dim * trials):
+        got = run(cfg).trials
+    _assert_records_are_by_hand(obj, 0.0, got, log)
+    assert [r.step for r in got[0].records] == sorted(
+        {t for t in range(steps) if t % record_every == 0} | {steps - 1})

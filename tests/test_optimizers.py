@@ -11,8 +11,8 @@ from exsgd.cluster import (EPOCH_PERMUTATION, ClusterConfig, draw_batches,
                            reduce_mean)
 from exsgd.gates import QUAD, chain_mismatch, reduction_chains
 from exsgd.harness import RunConfig
-from exsgd.objectives import (initial_point, make_logistic, make_quadratic,
-                              make_tiny_mlp)
+from exsgd.objectives import (batch_gradient, initial_point, make_logistic,
+                              make_quadratic, make_tiny_mlp)
 from exsgd.optimizers import (ANISO_STOCHASTIC, CONSTANT, INVERSE_SQRT,
                               ISO_GAUSSIAN, ISO_UNIFORM, SMOOTHOUT_SHARED,
                               WARMUP_CONSTANT, WARMUP_STEP_DECAY, HyperParams,
@@ -23,7 +23,7 @@ from exsgd.optimizers import (ANISO_STOCHASTIC, CONSTANT, INVERSE_SQRT,
                               step_extrap_adam, step_extrap_sgd,
                               step_extrapolated_noise, step_minibatch_sgd,
                               step_nesterov, step_post_local, trust_scale,
-                              warmup_increment)
+                              warmup_increment, worker_dispersion)
 
 
 def _scalar_quad(shifts=(1.0, 3.0)):
@@ -91,7 +91,8 @@ def test_extrapolation_skipped_at_step_zero():
     hp = HyperParams(lr_gamma=0.1, inner_lr_gamma_hat=0.5, momentum_u=0.0)
     st = init_state(initial_point(obj)[None], 1)
     step_extrap_sgd(st, obj, _full_batches(obj, 1, 0), hp)
-    assert st.last_info["x_half_bar"][0, 0] == 0.0     # gradient taken at x0
+    assert st.last_info["z"] is None
+    assert reduce_mean(st.last_info["halves"])[0, 0] == 0.0   # gradient taken at x0
     assert st.x[0, 0] == 0.2
 
 
@@ -105,7 +106,8 @@ def test_half_point_is_extrapolate_then_momentum():
     st.step_t = 3                                    # past data available
     step_extrap_sgd(st, obj, _full_batches(obj, 1, 3), hp)
     # x_half = (x - ghat * past) + u * v = 1.0 + 0.1 + 0.2
-    assert st.last_info["x_half_bar"][0, 0] == (1.0 - 0.05 * -2.0) + 0.5 * 0.4
+    assert (reduce_mean(st.last_info["halves"])[0, 0]
+            == (1.0 - 0.05 * -2.0) + 0.5 * 0.4)
 
 
 def test_gamma_hat_defaults_to_gamma_over_K():
@@ -214,7 +216,7 @@ def test_extrap_adam_half_point_denominator_has_no_sqrt():
     step_extrap_adam(st, obj, _full_batches(obj, 1, 1), hp)
     num = 0.9 * -0.2 + (1.0 - 0.9) * -2.0
     den = 0.98 * 0.08 + (1.0 - 0.98) * 4.0 + 1e-9
-    assert st.last_info["x_half_bar"][0, 0] == -(0.05 * num / den)
+    assert reduce_mean(st.last_info["halves"])[0, 0] == -(0.05 * num / den)
 
     st2 = init_state(initial_point(obj)[None], 1)
     st2.adam_m = np.array([[-0.2]])
@@ -224,7 +226,8 @@ def test_extrap_adam_half_point_denominator_has_no_sqrt():
     hp2 = HyperParams(lr_gamma=0.1, inner_lr_gamma_hat=0.05, adam_beta1=0.9,
                       adam_beta2=0.98, adam_eps=1e-9, extrap_denominator_sqrt=True)
     step_extrap_adam(st2, obj, _full_batches(obj, 1, 1), hp2)
-    assert st2.last_info["x_half_bar"][0, 0] == -(0.05 * num / math.sqrt(den))
+    assert (reduce_mean(st2.last_info["halves"])[0, 0]
+            == -(0.05 * num / math.sqrt(den)))
 
 
 def test_past_gradient_reuses_full_batch_evaluation():
@@ -364,7 +367,9 @@ def test_noise_step_worker_dev_zero_for_shared_kind():
     for t in range(3):
         step_extrapolated_noise(st, obj, draw_batches(cfg, obj, t), hp,
                                 NoiseSpec(SMOOTHOUT_SHARED, raw_scale=0.1), [9])
-    assert st.last_info["worker_dev2"][0] == 0.0
+    halves = st.last_info["halves"][0]
+    dev = halves - reduce_mean(halves)
+    assert np.add.reduce(np.add.reduce(dev * dev, -1)) / len(halves) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["none", "bogus"])
@@ -528,7 +533,7 @@ def test_post_local_dispersion_pattern():
     seen_positive = 0
     for t in range(14):
         step_post_local(st, obj, draw_batches(cfg, obj, t), hp, plc)
-        disp = st.last_info["worker_dispersion"][0]
+        disp = worker_dispersion(st)[0]
         if t <= 2:
             assert disp == 0.0          # still synchronized
         elif t % 3 == 0:
@@ -553,7 +558,7 @@ def test_post_local_dispersion_is_the_per_row_norm_max():
         want = [0.0] * 3 if st.local_x is None else [
             max(float(np.linalg.norm(row)) for row in trial)
             for trial in st.local_x - st.x[:, None]]
-        got = st.last_info["worker_dispersion"]
+        got = worker_dispersion(st).tolist()
         assert [w.hex() for w in got] == [w.hex() for w in want]
         seen_positive += min(got) > 0.0
     assert seen_positive >= 3
@@ -586,18 +591,24 @@ def test_post_local_momentum_reset_changes_trajectory():
     assert_array_equal(drop.local_v[0] * 0.0, 0.0)      # buffers exist
 
 
-def test_post_local_records_the_gradient_lars_applied():
-    # With gamma = 1 and u = 0 each local buffer is exactly -g_used^k, so
-    # g_bar must be their mean, not the mean before per-worker LARS.
+def test_post_local_applies_each_workers_lars_scaled_gradient():
+    # With gamma = 1 and u = 0 each local buffer is exactly -g_used^k: the
+    # worker's own gradient at its half point after per-worker LARS.  The
+    # local phase reduces no gradient, so it reports no g_bar.
     obj = make_tiny_mlp((3, 4, 2), 64, generator_seed=4)
     cfg = ClusterConfig(workers_K=3, local_batch_B=4, master_seed=5)
     hp = HyperParams(lr_gamma=1.0, lars_trust=0.02)
     plc = PostLocalConfig(transition_step_t0=1, local_steps_H=2)
     st = init_state(initial_point(obj)[None], 3)
     for t in range(6):
-        step_post_local(st, obj, draw_batches(cfg, obj, t), hp, plc)
+        local_x = st.x if st.local_x is None else st.local_x   # weights before
+        batches = draw_batches(cfg, obj, t)
+        step_post_local(st, obj, batches, hp, plc)
         if t > 1:
-            assert_array_equal(st.last_info["g_bar"], reduce_mean(-st.local_v))
+            grads = batch_gradient(obj, st.last_info["halves"], batches)
+            want = trust_scale(grads, local_x, obj.partition, 0.02, 0.0)
+            assert_array_equal(-st.local_v, want)
+            assert "g_bar" not in st.last_info
 
 
 @pytest.mark.parametrize("workers_K", [1, 3])
@@ -607,7 +618,7 @@ def test_post_local_records_the_gradient_lars_applied():
 def test_post_local_looks_ahead_from_each_workers_own_point(
         workers_K, u, gamma_hat, extrap_b, decay):
     # The local phase evaluates at x^k - gamma_hat p^k + u v^k, built from the
-    # state before the step, and reports the mean past gradient it used.
+    # state before the step, and reports the past gradients it used.
     obj = make_quadratic(3, 32, generator_seed=14, shift_spread=2.0)
     cfg = ClusterConfig(workers_K=workers_K, local_batch_B=4,
                         extrap_batch_b=extrap_b, master_seed=10)
@@ -627,11 +638,14 @@ def test_post_local_looks_ahead_from_each_workers_own_point(
         if t <= plc.transition_step_t0:
             continue
         halves = np.broadcast_to(xk - ghat * pk + u * vk, pk.shape)
-        assert_array_equal(st.last_info["x_half_bar"], reduce_mean(halves))
-        xi_bar = reduce_mean(pk) if ghat != 0.0 else np.zeros_like(st.x)
-        assert_array_equal(st.last_info["xi_bar"], xi_bar)
+        assert_array_equal(st.last_info["halves"], halves)
+        assert_array_equal(reduce_mean(st.last_info["halves"]),
+                           reduce_mean(halves))
         if ghat != 0.0:
-            assert np.any(xi_bar != 0.0)
+            assert_array_equal(st.last_info["z"], pk)
+            assert np.any(reduce_mean(st.last_info["z"]) != 0.0)
+        else:
+            assert st.last_info["z"] is None
 
 
 def test_post_local_config_validation():

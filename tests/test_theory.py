@@ -237,10 +237,13 @@ def _record_sync_run(step_fn, obj, hp, cfg, steps, gamma_hat):
         vs.append(st.v[0].copy())
         step_fn(st, obj, draw_batches(cfg, obj, t), hp)
         info = st.last_info
-        halves.append(info["x_half_bar"][0])
+        points, z = info["halves"][0], info["z"]
+        half_bar = reduce_mean(points)
+        dev = points - half_bar
+        halves.append(half_bar)
         gs.append(info["g_bar"][0])
-        xis.append(info["xi_bar"][0])
-        dev2.append(info["worker_dev2"][0])
+        xis.append(np.zeros_like(half_bar) if z is None else reduce_mean(z[0]))
+        dev2.append(np.add.reduce(np.add.reduce(dev * dev, -1)) / len(points))
     x, v = st.x[0], st.v[0]
     xs.append(x.copy())
     vs.append(v.copy())
