@@ -346,7 +346,9 @@ def _sample_rows(obj, indices):
 
     A step-1 `range` becomes a basic slice: a view, with no gather and no
     per-element check.  Anything else becomes an int64 array of batches, its
-    last axis B: a (B,) batch, a (K, B) matrix or an (R, K, B) tensor.
+    last axis B: a (B,) batch, a (K, B) matrix or an (R, K, B) tensor; an
+    int64 ndarray is used as given.  Its bounds are checked here because
+    `_gather`'s `take` wraps a negative index instead of raising.
     """
     if isinstance(indices, range) and indices.step == 1:
         if len(indices) == 0:
@@ -354,7 +356,9 @@ def _sample_rows(obj, indices):
         if indices.start < 0 or indices.stop > obj.sample_count:
             raise IndexError("sample index out of range")
         return slice(indices.start, indices.stop)
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = indices
+    if not (isinstance(idx, np.ndarray) and idx.dtype == np.int64):
+        idx = np.asarray(idx, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("empty index set")
     if idx.ndim == 0:
@@ -363,6 +367,15 @@ def _sample_rows(obj, indices):
     if np.maximum.reduce(idx.view(np.uint64), None) >= obj.sample_count:
         raise IndexError("sample index out of range")
     return idx
+
+
+def _gather(data, rows):
+    """The rows of the per-sample array `data` at `_sample_rows`' `rows`: a
+    view for a slice, else one `take` along axis 0, the same copy as
+    `data[rows]` made faster."""
+    if isinstance(rows, slice):
+        return data[rows]
+    return data.take(rows, axis=0)
 
 
 def _check_dim(obj, values, rows):
@@ -401,13 +414,13 @@ def _mlp_forward(obj, values, rows):
     leading axes; each layer's bias and tanh, and the residual, are formed in
     the array its matmul created."""
     layers = _unpack_mlp(obj, values)
-    acts = [obj.mlp_inputs[rows]]
+    acts = [_gather(obj.mlp_inputs, rows)]
     for l, (w, b) in enumerate(layers):
         z = np.matmul(acts[-1], w.swapaxes(-1, -2))
         z += b
         acts.append(np.tanh(z, out=z) if l < len(layers) - 1 else z)
     resid = acts.pop()                     # output layer is linear
-    resid -= obj.mlp_targets[rows]
+    resid -= _gather(obj.mlp_targets, rows)
     return layers, acts, resid
 
 
@@ -489,6 +502,9 @@ def batch_gradient(obj, values, indices, *, lead=None, weight_decay=0.0):
     the call on `indices[..., :b]` for quadratics and agrees with it to
     rounding for logistic and tiny_mlp.  The decay term is added last, to
     both gradients of a `lead` call.
+
+    The samples of a batch tensor are gathered by one `take` per per-sample
+    array, after one bound check of every index; a `range` reads a view.
     """
     values = np.asarray(values, dtype=np.float64)
     rows = _sample_rows(obj, indices)
@@ -513,14 +529,14 @@ def _gradient(obj, values, rows, lead):
     if obj.kind == QUADRATIC:
         if isinstance(rows, slice) and rows == slice(0, obj.sample_count):
             return _quad_gradient(obj, values - obj.quad_shift_mean)
-        shifts = obj.quad_shifts[rows]
+        shifts = _gather(obj.quad_shifts, rows)
         g = _quad_gradient(obj, values - _batch_mean(shifts))
         if lead is None:
             return g
         return g, _quad_gradient(obj, values - _batch_mean(shifts[..., :lead, :]))
     if obj.kind == LOGISTIC:
-        phi = obj.logit_features[rows]
-        y = obj.logit_labels[rows]
+        phi = _gather(obj.logit_features, rows)
+        y = _gather(obj.logit_labels, rows)
         margin = y * np.matmul(phi, values[..., None])[..., 0]
         # d/dw log(1+exp(-m)) = -y phi sigmoid(-m)
         coef = -y * _sigmoid(-margin)
@@ -573,11 +589,11 @@ def _quad_gradient(obj, diff):
 
 def _sigmoid(z):
     """1 / (1 + exp(-z)) without overflow: exp runs on min(z, -z) <= 0, which
-    is -z where z >= 0 and z itself elsewhere (a NaN included), so each
-    element sees the same IEEE operations as the two-branch form."""
+    is -z where z >= 0 and z itself elsewhere (a NaN included), and one
+    division puts 1 or exp(z) over 1 + exp, so each element sees the same
+    IEEE operations as the two-branch form."""
     e = np.exp(np.minimum(z, -z))
-    denom = 1.0 + e
-    return np.where(z >= 0, 1.0 / denom, e / denom)
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def batch_loss(obj, values, indices, *, weight_decay=0.0):
@@ -591,11 +607,11 @@ def batch_loss(obj, values, indices, *, weight_decay=0.0):
         raise ValueError("batch_loss takes one batch of indices")
     _check_dim(obj, values, rows)
     if obj.kind == QUADRATIC:
-        diffs = values[..., None, :] - obj.quad_shifts[rows]
+        diffs = values[..., None, :] - _gather(obj.quad_shifts, rows)
         loss = 0.5 * np.sum(diffs * _quad_apply(obj, diffs), axis=-1).mean(axis=-1)
     elif obj.kind == LOGISTIC:
-        margin = obj.logit_labels[rows] * np.matmul(
-            obj.logit_features[rows], values[..., None])[..., 0]
+        margin = _gather(obj.logit_labels, rows) * np.matmul(
+            _gather(obj.logit_features, rows), values[..., None])[..., 0]
         # log(1+exp(-m)) computed stably; the l2 term is one dot per point.
         loss = np.logaddexp(0.0, -margin).mean(axis=-1)
         loss = loss + row_dots(0.5 * obj.logit_l2 * values, values)

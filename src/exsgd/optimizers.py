@@ -62,7 +62,18 @@ points and directions, of one step or a stacked block of steps, to the mean
 half point, worker deviation and mean direction that the theory checks read,
 and `worker_dispersion` gives post-local's worker spread from the state.  A
 step that meets a non-finite value raises before it changes the state, and
-`NumericAbort.trials` lists the trials (rows of x) that hold it.
+`NumericAbort.trials` lists the trials (rows of x) that hold it.  The abort
+names the reduced gradient when it is non-finite, else the iterate.  A
+synchronized step tests only its new iterate on the way through: under the
+sgd and momentum rules with gamma > 0 and no LARS, a non-finite reduced
+gradient always carries into the iterate through operations that raise no
+floating-point warning (inf times a finite value, a finite value minus
+inf).  It tests the gradient only when the iterate fails, to name the
+cause, or first where the update could hide it or warn on it: LARS (a
+zero-weight block turns it into +0.0, a finite one computes 0 * inf), the
+Adam rule (inf / inf) and gamma = 0 (0 * inf).  Post-local's local phase
+tests its gradients and then the mean iterate, because that mean can add
++inf to -inf.
 """
 
 import math
@@ -295,11 +306,18 @@ def trust_scale(v, x, partition, trust, decay):
     return out
 
 
+def _all_finite(arr):
+    # Counting the finite entries is faster on a small array than
+    # np.logical_and.reduce, what ndarray.all calls.
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
+
+
 def _check_finite(state, name, arr):
     """NumericAbort at `state`'s step if `arr`, whose first axis is the
-    trial axis, holds a non-finite value; the abort lists those trials."""
-    # np.logical_and.reduce is what ndarray.all calls, without its wrapper.
-    if not np.logical_and.reduce(np.isfinite(arr), None):
+    trial axis, holds a non-finite value; the abort lists those trials.
+    Which values a step checks, and in which order, is in the module
+    docstring."""
+    if not _all_finite(arr):
         trials = [r for r, row in enumerate(arr) if not np.isfinite(row).all()]
         raise NumericAbort(state.step_t, name, trials)
 
@@ -360,7 +378,9 @@ def _synced_step(state, obj, batches, hp, rule, halves, z=None,
     x = state.x
     grads, past = _worker_grads(obj, halves, batches, hp, extrap_b)
     g = reduce_mean(grads)
-    _check_finite(state, "reduced gradient", g)
+    # Only these updates can hide a non-finite g from x_new or warn on it.
+    if hp.lars_trust > 0 or rule == _ADAM_RULE or not hp.lr_gamma > 0:
+        _check_finite(state, "reduced gradient", g)
     g_used = (trust_scale(g, x, obj.partition, hp.lars_trust, hp.weight_decay)
               if hp.lars_trust > 0 else g)
     if rule == _ADAM_RULE:
@@ -375,7 +395,9 @@ def _synced_step(state, obj, batches, hp, rule, halves, z=None,
     else:
         x_new = x - hp.lr_gamma * g_used
         buffers = {}
-    _check_finite(state, "iterate", x_new)
+    if not _all_finite(x_new):    # g first, as the abort names the cause
+        _check_finite(state, "reduced gradient", g)
+        _check_finite(state, "iterate", x_new)
     for name, value in buffers.items():
         setattr(state, name, value)
     return _step_tail(state, x_new, past,

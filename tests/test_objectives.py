@@ -694,13 +694,22 @@ def test_cached_quadratic_shift_mean_is_a_fresh_batch_mean(kind, seed, data):
 
 @pytest.mark.parametrize("bad", [-1, 5, -2**63, 2**63 - 1])
 def test_out_of_range_indices_raise(bad):
-    obj = make_quadratic(2, 5)
+    # The bound check runs before the gather, whose `take` would wrap a
+    # negative index; a read-only int64 view is checked as draw_batches'
+    # cached blocks are.
     matrix = np.array([[0, 1, 2], [bad, 4, 3]])
-    for indices in ([0, bad], matrix, matrix[:, :2]):
-        with pytest.raises(IndexError):
-            batch_gradient(obj, np.zeros(2), indices)
-    with pytest.raises(IndexError):
-        batch_loss(obj, np.zeros(2), [bad])
+    tensor = np.stack([matrix[::-1], matrix])             # (R, K, B)
+    block = np.concatenate([tensor, tensor], axis=-1)
+    block.setflags(write=False)
+    view = block[..., 1:4]                  # holds bad at [0, 0, 2]
+    assert view.dtype == np.int64 and not view.flags.writeable
+    for obj in (make_quadratic(2, 5), make_logistic(2, 5),
+                make_tiny_mlp((1, 1), 5)):  # d = 2, N = 5
+        for indices in ([0, bad], matrix, matrix[:, :2], tensor, view):
+            with pytest.raises(IndexError, match="sample index out of range"):
+                batch_gradient(obj, np.zeros(2), indices)
+        with pytest.raises(IndexError, match="sample index out of range"):
+            batch_loss(obj, np.zeros(2), [bad])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from exsgd import optimizers
 from exsgd.cluster import (EPOCH_PERMUTATION, ClusterConfig, draw_batches,
                            reduce_mean)
 from exsgd.gates import QUAD, chain_mismatch, reduction_chains
@@ -283,6 +285,65 @@ def test_numeric_abort_on_divergence():
             step_minibatch_sgd(st, obj, _full_batches(obj, 1, t), hp)
     assert err.value.step < 200
     assert "step" in str(err.value)
+
+
+_SYNCED_STEPS = {"sgd": step_minibatch_sgd, "nesterov": step_nesterov,
+                 "extrap_sgd": step_extrap_sgd, "adam": step_adam}
+
+
+def _abort_of(step_fn, state, obj, batches, hp):
+    with pytest.raises(NumericAbort) as err:
+        step_fn(state, obj, batches, hp)
+    return err.value.step, err.value.detail, err.value.trials
+
+
+@pytest.mark.parametrize("method,lars,gamma,bad_shift", [
+    (method, lars, gamma, 1e308) for method in _SYNCED_STEPS
+    for lars in (0.0, 0.02) for gamma in (0.0, 0.05)
+] + [pytest.param("sgd", 0.0, 5.0, 1e307, id="iterate")])
+def test_one_check_step_aborts_as_the_gradient_first_step(
+        monkeypatch, method, lars, gamma, bad_shift):
+    # Three trials of K = 2 workers, B = 1.  Sample 5's shift overflows the
+    # reduced gradient (1e308), or leaves it finite and overflows the
+    # iterate (1e307 at gamma = 5); trials 1 and 2 draw it at step 2.
+    # Trial 1 starts at nonzero weights and trial 2 at zero weights, which
+    # LARS leaves at zero, so LARS meets both kinds of block.
+    shifts = [[1.0, 1.0]] * 8
+    shifts[5] = [bad_shift, bad_shift]
+    obj = make_quadratic(2, 8, diag=[10.0, 10.0], shifts=shifts)
+    hp = HyperParams(lr_gamma=gamma, momentum_u=0.5, lars_trust=lars)
+    step_fn = _SYNCED_STEPS[method]
+    state = init_state(np.array([[1.0, 1.0], [1.0, -2.0], [0.0, 0.0]]), 2)
+    for good in ([[[0], [1]], [[2], [3]], [[4], [6]]],
+                 [[[7], [0]], [[1], [2]], [[3], [4]]]):
+        step_fn(state, obj, np.array(good), hp)
+    batches = np.array([[[0], [1]], [[5], [2]], [[3], [5]]])
+    info = state.last_info
+    saved = {name: getattr(state, name).copy() for name in
+             ("x", "v", "past_grad", "adam_m", "adam_v")}
+
+    # The reference checks the reduced gradient as it is formed, then the
+    # iterate.
+    real_reduce = optimizers.reduce_mean
+
+    def reduce_then_check(vectors):
+        g = real_reduce(vectors)
+        optimizers._check_finite(reference, "reduced gradient", g)
+        return g
+
+    reference = dataclasses.replace(state)
+    with monkeypatch.context() as patch, np.errstate(over="ignore"):
+        patch.setattr(optimizers, "reduce_mean", reduce_then_check)
+        want = _abort_of(step_fn, reference, obj, batches, hp)
+    assert want[1:] == ("reduced gradient" if bad_shift > 1e307 else "iterate",
+                        [1, 2])
+
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")      # an invalid operation fails
+        assert _abort_of(step_fn, state, obj, batches, hp) == want
+    for name, value in saved.items():
+        assert_array_equal(getattr(state, name), value)
+    assert state.step_t == 2 and state.last_info is info
 
 
 def test_hyperparams_validation():

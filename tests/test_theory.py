@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from exsgd.cluster import ClusterConfig, draw_batches, reduce_mean
 from exsgd import theory
+from exsgd.gates import rate_bound_hold_fraction
 from exsgd.objectives import (TheoryConstants, batch_gradient, initial_point,
                               make_logistic, make_quadratic, make_tiny_mlp)
 from exsgd.optimizers import (HyperParams, effective_gamma_hat, init_state,
@@ -97,6 +98,18 @@ def test_bound_validity_caps_are_enforced():
                    HyperParams(lr_gamma=0.04, momentum_u=0.5), CLUSTER, 100)
     with pytest.raises(ValueError, match="no critical batch size"):
         critical_batch_size(POST_LOCAL, CONSTS, 0.5)
+
+
+def test_rate_bound_hold_fraction_refuses_trials_without_a_rate_report():
+    # Sample 5's shift 1e308 overflows every step whose batch holds it, so
+    # each of the six trials aborts within 20 steps and has no rate report.
+    shifts = [[1.0, 1.0]] * 32
+    shifts[5] = [1e308, 1e308]
+    obj = make_quadratic(2, 32, diag=[10.0, 10.0], shifts=shifts)
+    cluster = ClusterConfig(workers_K=2, local_batch_B=1)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^extrap_sgd: 6 of 6 trials have no rate report$"):
+        rate_bound_hold_fraction(obj, EXTRAP_SGD, cluster, 20, 0.5, 6, 3)
 
 
 def test_finish_report_fills_measurements():
