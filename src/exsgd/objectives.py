@@ -427,33 +427,31 @@ def _mlp_forward(obj, values, rows):
 def _mlp_gradient(obj, values, rows, lead=None):
     """Mean gradient of 0.5||net(x_i) - y_i||^2 by manual backprop; with
     `lead`, also the mean over the leading `lead` samples, summed from the
-    same propagated deltas and scaled by B / lead."""
+    same propagated deltas and scaled by B / lead.  Each layer's weight and
+    bias gradients are written into `_unpack_mlp`'s views of one (..., d)
+    result per mean, and the deltas are formed in the residual's array and
+    then in each hidden activation's."""
     layers, acts, resid = _mlp_forward(obj, values, rows)
-    lead_axes = resid.shape[:-2]
     batch = resid.shape[-2]
-    chunks, lead_chunks = [None] * len(layers), [None] * len(layers)
-    delta = resid / batch                  # output layer is linear
+    spans = (batch,) if lead is None else (batch, lead)
+    grads = [np.empty(resid.shape[:-2] + (obj.dimension,)) for _ in spans]
+    parts = [_unpack_mlp(obj, g) for g in grads]
+    delta = np.divide(resid, batch, out=resid)    # output layer is linear
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
-        chunks[l] = (np.matmul(delta.swapaxes(-1, -2), acts[l]), delta.sum(axis=-2))
-        if lead is not None:
-            head = delta[..., :lead, :]
-            lead_chunks[l] = (np.matmul(head.swapaxes(-1, -2), acts[l][..., :lead, :]),
-                              head.sum(axis=-2))
+        for span, part in zip(spans, parts):
+            gw, gb = part[l]
+            head = delta[..., :span, :]
+            np.matmul(head.swapaxes(-1, -2), acts[l][..., :span, :], out=gw)
+            np.add.reduce(head, -2, out=gb[..., 0, :])
         if l > 0:                          # tanh' = 1 - a^2, formed in a
             a = acts[l]
             np.subtract(1.0, np.multiply(a, a, out=a), out=a)
             delta = np.multiply(np.matmul(delta, w), a, out=a)
     if lead is None:
-        return _flatten_layers(chunks, lead_axes)
-    return (_flatten_layers(chunks, lead_axes),
-            _flatten_layers(lead_chunks, lead_axes) * (batch / lead))
-
-
-def _flatten_layers(chunks, lead_axes):
-    """The (weight, bias) gradient of each layer as one parameter vector."""
-    return np.concatenate([np.concatenate([gw.reshape(lead_axes + (-1,)), gb], axis=-1)
-                           for gw, gb in chunks], axis=-1)
+        return grads[0]
+    grads[1] *= batch / lead
+    return tuple(grads)
 
 
 def _batch_mean(a):

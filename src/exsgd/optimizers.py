@@ -45,7 +45,10 @@ evaluate at (R, 1, d) points, shared by a trial's workers, or (R, K, d)
 points, one per worker, and one oracle call per step evaluates every
 worker of every trial at once, for every extrap_b: with b < B the same call
 also returns the leading-b means the workers store (`batch_gradient`'s
-`lead`), so the oracle evaluates exactly R * K * B samples per step.  Entry
+`lead`), except under IID noise (isotropic Gaussian or uniform, or the
+shared draw), whose directions read no past gradient, so its workers store
+the batch means and the call forms no leading-b mean.  Either way the
+oracle evaluates exactly R * K * B samples per step.  Entry
 [r, k] is bitwise what a separate call for that batch returns, and the
 worker mean is still `cluster.reduce_mean`, an ascending add over each
 trial's K rows, so trial r of a step is bitwise the step of a stack of that
@@ -292,17 +295,20 @@ def trust_scale(v, x, partition, trust, decay):
     (R, d) `x` is shared by the workers of an (R, K, d) `v`); a block with
     zero weights or a zero denominator is suppressed to +0.0.  LARS is
     (lars_trust, weight_decay); filter-scaled noise, ||x_j|| zeta_j /
-    ||zeta_j||, is (1, 0)."""
+    ||zeta_j||, is (1, 0).  Each block is one product written into the
+    result, and only the suppressed rows are then set to +0.0."""
     if x.ndim < v.ndim:
         x = x[:, None]
-    out = np.zeros(v.shape)
+    out = np.empty(v.shape)
     for start, stop in partition:
         vj, xj = v[..., start:stop], x[..., start:stop]
         x_norm = np.sqrt(row_dots(xj, xj))
         denom = np.sqrt(row_dots(vj, vj)) + decay * x_norm
         keep = (x_norm != 0.0) & (denom != 0.0)
         scale = trust * x_norm / np.where(keep, denom, 1.0)
-        out[..., start:stop] = np.where(keep[..., None], scale[..., None] * vj, 0.0)
+        out_j = np.multiply(scale[..., None], vj, out=out[..., start:stop])
+        if not keep.all():
+            out_j[~keep] = 0.0
     return out
 
 
@@ -435,9 +441,13 @@ def step_extrap_sgd(state, obj, batches, hp, extrap_b=None):
 
 def step_extrapolated_noise(state, obj, batches, hp, noise, seed, extrap_b=None):
     """Extrapolation along a seeded noise direction instead of past gradients;
-    `seed` holds the R trial seeds."""
+    `seed` holds the R trial seeds.  Only anisotropic noise reads the past
+    gradients, so only it asks the oracle for the leading-`extrap_b` mean;
+    an IID kind stores the batch gradients as they are."""
     halves, z = lookahead(state, hp, batches.shape[1], "noise", noise, seed,
                           obj.partition)
+    if noise.kind != ANISO_STOCHASTIC:
+        extrap_b = None
     return _synced_step(state, obj, batches, hp, _MOMENTUM_RULE, halves, z,
                         extrap_b)
 
@@ -469,12 +479,20 @@ def lookahead(state, hp, n_workers, direction, noise=None, seed=None,
     elif ghat == 0.0 or state.step_t == 0:
         quarters = np.broadcast_to(x, (len(x), n_workers, x.shape[-1]))
     elif direction == "adam":
+        # The expression form's operations in two (R, K, d) arrays; only
+        # the additions of the moment terms commute, bitwise the same.
         pg, m1, m2 = state.past_grad, state.adam_m[:, None], state.adam_v[:, None]
-        num = hp.adam_beta1 * m1 + (1.0 - hp.adam_beta1) * pg
-        den = hp.adam_beta2 * m2 + (1.0 - hp.adam_beta2) * pg * pg + hp.adam_eps
+        num = np.multiply(1.0 - hp.adam_beta1, pg)
+        num += hp.adam_beta1 * m1
+        den = np.multiply(1.0 - hp.adam_beta2, pg)
+        den *= pg
+        den += hp.adam_beta2 * m2
+        den += hp.adam_eps
         if hp.extrap_denominator_sqrt:
-            den = np.sqrt(den)
-        quarters = x - ghat * num / den
+            np.sqrt(den, out=den)
+        np.multiply(ghat, num, out=num)
+        num /= den
+        quarters = np.subtract(x, num, out=num)
     else:
         if direction == "noise":
             rngs = [np.random.default_rng(
@@ -493,29 +511,35 @@ def draw_noise_directions(noise, state, rngs, n_workers, partition):
     """The (R, K, d) extrapolation directions for one step: trial r's drawn
     from `rngs[r]` in ascending worker order (the shared kind draws once),
     the trials in ascending order; filter-scaled noise is scaled per block
-    of the objective's `partition`."""
+    of the objective's `partition`.  The draws are written trial by trial
+    into one (R, K, d) array."""
     x = state.x
     if noise.kind == ANISO_STOCHASTIC:
         past = state.past_grad
         return past - reduce_mean(past)[:, None]
-    raw = np.stack([_raw_noise(noise, rng, n_workers, x.shape[-1])
-                    for rng in rngs])
+    raw = np.empty((len(rngs), n_workers, x.shape[-1]))
+    for rng, trial in zip(rngs, raw):
+        _raw_noise(noise, rng, trial)
     if not noise.filter_scaled:
         return raw
     return trust_scale(raw, x, partition, 1.0, 0.0)
 
 
-def _raw_noise(noise, rng, n_workers, d):
-    """One trial's (K, d) unscaled draws from `rng`; ValueError for a kind
-    that draws none, so an unvalidated `noise` cannot extrapolate."""
+def _raw_noise(noise, rng, out):
+    """One trial's unscaled draws from `rng`, written into its C-contiguous
+    (K, d) array `out`: a Gaussian draw in place and then scaled in place
+    (x * s is bitwise s * x), a uniform or shared draw copied in.
+    ValueError for a kind that draws none, so an unvalidated `noise` cannot
+    extrapolate."""
     if noise.kind == SMOOTHOUT_SHARED:
-        shared = rng.uniform(-noise.raw_scale, noise.raw_scale, d)
-        return np.broadcast_to(shared, (n_workers, d))
-    if noise.kind == ISO_GAUSSIAN:
-        return noise.raw_scale * rng.standard_normal((n_workers, d))
-    if noise.kind == ISO_UNIFORM:
-        return rng.uniform(-noise.raw_scale, noise.raw_scale, (n_workers, d))
-    raise ValueError(f"noise kind {noise.kind!r} draws no extrapolation direction")
+        out[...] = rng.uniform(-noise.raw_scale, noise.raw_scale, out.shape[-1])
+    elif noise.kind == ISO_GAUSSIAN:
+        rng.standard_normal(out=out)
+        out *= noise.raw_scale
+    elif noise.kind == ISO_UNIFORM:
+        out[...] = rng.uniform(-noise.raw_scale, noise.raw_scale, out.shape)
+    else:
+        raise ValueError(f"noise kind {noise.kind!r} draws no extrapolation direction")
 
 
 def step_adam(state, obj, batches, hp):

@@ -993,6 +993,22 @@ def _golden_anisotropic_doc():
         noise={"kind": "anisotropic_stochastic"})
 
 
+# Two tiny-MLP runs over b = 5 of B = 16: extrap_noise with filter-scaled
+# isotropic Gaussian noise and LARS, whose workers store leading-b gradients
+# no step reads, and extrap_adam, whose lookahead reads them.
+def _golden_mlp_gaussian_sub_batch_doc():
+    return dict(_golden_mlp_doc(),
+                cluster={"workers_K": 4, "local_batch_B": 16, "extrap_batch_b": 5})
+
+
+def _golden_mlp_adam_sub_batch_doc():
+    return dict(
+        _golden_doc("extrap_adam"),
+        objective={"maker": "tiny_mlp", "widths": [3, 4, 2],
+                   "sample_count": 128, "generator_seed": 3},
+        cluster={"workers_K": 4, "local_batch_B": 16, "extrap_batch_b": 5})
+
+
 def _golden_post_local_reset_doc():
     return dict(
         _golden_doc("post_local"), trials=3,
@@ -1097,6 +1113,15 @@ GOLDEN_DIGESTS = {
                               "trial_3.jsonl": "47c31e1ccbbc5d07",
                               "trial_4.jsonl": "5ef028697d2bef9f",
                               "trial_5.jsonl": "26a6e8b676f8f256"},
+    "tiny_mlp_gaussian_noise_sub_batch": {"aggregate.csv": "a68b65b676c9a6fe",
+                                          "manifest.json": "9c343ba0185ab07e",
+                                          "theory_report.json": "e9bc7c6315e03ae0",
+                                          "trial_0.jsonl": "0e5e2936c819cf95",
+                                          "trial_1.jsonl": "f13782350d8e37e8"},
+    "tiny_mlp_extrap_adam_sub_batch": {"aggregate.csv": "9f22c71fc14fe9c1",
+                                       "manifest.json": "cbb4e1da820fae13",
+                                       "trial_0.jsonl": "b3362394baa14650",
+                                       "trial_1.jsonl": "e3cac4c268c79e2a"},
 }
 
 
@@ -1115,7 +1140,9 @@ _GOLDEN_DOCS = {"tiny_mlp_extrap_noise": _golden_mlp_doc,
                 "five_trials_schedule_smoothout_epochs": _golden_schedule_doc,
                 "anisotropic_noise_sub_batch": _golden_anisotropic_doc,
                 "post_local_three_trials_reset": _golden_post_local_reset_doc,
-                "six_trials_five_abort": _golden_abort_doc}
+                "six_trials_five_abort": _golden_abort_doc,
+                "tiny_mlp_gaussian_noise_sub_batch": _golden_mlp_gaussian_sub_batch_doc,
+                "tiny_mlp_extrap_adam_sub_batch": _golden_mlp_adam_sub_batch_doc}
 
 
 @pytest.mark.parametrize("case", [*METHODS, *_GOLDEN_DOCS])

@@ -490,10 +490,16 @@ def _mlp_by_fresh_arrays(obj, values, rows, lead=None):
                               head.sum(axis=-2))
         if l > 0:
             delta = np.matmul(delta, layers[l][0]) * (1.0 - acts[l] * acts[l])
-    g = objectives._flatten_layers(chunks, lead_axes)
+    g = _concatenate_layers(chunks, lead_axes)
     if lead is None:
         return g, loss
-    return g, objectives._flatten_layers(lead_chunks, lead_axes) * (batch / lead), loss
+    return g, _concatenate_layers(lead_chunks, lead_axes) * (batch / lead), loss
+
+
+def _concatenate_layers(chunks, lead_axes):
+    """The (weight, bias) gradient of each layer as one parameter vector."""
+    return np.concatenate([np.concatenate([gw.reshape(lead_axes + (-1,)), gb], axis=-1)
+                           for gw, gb in chunks], axis=-1)
 
 
 @given(kind=st.sampled_from(["logistic", "logistic_d1", "tiny_mlp",
@@ -528,11 +534,16 @@ def test_oracle_is_bitwise_its_fresh_array_form(kind, seed, trials, workers,
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def _array_fields(obj):
+    """{field: array} of every array the objective holds."""
+    return {f.name: value for f in dataclasses.fields(obj)
+            if isinstance(value := getattr(obj, f.name), np.ndarray)}
+
+
 def _array_bytes(obj):
     """{field: (shape, bytes)} of every array the objective holds."""
-    return {f.name: (value.shape, value.tobytes())
-            for f in dataclasses.fields(obj)
-            if isinstance(value := getattr(obj, f.name), np.ndarray)}
+    return {name: (value.shape, value.tobytes())
+            for name, value in _array_fields(obj).items()}
 
 
 @given(kind=st.sampled_from(OBJECTIVE_KINDS + ("logistic_d1", "tiny_mlp_linear")),
@@ -543,6 +554,7 @@ def test_oracle_calls_never_write_the_dataset_or_the_points(kind, seed, trials,
                                                             workers, data):
     # A `range` reads views of the dataset, so a temporary formed in place
     # there would overwrite it; so would one formed in a view of the points.
+    # A gradient, written through views of its result, must own its memory.
     obj = _draw_objective(data, kind, seed)
     n, d = obj.sample_count, obj.dimension
     batch = data.draw(st.integers(1, 8), label="B")
@@ -555,15 +567,21 @@ def test_oracle_calls_never_write_the_dataset_or_the_points(kind, seed, trials,
     per_worker = rng.standard_normal((trials, workers, d))
     points = [x, stack, per_worker]
     given_bytes = [p.tobytes() for p in points]
+    dataset = list(_array_fields(obj).values())
+
+    def assert_owned(result, values):
+        for grad in (result if isinstance(result, tuple) else (result,)):
+            assert not any(np.shares_memory(grad, a) for a in [values, *dataset])
+
     for rows in (range(n), range(start, n)):
         for values in (x, stack):
-            batch_gradient(obj, values, rows)
+            assert_owned(batch_gradient(obj, values, rows), values)
             batch_loss(obj, values, rows)
     for values, indices in ((x, tensor[0, 0]), (x, tensor[0]),
                             (per_worker[0], tensor[0]), (per_worker, tensor),
                             (per_worker[:, :1], tensor), (x, tensor)):
         for lead in (None, 1, batch):
-            batch_gradient(obj, values, indices, lead=lead)
+            assert_owned(batch_gradient(obj, values, indices, lead=lead), values)
     batch_loss(obj, x, tensor[0, 0])
     _sigma2_at(obj, x)
     estimate_constants(obj, x)

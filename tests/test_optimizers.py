@@ -408,6 +408,140 @@ def test_filter_scaled_noise_matches_block_norms():
     assert_array_equal(z.view(np.uint64), want.view(np.uint64))
 
 
+def _stacked_fresh_draws(noise, rngs, workers, d):
+    """The (R, K, d) noise of one step as a stack of fresh per-trial arrays:
+    the reference form of `draw_noise_directions`' unscaled draws."""
+    s = noise.raw_scale
+    draws = {ISO_GAUSSIAN: lambda rng: s * rng.standard_normal((workers, d)),
+             ISO_UNIFORM: lambda rng: rng.uniform(-s, s, (workers, d)),
+             SMOOTHOUT_SHARED: lambda rng: np.broadcast_to(
+                 rng.uniform(-s, s, d), (workers, d))}[noise.kind]
+    return np.stack([draws(rng) for rng in rngs])
+
+
+@given(kind=st.sampled_from([ISO_GAUSSIAN, ISO_UNIFORM, SMOOTHOUT_SHARED]),
+       trials=st.integers(1, 3), workers=st.integers(1, 4), dim=st.integers(1, 6),
+       raw_scale=st.one_of(st.sampled_from([0.0, 1.0]),
+                           st.floats(0.0, 1e6, allow_subnormal=True)),
+       filter_scaled=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_noise_draws_are_bitwise_the_stacked_fresh_draws(
+        kind, trials, workers, dim, raw_scale, filter_scaled, seed):
+    noise = NoiseSpec(kind=kind, raw_scale=raw_scale, filter_scaled=filter_scaled)
+    rng = np.random.default_rng(seed)
+    partition = [(0, dim)] if dim == 1 else [(0, dim // 2), (dim // 2, dim)]
+    st_ = init_state(_with_zeros(rng, rng.standard_normal((trials, dim)), partition),
+                     workers)
+    seeds = rng.integers(0, 2 ** 32, trials)
+    got = draw_noise_directions(noise, st_, [np.random.default_rng(s) for s in seeds],
+                                workers, partition)
+    want = _stacked_fresh_draws(noise, [np.random.default_rng(s) for s in seeds],
+                                workers, dim)
+    if filter_scaled:
+        want = trust_scale(want, st_.x, partition, 1.0, 0.0)
+    assert got.shape == (trials, workers, dim)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(trials=st.integers(1, 3), workers=st.integers(1, 4), dim=st.integers(1, 6),
+       sqrt=st.booleans(), gamma_hat=st.floats(1e-4, 1.0),
+       beta1=st.floats(0.0, 0.99), beta2=st.floats(0.0, 0.999),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_adam_lookahead_is_bitwise_the_expression_form(
+        trials, workers, dim, sqrt, gamma_hat, beta1, beta2, seed):
+    rng = np.random.default_rng(seed)
+    hp = HyperParams(inner_lr_gamma_hat=gamma_hat, adam_beta1=beta1,
+                     adam_beta2=beta2, extrap_denominator_sqrt=sqrt)
+    st_ = init_state(rng.standard_normal((trials, dim)), workers)
+    st_.step_t = 1
+    st_.past_grad = rng.standard_normal((trials, workers, dim))
+    st_.adam_m = rng.standard_normal((trials, dim))
+    st_.adam_v = rng.random((trials, dim)) ** 2
+    pg, m1, m2 = st_.past_grad, st_.adam_m[:, None], st_.adam_v[:, None]
+    num = beta1 * m1 + (1.0 - beta1) * pg
+    den = beta2 * m2 + (1.0 - beta2) * pg * pg + hp.adam_eps
+    if sqrt:
+        den = np.sqrt(den)
+    want = st_.x[:, None] - gamma_hat * num / den
+    halves, z = optimizers.lookahead(st_, hp, workers, "adam")
+    assert z is None and halves.shape == want.shape
+    assert halves.tobytes() == want.tobytes()
+
+
+def _oracle_spy(monkeypatch):
+    """Record the `lead` of every oracle call a step makes."""
+    leads, real = [], optimizers.batch_gradient
+
+    def spy(obj, values, indices, **kwargs):
+        leads.append(kwargs.get("lead"))
+        return real(obj, values, indices, **kwargs)
+    monkeypatch.setattr(optimizers, "batch_gradient", spy)
+    return leads
+
+
+_SUB_BATCH_B, _SUB_BATCH_LEAD = 8, 3
+
+
+def _noise_sub_batch_run(kind):
+    """A two-trial tiny-MLP extrap_noise set-up at b = 3 of B = 8, with LARS
+    and (for the IID kinds) filter-scaled noise; batches of steps 0..3."""
+    obj = make_tiny_mlp((3, 4, 2), 64, generator_seed=2)
+    hp = HyperParams(lr_gamma=0.05, momentum_u=0.9, lars_trust=0.02)
+    noise = NoiseSpec(kind=kind, raw_scale=0.1,
+                      filter_scaled=kind != ANISO_STOCHASTIC)
+    cfg = ClusterConfig(workers_K=3, local_batch_B=_SUB_BATCH_B,
+                        extrap_batch_b=_SUB_BATCH_LEAD, master_seed=4)
+    x0 = np.stack([initial_point(obj), initial_point(obj, init_scale=0.5)])
+    return obj, hp, noise, x0, [draw_batches(cfg, obj, t, seeds=[4, 5]) for t in range(4)]
+
+
+@pytest.mark.parametrize("kind", [ISO_GAUSSIAN, ISO_UNIFORM, SMOOTHOUT_SHARED])
+def test_iid_noise_step_forms_no_leading_b_mean(monkeypatch, kind):
+    # IID directions read no past gradient, so the step asks the oracle for
+    # no leading-b mean, and every value it applies or reports is bitwise
+    # that of the step which did form it and stored it.
+    obj, hp, noise, x0, steps = _noise_sub_batch_run(kind)
+    seeds = [11, 12]
+    ref = init_state(x0, 3)
+    leads = _oracle_spy(monkeypatch)
+    st_ = init_state(x0, 3)
+    for t, batches in enumerate(steps):
+        halves, z = optimizers.lookahead(ref, hp, 3, "noise", noise, seeds,
+                                         obj.partition)
+        optimizers._synced_step(ref, obj, batches, hp, optimizers._MOMENTUM_RULE,
+                                halves, z, _SUB_BATCH_LEAD)
+        assert leads == [_SUB_BATCH_LEAD]
+        leads.clear()
+        step_extrapolated_noise(st_, obj, batches, hp, noise, seeds,
+                                extrap_b=_SUB_BATCH_LEAD)
+        assert leads == [None]
+        leads.clear()
+        assert st_.x.tobytes() == ref.x.tobytes()
+        assert st_.v.tobytes() == ref.v.tobytes()
+        assert st_.last_info.keys() == ref.last_info.keys()
+        for name, value in ref.last_info.items():
+            if value is None:
+                assert st_.last_info[name] is None, (t, name)
+            else:
+                assert st_.last_info[name].tobytes() == value.tobytes(), (t, name)
+    assert ref.last_info["z"] is not None
+
+
+def test_anisotropic_noise_step_stores_the_leading_b_mean(monkeypatch):
+    obj, hp, noise, x0, steps = _noise_sub_batch_run(ANISO_STOCHASTIC)
+    leads = _oracle_spy(monkeypatch)
+    st_ = init_state(x0, 3)
+    for batches in steps:
+        step_extrapolated_noise(st_, obj, batches, hp, noise, [11, 12],
+                                extrap_b=_SUB_BATCH_LEAD)
+        assert leads == [_SUB_BATCH_LEAD]
+        leads.clear()
+        _, want = batch_gradient(obj, st_.last_info["halves"], batches,
+                                 lead=_SUB_BATCH_LEAD)
+        assert st_.past_grad.tobytes() == want.tobytes()
+
+
 def test_noise_second_moment_values():
     x = initial_point(make_quadratic(6, 4))
     assert noise_second_moment(NoiseSpec(ISO_GAUSSIAN, raw_scale=0.5), x) == 6 * 0.25
