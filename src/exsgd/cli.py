@@ -143,15 +143,16 @@ def _cmd_smoothness(args):
         raise ValueError("--set needs --config")
     if args.config:
         config = load_config(args.config, args.set)
-        obj = config.objective
+        obj, decay = config.objective, config.hyperparams.weight_decay
         x0 = initial_point(obj, config.init_scale)
-        g = -batch_gradient(obj, x0, range(obj.sample_count))
+        g = -batch_gradient(obj, x0, range(obj.sample_count), weight_decay=decay)
         est = theory.smoothness_estimate(obj, x0, g,
                                          probes=args.probes,
-                                         fraction=args.fraction)
+                                         fraction=args.fraction,
+                                         weight_decay=decay)
         print(f"estimated L along -grad at x0: {est:.9g}")
         if obj.kind == "quadratic":
-            const = estimate_constants(obj, x0)
+            const = estimate_constants(obj, x0, weight_decay=decay)
             print(f"analytic L: {const.lipschitz_L:.9g}")
     else:
         obj = make_quadratic(2, 8, generator_seed=1, diag=[1.0, 4.0])

@@ -31,7 +31,6 @@ speed at desk scale.  The step engine evaluates all K workers in one stacked
 call, so no step uses threads.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,15 +174,9 @@ def reduce_mean(vectors):
 
 
 def map_workers(fn, items, threads=1):
-    """Evaluate fn over items, optionally on a thread pool, preserving order.
+    """[fn(item) for item in items], in order; `threads` has no effect.
 
-    No step calls this any more; it stays because benchmark/tracer.py patches
-    `optimizers.map_workers`.
-
-    Per-worker evaluations are independent, so the results (and anything
-    reduced from them) do not depend on the thread count.
+    No step calls this any more; it stays, with its signature, because
+    benchmark/tracer.py patches `optimizers.map_workers`.
     """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

@@ -34,9 +34,10 @@ is bitwise its single-step reduction and single-point call, so neither the
 block nor the chunk size ever shows in an output.  A run with a stopping
 rule evaluates each step's norms at once.  Post-local's worker dispersion
 is taken from the state at the recorded steps.
-Every gradient, loss and theory constant is of f + (lambda/2)||x||^2, the
-objective a run with weight decay lambda minimizes: the oracle and
-`estimate_constants` add the decay terms, given `weight_decay`.
+Every gradient, loss, smoothness probe and theory constant is of
+f + (lambda/2)||x||^2, the objective a run with weight decay lambda
+minimizes: the oracle and `estimate_constants` add the decay terms, given
+`weight_decay`.
 Method facts come from `theory.METHOD_TABLE`; `_step_once` calls the step
 function that a method's entry names.  Config values have one schema, the
 dataclass and maker annotations: `from_doc` reads whole documents, and
@@ -383,6 +384,9 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     hp = config.hyperparams
     if not method.momentum:     # the update applies none, so the replay neither
         hp = dataclasses.replace(hp, momentum_u=0.0)
+    one_rate = len(set(lrs)) == 1
+    if one_rate:                # scheduled or not, the rate the steps apply
+        hp = dataclasses.replace(hp, lr_gamma=lrs[0])
     steps, d, workers = config.total_steps_T, obj.dimension, cl.workers_K
     results = [TrialResult(trial=i, seed=trial_seed(config.master_seed, i),
                            records=None, final_x=None, steps_done=steps)
@@ -395,7 +399,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     state = init_state(np.tile(x0, (len(chunk), 1)), workers)
     # The replay assumes one stepsize.
     want_vs = (config.record_virtual_sequence and method.bounded
-               and stop_epsilon is None and all(lr == hp.lr_gamma for lr in lrs))
+               and stop_epsilon is None and one_rate)
     # A row per trial of the chunk and a column per recorded step, NaN
     # until written: the metric table that each trial's records are read from.
     recorded = [t for t in range(steps)
@@ -474,7 +478,8 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
             if (config.record_smoothness_every
                     and t % config.record_smoothness_every == 0):
                 table[:, column, _SMOOTHNESS][alive] = theory.smoothness_estimates(
-                    obj, x_before, state.x - x_before)
+                    obj, x_before, state.x - x_before,
+                    weight_decay=hp.weight_decay)
         if want_vs or column is not None or stop_epsilon is not None:
             at = len(pending)
             row = t if want_vs else at

@@ -124,7 +124,7 @@ class ObjectiveSpec:
             widths = self.mlp_widths
             if widths is None or not 2 <= len(widths) <= 4:
                 raise ValueError("tiny_mlp widths must be (in, [h1, [h2,]] out)")
-            params = sum(widths[l + 1] * (widths[l] + 1) for l in range(len(widths) - 1))
+            params = _mlp_blocks(widths)[-1][1]
             if params != d:
                 raise ValueError(f"mlp_widths {tuple(widths)} have {params} "
                                  f"parameters, but dimension is {d}")
@@ -292,27 +292,15 @@ def make_tiny_mlp(widths: tuple[int, ...], sample_count: int,
                  **{f"widths[{i}]": w for i, w in enumerate(widths)})
     rng = np.random.default_rng(np.random.SeedSequence((generator_seed, _DATA_TAG)))
     inputs = input_scale * rng.standard_normal((sample_count, widths[0]))
-    teacher = [
-        (rng.standard_normal((widths[l + 1], widths[l])) / np.sqrt(widths[l]),
-         0.1 * rng.standard_normal(widths[l + 1]))
-        for l in range(len(widths) - 1)
-    ]
-    h = inputs
-    for l, (w, b) in enumerate(teacher):
-        h = h @ w.T + b
-        if l < len(teacher) - 1:
-            h = np.tanh(h)
-    targets = h + target_noise * rng.standard_normal(h.shape)
-
-    dim = sum(widths[l + 1] * widths[l] + widths[l + 1] for l in range(len(widths) - 1))
-    partition, cursor = [], 0
-    for l in range(len(widths) - 1):
-        n_w = widths[l + 1] * widths[l]
-        partition.append((cursor, cursor + n_w))            # weight block
-        partition.append((cursor + n_w, cursor + n_w + widths[l + 1]))  # bias block
-        cursor += n_w + widths[l + 1]
+    partition = _mlp_blocks(widths)
+    teacher = _unpack_mlp(widths, np.empty(partition[-1][1]))
+    for w, b in teacher:                   # each layer's weights, then its bias
+        w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[-1])
+        b[...] = 0.1 * rng.standard_normal(b.shape)
+    targets = _mlp_net(teacher, inputs)[-1]
+    targets += target_noise * rng.standard_normal(targets.shape)
     return ObjectiveSpec(
-        kind=TINY_MLP, dimension=dim, sample_count=sample_count,
+        kind=TINY_MLP, dimension=partition[-1][1], sample_count=sample_count,
         generator_seed=generator_seed, mlp_widths=widths, mlp_inputs=inputs,
         mlp_targets=targets, mlp_f_star=float(f_star), partition=partition,
     ).validate()
@@ -328,13 +316,10 @@ def initial_point(obj, init_scale=1.0):
     if obj.kind != TINY_MLP:
         return np.zeros(obj.dimension)
     rng = np.random.default_rng(np.random.SeedSequence((obj.generator_seed, _INIT_TAG)))
-    chunks = []
-    widths = obj.mlp_widths
-    for l in range(len(widths) - 1):
-        w = init_scale * rng.standard_normal((widths[l + 1], widths[l])) / np.sqrt(widths[l])
-        b = np.zeros(widths[l + 1])
-        chunks.extend([w.ravel(), b])
-    return np.concatenate(chunks)
+    x = np.zeros(obj.dimension)
+    for w, _ in _unpack_mlp(obj.mlp_widths, x):    # the biases stay zero
+        w[...] = init_scale * rng.standard_normal(w.shape) / np.sqrt(w.shape[-1])
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -393,32 +378,49 @@ def _check_dim(obj, values, rows):
             f"{values.shape} for indices of batch axes {axes}")
 
 
-def _unpack_mlp(obj, values):
-    """(weight, bias) per layer; for (..., d) values each gains the leading
-    axes (the bias as (..., 1, out), so it broadcasts over the batch axis)."""
-    layers, cursor = [], 0
-    widths = obj.mlp_widths
-    lead = values.shape[:-1]
-    for l in range(len(widths) - 1):
-        n_w = widths[l + 1] * widths[l]
-        w = values[..., cursor:cursor + n_w].reshape(lead + (widths[l + 1], widths[l]))
-        b = values[..., None, cursor + n_w:cursor + n_w + widths[l + 1]]
-        layers.append((w, b))
-        cursor += n_w + widths[l + 1]
-    return layers
+def _mlp_blocks(widths):
+    """The one flat parameter layout of the MLP of `widths`: the (start,
+    stop) of each layer's row-major (out, in) weight block, then of its bias
+    block, in layer order.  It is the objective's partition, and its last
+    stop is the dimension."""
+    blocks, cursor = [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        blocks += [(cursor, cursor + fan_out * fan_in),
+                   (cursor + fan_out * fan_in, cursor + fan_out * (fan_in + 1))]
+        cursor += fan_out * (fan_in + 1)
+    return blocks
 
 
-def _mlp_forward(obj, values, rows):
-    """(layers, activations, residual net(x_i) - y_i); activations[0] is the
-    input, then one per hidden layer.  The matmuls are stacked over any
-    leading axes; each layer's bias and tanh, and the residual, are formed in
-    the array its matmul created."""
-    layers = _unpack_mlp(obj, values)
-    acts = [_gather(obj.mlp_inputs, rows)]
+def _unpack_mlp(widths, values):
+    """(weight, bias) views of `values` per layer, at `_mlp_blocks(widths)`;
+    for (..., d) values each gains the leading axes (the bias as (..., 1,
+    out), so it broadcasts over the batch axis)."""
+    blocks, lead = _mlp_blocks(widths), values.shape[:-1]
+    return [(values[..., w0:w1].reshape(lead + (fan_out, fan_in)),
+             values[..., None, b0:b1])
+            for (w0, w1), (b0, b1), fan_in, fan_out
+            in zip(blocks[::2], blocks[1::2], widths, widths[1:])]
+
+
+def _mlp_net(layers, inputs):
+    """The activations of the tanh MLP of (weight, bias) `layers` at
+    `inputs`: the inputs, one per hidden layer, then the linear output.  The
+    matmuls are stacked over any leading axes; each layer's bias and tanh are
+    formed in the array its matmul created."""
+    acts = [inputs]
     for l, (w, b) in enumerate(layers):
         z = np.matmul(acts[-1], w.swapaxes(-1, -2))
         z += b
         acts.append(np.tanh(z, out=z) if l < len(layers) - 1 else z)
+    return acts
+
+
+def _mlp_forward(obj, values, rows):
+    """(layers, activations, residual net(x_i) - y_i); activations[0] is the
+    input, then one per hidden layer.  The residual is formed in the output
+    layer's array."""
+    layers = _unpack_mlp(obj.mlp_widths, values)
+    acts = _mlp_net(layers, _gather(obj.mlp_inputs, rows))
     resid = acts.pop()                     # output layer is linear
     resid -= _gather(obj.mlp_targets, rows)
     return layers, acts, resid
@@ -435,7 +437,7 @@ def _mlp_gradient(obj, values, rows, lead=None):
     batch = resid.shape[-2]
     spans = (batch,) if lead is None else (batch, lead)
     grads = [np.empty(resid.shape[:-2] + (obj.dimension,)) for _ in spans]
-    parts = [_unpack_mlp(obj, g) for g in grads]
+    parts = [_unpack_mlp(obj.mlp_widths, g) for g in grads]
     delta = np.divide(resid, batch, out=resid)    # output layer is linear
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
@@ -462,9 +464,17 @@ def _batch_mean(a):
 
 def row_dots(a, b):
     """Each row's (last axis) dot of the broadcast stacks `a` and `b`, bitwise
-    `a_row @ b_row`; its `np.sqrt` is bitwise `np.linalg.norm(a_row)`.  Every
-    vector dot and norm of the package is this one BLAS `ddot` call, whose
-    last bits depend on the SIMD kernel the host's BLAS picks."""
+    `a_row @ b_row`; its `np.sqrt` is bitwise `np.linalg.norm(a_row)`.  It is
+    one BLAS `ddot` per row, whose last bits depend on the SIMD kernel the
+    host's BLAS picks.  The norms of the steps (LARS, filter-scaled noise,
+    post-local dispersion), the full-gradient metric, the smoothness probe,
+    the weight-decay and l2 losses and the constants' r0 and probed L and
+    sigma^2 come through here.  The
+    numpy reductions that never reach `ddot` are the per-sample squared sums
+    of the quadratic and MLP losses and of the quadratic sigma^2 and logistic
+    L, `np.linalg.norm(..., axis=1)` in `theory.check_descent_identity` and
+    `harness._relative_descent_residuals`, and `np.sum(x ** 2)` in
+    `theory.check_proximity_inequalities`."""
     return np.vecdot(a, b)
 
 

@@ -391,20 +391,24 @@ def epsilon_horizon(method, constants, cluster, epsilon, momentum_u=0.0,
 # smoothness probing
 # ---------------------------------------------------------------------------
 
-def smoothness_estimate(obj, x_values, update_direction, probes=8, fraction=0.30):
+def smoothness_estimate(obj, x_values, update_direction, probes=8, fraction=0.30,
+                        *, weight_decay=0.0):
     """Local smoothness along an update direction.
 
     Probes x + j * fraction * update for j = 1..probes and returns the largest
-    gradient-difference ratio ||grad f(x_j) - grad f(x)|| / ||x_j - x||.
-    Returns 0.0 for a zero update direction.  Raises ValueError unless
-    probes >= 1 and fraction is finite and > 0.
+    gradient-difference ratio ||grad F(x_j) - grad F(x)|| / ||x_j - x||, where
+    F = f + (weight_decay / 2) ||x||^2 is the objective a run minimizes (the
+    oracle adds the decay term).  Returns 0.0 for a zero update direction.
+    Raises ValueError unless probes >= 1 and fraction is finite and > 0.
     """
     return smoothness_estimates(
         obj, np.asarray(x_values, dtype=np.float64)[None],
-        np.asarray(update_direction, dtype=np.float64)[None], probes, fraction)[0]
+        np.asarray(update_direction, dtype=np.float64)[None], probes, fraction,
+        weight_decay=weight_decay)[0]
 
 
-def smoothness_estimates(obj, x_rows, updates, probes=8, fraction=0.30):
+def smoothness_estimates(obj, x_rows, updates, probes=8, fraction=0.30, *,
+                         weight_decay=0.0):
     """`smoothness_estimate` at each row of the (R, d) `x_rows` along the same
     row of `updates`, one value per row.  The 1 + probes points of all rows
     go to stacked full-gradient calls of at most `_SIGMA2_BLOCK` // (N d)
@@ -426,7 +430,8 @@ def smoothness_estimates(obj, x_rows, updates, probes=8, fraction=0.30):
         -1, x_rows.shape[-1])
     size = max(1, _SIGMA2_BLOCK // (obj.sample_count * obj.dimension))
     grads = np.concatenate([
-        batch_gradient(obj, points[lo:lo + size], range(obj.sample_count))
+        batch_gradient(obj, points[lo:lo + size], range(obj.sample_count),
+                       weight_decay=weight_decay)
         for lo in range(0, len(points), size)]).reshape(len(moving), probes + 1, -1)
     g = grads[:, 1:] - grads[:, :1]
     ratios = np.sqrt(row_dots(g, g)) / np.sqrt(row_dots(deltas, deltas))

@@ -790,6 +790,23 @@ def test_smoothness_with_config_reports_analytic_l(config_path, capsys):
     assert "estimated L" in out and "analytic L" in out
 
 
+def test_smoothness_with_config_probes_the_decayed_objective(tmp_path, capsys):
+    # A 1-D quadratic of curvature 1 under weight decay 1: both the probe
+    # along -grad(f + ||x||^2 / 2) and the analytic L read 2.
+    path = tmp_path / "decay.json"
+    path.write_text(json.dumps(dict(
+        BASE_CONFIG, objective={"maker": "quadratic", "dimension": 1,
+                                "sample_count": 8, "generator_seed": 3,
+                                "diag": [1.0]},
+        hyperparams={"lr_gamma": 0.05, "weight_decay": 1.0})))
+    assert main(["smoothness", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "estimated L along -grad at x0", "analytic L"]
+    assert float(lines[0].split(":")[1]) == pytest.approx(2.0, rel=1e-8)
+    assert float(lines[1].split(":")[1]) == 2.0
+
+
 @pytest.mark.parametrize("option", [["--fraction", "0"], ["--fraction", "nan"],
                                     ["--probes", "-3"], ["--probes", "0"]])
 def test_smoothness_bad_probe_settings_exit_one(config_path, capsys, option):
@@ -1079,8 +1096,8 @@ GOLDEN_DIGESTS = {
     "dense_quadratic_nesterov_decay": {"aggregate.csv": "b0565450d2e3eb8a",
                                        "manifest.json": "c46313678921a3f4",
                                        "theory_report.json": "f378f0d89c16f3c7",
-                                       "trial_0.jsonl": "e6bbf084d3ad6c49",
-                                       "trial_1.jsonl": "382973990ff6c0e4"},
+                                       "trial_0.jsonl": "b1ee64725bf24260",
+                                       "trial_1.jsonl": "d5926d9c0a4fe191"},
     "tiny_mlp_extrap_sgd_decay": {"aggregate.csv": "1a666c20368eee71",
                                   "manifest.json": "12c23ef9e7a073da",
                                   "theory_report.json": "222ae51ec84ec521",

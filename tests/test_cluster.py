@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -174,17 +172,6 @@ def test_map_workers_threaded_matches_serial():
     serial = map_workers(fn, items, threads=1)
     pooled = map_workers(fn, items, threads=4)
     assert serial == pooled                 # order and values preserved
-
-
-def test_map_workers_actually_uses_threads():
-    seen = set()
-
-    def record(i):
-        seen.add(threading.get_ident())
-        return i
-
-    out = map_workers(record, list(range(200)), threads=4)
-    assert out == list(range(200))
 
 
 def _ascending_mean(rows):

@@ -191,6 +191,41 @@ def test_a_scheduled_run_evaluates_no_replay_it_skips(monkeypatch):
     assert [r.step for r in trial.records] == [0, steps - 1]
 
 
+def test_a_constant_schedule_replays_the_rate_its_steps_apply():
+    # A constant schedule whose rate is not hyperparams.lr_gamma steps as an
+    # unscheduled run at its rate does, so it replays as that run does: the
+    # replay, gamma_hat = gamma / K and the rate bound read the applied rate.
+    cfg = _base_config(
+        objective=make_quadratic(3, 24, generator_seed=2, diag=[0.5, 1.0, 2.0]),
+        method="nesterov", trials=1, total_steps_T=20,
+        record_virtual_sequence=True,
+        hyperparams=HyperParams(lr_gamma=0.1, momentum_u=0.5))
+    scheduled, = run(dataclasses.replace(
+        cfg, schedule=Schedule(kind="constant", base_lr=0.05))).trials
+    plain, = run(dataclasses.replace(
+        cfg, hyperparams=HyperParams(lr_gamma=0.05, momentum_u=0.5))).trials
+    assert scheduled.virtual_sequence is not None
+    assert scheduled.rate_report is not None and not scheduled.rate_error
+    _assert_same_trial(scheduled, plain)
+    assert repr(scheduled.virtual_sequence) == repr(plain.virtual_sequence)
+    for name in ("x", "v", "x_bar_half", "g_bar_half", "xi_bar", "y_bar"):
+        assert (getattr(scheduled.virtual_sequence, name).tobytes()
+                == getattr(plain.virtual_sequence, name).tobytes())
+
+
+def test_recorded_smoothness_is_that_of_the_minimized_objective():
+    # f_i = (x - a_i)^2 / 2 with weight decay 1 minimizes a curvature-2
+    # objective, and every probe along the step must read 2.
+    cfg = _base_config(
+        objective=make_quadratic(1, 16, generator_seed=4, diag=[1.0]),
+        hyperparams=HyperParams(lr_gamma=0.1, weight_decay=1.0),
+        trials=2, total_steps_T=12, record_smoothness_every=1)
+    for trial in run(cfg).trials:
+        assert len(trial.records) == 12
+        for record in trial.records:
+            assert abs(record.smoothness_L - 2.0) <= 1e-12
+
+
 def test_abort_is_reported_not_raised(tmp_path):
     cfg = _base_config(
         objective=make_quadratic(2, 8, diag=[1e4, 1e4], shift_spread=1.0),

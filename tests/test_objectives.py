@@ -103,6 +103,67 @@ def test_mlp_partition_covers_all_parameters():
     mlp.validate()
 
 
+def _mlp_maker_by_layer_arrays(widths, sample_count, generator_seed,
+                               input_scale, target_noise, init_scale):
+    """(inputs, targets, dimension, partition, initial point) of a tiny MLP,
+    built as the maker first built them: a teacher held as one array per
+    weight and bias, run by its own forward loop, and an initial point
+    concatenated from per-layer chunks, with offsets counted here."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((generator_seed, objectives._DATA_TAG)))
+    inputs = input_scale * rng.standard_normal((sample_count, widths[0]))
+    teacher = [(rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in),
+                0.1 * rng.standard_normal(fan_out))
+               for fan_in, fan_out in zip(widths[:-1], widths[1:])]
+    h = inputs
+    for l, (w, b) in enumerate(teacher):
+        h = h @ w.T + b
+        if l < len(teacher) - 1:
+            h = np.tanh(h)
+    targets = h + target_noise * rng.standard_normal(h.shape)
+    partition, cursor = [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        partition += [(cursor, cursor + fan_out * fan_in),
+                      (cursor + fan_out * fan_in, cursor + fan_out * (fan_in + 1))]
+        cursor += fan_out * (fan_in + 1)
+    rng = np.random.default_rng(
+        np.random.SeedSequence((generator_seed, objectives._INIT_TAG)))
+    chunks = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        w = init_scale * rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
+        chunks += [w.ravel(), np.zeros(fan_out)]
+    return inputs, targets, cursor, partition, np.concatenate(chunks)
+
+
+_SCALES = st.floats(0.0, 4.0, allow_subnormal=False)
+
+
+@given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+       sample_count=st.integers(1, 40), generator_seed=st.integers(0, 2**31 - 1),
+       input_scale=_SCALES, target_noise=_SCALES, init_scale=_SCALES)
+@example(widths=[3, 2], sample_count=7, generator_seed=1, input_scale=1.0,
+         target_noise=0.1, init_scale=1.0)
+@example(widths=[6, 5, 4, 3], sample_count=40, generator_seed=2,
+         input_scale=2.0, target_noise=0.0, init_scale=0.5)
+@settings(max_examples=150, deadline=None)
+def test_mlp_maker_and_initial_point_are_bitwise_the_layer_arrays(
+        widths, sample_count, generator_seed, input_scale, target_noise,
+        init_scale):
+    # Every depth the maker accepts: no hidden layer, one or two.
+    obj = make_tiny_mlp(widths, sample_count, generator_seed=generator_seed,
+                        input_scale=input_scale, target_noise=target_noise)
+    inputs, targets, dim, partition, x0 = _mlp_maker_by_layer_arrays(
+        widths, sample_count, generator_seed, input_scale, target_noise,
+        init_scale)
+    assert obj.mlp_inputs.tobytes() == inputs.tobytes()
+    assert obj.mlp_targets.shape == targets.shape
+    assert obj.mlp_targets.tobytes() == targets.tobytes()
+    assert (obj.dimension, obj.partition) == (dim, partition)
+    got = initial_point(obj, init_scale)
+    assert got.shape == x0.shape
+    assert got.tobytes() == x0.tobytes()
+
+
 def test_objective_partition_validation():
     quad = make_quadratic(4, 3)
     assert quad.partition == [(0, 4)]     # the default: one block
@@ -472,7 +533,7 @@ def _mlp_by_fresh_arrays(obj, values, rows, lead=None):
     before its temporaries were formed in place."""
     if isinstance(rows, range):
         rows = slice(rows.start, rows.stop)
-    layers = objectives._unpack_mlp(obj, values)
+    layers = objectives._unpack_mlp(obj.mlp_widths, values)
     acts = [obj.mlp_inputs[rows]]
     for l, (w, b) in enumerate(layers):
         z = np.matmul(acts[-1], w.swapaxes(-1, -2)) + b

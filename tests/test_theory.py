@@ -370,6 +370,21 @@ def test_smoothness_along_eigendirections():
     assert 1.0 < mixed < 4.0
 
 
+def test_smoothness_probes_the_objective_with_weight_decay():
+    # The probe reads the oracle's gradient of f + (lambda/2)||x||^2, so on
+    # an eigendirection it finds the eigenvalue plus lambda.
+    obj = make_quadratic(2, 2, diag=[1.0, 4.0], shifts=[[0.0, 0.0], [0.0, 0.0]])
+    x = np.zeros(2)
+    for axis, curvature in (([0.0, 1.0], 4.0), ([1.0, 0.0], 1.0)):
+        got = smoothness_estimate(obj, x, np.array(axis), weight_decay=0.5)
+        assert got == pytest.approx(curvature + 0.5, rel=1e-12)
+    rows = np.array([[0.3, -0.2], [1.0, 2.0]])
+    updates = np.array([[0.0, 1.0], [1.0, 1.0]])
+    got = smoothness_estimates(obj, rows, updates, weight_decay=0.5)
+    assert got == [smoothness_estimate(obj, x, u, weight_decay=0.5)
+                   for x, u in zip(rows, updates)]
+
+
 def test_smoothness_handles_zero_update():
     obj = make_quadratic(2, 2, diag=[1.0, 4.0])
     assert smoothness_estimate(obj, np.zeros(2), np.zeros(2)) == 0.0
