@@ -31,9 +31,14 @@ them.  Then one `step_reports` call reduces the block's raw points (and, in
 a replay, directions) to the mean half points, worker deviations and mean
 directions, and one stacked oracle call evaluates each metric; every value
 is bitwise its single-step reduction and single-point call, so neither the
-block nor the chunk size ever shows in an output.  A run with a stopping
-rule evaluates each step's norms at once.  Post-local's worker dispersion
-is taken from the state at the recorded steps.
+block nor the chunk size ever shows in an output.  The replay's terminal
+row T is the same reduction of step T's `lookahead` points and directions.
+A run with a stopping rule evaluates each step's norms at once.
+Post-local's worker dispersion is taken from the state at the recorded
+steps.
+numpy's floating-point warnings are off while trials run: a trial reports
+a non-finite step value only as the `NumericAbort` that ends it, also under
+`python -W error`.
 Every gradient, loss, smoothness probe and theory constant is of
 f + (lambda/2)||x||^2, the objective a run with weight decay lambda
 minimizes: the oracle and `estimate_constants` add the decay terms, given
@@ -60,7 +65,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objectives, theory
-from .cluster import ClusterConfig, cached_indices, draw_batches, reduce_mean
+from .cluster import ClusterConfig, cached_indices, draw_batches
+# reduce_mean is unused here; benchmark/tracer.py patches this name, so the
+# import stays until the tracer changes with it.
+from .cluster import reduce_mean  # noqa: F401
 from .objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
                          estimate_constants, initial_point, row_dots)
 from .optimizers import (NOISE_NONE, HyperParams, NoiseSpec, PostLocalConfig,
@@ -300,21 +308,6 @@ def _step_once(config, state, obj, cl, batches, hp_t, seed):
     return globals()[method.step](*args, **extra)
 
 
-def _terminal_half_point(config, state, hp, cl, seed):
-    """x_bar_{T+1/2} = x - gamma_hat xi_bar_T + u v and xi_bar_T, the mean
-    of step T = state.step_t's directions from `lookahead`; no gradient is
-    evaluated.  Both have one (d,) row per trial of `state`; `seed` holds
-    the trials' seeds."""
-    _, z = lookahead(state, hp, cl.workers_K,
-                     theory.METHOD_TABLE[config.method].direction,
-                     config.noise, seed, config.objective.partition)
-    xi = np.zeros_like(state.x) if z is None else reduce_mean(z)
-    half = state.x - effective_gamma_hat(hp, cl.workers_K) * xi
-    if hp.momentum_u != 0.0:    # sgd never moves v off zero
-        half = half + hp.momentum_u * state.v
-    return half, xi
-
-
 def _relative_descent_residuals(vs):
     resid = theory.check_descent_identity(vs)
     step_norm = (vs.gamma / (1.0 - vs.momentum_u)) * np.linalg.norm(
@@ -360,13 +353,16 @@ def _lr_series(config):
 def _trial_results(config, stop_epsilon=None):
     """The results of all `config.trials` trials of the validated `config`,
     in order, run in chunks of `_chunk_size(config)` trials that advance
-    together (`_run_trials`)."""
+    together (`_run_trials`).  numpy's floating-point warnings are off while
+    they run: a step's non-finite value is reported once, as the
+    `NumericAbort` of its finite checks that ends the trial."""
     constants, lrs = _replay_constants(config), _lr_series(config)
     chunk = _chunk_size(config)
     results = []
-    for lo in range(0, config.trials, chunk):
-        results += _run_trials(config, range(lo, min(lo + chunk, config.trials)),
-                               constants, lrs, stop_epsilon)
+    with np.errstate(all="ignore"):
+        for lo in range(0, config.trials, chunk):
+            results += _run_trials(config, range(lo, min(lo + chunk, config.trials)),
+                                   constants, lrs, stop_epsilon)
     return results
 
 
@@ -518,8 +514,14 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
 
     if want_vs and live:
         ghat = effective_gamma_hat(hp, workers) if method.direction else 0.0
-        buf["half"][steps], buf["xi"][steps] = _terminal_half_point(
-            config, state, hp, cl, seeds)
+        # Row T is step T's own evaluation points and directions, reduced
+        # like every other row; no gradient is evaluated.
+        half, _, xi = step_reports(*lookahead(
+            state, hp, workers, method.direction, config.noise, seeds,
+            obj.partition))
+        buf["half"][steps] = half
+        if xi is not None:
+            buf["xi"][steps] = xi
         replay = constants()
         sig_hat2 = (noise_second_moment(config.noise, x0)
                     if method.direction == "noise" else None)
@@ -595,8 +597,6 @@ def _jsonable(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _jsonable(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value

@@ -354,20 +354,20 @@ def tuned_hyperparams(method, constants, cluster, horizon_T, momentum_u=0.0):
     return HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=ghat, momentum_u=u)
 
 
-def epsilon_horizon(method, constants, cluster, epsilon, momentum_u=0.0,
-                    sigma_hat2=None):
+def epsilon_horizon(method, constants, cluster, epsilon, momentum_u=0.0):
     """Smallest integer T whose tuned bound is <= epsilon.
 
     The tuned bound is non-increasing in T for the methods with vanishing
-    bounds (sgd / nesterov / extrap), so doubling + bisection is exact.
+    bounds (sgd / nesterov / extrap_sgd), so doubling + bisection is exact.
+    extrap_noise's bound grows with T through its noise term, and
+    `rate_bound` refuses it without the noise second moment.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
 
     def bound(T):
         hp = tuned_hyperparams(method, constants, cluster, T, momentum_u)
-        return rate_bound(method, constants, hp, cluster, T,
-                          sigma_hat2=sigma_hat2).bound_value
+        return rate_bound(method, constants, hp, cluster, T).bound_value
 
     if bound(1) <= epsilon:
         return 1

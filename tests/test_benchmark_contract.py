@@ -74,8 +74,7 @@ def _aborting_config(trials, **extra):
 def test_tracer_counts_one_draw_per_step_when_trials_leave_the_chunk():
     # The chunk still draws once per step it runs, including each aborting
     # step.
-    with np.errstate(over="ignore", invalid="ignore"):
-        result, calls = _traced_run(_aborting_config(6))
+    result, calls = _traced_run(_aborting_config(6))
     aborts = {tr.steps_done for tr in result.trials if tr.aborted}
     assert len(aborts) >= 2 and len(aborts) < len(result.trials)
     assert calls["cluster.draw_batches"] == 20
@@ -108,9 +107,8 @@ def test_workload_readers_see_the_same_records():
     # The workloads digest `dataclasses.asdict` of each record, check
     # `r.train_loss` and read `records[-1].wall_events`.
     workloads = _load("workloads")
-    with np.errstate(over="ignore", invalid="ignore"):
-        aborting = exsgd.harness.run(_aborting_config(
-            3, record_every=3, record_smoothness_every=2)).trials
+    aborting = exsgd.harness.run(_aborting_config(
+        3, record_every=3, record_smoothness_every=2)).trials
     assert [tr.aborted for tr in aborting] == [True, True, False]
     finished = exsgd.harness.run(RunConfig(
         objective=make_logistic(5, 64, generator_seed=2, l2=1e-3),

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -83,10 +85,30 @@ def test_run_exit_two_on_numeric_abort(tmp_path):
     doc["total_steps_T"] = 400
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    import numpy as np
-    with np.errstate(over="ignore"):
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 2
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_exits_two_without_a_warning_under_warnings_as_errors(tmp_path):
+    # The diverging steps' overflow is reported once, as the abort record:
+    # numpy warns of nothing, so `-W error` raises nothing.
+    doc = {"objective": {"maker": "quadratic", "dimension": 3,
+                         "sample_count": 16, "generator_seed": 1},
+           "cluster": {"workers_K": 2, "local_batch_B": 4},
+           "method": "nesterov",
+           "hyperparams": {"lr_gamma": 1e308, "momentum_u": 0.5},
+           "total_steps_T": 5}
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    src = str(pathlib.Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "exsgd.cli", "run",
+         "--config", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    last = (out / "trial_0.jsonl").read_text().splitlines()[-1]
+    assert json.loads(last)["abort"].startswith("non-finite value")
 
 
 def test_validation_error_exits_one(tmp_path, capsys):
@@ -1068,7 +1090,7 @@ GOLDEN_DIGESTS = {
                    "trial_1.jsonl": "03f21fdabd3eef1a"},
     "extrap_noise": {"aggregate.csv": "19ed157f8773db7d",
                      "manifest.json": "feee8e74a7fe5291",
-                     "theory_report.json": "cfb0f684dc2cde47",
+                     "theory_report.json": "b467af5c1dea2dbe",
                      "trial_0.jsonl": "4c7666951acd3165",
                      "trial_1.jsonl": "8abf34ff4b4c198f"},
     "adam": {"aggregate.csv": "f6092c06d7b1dba9",
@@ -1165,11 +1187,9 @@ _GOLDEN_DOCS = {"tiny_mlp_extrap_noise": _golden_mlp_doc,
 @pytest.mark.parametrize("case", [*METHODS, *_GOLDEN_DOCS])
 def test_run_writes_golden_bytes(case, tmp_path, capsys):
     doc = _GOLDEN_DOCS[case]() if case in _GOLDEN_DOCS else _golden_doc(case)
-    if case == "six_trials_five_abort":     # exits 2 past overflowing steps
-        with np.errstate(over="ignore", invalid="ignore"):
-            digests = _written_digests(doc, tmp_path, code=2)
-    else:
-        digests = _written_digests(doc, tmp_path)
+    # The abort case exits 2 past its overflowing steps.
+    code = 2 if case == "six_trials_five_abort" else 0
+    digests = _written_digests(doc, tmp_path, code=code)
     assert digests == GOLDEN_DIGESTS[case]
     capsys.readouterr()
 

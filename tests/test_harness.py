@@ -20,7 +20,7 @@ from exsgd.cluster import (EPOCH_PERMUTATION, ClusterConfig, draw_batches,
 from exsgd.harness import (MetricsRecord, RunConfig, _describe,
                            _dump_json, _encode_line,
                            _jsonable, _lr_series, _replay_constants,
-                           _run_trials, _step_once, _terminal_half_point,
+                           _run_trials, _step_once,
                            _trial_results, apply_override, from_doc, run,
                            speedup_study, sweep, trial_seed, write_outputs)
 from exsgd.objectives import (MAKERS, ObjectiveSpec, batch_gradient, batch_loss,
@@ -230,8 +230,7 @@ def test_abort_is_reported_not_raised(tmp_path):
     cfg = _base_config(
         objective=make_quadratic(2, 8, diag=[1e4, 1e4], shift_spread=1.0),
         hyperparams=HyperParams(lr_gamma=1.0), total_steps_T=300, trials=1)
-    with np.errstate(over="ignore"):
-        res = run(cfg)
+    res = run(cfg)
     tr = res.trials[0]
     assert tr.aborted and tr.steps_done < 300
     assert "step" in tr.abort_detail
@@ -546,9 +545,12 @@ def test_virtual_sequence_rows_are_the_stacked_step_values(method, workers,
     assert_array_equal(seq.g_bar_half, np.stack(gbars))
     assert_array_equal(seq.xi_bar[:-1], np.stack(xibars))
     assert_array_equal(tr.grad_norm2_series, np.asarray(gn2s))
-    (half,), (xi,) = _terminal_half_point(cfg, state, hp, cl, [tr.seed])
-    assert_array_equal(seq.x_bar_half[-1], half)
-    assert_array_equal(seq.xi_bar[-1], xi)
+    # Row T reduces the points and directions of step T, taken by hand.
+    _step_once(cfg, state, obj, cl, draw_batches(cl, obj, steps), hp, [tr.seed])
+    info = state.last_info
+    assert_array_equal(seq.x_bar_half[-1], reduce_mean(info["halves"][0]))
+    assert_array_equal(seq.xi_bar[-1], np.zeros(obj.dimension)
+                       if info["z"] is None else reduce_mean(info["z"][0]))
 
 
 @pytest.mark.parametrize("method", ["sgd", "nesterov", "extrap_sgd",
@@ -1034,15 +1036,14 @@ def test_metric_blocks_hold_across_an_abort_inside_a_block():
     cfg = _base_config(
         objective=make_quadratic(2, 8, diag=[1e4, 1e4], shift_spread=1.0),
         hyperparams=HyperParams(lr_gamma=1.0), total_steps_T=300, trials=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _trial_in_blocks(cfg, 1)
-        done = want.steps_done           # steps before the aborted one
-        assert want.aborted and done >= 3
-        assert [r.step for r in want.records] == list(range(done + 1))
-        # done // 2 + 1 never divides done, and the default block is the
-        # whole trial, so the abort falls inside a block.
-        for block in (3, done // 2 + 1, None):
-            _assert_same_trial(_trial_in_blocks(cfg, block), want)
+    want = _trial_in_blocks(cfg, 1)
+    done = want.steps_done           # steps before the aborted one
+    assert want.aborted and done >= 3
+    assert [r.step for r in want.records] == list(range(done + 1))
+    # done // 2 + 1 never divides done, and the default block is the whole
+    # trial, so the abort falls inside a block.
+    for block in (3, done // 2 + 1, None):
+        _assert_same_trial(_trial_in_blocks(cfg, block), want)
 
 
 def test_metric_blocks_keep_the_stopping_rule_exact():
@@ -1230,7 +1231,7 @@ def test_trials_that_leave_a_chunk_keep_its_one_seed_tuple(monkeypatch):
     for cfg, kwargs in ((_aborting_config(), {}),
                         (stopping, {"stop_epsilon": epsilon})):
         draws.clear()
-        with _chunked(cfg, 6), np.errstate(over="ignore", invalid="ignore"):
+        with _chunked(cfg, 6):
             trials = _trial_results(cfg, **kwargs)
         assert any(tr.aborted or tr.reached_epsilon for tr in trials)
         steps = max(tr.steps_done + tr.aborted for tr in trials)
@@ -1263,8 +1264,7 @@ def test_a_shrinking_chunk_generates_each_block_once(monkeypatch):
     for cfg, epsilon in ((aborting, None), (stopping, sorted(norms)[3])):
         cluster._blocks.clear()
         made.clear()
-        with np.errstate(over="ignore", invalid="ignore"):
-            trials = _trial_results(cfg, stop_epsilon=epsilon)
+        trials = _trial_results(cfg, stop_epsilon=epsilon)
         ends = {tr.steps_done for tr in trials if tr.aborted or tr.reached_epsilon}
         assert len(ends) >= 2 and len(made) == len(set(made))
 

@@ -877,6 +877,15 @@ def test_warmup_increment_hand_value():
     assert lrs[t_done + 5] == pytest.approx(3.2, rel=1e-12)
 
 
+def test_warmup_increment_is_zero_without_warmup_epochs():
+    # No ramp: `_lr` starts at the peak and never reads the increment.
+    obj = make_quadratic(1, 100)
+    cl = ClusterConfig(workers_K=2, local_batch_B=10)
+    sched = Schedule(kind=WARMUP_CONSTANT, base_lr=0.2, scale_factor=2.0,
+                     warmup_epochs=0)
+    assert warmup_increment(sched, cl, obj) == 0.0
+
+
 def test_warmup_ramp_is_linear_and_clipped():
     obj = make_quadratic(1, 100)
     cl = ClusterConfig(workers_K=1, local_batch_B=10)

@@ -227,6 +227,10 @@ def test_epsilon_horizon_boundary():
     # 4/sqrt(T) is still above 1e-9 at the last doubling, T = 2**50.
     with pytest.raises(ValueError, match="^bound never reaches epsilon=1e-09$"):
         epsilon_horizon(SGD, CONSTS, CLUSTER, 1e-9)
+    # extrap_noise's bound grows with T; no horizon is searched for it.
+    with pytest.raises(ValueError,
+                       match=r"^sigma_hat2 \(noise second moment\) is required$"):
+        epsilon_horizon(EXTRAP_NOISE, CONSTS, CLUSTER, 0.1, 0.5)
 
 
 def test_epsilon_horizon_scaling_with_batch():
