@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, gates, harness, theory
 from .cluster import ClusterConfig
 from .objectives import (batch_gradient, estimate_constants, initial_point,
-                         make_quadratic)
+                         make_quadratic, row_dots)
 from .optimizers import HyperParams
 
 
@@ -95,7 +95,7 @@ def _cmd_sweep(args):
     print(f"best: {table['best']}"
           + ("  [warning: boundary optimum]" if table["boundary_optimum"] else ""))
     print(f"wrote {args.out}/sweep.json")
-    return 0
+    return 2 if any(row["aborted"] for row in table["rows"]) else 0
 
 
 def _parse_kb(items):
@@ -145,15 +145,25 @@ def _cmd_smoothness(args):
         config = load_config(args.config, args.set)
         obj, decay = config.objective, config.hyperparams.weight_decay
         x0 = initial_point(obj, config.init_scale)
-        g = -batch_gradient(obj, x0, range(obj.sample_count), weight_decay=decay)
-        est = theory.smoothness_estimate(obj, x0, g,
-                                         probes=args.probes,
-                                         fraction=args.fraction,
-                                         weight_decay=decay)
-        print(f"estimated L along -grad at x0: {est:.9g}")
-        if obj.kind == "quadratic":
-            const = estimate_constants(obj, x0, weight_decay=decay)
-            print(f"analytic L: {const.lipschitz_L:.9g}")
+        # What cannot be probed is refused in one line, not warned about.
+        with np.errstate(all="ignore"):
+            g = -batch_gradient(obj, x0, range(obj.sample_count),
+                                weight_decay=decay)
+            # Each probe divides by a multiple of ||g||.
+            if not math.isfinite(row_dots(g, g)):
+                raise ValueError("the gradient at x0 has no finite norm "
+                                 "to probe along")
+            est = theory.smoothness_estimate(obj, x0, g,
+                                             probes=args.probes,
+                                             fraction=args.fraction,
+                                             weight_decay=decay)
+            if not math.isfinite(est):
+                raise ValueError(f"estimated L along -grad at x0 is not "
+                                 f"finite, got {est!r}")
+            print(f"estimated L along -grad at x0: {est:.9g}")
+            if obj.kind == "quadratic":
+                const = estimate_constants(obj, x0, weight_decay=decay)
+                print(f"analytic L: {const.lipschitz_L:.9g}")
     else:
         obj = make_quadratic(2, 8, generator_seed=1, diag=[1.0, 4.0])
         est = theory.smoothness_estimate(

@@ -28,7 +28,8 @@ The gradient reduction is a plain ascending-worker-order serial mean over
 the K rows of a (K, d) array (or a list of K vectors), or over each trial's K
 rows of an (R, K, d) stack: floating-point determinism outranks reduction
 speed at desk scale.  The step engine evaluates all K workers in one stacked
-call, so no step uses threads.
+call, so no step uses threads; only a wide run's full-sample metric passes
+run on a helper thread, beside the steps (see `harness`).
 """
 
 from dataclasses import dataclass

@@ -36,9 +36,24 @@ row T is the same reduction of step T's `lookahead` points and directions.
 A run with a stopping rule evaluates each step's norms at once.
 Post-local's worker dispersion is taken from the state at the recorded
 steps.
-numpy's floating-point warnings are off while trials run: a trial reports
-a non-finite step value only as the `NumericAbort` that ends it, also under
-`python -W error`.
+A run without a stopping rule whose one-point full-sample pass is larger
+than a metric block, N d > `objectives._SIGMA2_BLOCK` (so its chunks hold
+one trial and its blocks one step), evaluates each block on one helper
+thread while the steps go on: the block's `step_reports` and oracle calls
+on range(N), the same calls in the same order, so the bytes are those of
+the inline path.  The helper touches no state and no batch cache.  At most
+one block is in flight; it is joined before the next block is handed over,
+before a `NumericAbort` evaluates the pending steps inline, before the
+running trials are re-sliced, and before the chunk's last block and its
+records.  The steps refill the raw points and directions (and, without a
+replay, the iterates) of the next block in a second set of buffers.  An
+error on the helper re-raises at the next join, and the thread ends with
+the trials of a `run`, `sweep` or `speedup_study` point.  The `threads`
+argument chooses none of this.
+numpy's floating-point warnings are off while trials run, on the helper
+under its own `errstate` (numpy's error state is per thread): a trial
+reports a non-finite step value only as the `NumericAbort` that ends it,
+also under `python -W error`.
 Every gradient, loss, smoothness probe and theory constant is of
 f + (lambda/2)||x||^2, the objective a run with weight decay lambda
 minimizes: the oracle and `estimate_constants` add the decay terms, given
@@ -60,6 +75,7 @@ import os
 import re
 import reprlib
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,6 +301,14 @@ def _evaluate_pending(obj, weight_decay, pending, buf, table, alive):
     return gn2s[-1]
 
 
+def _evaluate_aside(*args):
+    """`_evaluate_pending(*args)` on the helper thread, under its own
+    `errstate`: numpy's error state is per thread, so the caller's does not
+    reach it."""
+    with np.errstate(all="ignore"):
+        _evaluate_pending(*args)
+
+
 def _replay_constants(config):
     """A function returning the theory constants that every replayed trial of
     `config` reads; they are computed at its first call only."""
@@ -357,16 +381,26 @@ def _trial_results(config, stop_epsilon=None):
     they run: a step's non-finite value is reported once, as the
     `NumericAbort` of its finite checks that ends the trial."""
     constants, lrs = _replay_constants(config), _lr_series(config)
-    chunk = _chunk_size(config)
+    chunk, obj = _chunk_size(config), config.objective
+    # A run whose one-point full-sample pass is larger than a metric block
+    # evaluates its metrics on one helper thread, beside its steps.
+    helper = (ThreadPoolExecutor(1) if stop_epsilon is None and
+              obj.sample_count * obj.dimension > objectives._SIGMA2_BLOCK
+              else None)
     results = []
-    with np.errstate(all="ignore"):
-        for lo in range(0, config.trials, chunk):
-            results += _run_trials(config, range(lo, min(lo + chunk, config.trials)),
-                                   constants, lrs, stop_epsilon)
+    try:
+        with np.errstate(all="ignore"):
+            for lo in range(0, config.trials, chunk):
+                results += _run_trials(
+                    config, range(lo, min(lo + chunk, config.trials)),
+                    constants, lrs, stop_epsilon, helper)
+    finally:
+        if helper is not None:
+            helper.shutdown()
     return results
 
 
-def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
+def _run_trials(config, trials, constants, lrs, stop_epsilon=None, helper=None):
     """The results of the trials of `config` with the indices `trials`,
     advanced together as one state of stacked trials whose row r is trial
     trials[r]; each result is bitwise that of its trial run alone.
@@ -374,7 +408,9 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
     `lrs` is `_lr_series(config)`.  A trial that meets a non-finite value
     ends with an all-NaN record at that step and leaves the stack; the
     others go on.  With `stop_epsilon` a trial stops after the first step
-    whose full-gradient norm is <= it, and no trial is replayed."""
+    whose full-gradient norm is <= it, and no trial is replayed.  With the
+    single-worker executor `helper` each full metric block is evaluated on
+    its thread while the steps go on, one block at a time."""
     obj, cl = config.objective, config.cluster
     method = theory.METHOD_TABLE[config.method]
     hp = config.hyperparams
@@ -429,16 +465,31 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
         buf["gbar"] = np.empty((steps,) + shape)
         buf["dev2"], buf["gn2"] = (np.empty((steps,) + shape[:-1]) for _ in range(2))
         buf["x"][0], buf["v"][0] = state.x, state.v
+    # With a helper, the block in flight reads its own set of the buffers
+    # the steps refill; a replay's rows of "x" are per step, never reused.
+    spare = {name: np.empty_like(buf[name]) for name in ("halves", "z", "x")
+             if helper is not None and name in buf
+             and not (name == "x" and want_vs)}
+    inflight = None
+
+    def join():
+        """Wait for the block in flight, re-raising what it raised."""
+        nonlocal inflight
+        if inflight is not None:
+            done, inflight = inflight, None
+            done.result()
 
     def keep(rows):
         """Go on with the running trials at `rows` only."""
         nonlocal alive, live, seeds
+        join()
         alive = [alive[r] for r in rows]
         live, seeds = [results[r] for r in alive], [chunk[r] for r in alive]
         if live:        # with none left the run ends
             state.keep_trials(rows)
-            for name, values in buf.items():
-                buf[name] = values[:, rows]
+            for held in (buf, spare):
+                for name, values in held.items():
+                    held[name] = values[:, rows]
 
     for t in range(steps):
         lr = lrs[t]
@@ -452,6 +503,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                 _step_once(config, state, obj, cl, batches, hp_t, seeds)
                 break
             except NumericAbort as exc:
+                join()
                 if pending:     # the aborting trials' earlier metrics first
                     _evaluate_pending(obj, hp.weight_decay, pending, buf,
                                       table, alive)
@@ -486,7 +538,14 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                     z = info["z"]
                     buf["z"][at] = 0.0 if z is None else z
             pending.append((row, column))
-        if len(pending) == size:
+        if len(pending) == size and helper is not None:
+            join()
+            inflight = helper.submit(_evaluate_aside, obj, hp.weight_decay,
+                                     pending, dict(buf), table, alive)
+            pending = []
+            for name in spare:
+                buf[name], spare[name] = spare[name], buf[name]
+        elif len(pending) == size:
             gn2s = _evaluate_pending(obj, hp.weight_decay, pending, buf, table,
                                      alive)
             reached = [] if stop_epsilon is None else (gn2s <= stop_epsilon).tolist()
@@ -498,6 +557,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None):
                 keep([r for r, done in enumerate(reached) if not done])
                 if not live:
                     break
+    join()
     if pending:
         _evaluate_pending(obj, hp.weight_decay, pending, buf, table, alive)
     for row, tr in enumerate(live):
@@ -706,8 +766,9 @@ def speedup_study(base, kb_grid, epsilon):
                          f"T grows; {base.method} has none")
     obj = base.objective
     x0 = initial_point(obj, base.init_scale)
-    constants = estimate_constants(obj, x0,
-                                   weight_decay=base.hyperparams.weight_decay)
+    with np.errstate(all="ignore"):     # a non-finite constant is refused
+        constants = estimate_constants(
+            obj, x0, weight_decay=base.hyperparams.weight_decay).validate()
     u = base.hyperparams.momentum_u
     clusters = []
     for K, B in kb_grid:
@@ -800,13 +861,15 @@ def sweep(base, grid):
         metrics = [_final_metrics(tr) for tr in trials]
         finals = [final for final, _, _ in metrics if final is not None]
         min_gns = [least for _, _, least in metrics if least is not None]
-        rows.append({
-            "point": dict(zip(keys, combo)),
-            "final_loss_mean": float(np.mean(finals)) if finals else math.inf,
-            "final_loss_std": float(np.std(finals)) if finals else math.nan,
-            "min_grad_norm2_mean": float(np.mean(min_gns)) if min_gns else math.nan,
-            "aborted": sum(tr.aborted for tr in trials),
-        })
+        with np.errstate(all="ignore"):     # an inf loss gives a NaN std
+            rows.append({
+                "point": dict(zip(keys, combo)),
+                "final_loss_mean": float(np.mean(finals)) if finals else math.inf,
+                "final_loss_std": float(np.std(finals)) if finals else math.nan,
+                "min_grad_norm2_mean": (float(np.mean(min_gns)) if min_gns
+                                        else math.nan),
+                "aborted": sum(tr.aborted for tr in trials),
+            })
     best = min(rows, key=lambda r: r["final_loss_mean"])
     boundary = any(len(grid[k]) > 1 and best["point"][k] in (grid[k][0], grid[k][-1])
                    for k in keys)

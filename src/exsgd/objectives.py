@@ -16,6 +16,7 @@ evaluation contains no internal randomness.
 import copy
 import functools
 import inspect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +165,10 @@ class TheoryConstants:
         # Written so that a NaN fails it.
         if not (self.lipschitz_L >= 0 and self.variance_sigma2 >= 0 and self.r0 >= 0):
             raise ValueError("TheoryConstants entries must be nonnegative")
+        for name in ("lipschitz_L", "variance_sigma2", "f_star", "r0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"theory constant {name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         return self
 
 
@@ -391,15 +396,24 @@ def _mlp_blocks(widths):
     return blocks
 
 
+@functools.cache
+def _mlp_layout(widths):
+    """`_mlp_blocks` of the widths tuple `widths` per layer, as (w0, w1, b0,
+    b1, fan_in, fan_out), built once for each widths tuple."""
+    blocks = _mlp_blocks(widths)
+    return tuple((w0, w1, b0, b1, fan_in, fan_out)
+                 for (w0, w1), (b0, b1), fan_in, fan_out
+                 in zip(blocks[::2], blocks[1::2], widths, widths[1:]))
+
+
 def _unpack_mlp(widths, values):
     """(weight, bias) views of `values` per layer, at `_mlp_blocks(widths)`;
     for (..., d) values each gains the leading axes (the bias as (..., 1,
     out), so it broadcasts over the batch axis)."""
-    blocks, lead = _mlp_blocks(widths), values.shape[:-1]
+    lead = values.shape[:-1]
     return [(values[..., w0:w1].reshape(lead + (fan_out, fan_in)),
              values[..., None, b0:b1])
-            for (w0, w1), (b0, b1), fan_in, fan_out
-            in zip(blocks[::2], blocks[1::2], widths, widths[1:])]
+            for w0, w1, b0, b1, fan_in, fan_out in _mlp_layout(tuple(widths))]
 
 
 def _mlp_net(layers, inputs):
@@ -649,6 +663,10 @@ def estimate_constants(obj, x0, horizon_T=0, *, weight_decay=0.0):
     With `weight_decay` lambda they are the constants of f + (lambda/2)||x||^2:
     L grows by lambda and r0 by (lambda/2)||x0||^2, while sigma^2 is unchanged
     (the decay term is the same in every sample).
+
+    The constants are returned as measured, a non-finite one included, so a
+    replay reports the bounds they give; `TheoryConstants.validate` refuses
+    such a constant by name, as `harness.speedup_study` does before it tunes.
     """
     if obj.kind == QUADRATIC:
         if obj.quad_matrix is not None:
@@ -681,7 +699,7 @@ def estimate_constants(obj, x0, horizon_T=0, *, weight_decay=0.0):
         r0 += 0.5 * weight_decay * float(row_dots(x0, x0))
     return TheoryConstants(
         lipschitz_L=lip, variance_sigma2=sigma2, f_star=f_star, r0=r0,
-        horizon_T=int(horizon_T)).validate()
+        horizon_T=int(horizon_T))
 
 
 # Doubles in one (n, d) block of per-sample gradients in `_sigma2_at`, and

@@ -18,11 +18,13 @@ Checklist order:
   6. smoothness probe exact on a quadratic; extrapolation ordering on a net
   7. warmup / step-decay / trust-ratio formulas match closed forms
   8. post-local averaging: zero dispersion at syncs, positive between
-  9. worker threading and trial stacking never change persisted bytes
+  9. worker threading, trial stacking and the metric helper thread never
+     change persisted bytes
 """
 
 import filecmp
 import os
+import threading
 from contextlib import nullcontext
 from unittest import mock
 
@@ -292,6 +294,30 @@ def test_thread_determinism_byte_identical(tmp_path):
                                                    shallow=False)
         assert mismatch == [] and errors == []
         assert sorted(match) == names
+    # A run whose one-point full-sample pass exceeds a metric block
+    # evaluates its metrics on a helper thread beside its steps; its files
+    # are those of the same run with the helper off (a block above N d),
+    # and the thread ends with the run.
+    wide = RunConfig(
+        objective=make_logistic(65, 4096, generator_seed=4, l2=1e-3),
+        cluster=ClusterConfig(workers_K=4, local_batch_B=8),
+        method="extrap_sgd",
+        hyperparams=HyperParams(lr_gamma=0.05, momentum_u=0.6),
+        total_steps_T=40, record_every=1, record_virtual_sequence=True,
+        trials=2, master_seed=13)
+    words = wide.objective.sample_count * wide.objective.dimension
+    assert words > harness.objectives._SIGMA2_BLOCK
+    before = threading.active_count()
+    write_outputs(run(wide), tmp_path / "helper")
+    assert threading.active_count() == before
+    with mock.patch.object(harness.objectives, "_SIGMA2_BLOCK", words):
+        write_outputs(run(wide), tmp_path / "inline")
+    wide_names = sorted(os.listdir(tmp_path / "helper"))
+    assert "theory_report.json" in wide_names
+    match, mismatch, errors = filecmp.cmpfiles(
+        tmp_path / "helper", tmp_path / "inline", wide_names, shallow=False)
+    assert (sorted(match), mismatch, errors) == (wide_names, [], [])
     print(f"PASS thread determinism: {len(names)} output files "
           f"byte-identical between 1 and 4 threads and between stacked and "
-          f"one-at-a-time trials")
+          f"one-at-a-time trials, {len(wide_names)} with and without the "
+          f"metric helper thread")

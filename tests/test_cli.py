@@ -111,6 +111,68 @@ def test_run_exits_two_without_a_warning_under_warnings_as_errors(tmp_path):
     assert json.loads(last)["abort"].startswith("non-finite value")
 
 
+def _diverging_doc():
+    """A 2-d quadratic whose first of 32 shifts is 1e308: its theory
+    constants and its full-sample norms overflow, and at lr_gamma 10 a step
+    whose batch holds sample 0 overflows too."""
+    shifts = np.random.default_rng(0).standard_normal((32, 2)).tolist()
+    shifts[0] = [1e308, 1e308]
+    return {"objective": {"maker": "quadratic", "dimension": 2,
+                          "sample_count": 32, "shifts": shifts},
+            "cluster": {"workers_K": 2, "local_batch_B": 4},
+            "method": "nesterov",
+            "hyperparams": {"lr_gamma": 10.0, "momentum_u": 0.5},
+            "total_steps_T": 50, "trials": 2}
+
+
+_SUBCOMMAND_ARGS = {
+    "run": ["--out", "{out}"],
+    "sweep": ["--out", "{out}", "--grid", "hyperparams.lr_gamma=5.0,10.0"],
+    "speedup": ["--out", "{out}", "--kb", "2x4", "--epsilon", "0.1"],
+    "smoothness": [],
+}
+
+
+@pytest.mark.parametrize("config", ["diverging", "invalid"])
+@pytest.mark.parametrize("subcommand", sorted(_SUBCOMMAND_ARGS))
+def test_every_config_subcommand_fails_in_one_line_under_warnings_as_errors(
+        tmp_path, subcommand, config):
+    # A config that overflows and one with an invalid value end every
+    # subcommand that reads a config with exit code 1 (refused) or 2 (a
+    # numeric abort), at most one stderr line and no traceback, also under
+    # `-W error`, and every file written is strict JSON.
+    doc = _diverging_doc()
+    if config == "invalid":
+        doc["hyperparams"]["momentum_u"] = 1.0
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    src = str(pathlib.Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = [a.format(out=out) for a in _SUBCOMMAND_ARGS[subcommand]]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "exsgd.cli", subcommand,
+         "--config", str(path), *args], capture_output=True, text=True, env=env)
+    aborts = config == "diverging" and subcommand in ("run", "sweep")
+    assert proc.returncode == (2 if aborts else 1)
+    assert len(proc.stderr.splitlines()) <= 1 and "Traceback" not in proc.stderr
+    if not aborts:
+        assert proc.stderr.startswith("error: ")
+    if (subcommand, config) == ("speedup", "diverging"):     # the cause, by name
+        assert "variance_sigma2 must be finite" in proc.stderr
+    for name in os.listdir(out) if out.exists() else ():
+        text = (out / name).read_text()
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=_reject_constant)
+        elif name.endswith(".jsonl"):
+            for line in text.splitlines():
+                json.loads(line, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_validation_error_exits_one(tmp_path, capsys):
     doc = dict(BASE_CONFIG)
     doc["hyperparams"] = {"lr_gamma": 0.1, "momentum_u": 1.0}

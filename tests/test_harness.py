@@ -5,6 +5,8 @@ import json
 import math
 import os
 import tempfile
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -1450,3 +1452,105 @@ def test_post_local_records_read_the_state_at_recorded_steps(
     _assert_records_are_by_hand(obj, 0.0, got, log)
     assert [r.step for r in got[0].records] == sorted(
         {t for t in range(steps) if t % record_every == 0} | {steps - 1})
+
+
+# ---------------------------------------------------------------------------
+# a wide run evaluates its full-sample metrics on one helper thread
+# ---------------------------------------------------------------------------
+
+def _wide_quadratic_config(shift, shifted=1, curvature=1.0, **overrides):
+    """A d = 64, N = 4100 quadratic, so N d is just above one metric block,
+    with A = `curvature` I, whose first `shifted` samples have the shift
+    `shift`."""
+    shifts = np.random.default_rng(5).standard_normal((4100, 64))
+    shifts[:shifted] = shift
+    obj = make_quadratic(64, 4100, shifts=shifts, diag=[curvature] * 64)
+    assert obj.sample_count * obj.dimension > objectives._SIGMA2_BLOCK
+    return _base_config(**{
+        "objective": obj, "method": "nesterov",
+        "cluster": ClusterConfig(workers_K=2, local_batch_B=8),
+        "hyperparams": HyperParams(lr_gamma=0.1, momentum_u=0.5), **overrides})
+
+
+def _helper_and_inline_outputs(cfg, tmp_path):
+    """`cfg`'s trials, after checking that the files it writes with the
+    helper thread, which must run and end with the run, are those it writes
+    without it (a metric block above N d turns it off)."""
+    obj = cfg.objective
+    calls = []
+    evaluate_aside = harness._evaluate_aside
+
+    def logged(*args):
+        calls.append(threading.current_thread())
+        return evaluate_aside(*args)
+
+    before = threading.active_count()
+    with mock.patch.object(harness, "_evaluate_aside", logged):
+        write_outputs(run(cfg), tmp_path / "helper")
+    assert threading.active_count() == before
+    assert calls and threading.main_thread() not in calls
+    with mock.patch.object(objectives, "_SIGMA2_BLOCK",
+                           obj.sample_count * obj.dimension), \
+            mock.patch.object(harness, "_evaluate_aside", logged):
+        calls.clear()
+        write_outputs(run(cfg), tmp_path / "inline")
+    assert calls == []
+    names = sorted(os.listdir(tmp_path / "helper"))
+    assert names == sorted(os.listdir(tmp_path / "inline"))
+    for name in names:
+        assert ((tmp_path / "helper" / name).read_bytes()
+                == (tmp_path / "inline" / name).read_bytes()), name
+    return run(cfg).trials
+
+
+def test_the_helper_thread_keeps_an_overflowing_metric_quiet(tmp_path):
+    # The losses overflow to inf while every step stays finite; numpy's
+    # error state is per thread, so the helper needs its own for
+    # `filterwarnings = error` to raise nothing.
+    cfg = _wide_quadratic_config(1e200, total_steps_T=30, record_every=10)
+    trials = _helper_and_inline_outputs(cfg, tmp_path)
+    for tr in trials:
+        assert not tr.aborted and np.isfinite(tr.final_x).all()
+        assert [r.step for r in tr.records] == [0, 10, 20, 29]
+        assert all(r.train_loss == math.inf for r in tr.records)
+
+
+def test_a_wide_run_aborts_with_a_metric_block_in_flight(tmp_path):
+    # The gradient of a batch that holds one of the 41 shifted samples
+    # overflows; each step is recorded, so the block of the step before is
+    # on the helper, slowed down, when the abort evaluates the pending one.
+    # At most one block is ever evaluated at a time.
+    evaluate, lock = harness._evaluate_pending, threading.Lock()
+    running, most = [0], [0]
+
+    def slow(*args):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        try:
+            time.sleep(0.002)
+            return evaluate(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    cfg = _wide_quadratic_config(
+        1e308, shifted=41, curvature=100.0, total_steps_T=60,
+        hyperparams=HyperParams(lr_gamma=1e-3, momentum_u=0.5))
+    with mock.patch.object(harness, "_evaluate_pending", slow):
+        trials = _helper_and_inline_outputs(cfg, tmp_path)
+    assert all(tr.aborted and tr.steps_done >= 2 for tr in trials)
+    assert most == [1]
+
+
+def test_a_helper_error_reraises_in_the_caller_and_ends_the_thread():
+    cfg = _wide_quadratic_config(1.0, total_steps_T=20, trials=1)
+
+    def failing(*args):
+        raise RuntimeError("metric block failed")
+
+    before = threading.active_count()
+    with mock.patch.object(harness, "_evaluate_pending", failing), \
+            pytest.raises(RuntimeError, match="^metric block failed$"):
+        run(cfg)
+    assert threading.active_count() == before

@@ -103,6 +103,25 @@ def test_mlp_partition_covers_all_parameters():
     mlp.validate()
 
 
+def test_mlp_layout_is_built_once_and_partitions_stay_apart():
+    # The unpacking layout is kept per widths tuple; an objective's
+    # partition is its own list, which a caller may change.
+    first, second = (make_tiny_mlp((3, 4, 2), 5, generator_seed=s)
+                     for s in (1, 2))
+    assert objectives._mlp_layout((3, 4, 2)) is objectives._mlp_layout((3, 4, 2))
+    assert first.partition == second.partition
+    assert first.partition is not second.partition
+    first.partition.append((0, 1))
+    assert second.partition == objectives._mlp_blocks((3, 4, 2))
+    x = np.arange(float(second.dimension))
+    views = objectives._unpack_mlp([3, 4, 2], x)     # a list keys it too
+    for (w, b), (w0, w1), (b0, b1) in zip(views, second.partition[::2],
+                                          second.partition[1::2]):
+        assert np.shares_memory(w, x) and np.shares_memory(b, x)
+        assert w.ravel().tolist() == x[w0:w1].tolist()
+        assert b.ravel().tolist() == x[b0:b1].tolist()
+
+
 def _mlp_maker_by_layer_arrays(widths, sample_count, generator_seed,
                                input_scale, target_noise, init_scale):
     """(inputs, targets, dimension, partition, initial point) of a tiny MLP,

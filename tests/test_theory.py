@@ -202,6 +202,17 @@ def test_theory_constants_refuse_a_negative_or_nan_entry(field, value):
         dataclasses.replace(CONSTS, **{field: value}).validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lipschitz_L", math.inf), ("variance_sigma2", math.inf), ("r0", math.inf),
+    ("f_star", math.inf), ("f_star", -math.inf), ("f_star", math.nan),
+])
+def test_theory_constants_refuse_a_non_finite_entry_by_name(field, value):
+    # A NaN L, sigma^2 or r0 is refused as not nonnegative (above).
+    with pytest.raises(ValueError, match=f"^theory constant {field} must be "
+                                         f"finite, got {value}$"):
+        dataclasses.replace(CONSTS, **{field: value}).validate()
+
+
 @pytest.mark.parametrize("lipschitz_L,r0", [(0.0, 1.0), (2.0, 0.0),
                                             (2.0, -1.0)])
 def test_critical_batch_size_refuses_a_zero_scale(lipschitz_L, r0):
