@@ -68,6 +68,7 @@ import csv
 import dataclasses
 import functools
 import inspect
+import io
 import itertools
 import json
 import math
@@ -158,7 +159,7 @@ def from_doc(cls, doc, name=""):
     factory = cls if maker is None else MAKERS.get(str(maker))
     if factory is None:
         raise ValueError(f"unknown objective maker {maker!r}")
-    params = inspect.signature(factory).parameters
+    params = _parameters(factory)
     missing = [key for key, p in params.items()
                if p.default is p.empty and key not in doc]
     for problem, keys in (("unknown", sorted(set(doc) - set(params))),
@@ -168,6 +169,12 @@ def from_doc(cls, doc, name=""):
     return factory(**{key: _typed(f"{name}.{key}" if name else key,
                                   params[key].annotation, params[key].default, value)
                       for key, value in doc.items()})
+
+
+@functools.cache
+def _parameters(factory):
+    """`inspect.signature(factory).parameters`, read once per factory."""
+    return inspect.signature(factory).parameters
 
 
 def _typed(name, typ, default, value):
@@ -662,13 +669,52 @@ def _jsonable(value):
     return value
 
 
+# The trial line of a `MetricsRecord` whose `wall_events` has the keys a run
+# records, as `_encode_line` writes it (keys sorted), each value's text in place.
+_RECORD_LINE = (
+    '{{"grad_norm2": {}, "lr": {}, "smoothness_L": {}, "step": {}, '
+    '"train_loss": {}, "wall_events": {{"reductions": {}, "samples_seen": {}, '
+    '"worker_batches": {}}}, "worker_dispersion": {}}}\n').format
+_WALL_KEYS = frozenset(("reductions", "samples_seen", "worker_batches"))
+# The JSON text of a non-finite float, keyed by its repr.
+_NON_FINITE = {"nan": "null", "inf": '"Infinity"', "-inf": '"-Infinity"'}
+
+
+def _json_value(value):
+    """`_encode_line(_jsonable(value))`, read off `repr` for an int or float."""
+    kind = type(value)
+    if kind is float or kind is int:
+        text = repr(value)
+        return _NON_FINITE.get(text, text)
+    return _encode_line(_jsonable(value))
+
+
+def _record_line(line):
+    """`_encode_line(_jsonable(line)) + "\n"`: `_RECORD_LINE` of the values'
+    `_json_value` for a `MetricsRecord` with a run's `wall_events` keys, and
+    the encoder's line for anything else."""
+    events = getattr(line, "wall_events", None)
+    if (type(line) is not MetricsRecord or type(events) is not dict
+            or events.keys() != _WALL_KEYS):
+        return _encode_line(_jsonable(line)) + "\n"
+    return _RECORD_LINE(*map(_json_value, (
+        line.grad_norm2, line.lr, line.smoothness_L, line.step, line.train_loss,
+        events["reductions"], events["samples_seen"], events["worker_batches"],
+        line.worker_dispersion)))
+
+
+def _json_text(payload):
+    """`_jsonable`'s form of `payload` as strict JSON text, indented by one."""
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=1,
+                      allow_nan=False) + "\n"
+
+
 def _dump_json(payload, path):
-    """`_jsonable`'s form of `payload` as strict JSON at `path`; the text is
-    built before the file is opened, so a value JSON cannot hold raises
-    TypeError and writes nothing."""
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=1, allow_nan=False)
+    """`_json_text(payload)` at `path`; the text is built before the file is
+    opened, so a value JSON cannot hold raises TypeError and writes nothing."""
+    text = _json_text(payload)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def _final_metrics(tr):
@@ -684,42 +730,32 @@ def _final_metrics(tr):
 def write_outputs(result, out_dir):
     """manifest.json + trial_<i>.jsonl + aggregate.csv (+ theory_report.json);
     an earlier run's trial file or theory report that this run does not write
-    is removed, so `out_dir` ends as a fresh directory would."""
-    os.makedirs(out_dir, exist_ok=True)
-    report = any(tr.virtual_sequence is not None or tr.rate_error
-                 for tr in result.trials)
-    written = {f"trial_{tr.trial}.jsonl" for tr in result.trials} | (
-        {"theory_report.json"} if report else set())
-    for name in os.listdir(out_dir):
-        if (name not in written
-                and re.fullmatch(r"trial_[0-9]+\.jsonl|theory_report\.json", name)):
-            os.remove(os.path.join(out_dir, name))
+    is removed, so `out_dir` ends as a fresh directory would.  The text of
+    every file is built before any file is touched, so a value JSON cannot
+    hold raises TypeError and writes nothing."""
     from . import __version__
-    manifest = {
+    texts = {"manifest.json": _json_text({
         "version": __version__,
         "config": result.config,
         "trial_seeds": result.trial_seeds,
-    }
-    _dump_json(manifest, os.path.join(out_dir, "manifest.json"))
-
+    })}
     for tr in result.trials:
         lines = tr.records + ([{"abort": tr.abort_detail, "step": tr.steps_done}]
                               if tr.aborted else [])
-        with open(os.path.join(out_dir, f"trial_{tr.trial}.jsonl"), "w") as fh:
-            fh.write("".join(_encode_line(_jsonable(line)) + "\n"
-                             for line in lines))
+        texts[f"trial_{tr.trial}.jsonl"] = "".join(map(_record_line, lines))
 
-    agg_path = os.path.join(out_dir, "aggregate.csv")
-    with open(agg_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "seed", "steps_done", "final_train_loss",
-                    "final_grad_norm2", "min_grad_norm2", "aborted"])
-        for tr in result.trials:
-            w.writerow([tr.trial, tr.seed, tr.steps_done,
-                        *("" if v is None else repr(v) for v in _final_metrics(tr)),
-                        int(tr.aborted)])
+    aggregate = io.StringIO()
+    w = csv.writer(aggregate)
+    w.writerow(["trial", "seed", "steps_done", "final_train_loss",
+                "final_grad_norm2", "min_grad_norm2", "aborted"])
+    for tr in result.trials:
+        w.writerow([tr.trial, tr.seed, tr.steps_done,
+                    *("" if v is None else repr(v) for v in _final_metrics(tr)),
+                    int(tr.aborted)])
+    texts["aggregate.csv"] = aggregate.getvalue()
 
-    if report:
+    if any(tr.virtual_sequence is not None or tr.rate_error
+           for tr in result.trials):
         payload = {"trials": []}
         for tr in result.trials:
             entry = {"trial": tr.trial, "seed": tr.seed}
@@ -737,7 +773,16 @@ def write_outputs(result, out_dir):
                  if tr.rate_report is not None]
         if holds:
             payload["rate_bound_hold_fraction"] = sum(holds) / len(holds)
-        _dump_json(payload, os.path.join(out_dir, "theory_report.json"))
+        texts["theory_report.json"] = _json_text(payload)
+
+    os.makedirs(out_dir, exist_ok=True)
+    for name in os.listdir(out_dir):
+        if (name not in texts
+                and re.fullmatch(r"trial_[0-9]+\.jsonl|theory_report\.json", name)):
+            os.remove(os.path.join(out_dir, name))
+    for name, text in texts.items():
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +862,7 @@ def apply_override(config, path, value):
         call = getattr(node, "maker_call", None) or {}
         if last and key != "maker" and key in call:   # wins over a field
             return from_doc(ObjectiveSpec, {**call, key: value}, ".".join(keys[:depth]))
-        p = (inspect.signature(type(node)).parameters.get(key)
+        p = (_parameters(type(node)).get(key)
              if dataclasses.is_dataclass(node) else None)
         if p is None:
             raise ValueError(f"unknown config field {path!r}")

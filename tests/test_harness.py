@@ -21,7 +21,8 @@ from exsgd.cluster import (EPOCH_PERMUTATION, ClusterConfig, draw_batches,
                            reduce_mean)
 from exsgd.harness import (MetricsRecord, RunConfig, _describe,
                            _dump_json, _encode_line,
-                           _jsonable, _lr_series, _replay_constants,
+                           _jsonable, _lr_series, _parameters,
+                           _record_line, _replay_constants,
                            _run_trials, _step_once,
                            _trial_results, apply_override, from_doc, run,
                            speedup_study, sweep, trial_seed, write_outputs)
@@ -707,6 +708,32 @@ def test_path_into_an_unset_section_builds_it_as_a_config_file_does():
         apply_override(cfg, "noise.bogus", 1)
 
 
+def test_config_errors_read_the_same_from_a_cached_signature():
+    # Each call reads every signature it needs through `_parameters`: the
+    # first after a cache clear computes it, the second reads it back.
+    cfg = _base_config()
+    cases = [
+        lambda: from_doc(RunConfig, {"trials": 2, "bogus": 1}),
+        lambda: from_doc(RunConfig, {"noise": {"kind": "none", "scale": 1}}),
+        lambda: from_doc(ObjectiveSpec, {"maker": "quadratic", "dimension": 3},
+                         "objective"),
+        lambda: from_doc(RunConfig, {"hyperparams": {"lr_gamma": "fast"}}),
+        lambda: apply_override(cfg, "hyperparams.bogus", 1),
+        lambda: apply_override(cfg, "objective.maker", "logistic"),
+        lambda: apply_override(cfg, "objective.dimension", 2.5),
+        lambda: apply_override(cfg, "noise.bogus", 1),
+    ]
+    for case in cases:
+        messages = []
+        _parameters.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                case()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and len(messages[0].splitlines()) == 1
+    assert _parameters.cache_info().hits > 0
+
+
 @st.composite
 def _maker_calls(draw):
     """(maker, keyword arguments) of a small maker call; each explicit array
@@ -926,17 +953,19 @@ def _jsonable_by_isinstance(value):
 
 _EDGE = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
 _WRITER_FLOATS = st.floats() | _EDGE | st.builds(np.float64, st.floats() | _EDGE)
+_RECORDS = st.builds(
+    MetricsRecord, step=st.integers(0, 99), lr=_WRITER_FLOATS,
+    train_loss=_WRITER_FLOATS, grad_norm2=_WRITER_FLOATS,
+    smoothness_L=_WRITER_FLOATS, worker_dispersion=_WRITER_FLOATS,
+    wall_events=st.dictionaries(st.text(max_size=3), st.integers(0, 99),
+                                max_size=3))
 _MAKER_BUILT = make_logistic(2, 3, generator_seed=1, l2=0.5)
 _WRITER_LEAVES = (
     _WRITER_FLOATS | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
     | st.integers() | st.booleans() | st.none() | st.text(max_size=4)
     | hnp.arrays(st.sampled_from([np.float64, np.int64]),
                  hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
-    | st.builds(MetricsRecord, step=st.integers(0, 99), lr=_WRITER_FLOATS,
-                train_loss=_WRITER_FLOATS, grad_norm2=_WRITER_FLOATS,
-                smoothness_L=_WRITER_FLOATS, worker_dispersion=_WRITER_FLOATS,
-                wall_events=st.dictionaries(st.text(max_size=3),
-                                            st.integers(0, 99), max_size=3))
+    | _RECORDS
     | st.sampled_from([_MAKER_BUILT, dataclasses.replace(_MAKER_BUILT)]))
 
 
@@ -956,16 +985,69 @@ def test_jsonable_writes_what_its_isinstance_form_wrote(value):
     assert _encode_line(_jsonable(value)) == want
 
 
+# The events `_run_trials` records, the keys of the record line's own format.
+_RUN_EVENTS = st.fixed_dictionaries({
+    key: st.integers(0, 2**70) | _WRITER_FLOATS | st.booleans()
+    for key in ("reductions", "worker_batches", "samples_seen")})
+
+
+@given(record=_RECORDS | st.builds(
+    MetricsRecord, step=st.integers(0, 99) | st.booleans(),
+    lr=_WRITER_FLOATS | st.integers(), train_loss=_WRITER_FLOATS,
+    grad_norm2=_WRITER_FLOATS, wall_events=_RUN_EVENTS))
+@example(record=MetricsRecord(3, 0.05, 1.25, 2e-9, wall_events={
+    "reductions": 4, "worker_batches": 16, "samples_seen": 256}))
+@example(record=MetricsRecord(0, 0.1, math.inf, -math.inf, smoothness_L=math.inf,
+                              worker_dispersion=-math.inf))
+@example(record=MetricsRecord(1, -0.0, -0.0, 0.0, smoothness_L=-0.0,
+                              worker_dispersion=-0.0))
+@example(record=MetricsRecord(2, 1, 0.5, 0.25, wall_events={
+    "reductions": 3, "worker_batches": 6, "samples_seen": 2**70}))
+@example(record=MetricsRecord(5, np.float64(0.1), np.float64(math.nan),
+                              np.float64(-math.inf), np.float64(2.5),
+                              np.float64(-0.0), wall_events={
+    "reductions": np.int64(6), "worker_batches": 24, "samples_seen": 96.0}))
+@example(record=MetricsRecord(True, 0.1, 1.0, 1.0, wall_events={
+    "reductions": True, "worker_batches": 2, "samples_seen": 8}))
+@settings(max_examples=300, deadline=None)
+def test_record_line_is_the_encoded_jsonable_record(record):
+    # The examples: a run's record (NaN smoothness_L), +-inf, -0.0, an int
+    # lr, numpy fields and a bool step.
+    assert _record_line(record) == _encode_line(_jsonable(record)) + "\n"
+
+
 @pytest.mark.parametrize("value", [
     np.bool_(False), [1.0, np.bool_(True)], {"a": (np.bool_(True),)},
     MetricsRecord(step=0, lr=0.1, train_loss=0.0, grad_norm2=0.0,
-                  wall_events={"x": np.bool_(True)})])
+                  wall_events={"x": np.bool_(True)}),
+    MetricsRecord(step=0, lr=0.1, train_loss=0.0, grad_norm2=0.0,
+                  wall_events={"reductions": 1, "worker_batches": 2,
+                               "samples_seen": np.bool_(True)}),
+    MetricsRecord(step=0, lr=0.1, train_loss=0.0, grad_norm2=np.bool_(False))])
 def test_jsonable_leaves_an_np_bool_for_the_encoder_to_refuse(value):
     for form in (_jsonable, _jsonable_by_isinstance):
         with pytest.raises(TypeError):
             json.dumps(form(value), sort_keys=True, allow_nan=False)
     with pytest.raises(TypeError):
         _encode_line(_jsonable(value))
+    with pytest.raises(TypeError):
+        _record_line(value)
+
+
+def test_an_unencodable_record_writes_no_output_file(tmp_path):
+    # The second trial's last record cannot be written; the first trial's
+    # file, built earlier, is not written either.
+    res = run(_base_config())
+    res.trials[1].records[-1].wall_events = {"x": np.bool_(True)}
+    with pytest.raises(TypeError):
+        write_outputs(res, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    # Over an earlier run's files, every file keeps its bytes.
+    write_outputs(run(_base_config()), tmp_path)
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    with pytest.raises(TypeError):
+        write_outputs(res, tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
 
 
 def _trial_in_blocks(cfg, block, **kwargs):

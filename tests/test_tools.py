@@ -107,3 +107,27 @@ def test_bench_pairs_alternates_the_trees_and_writes_its_schema(
     assert [(c["workload"], c["seed"]) for c in json.loads(
         out.read_text())["comparisons"]] == [("wide_models", 8), ("wide_models", 7)]
     capsys.readouterr()
+
+
+def test_bench_pairs_counts_an_untracked_file_as_a_change(tmp_path,
+                                                         monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "tracked.txt").write_text("a")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "parent"], check=True)
+    monkeypatch.chdir(repo)
+    tool = _load("bench_pairs")
+    (repo / "run.log").write_text("ignored")
+    (repo / "BENCH.json").write_text("{}")      # the tool's own output file
+    assert not tool.dirty(str(repo), "BENCH.json")
+    (repo / "new").mkdir()
+    (repo / "new" / "module.py").write_text("")  # new and not yet added
+    assert tool.dirty(str(repo), "BENCH.json")
+    (repo / "new" / "module.py").unlink()
+    assert not tool.dirty(str(repo), str(repo / "BENCH.json"))
+    (repo / "tracked.txt").write_text("b")
+    assert tool.dirty(str(repo), "BENCH.json")

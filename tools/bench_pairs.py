@@ -51,6 +51,16 @@ def export_tree(repo, rev, dest):
         tar.extractall(dest, filter="data")
 
 
+def dirty(repo, out):
+    """Whether the working tree of `repo` differs from its HEAD: a changed
+    tracked file, or an untracked file that is not ignored, other than the
+    file `out` this tool writes."""
+    out = os.path.relpath(os.path.realpath(out), os.path.realpath(repo))
+    entries = _git(repo, "status", "--porcelain", "-z",
+                   "--untracked-files=all").split("\0")
+    return any(entry and entry[3:] != out for entry in entries)
+
+
 def run_once(tree, workload, seed, seconds):
     """(metrics {name: value}, digest, correct) of one benchmark run in `tree`."""
     proc = subprocess.run(
@@ -150,8 +160,7 @@ def main(argv=None):
         "parent": {"rev": args.parent,
                    "commit": _git(repo, "rev-parse", args.parent).strip()},
         "change": {"commit": _git(repo, "rev-parse", "HEAD").strip(),
-                   "dirty": bool(_git(repo, "status", "--porcelain",
-                                      "--untracked-files=no").strip())},
+                   "dirty": dirty(repo, args.out)},
         "pairs": pairs,
         "metrics": compare(pairs, {name: better for name, better in
                                    directions.items() if name in pairs[0]["parent"]}),
