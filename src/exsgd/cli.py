@@ -87,7 +87,6 @@ def _cmd_sweep(args):
     config = load_config(args.config, args.set, args.seed)
     grid = _parse_grid(args.grid)
     table = harness.sweep(config, grid)
-    os.makedirs(args.out, exist_ok=True)
     harness._dump_json(table, os.path.join(args.out, "sweep.json"))
     for row in table["rows"]:
         print(f"{row['point']} -> final loss "
@@ -118,7 +117,6 @@ def _cmd_speedup(args):
     config = load_config(args.config, args.set, args.seed)
     kb_grid = _parse_kb(args.kb)
     table = harness.speedup_study(config, kb_grid, args.epsilon)
-    os.makedirs(args.out, exist_ok=True)
     harness._dump_json(table, os.path.join(args.out, "speedup.json"))
     print(f"epsilon {table['epsilon']}, predicted critical KB "
           f"{table['critical_kb']:.6g}")
@@ -224,7 +222,6 @@ def _cmd_verify(args):
             failed += 1
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         payload = [{"check": n, "passed": bool(ok), "detail": d}
                    for n, ok, d in checks]
         harness._dump_json(payload, os.path.join(args.out, "theory_report.json"))

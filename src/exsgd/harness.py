@@ -50,10 +50,10 @@ replay, the iterates) of the next block in a second set of buffers.  An
 error on the helper re-raises at the next join, and the thread ends with
 the trials of a `run`, `sweep` or `speedup_study` point.  The `threads`
 argument chooses none of this.
-numpy's floating-point warnings are off while trials run, on the helper
-under its own `errstate` (numpy's error state is per thread): a trial
-reports a non-finite step value only as the `NumericAbort` that ends it,
-also under `python -W error`.
+numpy's floating-point warnings are off while trials run; numpy's error
+state is per thread, so the helper's executor sets its thread's once, when
+the thread starts.  A trial reports a non-finite step value only as the
+`NumericAbort` that ends it, also under `python -W error`.
 Every gradient, loss, smoothness probe and theory constant is of
 f + (lambda/2)||x||^2, the objective a run with weight decay lambda
 minimizes: the oracle and `estimate_constants` add the decay terms, given
@@ -64,6 +64,7 @@ dataclass and maker annotations: `from_doc` reads whole documents, and
 `apply_override` reads a dotted path as the same key in a config file.
 """
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -308,14 +309,6 @@ def _evaluate_pending(obj, weight_decay, pending, buf, table, alive):
     return gn2s[-1]
 
 
-def _evaluate_aside(*args):
-    """`_evaluate_pending(*args)` on the helper thread, under its own
-    `errstate`: numpy's error state is per thread, so the caller's does not
-    reach it."""
-    with np.errstate(all="ignore"):
-        _evaluate_pending(*args)
-
-
 def _replay_constants(config):
     """A function returning the theory constants that every replayed trial of
     `config` reads; they are computed at its first call only."""
@@ -390,20 +383,19 @@ def _trial_results(config, stop_epsilon=None):
     constants, lrs = _replay_constants(config), _lr_series(config)
     chunk, obj = _chunk_size(config), config.objective
     # A run whose one-point full-sample pass is larger than a metric block
-    # evaluates its metrics on one helper thread, beside its steps.
-    helper = (ThreadPoolExecutor(1) if stop_epsilon is None and
+    # evaluates its metrics on one helper thread, beside its steps; numpy's
+    # error state is per thread, so the thread sets its own when it starts.
+    helper = (ThreadPoolExecutor(1, initializer=functools.partial(
+                  np.seterr, all="ignore"))
+              if stop_epsilon is None and
               obj.sample_count * obj.dimension > objectives._SIGMA2_BLOCK
               else None)
     results = []
-    try:
-        with np.errstate(all="ignore"):
-            for lo in range(0, config.trials, chunk):
-                results += _run_trials(
-                    config, range(lo, min(lo + chunk, config.trials)),
-                    constants, lrs, stop_epsilon, helper)
-    finally:
-        if helper is not None:
-            helper.shutdown()
+    with helper or contextlib.nullcontext(), np.errstate(all="ignore"):
+        for lo in range(0, config.trials, chunk):
+            results += _run_trials(
+                config, range(lo, min(lo + chunk, config.trials)),
+                constants, lrs, stop_epsilon, helper)
     return results
 
 
@@ -547,7 +539,7 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None, helper=None):
             pending.append((row, column))
         if len(pending) == size and helper is not None:
             join()
-            inflight = helper.submit(_evaluate_aside, obj, hp.weight_decay,
+            inflight = helper.submit(_evaluate_pending, obj, hp.weight_decay,
                                      pending, dict(buf), table, alive)
             pending = []
             for name in spare:
@@ -629,8 +621,6 @@ def run(config, threads=1):
 # persistence
 # ---------------------------------------------------------------------------
 
-# Types `_jsonable` returns as they are, checked before its general checks.
-_JSON_LEAVES = frozenset((int, str, bool, type(None)))
 # The encoder of a trial_*.jsonl line, shared by every line.
 _encode_line = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
@@ -639,17 +629,8 @@ def _jsonable(value):
     """`value` in the types JSON holds: arrays and numpy scalars as Python
     lists and numbers, NaN as null and +-inf as strings, a maker-built
     objective as its maker call, other dataclasses as dicts of their fields
-    and tuples as lists.  The exact types a record is made of (int, str,
-    bool, None, finite float, dict, list) are checked first; anything else
-    JSON cannot hold, such as an `np.bool_`, is returned unchanged, so the
-    encoder raises TypeError on it."""
-    kind = type(value)
-    if kind in _JSON_LEAVES or kind is float and math.isfinite(value):
-        return value
-    if kind is dict:
-        return {k: _jsonable(v) for k, v in value.items()}
-    if kind is list:
-        return [_jsonable(v) for v in value]
+    and tuples as lists.  Anything else JSON cannot hold, such as an
+    `np.bool_`, is returned unchanged, so the encoder raises TypeError on it."""
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
@@ -664,6 +645,8 @@ def _jsonable(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _jsonable(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
@@ -710,9 +693,11 @@ def _json_text(payload):
 
 
 def _dump_json(payload, path):
-    """`_json_text(payload)` at `path`; the text is built before the file is
-    opened, so a value JSON cannot hold raises TypeError and writes nothing."""
+    """`_json_text(payload)` at `path`, making its directory; the text is
+    built first, so a value JSON cannot hold raises TypeError and neither
+    the directory nor the file is made."""
     text = _json_text(payload)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
 

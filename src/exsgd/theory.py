@@ -152,9 +152,9 @@ def check_proximity_inequalities(vs, worker_dev2=None, sigma2=None,
       and c = 4 when extrapolating (requires gamma_hat <= u^2 gamma/(1-u)^2)
     - worker_deviation:    time-average of (1/K) sum_k ||x^k_half - x_bar_half||^2
       against 4 gamma_hat^2 sigma^2 / b (stored past gradients) or
-      2 gamma_hat^2 sigma_hat2 (IID noise directions); the statement is an
-      expectation bound, so this check is expected to hold on most trials,
-      not every trial.
+      2 gamma_hat^2 sigma_hat2 (IID noise directions), both 0 when
+      gamma_hat = 0; the statement is an expectation bound, so this check is
+      expected to hold on most trials, not every trial.
 
     Returns {name: {lhs, rhs, holds, precondition_ok, note}}; `holds` is None
     when a precondition fails or an input is missing.
@@ -196,6 +196,10 @@ def check_proximity_inequalities(vs, worker_dev2=None, sigma2=None,
             out["worker_deviation"] = _ineq(
                 lhs, 2.0 * ghat ** 2 * sigma_hat2,
                 note="expectation bound, checked as a per-trial time average")
+        elif ghat == 0.0:
+            # Both bounds are 0 and so is the deviation.
+            out["worker_deviation"] = _ineq(
+                lhs, 0.0, note="gamma_hat = 0: the workers share each point")
         else:
             out["worker_deviation"] = _ineq(
                 lhs, math.nan, precondition_ok=False,

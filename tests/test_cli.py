@@ -1179,7 +1179,7 @@ GOLDEN_DIGESTS = {
                                       "trial_1.jsonl": "bce9487220361c36"},
     "dense_quadratic_nesterov_decay": {"aggregate.csv": "b0565450d2e3eb8a",
                                        "manifest.json": "c46313678921a3f4",
-                                       "theory_report.json": "f378f0d89c16f3c7",
+                                       "theory_report.json": "4d0f8dde3ab119c3",
                                        "trial_0.jsonl": "b1ee64725bf24260",
                                        "trial_1.jsonl": "d5926d9c0a4fe191"},
     "tiny_mlp_extrap_sgd_decay": {"aggregate.csv": "1a666c20368eee71",

@@ -927,28 +927,14 @@ def test_dump_json_refuses_what_json_cannot_hold_and_writes_nothing(value,
     assert not path.exists()
 
 
-def _jsonable_by_isinstance(value):
-    """`harness._jsonable` as it was before its exact-type checks, verbatim:
-    the reference the writer's output must keep."""
-    if isinstance(value, np.ndarray):
-        return _jsonable_by_isinstance(value.tolist())
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonable_by_isinstance(value.item())
-    if isinstance(value, float) and not math.isfinite(value):
-        # Strict JSON has neither: NaN becomes null and +-inf a string.
-        if math.isnan(value):
-            return None
-        return "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, ObjectiveSpec) and value.maker_call is not None:
-        return _jsonable_by_isinstance(value.maker_call)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable_by_isinstance(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {k: _jsonable_by_isinstance(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable_by_isinstance(v) for v in value]
-    return value
+def test_dump_json_makes_its_directory_only_for_a_payload_it_can_write(
+        tmp_path):
+    missing = tmp_path / "a" / "b"
+    with pytest.raises(TypeError):
+        _dump_json({"x": np.bool_(True)}, missing / "value.json")
+    assert not (tmp_path / "a").exists()
+    _dump_json({"x": 1}, missing / "value.json")
+    assert (missing / "value.json").read_text() == '{\n "x": 1\n}\n'
 
 
 _EDGE = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
@@ -959,30 +945,26 @@ _RECORDS = st.builds(
     smoothness_L=_WRITER_FLOATS, worker_dispersion=_WRITER_FLOATS,
     wall_events=st.dictionaries(st.text(max_size=3), st.integers(0, 99),
                                 max_size=3))
-_MAKER_BUILT = make_logistic(2, 3, generator_seed=1, l2=0.5)
-_WRITER_LEAVES = (
-    _WRITER_FLOATS | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
-    | st.integers() | st.booleans() | st.none() | st.text(max_size=4)
-    | hnp.arrays(st.sampled_from([np.float64, np.int64]),
-                 hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
-    | _RECORDS
-    | st.sampled_from([_MAKER_BUILT, dataclasses.replace(_MAKER_BUILT)]))
-
-
-@given(value=st.recursive(
-    _WRITER_LEAVES,
-    lambda inner: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
-                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
-    max_leaves=12))
-@example(value=MetricsRecord(step=0, lr=math.nan, train_loss=math.nan,
-                             grad_norm2=-math.inf, worker_dispersion=np.float64(-0.0)))
-@settings(max_examples=300, deadline=None)
-def test_jsonable_writes_what_its_isinstance_form_wrote(value):
-    # A trial line is `_encode_line` of this form; manifests are `_dump_json`.
-    want = json.dumps(_jsonable_by_isinstance(value), sort_keys=True,
-                      allow_nan=False)
-    assert json.dumps(_jsonable(value), sort_keys=True, allow_nan=False) == want
-    assert _encode_line(_jsonable(value)) == want
+def test_jsonable_maps_each_kind_to_its_json_form():
+    obj = make_logistic(2, 3, generator_seed=1, l2=0.5)
+    got = _jsonable({
+        "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+        "f64": np.float64(0.5), "f32": np.float32(0.25), "i64": np.int64(-3),
+        "array": np.array([[1.5, math.nan], [math.inf, -0.0]]),
+        "tuple": (np.int32(1), np.float64(-math.inf)),
+        "pair": _Pair(np.uint8(7), [math.nan]), "objective": obj})
+    assert got == {
+        "nan": None, "inf": "Infinity", "-inf": "-Infinity",
+        "f64": 0.5, "f32": 0.25, "i64": -3,
+        "array": [[1.5, None], ["Infinity", -0.0]],
+        "tuple": [1, "-Infinity"],
+        "pair": {"left": 7, "right": [None]},
+        "objective": {"maker": "logistic", "dimension": 2, "sample_count": 3,
+                      "generator_seed": 1, "l2": 0.5, "features": None,
+                      "labels": None, "feature_scale": 1.0}}
+    assert [type(got[k]) for k in ("f64", "f32", "i64")] == [float, float, int]
+    assert type(got["pair"]["left"]) is int
+    assert math.copysign(1.0, got["array"][1][1]) == -1.0
 
 
 # The events `_run_trials` records, the keys of the record line's own format.
@@ -1025,9 +1007,8 @@ def test_record_line_is_the_encoded_jsonable_record(record):
                                "samples_seen": np.bool_(True)}),
     MetricsRecord(step=0, lr=0.1, train_loss=0.0, grad_norm2=np.bool_(False))])
 def test_jsonable_leaves_an_np_bool_for_the_encoder_to_refuse(value):
-    for form in (_jsonable, _jsonable_by_isinstance):
-        with pytest.raises(TypeError):
-            json.dumps(form(value), sort_keys=True, allow_nan=False)
+    with pytest.raises(TypeError):
+        json.dumps(_jsonable(value), sort_keys=True, allow_nan=False)
     with pytest.raises(TypeError):
         _encode_line(_jsonable(value))
     with pytest.raises(TypeError):
@@ -1560,23 +1541,24 @@ def _helper_and_inline_outputs(cfg, tmp_path):
     without it (a metric block above N d turns it off)."""
     obj = cfg.objective
     calls = []
-    evaluate_aside = harness._evaluate_aside
+    evaluate = harness._evaluate_pending
 
     def logged(*args):
         calls.append(threading.current_thread())
-        return evaluate_aside(*args)
+        return evaluate(*args)
 
-    before = threading.active_count()
-    with mock.patch.object(harness, "_evaluate_aside", logged):
+    before, errors = threading.active_count(), np.geterr()
+    with mock.patch.object(harness, "_evaluate_pending", logged):
         write_outputs(run(cfg), tmp_path / "helper")
     assert threading.active_count() == before
-    assert calls and threading.main_thread() not in calls
+    assert np.geterr() == errors
+    assert any(thread is not threading.main_thread() for thread in calls)
     with mock.patch.object(objectives, "_SIGMA2_BLOCK",
                            obj.sample_count * obj.dimension), \
-            mock.patch.object(harness, "_evaluate_aside", logged):
+            mock.patch.object(harness, "_evaluate_pending", logged):
         calls.clear()
         write_outputs(run(cfg), tmp_path / "inline")
-    assert calls == []
+    assert calls and all(thread is threading.main_thread() for thread in calls)
     names = sorted(os.listdir(tmp_path / "helper"))
     assert names == sorted(os.listdir(tmp_path / "inline"))
     for name in names:

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from exsgd.cluster import ClusterConfig, draw_batches, reduce_mean
 from exsgd import theory
-from exsgd.gates import rate_bound_hold_fraction
-from exsgd.objectives import (TheoryConstants, batch_gradient, initial_point,
-                              make_logistic, make_quadratic, make_tiny_mlp)
+from exsgd.gates import rate_bound_hold_fraction, replay_trials
+from exsgd.objectives import (TheoryConstants, batch_gradient,
+                              estimate_constants, initial_point, make_logistic, make_quadratic, make_tiny_mlp)
 from exsgd.optimizers import (HyperParams, effective_gamma_hat, init_state,
                               step_extrap_sgd, step_nesterov)
 from exsgd.theory import (EXTRAP_NOISE, EXTRAP_SGD, NESTEROV, POST_LOCAL, SGD,
@@ -354,6 +354,30 @@ def test_worker_deviation_iid_branch_uses_noise_moment():
     rhs = 2.0 * 0.02 ** 2 * 0.5
     assert_allclose(checks["worker_deviation"]["rhs"], rhs, rtol=1e-15)
     assert checks["worker_deviation"]["holds"] is False      # 1e-3 > 4e-4
+
+
+def test_worker_deviation_of_a_replay_without_extrapolation_is_zero_on_zero():
+    # sgd and nesterov evaluate every worker at the shared point: gamma_hat
+    # = 0, so both stated bounds are 0 and the deviation is exactly 0.
+    obj = make_quadratic(3, 32, generator_seed=9)
+    cluster = ClusterConfig(workers_K=2, local_batch_B=4)
+    hp = HyperParams(lr_gamma=0.05, momentum_u=0.5)
+    for method in (SGD, NESTEROV):
+        for trial in replay_trials(obj, method, cluster, hp, 30, 2, 4):
+            assert trial.proximity["worker_deviation"] == {
+                "lhs": 0.0, "rhs": 0.0, "holds": True, "precondition_ok": True,
+                "note": "gamma_hat = 0: the workers share each point"}
+    # extrap_sgd keeps its past-gradient bound 4 gamma_hat^2 sigma^2 / b.
+    sigma2 = estimate_constants(obj, initial_point(obj),
+                                horizon_T=30).variance_sigma2
+    ghat = effective_gamma_hat(hp, 2)
+    for trial in replay_trials(obj, EXTRAP_SGD, cluster, hp, 30, 2, 4):
+        check = trial.proximity["worker_deviation"]
+        assert check["lhs"] > 0.0 and check["precondition_ok"] is True
+        assert check["rhs"] == 4.0 * ghat ** 2 * sigma2 / 4
+        assert check["holds"] is (check["lhs"] <= check["rhs"])
+        assert check["note"] == ("expectation bound, checked as a per-trial "
+                                 "time average")
 
 
 def test_virtual_sequence_shape_validation():

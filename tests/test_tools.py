@@ -54,25 +54,34 @@ print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
     "wall_s": {"value": 100.0 / speed, "unit": "s"}}}))
 '''
 
-_FAKE_BENCHMARK = {"end_to_end": [{"name": "wall_s", "better": "lower"},
-                                  {"name": "steps_per_s", "better": "higher"},
-                                  {"name": "peak_rss_mb", "better": "lower"}]}
+_FAKE_BENCHMARK = {"end_to_end": [
+    {"name": "wall_s", "better": "lower", "bound": 0.2},
+    {"name": "steps_per_s", "better": "higher", "bound": 0.05},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
 
 
-def test_bench_pairs_alternates_the_trees_and_writes_its_schema(
-        tmp_path, monkeypatch, capsys):
-    repo, log, out = tmp_path / "repo", tmp_path / "runs.log", tmp_path / "b.json"
+def _fake_repo(tmp_path, monkeypatch, parent_speed, change_speed):
+    """A git repo whose committed fake benchmark runs at `parent_speed` and
+    whose uncommitted change runs at `change_speed`; returns the log of
+    its runs."""
+    repo, log = tmp_path / "repo", tmp_path / "runs.log"
     (repo / "benchmark").mkdir(parents=True)
     (repo / "benchmark" / "run.py").write_text(_FAKE_RUN)
     (repo / "BENCHMARK.json").write_text(json.dumps(_FAKE_BENCHMARK))
-    (repo / "speed.txt").write_text("100")
+    (repo / "speed.txt").write_text(parent_speed)
     git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
     subprocess.run(git[:3] + ["init", "-q"], check=True)
     subprocess.run(git + ["add", "-A"], check=True)
     subprocess.run(git + ["commit", "-q", "-m", "parent"], check=True)
-    (repo / "speed.txt").write_text("110")       # the uncommitted change
+    (repo / "speed.txt").write_text(change_speed)
     monkeypatch.chdir(repo)
     monkeypatch.setenv("BENCH_LOG", str(log))
+    return log
+
+
+def test_bench_pairs_alternates_the_trees_and_writes_its_schema(
+        tmp_path, monkeypatch, capsys):
+    log, out = _fake_repo(tmp_path, monkeypatch, "100", "110"), tmp_path / "b.json"
     tool = _load("bench_pairs")
     args = ["--parent", "HEAD", "--workload", "wide_models", "--pairs", "3",
             "--seed", "7", "--seconds", "0.5", "--out", str(out)]
@@ -99,14 +108,36 @@ def test_bench_pairs_alternates_the_trees_and_writes_its_schema(
     assert steps["change"]["median"] == 110.0
     assert (steps["better"], steps["wins"], steps["resolved"]) == ("higher", 3, True)
     assert steps["median_gain"] == 10.0 and steps["parent_iqr"] == 0.0
+    assert (steps["bound"], steps["within_bound"]) == (0.05, True)
     wall = entry["metrics"]["wall_s"]
     assert (wall["better"], wall["wins"], wall["resolved"]) == ("lower", 3, True)
+    assert (wall["bound"], wall["within_bound"]) == (0.2, True)
     # A second seed joins the file; the same workload and seed replaces.
     assert tool.main([*args[:7], "8", *args[8:]]) == 0
     assert tool.main(args) == 0
     assert [(c["workload"], c["seed"]) for c in json.loads(
         out.read_text())["comparisons"]] == [("wide_models", 8), ("wide_models", 7)]
     capsys.readouterr()
+
+
+def test_bench_pairs_marks_a_regression_past_its_bound(tmp_path, monkeypatch,
+                                                      capsys):
+    # 100 -> 90 steps/s is 10 % worse, past the 5 % bound; the wall time
+    # 1.0 -> 1.11 s is 11 % worse, inside its 20 %.
+    _fake_repo(tmp_path, monkeypatch, "100", "90")
+    tool = _load("bench_pairs")
+    out = tmp_path / "b.json"
+    assert tool.main(["--parent", "HEAD", "--workload", "theory_gate",
+                      "--pairs", "2", "--seconds", "0.5", "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["comparisons"]
+    steps, wall = entry["metrics"]["steps_per_s"], entry["metrics"]["wall_s"]
+    assert (steps["wins"], steps["resolved"], steps["within_bound"]) == (0, False, False)
+    assert (wall["wins"], wall["resolved"], wall["within_bound"]) == (0, False, True)
+    printed = capsys.readouterr().out
+    assert "steps_per_s: parent 100, change 90, better in 0/2, not resolved, " \
+        "beyond bound 0.05\n" in printed
+    assert "wall_s: parent 1, change 1.11111, better in 0/2, not resolved, " \
+        "within bound 0.2\n" in printed
 
 
 def test_bench_pairs_counts_an_untracked_file_as_a_change(tmp_path,

@@ -16,7 +16,9 @@ the standard library only.
 
 A comparison's claim resolves when the change is better in at least 9 of
 10 pairs and its median beats the parent's by more than the parent's
-interquartile range.
+interquartile range.  A metric is within its bound when the change's median
+is worse than the parent's median by at most the metric's `bound` in
+`BENCHMARK.json` times the parent's median.
 """
 
 import argparse
@@ -87,11 +89,14 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(pairs, directions):
-    """Per metric, each side's summary, the pairs the change won and
-    whether the claim resolves (see the module docstring)."""
+def compare(pairs, metrics):
+    """Per metric of `metrics` ({name: its `BENCHMARK.json` entry}), each
+    side's summary, the pairs the change won, whether the claim resolves and
+    whether the change is within the metric's bound (see the module
+    docstring)."""
     out = {}
-    for name, better in directions.items():
+    for name, spec in metrics.items():
+        better, bound = spec["better"], spec["bound"]
         sign = 1.0 if better == "higher" else -1.0
         sides = {side: summary([p[side][name] for p in pairs]) for side in SIDES}
         wins = sum(sign * (p["change"][name] - p["parent"][name]) > 0
@@ -103,7 +108,8 @@ def compare(pairs, directions):
                      "median_gain": gain,
                      "relative_gain": gain / abs(base) if base else None,
                      "parent_iqr": spread,
-                     "resolved": wins >= 0.9 * len(pairs) and gain > spread}
+                     "resolved": wins >= 0.9 * len(pairs) and gain > spread,
+                     "bound": bound, "within_bound": -gain <= bound * abs(base)}
     return out
 
 
@@ -138,7 +144,7 @@ def main(argv=None):
         ap.error("--pairs must be >= 1")
     repo = _git(".", "rev-parse", "--show-toplevel").strip()
     with open(os.path.join(repo, "BENCHMARK.json")) as fh:
-        directions = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
         export_tree(repo, args.parent, parent)
         trees = {"parent": parent, "change": repo}
@@ -162,8 +168,8 @@ def main(argv=None):
         "change": {"commit": _git(repo, "rev-parse", "HEAD").strip(),
                    "dirty": dirty(repo, args.out)},
         "pairs": pairs,
-        "metrics": compare(pairs, {name: better for name, better in
-                                   directions.items() if name in pairs[0]["parent"]}),
+        "metrics": compare(pairs, {name: spec for name, spec in specs.items()
+                                   if name in pairs[0]["parent"]}),
         "digests": {**digests, "equal": digests["parent"] == digests["change"]},
         "correct": all(p[side]["correct"] for p in pairs for side in SIDES),
     }
@@ -182,7 +188,8 @@ def main(argv=None):
         print(f"{name}: parent {m['parent']['median']:.6g}, change "
               f"{m['change']['median']:.6g}, "
               f"better in {m['wins']}/{args.pairs}, "
-              f"{'resolved' if m['resolved'] else 'not resolved'}")
+              f"{'resolved' if m['resolved'] else 'not resolved'}, "
+              f"{'within' if m['within_bound'] else 'beyond'} bound {m['bound']:g}")
     print(f"digests equal: {entry['digests']['equal']}; wrote {args.out}")
     return 0
 
