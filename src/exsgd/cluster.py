@@ -32,6 +32,7 @@ call, so no step uses threads; only a wide run's full-sample metric passes
 run on a helper thread, beside the steps (see `harness`).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,31 +84,22 @@ class ClusterConfig:
         return self
 
 
-# (seeds, mode, workers, n, block) -> block tensor, oldest first.
-_blocks = {}
-
-
+@functools.lru_cache(maxsize=_CACHE_BLOCKS)
 def _block(seeds, mode, workers, block, n):
     """Block `block` of every worker's index sequence in the clusters seeded
     by the tuple `seeds`, as a read-only (R, workers, block size) tensor (it
     is shared) whose entry [r, k] is worker k's block under `seeds[r]`.  The
-    cache keeps the `_CACHE_BLOCKS` newest: a call reads its blocks in
-    ascending order."""
-    key = (seeds, mode, workers, n, block)
-    rows = _blocks.get(key)
-    if rows is None:
-        rows = np.stack([_new_block(seed, mode, workers, block, n)
-                         for seed in seeds])
-        rows.setflags(write=False)
-        _blocks[key] = rows
-        while len(_blocks) > _CACHE_BLOCKS:
-            del _blocks[next(iter(_blocks))]
+    cache keeps the `_CACHE_BLOCKS` most recently read: a call reads its
+    blocks in ascending order."""
+    rows = np.stack([_new_block(seed, mode, workers, block, n) for seed in seeds])
+    rows.setflags(write=False)
     return rows
 
 
 def cached_indices(cfg, obj):
     """The int64 indices the block cache may keep for one stream: its share
-    of the `_CACHE_BLOCKS` newest block tensors, all K workers' blocks."""
+    of the `_CACHE_BLOCKS` most recently read block tensors, all K workers'
+    blocks."""
     size = obj.sample_count if cfg.sampling_mode == EPOCH_PERMUTATION else _BLOCK
     return _CACHE_BLOCKS * cfg.workers_K * size
 

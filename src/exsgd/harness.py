@@ -43,13 +43,13 @@ thread while the steps go on: the block's `step_reports` and oracle calls
 on range(N), the same calls in the same order, so the bytes are those of
 the inline path.  The helper touches no state and no batch cache.  At most
 one block is in flight; it is joined before the next block is handed over,
-before a `NumericAbort` evaluates the pending steps inline, before the
-running trials are re-sliced, and before the chunk's last block and its
-records.  The steps refill the raw points and directions (and, without a
-replay, the iterates) of the next block in a second set of buffers.  An
-error on the helper re-raises at the next join, and the thread ends with
-the trials of a `run`, `sweep` or `speedup_study` point.  The `threads`
-argument chooses none of this.
+before a trial that aborts or stops leaves the stack (an abort first
+evaluates the pending steps inline), and before the chunk's last block and
+its records.  A block owns copies of its raw points and directions (and,
+without a replay, its iterates), taken at hand-over, so the steps refill
+the same buffers.  An error on the helper re-raises at the next join, and
+the thread ends with the trials of a `run`, `sweep` or `speedup_study`
+point.  The `threads` argument chooses none of this.
 numpy's floating-point warnings are off while trials run; numpy's error
 state is per thread, so the helper's executor sets its thread's once, when
 the thread starts.  A trial reports a non-finite step value only as the
@@ -464,31 +464,31 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None, helper=None):
         buf["gbar"] = np.empty((steps,) + shape)
         buf["dev2"], buf["gn2"] = (np.empty((steps,) + shape[:-1]) for _ in range(2))
         buf["x"][0], buf["v"][0] = state.x, state.v
-    # With a helper, the block in flight reads its own set of the buffers
-    # the steps refill; a replay's rows of "x" are per step, never reused.
-    spare = {name: np.empty_like(buf[name]) for name in ("halves", "z", "x")
-             if helper is not None and name in buf
-             and not (name == "x" and want_vs)}
-    inflight = None
+    inflight = None             # the block on the helper, a Future
 
     def join():
         """Wait for the block in flight, re-raising what it raised."""
-        nonlocal inflight
         if inflight is not None:
-            done, inflight = inflight, None
-            done.result()
+            inflight.result()
 
-    def keep(rows):
-        """Go on with the running trials at `rows` only."""
+    def retire(rows, x, **fields):
+        """Take the running trials at `rows` off the stack, after the block
+        in flight and their pending steps: each gets `fields` and its row of
+        `x` as its final_x.  Returns the rows that go on."""
         nonlocal alive, live, seeds
         join()
-        alive = [alive[r] for r in rows]
+        if pending:
+            _evaluate_pending(obj, hp.weight_decay, pending, buf, table, alive)
+        for row in rows:
+            vars(live[row]).update(fields, final_x=x[row].copy())
+        kept = [r for r in range(len(live)) if r not in rows]
+        alive = [alive[r] for r in kept]
         live, seeds = [results[r] for r in alive], [chunk[r] for r in alive]
         if live:        # with none left the run ends
-            state.keep_trials(rows)
-            for held in (buf, spare):
-                for name, values in held.items():
-                    held[name] = values[:, rows]
+            state.keep_trials(kept)
+            for name, values in buf.items():
+                buf[name] = values[:, kept]
+        return kept
 
     for t in range(steps):
         lr = lrs[t]
@@ -496,25 +496,14 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None, helper=None):
         batches = draw_batches(cl, obj, t, chunk)
         if len(alive) < len(chunk):
             batches = batches[alive]
-        while True:
+        while live:
             x_before = state.x
             try:
                 _step_once(config, state, obj, cl, batches, hp_t, seeds)
                 break
             except NumericAbort as exc:
-                join()
-                if pending:     # the aborting trials' earlier metrics first
-                    _evaluate_pending(obj, hp.weight_decay, pending, buf,
-                                      table, alive)
-                for row in exc.trials:
-                    tr = live[row]
-                    tr.aborted, tr.abort_detail, tr.steps_done = True, str(exc), t
-                    tr.final_x = x_before[row].copy()
-                rows = [r for r in range(len(live)) if r not in exc.trials]
-                keep(rows)
-                if not live:
-                    break
-                batches = batches[rows]
+                batches = batches[retire(exc.trials, x_before, aborted=True,
+                                         abort_detail=str(exc), steps_done=t)]
         if not live:
             break
         info = state.last_info
@@ -539,21 +528,21 @@ def _run_trials(config, trials, constants, lrs, stop_epsilon=None, helper=None):
             pending.append((row, column))
         if len(pending) == size and helper is not None:
             join()
+            # The block owns copies of the arrays the steps refill; a
+            # replay's rows of "x" are per step, never reused.
+            owned = ("halves", "z") if want_vs else ("halves", "x")
+            block = {**buf, **{name: buf[name].copy() for name in owned
+                               if name in buf}}
             inflight = helper.submit(_evaluate_pending, obj, hp.weight_decay,
-                                     pending, dict(buf), table, alive)
+                                     pending, block, table, alive)
             pending = []
-            for name in spare:
-                buf[name], spare[name] = spare[name], buf[name]
         elif len(pending) == size:
             gn2s = _evaluate_pending(obj, hp.weight_decay, pending, buf, table,
                                      alive)
-            reached = [] if stop_epsilon is None else (gn2s <= stop_epsilon).tolist()
-            if any(reached):
-                for tr, x, done in zip(live, state.x, reached):
-                    if done:
-                        tr.reached_epsilon, tr.steps_done = True, t + 1
-                        tr.final_x = x.copy()
-                keep([r for r, done in enumerate(reached) if not done])
+            reached = ([] if stop_epsilon is None else
+                       np.flatnonzero(gn2s <= stop_epsilon).tolist())
+            if reached:
+                retire(reached, state.x, reached_epsilon=True, steps_done=t + 1)
                 if not live:
                     break
     join()

@@ -402,7 +402,9 @@ def smoothness_estimate(obj, x_values, update_direction, probes=8, fraction=0.30
     Probes x + j * fraction * update for j = 1..probes and returns the largest
     gradient-difference ratio ||grad F(x_j) - grad F(x)|| / ||x_j - x||, where
     F = f + (weight_decay / 2) ||x||^2 is the objective a run minimizes (the
-    oracle adds the decay term).  Returns 0.0 for a zero update direction.
+    oracle adds the decay term).  Returns 0.0 for a zero update direction,
+    and NaN when every probe's ratio is NaN, as when the probes overflow or
+    underflow onto x; a run then records its `smoothness_L` as null.
     Raises ValueError unless probes >= 1 and fraction is finite and > 0.
     """
     return smoothness_estimates(
@@ -424,7 +426,7 @@ def smoothness_estimates(obj, x_rows, updates, probes=8, fraction=0.30, *,
     x_rows = np.asarray(x_rows, dtype=np.float64)
     updates = np.asarray(updates, dtype=np.float64)
     best = np.zeros(len(x_rows))
-    moving = np.flatnonzero(row_dots(updates, updates) != 0.0).tolist()
+    moving = np.flatnonzero(updates.any(-1)).tolist()
     if not moving:
         return best.tolist()
     steps = np.array([j * fraction for j in range(1, probes + 1)])
@@ -439,5 +441,5 @@ def smoothness_estimates(obj, x_rows, updates, probes=8, fraction=0.30, *,
         for lo in range(0, len(points), size)]).reshape(len(moving), probes + 1, -1)
     g = grads[:, 1:] - grads[:, :1]
     ratios = np.sqrt(row_dots(g, g)) / np.sqrt(row_dots(deltas, deltas))
-    best[moving] = np.fmax.reduce(ratios, -1, initial=0.0)   # skips NaN as max
+    best[moving] = np.fmax.reduce(ratios, -1)   # skips NaN as max
     return best.tolist()

@@ -900,6 +900,23 @@ def test_smoothness_bad_probe_settings_exit_one(config_path, capsys, option):
     assert len(captured.err.splitlines()) == 1 and "estimated" not in captured.out
 
 
+def test_smoothness_that_measures_nothing_exits_one_under_warnings_as_errors(
+        config_path):
+    # Along -grad of the 3-d identity quadratic (analytic L 1), probes this
+    # far overflow: the estimate is NaN, refused in one line, not printed
+    # as 0.
+    src = str(pathlib.Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "exsgd.cli", "smoothness",
+         "--config", config_path, "--fraction", "1e308"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: estimated L along -grad at x0 is not "
+                           "finite, got nan\n")
+
+
 def test_smoothness_takes_no_out(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["smoothness", "--out", "zz"]) == 1

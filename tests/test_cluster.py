@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from exsgd.cluster import (_BLOCK, EPOCH_PERMUTATION, WITH_REPLACEMENT,
-                           ClusterConfig, _blocks, draw_batches, map_workers,
+                           ClusterConfig, _block, draw_batches, map_workers,
                            reduce_mean)
 from exsgd.objectives import make_quadratic
 
@@ -124,9 +124,9 @@ def test_stream_is_prefix_stable_and_private(seed, workers, n, mode, t, data):
     obj = make_quadratic(1, n)
     cfg = ClusterConfig(workers_K=workers, local_batch_B=batch,
                         master_seed=seed, sampling_mode=mode)
-    _blocks.clear()
+    _block.cache_clear()
     cold = draw_batches(cfg, obj, t)[0]
-    _blocks.clear()
+    _block.cache_clear()
     for s in range(t):
         draw_batches(cfg, obj, s)
     warm = draw_batches(cfg, obj, t)[0]
@@ -299,10 +299,10 @@ def test_stacked_draws_are_the_single_seed_draws_in_any_cache_state(
     batch = min(batch, n)
     obj = make_quadratic(1, n)
     cfg = ClusterConfig(workers_K=workers, local_batch_B=batch, sampling_mode=mode)
-    _blocks.clear()
+    _block.cache_clear()
     want = {(tuple(chunk), s): _single_seed_draws(cfg, obj, s, chunk)
             for chunk in (seeds, others) for s in (t, t + 1)}
-    _blocks.clear()
+    _block.cache_clear()
     for s in (t, t + 1):
         for chunk in (seeds, others):
             got = draw_batches(cfg, obj, s, chunk)

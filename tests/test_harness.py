@@ -1259,6 +1259,41 @@ def test_speedup_trials_stop_at_their_own_steps():
     assert tables[0] == tables[1] == tables[2]
 
 
+def _aborting_at(seed, step):
+    """A patch of `harness._step_once` under which the trial seeded `seed`
+    meets a `NumericAbort` at `step`, before its state moves, in whichever
+    row of the stack it runs."""
+    step_once = harness._step_once
+
+    def aborting(config, state, obj, cl, batches, hp_t, seeds):
+        if state.step_t == step and seed in seeds:
+            raise optimizers.NumericAbort(step, "patched",
+                                          [list(seeds).index(seed)])
+        return step_once(config, state, obj, cl, batches, hp_t, seeds)
+    return mock.patch.object(harness, "_step_once", aborting)
+
+
+def test_an_abort_and_stops_in_one_chunk_keep_every_trial():
+    # Trial 2 aborts at step 30, before any trial stops; trials 0, 1 and 4
+    # then stop in the same chunk.  Both ways off the stack leave each trial
+    # its one-trial run.
+    cfg, epsilon, _ = _stopping_config()
+    with _aborting_at(trial_seed(cfg.master_seed, 2), 30):
+        want = _one_trial_runs(cfg, stop_epsilon=epsilon)
+        assert [(tr.aborted, tr.steps_done) for tr in want if not
+                tr.reached_epsilon] == [(True, 30), (False, 60), (False, 60)]
+        assert min(tr.steps_done for tr in want if tr.reached_epsilon) > 31
+        assert [tr.reached_epsilon for tr in want[:4]] == [True, True, False,
+                                                           False]
+        for chunk in (1, 4, 6):
+            with _chunked(cfg, chunk):
+                got = _trial_results(cfg, stop_epsilon=epsilon)
+            for g, w in zip(got, want):
+                _assert_same_trial(g, w)
+    assert want[2].abort_detail == "non-finite value at step 30: patched"
+    assert math.isnan(want[2].records[-1].grad_norm2)
+
+
 @pytest.mark.parametrize("mode,steps", [("with_replacement", 150),
                                         (EPOCH_PERMUTATION, 12)])
 def test_thirty_stacked_trials_generate_each_block_once(monkeypatch, mode,
@@ -1271,7 +1306,7 @@ def test_thirty_stacked_trials_generate_each_block_once(monkeypatch, mode,
         return new_block(seed, mode, workers, block, n)
 
     monkeypatch.setattr(cluster, "_new_block", counted)
-    cluster._blocks.clear()
+    cluster._block.cache_clear()
     cfg = _base_config(trials=30, total_steps_T=steps,
                        cluster=ClusterConfig(workers_K=2, local_batch_B=24,
                                              sampling_mode=mode))
@@ -1327,7 +1362,7 @@ def test_a_shrinking_chunk_generates_each_block_once(monkeypatch):
     norms = [min(r.grad_norm2 for r in tr.records)
              for tr in run(dataclasses.replace(stopping, record_every=1)).trials]
     for cfg, epsilon in ((aborting, None), (stopping, sorted(norms)[3])):
-        cluster._blocks.clear()
+        cluster._block.cache_clear()
         made.clear()
         trials = _trial_results(cfg, stop_epsilon=epsilon)
         ends = {tr.steps_done for tr in trials if tr.aborted or tr.reached_epsilon}

@@ -429,6 +429,18 @@ def test_smoothness_handles_zero_update():
     assert smoothness_estimate(obj, np.zeros(2), np.zeros(2)) == 0.0
 
 
+def test_a_probe_that_measures_nothing_is_nan_not_zero():
+    # 0.0 is a zero direction's value.  Probes that all overflow, or all
+    # underflow onto x, measure no ratio: NaN, which a run records as null.
+    obj = make_quadratic(3, 8, generator_seed=1)
+    x, ones = np.ones(3), np.ones(3)
+    with np.errstate(all="ignore"):
+        assert math.isnan(smoothness_estimate(obj, x, ones, fraction=1e308))
+        assert math.isnan(smoothness_estimate(obj, x, 1e-323 * ones))
+        got = smoothness_estimates(obj, [x, x], [1e-323 * ones, 0 * ones])
+    assert math.isnan(got[0]) and got[1] == 0.0
+
+
 def _probe_loop(obj, x, update, probes, fraction):
     """The probe as one single-point full-gradient call per point."""
     if float(np.linalg.norm(update)) == 0.0:

@@ -69,11 +69,14 @@ def _fake_repo(tmp_path, monkeypatch, parent_speed, change_speed):
     (repo / "benchmark" / "run.py").write_text(_FAKE_RUN)
     (repo / "BENCHMARK.json").write_text(json.dumps(_FAKE_BENCHMARK))
     (repo / "speed.txt").write_text(parent_speed)
+    (repo / "src" / "exsgd").mkdir(parents=True)
+    (repo / "src" / "exsgd" / "m.py").write_text(_SNIPPET)   # 5 code lines
     git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
     subprocess.run(git[:3] + ["init", "-q"], check=True)
     subprocess.run(git + ["add", "-A"], check=True)
     subprocess.run(git + ["commit", "-q", "-m", "parent"], check=True)
     (repo / "speed.txt").write_text(change_speed)
+    (repo / "src" / "exsgd" / "n.py").write_text("x = 1\n")
     monkeypatch.chdir(repo)
     monkeypatch.setenv("BENCH_LOG", str(log))
     return log
@@ -99,6 +102,7 @@ def test_bench_pairs_alternates_the_trees_and_writes_its_schema(
     assert (entry["workload"], entry["seed"], entry["correct"]) == (
         "wide_models", 7, True)
     assert entry["change"]["dirty"] is True
+    assert (entry["parent"]["code_lines"], entry["change"]["code_lines"]) == (5, 6)
     assert [p["first"] for p in entry["pairs"]] == ["parent", "change", "parent"]
     assert entry["digests"] == {"parent": ["ab" * 32], "change": ["ab" * 32],
                                 "equal": True}

@@ -7,7 +7,9 @@ alternating which of the two runs first.  Each run's last JSON line gives its
 end-to-end metrics and its `digest sha256:` line its output digest.  The
 pairs, each side's median and quartiles, the count of pairs in which the
 change was better (in the direction `BENCHMARK.json` gives for the metric),
-both sides' digests and the machine are written to the JSON file `--out`;
+both sides' digests, each side's `code_lines` total over `src/exsgd/*.py`
+(as `tools/code_lines.py` counts them) and the machine are written to the
+JSON file `--out`;
 an existing file keeps its comparisons of other workloads or seeds.  Uses
 the standard library only.
 
@@ -22,6 +24,7 @@ is worse than the parent's median by at most the metric's `bound` in
 """
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -31,6 +34,9 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from code_lines import code_lines  # noqa: E402  (a sibling tool)
 
 SIDES = ("parent", "change")
 # Prints numpy's version and BLAS build as JSON, run with the change's Python.
@@ -78,6 +84,15 @@ def run_once(tree, workload, seed, seconds):
     result = json.loads(lines[-1])
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     return metrics, digests[0], bool(result["correct"])
+
+
+def source_lines(tree):
+    """The code lines of `tree`'s `src/exsgd/*.py`, summed."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "exsgd", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += code_lines(fh.read())
+    return total
 
 
 def summary(values):
@@ -148,6 +163,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
         export_tree(repo, args.parent, parent)
         trees = {"parent": parent, "change": repo}
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
         pairs = []
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -164,9 +180,11 @@ def main(argv=None):
     entry = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "parent": {"rev": args.parent,
-                   "commit": _git(repo, "rev-parse", args.parent).strip()},
+                   "commit": _git(repo, "rev-parse", args.parent).strip(),
+                   "code_lines": lines["parent"]},
         "change": {"commit": _git(repo, "rev-parse", "HEAD").strip(),
-                   "dirty": dirty(repo, args.out)},
+                   "dirty": dirty(repo, args.out),
+                   "code_lines": lines["change"]},
         "pairs": pairs,
         "metrics": compare(pairs, {name: spec for name, spec in specs.items()
                                    if name in pairs[0]["parent"]}),
