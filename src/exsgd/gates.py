@@ -62,7 +62,8 @@ def replay_trials(obj, method, cluster, hp, steps, trials, seed, noise=None):
 def rate_bound_hold_fraction(obj, method, cluster, steps, u, trials, seed):
     """The share of `trials` seeded runs, at the stepsize that
     theory.tuned_hyperparams picks for `steps` steps, in which the
-    stationarity bound dominates the measured average squared gradient norm.
+    stationarity bound dominates the measured average squared gradient norm
+    (an infinite bound, which decides nothing, does not count as holding).
     Raises ValueError if a trial has no rate report."""
     consts = estimate_constants(obj, initial_point(obj), horizon_T=steps)
     hp = tuned_hyperparams(method, consts, cluster, steps, momentum_u=u)
@@ -71,7 +72,7 @@ def rate_bound_hold_fraction(obj, method, cluster, steps, u, trials, seed):
     if None in reports:
         raise ValueError(f"{method}: {reports.count(None)} of {trials} "
                          f"trials have no rate report")
-    return sum(r.holds for r in reports) / trials
+    return sum(r.holds is True for r in reports) / trials
 
 
 def protocol_formulas():

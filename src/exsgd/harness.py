@@ -743,8 +743,9 @@ def write_outputs(result, out_dir):
             if tr.rate_error:
                 entry["rate_bound_error"] = tr.rate_error
             payload["trials"].append(entry)
+        # A report whose bound is not finite decides nothing (holds None).
         holds = [tr.rate_report.holds for tr in result.trials
-                 if tr.rate_report is not None]
+                 if getattr(tr.rate_report, "holds", None) is not None]
         if holds:
             payload["rate_bound_hold_fraction"] = sum(holds) / len(holds)
         texts["theory_report.json"] = _json_text(payload)

@@ -1169,7 +1169,7 @@ GOLDEN_DIGESTS = {
                    "trial_1.jsonl": "03f21fdabd3eef1a"},
     "extrap_noise": {"aggregate.csv": "19ed157f8773db7d",
                      "manifest.json": "feee8e74a7fe5291",
-                     "theory_report.json": "b467af5c1dea2dbe",
+                     "theory_report.json": "289560ae13fbd072",
                      "trial_0.jsonl": "4c7666951acd3165",
                      "trial_1.jsonl": "8abf34ff4b4c198f"},
     "adam": {"aggregate.csv": "f6092c06d7b1dba9",
@@ -1201,7 +1201,7 @@ GOLDEN_DIGESTS = {
                                        "trial_1.jsonl": "d5926d9c0a4fe191"},
     "tiny_mlp_extrap_sgd_decay": {"aggregate.csv": "1a666c20368eee71",
                                   "manifest.json": "12c23ef9e7a073da",
-                                  "theory_report.json": "222ae51ec84ec521",
+                                  "theory_report.json": "615b8570e7dcd606",
                                   "trial_0.jsonl": "b6df5f4fd34941f6",
                                   "trial_1.jsonl": "0ccd17f10a9c06be"},
     "five_trials_schedule_smoothout_epochs": {
@@ -1277,7 +1277,7 @@ def test_run_writes_golden_bytes(case, tmp_path, capsys):
 # a small fixed config, so every writer is pinned byte for byte, not only run.
 WRITER_DIGESTS = {
     "sweep": ("sweep.json", "a61faa6a68da2bbc"),
-    "speedup": ("speedup.json", "1cb0c53e0a1c5af7"),
+    "speedup": ("speedup.json", "72b7f84406553af2"),
     "verify": ("theory_report.json", "13af670d2303f7f7"),
 }
 

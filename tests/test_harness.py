@@ -77,7 +77,11 @@ def test_outputs_are_strict_json_at_the_nesterov_cap(tmp_path):
                 json.loads(line, parse_constant=_reject_constant)
     report = json.loads((tmp_path / "theory_report.json").read_text())
     # gamma at the cap zeroes the bound's denominator: the bound is infinite
+    # and decides nothing, so no trial holds and no fraction is written
     assert report["trials"][0]["rate_bound"]["bound_value"] == "Infinity"
+    assert [t["rate_bound"]["holds"] for t in report["trials"]] == [
+        None] * len(report["trials"])
+    assert "rate_bound_hold_fraction" not in report
 
 
 def test_run_is_deterministic():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from exsgd.cluster import ClusterConfig, draw_batches, reduce_mean
@@ -12,7 +14,8 @@ from exsgd.objectives import (TheoryConstants, batch_gradient,
                               estimate_constants, initial_point, make_logistic, make_quadratic, make_tiny_mlp)
 from exsgd.optimizers import (HyperParams, effective_gamma_hat, init_state,
                               step_extrap_sgd, step_nesterov)
-from exsgd.theory import (EXTRAP_NOISE, EXTRAP_SGD, NESTEROV, POST_LOCAL, SGD,
+from exsgd.theory import (EXTRAP_NOISE, EXTRAP_SGD, METHOD_TABLE, METHODS,
+                          NESTEROV, POST_LOCAL, SGD,
                           build_virtual_sequence, check_descent_identity,
                           check_proximity_inequalities, critical_batch_size,
                           epsilon_horizon, finish_report, rate_bound,
@@ -143,15 +146,19 @@ def test_tuned_stepsize_two_case_rule():
 
 
 def test_tuned_stepsize_momentum_variants():
+    # The tuner returns the bound's argmin on (0, cap].  At u = 0.5, KB = 8,
+    # T = 400 the rows' coefficients (a, b, c, k) are
+    # nesterov (1/800, 4, 0, 4.5), extrap_sgd (1/400, 20, 8, 0) with
+    # gamma_hat/gamma = 1/K, and extrap_noise without noise (1/400, 12, 0, 0).
     u = 0.5
-    scale = 2.0 * 1.0 * 8.0 / (2.0 * 8.0 * 400)
+    a, b, k = 1.0 / 800, 4.0, 4.5
     assert_allclose(tune_stepsize(NESTEROV, CONSTS, CLUSTER, 400, u),
-                    math.sqrt(scale * 0.5 ** 3), rtol=1e-15)
-    assert_allclose(
-        tune_stepsize(EXTRAP_SGD, CONSTS, CLUSTER, 400, u),
-        math.sqrt(scale * (0.125 + 1.5 + 1.0) * 0.5 ** 3 / 10.5), rtol=1e-15)
+                    (math.sqrt(a * a * k * k + a * b) - a * k) / b, rtol=1e-12)
+    # extrap_sgd's stationarity condition 2 c g^3 + b g^2 = a
+    g = tune_stepsize(EXTRAP_SGD, CONSTS, CLUSTER, 400, u)
+    assert_allclose(16.0 * g ** 3 + 20.0 * g ** 2, 1.0 / 400, rtol=1e-12)
     assert_allclose(tune_stepsize(EXTRAP_NOISE, CONSTS, CLUSTER, 400, u),
-                    math.sqrt(scale * 0.5 ** 3 / 1.5), rtol=1e-15)
+                    math.sqrt(1.0 / 400 / 12.0), rtol=1e-15)
 
 
 def test_tuned_hyperparams_pick_admissible_gamma_hat():
@@ -165,12 +172,20 @@ def test_tuned_hyperparams_pick_admissible_gamma_hat():
 
 
 def test_critical_batch_size_hand_values():
-    # base = sigma^2 T/(L r0) = 8 * 1000 / 2 = 4000
-    assert_allclose(critical_batch_size(SGD, CONSTS), 4000.0, rtol=1e-12)
+    # One definition for every method: the KB at which b gamma = a/gamma at
+    # gamma = cap, that is b KB cap^2 / a, at T = 1000.
+    # sgd: b KB = L sigma^2 = 16, cap = 1/2, a = 2 r0/T = 0.002
+    assert_allclose(critical_batch_size(SGD, CONSTS), 2000.0, rtol=1e-12)
+    # nesterov: b KB = 16/(2 (1-u)^2) = 32, cap = 0.5/2.25, a = 0.0005
     assert_allclose(critical_batch_size(NESTEROV, CONSTS, 0.5),
-                    4000.0 * 0.5 / 1.125 ** 2, rtol=1e-12)
+                    32.0 * (0.5 / 2.25) ** 2 / 0.0005, rtol=1e-12)
+    # extrap_sgd: b KB = 2 * 2.5 * 8/(1-u)^2 = 160, cap = 0.25/5.25, a = 0.001
     assert_allclose(critical_batch_size(EXTRAP_SGD, CONSTS, 0.5),
-                    4000.0 * 10.5 * 0.5 / 2.625 ** 3, rtol=1e-12)
+                    160.0 * (0.25 / 5.25) ** 2 / 0.001, rtol=1e-12)
+    # For sgd that is where the tuned stepsize meets the cap.
+    at_critical = ClusterConfig(workers_K=2, local_batch_B=1000)
+    assert_allclose(tune_stepsize(SGD, CONSTS, at_critical, 1000), 0.5,
+                    rtol=1e-12)
     no_horizon = TheoryConstants(lipschitz_L=2.0, variance_sigma2=8.0,
                                  f_star=0.0, r0=1.0)
     with pytest.raises(ValueError):
@@ -250,6 +265,125 @@ def test_epsilon_horizon_scaling_with_batch():
     small = epsilon_horizon(SGD, CONSTS, ClusterConfig(workers_K=1, local_batch_B=4), 0.25)
     big = epsilon_horizon(SGD, CONSTS, ClusterConfig(workers_K=4, local_batch_B=4), 0.25)
     assert small == pytest.approx(4 * big, rel=0.01)
+
+
+def test_tuner_keeps_its_degenerate_results():
+    noiseless = dataclasses.replace(CONSTS, variance_sigma2=0.0)
+    for method in (SGD, EXTRAP_SGD):        # nothing to trade off: the cap
+        assert tune_stepsize(method, noiseless, CLUSTER, 100, 0.5) == \
+            stepsize_cap(method, noiseless, 0.5)
+    at_optimum = dataclasses.replace(CONSTS, r0=0.0)    # a = 0
+    for method in (SGD, NESTEROV, EXTRAP_SGD, EXTRAP_NOISE):
+        assert tune_stepsize(method, at_optimum, CLUSTER, 100, 0.5) == 0.0
+    # extrap_noise tunes without its noise term, also at u = 0 where its
+    # bound is not stated; there its row is sgd's
+    assert_allclose(tune_stepsize(EXTRAP_NOISE, CONSTS, CLUSTER, 100, 0.0),
+                    tune_stepsize(SGD, CONSTS, CLUSTER, 100), rtol=1e-15)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_has_all_four_bound_functions_or_none(method):
+    # One table row serves stepsize_cap, rate_bound, tune_stepsize and
+    # critical_batch_size: a method has all four or none.  The exception is
+    # extrap_noise, whose bound grows with T: it has no critical batch.
+    hp = HyperParams(lr_gamma=0.01, inner_lr_gamma_hat=0.005, momentum_u=0.5)
+    calls = {
+        "cap": lambda: stepsize_cap(method, CONSTS, 0.5),
+        "bound": lambda: rate_bound(method, CONSTS, hp, CLUSTER, 100,
+                                    sigma_hat2=0.5).bound_value,
+        "tuned": lambda: tune_stepsize(method, CONSTS, CLUSTER, 100, 0.5),
+        "critical": lambda: critical_batch_size(method, CONSTS, 0.5)}
+    if not METHOD_TABLE[method].bounded:
+        for name, call in calls.items():
+            refusal = ("critical batch size" if name == "critical"
+                       else "rate bound")
+            with pytest.raises(ValueError, match=f"^no {refusal} for method "
+                                                 f"'{method}'$"):
+                call()
+        return
+    if method == EXTRAP_NOISE:
+        with pytest.raises(ValueError, match="^no critical batch size for "
+                                             "method 'extrap_noise'$"):
+            calls.pop("critical")()
+    values = {name: call() for name, call in calls.items()}
+    assert all(math.isfinite(v) and v > 0 for v in values.values()), values
+    assert values["tuned"] <= values["cap"]
+
+
+def test_extrap_noise_at_zero_momentum_has_a_cap_but_no_bound():
+    # (1-u)^2 / (L (1 + u + u^3)) = 1/L at u = 0; the bound's noise term
+    # divides by u^3, so rate_bound refuses before it evaluates the row.
+    assert stepsize_cap(EXTRAP_NOISE, CONSTS, 0.0) == 0.5
+    hp = HyperParams(lr_gamma=0.01, inner_lr_gamma_hat=0.005)
+    with pytest.raises(ValueError, match="^the noise-extrapolation bound "
+                                         "needs momentum_u > 0$"):
+        rate_bound(EXTRAP_NOISE, CONSTS, hp, CLUSTER, 100, sigma_hat2=0.5)
+    assert 0.0 < tune_stepsize(EXTRAP_NOISE, CONSTS, CLUSTER, 100, 0.0) <= 0.5
+    with pytest.raises(ValueError, match="^no critical batch size"):
+        critical_batch_size(EXTRAP_NOISE, CONSTS, 0.0)
+
+
+@st.composite
+def _tuning_problems(draw, methods=(SGD, NESTEROV, EXTRAP_SGD, EXTRAP_NOISE)):
+    """(method, constants, cluster, u, T) over several decades of each."""
+    method = draw(st.sampled_from(methods))
+    consts = TheoryConstants(
+        lipschitz_L=draw(st.floats(1e-2, 1e2)),
+        variance_sigma2=draw(st.just(0.0) | st.floats(1e-3, 1e3)),
+        f_star=0.0, r0=draw(st.floats(1e-3, 1e3)))
+    cluster = ClusterConfig(workers_K=draw(st.integers(1, 64)),
+                            local_batch_B=draw(st.integers(1, 256)))
+    u = draw(st.floats(0.05 if method == EXTRAP_NOISE else 0.0, 0.95))
+    return method, consts, cluster, u, draw(st.integers(1, 10 ** 6))
+
+
+def _bound_at(method, consts, cluster, u, T, gamma):
+    """The bound at gamma, with extrap_sgd's gamma_hat/gamma at the tuned
+    ratio min(1/K, u^2/(1-u)^2), and extrap_noise's without noise."""
+    ghat = None
+    if method == EXTRAP_SGD:
+        ghat = min(1.0 / cluster.workers_K, u ** 2 / (1.0 - u) ** 2) * gamma
+    hp = HyperParams(lr_gamma=gamma, inner_lr_gamma_hat=ghat, momentum_u=u)
+    return rate_bound(method, consts, hp, cluster, T, sigma_hat2=0.0).bound_value
+
+
+@given(problem=_tuning_problems())
+@settings(max_examples=40, deadline=None)
+def test_tuned_stepsize_minimizes_the_bound(problem):
+    method, consts, cluster, u, T = problem
+    gamma = tune_stepsize(method, consts, cluster, T, u)
+    cap = stepsize_cap(method, consts, u)
+    assert 0.0 < gamma <= cap
+    tuned = _bound_at(method, consts, cluster, u, T, gamma)
+    grid = min(_bound_at(method, consts, cluster, u, T, g)
+               for g in cap * np.geomspace(1e-9, 1.0, 2000))
+    assert tuned <= grid * (1.0 + 1e-12)
+    L, s2, r0, KB = (consts.lipschitz_L, consts.variance_sigma2, consts.r0,
+                     cluster.workers_K * cluster.local_batch_B)
+    if method == SGD:       # sqrt(a/b), clipped to the cap
+        a, b = 2.0 * r0 / T, L * s2 / KB
+        assert_allclose(gamma, min(cap, math.sqrt(a / b)) if b else cap,
+                        rtol=1e-12)
+    elif method == NESTEROV:
+        # (sqrt(a^2 k^2 + a b) - a k)/b, written without its cancellation
+        a, b = (1.0 - u) * r0 / T, L * s2 / (2.0 * (1.0 - u) ** 2 * KB)
+        k = L * (u ** 3 + 1.0) / (2.0 * (1.0 - u) ** 2)
+        assert_allclose(gamma, a / (math.sqrt(a * a * k * k + a * b) + a * k),
+                        rtol=1e-12)
+
+
+@given(problem=_tuning_problems(methods=(SGD, NESTEROV, EXTRAP_SGD)),
+       later=st.integers(1, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_tuned_bound_is_non_increasing_in_the_horizon(problem, later):
+    # epsilon_horizon's doubling and bisection are exact because of this.
+    method, consts, cluster, u, T = problem
+
+    def tuned_bound(horizon):
+        hp = tuned_hyperparams(method, consts, cluster, horizon, u)
+        return rate_bound(method, consts, hp, cluster, horizon).bound_value
+
+    assert tuned_bound(T + later) <= tuned_bound(T) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
